@@ -121,11 +121,7 @@ def _cmd_check(args) -> int:
     base = Path(args.input).parent
     kind = args.kind
     if kind == "frame":
-        if "elements" not in doc or "leq" not in doc:
-            raise MalformedInput("frame document needs 'elements' and 'leq'")
-        _, report = close_and_verify_frame(
-            [str(x) for x in doc["elements"]], [(str(a), str(b)) for a, b in doc["leq"]]
-        )
+        _, report = close_and_verify_frame(*jsonio.frame_relation(doc))
     elif kind == "presheaf":
         report = verify_presheaf(jsonio.load_presheaf(doc, base))
     elif kind == "sheaf":

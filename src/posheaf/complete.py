@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 from .frames import (
     FiniteFrame,
-    FinitePoset,
     FrameHom,
     MonotoneMap,
     left_adjoint,
@@ -35,7 +34,6 @@ from .orders import (
 )
 from .sheaves import (
     Point,
-    Presheaf,
     SheafMorphism,
     SubSheaf,
     enumerate_points,
@@ -519,11 +517,6 @@ def _morphism_left_adjoint(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> Shea
     if not verify_galois(candidate, alpha, G, F).passed:
         return None
     return candidate
-
-
-def _morphism_right_adjoint(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> SheafMorphism | None:
-    op = _morphism_left_adjoint(alpha, F.opposite(), G.opposite())
-    return op
 
 
 @timed

@@ -337,10 +337,7 @@ def _mutate_break_pos3(F: PoSheaf) -> PoSheaf:
         proper_covers = [c for c in frame.covers(u) if u not in c and c]
         if not proper_covers:
             continue
-        for (s, t) in sorted(
-            F.orders[u],
-            key=lambda p: (F.sheaf.section_key(u, p[0]), F.sheaf.section_key(u, p[1])),
-        ):
+        for (s, t) in F.sorted_pairs(u):
             if s == t:
                 continue
             # must be a covering pair of the order at u: no strict intermediate

@@ -29,18 +29,41 @@ def _as_doc(value, base_dir: Path | None):
     raise MalformedInput(f"expected an object or a path, got {type(value).__name__}")
 
 
+def _table(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedInput(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _strings(value, what: str) -> list[str]:
+    if not isinstance(value, (list, tuple)):
+        raise MalformedInput(f"{what} must be a list, got {type(value).__name__}")
+    return [str(x) for x in value]
+
+
+def _pairs(value, what: str) -> list[tuple[str, str]]:
+    if not isinstance(value, (list, tuple)) or any(
+        not isinstance(p, (list, tuple)) or len(p) != 2 for p in value
+    ):
+        raise MalformedInput(f"{what} must be a list of [x, y] pairs")
+    return [(str(x), str(y)) for x, y in value]
+
+
 def read_json(path) -> dict:
     doc, _ = _as_doc(str(path), None)
     return doc
 
 
-def load_frame(doc, base_dir: Path | None = None) -> FiniteFrame:
-    doc, _ = _as_doc(doc, base_dir)
+def frame_relation(doc: dict) -> tuple[list[str], list[tuple[str, str]]]:
+    """The elements and the generating order pairs of a frame document."""
     if "elements" not in doc or "leq" not in doc:
         raise MalformedInput("frame document needs 'elements' and 'leq'")
-    elements = [str(x) for x in doc["elements"]]
-    pairs = [(str(lo), str(hi)) for lo, hi in doc["leq"]]
-    return FiniteFrame.from_relation(elements, pairs)
+    return _strings(doc["elements"], "'elements'"), _pairs(doc["leq"], "'leq'")
+
+
+def load_frame(doc, base_dir: Path | None = None) -> FiniteFrame:
+    doc, _ = _as_doc(doc, base_dir)
+    return FiniteFrame.from_relation(*frame_relation(doc))
 
 
 def dump_frame_doc(frame: FiniteFrame, **extra) -> dict:
@@ -58,16 +81,22 @@ def load_presheaf(doc, base_dir: Path | None = None) -> Presheaf:
     if "frame" not in doc or "carriers" not in doc:
         raise MalformedInput("presheaf document needs 'frame' and 'carriers'")
     frame = load_frame(doc["frame"], inner)
-    carriers = {str(u): tuple(str(x) for x in xs) for u, xs in doc["carriers"].items()}
+    carriers = {
+        str(u): tuple(_strings(xs, f"carrier {u!r}")) for u, xs in _table(doc["carriers"], "'carriers'").items()
+    }
     unknown = set(carriers) - set(frame.elements)
     if unknown:
         raise MalformedInput(f"carriers mention unknown opens: {sorted(unknown)}")
     res = {}
-    for key, table in doc.get("res", {}).items():
+    for key, table in _table(doc.get("res", {}), "'res'").items():
         if "->" not in key:
             raise MalformedInput(f"restriction key {key!r} is not of the form 'u->v'")
         u, v = (part.strip() for part in key.split("->", 1))
-        res[(u, v)] = {str(x): str(y) for x, y in table.items()}
+        if u not in frame or v not in frame:
+            raise MalformedInput(f"restriction key {key!r} names an unknown open")
+        if not frame.leq(v, u):
+            raise MalformedInput(f"restriction key {key!r}: {v!r} is not below {u!r}")
+        res[(u, v)] = {str(x): str(y) for x, y in _table(table, f"restriction table {key!r}").items()}
     return Presheaf(frame, carriers, res)
 
 
@@ -75,9 +104,11 @@ def load_posheaf(doc, base_dir: Path | None = None) -> PoSheaf:
     doc, inner = _as_doc(doc, base_dir)
     sheaf = load_presheaf(doc, inner)
     orders = {
-        str(u): [(str(x), str(y)) for x, y in pairs]
-        for u, pairs in doc.get("order", {}).items()
+        str(u): _pairs(pairs, f"order at {u!r}") for u, pairs in _table(doc.get("order", {}), "'order'").items()
     }
+    unknown = set(orders) - set(sheaf.frame.elements)
+    if unknown:
+        raise MalformedInput(f"order mentions unknown opens: {sorted(unknown)}")
     return PoSheaf(sheaf, orders)
 
 
@@ -116,7 +147,10 @@ def load_morphism(doc, base_dir: Path | None = None) -> tuple[SheafMorphism, PoS
             raise MalformedInput(f"morphism document needs {key!r}")
     source = load_posheaf(doc["source"], inner)
     target = load_posheaf(doc["target"], inner)
-    maps = {str(u): {str(x): str(y) for x, y in table.items()} for u, table in doc["maps"].items()}
+    maps = {
+        str(u): {str(x): str(y) for x, y in _table(table, f"map at {u!r}").items()}
+        for u, table in _table(doc["maps"], "'maps'").items()
+    }
     return SheafMorphism(source.sheaf, target.sheaf, maps), source, target
 
 
@@ -140,7 +174,7 @@ def load_frame_under_x(doc, base_dir: Path | None = None):
             raise MalformedInput(f"frame-hom document needs {key!r}")
     source = load_frame(doc["source"], inner)
     target = load_frame(doc["target"], inner)
-    mapping = {str(x): str(y) for x, y in doc["map"].items()}
+    mapping = {str(x): str(y) for x, y in _table(doc["map"], "'map'").items()}
     missing = set(source.elements) - set(mapping)
     if missing:
         raise MalformedInput(f"frame-hom map missing {sorted(missing)}")
@@ -172,7 +206,7 @@ def load_locale(doc, base_dir: Path | None = None) -> LocaleOverX:
         raise MalformedInput("locale document needs 'OY'+'fstar' (or a flat frame with 'fstar')")
     if "fstar" not in doc:
         raise MalformedInput("locale document needs 'fstar'")
-    mapping = {str(x): str(y) for x, y in doc["fstar"].items()}
+    mapping = {str(x): str(y) for x, y in _table(doc["fstar"], "'fstar'").items()}
     missing = set(ox.elements) - set(mapping)
     if missing:
         raise MalformedInput(f"fstar missing {sorted(missing)}")
@@ -191,7 +225,7 @@ def load_subsheaf(F: Presheaf, doc, base_dir: Path | None = None) -> SubSheaf:
     doc, _ = _as_doc(doc, base_dir)
     if "parts" not in doc:
         raise MalformedInput("subsheaf document needs 'parts'")
-    parts = {str(u): [str(x) for x in xs] for u, xs in doc["parts"].items()}
+    parts = {str(u): _strings(xs, f"part at {u!r}") for u, xs in _table(doc["parts"], "'parts'").items()}
     unknown = set(parts) - set(F.frame.elements)
     if unknown:
         raise MalformedInput(f"parts mention unknown opens: {sorted(unknown)}")
@@ -201,12 +235,12 @@ def load_subsheaf(F: Presheaf, doc, base_dir: Path | None = None) -> SubSheaf:
 def section_orders_from_doc(G, doc) -> dict:
     """Orders over section labels ('s0', 's1', ...) into Section-keyed pairs."""
     orders = {}
-    for u, pairs in doc.items():
+    for u, pairs in _table(doc, "section orders").items():
         if u not in G.sheaf.frame.elements:
             raise MalformedInput(f"section order mentions unknown open {u!r}")
         by_label = {G.sheaf.label(u, s): s for s in G.sheaf.carriers[u]}
         resolved = []
-        for x, y in pairs:
+        for x, y in _pairs(pairs, f"section order at {u!r}"):
             if x not in by_label or y not in by_label:
                 raise MalformedInput(f"unknown section label at {u!r}: {(x, y)!r}")
             resolved.append((by_label[x], by_label[y]))

@@ -14,7 +14,6 @@ from .report import (
     CheckReport,
     MalformedInput,
     OrderNotProvided,
-    ResourceLimit,
     timed,
 )
 from .complete import is_complete
@@ -653,61 +652,33 @@ def _gamma_posheaf(G: GammaSheaf, orders) -> PoSheaf:
     return PoSheaf(G.sheaf, orders)
 
 
+def _pos_law(posheaf_rep: CheckReport, law: str, name: str, keys: tuple) -> CheckReport:
+    """The posheaf layer's verdict on one POS law, renamed and with its witness
+    projected onto the given keys."""
+    rep = next(r for r in posheaf_rep.subreports if r.name == f"posheaf.{law}")
+    witness = None if rep.passed else {k: rep.witness[k] for k in keys}
+    return CheckReport(name, rep.passed, witness=witness)
+
+
 @timed
 def check_posl(f: LocaleOverX, orders, *, budget: Budget | None = None) -> CheckReport:
-    """POSL1–3 on the cross-sections, cross-checked against the posheaf
-    verdict with the same orders."""
+    """POSL1–3 on the cross-sections: the posheaf layer's POS1–3 on Γ with the
+    same orders, cross-checked against its verdict (which also requires the
+    internal-poset reading to agree)."""
     budget = budget or Budget()
     is_local_homeomorphism(f).require()
     G = cross_sections(f, budget=budget)
-    F = _gamma_posheaf(G, orders)
-    frame = F.frame
-
-    posl1_ok, posl1_wit = True, None
-    for u in frame.elements:
-        law = F.poset(u).verify()
-        if not law.passed:
-            posl1_ok, posl1_wit = False, {"open": u, "witness": law.witness}
-            break
-
-    posl2_ok, posl2_wit = True, None
-    for u in frame.elements:
-        for v in frame.down(u):
-            for (s, t) in F.orders[u]:
-                if not F.leq(v, F.sheaf.restrict(u, s, v), F.sheaf.restrict(u, t, v)):
-                    posl2_ok, posl2_wit = False, {"square": [u, v]}
-                    break
-            if not posl2_ok:
-                break
-        if not posl2_ok:
-            break
-
-    posl3_ok, posl3_wit = True, None
-    for u in frame.elements:
-        for cover in frame.covers(u):
-            for s in F.carrier(u):
-                for t in F.carrier(u):
-                    if F.leq(u, s, t):
-                        continue
-                    if all(F.leq(ui, F.sheaf.restrict(u, s, ui), F.sheaf.restrict(u, t, ui)) for ui in cover):
-                        posl3_ok, posl3_wit = False, {"open": u, "cover": list(cover)}
-                        break
-                if not posl3_ok:
-                    break
-            if not posl3_ok:
-                break
-        if not posl3_ok:
-            break
-
-    posl = posl1_ok and posl2_ok and posl3_ok
-    posheaf_rep = verify_posheaf(F)
+    posheaf_rep = verify_posheaf(_gamma_posheaf(G, orders))
+    laws = [
+        _pos_law(posheaf_rep, "POS1", "posl.POSL1", ("open", "witness")),
+        _pos_law(posheaf_rep, "POS2", "posl.POSL2", ("square",)),
+        _pos_law(posheaf_rep, "POS3", "posl.POSL3", ("open", "cover")),
+    ]
+    posl = all(r.passed for r in laws)
     agree = posl == posheaf_rep.passed
     return CheckReport.combine(
         "posl",
-        [
-            CheckReport("posl.POSL1", posl1_ok, witness=posl1_wit),
-            CheckReport("posl.POSL2", posl2_ok, witness=posl2_wit),
-            CheckReport("posl.POSL3", posl3_ok, witness=posl3_wit),
+        laws + [
             CheckReport("posl.agreement_with_posheaf", agree, witness=None if agree else {"posl": posl, "posheaf": posheaf_rep.passed}),
         ],
     )
@@ -716,7 +687,7 @@ def check_posl(f: LocaleOverX, orders, *, budget: Budget | None = None) -> Check
 @timed
 def check_cposl(f: LocaleOverX, orders, *, budget: Budget | None = None) -> CheckReport:
     """CPOSL1–3 on the cross-sections, cross-checked against the completeness
-    verdict with the same orders."""
+    verdict with the same orders; CPOSL3 is the posheaf layer's POS3 on Γ."""
     budget = budget or Budget()
     is_local_homeomorphism(f).require()
     G = cross_sections(f, budget=budget)
@@ -756,33 +727,18 @@ def check_cposl(f: LocaleOverX, orders, *, budget: Budget | None = None) -> Chec
         if not c2_ok:
             break
 
-    c3_ok, c3_wit = True, None
-    for u in frame.elements:
-        for cover in frame.covers(u):
-            for s in F.carrier(u):
-                for t in F.carrier(u):
-                    if F.leq(u, s, t):
-                        continue
-                    if all(F.leq(ui, F.sheaf.restrict(u, s, ui), F.sheaf.restrict(u, t, ui)) for ui in cover):
-                        c3_ok, c3_wit = False, {"open": u, "cover": list(cover)}
-                        break
-                if not c3_ok:
-                    break
-            if not c3_ok:
-                break
-        if not c3_ok:
-            break
+    posheaf_rep = verify_posheaf(F)
+    c3 = _pos_law(posheaf_rep, "POS3", "cposl.CPOSL3", ("open", "cover"))
 
-    cposl = c1_ok and c2_ok and c3_ok
-    posheaf_ok = verify_posheaf(F).passed
-    complete_ok = posheaf_ok and is_complete(F, budget=budget).passed
+    cposl = c1_ok and c2_ok and c3.passed
+    complete_ok = posheaf_rep.passed and is_complete(F, budget=budget).passed
     agree = cposl == complete_ok
     return CheckReport.combine(
         "cposl",
         [
             CheckReport("cposl.CPOSL1", c1_ok, witness=c1_wit),
             CheckReport("cposl.CPOSL2", c2_ok, witness=c2_wit),
-            CheckReport("cposl.CPOSL3", c3_ok, witness=c3_wit),
+            c3,
             CheckReport("cposl.agreement_with_completeness", agree, witness=None if agree else {"cposl": cposl, "complete": complete_ok}),
         ],
     )

@@ -20,10 +20,9 @@ from .sheaves import (
     Presheaf,
     SheafMorphism,
     SubSheaf,
-    _close_parts,
+    close_to_subsheaf,
     enumerate_closed_subsheaves,
     enumerate_points,
-    full_subsheaf,
     product_sheaf,
     verify_morphism,
     verify_restriction_closed,
@@ -54,6 +53,7 @@ class PoSheaf:
             closed[u] = frozenset(pairs)
         self.orders = closed
         self._posets: dict = {}
+        self._sorted_pairs: dict = {}
 
     @property
     def carriers(self):
@@ -72,6 +72,13 @@ class PoSheaf:
         if u not in self._posets:
             self._posets[u] = FinitePoset(self.sheaf.carriers[u], self.orders[u], closed=True)
         return self._posets[u]
+
+    def sorted_pairs(self, u) -> list:
+        """The order pairs at u, sorted by the section keys of both ends."""
+        if u not in self._sorted_pairs:
+            key = self.sheaf.section_key
+            self._sorted_pairs[u] = sorted(self.orders[u], key=lambda p: (key(u, p[0]), key(u, p[1])))
+        return self._sorted_pairs[u]
 
     def opposite(self) -> "PoSheaf":
         """Same underlying sheaf, per-open orders reversed."""
@@ -97,7 +104,6 @@ def order_subsheaf(F: PoSheaf) -> tuple[Presheaf, SubSheaf]:
     return out
 
 
-@timed
 def verify_posheaf(F: PoSheaf) -> CheckReport:
     """POS1–POS3 with witnesses, cross-checked against the internal-poset
     reading: the order relation must be a subsheaf of F×F satisfying internal
@@ -110,6 +116,7 @@ def verify_posheaf(F: PoSheaf) -> CheckReport:
     return report
 
 
+@timed
 def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
     cert = verify_sheaf(F.sheaf)
     if not cert.passed:
@@ -128,7 +135,7 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
     done = False
     for u in F.frame.elements:
         for v in F.frame.down(u):
-            for (x, y) in sorted(F.orders[u], key=lambda p: (F.sheaf.section_key(u, p[0]), F.sheaf.section_key(u, p[1]))):
+            for (x, y) in F.sorted_pairs(u):
                 if not F.leq(v, F.sheaf.restrict(u, x, v), F.sheaf.restrict(u, y, v)):
                     pos2 = CheckReport.fail(
                         "posheaf.POS2",
@@ -298,7 +305,7 @@ def verify_order_preserving(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> Che
     fact_ok, fact_wit = True, None
     square, rel = order_subsheaf(G)
     for u in F.frame.elements:
-        for (x, y) in sorted(F.orders[u], key=lambda p: (F.sheaf.section_key(u, p[0]), F.sheaf.section_key(u, p[1]))):
+        for (x, y) in F.sorted_pairs(u):
             if not rel.contains(u, (alpha(u, x), alpha(u, y))):
                 fact_ok, fact_wit = False, {"open": u, "pair": [F.label(u, x), F.label(u, y)]}
                 break
@@ -425,7 +432,7 @@ def is_downsheaf(G: SubSheaf, F: PoSheaf) -> CheckReport:
     cls_ok, cls_wit = phi_rep.passed, None if phi_rep.passed else phi_rep.witness
     if cls_ok:
         for u in F.frame.elements:
-            for (a, b) in sorted(F.orders[u], key=lambda p: (F.sheaf.section_key(u, p[0]), F.sheaf.section_key(u, p[1]))):
+            for (a, b) in F.sorted_pairs(u):
                 if not F.frame.leq(phi(u, b), phi(u, a)):
                     cls_ok, cls_wit = False, {"open": u, "pair": [F.label(u, a), F.label(u, b)], "truth": [phi(u, a), phi(u, b)]}
                     break
@@ -492,11 +499,7 @@ def _downsheaf_closure(F: PoSheaf):
         return changed
 
     def close(sections):
-        parts = [set() for _ in F.frame.elements]
-        for u, x in sections:
-            parts[F.frame.index[u]].add(x)
-        _close_parts(F.sheaf, parts, extra=extra)
-        return SubSheaf(F.sheaf, tuple(frozenset(p) for p in parts))
+        return close_to_subsheaf(F.sheaf, sections, extra)
 
     return close
 

@@ -59,10 +59,6 @@ class NotFrameSheaf(PosheafError):
     pass
 
 
-class NotALocalHomeomorphism(PosheafError):
-    pass
-
-
 class IsoSearchFailed(PosheafError):
     pass
 

@@ -110,9 +110,11 @@ def verify_presheaf(P: Presheaf) -> CheckReport:
     return P.verify()
 
 
-def compatible_families(P: Presheaf, cover: tuple):
-    """All families (x_i in P(u_i)) agreeing on pairwise meets, by DFS with
-    early pruning; the empty cover yields the single empty family."""
+def compatible_families(P: Presheaf, cover: tuple, parts=None):
+    """All families (x_i in P(u_i)) agreeing on pairwise meets, by DFS in
+    carrier order with early pruning; the empty cover yields the single empty
+    family. With ``parts`` (one set per open, in frame order) each x_i is
+    drawn from ``parts[index[u_i]]``, read when the search reaches u_i."""
     cover = list(cover)
     frame = P.frame
     chosen: list = []
@@ -122,7 +124,10 @@ def compatible_families(P: Presheaf, cover: tuple):
             yield tuple(chosen)
             return
         ui = cover[i]
+        part = None if parts is None else parts[frame.index[ui]]
         for x in P.carriers[ui]:
+            if part is not None and x not in part:
+                continue
             ok = True
             for j in range(i):
                 w = frame.meet(ui, cover[j])
@@ -338,7 +343,7 @@ def verify_subsheaf(S: SubSheaf) -> CheckReport:
     P = S.parent
     for u in P.frame.elements:
         for cover in P.frame.covers(u):
-            for family in _families_within(S, cover):
+            for family in compatible_families(P, cover, S.parts):
                 glue = amalgamations(P, u, cover, family)
                 missing = [x for x in glue if not S.contains(u, x)]
                 if missing:
@@ -353,60 +358,6 @@ def verify_subsheaf(S: SubSheaf) -> CheckReport:
                         reason="amalgamation",
                     )
     return CheckReport.ok("subsheaf")
-
-
-def _families_within(S: SubSheaf, cover: tuple):
-    """Compatible families drawing only from the subsheaf's parts."""
-    P = S.parent
-    frame = P.frame
-    cover = list(cover)
-    chosen: list = []
-
-    def rec(i):
-        if i == len(cover):
-            yield tuple(chosen)
-            return
-        ui = cover[i]
-        for x in S.sorted_part(ui):
-            ok = True
-            for j in range(i):
-                w = frame.meet(ui, cover[j])
-                if P.restrict(ui, x, w) != P.restrict(cover[j], chosen[j], w):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(x)
-                yield from rec(i + 1)
-                chosen.pop()
-
-    yield from rec(0)
-
-
-def _families_in_parts(P: Presheaf, parts: list[set], cover: tuple):
-    frame = P.frame
-    cover = list(cover)
-    chosen: list = []
-
-    def rec(i):
-        if i == len(cover):
-            yield tuple(chosen)
-            return
-        ui = cover[i]
-        for x in P.carriers[ui]:
-            if x not in parts[frame.index[ui]]:
-                continue
-            ok = True
-            for j in range(i):
-                w = frame.meet(ui, cover[j])
-                if P.restrict(ui, x, w) != P.restrict(cover[j], chosen[j], w):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(x)
-                yield from rec(i + 1)
-                chosen.pop()
-
-    yield from rec(0)
 
 
 def _close_parts(P: Presheaf, parts: list[set], extra: Callable | None = None) -> None:
@@ -432,7 +383,7 @@ def _close_parts(P: Presheaf, parts: list[set], extra: Callable | None = None) -
             for cover in frame.covers(u):
                 if any(not parts[frame.index[ui]] for ui in cover):
                     continue
-                for family in _families_in_parts(P, parts, cover):
+                for family in compatible_families(P, cover, parts):
                     for x in amalgamations(P, u, cover, family):
                         if x not in parts[iu]:
                             parts[iu].add(x)
@@ -447,17 +398,16 @@ def generate_subsheaf(F: Presheaf, B, *, require_closed: bool = True) -> SubShea
     seed = B if isinstance(B, SubSheaf) else SubSheaf(F, B)
     if require_closed:
         verify_restriction_closed(seed).require(NotRestrictionClosed)
-    parts = [set(p) for p in seed.parts]
-    _close_parts(F, parts)
-    return SubSheaf(F, tuple(frozenset(p) for p in parts))
+    return close_to_subsheaf(F, seed.points())
 
 
-def close_to_subsheaf(F: Presheaf, seed_sections: Iterable[tuple]) -> SubSheaf:
-    """Closure of an arbitrary set of (open, section) pairs (no precondition)."""
+def close_to_subsheaf(F: Presheaf, seed_sections: Iterable[tuple], extra: Callable | None = None) -> SubSheaf:
+    """Closure of an arbitrary set of (open, section) pairs (no precondition),
+    with an optional extra per-pass rule on the parts, e.g. downward closure."""
     parts: list[set] = [set() for _ in F.frame.elements]
     for u, x in seed_sections:
         parts[F.frame.index[u]].add(x)
-    _close_parts(F, parts)
+    _close_parts(F, parts, extra)
     return SubSheaf(F, tuple(frozenset(p) for p in parts))
 
 
@@ -529,11 +479,6 @@ def enumerate_points(F: Presheaf) -> list[Point]:
     """All (u, x in F(u)) pairs of a verified sheaf, including the unique
     point at bottom; the count is the sum of the carrier sizes."""
     return [Point(u, x) for u in F.frame.elements for x in F.carriers[u]]
-
-
-def point_restrict(F: Presheaf, p: Point, v):
-    """p(v) = value|_v for v ≤ dom(p)."""
-    return F.restrict(p.dom, p.value, v)
 
 
 def epsilon(P: Presheaf, sections: list[tuple]):

@@ -29,17 +29,13 @@ from .fixtures import (
     m3_posheaf,
     open_inclusion,
     posheaf_ab,
-    sections_free_locale,
     sheaf_ab,
     three_chain_over_2,
 )
 from .generate import GenConfig, _join_irreducibles, gen_endomorphism, gen_frame, gen_frame_morphism, gen_posheaf, mutate
 from .locale_equiv import (
-    counit,
     cross_sections,
     etale_locale,
-    is_local_homeomorphism,
-    is_spatial,
     check_cposl,
     check_posl,
     triangle_gamma_side,
@@ -53,11 +49,9 @@ from .orders import (
     down_closure,
     down_embedding,
     down_power_sheaf,
-    enumerate_downsheaves,
     is_downsheaf,
     morphism_leq,
     omega,
-    point_leq_bool,
     power_inclusion,
     power_sheaf,
     principal,
@@ -73,7 +67,6 @@ from .sheaves import (
     enumerate_points,
     enumerate_subsheaves,
     epsilon,
-    full_subsheaf,
     generate_subsheaf,
     sheaf_iso,
     subterminal,
@@ -499,10 +492,6 @@ def _criterion_3(seed: int, budget: Budget) -> tuple[bool, dict]:
         results[name] = entry
         ok = ok and all(entry.values())
     return ok, results, adjoint_pairs
-
-
-def _point_key(F, p: Point):
-    return (F.frame.index[p.dom], F.sheaf.carriers[p.dom].index(p.value))
 
 
 def _adjoints_preserve_bounds(alpha: SheafMorphism, beta: SheafMorphism, F: PoSheaf, G: PoSheaf, budget: Budget) -> bool:

@@ -6,7 +6,7 @@ import json
 
 from posheaf import jsonio
 from posheaf.cli import run
-from posheaf.fixtures import frame_d, posheaf_ab, sheaf_ab
+from posheaf.fixtures import frame_d, identity_locale, posheaf_ab, sheaf_ab
 from posheaf.generate import GenConfig, gen_frame, gen_posheaf, mutate
 from posheaf.orders import omega
 
@@ -55,6 +55,25 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     # missing restriction table 1 -> 0
     path2 = write(tmp_path, "nores.json", doc)
     assert run(["check", "presheaf", path2]) == 2
+    capsys.readouterr()
+    # shape errors and unknown names in otherwise valid documents
+    good = jsonio.dump_posheaf_doc(posheaf_ab())
+    locale = jsonio.dump_locale_doc(identity_locale(frame_d()))
+    bad_docs = {
+        "res_unknown_open": ("sheaf", {**good, "res": {**good["res"], "1->q": {"xz": "xz", "yz": "yz"}}}),
+        "res_not_below": ("sheaf", {**good, "res": {**good["res"], "a->b": {"x": "z", "y": "z"}}}),
+        "leq_not_pair": ("sheaf", {**good, "frame": {**good["frame"], "leq": [["0", "a", "1"]]}}),
+        "carriers_list": ("sheaf", {**good, "carriers": [["*"], ["x", "y"]]}),
+        "res_table_list": ("sheaf", {**good, "res": {**good["res"], "a->0": ["*", "*"]}}),
+        "order_not_pair": ("posheaf", {**good, "order": {**good["order"], "a": [["x"]]}}),
+        "order_unknown_open": ("posheaf", {**good, "order": {**good["order"], "q": []}}),
+        "frame_leq_not_pair": ("frame", {**good["frame"], "leq": [["0"]]}),
+        "fstar_list": ("lh", {**locale, "fstar": ["0", "a", "b", "1"]}),
+        "section_order_not_pair": ("posl", {**locale, "section_orders": {"1": [["s0"]]}}),
+    }
+    for name, (kind, bad) in bad_docs.items():
+        assert run(["check", kind, write(tmp_path, f"{name}.json", bad)]) == 2, name
+        assert json.loads(capsys.readouterr().out)["error"] == "malformed", name
 
 
 def test_lambda_roundtrips_to_frame_check(tmp_path, capsys):

@@ -1,0 +1,49 @@
+"""Source hygiene with the standard library's ast: no unused imports in the
+package modules, and no module-level private function that nothing uses."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "posheaf"
+
+
+def _modules():
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in _modules():
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
+def test_no_unreferenced_private_functions():
+    sources = [p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")]
+    referenced = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    dead = [
+        f"{path.name}:{node.name}"
+        for path in _modules()
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and node.name not in referenced
+    ]
+    assert dead == []

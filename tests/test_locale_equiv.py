@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from posheaf.frames import FiniteFrame, FinitePoset, frame_iso
+from posheaf.generate import GenConfig, mutate
 from posheaf.locale_equiv import (
     LocaleOverX,
     Section,
@@ -258,3 +259,26 @@ def test_cposl_fails_without_bottoms(SAB, FD):
     forms = {r.name: r for r in rep_c.subreports}
     assert not forms["cposl.CPOSL1"].passed
     assert forms["cposl.agreement_with_completeness"].passed
+
+
+def test_posl_cposl_fail_on_transported_break_pos3(FD):
+    # a break-POS3 mutant of Ω(FD), transported along the unit: POS3 fails on
+    # Γ, so POSL3 and CPOSL3 name the same open and cover as the posheaf layer
+    Om = omega(FD)
+    mutant = mutate(Om, "break-POS3", GenConfig(seed=0))
+    E = etale_locale(Om.sheaf)
+    G = cross_sections(E.locale)
+    eta, rep = unit(Om.sheaf, E, G)
+    assert rep.passed
+    orders = {u: [(eta(u, v), eta(u, w)) for (v, w) in mutant.orders[u]] for u in FD.elements}
+
+    posl = {r.name: r for r in check_posl(E.locale, orders).subreports}
+    assert posl["posl.POSL1"].passed and posl["posl.POSL2"].passed
+    assert not posl["posl.POSL3"].passed
+    assert posl["posl.POSL3"].witness == {"open": "1", "cover": ["a", "b"]}
+    assert posl["posl.agreement_with_posheaf"].passed
+
+    cposl = {r.name: r for r in check_cposl(E.locale, orders).subreports}
+    assert cposl["cposl.CPOSL1"].witness == {"open": "1"}
+    assert cposl["cposl.CPOSL3"].witness == {"open": "1", "cover": ["a", "b"]}
+    assert cposl["cposl.agreement_with_completeness"].passed

@@ -51,6 +51,15 @@ def test_posheaf_ab_passes(PAB):
     assert verify_posheaf(PAB).passed
 
 
+def test_memoized_posheaf_report_keeps_its_time(PAB):
+    first = verify_posheaf(PAB)
+    assert first.elapsed_ms is not None
+    elapsed = first.elapsed_ms
+    second = verify_posheaf(PAB)
+    assert second is first
+    assert second.elapsed_ms == elapsed
+
+
 def test_discrete_orders_pass(SAB):
     assert verify_posheaf(discrete(SAB)).passed
 

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from posheaf.orders import order_subsheaf
 from posheaf.report import NotRestrictionClosed, SectionNotInCarrier
 from posheaf.sheaves import (
     Presheaf,
@@ -303,3 +304,29 @@ def test_generate_subsheaf_is_a_closure_operator(SAB):
         for s2, c2 in zip(seeds, closed):
             if s1.issubset(s2):
                 assert c1.issubset(c2)  # monotone
+
+
+def _all_parts(P):
+    """Every choice of one subset per open, in frame order."""
+    per_open = [
+        [set(c) for r in range(len(P.carriers[u]) + 1) for c in itertools.combinations(P.carriers[u], r)]
+        for u in P.frame.elements
+    ]
+    return [list(choice) for choice in itertools.product(*per_open)]
+
+
+def test_families_in_parts_match_filtered_families(SAB, PAB):
+    # oracle: the restricted search equals the unrestricted one filtered to
+    # the parts, in the same order, on every cover; for the order subsheaf of
+    # posheaf_ab the parts are its pairs in the square F×F
+    square, rel = order_subsheaf(PAB)
+    cases = [(SAB, parts) for parts in _all_parts(SAB)] + [(square, rel.parts)]
+    for P, parts in cases:
+        for u in P.frame.elements:
+            for cover in P.frame.covers(u):
+                expected = [
+                    fam
+                    for fam in compatible_families(P, cover)
+                    if all(x in parts[P.frame.index[ui]] for ui, x in zip(cover, fam))
+                ]
+                assert list(compatible_families(P, cover, parts)) == expected
