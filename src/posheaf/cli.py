@@ -399,6 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_doc(kind: str, exc: PosheafError) -> dict:
+    doc = {"error": kind, "message": str(exc)}
+    if exc.report is not None:
+        doc["report"] = exc.report.to_json(include_timing=False)
+    return doc
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -415,13 +422,10 @@ def run(argv=None) -> int:
         SectionNotInCarrier,
         NotRestrictionClosed,
     ) as exc:
-        _emit({"error": "malformed", "message": str(exc)}, args)
+        _emit(_error_doc("malformed", exc), args)
         return EXIT_MALFORMED
     except PosheafError as exc:
-        doc = {"error": "property", "message": str(exc)}
-        if exc.report is not None:
-            doc["report"] = exc.report.to_json(include_timing=False)
-        _emit(doc, args)
+        _emit(_error_doc("property", exc), args)
         return EXIT_FAIL
     except json.JSONDecodeError as exc:
         _emit({"error": "malformed", "message": str(exc)}, args)

@@ -147,8 +147,8 @@ class FinitePoset:
                 if x != y and self.leq(x, y) and self.leq(y, x):
                     return CheckReport.fail("poset.antisymmetric", {"cycle": [x, y]})
         for x in self.elements:
-            for y in self._uppers[x]:
-                for z in self._uppers[y]:
+            for y in self.sorted(self._uppers[x]):
+                for z in self.sorted(self._uppers[y]):
                     if not self.leq(x, z):
                         return CheckReport.fail("poset.transitive", {"chain": [x, y, z]})
         return CheckReport.ok("poset")
@@ -169,6 +169,7 @@ class FiniteFrame:
         self._meet_cache: dict = {}
         self._heyting_cache: dict = {}
         self._covers_cache: dict = {}
+        self._report: CheckReport | None = None
 
     @classmethod
     def from_relation(cls, elements: Sequence[str], pairs: Iterable[tuple]) -> "FiniteFrame":
@@ -234,24 +235,30 @@ class FiniteFrame:
         return out
 
     def heyting(self, x, y):
-        """Largest z with z ∧ x ≤ y; total on verified frames."""
+        """Largest z with z ∧ x ≤ y, for lattices; total on verified frames.
+        The candidates' join is that z when it is itself a candidate, and
+        otherwise they have no largest member."""
         key = (x, y)
         if key not in self._heyting_cache:
-            zs = [z for z in self.elements if self.leq(self.meet(z, x), y)]
-            self._heyting_cache[key] = self.poset.greatest(zs)
+            j = self.join_all(z for z in self.elements if self.leq(self.meet(z, x), y))
+            if j is not None and not self.leq(self.meet(j, x), y):
+                j = None
+            self._heyting_cache[key] = j
         return self._heyting_cache[key]
 
-    def covers(self, u) -> tuple:
-        """All subsets S of the downset of u with join S = u (the empty cover
-        only covers bottom); ordered by (size, element indices)."""
+    def binary_covers(self, u) -> tuple:
+        """The covers of u with at most two members: the empty cover (of
+        bottom only), (u,), and every pair v, w ≤ u with v ∨ w = u; ordered by
+        (size, element indices). On a finite distributive lattice gluing,
+        amalgamation closure and patching hold for every cover iff they hold
+        for these, by induction on the cover size."""
         if u not in self._covers_cache:
             below = self.down(u)
-            found = []
-            for mask in range(1 << len(below)):
-                subset = tuple(below[i] for i in range(len(below)) if mask >> i & 1)
-                if self.join_all(subset) == u:
-                    found.append(subset)
-            found.sort(key=lambda s: (len(s), tuple(self.index[x] for x in s)))
+            found = [()] if u == self.bottom else []
+            found.append((u,))
+            found.extend(
+                (v, w) for i, v in enumerate(below) for w in below[i + 1:] if self.join(v, w) == u
+            )
             self._covers_cache[u] = tuple(found)
         return self._covers_cache[u]
 
@@ -262,10 +269,18 @@ class FiniteFrame:
         rel = [(x, y) for (x, y) in self.poset.pairs() if x in keep and y in keep]
         return FiniteFrame(FinitePoset(below, rel, closed=True))
 
-    @timed
     def verify(self) -> CheckReport:
         """Frame laws in order: poset, lattice (pairs + bounds), distributivity,
-        Heyting existence. First violated law wins, with its witness."""
+        Heyting existence. First violated law wins, with its witness.
+
+        Frames are immutable, so the first report is kept and returned again.
+        """
+        if self._report is None:
+            self._report = self._verify_fresh()
+        return self._report
+
+    @timed
+    def _verify_fresh(self) -> CheckReport:
         p = self.poset.verify()
         if not p.passed:
             return CheckReport.fail("frame.poset", p.witness, law=p.name)

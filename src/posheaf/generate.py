@@ -205,17 +205,17 @@ def _order_closure(F: Presheaf, orders: dict) -> dict:
                     if pair not in rel[v]:
                         rel[v].add(pair)
                         changed = True
+        # some cover of u has every restriction of (s, t) related iff the
+        # opens where it is related join to u
         for u in frame.elements:
-            for cover in frame.covers(u):
-                for s in F.carriers[u]:
-                    for t in F.carriers[u]:
-                        if (s, t) in rel[u]:
-                            continue
-                        if all(
-                            (F.restrict(u, s, ui), F.restrict(u, t, ui)) in rel[ui] for ui in cover
-                        ):
-                            rel[u].add((s, t))
-                            changed = True
+            for s in F.carriers[u]:
+                for t in F.carriers[u]:
+                    if (s, t) in rel[u]:
+                        continue
+                    related = (v for v in frame.down(u) if (F.restrict(u, s, v), F.restrict(u, t, v)) in rel[v])
+                    if frame.join_all(related) == u:
+                        rel[u].add((s, t))
+                        changed = True
     return rel
 
 
@@ -331,11 +331,18 @@ def mutate(instance, kind: str, cfg: GenConfig | None = None):
     raise MalformedInput(kind)
 
 
+def _proper_cover_exists(frame: FiniteFrame, u, opens) -> bool:
+    """Whether u has a proper cover (nonempty, without u) drawn from the
+    given opens below u: exactly when those opens other than u are nonempty
+    and join to u, as any such cover lies among them."""
+    proper = [v for v in opens if v != u]
+    return bool(proper) and frame.join_all(proper) == u
+
+
 def _mutate_break_pos3(F: PoSheaf) -> PoSheaf:
     frame = F.frame
     for u in frame.elements:
-        proper_covers = [c for c in frame.covers(u) if u not in c and c]
-        if not proper_covers:
+        if not _proper_cover_exists(frame, u, frame.down(u)):
             continue
         for (s, t) in F.sorted_pairs(u):
             if s == t:
@@ -346,10 +353,10 @@ def _mutate_break_pos3(F: PoSheaf) -> PoSheaf:
             ):
                 continue
             # some proper cover must witness the patching premise
-            if not any(
-                all(F.leq(ui, F.sheaf.restrict(u, s, ui), F.sheaf.restrict(u, t, ui)) for ui in cov)
-                for cov in proper_covers
-            ):
+            related = [
+                v for v in frame.down(u) if F.leq(v, F.sheaf.restrict(u, s, v), F.sheaf.restrict(u, t, v))
+            ]
+            if not _proper_cover_exists(frame, u, related):
                 continue
             # no higher pair may restrict onto (s, t), or POS2 would break first
             if any(
@@ -379,8 +386,7 @@ def _mutate_remove_amalgamation(instance) -> object:
     sheaf = F.sheaf if F is not None else instance
     frame = sheaf.frame
     top = frame.top
-    proper_covers = [c for c in frame.covers(top) if top not in c and c]
-    if not proper_covers:
+    if not _proper_cover_exists(frame, top, frame.down(top)):
         raise RepairFailed("the top open has no proper cover")
     for x in sheaf.carriers[top]:
         carriers = {u: tuple(sheaf.carriers[u]) for u in frame.elements}

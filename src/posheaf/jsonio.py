@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .frames import FiniteFrame, FrameHom
+from .frames import FiniteFrame, FrameHom, close_and_verify_frame
 from .locale_equiv import LocaleOverX
 from .orders import PoSheaf
 from .report import MalformedInput
@@ -56,14 +56,19 @@ def read_json(path) -> dict:
 
 def frame_relation(doc: dict) -> tuple[list[str], list[tuple[str, str]]]:
     """The elements and the generating order pairs of a frame document."""
-    if "elements" not in doc or "leq" not in doc:
+    if not isinstance(doc, dict) or "elements" not in doc or "leq" not in doc:
         raise MalformedInput("frame document needs 'elements' and 'leq'")
     return _strings(doc["elements"], "'elements'"), _pairs(doc["leq"], "'leq'")
 
 
 def load_frame(doc, base_dir: Path | None = None) -> FiniteFrame:
+    """The frame a document describes, checked against the frame laws: a
+    document that is not a frame is malformed input, with the frame report."""
     doc, _ = _as_doc(doc, base_dir)
-    return FiniteFrame.from_relation(*frame_relation(doc))
+    frame, report = close_and_verify_frame(*frame_relation(doc))
+    if frame is None:
+        raise MalformedInput(f"not a frame: {report.name}", report=report)
+    return frame
 
 
 def dump_frame_doc(frame: FiniteFrame, **extra) -> dict:

@@ -127,7 +127,12 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
     for u in F.frame.elements:
         law = F.poset(u).verify()
         if not law.passed:
-            pos1 = CheckReport.fail("posheaf.POS1", {"open": u, "law": law.name, "witness": law.witness})
+            # the poset witness holds carrier elements; report their labels
+            witness = {
+                key: [F.label(u, x) for x in value] if isinstance(value, list) else F.label(u, value)
+                for key, value in law.witness.items()
+            }
+            pos1 = CheckReport.fail("posheaf.POS1", {"open": u, "law": law.name, "witness": witness})
             break
     subs.append(pos1)
 
@@ -149,10 +154,15 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
             break
     subs.append(pos2)
 
+    # POS3 over every cover follows from POS3 over the empty and binary
+    # covers, by induction on the cover size; a cover containing u itself
+    # repeats the premise s ≤ t at u and cannot fail
     pos3 = CheckReport.ok("posheaf.POS3")
     done = False
     for u in F.frame.elements:
-        for cover in F.frame.covers(u):
+        for cover in F.frame.binary_covers(u):
+            if u in cover:
+                continue
             for s in F.sheaf.carriers[u]:
                 for t in F.sheaf.carriers[u]:
                     if F.leq(u, s, t):
@@ -466,20 +476,23 @@ def principal(F: PoSheaf, p: Point, direction: str = "ideal") -> SubSheaf:
 
 def down_closure(F: PoSheaf, S: SubSheaf) -> SubSheaf:
     """↓S by the cover formula: x lands at u when some cover of u admits
-    members of S dominating the matching restrictions of x."""
+    members of S dominating the matching restrictions of x. Such a cover
+    exists iff the opens v ≤ u where x|_v is dominated join to u, since any
+    such cover lies among them (S need not be a subsheaf, so no smaller
+    family of covers would do)."""
     frame = F.frame
     parts = {}
     for u in frame.elements:
-        keep = []
-        for x in F.sheaf.carriers[u]:
-            for cover in frame.covers(u):
-                if all(
-                    any(F.leq(ui, F.sheaf.restrict(u, x, ui), xi) for xi in S.sorted_part(ui))
-                    for ui in cover
-                ):
-                    keep.append(x)
-                    break
-        parts[u] = keep
+        parts[u] = [
+            x
+            for x in F.sheaf.carriers[u]
+            if frame.join_all(
+                v
+                for v in frame.down(u)
+                if any(F.leq(v, F.sheaf.restrict(u, x, v), y) for y in S.part(v))
+            )
+            == u
+        ]
     return SubSheaf(F.sheaf, parts)
 
 

@@ -142,18 +142,21 @@ def compatible_families(P: Presheaf, cover: tuple, parts=None):
     yield from rec(0)
 
 
-def amalgamations(P: Presheaf, u, cover: tuple, family: tuple) -> list:
-    return [
-        x
-        for x in P.carriers[u]
-        if all(P.restrict(u, x, ui) == xi for ui, xi in zip(cover, family))
-    ]
+def _amalgamation_index(P: Presheaf, u, cover: tuple) -> dict:
+    """The sections of P(u) keyed by their restriction profile (x|u_1, ...,
+    x|u_k), each list in carrier order: looking a family up gives its
+    amalgamations."""
+    index: dict = {}
+    for x in P.carriers[u]:
+        index.setdefault(tuple(P.restrict(u, x, ui) for ui in cover), []).append(x)
+    return index
 
 
 @dataclass
 class SheafCertificate:
-    """Per-(open, cover) amalgamation summary; passed iff every compatible
-    family over every cover has exactly one amalgamation."""
+    """Per-(open, cover) amalgamation summary over the empty and binary
+    covers; passed iff every compatible family over every cover has exactly
+    one amalgamation."""
 
     passed: bool
     entries: list
@@ -176,7 +179,10 @@ class SheafCertificate:
 def verify_sheaf(P: Presheaf) -> SheafCertificate:
     """Every compatible family over every cover patches to exactly one section.
 
-    Presheaves are immutable, so the certificate is memoized on the instance.
+    The covers checked, and listed in the certificate's entries, are the
+    empty cover of bottom and the covers by at most two opens; on a finite
+    frame these imply the rest (FiniteFrame.binary_covers). Presheaves are
+    immutable, so the certificate is memoized on the instance.
     """
     cached = getattr(P, "_sheaf_certificate", None)
     if cached is not None:
@@ -192,11 +198,12 @@ def _verify_sheaf_fresh(P: Presheaf) -> SheafCertificate:
         return SheafCertificate(False, [], {"precondition": pre.witness}, precondition=pre)
     entries = []
     for u in P.frame.elements:
-        for cover in P.frame.covers(u):
+        for cover in P.frame.binary_covers(u):
             families = 0
+            index = _amalgamation_index(P, u, cover)
             for family in compatible_families(P, cover):
                 families += 1
-                glue = amalgamations(P, u, cover, family)
+                glue = index.get(family, ())
                 if len(glue) != 1:
                     witness = {
                         "open": u,
@@ -336,16 +343,20 @@ def verify_restriction_closed(S: SubSheaf) -> CheckReport:
 
 
 def verify_subsheaf(S: SubSheaf) -> CheckReport:
-    """Restriction-closed and closed under amalgamation (itself a sheaf)."""
+    """Restriction-closed and closed under amalgamation (itself a sheaf);
+    for a restriction-closed part of a sheaf on a finite frame, closure under
+    the empty and binary covers' amalgamations gives closure under all."""
     rc = verify_restriction_closed(S)
     if not rc.passed:
         return CheckReport.fail("subsheaf", rc.witness, reason="restriction")
     P = S.parent
     for u in P.frame.elements:
-        for cover in P.frame.covers(u):
+        for cover in P.frame.binary_covers(u):
+            if u in cover:
+                continue  # the family's member at u is its only amalgamation
+            index = _amalgamation_index(P, u, cover)
             for family in compatible_families(P, cover, S.parts):
-                glue = amalgamations(P, u, cover, family)
-                missing = [x for x in glue if not S.contains(u, x)]
+                missing = [x for x in index.get(family, ()) if not S.contains(u, x)]
                 if missing:
                     return CheckReport.fail(
                         "subsheaf",
@@ -361,8 +372,10 @@ def verify_subsheaf(S: SubSheaf) -> CheckReport:
 
 
 def _close_parts(P: Presheaf, parts: list[set], extra: Callable | None = None) -> None:
-    """In place: close parts under restriction and amalgamation (and an extra
-    per-pass rule, e.g. downward closure), to fixpoint."""
+    """In place: close parts under restriction and amalgamation over the
+    empty and binary covers (and an extra per-pass rule, e.g. downward
+    closure), to fixpoint; for a sheaf on a finite frame the fixpoint is
+    closed under every cover's amalgamations."""
     frame = P.frame
     changed = True
     while changed:
@@ -380,11 +393,14 @@ def _close_parts(P: Presheaf, parts: list[set], extra: Callable | None = None) -
             full = parts[iu] >= set(P.carriers[u])
             if full:
                 continue
-            for cover in frame.covers(u):
-                if any(not parts[frame.index[ui]] for ui in cover):
+            for cover in frame.binary_covers(u):
+                # a family with a member at u amalgamates to that member only,
+                # and a family needs a member on every open of the cover
+                if u in cover or any(not parts[frame.index[ui]] for ui in cover):
                     continue
+                index = _amalgamation_index(P, u, cover)
                 for family in compatible_families(P, cover, parts):
-                    for x in amalgamations(P, u, cover, family):
+                    for x in index.get(family, ()):
                         if x not in parts[iu]:
                             parts[iu].add(x)
                             changed = True

@@ -1,0 +1,190 @@
+"""Exhaustive definitions, kept as test oracles for the finite-lattice
+reductions in the package: every cover of an open (each subset of its downset
+that joins to it), amalgamations found by scanning the carrier, and the
+gluing, subsheaf, patching, closure and downward-closure checks quantified
+over every cover. They are slow (2^|↓u| covers per open) and live here so
+that no package module can fall back to them."""
+from __future__ import annotations
+
+from posheaf.report import CheckReport
+from posheaf.sheaves import SubSheaf, compatible_families, verify_restriction_closed
+
+
+def covers(frame, u) -> tuple:
+    """All subsets S of the downset of u with join S = u (the empty cover
+    only covers bottom); ordered by (size, element indices)."""
+    below = frame.down(u)
+    found = []
+    for mask in range(1 << len(below)):
+        subset = tuple(below[i] for i in range(len(below)) if mask >> i & 1)
+        if frame.join_all(subset) == u:
+            found.append(subset)
+    found.sort(key=lambda s: (len(s), tuple(frame.index[x] for x in s)))
+    return tuple(found)
+
+
+def amalgamations(P, u, cover: tuple, family: tuple) -> list:
+    return [
+        x
+        for x in P.carriers[u]
+        if all(P.restrict(u, x, ui) == xi for ui, xi in zip(cover, family))
+    ]
+
+
+def verify_sheaf(P) -> tuple[bool, list, dict | None]:
+    """(passed, entries, witness) of the gluing check over every cover."""
+    entries = []
+    for u in P.frame.elements:
+        for cover in covers(P.frame, u):
+            families = 0
+            for family in compatible_families(P, cover):
+                families += 1
+                glue = amalgamations(P, u, cover, family)
+                if len(glue) != 1:
+                    witness = {
+                        "open": u,
+                        "cover": list(cover),
+                        "family": [P.label(ui, xi) for ui, xi in zip(cover, family)],
+                        "amalgamations": len(glue),
+                    }
+                    return False, entries, witness
+            entries.append({"open": u, "cover": list(cover), "families": families})
+    return True, entries, None
+
+
+def verify_subsheaf(S: SubSheaf) -> CheckReport:
+    """Restriction-closed, and closed under amalgamation over every cover."""
+    rc = verify_restriction_closed(S)
+    if not rc.passed:
+        return CheckReport.fail("subsheaf", rc.witness, reason="restriction")
+    P = S.parent
+    for u in P.frame.elements:
+        for cover in covers(P.frame, u):
+            for family in compatible_families(P, cover, S.parts):
+                missing = [x for x in amalgamations(P, u, cover, family) if not S.contains(u, x)]
+                if missing:
+                    return CheckReport.fail(
+                        "subsheaf",
+                        {
+                            "open": u,
+                            "cover": list(cover),
+                            "family": [P.label(ui, xi) for ui, xi in zip(cover, family)],
+                            "amalgam_outside": [P.label(u, x) for x in missing],
+                        },
+                        reason="amalgamation",
+                    )
+    return CheckReport.ok("subsheaf")
+
+
+def pos3(F) -> CheckReport:
+    """POS3 over every cover: s|u_i ≤ t|u_i for all i forces s ≤ t."""
+    for u in F.frame.elements:
+        for cover in covers(F.frame, u):
+            for s in F.sheaf.carriers[u]:
+                for t in F.sheaf.carriers[u]:
+                    if F.leq(u, s, t):
+                        continue
+                    if all(F.leq(ui, F.sheaf.restrict(u, s, ui), F.sheaf.restrict(u, t, ui)) for ui in cover):
+                        return CheckReport.fail(
+                            "posheaf.POS3",
+                            {
+                                "open": u,
+                                "cover": list(cover),
+                                "lower_family": [F.label(ui, F.sheaf.restrict(u, s, ui)) for ui in cover],
+                                "upper_family": [F.label(ui, F.sheaf.restrict(u, t, ui)) for ui in cover],
+                                "patched": [F.label(u, s), F.label(u, t)],
+                            },
+                        )
+    return CheckReport.ok("posheaf.POS3")
+
+
+def close_to_subsheaf(P, sections, downward=None) -> SubSheaf:
+    """Closure of (open, section) pairs under restriction and amalgamation
+    over every cover, and under per-open downward closure in the posheaf
+    ``downward`` when given, to joint fixpoint."""
+    frame = P.frame
+    parts = [set() for _ in frame.elements]
+    for u, x in sections:
+        parts[frame.index[u]].add(x)
+    changed = True
+    while changed:
+        changed = False
+        for u in frame.elements:
+            for x in list(parts[frame.index[u]]):
+                for v in frame.down(u):
+                    y = P.restrict(u, x, v)
+                    if y not in parts[frame.index[v]]:
+                        parts[frame.index[v]].add(y)
+                        changed = True
+        for u in frame.elements:
+            iu = frame.index[u]
+            for cover in covers(frame, u):
+                for family in compatible_families(P, cover, parts):
+                    for x in amalgamations(P, u, cover, family):
+                        if x not in parts[iu]:
+                            parts[iu].add(x)
+                            changed = True
+        if downward is not None:
+            for u in frame.elements:
+                iu = frame.index[u]
+                for y in list(parts[iu]):
+                    for x in P.carriers[u]:
+                        if downward.leq(u, x, y) and x not in parts[iu]:
+                            parts[iu].add(x)
+                            changed = True
+    return SubSheaf(P, tuple(frozenset(p) for p in parts))
+
+
+def order_closure(P, orders: dict) -> dict:
+    """Per-open order pairs closed under transitivity, restriction, and
+    patching over every cover, to fixpoint."""
+    frame = P.frame
+    rel = {u: set(orders.get(u, ())) | {(x, x) for x in P.carriers[u]} for u in frame.elements}
+    changed = True
+    while changed:
+        changed = False
+        for u in frame.elements:
+            for (x, y) in list(rel[u]):
+                for (y2, z) in list(rel[u]):
+                    if y2 == y and (x, z) not in rel[u]:
+                        rel[u].add((x, z))
+                        changed = True
+        for u in frame.elements:
+            for v in frame.down(u):
+                for (x, y) in list(rel[u]):
+                    pair = (P.restrict(u, x, v), P.restrict(u, y, v))
+                    if pair not in rel[v]:
+                        rel[v].add(pair)
+                        changed = True
+        for u in frame.elements:
+            for cover in covers(frame, u):
+                for s in P.carriers[u]:
+                    for t in P.carriers[u]:
+                        if (s, t) not in rel[u] and all(
+                            (P.restrict(u, s, ui), P.restrict(u, t, ui)) in rel[ui] for ui in cover
+                        ):
+                            rel[u].add((s, t))
+                            changed = True
+    return rel
+
+
+def down_closure(F, S: SubSheaf) -> SubSheaf:
+    """↓S by the cover formula: x lands at u when some cover of u admits
+    members of S dominating the matching restrictions of x."""
+    frame = F.frame
+    parts = {}
+    for u in frame.elements:
+        parts[u] = [
+            x
+            for x in F.sheaf.carriers[u]
+            if any(
+                all(any(F.leq(ui, F.sheaf.restrict(u, x, ui), xi) for xi in S.part(ui)) for ui in cover)
+                for cover in covers(frame, u)
+            )
+        ]
+    return SubSheaf(F.sheaf, parts)
+
+
+def heyting(frame, x, y):
+    """The greatest z with z ∧ x ≤ y, by scanning the candidates."""
+    return frame.poset.greatest([z for z in frame.elements if frame.leq(frame.meet(z, x), y)])

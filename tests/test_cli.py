@@ -1,14 +1,25 @@
 """CLI surface: subcommands, exit codes, JSON round-trips, determinism."""
 from __future__ import annotations
 
+import copy
 import json
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posheaf import jsonio
 from posheaf.cli import run
 from posheaf.fixtures import frame_d, identity_locale, posheaf_ab, sheaf_ab
 from posheaf.generate import GenConfig, gen_frame, gen_posheaf, mutate
 from posheaf.orders import omega
+
+
+# lattices that are not frames (not distributive)
+N5 = {"elements": ["0", "x", "y", "z", "1"], "leq": [["0", "x"], ["x", "z"], ["z", "1"], ["0", "y"], ["y", "1"]]}
+M3 = {"elements": ["0", "a", "b", "c", "1"], "leq": [["0", "a"], ["0", "b"], ["0", "c"], ["a", "1"], ["b", "1"], ["c", "1"]]}
 
 
 def write(tmp_path, name, doc):
@@ -71,9 +82,21 @@ def test_malformed_input_exit_2(tmp_path, capsys):
         "fstar_list": ("lh", {**locale, "fstar": ["0", "a", "b", "1"]}),
         "section_order_not_pair": ("posl", {**locale, "section_orders": {"1": [["s0"]]}}),
     }
+    # nested bases that are lattices but not frames: the report is attached
+    not_frames = {
+        "n5_presheaf": ("presheaf", {"frame": N5, "carriers": {u: ["*"] for u in N5["elements"]}, "res": {}}),
+        "m3_sheaf": ("sheaf", {"frame": M3, "carriers": {u: ["*"] for u in M3["elements"]}, "res": {}}),
+        "n5_posheaf": ("posheaf", {"frame": N5, "carriers": {u: ["*"] for u in N5["elements"]}, "res": {}}),
+        "m3_locale_base": ("lh", {**locale, "OX": M3}),
+        "n5_locale_top": ("lh", {**locale, "OY": N5}),
+    }
+    bad_docs.update(not_frames)
     for name, (kind, bad) in bad_docs.items():
         assert run(["check", kind, write(tmp_path, f"{name}.json", bad)]) == 2, name
-        assert json.loads(capsys.readouterr().out)["error"] == "malformed", name
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "malformed", name
+        if name in not_frames:
+            assert out["report"]["name"] == "frame.distributive", name
 
 
 def test_lambda_roundtrips_to_frame_check(tmp_path, capsys):
@@ -159,6 +182,31 @@ def test_posl_requires_orders(tmp_path, capsys):
     assert run(["check", "posl", path2]) == 0
 
 
+def test_posl1_failure_reports_section_labels(tmp_path, capsys):
+    # Ω(FD)'s orders transported to the cross-sections of its sheaf locale,
+    # with s0 ≤ s3 dropped at the top: transitivity, hence POSL1, fails
+    from posheaf.locale_equiv import cross_sections, etale_locale, unit
+
+    FD = frame_d()
+    Om = omega(FD)
+    E = etale_locale(Om.sheaf)
+    G = cross_sections(E.locale)
+    eta, _ = unit(Om.sheaf, E, G)
+    orders = {
+        u: sorted([G.sheaf.label(u, eta(u, v)), G.sheaf.label(u, eta(u, w))] for (v, w) in Om.orders[u] if v != w)
+        for u in FD.elements
+    }
+    orders["1"].remove(["s0", "s3"])
+    doc = {**jsonio.dump_locale_doc(E.locale), "section_orders": orders}
+    assert run(["check", "posl", write(tmp_path, "posl.json", doc)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    posl1 = out["subreports"][0]
+    assert posl1["name"] == "posl.POSL1" and not posl1["passed"]
+    assert posl1["witness"]["open"] == "1"
+    first, middle, last = posl1["witness"]["witness"]["chain"]
+    assert [first, middle, last] == ["s0", "s1", "s3"]
+
+
 def test_points_and_bounds(tmp_path, capsys):
     PAB = posheaf_ab()
     path = write(tmp_path, "pab.json", jsonio.dump_posheaf_doc(PAB))
@@ -212,3 +260,86 @@ def test_suite_cli_plumbing(monkeypatch, capsys):
     monkeypatch.setattr(cli, "acceptance_suite", lambda seed, budget: {"seed": seed, "passed": False, "criteria": []})
     assert cli.run(["suite"]) == 1
     capsys.readouterr()
+
+
+WRONG_VALUES = (0, "zz", [], {}, None, [["0", "a", "1"]], {"zz": "zz"})
+
+
+@lru_cache(maxsize=None)
+def _valid_documents() -> tuple:
+    """(check kind, document) pairs that pass or fail a law but are well
+    formed: generated posheaves, one mutant, and an ordered locale."""
+    docs = []
+    for seed in range(3):
+        cfg = GenConfig(seed=seed, max_opens=5, max_carrier=2)
+        F = gen_posheaf(gen_frame(cfg), cfg)
+        docs.append(("posheaf", jsonio.dump_posheaf_doc(F)))
+    cfg = GenConfig(seed=2, max_opens=6, max_carrier=3)
+    broken = mutate(gen_posheaf(gen_frame(cfg), cfg), "remove-amalgamation", cfg)
+    docs.append(("sheaf", jsonio.dump_posheaf_doc(broken)))
+    docs.append(("frame", jsonio.dump_frame_doc(frame_d())))
+    locale = jsonio.dump_locale_doc(identity_locale(frame_d()))
+    docs.append(("lh", locale))
+    docs.append(("posl", {**locale, "section_orders": {"1": [["s0", "s1"]]}}))
+    return tuple(docs)
+
+
+def _paths(doc, prefix=()):
+    """Every key path in a document, depth first in document order, after
+    the empty path of the whole document."""
+    if not prefix:
+        yield ()
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutated(doc, kind: str, pick: int, value):
+    """The document with one defect: a dropped key or entry, a value of the
+    wrong type, an unknown label, or a nested base that is not a frame. The
+    flag says whether the base was swapped; a frame document has none."""
+    doc = copy.deepcopy(doc)
+    if kind == "base":
+        bad = copy.deepcopy((N5, M3)[pick % 2])
+        slots = [k for k in ("frame", "OX", "OY") if k in doc]
+        if not slots:
+            return bad, False
+        doc[slots[pick % len(slots)]] = bad
+        return doc, True
+    paths = list(_paths(doc))
+    path = paths[pick % len(paths)]
+    if not path:
+        return (value if kind == "type" else {}), False
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "type":
+        parent[key] = value
+    elif isinstance(parent, dict) and not isinstance(parent[key], str):
+        parent["zz"] = parent.pop(key)
+    else:
+        parent[key] = "zz"
+    return doc, False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.integers(min_value=0, max_value=6),
+    kind=st.sampled_from(("drop", "type", "label", "base")),
+    pick=st.integers(min_value=0, max_value=10_000),
+    value=st.sampled_from(WRONG_VALUES),
+)
+def test_mutated_documents_never_crash(which, kind, pick, value):
+    check, doc = _valid_documents()[which]
+    bad, swapped = _mutated(doc, kind, pick, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(bad))
+        code = run(["check", check, str(path)])
+    assert code in (0, 1, 2, 3)
+    if swapped:
+        assert code == 2

@@ -22,6 +22,8 @@ from posheaf.frames import (
 )
 from posheaf.report import NotDistributive
 
+from oracles import covers
+
 
 def all_monotone_maps(src: FinitePoset, tgt: FinitePoset):
     """Oracle: every monotone map src -> tgt by brute force."""
@@ -103,12 +105,20 @@ def test_reverification_idempotent(F6):
     assert F6.verify().passed
 
 
+def test_frame_report_is_kept(F6):
+    # frames are immutable: the first report, with its time, is returned again
+    first = F6.verify()
+    assert first.elapsed_ms is not None
+    elapsed = first.elapsed_ms
+    assert F6.verify() is first and first.elapsed_ms == elapsed
+
+
 def test_covers_conventions(FD):
-    assert () in FD.covers("0")
-    assert ("a", "b") in FD.covers("1")
-    assert ("1",) in FD.covers("1")
+    assert () in covers(FD, "0")
+    assert ("a", "b") in covers(FD, "1")
+    assert ("1",) in covers(FD, "1")
     for u in FD.elements:
-        for cover in FD.covers(u):
+        for cover in covers(FD, u):
             assert FD.join_all(cover) == u
 
 

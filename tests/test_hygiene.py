@@ -1,5 +1,6 @@
 """Source hygiene with the standard library's ast: no unused imports in the
-package modules, and no module-level private function that nothing uses."""
+package modules, no module-level private function that nothing uses, and no
+exhaustive cover enumeration in the package."""
 from __future__ import annotations
 
 import ast
@@ -47,3 +48,16 @@ def test_no_unreferenced_private_functions():
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and node.name not in referenced
     ]
     assert dead == []
+
+
+def test_no_exhaustive_cover_enumeration():
+    # the 2^|↓u| enumeration of every cover is a test oracle (tests/oracles.py);
+    # package modules use FiniteFrame.binary_covers or a single join instead
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "covers")
+        or (isinstance(node, ast.FunctionDef) and node.name == "covers")
+    ]
+    assert calls == []

@@ -1,0 +1,248 @@
+"""The finite-lattice reductions against their exhaustive definitions
+(tests/oracles.py): binary covers for gluing, subsheaf closure and POS3,
+single joins for cover existence, and the Heyting implication as a join.
+
+Verdicts must agree on every element order of the frame; witnesses, sheaf
+certificate entries and the Sub/Dow lists must agree exactly when the
+element order is a linear extension of the frame order, as in every
+generated and fixture frame."""
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+import oracles
+from posheaf.fixtures import FIXTURE_FRAMES, m3_posheaf, posheaf_ab
+from posheaf.frames import FiniteFrame, FinitePoset
+from posheaf.generate import GenConfig, _order_closure, gen_frame, gen_posheaf, mutate
+from posheaf.orders import PoSheaf, down_closure, enumerate_downsheaves, omega, order_subsheaf, verify_posheaf
+from posheaf.report import Budget, RepairFailed, ResourceLimit
+from posheaf.sheaves import (
+    Presheaf,
+    SubSheaf,
+    enumerate_closed_subsheaves,
+    enumerate_subsheaves,
+    terminal,
+    verify_sheaf,
+    verify_subsheaf,
+)
+
+SIZES = ((4, 3), (6, 3), (7, 2))
+SEEDS = range(16)
+
+
+def _boolean_3() -> FiniteFrame:
+    """The subsets of {a, b, c}: its top is a join of three atoms and of no
+    two of them."""
+    names = ["0", "a", "b", "c", "ab", "ac", "bc", "abc"]
+    return FiniteFrame.from_relation(names, [(x, y) for x in names for y in names if set(x) - {"0"} <= set(y)])
+
+
+def _corpus() -> list[tuple[str, PoSheaf]]:
+    out = [(f"omega({name})", omega(build())) for name, build in FIXTURE_FRAMES.items()]
+    out += [("posheaf_ab", posheaf_ab()), ("m3", m3_posheaf())]
+    boolean = omega(_boolean_3())
+    out += [("omega(B3)", boolean)] + [(f"omega(B3)+{kind}", mutate(boolean, kind)) for kind in ("break-POS3", "remove-amalgamation")]
+    for opens, carrier in SIZES:
+        for seed in SEEDS:
+            cfg = GenConfig(seed=seed, max_opens=opens, max_carrier=carrier)
+            F = gen_posheaf(gen_frame(cfg), cfg)
+            name = f"gen({opens},{carrier})[{seed}]"
+            out.append((name, F))
+            for kind in ("break-POS3", "remove-amalgamation"):
+                try:
+                    out.append((f"{name}+{kind}", mutate(F, kind, cfg)))
+                except RepairFailed:
+                    pass
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return _corpus()
+
+
+def _shuffled(F: PoSheaf, rng: random.Random) -> PoSheaf:
+    """F over the same frame with its element list in a random order."""
+    elements = list(F.frame.elements)
+    rng.shuffle(elements)
+    frame = FiniteFrame(FinitePoset(elements, F.frame.poset.pairs(), closed=True))
+    res = {key: table for key, table in F.sheaf.res.items() if key[0] != key[1]}
+    return PoSheaf(Presheaf(frame, F.sheaf.carriers, res), F.orders)
+
+
+def _is_linear_extension(frame) -> bool:
+    return all(not frame.poset.lt(b, a) for i, a in enumerate(frame.elements) for b in frame.elements[i + 1:])
+
+
+def _report(rep) -> tuple:
+    return (rep.name, rep.passed, rep.witness, rep.details)
+
+
+def _subreport(report, name):
+    return next(r for r in report.subreports if r.name == name)
+
+
+def _sub_lists(F: PoSheaf):
+    """Sub(F) and Dow(F) from the package and from the exhaustive closures,
+    or None when the budget is exceeded."""
+    budget = Budget(subsheaves=400)
+    try:
+        return (
+            [S.parts for S in enumerate_subsheaves(F.sheaf, budget=budget)],
+            [S.parts for S in enumerate_downsheaves(F, budget=budget)],
+            [
+                S.parts
+                for S in enumerate_closed_subsheaves(
+                    F.sheaf, close=lambda secs: oracles.close_to_subsheaf(F.sheaf, secs), budget=budget
+                )
+            ],
+            [
+                S.parts
+                for S in enumerate_closed_subsheaves(
+                    F.sheaf, close=lambda secs: oracles.close_to_subsheaf(F.sheaf, secs, F), budget=budget
+                )
+            ],
+        )
+    except ResourceLimit:
+        return None
+
+
+def test_binary_covers_are_the_prefix_of_all_covers(corpus):
+    frames = [build() for build in FIXTURE_FRAMES.values()] + [F.frame for _, F in corpus]
+    for frame in frames:
+        for u in frame.elements:
+            every = oracles.covers(frame, u)
+            binary = frame.binary_covers(u)
+            assert binary == every[: len(binary)]
+            assert binary == tuple(c for c in every if len(c) <= 2)
+
+
+def test_corpus_frames_are_linear_extensions(corpus):
+    assert len(corpus) >= 80
+    assert all(_is_linear_extension(F.frame) for _, F in corpus)
+
+
+def test_sheaf_certificates_match_the_exhaustive_check(corpus):
+    verdicts = set()
+    for name, F in corpus:
+        cert = verify_sheaf(F.sheaf)
+        passed, entries, witness = oracles.verify_sheaf(F.sheaf)
+        assert (cert.passed, cert.witness) == (passed, witness), name
+        assert cert.entries == [e for e in entries if len(e["cover"]) <= 2], name
+        verdicts.add(passed)
+    assert verdicts == {True, False}
+
+
+def test_pos3_and_subsheaf_witnesses_match_the_exhaustive_checks(corpus):
+    verdicts = set()
+    for name, F in corpus:
+        if not verify_sheaf(F.sheaf).passed:
+            continue
+        report = verify_posheaf(F)
+        assert _report(_subreport(report, "posheaf.POS3")) == _report(oracles.pos3(F)), name
+        _, rel = order_subsheaf(F)
+        assert _report(verify_subsheaf(rel)) == _report(oracles.verify_subsheaf(rel)), name
+        verdicts.add(report.passed)
+    assert verdicts == {True, False}
+
+
+def test_verdicts_match_on_shuffled_element_orders(corpus):
+    rng = random.Random(7)
+    for name, F in corpus:
+        G = _shuffled(F, rng)
+        sheaf = verify_sheaf(G.sheaf).passed
+        assert sheaf == oracles.verify_sheaf(G.sheaf)[0], name
+        if not sheaf:
+            continue
+        report = verify_posheaf(G)
+        assert _subreport(report, "posheaf.POS3").passed == oracles.pos3(G).passed, name
+        _, rel = order_subsheaf(G)
+        assert verify_subsheaf(rel).passed == oracles.verify_subsheaf(rel).passed, name
+        assert report.passed == verify_posheaf(F).passed, name
+
+
+def test_subsheaf_verdicts_on_every_choice_of_parts(SAB):
+    # every per-open subset family of sheaf_ab, in the given and in a
+    # non-linear element order
+    for P in (SAB, _shuffled(PoSheaf(SAB, {}), random.Random(1)).sheaf):
+        per_open = [
+            [set(c) for r in range(len(P.carriers[u]) + 1) for c in itertools.combinations(P.carriers[u], r)]
+            for u in P.frame.elements
+        ]
+        for parts in itertools.product(*per_open):
+            S = SubSheaf(P, parts)
+            fast, slow = verify_subsheaf(S), oracles.verify_subsheaf(S)
+            assert fast.passed == slow.passed
+            if _is_linear_extension(P.frame):
+                assert _report(fast) == _report(slow)
+
+
+def test_sub_and_dow_lists_match_the_exhaustive_closures(corpus):
+    compared = 0
+    rng = random.Random(3)
+    for name, F in corpus:
+        if not verify_posheaf(F).passed or sum(len(c) for c in F.carriers.values()) > 14:
+            continue
+        for G in (F, _shuffled(F, rng)):
+            lists = _sub_lists(G)
+            if lists is None:
+                continue
+            sub, dow, sub_oracle, dow_oracle = lists
+            assert sub == sub_oracle, name
+            assert dow == dow_oracle, name
+            compared += 1
+    assert compared >= 20
+
+
+def test_down_closure_matches_the_cover_formula(corpus):
+    rng = random.Random(11)
+    for name, F in corpus:
+        if not verify_sheaf(F.sheaf).passed:
+            continue
+        for G in (F, _shuffled(F, rng)):
+            seeds = [SubSheaf(G.sheaf, {u: [x]}) for u in G.frame.elements for x in G.carriers[u]]
+            seeds += [
+                SubSheaf(G.sheaf, {u: [x for x in G.carriers[u] if rng.random() < 0.4] for u in G.frame.elements})
+                for _ in range(4)
+            ]
+            for S in seeds:
+                assert down_closure(G, S).parts == oracles.down_closure(G, S).parts, name
+
+
+def test_down_closure_is_not_a_binary_cover_formula():
+    # S holds the one section over each atom of B3 but is not a subsheaf:
+    # only the cover of the top by all three atoms puts the top section in ↓S
+    X = _boolean_3()
+    assert X.verify().passed
+    F = PoSheaf(terminal(X), {})
+    S = SubSheaf(F.sheaf, {u: ["*"] for u in ("0", "a", "b", "c")})
+    assert down_closure(F, S).parts == oracles.down_closure(F, S).parts
+    assert down_closure(F, S).part("abc") == {"*"}
+    assert down_closure(F, S).part("ab") == {"*"}
+
+
+def test_order_closure_matches_the_exhaustive_pull_up(corpus):
+    rng = random.Random(5)
+    for name, F in corpus:
+        if not verify_sheaf(F.sheaf).passed:
+            continue
+        sampled = {
+            u: [(x, y) for x in F.carriers[u] for y in F.carriers[u] if rng.random() < 0.3]
+            for u in F.frame.elements
+        }
+        assert _order_closure(F.sheaf, sampled) == oracles.order_closure(F.sheaf, sampled), name
+
+
+def test_heyting_equals_the_greatest_candidate():
+    n5 = FiniteFrame.from_relation(["0", "x", "y", "z", "1"], [("0", "x"), ("x", "z"), ("z", "1"), ("0", "y"), ("y", "1")])
+    m3 = FiniteFrame.from_relation(["0", "p", "q", "r", "1"], [("0", "p"), ("0", "q"), ("0", "r"), ("p", "1"), ("q", "1"), ("r", "1")])
+    frames = [build() for build in FIXTURE_FRAMES.values()] + [n5, m3]
+    for frame in frames:
+        for x in frame.elements:
+            for y in frame.elements:
+                assert frame.heyting(x, y) == oracles.heyting(frame, x, y)
+    # the non-distributive lattices have pairs with no Heyting implication
+    assert n5.heyting("z", "x") is None and m3.heyting("p", "0") is None
