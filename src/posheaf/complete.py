@@ -397,7 +397,11 @@ def verify_sup_preserving(
 ) -> CheckReport:
     """Three forms: the defining square over the powersheaf, per-open join
     preservation with commuting left-adjoint squares, and right-adjoint
-    existence — reconciled."""
+    existence — reconciled. F and G must be posheaves (verify_posheaf; a
+    failure raises with its report), since the powersheaf and the image
+    subsheaves are computed on their sheaves."""
+    verify_posheaf(F).require()
+    verify_posheaf(G).require()
     pre = verify_order_preserving(alpha, F, G)
     if not pre.passed:
         return CheckReport.fail("sup_preserving", {"precondition": pre.witness}, stage="order_preserving")

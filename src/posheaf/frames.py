@@ -93,21 +93,22 @@ class FinitePoset:
         xs = self.sorted(subset)
         return [m for m in xs if not any(self.lt(o, m) for o in xs)]
 
-    def maximal(self, subset: Iterable) -> list:
-        xs = self.sorted(subset)
-        return [m for m in xs if not any(self.lt(m, o) for o in xs)]
-
     def least(self, subset: Iterable):
-        """The unique minimum of subset, or None."""
-        mins = self.minimal(subset)
-        if len(mins) == 1 and all(self.leq(mins[0], x) for x in subset):
-            return mins[0]
+        """The x in subset below every member and above no other member, or
+        None; on any reflexive relation, transitive or not, such an x is the
+        only minimal member, and at most one exists."""
+        xs = frozenset(subset)
+        for x in xs:
+            if xs <= self._uppers[x] and len(xs & self._lowers[x]) == 1:
+                return x
         return None
 
     def greatest(self, subset: Iterable):
-        maxs = self.maximal(subset)
-        if len(maxs) == 1 and all(self.leq(x, maxs[0]) for x in subset):
-            return maxs[0]
+        """The dual of least."""
+        xs = frozenset(subset)
+        for x in xs:
+            if xs <= self._lowers[x] and len(xs & self._uppers[x]) == 1:
+                return x
         return None
 
     def join(self, x, y):
@@ -169,6 +170,8 @@ class FiniteFrame:
         self._meet_cache: dict = {}
         self._heyting_cache: dict = {}
         self._covers_cache: dict = {}
+        self._join_irreducibles: tuple | None = None
+        self._join_irreducibles_by_height: tuple | None = None
         self._report: CheckReport | None = None
 
     @classmethod
@@ -261,6 +264,24 @@ class FiniteFrame:
             )
             self._covers_cache[u] = tuple(found)
         return self._covers_cache[u]
+
+    def join_irreducibles(self) -> tuple:
+        """The opens j with exactly one lower cover, i.e. whose strictly
+        smaller opens have a greatest member (so not bottom), in element
+        order; the frame is the down-set lattice of these (Birkhoff)."""
+        if self._join_irreducibles is None:
+            below = self.poset.down
+            self._join_irreducibles = tuple(j for j in self.elements if self.poset.greatest(below(j) - {j}) is not None)
+        return self._join_irreducibles
+
+    def join_irreducibles_by_height(self) -> tuple:
+        """join_irreducibles() in a linear extension of the order: by the size
+        of ↓j, then element order."""
+        if self._join_irreducibles_by_height is None:
+            self._join_irreducibles_by_height = tuple(
+                sorted(self.join_irreducibles(), key=lambda j: (len(self.poset.down(j)), self.index[j]))
+            )
+        return self._join_irreducibles_by_height
 
     def subframe(self, u) -> "FiniteFrame":
         """The open sublocale frame on the downset of u."""

@@ -67,23 +67,11 @@ def gen_frame(cfg: GenConfig) -> FiniteFrame:
     raise RepairFailed(f"no frame of at most {cfg.max_opens} opens found for seed {cfg.seed}")
 
 
-def _join_irreducibles(X: FiniteFrame) -> list:
-    out = []
-    for j in X.elements:
-        if j == X.bottom:
-            continue
-        strictly_below = [v for v in X.down(j) if v != j]
-        lower_covers = [v for v in strictly_below if not any(X.poset.lt(v, w) for w in strictly_below)]
-        if len(lower_covers) == 1:
-            out.append(j)
-    return out
-
-
 def _stalks(X: FiniteFrame, cfg: GenConfig, rng: random.Random) -> dict:
     """Germ tables on the join-irreducible subposet: each germ is a coherent
     value assignment on the irreducibles below its home, so restriction is
     plain sub-dict extraction and functoriality is automatic."""
-    J = sorted(_join_irreducibles(X), key=lambda j: (len(X.down(j)), X.index[j]))
+    J = X.join_irreducibles_by_height()
     values = list(range(cfg.max_carrier + 1))
     stalks: dict = {}
     for j in J:
@@ -125,7 +113,7 @@ def gen_sheaf(X: FiniteFrame, cfg: GenConfig) -> Presheaf:
     """Carriers at join-irreducibles, completed to every open by compatible
     families; the sheaf axiom holds by construction and is re-verified."""
     rng = cfg.rng("sheaf")
-    J = sorted(_join_irreducibles(X), key=lambda j: (len(X.down(j)), X.index[j]))
+    J = X.join_irreducibles_by_height()
     stalks = _stalks(X, cfg, rng)
 
     def families(u):

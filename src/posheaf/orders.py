@@ -20,9 +20,8 @@ from .sheaves import (
     Presheaf,
     SheafMorphism,
     SubSheaf,
-    close_to_subsheaf,
-    enumerate_closed_subsheaves,
     enumerate_points,
+    enumerate_subsheaves,
     product_sheaf,
     verify_morphism,
     verify_restriction_closed,
@@ -496,34 +495,12 @@ def down_closure(F: PoSheaf, S: SubSheaf) -> SubSheaf:
     return SubSheaf(F.sheaf, parts)
 
 
-def _downsheaf_closure(F: PoSheaf):
-    """Closure operator for enumerating downsheaves: subsheaf closure plus
-    per-open downward closure, to joint fixpoint."""
-
-    def extra(parts):
-        changed = False
-        for u in F.frame.elements:
-            iu = F.frame.index[u]
-            for y in list(parts[iu]):
-                for x in F.sheaf.carriers[u]:
-                    if F.leq(u, x, y) and x not in parts[iu]:
-                        parts[iu].add(x)
-                        changed = True
-        return changed
-
-    def close(sections):
-        return close_to_subsheaf(F.sheaf, sections, extra)
-
-    return close
-
-
 def enumerate_downsheaves(F: PoSheaf, u=None, *, budget: Budget | None = None, meter: BudgetMeter | None = None) -> list[SubSheaf]:
-    """Dow(F^u) in deterministic order, budget-metered."""
-    return enumerate_closed_subsheaves(F.sheaf, u, close=_downsheaf_closure(F), budget=budget, meter=meter)
-
-
-def _power_carrier_order(subs: list[SubSheaf]) -> list[SubSheaf]:
-    return sorted(subs, key=lambda s: s.key())
+    """Dow(F^u), sorted by SubSheaf.key(), budget-metered: the down-sets of
+    germs at the join-irreducibles that are also down-closed in each stalk
+    order (sheaves.enumerate_subsheaves). Precondition: F satisfies POS1 and
+    POS2 over a sheaf (verify_posheaf)."""
+    return enumerate_subsheaves(F.sheaf, u, leq=F.leq, budget=budget, meter=meter)
 
 
 def _power_posheaf(F_sheaf: Presheaf, per_open: dict) -> PoSheaf:
@@ -549,10 +526,11 @@ def _power_posheaf(F_sheaf: Presheaf, per_open: dict) -> PoSheaf:
 
 
 def power_sheaf(F: Presheaf, *, budget: Budget | None = None, verify: bool = True) -> PoSheaf:
-    """ℙF: u ↦ Sub(F^u) under inclusion, restriction by clipping."""
+    """ℙF: u ↦ Sub(F^u) under inclusion, restriction by clipping, for a sheaf
+    F; one budget meter counts the members over all opens."""
     budget = budget or Budget()
     meter = BudgetMeter("power sheaf subsheaves", budget.subsheaves)
-    per_open = {u: _power_carrier_order(enumerate_closed_subsheaves(F, u, meter=meter)) for u in F.frame.elements}
+    per_open = {u: enumerate_subsheaves(F, u, meter=meter) for u in F.frame.elements}
     P = _power_posheaf(F, per_open)
     if verify:
         verify_posheaf(P).require()
@@ -560,14 +538,11 @@ def power_sheaf(F: Presheaf, *, budget: Budget | None = None, verify: bool = Tru
 
 
 def down_power_sheaf(F: PoSheaf, *, budget: Budget | None = None, verify: bool = True) -> PoSheaf:
-    """𝔻F: u ↦ Dow(F^u), a subsheaf of ℙF."""
+    """𝔻F: u ↦ Dow(F^u), a subsheaf of ℙF, for F satisfying POS1 and POS2
+    over a sheaf; one budget meter counts the members over all opens."""
     budget = budget or Budget()
     meter = BudgetMeter("down-power sheaf downsheaves", budget.subsheaves)
-    close = _downsheaf_closure(F)
-    per_open = {
-        u: _power_carrier_order(enumerate_closed_subsheaves(F.sheaf, u, close=close, meter=meter))
-        for u in F.frame.elements
-    }
+    per_open = {u: enumerate_downsheaves(F, u, meter=meter) for u in F.frame.elements}
     D = _power_posheaf(F.sheaf, per_open)
     if verify:
         verify_posheaf(D).require()

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, NamedTuple
+from typing import Callable, Hashable, NamedTuple
 
 from .frames import FiniteFrame
 from .report import (
@@ -371,124 +371,103 @@ def verify_subsheaf(S: SubSheaf) -> CheckReport:
     return CheckReport.ok("subsheaf")
 
 
-def _close_parts(P: Presheaf, parts: list[set], extra: Callable | None = None) -> None:
-    """In place: close parts under restriction and amalgamation over the
-    empty and binary covers (and an extra per-pass rule, e.g. downward
-    closure), to fixpoint; for a sheaf on a finite frame the fixpoint is
-    closed under every cover's amalgamations."""
-    frame = P.frame
-    changed = True
-    while changed:
-        changed = False
-        for u in frame.elements:
-            iu = frame.index[u]
-            for x in list(parts[iu]):
-                for v in frame.down(u):
-                    y = P.restrict(u, x, v)
-                    if y not in parts[frame.index[v]]:
-                        parts[frame.index[v]].add(y)
-                        changed = True
-        for u in frame.elements:
-            iu = frame.index[u]
-            full = parts[iu] >= set(P.carriers[u])
-            if full:
-                continue
-            for cover in frame.binary_covers(u):
-                # a family with a member at u amalgamates to that member only,
-                # and a family needs a member on every open of the cover
-                if u in cover or any(not parts[frame.index[ui]] for ui in cover):
-                    continue
-                index = _amalgamation_index(P, u, cover)
-                for family in compatible_families(P, cover, parts):
-                    for x in index.get(family, ()):
-                        if x not in parts[iu]:
-                            parts[iu].add(x)
-                            changed = True
-        if extra is not None and extra(parts):
-            changed = True
+def _germ_table(F: Presheaf, u, leq: Callable | None = None) -> tuple[list, list]:
+    """The germs (j, x) with j a join-irreducible below u and x ∈ F(j), listed
+    in a linear extension of "lies directly below": (j, x) lies below (j', y)
+    when j < j' and y|_j = x, or, with ``leq`` (the order at each open), when
+    j = j' and x ≤ y. J is listed by FiniteFrame.join_irreducibles_by_height,
+    each F(j) by the number of sections below (in carrier order without
+    ``leq``). Also returns, for each open v ≤ u, its sections x with the
+    bitmask of the germs (j, x|_j)."""
+    frame = F.frame
+    J = [j for j in frame.join_irreducibles_by_height() if frame.leq(j, u)]
+    germs = []
+    for j in J:
+        xs = F.carriers[j]
+        if leq is not None:
+            xs = sorted(xs, key=lambda y: sum(leq(j, x, y) for x in F.carriers[j]))
+        germs.extend((j, x) for x in xs)
+    bit = {g: 1 << i for i, g in enumerate(germs)}
+    masks = [
+        (v, [(x, sum(bit[j, F.restrict(v, x, j)] for j in J if frame.leq(j, v))) for x in F.carriers[v]])
+        for v in frame.down(u)
+    ]
+    return germs, masks
+
+
+def _germ_subsheaf(F: Presheaf, masks: list, chosen: int) -> SubSheaf:
+    """S(v) = {x ∈ F(v) : every germ of x is chosen}, for the opens in masks."""
+    return SubSheaf(F, {v: [x for x, need in row if need & chosen == need] for v, row in masks})
 
 
 def generate_subsheaf(F: Presheaf, B, *, require_closed: bool = True) -> SubSheaf:
-    """Smallest subsheaf of F containing B: closure under amalgamation (and
-    restriction) iterated to fixpoint."""
+    """Smallest subsheaf of F containing B. The germs at the join-irreducibles
+    of B's sections already form a down-set D, and the subsheaf keeps each
+    section whose germs all lie in D. Precondition: F is a sheaf (the frame
+    is the down-set lattice of its join-irreducibles, and a subsheaf is
+    determined by its germs there)."""
     seed = B if isinstance(B, SubSheaf) else SubSheaf(F, B)
     if require_closed:
         verify_restriction_closed(seed).require(NotRestrictionClosed)
-    return close_to_subsheaf(F, seed.points())
+    _, masks = _germ_table(F, F.frame.top)
+    kept = 0
+    for v, row in masks:
+        for x, need in row:
+            if seed.contains(v, x):
+                kept |= need
+    return _germ_subsheaf(F, masks, kept)
 
 
-def close_to_subsheaf(F: Presheaf, seed_sections: Iterable[tuple], extra: Callable | None = None) -> SubSheaf:
-    """Closure of an arbitrary set of (open, section) pairs (no precondition),
-    with an optional extra per-pass rule on the parts, e.g. downward closure."""
-    parts: list[set] = [set() for _ in F.frame.elements]
-    for u, x in seed_sections:
-        parts[F.frame.index[u]].add(x)
-    _close_parts(F, parts, extra)
-    return SubSheaf(F, tuple(frozenset(p) for p in parts))
-
-
-def enumerate_closed_subsheaves(
+def enumerate_subsheaves(
     F: Presheaf,
     u=None,
     *,
-    close: Callable | None = None,
+    leq: Callable | None = None,
     budget: Budget | None = None,
     meter: BudgetMeter | None = None,
 ) -> list[SubSheaf]:
-    """All closure-system members over the sections of F^u, by next-closure in
-    lectic order (deterministic, budget-metered). The default closure yields
-    Sub(F^u); pass a stronger closure for downsheaves."""
+    """Sub(F^u), sorted by SubSheaf.key(); with ``leq`` (the order at each
+    open, as orders.enumerate_downsheaves passes it) only the members that
+    are down-closed at every open, Dow(F^u).
+
+    Sh(X) is equivalent to presheaves on the join-irreducibles J of X (X is
+    the down-set lattice of J), so the members are the down-sets of the germs
+    (j, x), j ≤ u in J. The germs are walked from last to first, and a germ
+    may be left out only if no chosen germ lies directly above it: every leaf
+    is a distinct member, there are no dead ends, and the budget meter ticks
+    once per member. Precondition: F is a sheaf and, with ``leq``, the orders
+    satisfy POS1 and POS2 (verify_posheaf)."""
     frame = F.frame
     if u is None:
         u = frame.top
     if meter is None:
         meter = BudgetMeter("subsheaf enumeration", (budget or Budget()).subsheaves)
-    universe = [(v, x) for v in frame.down(u) for x in F.carriers[v]]
-    pos = {item: i for i, item in enumerate(universe)}
-
-    if close is None:
-        def close(sections):
-            return close_to_subsheaf(F, sections)
-
-    def closed_sections(sub: SubSheaf) -> frozenset:
-        return frozenset((v, x) for v, x in universe if sub.contains(v, x))
-
-    out = []
-    current = closed_sections(close(frozenset()))
-    out.append(current)
-    meter.tick()
-    n = len(universe)
-    while len(current) < n:
-        nxt = None
-        for i in range(n - 1, -1, -1):
-            item = universe[i]
-            if item in current:
-                continue
-            seed = frozenset(s for s in current if pos[s] < i) | {item}
-            candidate = closed_sections(close(seed))
-            if all(pos[s] >= i or s in current for s in candidate):
-                nxt = candidate
-                break
-        if nxt is None:
-            break
-        current = nxt
-        out.append(current)
-        meter.tick()
-    subs = [SubSheaf(F, _sections_to_parts(F, secs)) for secs in out]
+    germs, masks = _germ_table(F, u, leq)
+    pos = {g: i for i, g in enumerate(germs)}
+    above = [0] * len(germs)  # the germs whose choice forces germ i in
+    for i, (j, y) in enumerate(germs):
+        for k in frame.down(j):
+            g = (k, F.restrict(j, y, k))
+            if k != j and g in pos:
+                above[pos[g]] |= 1 << i
+        if leq is not None:
+            for x in F.carriers[j]:
+                if x != y and leq(j, x, y):
+                    above[pos[j, x]] |= 1 << i
+    subs = []
+    stack = [(len(germs), 0)]
+    while stack:
+        i, chosen = stack.pop()
+        if i == 0:
+            meter.tick()
+            subs.append(_germ_subsheaf(F, masks, chosen))
+            continue
+        i -= 1
+        stack.append((i, chosen | 1 << i))
+        if not chosen & above[i]:
+            stack.append((i, chosen))
     subs.sort(key=lambda s: s.key())
     return subs
-
-
-def _sections_to_parts(F: Presheaf, sections: frozenset) -> dict:
-    parts: dict = {u: [] for u in F.frame.elements}
-    for v, x in sections:
-        parts[v].append(x)
-    return parts
-
-
-def enumerate_subsheaves(F: Presheaf, u=None, *, budget: Budget | None = None, meter: BudgetMeter | None = None) -> list[SubSheaf]:
-    """Sub(F^u) for a verified sheaf F."""
-    return enumerate_closed_subsheaves(F, u, budget=budget, meter=meter)
 
 
 def enumerate_points(F: Presheaf) -> list[Point]:

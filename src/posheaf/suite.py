@@ -32,7 +32,7 @@ from .fixtures import (
     sheaf_ab,
     three_chain_over_2,
 )
-from .generate import GenConfig, _join_irreducibles, gen_endomorphism, gen_frame, gen_frame_morphism, gen_posheaf, mutate
+from .generate import GenConfig, gen_endomorphism, gen_frame, gen_frame_morphism, gen_posheaf, mutate
 from .locale_equiv import (
     cross_sections,
     etale_locale,
@@ -575,8 +575,8 @@ def _generated_frame_homs(seed: int, count: int):
         attempt += 1
         X = gen_frame(cfg_x)
         L = gen_frame(cfg_l)
-        jx = _join_irreducibles(X)
-        jl = _join_irreducibles(L)
+        jx = X.join_irreducibles()
+        jl = L.join_irreducibles()
         rng = random.Random(f"hom:{seed}:{attempt}")
         if jl and not jx:
             continue

@@ -2,11 +2,13 @@
 reductions in the package: every cover of an open (each subset of its downset
 that joins to it), amalgamations found by scanning the carrier, and the
 gluing, subsheaf, patching, closure and downward-closure checks quantified
-over every cover. They are slow (2^|↓u| covers per open) and live here so
-that no package module can fall back to them."""
+over every cover; Sub and Dow by next-closure over that closure; least and
+greatest elements as the one minimal or maximal member. They are slow
+(2^|↓u| covers per open) and live here so that no package module can fall
+back to them."""
 from __future__ import annotations
 
-from posheaf.report import CheckReport
+from posheaf.report import Budget, BudgetMeter, CheckReport
 from posheaf.sheaves import SubSheaf, compatible_families, verify_restriction_closed
 
 
@@ -135,6 +137,50 @@ def close_to_subsheaf(P, sections, downward=None) -> SubSheaf:
     return SubSheaf(P, tuple(frozenset(p) for p in parts))
 
 
+def next_closure(P, u, close, budget: Budget) -> list[SubSheaf]:
+    """Every member of the closure system ``close`` (sections -> SubSheaf)
+    over the sections of P^u, by next-closure in lectic order, one budget
+    tick per member, sorted by SubSheaf.key(). With close_to_subsheaf this
+    is Sub(P^u), and with its ``downward`` posheaf Dow(P^u)."""
+    frame = P.frame
+    meter = BudgetMeter("subsheaf enumeration", budget.subsheaves)
+    universe = [(v, x) for v in frame.down(u) for x in P.carriers[v]]
+    pos = {item: i for i, item in enumerate(universe)}
+
+    def closed_sections(sub: SubSheaf) -> frozenset:
+        return frozenset((v, x) for v, x in universe if sub.contains(v, x))
+
+    out = []
+    current = closed_sections(close(frozenset()))
+    out.append(current)
+    meter.tick()
+    n = len(universe)
+    while len(current) < n:
+        nxt = None
+        for i in range(n - 1, -1, -1):
+            item = universe[i]
+            if item in current:
+                continue
+            seed = frozenset(s for s in current if pos[s] < i) | {item}
+            candidate = closed_sections(close(seed))
+            if all(pos[s] >= i or s in current for s in candidate):
+                nxt = candidate
+                break
+        if nxt is None:
+            break
+        current = nxt
+        out.append(current)
+        meter.tick()
+    subs = []
+    for sections in out:
+        parts: dict = {v: [] for v in frame.elements}
+        for v, x in sections:
+            parts[v].append(x)
+        subs.append(SubSheaf(P, parts))
+    subs.sort(key=lambda s: s.key())
+    return subs
+
+
 def order_closure(P, orders: dict) -> dict:
     """Per-open order pairs closed under transitivity, restriction, and
     patching over every cover, to fixpoint."""
@@ -185,6 +231,24 @@ def down_closure(F, S: SubSheaf) -> SubSheaf:
     return SubSheaf(F.sheaf, parts)
 
 
+def least(poset, subset):
+    """The unique minimal member of subset when it lies below every member,
+    else None."""
+    xs = poset.sorted(subset)
+    mins = [m for m in xs if not any(poset.lt(o, m) for o in xs)]
+    if len(mins) == 1 and all(poset.leq(mins[0], x) for x in xs):
+        return mins[0]
+    return None
+
+
+def greatest(poset, subset):
+    xs = poset.sorted(subset)
+    maxs = [m for m in xs if not any(poset.lt(m, o) for o in xs)]
+    if len(maxs) == 1 and all(poset.leq(x, maxs[0]) for x in xs):
+        return maxs[0]
+    return None
+
+
 def heyting(frame, x, y):
     """The greatest z with z ∧ x ≤ y, by scanning the candidates."""
-    return frame.poset.greatest([z for z in frame.elements if frame.leq(frame.meet(z, x), y)])
+    return greatest(frame.poset, [z for z in frame.elements if frame.leq(frame.meet(z, x), y)])

@@ -46,6 +46,23 @@ def test_check_sheaf_mutated_fails_with_witness(tmp_path, capsys):
     assert out["witness"]["amalgamations"] == 0
 
 
+def test_verify_sup_preserving_rejects_a_non_sheaf_source(tmp_path, capsys):
+    # the powersheaf of the source is only defined for a sheaf: the posheaf
+    # laws are checked first and their sheaf witness is reported
+    from posheaf.sheaves import SheafMorphism
+
+    cfg = GenConfig(seed=2, max_opens=6, max_carrier=3)
+    broken = mutate(gen_posheaf(gen_frame(cfg), cfg), "remove-amalgamation", cfg)
+    ident = SheafMorphism.identity(broken.sheaf)
+    path = write(tmp_path, "id.json", jsonio.dump_morphism_doc(ident, broken, broken))
+    for kind in ("sup-preserving", "frame-morphism"):
+        assert run(["verify", kind, path]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "property"
+        assert out["report"]["name"] == "posheaf"
+        assert out["report"]["witness"]["precondition"]["amalgamations"] == 0
+
+
 def test_check_frame_pentagon_exit_1(tmp_path, capsys):
     doc = {
         "elements": ["0", "x", "y", "z", "1"],

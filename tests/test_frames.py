@@ -113,6 +113,19 @@ def test_frame_report_is_kept(F6):
     assert F6.verify() is first and first.elapsed_ms == elapsed
 
 
+def test_join_irreducibles_generate_the_frame(F2, F3, FD, F6):
+    # j is join-irreducible iff it is not the join of the opens strictly
+    # below it, and every open is the join of the join-irreducibles below it
+    for X in (F2, F3, FD, F6):
+        J = X.join_irreducibles()
+        assert list(J) == [j for j in X.elements if j != X.bottom and X.join_all(v for v in X.down(j) if v != j) != j]
+        assert all(X.join_all(j for j in J if X.leq(j, u)) == u for u in X.elements)
+        H = X.join_irreducibles_by_height()
+        assert sorted(H, key=X.index.get) == list(J)
+        assert not any(X.poset.lt(H[b], H[a]) for a in range(len(H)) for b in range(a + 1, len(H)))
+    assert FD.join_irreducibles() == ("a", "b")
+
+
 def test_covers_conventions(FD):
     assert () in covers(FD, "0")
     assert ("a", "b") in covers(FD, "1")

@@ -1,6 +1,6 @@
 """Source hygiene with the standard library's ast: no unused imports in the
 package modules, no module-level private function that nothing uses, and no
-exhaustive cover enumeration in the package."""
+exhaustive cover enumeration or closure-fixpoint enumeration in the package."""
 from __future__ import annotations
 
 import ast
@@ -61,3 +61,16 @@ def test_no_exhaustive_cover_enumeration():
         or (isinstance(node, ast.FunctionDef) and node.name == "covers")
     ]
     assert calls == []
+
+
+def test_no_closure_fixpoint_enumeration():
+    # Sub and Dow are down-sets of germs at the join-irreducibles; the
+    # closure fixpoint and next-closure are test oracles (tests/oracles.py)
+    names = {"_close_parts", "close_to_subsheaf", "enumerate_closed_subsheaves"}
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    ]
+    assert defined == []

@@ -1,11 +1,13 @@
 """The finite-lattice reductions against their exhaustive definitions
 (tests/oracles.py): binary covers for gluing, subsheaf closure and POS3,
-single joins for cover existence, and the Heyting implication as a join.
+single joins for cover existence, the Heyting implication as a join, Sub,
+Dow and generated subsheaves as down-sets of germs at the join-irreducibles,
+and least and greatest elements by one scan.
 
-Verdicts must agree on every element order of the frame; witnesses, sheaf
-certificate entries and the Sub/Dow lists must agree exactly when the
-element order is a linear extension of the frame order, as in every
-generated and fixture frame."""
+Verdicts, the Sub/Dow lists and generated subsheaves must agree on every
+element order of the frame; witnesses and sheaf certificate entries must
+agree exactly when the element order is a linear extension of the frame
+order, as in every generated and fixture frame."""
 from __future__ import annotations
 
 import itertools
@@ -17,13 +19,22 @@ import oracles
 from posheaf.fixtures import FIXTURE_FRAMES, m3_posheaf, posheaf_ab
 from posheaf.frames import FiniteFrame, FinitePoset
 from posheaf.generate import GenConfig, _order_closure, gen_frame, gen_posheaf, mutate
-from posheaf.orders import PoSheaf, down_closure, enumerate_downsheaves, omega, order_subsheaf, verify_posheaf
+from posheaf.orders import (
+    PoSheaf,
+    down_closure,
+    down_power_sheaf,
+    enumerate_downsheaves,
+    omega,
+    order_subsheaf,
+    power_sheaf,
+    verify_posheaf,
+)
 from posheaf.report import Budget, RepairFailed, ResourceLimit
 from posheaf.sheaves import (
     Presheaf,
     SubSheaf,
-    enumerate_closed_subsheaves,
     enumerate_subsheaves,
+    generate_subsheaf,
     terminal,
     verify_sheaf,
     verify_subsheaf,
@@ -38,6 +49,13 @@ def _boolean_3() -> FiniteFrame:
     two of them."""
     names = ["0", "a", "b", "c", "ab", "ac", "bc", "abc"]
     return FiniteFrame.from_relation(names, [(x, y) for x in names for y in names if set(x) - {"0"} <= set(y)])
+
+
+def _non_distributive() -> tuple[FiniteFrame, FiniteFrame]:
+    """The pentagon N5 and the diamond M3, lattices that are not frames."""
+    n5 = FiniteFrame.from_relation(["0", "x", "y", "z", "1"], [("0", "x"), ("x", "z"), ("z", "1"), ("0", "y"), ("y", "1")])
+    m3 = FiniteFrame.from_relation(["0", "p", "q", "r", "1"], [("0", "p"), ("0", "q"), ("0", "r"), ("p", "1"), ("q", "1"), ("r", "1")])
+    return n5, m3
 
 
 def _corpus() -> list[tuple[str, PoSheaf]]:
@@ -85,29 +103,16 @@ def _subreport(report, name):
     return next(r for r in report.subreports if r.name == name)
 
 
-def _sub_lists(F: PoSheaf):
-    """Sub(F) and Dow(F) from the package and from the exhaustive closures,
-    or None when the budget is exceeded."""
-    budget = Budget(subsheaves=400)
+def _parts_or_limit(enumerate_) -> list | None:
+    """The parts of the enumerated members, or None on ResourceLimit."""
     try:
-        return (
-            [S.parts for S in enumerate_subsheaves(F.sheaf, budget=budget)],
-            [S.parts for S in enumerate_downsheaves(F, budget=budget)],
-            [
-                S.parts
-                for S in enumerate_closed_subsheaves(
-                    F.sheaf, close=lambda secs: oracles.close_to_subsheaf(F.sheaf, secs), budget=budget
-                )
-            ],
-            [
-                S.parts
-                for S in enumerate_closed_subsheaves(
-                    F.sheaf, close=lambda secs: oracles.close_to_subsheaf(F.sheaf, secs, F), budget=budget
-                )
-            ],
-        )
+        return [S.parts for S in enumerate_()]
     except ResourceLimit:
         return None
+
+
+def _small_posheaves(corpus) -> list[tuple[str, PoSheaf]]:
+    return [(name, F) for name, F in corpus if verify_posheaf(F).passed and sum(len(c) for c in F.carriers.values()) <= 14]
 
 
 def test_binary_covers_are_the_prefix_of_all_covers(corpus):
@@ -181,20 +186,79 @@ def test_subsheaf_verdicts_on_every_choice_of_parts(SAB):
 
 
 def test_sub_and_dow_lists_match_the_exhaustive_closures(corpus):
+    # the oracle is next-closure over the exhaustive closures; the budget
+    # must be exceeded on both sides or on neither
+    budget = Budget(subsheaves=400)
     compared = 0
     rng = random.Random(3)
+    for name, F in _small_posheaves(corpus):
+        for G in (F, _shuffled(F, rng)):
+            P = G.sheaf
+            for u in G.frame.elements:
+                sub = _parts_or_limit(lambda: enumerate_subsheaves(P, u, budget=budget))
+                dow = _parts_or_limit(lambda: enumerate_downsheaves(G, u, budget=budget))
+                sub_oracle = _parts_or_limit(
+                    lambda: oracles.next_closure(P, u, lambda secs: oracles.close_to_subsheaf(P, secs), budget)
+                )
+                dow_oracle = _parts_or_limit(
+                    lambda: oracles.next_closure(P, u, lambda secs: oracles.close_to_subsheaf(P, secs, G), budget)
+                )
+                assert sub == sub_oracle, (name, u)
+                assert dow == dow_oracle, (name, u)
+                compared += sub is not None
+    assert compared >= 250
+
+
+def test_generate_subsheaf_matches_the_exhaustive_closure(corpus):
+    rng = random.Random(13)
     for name, F in corpus:
-        if not verify_posheaf(F).passed or sum(len(c) for c in F.carriers.values()) > 14:
+        if not verify_sheaf(F.sheaf).passed:
             continue
         for G in (F, _shuffled(F, rng)):
-            lists = _sub_lists(G)
-            if lists is None:
-                continue
-            sub, dow, sub_oracle, dow_oracle = lists
-            assert sub == sub_oracle, name
-            assert dow == dow_oracle, name
-            compared += 1
-    assert compared >= 20
+            P = G.sheaf
+            seeds = [
+                SubSheaf(P, {u: [x for x in P.carriers[u] if rng.random() < p] for u in P.frame.elements})
+                for p in (0.1, 0.2, 0.3, 0.5)
+            ]
+            for B in seeds:
+                assert generate_subsheaf(P, B, require_closed=False) == oracles.close_to_subsheaf(P, B.points()), name
+
+
+def test_budgets_count_members(corpus):
+    # Budget(subsheaves=n) admits exactly n members, for one enumeration and
+    # for the meter a power sheaf shares across its opens
+    enumerations = {
+        "Sub": lambda F, budget: enumerate_subsheaves(F.sheaf, budget=budget),
+        "Dow": lambda F, budget: enumerate_downsheaves(F, budget=budget),
+        "power": lambda F, budget: power_sheaf(F.sheaf, budget=budget, verify=False).carriers.values(),
+        "down-power": lambda F, budget: down_power_sheaf(F, budget=budget, verify=False).carriers.values(),
+    }
+    for name, F in _small_posheaves(corpus):
+        for kind, enumerate_ in enumerations.items():
+            members = enumerate_(F, Budget())
+            n = len(members) if kind in ("Sub", "Dow") else sum(len(c) for c in members)
+            assert enumerate_(F, Budget(subsheaves=n)), (name, kind)
+            with pytest.raises(ResourceLimit):
+                enumerate_(F, Budget(subsheaves=n - 1))
+
+
+def test_least_and_greatest_match_the_minimal_member_scan(corpus):
+    n5, m3 = _non_distributive()
+    posets = [build().poset for build in FIXTURE_FRAMES.values()] + [n5.poset, m3.poset]
+    posets += [F.poset(u) for _, F in corpus for u in F.frame.elements]
+    # reflexive relations that are not partial orders
+    rng = random.Random(17)
+    for _ in range(40):
+        pairs = [(x, y) for x in range(5) for y in range(5) if rng.random() < 0.3]
+        posets.append(FinitePoset(range(5), pairs, closed=True))
+    laws = set()
+    for poset in posets:
+        laws.add(poset.verify().name)
+        for r in range(len(poset) + 1):
+            for subset in itertools.combinations(poset.elements, r):
+                assert poset.least(subset) == oracles.least(poset, subset)
+                assert poset.greatest(subset) == oracles.greatest(poset, subset)
+    assert {"poset", "poset.antisymmetric", "poset.transitive"} <= laws
 
 
 def test_down_closure_matches_the_cover_formula(corpus):
@@ -237,8 +301,7 @@ def test_order_closure_matches_the_exhaustive_pull_up(corpus):
 
 
 def test_heyting_equals_the_greatest_candidate():
-    n5 = FiniteFrame.from_relation(["0", "x", "y", "z", "1"], [("0", "x"), ("x", "z"), ("z", "1"), ("0", "y"), ("y", "1")])
-    m3 = FiniteFrame.from_relation(["0", "p", "q", "r", "1"], [("0", "p"), ("0", "q"), ("0", "r"), ("p", "1"), ("q", "1"), ("r", "1")])
+    n5, m3 = _non_distributive()
     frames = [build() for build in FIXTURE_FRAMES.values()] + [n5, m3]
     for frame in frames:
         for x in frame.elements:
