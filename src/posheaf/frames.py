@@ -501,17 +501,26 @@ def right_adjoint(f: MonotoneMap) -> tuple[MonotoneMap | None, CheckReport]:
     return MonotoneMap(f.target, f.source, gop.mapping), CheckReport.ok("right_adjoint")
 
 
-def preserves_all_meets(f: MonotoneMap) -> bool:
-    """f(⋀S) = ⋀f(S) over every subset of the source (finite oracle for the
-    left-adjoint existence criterion)."""
+def _preserves_empty_and_binary(f: MonotoneMap, empty, empty_image, pair, pair_image) -> bool:
+    """The empty bound (empty, empty_image) and every binary bound exist on
+    both sides and f preserves them. Between partial orders that is every
+    finite bound of the source existing and being preserved, by induction on
+    the subset size."""
+    if empty is None or empty_image is None or f(empty) != empty_image:
+        return False
     elems = f.source.elements
-    for mask in range(1 << len(elems)):
-        subset = [elems[i] for i in range(len(elems)) if mask >> i & 1]
-        lhs = f.source.meet_all(subset)
-        rhs = f.target.meet_all(f(x) for x in subset)
-        if lhs is None or rhs is None or f(lhs) != rhs:
-            return False
+    for i, x in enumerate(elems):
+        for y in elems[i:]:
+            lhs, rhs = pair(x, y), pair_image(f(x), f(y))
+            if lhs is None or rhs is None or f(lhs) != rhs:
+                return False
     return True
+
+
+def preserves_all_meets(f: MonotoneMap) -> bool:
+    """f(⋀S) = ⋀f(S) for every subset S of the (finite) source poset, read
+    from the top and the binary meets (the left-adjoint existence criterion)."""
+    return _preserves_empty_and_binary(f, f.source.top, f.target.top, f.source.meet, f.target.meet)
 
 
 def frame_iso(A: FiniteFrame, B: FiniteFrame, fixed: dict | None = None) -> dict | None:
@@ -559,11 +568,6 @@ def frame_iso(A: FiniteFrame, B: FiniteFrame, fixed: dict | None = None) -> dict
 
 
 def preserves_all_joins(f: MonotoneMap) -> bool:
-    elems = f.source.elements
-    for mask in range(1 << len(elems)):
-        subset = [elems[i] for i in range(len(elems)) if mask >> i & 1]
-        lhs = f.source.join_all(subset)
-        rhs = f.target.join_all(f(x) for x in subset)
-        if lhs is None or rhs is None or f(lhs) != rhs:
-            return False
-    return True
+    """f(⋁S) = ⋁f(S) for every subset S of the (finite) source poset, read
+    from the bottom and the binary joins."""
+    return _preserves_empty_and_binary(f, f.source.bottom, f.target.bottom, f.source.join, f.target.join)

@@ -34,7 +34,10 @@ class PoSheaf:
     """A sheaf plus one partial-order relation per open.
 
     The relation tables are reflexively closed on construction; POS1-POS3 are
-    verified properties (verify_posheaf), not construction invariants.
+    verified properties (verify_posheaf), not construction invariants. The
+    completeness facts about a posheaf are computed once and kept on it: the
+    is_complete and is_frame_sheaf results, the point order as bitset rows,
+    and the opposite.
     """
 
     def __init__(self, sheaf: Presheaf, orders: dict):
@@ -53,6 +56,11 @@ class PoSheaf:
         self.orders = closed
         self._posets: dict = {}
         self._sorted_pairs: dict = {}
+        self._completeness = None
+        self._frame_sheaf = None
+        self._point_index = None
+        self._point_rows: dict = {}
+        self._opposite = None
 
     @property
     def carriers(self):
@@ -80,8 +88,36 @@ class PoSheaf:
         return self._sorted_pairs[u]
 
     def opposite(self) -> "PoSheaf":
-        """Same underlying sheaf, per-open orders reversed."""
-        return PoSheaf(self.sheaf, {u: [(y, x) for (x, y) in rel] for u, rel in self.orders.items()})
+        """Same underlying sheaf, per-open orders reversed; built once, and
+        its own opposite is self."""
+        if self._opposite is None:
+            op = PoSheaf(self.sheaf, {u: [(y, x) for (x, y) in rel] for u, rel in self.orders.items()})
+            op._opposite = self
+            self._opposite = op
+        return self._opposite
+
+    def point_index(self) -> dict:
+        """Point -> its position in enumerate_points(self.sheaf); the key order
+        is that list's order."""
+        if self._point_index is None:
+            self._point_index = {p: i for i, p in enumerate(enumerate_points(self.sheaf))}
+        return self._point_index
+
+    def point_row(self, p: Point) -> int:
+        """The bitset over point_index of the q with p ≤ q, built on first use
+        from both readings of point_leq; a disagreement (impossible under
+        POS2) raises AssertionError, as in point_leq_bool."""
+        row = self._point_rows.get(p)
+        if row is None:
+            row = 0
+            for i, q in enumerate(self.point_index()):
+                w = point_leq(self, p, q)
+                if not w.agree():
+                    raise AssertionError(f"point order readings disagree on {p} vs {q}")
+                if w.holds:
+                    row |= 1 << i
+            self._point_rows[p] = row
+        return row
 
     def discrete_like(self) -> bool:
         return all(len(rel) == len(self.sheaf.carriers[u]) for u, rel in self.orders.items())

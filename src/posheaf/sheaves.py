@@ -218,9 +218,10 @@ def _verify_sheaf_fresh(P: Presheaf) -> SheafCertificate:
 
 class SubSheaf:
     """Per-open subsets of a parent presheaf, aligned with the frame's element
-    order; equality and hashing are on the parts only."""
+    order; equality and hashing are on the parts only, and the hash is
+    computed once."""
 
-    __slots__ = ("parent", "parts")
+    __slots__ = ("parent", "parts", "_hash")
 
     def __init__(self, parent: Presheaf, parts):
         self.parent = parent
@@ -233,12 +234,13 @@ class SubSheaf:
             if bad:
                 raise MalformedInput(f"subsheaf part at {u!r} outside the carrier: {sorted(map(str, bad))}")
         self.parts = normalized
+        self._hash = hash(normalized)
 
     def __eq__(self, other):
         return isinstance(other, SubSheaf) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.parts)
+        return self._hash
 
     def part(self, u) -> frozenset:
         return self.parts[self.parent.frame.index[u]]

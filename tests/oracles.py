@@ -3,13 +3,15 @@ reductions in the package: every cover of an open (each subset of its downset
 that joins to it), amalgamations found by scanning the carrier, and the
 gluing, subsheaf, patching, closure and downward-closure checks quantified
 over every cover; Sub and Dow by next-closure over that closure; least and
-greatest elements as the one minimal or maximal member. They are slow
-(2^|↓u| covers per open) and live here so that no package module can fall
-back to them."""
+greatest elements as the one minimal or maximal member; join and meet
+preservation over every subset; the point-order bounds of a subsheaf one pair
+at a time. They are slow (2^|↓u| covers per open) and live here so that no
+package module can fall back to them."""
 from __future__ import annotations
 
+from posheaf.orders import PoSheaf, point_leq_bool
 from posheaf.report import Budget, BudgetMeter, CheckReport
-from posheaf.sheaves import SubSheaf, compatible_families, verify_restriction_closed
+from posheaf.sheaves import SubSheaf, compatible_families, enumerate_points, verify_restriction_closed
 
 
 def covers(frame, u) -> tuple:
@@ -252,3 +254,51 @@ def greatest(poset, subset):
 def heyting(frame, x, y):
     """The greatest z with z ∧ x ≤ y, by scanning the candidates."""
     return greatest(frame.poset, [z for z in frame.elements if frame.leq(frame.meet(z, x), y)])
+
+
+def preserves_all_joins(f) -> bool:
+    """f(⋁S) = ⋁f(S) over every subset S of the source."""
+    elems = f.source.elements
+    for mask in range(1 << len(elems)):
+        subset = [elems[i] for i in range(len(elems)) if mask >> i & 1]
+        lhs = f.source.join_all(subset)
+        rhs = f.target.join_all(f(x) for x in subset)
+        if lhs is None or rhs is None or f(lhs) != rhs:
+            return False
+    return True
+
+
+def preserves_all_meets(f) -> bool:
+    """f(⋀S) = ⋀f(S) over every subset S of the source."""
+    elems = f.source.elements
+    for mask in range(1 << len(elems)):
+        subset = [elems[i] for i in range(len(elems)) if mask >> i & 1]
+        lhs = f.source.meet_all(subset)
+        rhs = f.target.meet_all(f(x) for x in subset)
+        if lhs is None or rhs is None or f(lhs) != rhs:
+            return False
+    return True
+
+
+def upper_bound_points(F, A: SubSheaf) -> list:
+    """The points above every point of A, one point_leq_bool per pair."""
+    apts = A.points()
+    return [p for p in enumerate_points(F.sheaf) if all(point_leq_bool(F, a, p) for a in apts)]
+
+
+def point_minimum(F, pts: list):
+    """(least point or None, minimal points) of a list of points, per pair."""
+    mins = [p for p in pts if not any(q != p and point_leq_bool(F, q, p) for q in pts)]
+    if len(mins) == 1 and all(point_leq_bool(F, mins[0], q) for q in pts):
+        return mins[0], mins
+    return None, mins
+
+
+def bounds(F, A: SubSheaf) -> tuple:
+    """(upper bounds, sup, inf, sup antichain, inf antichain) of a subsheaf A,
+    per pair, with the opposite built afresh."""
+    op = PoSheaf(F.sheaf, {u: [(y, x) for (x, y) in rel] for u, rel in F.orders.items()})
+    ups = upper_bound_points(F, A)
+    sup, sup_min = point_minimum(F, ups)
+    inf, inf_min = point_minimum(op, upper_bound_points(op, A))
+    return ups, sup, inf, [] if sup else sup_min, [] if inf else inf_min

@@ -63,6 +63,27 @@ def test_verify_sup_preserving_rejects_a_non_sheaf_source(tmp_path, capsys):
         assert out["report"]["witness"]["precondition"]["amalgamations"] == 0
 
 
+def test_verify_sup_preserving_reports_a_missing_sup(tmp_path, capsys):
+    # the identity on a posheaf that is not complete: a downsheaf without a
+    # sup fails the defining square, with a report and no traceback
+    from posheaf.sheaves import SheafMorphism
+
+    cfg = GenConfig(seed=9, max_opens=4, max_carrier=2)
+    F = gen_posheaf(gen_frame(cfg), cfg)
+    path = write(tmp_path, "id.json", jsonio.dump_morphism_doc(SheafMorphism.identity(F.sheaf), F, F))
+    assert run(["verify", "sup-preserving", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["name"] == "sup_preserving"
+    square = out["subreports"][0]
+    assert square["name"] == "sup_preserving.square" and not square["passed"]
+    assert set(square["witness"]) == {"open", "subsheaf", "missing"}
+    assert out["witness"] == square["witness"]
+    assert run(["verify", "frame-morphism", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["name"] == "frame_morphism" and not out["passed"]
+    assert out["subreports"][0]["witness"] == square["witness"]
+
+
 def test_check_frame_pentagon_exit_1(tmp_path, capsys):
     doc = {
         "elements": ["0", "x", "y", "z", "1"],

@@ -27,7 +27,8 @@ from posheaf.orders import (
     power_sheaf,
     verify_posheaf,
 )
-from posheaf.report import NotComplete
+from posheaf.generate import GenConfig, gen_frame, gen_posheaf
+from posheaf.report import Budget, NotComplete, ResourceLimit
 from posheaf.sheaves import (
     Point,
     Presheaf,
@@ -301,3 +302,116 @@ def test_left_adjoints_are_frame_mono_homs_on_frame_sheaves():
                     for y in pv.elements:
                         assert table[pv.meet(x, y)] == pu.meet(table[x], table[y])
                 assert preserves_all_joins(m)
+
+
+def _copy(F: PoSheaf) -> PoSheaf:
+    """The same sheaf and orders in a new PoSheaf, with nothing cached."""
+    return PoSheaf(F.sheaf, F.orders)
+
+
+def _outcome(check, F: PoSheaf, limit: int) -> tuple:
+    try:
+        return ("report", check(F, budget=Budget(subsheaves=limit)).passed)
+    except ResourceLimit as exc:
+        return ("limit", exc.what, exc.limit)
+
+
+def _incomplete_posheaf() -> PoSheaf:
+    cfg = GenConfig(seed=9, max_opens=4, max_carrier=2)
+    return gen_posheaf(gen_frame(cfg), cfg)
+
+
+def test_cached_completeness_replays_its_budget():
+    verdicts = set()
+    for F in (omega(frame_d()), posheaf_ab(), m3_posheaf(), _incomplete_posheaf()):
+        cert = is_complete(F)
+        verdicts.add(cert.passed)
+        n = F._completeness[1]
+        assert is_complete(F, budget=Budget(subsheaves=n)) is cert
+        assert _outcome(is_complete, F, n - 1) == ("limit", "completeness enumeration", n - 1)
+        for limit in (n, n - 1, 1, 0):
+            assert _outcome(is_complete, F, limit) == _outcome(is_complete, _copy(F), limit)
+        assert F._completeness[0] is cert
+    assert verdicts == {True, False}
+
+
+def _two_chain_over_a_chain(n: int) -> PoSheaf:
+    """The constant sheaf 0 < 1 over the chain frame 0 < a1 < ... < an: a
+    frame sheaf whose power sheaf has more members than is_complete
+    enumerates once n ≥ 9, so its budget is the one that binds."""
+    from posheaf.frames import build_frame
+
+    opens = ["0"] + [f"a{i}" for i in range(1, n + 1)]
+    X = build_frame(opens, [(opens[i], opens[i + 1]) for i in range(n)])
+    carriers = {u: ("*",) if u == "0" else (0, 1) for u in opens}
+    res = {(u, v): {x: "*" if v == "0" else x for x in carriers[u]} for i, u in enumerate(opens) for v in opens[:i]}
+    return PoSheaf(Presheaf(X, carriers, res), {u: [(0, 1)] for u in opens[1:]})
+
+
+def test_cached_frame_sheaf_check_replays_both_budgets():
+    binding = set()
+    for F in (omega(frame_d()), posheaf_ab(), m3_posheaf(), _two_chain_over_a_chain(9)):
+        report = is_frame_sheaf(F)
+        complete_members, power_members = F._completeness[1], F._frame_sheaf[1]
+        # the recorded count is the power sheaf's own meter
+        assert power_members == sum(len(c) for c in power_sheaf(F.sheaf, verify=False).carriers.values())
+        with pytest.raises(ResourceLimit) as exc:
+            power_sheaf(F.sheaf, budget=Budget(subsheaves=power_members - 1), verify=False)
+        assert (exc.value.what, exc.value.limit) == ("power sheaf subsheaves", power_members - 1)
+        n = max(complete_members, power_members)
+        assert is_frame_sheaf(F, budget=Budget(subsheaves=n)) is report
+        outcome = _outcome(is_frame_sheaf, F, n - 1)
+        assert outcome[0] == "limit"
+        binding.add(outcome[1])
+        for limit in (n, n - 1, power_members, power_members - 1, 0):
+            assert _outcome(is_frame_sheaf, F, limit) == _outcome(is_frame_sheaf, _copy(F), limit)
+        assert F._frame_sheaf[0] is report
+    assert binding == {"completeness enumeration", "power sheaf subsheaves"}
+
+
+def test_a_cached_frame_sheaf_report_keeps_its_elapsed_ms():
+    F = omega(frame_d())
+    first = is_frame_sheaf(F)
+    assert first.elapsed_ms is not None
+    ms = first.elapsed_ms
+    again = is_frame_sheaf(F)
+    assert again is first and again.elapsed_ms == ms
+
+
+def test_check_frame_sheaf_then_frame_equivalence_compute_completeness_once(tmp_path, monkeypatch, capsys):
+    from posheaf import complete, jsonio
+    from posheaf.cli import run
+    from posheaf.frame_equiv import verify_frame_equivalence
+
+    F = posheaf_ab()
+    fresh = complete._is_complete_fresh
+    calls = []
+
+    def counted(G, meter):
+        calls.append(G)
+        return fresh(G, meter)
+
+    monkeypatch.setattr(complete, "_is_complete_fresh", counted)
+    monkeypatch.setattr(jsonio, "load_posheaf", lambda doc, base_dir=None: F)
+    path = tmp_path / "F.json"
+    path.write_text("{}")
+    assert run(["check", "frame-sheaf", str(path)]) == 0
+    capsys.readouterr()
+    assert verify_frame_equivalence(F).passed
+    assert calls == [F]
+
+
+def test_the_opposite_is_built_once():
+    F = posheaf_ab()
+    op = F.opposite()
+    assert F.opposite() is op and op.opposite() is F
+    assert all(op.orders[u] == {(y, x) for (x, y) in F.orders[u]} for u in F.frame.elements)
+
+
+def test_point_rows_need_pos2(SAB):
+    # xz ≤ yz at the top but x and y are incomparable over a: the two
+    # readings of the point order disagree
+    F = PoSheaf(SAB, {"1": [("xz", "yz")]})
+    assert not verify_posheaf(F).passed
+    with pytest.raises(AssertionError):
+        F.point_row(Point("1", "xz"))

@@ -1,6 +1,7 @@
 """Source hygiene with the standard library's ast: no unused imports in the
 package modules, no module-level private function that nothing uses, and no
-exhaustive cover enumeration or closure-fixpoint enumeration in the package."""
+exhaustive cover enumeration, closure-fixpoint enumeration or subset loop
+for join and meet preservation in the package."""
 from __future__ import annotations
 
 import ast
@@ -74,3 +75,26 @@ def test_no_closure_fixpoint_enumeration():
         if isinstance(node, ast.FunctionDef) and node.name in names
     ]
     assert defined == []
+
+
+def test_no_subset_loop_for_join_and_meet_preservation():
+    # preserving every join (meet) follows from the empty and the binary
+    # ones; the 2^n subset loop is a test oracle (tests/oracles.py)
+    names = {"preserves_all_joins", "preserves_all_meets", "_preserves_empty_and_binary"}
+
+    def subset_loop(node) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "range"
+            and any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.LShift) for a in node.args)
+        )
+
+    functions = [
+        (path.name, fn)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef) and fn.name in names
+    ]
+    assert {"preserves_all_joins", "preserves_all_meets"} <= {fn.name for _, fn in functions}
+    found = [f"{module}:{fn.name}:{node.lineno}" for module, fn in functions for node in ast.walk(fn) if subset_loop(node)]
+    assert found == []

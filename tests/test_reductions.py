@@ -2,7 +2,9 @@
 (tests/oracles.py): binary covers for gluing, subsheaf closure and POS3,
 single joins for cover existence, the Heyting implication as a join, Sub,
 Dow and generated subsheaves as down-sets of germs at the join-irreducibles,
-and least and greatest elements by one scan.
+least and greatest elements by one scan, join and meet preservation from the
+empty and binary bounds, and the bounds of a subsheaf from bitset rows of the
+point order.
 
 Verdicts, the Sub/Dow lists and generated subsheaves must agree on every
 element order of the frame; witnesses and sheaf certificate entries must
@@ -16,8 +18,9 @@ import random
 import pytest
 
 import oracles
+from posheaf.complete import bounds
 from posheaf.fixtures import FIXTURE_FRAMES, m3_posheaf, posheaf_ab
-from posheaf.frames import FiniteFrame, FinitePoset
+from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap, preserves_all_joins, preserves_all_meets
 from posheaf.generate import GenConfig, _order_closure, gen_frame, gen_posheaf, mutate
 from posheaf.orders import (
     PoSheaf,
@@ -309,3 +312,47 @@ def test_heyting_equals_the_greatest_candidate():
                 assert frame.heyting(x, y) == oracles.heyting(frame, x, y)
     # the non-distributive lattices have pairs with no Heyting implication
     assert n5.heyting("z", "x") is None and m3.heyting("p", "0") is None
+
+
+def test_bounds_match_the_per_pair_scan(corpus):
+    rng = random.Random(19)
+    compared = 0
+    found = set()
+    for name, F in _small_posheaves(corpus):
+        for G in (F, _shuffled(F, rng)):
+            for S in enumerate_subsheaves(G.sheaf):
+                b = bounds(G, S)
+                expected = oracles.bounds(G, b.target)
+                assert (b.upper_bounds, b.sup, b.inf, b.sup_antichain, b.inf_antichain) == expected, (name, S.describe())
+                found.add((b.sup is None, b.inf is None))
+                compared += 1
+    assert compared >= 1000
+    assert found == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_preserves_all_joins_and_meets_match_every_subset(corpus):
+    # restriction and identity maps of the corpus (incomplete posheaves and
+    # mutants included), the fixture frames, N5, M3 and random reflexive
+    # relations, some not antisymmetric or not transitive
+    n5, m3 = _non_distributive()
+    maps = [MonotoneMap.identity(build().poset) for build in FIXTURE_FRAMES.values()]
+    maps += [MonotoneMap.identity(n5.poset), MonotoneMap.identity(m3.poset)]
+    for _, F in corpus:
+        for u in F.frame.elements:
+            maps.append(MonotoneMap.identity(F.poset(u)))
+            for v in F.frame.down(u):
+                if v != u:
+                    maps.append(MonotoneMap(F.poset(u), F.poset(v), dict(F.sheaf.res[(u, v)])))
+    rng = random.Random(23)
+    for _ in range(200):
+        n, m = rng.randint(1, 5), rng.randint(1, 4)
+        source = FinitePoset(range(n), [(x, y) for x in range(n) for y in range(n) if rng.random() < 0.4], closed=True)
+        target = FinitePoset(range(m), [(x, y) for x in range(m) for y in range(m) if rng.random() < 0.4], closed=True)
+        maps.append(MonotoneMap(source, target, {x: rng.randrange(m) for x in range(n)}))
+    verdicts = set()
+    for f in maps:
+        joins, meets = preserves_all_joins(f), preserves_all_meets(f)
+        assert joins == oracles.preserves_all_joins(f)
+        assert meets == oracles.preserves_all_meets(f)
+        verdicts.add((joins, meets))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
