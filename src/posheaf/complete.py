@@ -424,7 +424,10 @@ def verify_sup_preserving(
     preservation with commuting left-adjoint squares, and right-adjoint
     existence — reconciled. F and G must be posheaves (verify_posheaf; a
     failure raises with its report), since the powersheaf and the image
-    subsheaves are computed on their sheaves."""
+    subsheaves are computed on their sheaves. The forms are equivalent only
+    for complete posheaves: when they disagree and F or G is not complete
+    (is_complete), a failing sup_preserving.complete subreport naming the
+    side replaces the agreement."""
     verify_posheaf(F).require()
     verify_posheaf(G).require()
     pre = verify_order_preserving(alpha, F, G)
@@ -506,10 +509,22 @@ def verify_sup_preserving(
             if not gal.passed:
                 adj_ok, adj_wit = False, {"galois": gal.witness}
 
-    return _three_way(
-        "sup_preserving",
-        [("square", square_ok, square_wit), ("per_open", open_ok, open_wit), ("right_adjoint", adj_ok, adj_wit)],
-    )
+    forms = [("square", square_ok, square_wit), ("per_open", open_ok, open_wit), ("right_adjoint", adj_ok, adj_wit)]
+    if len({ok for _, ok, _ in forms}) > 1:
+        # the forms are equivalent only on complete posheaves: a disagreement
+        # on one that is not complete is no inconsistency
+        incomplete = [side for side, H in (("source", F), ("target", G)) if not is_complete(H, budget=budget).passed]
+        if incomplete:
+            subs = [CheckReport(f"sup_preserving.{label}", ok, witness=wit) for label, ok, wit in forms]
+            subs.append(CheckReport.fail("sup_preserving.complete", {"not_complete": incomplete}))
+            return CheckReport(
+                name="sup_preserving",
+                passed=False,
+                witness=next(s.witness for s in subs if not s.passed),
+                subreports=subs,
+                details={"verdict": False},
+            )
+    return _three_way("sup_preserving", forms)
 
 
 def product_posheaf(F: PoSheaf, G: PoSheaf) -> PoSheaf:
@@ -628,12 +643,12 @@ def check_finite_completeness(F: PoSheaf, mode: str = "both") -> CheckReport:
 def meet_morphism(F: PoSheaf, P: PoSheaf) -> SheafMorphism:
     """μ: F × ℙF → ℙF, sending (x, S) to the subsheaf generated by the
     per-open meets of S's members with the matching restrictions of x."""
-    FP = product_posheaf(F, P)
+    FP = product_sheaf(F.sheaf, P.sheaf)
     frame = F.frame
     maps = {}
     for u in frame.elements:
         table = {}
-        for (x, S) in FP.sheaf.carriers[u]:
+        for (x, S) in FP.carriers[u]:
             parts = {}
             for v in frame.down(u):
                 xv = F.sheaf.restrict(u, x, v)
@@ -644,7 +659,7 @@ def meet_morphism(F: PoSheaf, P: PoSheaf) -> SheafMorphism:
             gen = generate_subsheaf(F.sheaf, SubSheaf(F.sheaf, parts), require_closed=False).clip(u)
             table[(x, S)] = gen
         maps[u] = table
-    return SheafMorphism(FP.sheaf, P.sheaf, maps)
+    return SheafMorphism(FP, P.sheaf, maps)
 
 
 def _lattice_frame(F: PoSheaf, u) -> FiniteFrame:

@@ -1,10 +1,18 @@
 """The sheaf/locale side: building the sheaf locale of a presheaf, detecting
 local homeomorphisms, the cross-sections functor, the unit/counit adjunction
 with its triangle identities, spatiality, and the ordered sheaf-locale
-axioms (POSL/CPOSL) cross-checked against the posheaf layer."""
+axioms (POSL/CPOSL) cross-checked against the posheaf layer.
+
+A finite frame is the down-set lattice of its join-irreducibles, its points.
+So the sheaf locale's frame is the down-set lattice of the germs (j, x ∈ P(j))
+at the base's points (etale_locale), and a locale map is read through its
+point map p(y) = ∧{x : y ≤ f*(x)} (_point_map): its sections over u are the
+monotone φ from the points below u with p∘φ = id (cross_sections), and it is
+a local homeomorphism iff p is a discrete fibration (is_local_homeomorphism).
+The definitional searches these replace are test oracles (tests/oracles.py).
+"""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .frames import FiniteFrame, FinitePoset, FrameHom, verify_frame_hom
@@ -18,7 +26,7 @@ from .report import (
 )
 from .complete import is_complete
 from .orders import PoSheaf, _three_way, verify_posheaf
-from .sheaves import Presheaf, SheafMorphism, epsilon, verify_presheaf, verify_sheaf
+from .sheaves import Presheaf, SheafMorphism, _germ_downsets, _germ_table, epsilon, verify_presheaf, verify_sheaf
 
 
 @dataclass
@@ -45,7 +53,6 @@ class EtaleLocale:
 
     presheaf: Presheaf
     sections: list
-    eps: dict
     assignments: list
     frame: FiniteFrame
     locale: LocaleOverX
@@ -67,87 +74,36 @@ class EtaleLocale:
         return f"{self.presheaf.label(u, s)}@{u}"
 
 
-def _enumerate_lambda(P: Presheaf, sections, eps, meter: BudgetMeter, nodes: BudgetMeter) -> list[tuple]:
-    """All constrained assignments, by DFS with pairwise pruning against the
-    agreement table (primary path)."""
-    X = P.frame
-    n = len(sections)
-    downs = [X.down(u) for u, _ in sections]
-    chosen: list = []
-    out: list[tuple] = []
-
-    def rec(i):
-        nodes.tick()
-        if i == n:
-            out.append(tuple(chosen))
-            meter.tick()
-            return
-        for c in downs[i]:
-            ok = True
-            for j in range(i):
-                e = eps[(i, j)]
-                if X.meet(c, e) != X.meet(chosen[j], e):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(c)
-                rec(i + 1)
-                chosen.pop()
-
-    rec(0)
-    return out
-
-
-def _lambda_oracle(P: Presheaf, sections, eps, limit: int) -> list[tuple] | None:
-    """Brute-force product enumeration; None when the space exceeds the limit."""
-    X = P.frame
-    downs = [X.down(u) for u, _ in sections]
-    space = 1
-    for d in downs:
-        space *= len(d)
-        if space > limit:
-            return None
-    out = []
-    for combo in itertools.product(*downs):
-        if all(
-            X.meet(combo[i], eps[(i, j)]) == X.meet(combo[j], eps[(i, j)])
-            for i in range(len(combo))
-            for j in range(i)
-        ):
-            out.append(combo)
-    return out
+def _germ_join(X: FiniteFrame, germs: list, mask: int):
+    """∨ of the opens j of the germs (j, x) whose bits are set in mask."""
+    js = []
+    while mask:
+        low = mask & -mask
+        js.append(germs[low.bit_length() - 1][0])
+        mask ^= low
+    return X.join_all(js)
 
 
 @timed
 def etale_locale(P: Presheaf, *, budget: Budget | None = None) -> EtaleLocale:
-    """The locale of the presheaf's total space: assignments of an open below
-    each section's domain, agreeing on the pairwise agreement opens, under the
-    pointwise order. Frame laws are checked, never assumed; where the product
-    space is small enough the brute-force oracle must agree with the DFS."""
+    """The locale of the presheaf's total space: its opens are the down-sets D
+    of the germs (j, x), j a join-irreducible of the base and x ∈ P(j), read
+    as the assignment (u, s) ↦ ∨{j ≤ u : (j, s|_j) ∈ D} of an open below each
+    section's domain, under the pointwise order. The down-sets come from the
+    germ walk of enumerate_subsheaves, one budget tick each; the frame laws
+    are checked, never assumed."""
     budget = budget or Budget()
     pre = verify_presheaf(P)
     pre.require()
     X = P.frame
     sections = P.sections()
-    eps = {}
-    for i, (u, s) in enumerate(sections):
-        for j, (v, t) in enumerate(sections):
-            if j < i:
-                e = epsilon(P, [(u, s), (v, t)])
-                eps[(i, j)] = e
-                eps[(j, i)] = e
-
+    germs, masks = _germ_table(P, X.top)
+    need = {(v, x): m for v, row in masks for x, m in row}
+    needs = [need[sec] for sec in sections]
     meter = BudgetMeter("sheaf-locale elements", budget.lambda_elements)
-    nodes = BudgetMeter("sheaf-locale search nodes", budget.section_nodes)
-    assignments = _enumerate_lambda(P, sections, eps, meter, nodes)
-    oracle = _lambda_oracle(P, sections, eps, budget.lambda_elements * 32)
-    oracle_rep = CheckReport.ok("sheaf_locale.oracle", skipped=oracle is None)
-    if oracle is not None and sorted(oracle) != sorted(assignments):
-        oracle_rep = CheckReport.fail(
-            "sheaf_locale.oracle",
-            {"dfs": len(assignments), "product_filter": len(oracle)},
-        )
-
+    assignments = [
+        tuple(_germ_join(X, germs, chosen & m) for m in needs) for chosen in _germ_downsets(P, germs, meter)
+    ]
     assignments.sort(key=lambda a: tuple(X.index[c] for c in a))
     width = max(3, len(str(max(len(assignments) - 1, 0))))
     labels = [f"L{i:0{width}d}" for i in range(len(assignments))]
@@ -195,13 +151,12 @@ def etale_locale(P: Presheaf, *, budget: Budget | None = None) -> EtaleLocale:
 
     report = CheckReport.combine(
         "sheaf_locale",
-        [frame_rep, lattice_rep, oracle_rep, pstar_rep],
+        [frame_rep, lattice_rep, pstar_rep],
         elements=len(assignments),
     )
     return EtaleLocale(
         presheaf=P,
         sections=sections,
-        eps=eps,
         assignments=assignments,
         frame=frame,
         locale=LocaleOverX(OY=frame, fstar=pstar),
@@ -234,28 +189,32 @@ def lambda_on_morphism(alpha: SheafMorphism, EP: EtaleLocale, EQ: EtaleLocale) -
     return hom, CheckReport.combine("lambda_morphism", [hom_rep, commute_rep])
 
 
+def _point_map(f: LocaleOverX) -> dict:
+    """p(y) = ∧{x : y ≤ f*(x)} for each join-irreducible y of O(Y): the least
+    open of the base whose inverse image holds y. Join-irreducibles are the
+    points of a finite frame, and since f* preserves joins p(y) is one of the
+    base's: p is the map f on points."""
+    OY, OX = f.OY, f.base
+    return {y: OX.meet_all(x for x in OX.elements if OY.leq(y, f.fstar(x))) for y in OY.join_irreducibles()}
+
+
 @timed
 def is_local_homeomorphism(f: LocaleOverX) -> CheckReport:
-    """Search for opens of Y on which f restricts, up to isomorphism, to an
-    open inclusion (surjective frame map whose kernel is an open congruence);
-    pass iff the good opens cover Y, with the witness cover or the exhaustion
-    evidence attached."""
+    """The opens y of Y on which f restricts, up to isomorphism, to an open
+    inclusion: those where the point map p, restricted to the points below y,
+    is an order-embedding onto a down-set of the base's points, whose join is
+    y's base open. Pass iff the good opens cover Y (p is then a discrete
+    fibration), with the witness cover or the good opens attached."""
     f.verify().require()
-    OY, OX = f.OY, f.fstar.source
+    OY, OX = f.OY, f.base
+    p = _point_map(f)
     good = []
     for y in OY.elements:
-        down_y = OY.down(y)
-        image = {OY.meet(f.fstar(x), y) for x in OX.elements}
-        if image != set(down_y):
-            continue
-        for u in OX.elements:
-            if all(
-                (OY.meet(f.fstar(a), y) == OY.meet(f.fstar(b), y)) == (OX.meet(a, u) == OX.meet(b, u))
-                for a in OX.elements
-                for b in OX.elements
-            ):
-                good.append({"open": y, "base_open": u})
-                break
+        below = [z for z in p if OY.leq(z, y)]
+        image = {p[z] for z in below}
+        embeds = all(OY.leq(a, b) == OX.leq(p[a], p[b]) for a in below for b in below)
+        if embeds and all(k in image for j in image for k in OX.join_irreducibles() if OX.leq(k, j)):
+            good.append({"open": y, "base_open": OX.join_all(image)})
     covered = OY.join_all(d["open"] for d in good)
     passed = covered == OY.top
     witness = None if passed else {"good_opens": [d["open"] for d in good], "join": covered}
@@ -286,102 +245,48 @@ class GammaSheaf:
     report: CheckReport
 
 
-def _linear_extension(frame: FiniteFrame) -> list:
-    return sorted(frame.elements, key=lambda y: (len(frame.poset.down(y)), frame.index[y]))
-
-
-def _sections_over(f: LocaleOverX, u, nodes: BudgetMeter) -> list[Section]:
-    """All frame maps O(Y) → the downset of u satisfying the composite
-    condition: DFS over a linear extension with forced values on the image of
-    f* and on join-reducible opens, monotone pruning, and a full frame-hom
-    filter afterward."""
-    OY, OX = f.OY, f.fstar.source
-    fstar = f.fstar
-    down_u = OX.down(u)
-    forced = {OY.bottom: OX.bottom}
-    for x in OX.elements:
-        y = fstar(x)
-        val = OX.meet(x, u)
-        if y in forced and forced[y] != val:
-            return []
-        forced[y] = val
-    order = _linear_extension(OY)
-    pos = {y: i for i, y in enumerate(order)}
-    # precompute a join decomposition from strictly earlier elements
-    decomposition = {}
-    for i, y in enumerate(order):
-        found = None
-        for a in order[:i]:
-            if not OY.leq(a, y) or a == y:
-                continue
-            for b in order[:i]:
-                if OY.leq(b, y) and OY.join(a, b) == y:
-                    found = (a, b)
-                    break
-            if found:
-                break
-        decomposition[y] = found
-
-    values: dict = {}
+def _point_sections(f: LocaleOverX, fibres: dict, u, nodes: BudgetMeter) -> list[Section]:
+    """The frame maps O(Y) → ↓u with s∘f* = (−) ∧ u, sorted by value table.
+    On points they are the monotone φ from the base's points below u to the
+    points of Y with p∘φ = id, so φ(j) is drawn from the fibre of j, in a
+    linear extension of the base's points; the value table is
+    s(y) = ∨{j : φ(j) ≤ y}. The meter ticks once per search node."""
+    OY, OX = f.OY, f.base
+    J = [j for j in OX.join_irreducibles_by_height() if OX.leq(j, u)]
+    lower = [[k for k in J[:i] if OX.leq(k, j)] for i, j in enumerate(J)]
+    phi: dict = {}
     out: list[Section] = []
 
     def rec(i):
         nodes.tick()
-        if i == len(order):
-            out.append(Section(over=u, values=tuple(values[y] for y in OY.elements)))
+        if i == len(J):
+            values = tuple(OX.join_all(j for j in J if OY.leq(phi[j], y)) for y in OY.elements)
+            out.append(Section(over=u, values=values))
             return
-        y = order[i]
-        if y in forced:
-            cands = [forced[y]]
-        elif decomposition[y] is not None:
-            a, b = decomposition[y]
-            cands = [OX.join(values[a], values[b])]
-        else:
-            cands = list(down_u)
-        for c in cands:
-            ok = True
-            for z in order[:i]:
-                if OY.leq(z, y) and not OX.leq(values[z], c):
-                    ok = False
-                    break
-                if OY.leq(y, z) and not OX.leq(c, values[z]):
-                    ok = False
-                    break
-            if ok:
-                values[y] = c
+        for y in fibres[J[i]]:
+            if all(OY.leq(phi[k], y) for k in lower[i]):
+                phi[J[i]] = y
                 rec(i + 1)
-                del values[y]
 
     rec(0)
-
-    def is_section(s: Section) -> bool:
-        get = lambda y: s.value(OY, y)
-        if get(OY.bottom) != OX.bottom or get(OY.top) != OX.meet(OX.top, u):
-            return False
-        for a in OY.elements:
-            for b in OY.elements:
-                if get(OY.meet(a, b)) != OX.meet(get(a), get(b)):
-                    return False
-                if get(OY.join(a, b)) != OX.join(get(a), get(b)):
-                    return False
-        return all(get(fstar(x)) == OX.meet(x, u) for x in OX.elements)
-
-    kept = [s for s in out if is_section(s)]
-    kept.sort(key=lambda s: tuple(OX.index[v] for v in s.values))
-    return kept
+    out.sort(key=lambda s: tuple(OX.index[v] for v in s.values))
+    return out
 
 
 @timed
 def cross_sections(f: LocaleOverX, *, budget: Budget | None = None) -> GammaSheaf:
-    """Γ(f): per open, all continuous sections over it; restriction meets the
-    value table with the smaller open. Verified to be a sheaf."""
+    """Γ(f): per open, all continuous sections over it (_point_sections);
+    restriction meets the value table with the smaller open. Verified to be
+    a sheaf."""
     budget = budget or Budget()
     f.verify().require()
-    OX = f.fstar.source
+    OX = f.base
+    p = _point_map(f)
+    fibres = {j: [y for y in p if p[y] == j] for j in OX.join_irreducibles()}
     nodes = BudgetMeter("section search nodes", budget.section_nodes)
     carriers = {}
     for u in OX.elements:
-        carriers[u] = tuple(_sections_over(f, u, nodes))
+        carriers[u] = tuple(_point_sections(f, fibres, u, nodes))
     res = {}
     for u in OX.elements:
         for v in OX.down(u):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, NamedTuple
+from typing import Callable, Hashable, Iterator, NamedTuple
 
 from .frames import FiniteFrame
 from .report import (
@@ -420,6 +420,37 @@ def generate_subsheaf(F: Presheaf, B, *, require_closed: bool = True) -> SubShea
     return _germ_subsheaf(F, masks, kept)
 
 
+def _germ_downsets(F: Presheaf, germs: list, meter: BudgetMeter, leq: Callable | None = None) -> Iterator[int]:
+    """Every down-set of the germs, as a bitmask over their list (from
+    _germ_table, a linear extension of "lies directly below"), ticking the
+    meter once per down-set. The germs are walked from last to first, and a
+    germ may be left out only if no chosen germ lies directly above it: every
+    leaf is a distinct down-set and there are no dead ends."""
+    frame = F.frame
+    pos = {g: i for i, g in enumerate(germs)}
+    above = [0] * len(germs)  # the germs whose choice forces germ i in
+    for i, (j, y) in enumerate(germs):
+        for k in frame.down(j):
+            g = (k, F.restrict(j, y, k))
+            if k != j and g in pos:
+                above[pos[g]] |= 1 << i
+        if leq is not None:
+            for x in F.carriers[j]:
+                if x != y and leq(j, x, y):
+                    above[pos[j, x]] |= 1 << i
+    stack = [(len(germs), 0)]
+    while stack:
+        i, chosen = stack.pop()
+        if i == 0:
+            meter.tick()
+            yield chosen
+            continue
+        i -= 1
+        stack.append((i, chosen | 1 << i))
+        if not chosen & above[i]:
+            stack.append((i, chosen))
+
+
 def enumerate_subsheaves(
     F: Presheaf,
     u=None,
@@ -434,40 +465,16 @@ def enumerate_subsheaves(
 
     Sh(X) is equivalent to presheaves on the join-irreducibles J of X (X is
     the down-set lattice of J), so the members are the down-sets of the germs
-    (j, x), j ≤ u in J. The germs are walked from last to first, and a germ
-    may be left out only if no chosen germ lies directly above it: every leaf
-    is a distinct member, there are no dead ends, and the budget meter ticks
-    once per member. Precondition: F is a sheaf and, with ``leq``, the orders
-    satisfy POS1 and POS2 (verify_posheaf)."""
+    (j, x), j ≤ u in J (_germ_downsets), and the budget meter ticks once per
+    member. Precondition: F is a sheaf and, with ``leq``, the orders satisfy
+    POS1 and POS2 (verify_posheaf)."""
     frame = F.frame
     if u is None:
         u = frame.top
     if meter is None:
         meter = BudgetMeter("subsheaf enumeration", (budget or Budget()).subsheaves)
     germs, masks = _germ_table(F, u, leq)
-    pos = {g: i for i, g in enumerate(germs)}
-    above = [0] * len(germs)  # the germs whose choice forces germ i in
-    for i, (j, y) in enumerate(germs):
-        for k in frame.down(j):
-            g = (k, F.restrict(j, y, k))
-            if k != j and g in pos:
-                above[pos[g]] |= 1 << i
-        if leq is not None:
-            for x in F.carriers[j]:
-                if x != y and leq(j, x, y):
-                    above[pos[j, x]] |= 1 << i
-    subs = []
-    stack = [(len(germs), 0)]
-    while stack:
-        i, chosen = stack.pop()
-        if i == 0:
-            meter.tick()
-            subs.append(_germ_subsheaf(F, masks, chosen))
-            continue
-        i -= 1
-        stack.append((i, chosen | 1 << i))
-        if not chosen & above[i]:
-            stack.append((i, chosen))
+    subs = [_germ_subsheaf(F, masks, chosen) for chosen in _germ_downsets(F, germs, meter, leq)]
     subs.sort(key=lambda s: s.key())
     return subs
 

@@ -5,13 +5,18 @@ gluing, subsheaf, patching, closure and downward-closure checks quantified
 over every cover; Sub and Dow by next-closure over that closure; least and
 greatest elements as the one minimal or maximal member; join and meet
 preservation over every subset; the point-order bounds of a subsheaf one pair
-at a time. They are slow (2^|↓u| covers per open) and live here so that no
-package module can fall back to them."""
+at a time; and, for the étale layer, the sheaf locale as the product of the
+sections' down-sets filtered by pairwise agreement opens, cross-sections by a
+search over every open of O(Y) with a frame-hom filter, and local
+homeomorphisms by a search for each open's base open. They are slow (2^|↓u|
+covers per open, product spaces, |O(Y)|·|O(X)|³ scans) and live here so that
+no package module can fall back to them."""
 from __future__ import annotations
 
+from posheaf.locale_equiv import Section
 from posheaf.orders import PoSheaf, point_leq_bool
 from posheaf.report import Budget, BudgetMeter, CheckReport
-from posheaf.sheaves import SubSheaf, compatible_families, enumerate_points, verify_restriction_closed
+from posheaf.sheaves import SubSheaf, compatible_families, enumerate_points, epsilon, verify_restriction_closed
 
 
 def covers(frame, u) -> tuple:
@@ -302,3 +307,128 @@ def bounds(F, A: SubSheaf) -> tuple:
     sup, sup_min = point_minimum(F, ups)
     inf, inf_min = point_minimum(op, upper_bound_points(op, A))
     return ups, sup, inf, [] if sup else sup_min, [] if inf else inf_min
+
+
+def lambda_assignments(P, *, budget: Budget) -> list[tuple]:
+    """The opens of the sheaf locale by definition: the tuples (c_i ≤ u_i),
+    one per section (u_i, s_i) of P.sections(), with c_i ∧ ε_ik = c_k ∧ ε_ik
+    for the agreement open ε_ik = epsilon(P, [(u_i, s_i), (u_k, s_k)]) of
+    every pair. The product of the down-sets, filtered on each prefix; one
+    tick of the "sheaf-locale elements" meter per member."""
+    X = P.frame
+    sections = P.sections()
+    eps = {(i, k): epsilon(P, [sections[i], sections[k]]) for i in range(len(sections)) for k in range(i)}
+    downs = [X.down(u) for u, _ in sections]
+    meter = BudgetMeter("sheaf-locale elements", budget.lambda_elements)
+    chosen: list = []
+    out: list[tuple] = []
+
+    def rec(i):
+        if i == len(sections):
+            meter.tick()
+            out.append(tuple(chosen))
+            return
+        for c in downs[i]:
+            if all(X.meet(c, eps[i, k]) == X.meet(chosen[k], eps[i, k]) for k in range(i)):
+                chosen.append(c)
+                rec(i + 1)
+                chosen.pop()
+
+    rec(0)
+    return out
+
+
+def sections_over(f, u, nodes: BudgetMeter) -> list:
+    """Every frame map s: O(Y) → ↓u with s(f*(x)) = x ∧ u, sorted by value
+    table: a DFS over a linear extension of O(Y), with forced values on the
+    image of f* and on opens that join two earlier ones, monotone pruning,
+    and a frame-hom filter (is_section) afterward. One tick per node."""
+    OY, OX = f.OY, f.fstar.source
+    fstar = f.fstar
+    down_u = OX.down(u)
+    forced = {OY.bottom: OX.bottom}
+    for x in OX.elements:
+        y = fstar(x)
+        val = OX.meet(x, u)
+        if y in forced and forced[y] != val:
+            return []
+        forced[y] = val
+    order = sorted(OY.elements, key=lambda y: (len(OY.poset.down(y)), OY.index[y]))
+    decomposition = {}
+    for i, y in enumerate(order):
+        decomposition[y] = next(
+            ((a, b) for a in order[:i] if a != y and OY.leq(a, y) for b in order[:i] if OY.leq(b, y) and OY.join(a, b) == y),
+            None,
+        )
+
+    values: dict = {}
+    out: list = []
+
+    def rec(i):
+        nodes.tick()
+        if i == len(order):
+            out.append(Section(over=u, values=tuple(values[y] for y in OY.elements)))
+            return
+        y = order[i]
+        if y in forced:
+            cands = [forced[y]]
+        elif decomposition[y] is not None:
+            a, b = decomposition[y]
+            cands = [OX.join(values[a], values[b])]
+        else:
+            cands = list(down_u)
+        for c in cands:
+            if all(
+                not (OY.leq(z, y) and not OX.leq(values[z], c)) and not (OY.leq(y, z) and not OX.leq(c, values[z]))
+                for z in order[:i]
+            ):
+                values[y] = c
+                rec(i + 1)
+                del values[y]
+
+    rec(0)
+
+    def is_section(s) -> bool:
+        get = lambda y: s.value(OY, y)
+        if get(OY.bottom) != OX.bottom or get(OY.top) != OX.meet(OX.top, u):
+            return False
+        for a in OY.elements:
+            for b in OY.elements:
+                if get(OY.meet(a, b)) != OX.meet(get(a), get(b)):
+                    return False
+                if get(OY.join(a, b)) != OX.join(get(a), get(b)):
+                    return False
+        return all(get(fstar(x)) == OX.meet(x, u) for x in OX.elements)
+
+    kept = [s for s in out if is_section(s)]
+    kept.sort(key=lambda s: tuple(OX.index[v] for v in s.values))
+    return kept
+
+
+def local_homeomorphism(f) -> CheckReport:
+    """The opens y of Y where x ↦ f*(x) ∧ y maps onto ↓y with the kernel of
+    x ↦ x ∧ u for some open u of the base (the first such u is the base
+    open); pass iff they cover Y."""
+    OY, OX = f.OY, f.fstar.source
+    good = []
+    for y in OY.elements:
+        image = {OY.meet(f.fstar(x), y) for x in OX.elements}
+        if image != set(OY.down(y)):
+            continue
+        for u in OX.elements:
+            if all(
+                (OY.meet(f.fstar(a), y) == OY.meet(f.fstar(b), y)) == (OX.meet(a, u) == OX.meet(b, u))
+                for a in OX.elements
+                for b in OX.elements
+            ):
+                good.append({"open": y, "base_open": u})
+                break
+    covered = OY.join_all(d["open"] for d in good)
+    passed = covered == OY.top
+    witness = None if passed else {"good_opens": [d["open"] for d in good], "join": covered}
+    return CheckReport(
+        "local_homeomorphism",
+        passed,
+        witness=witness,
+        details={"cover": good if passed else None, "good_opens": [d["open"] for d in good]},
+    )

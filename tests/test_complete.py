@@ -163,6 +163,57 @@ def test_sup_preserving_three_forms(PAB):
     assert forms["sup_preserving.agreement"].passed
 
 
+def test_sup_preserving_on_an_incomplete_posheaf_names_the_side():
+    # the three forms are equivalent only for complete posheaves: on the
+    # identity of one that is not, the square and per-open forms fail while
+    # the right adjoint exists, and the report says which side is not
+    # complete instead of reporting a disagreement
+    cfg = GenConfig(seed=9, max_opens=4, max_carrier=2)
+    F = gen_posheaf(gen_frame(cfg), cfg)
+    assert verify_posheaf(F).passed and not is_complete(F).passed
+    rep = verify_sup_preserving(SheafMorphism.identity(F.sheaf), F, F)
+    assert not rep.passed
+    forms = {r.name: r for r in rep.subreports}
+    assert list(forms) == [
+        "sup_preserving.square",
+        "sup_preserving.per_open",
+        "sup_preserving.right_adjoint",
+        "sup_preserving.complete",
+    ]
+    assert not forms["sup_preserving.square"].passed and not forms["sup_preserving.per_open"].passed
+    assert forms["sup_preserving.right_adjoint"].passed
+    assert forms["sup_preserving.complete"].witness == {"not_complete": ["source", "target"]}
+    assert rep.witness == forms["sup_preserving.square"].witness
+
+    assert rep.details == {"verdict": False}
+
+    # the map to the terminal posheaf: all three forms fail, so they agree and
+    # the report is the three-way one, incomplete source or not
+    one = discrete(terminal(F.frame))
+    bang = SheafMorphism(F.sheaf, one.sheaf, {u: {x: "*" for x in F.carrier(u)} for u in F.frame.elements})
+    forms = {r.name: r for r in verify_sup_preserving(bang, F, one).subreports}
+    assert list(forms)[-1] == "sup_preserving.agreement" and forms["sup_preserving.agreement"].passed
+    assert not any(forms[f"sup_preserving.{label}"].passed for label in ("square", "per_open", "right_adjoint"))
+
+
+def test_agreeing_sup_preserving_forms_enumerate_no_completeness(PAB, monkeypatch):
+    # completeness is read only to explain a disagreement: agreeing reports
+    # run no completeness enumeration, so no budget of its own can bind
+    import posheaf.complete as complete
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_complete called on agreeing forms")
+
+    monkeypatch.setattr(complete, "is_complete", refuse)
+    P = power_sheaf(PAB.sheaf)
+    D = down_power_sheaf(PAB)
+    assert verify_sup_preserving(power_inclusion(D, P), D, P).passed
+    Om = omega(PAB.frame)
+    const_top = SheafMorphism(Om.sheaf, Om.sheaf, {u: {w: u for w in Om.carrier(u)} for u in Om.frame.elements})
+    forms = {r.name: r for r in verify_sup_preserving(const_top, Om, Om).subreports}
+    assert forms["sup_preserving.agreement"].passed
+
+
 def test_inclusion_down_into_power_is_sup_preserving(PAB):
     # derived verdict: the inclusion has the interior operator as right
     # adjoint, so the three forms agree positively (and meets are preserved)

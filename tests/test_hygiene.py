@@ -1,7 +1,8 @@
 """Source hygiene with the standard library's ast: no unused imports in the
 package modules, no module-level private function that nothing uses, and no
-exhaustive cover enumeration, closure-fixpoint enumeration or subset loop
-for join and meet preservation in the package."""
+exhaustive cover enumeration, closure-fixpoint enumeration, subset loop
+for join and meet preservation, or product-space and frame-hom-filter search
+of the étale layer in the package."""
 from __future__ import annotations
 
 import ast
@@ -98,3 +99,36 @@ def test_no_subset_loop_for_join_and_meet_preservation():
     assert {"preserves_all_joins", "preserves_all_meets"} <= {fn.name for _, fn in functions}
     found = [f"{module}:{fn.name}:{node.lineno}" for module, fn in functions for node in ast.walk(fn) if subset_loop(node)]
     assert found == []
+
+
+def _product_calls(node, scope="<module>"):
+    """(innermost enclosing function, line) of each itertools.product."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        if isinstance(child, ast.Attribute) and child.attr == "product" and getattr(child.value, "id", None) == "itertools":
+            yield scope, child.lineno
+        yield from _product_calls(child, inner)
+
+
+def test_no_product_space_or_frame_hom_filter_search():
+    # Λ is read off the germ walk and Γ off the point map; the product
+    # filter, the search over O(Y) and its is_section filter are test
+    # oracles (tests/oracles.py). itertools.product stays only where a
+    # product is the result: the product sheaf and the generator's stalks
+    # and families
+    names = {"_lambda_oracle", "_enumerate_lambda", "_sections_over", "is_section"}
+    allowed = {("sheaves.py", "product_sheaf"), ("generate.py", "_stalks"), ("generate.py", "families")}
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    ]
+    products = [
+        (path.name, scope, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, line in _product_calls(ast.parse(path.read_text()))
+    ]
+    assert defined == []
+    assert {(module, scope) for module, scope, _ in products} <= allowed
+    assert products

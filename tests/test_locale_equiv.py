@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from posheaf.frames import FiniteFrame, FinitePoset, frame_iso
-from posheaf.generate import GenConfig, mutate
+from posheaf.generate import GenConfig, gen_frame, gen_sheaf, mutate
 from posheaf.locale_equiv import (
     LocaleOverX,
     Section,
@@ -109,6 +109,20 @@ def test_local_homeomorphism_verdicts(FD):
     assert not rep.passed
     assert rep.witness["good_opens"] == ["0", "m"]
     assert rep.witness["join"] == "m"
+
+
+def test_gamma_of_a_120_open_sheaf_locale_within_the_default_budget():
+    # the point search over the base's join-irreducibles decides this locale
+    # in a few hundred nodes; a search over the opens of O(Y) outgrows the
+    # default 500k-node budget here
+    cfg = GenConfig(seed=17, max_opens=7, max_carrier=3)
+    P = gen_sheaf(gen_frame(cfg), cfg)
+    E = etale_locale(P)
+    assert len(E.frame) == 120
+    G = cross_sections(E.locale, budget=Budget())
+    assert G.report.passed
+    assert sum(len(G.sheaf.carriers[u]) for u in P.frame.elements) == 24
+    assert [len(G.sheaf.carriers[u]) for u in P.frame.elements] == [len(P.carriers[u]) for u in P.frame.elements]
 
 
 def test_lambda_is_always_a_local_homeomorphism(SAB, FD):

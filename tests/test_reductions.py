@@ -3,8 +3,10 @@
 single joins for cover existence, the Heyting implication as a join, Sub,
 Dow and generated subsheaves as down-sets of germs at the join-irreducibles,
 least and greatest elements by one scan, join and meet preservation from the
-empty and binary bounds, and the bounds of a subsheaf from bitset rows of the
-point order.
+empty and binary bounds, the bounds of a subsheaf from bitset rows of the
+point order, and the étale layer on points: the sheaf locale from the germ
+walk, cross-sections and local homeomorphisms through the point map of the
+join-irreducibles.
 
 Verdicts, the Sub/Dow lists and generated subsheaves must agree on every
 element order of the frame; witnesses and sheaf certificate entries must
@@ -19,9 +21,19 @@ import pytest
 
 import oracles
 from posheaf.complete import bounds
-from posheaf.fixtures import FIXTURE_FRAMES, m3_posheaf, posheaf_ab
-from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap, preserves_all_joins, preserves_all_meets
-from posheaf.generate import GenConfig, _order_closure, gen_frame, gen_posheaf, mutate
+from posheaf.fixtures import (
+    FIXTURE_FRAMES,
+    identity_locale,
+    m3_posheaf,
+    open_inclusion,
+    posheaf_ab,
+    sections_free_locale,
+    sheaf_ab,
+    three_chain_over_2,
+)
+from posheaf.frames import FiniteFrame, FinitePoset, FrameHom, MonotoneMap, preserves_all_joins, preserves_all_meets
+from posheaf.generate import GenConfig, _order_closure, gen_frame, gen_posheaf, gen_sheaf, mutate
+from posheaf.locale_equiv import LocaleOverX, _point_map, _point_sections, cross_sections, etale_locale, is_local_homeomorphism
 from posheaf.orders import (
     PoSheaf,
     down_closure,
@@ -32,7 +44,7 @@ from posheaf.orders import (
     power_sheaf,
     verify_posheaf,
 )
-from posheaf.report import Budget, RepairFailed, ResourceLimit
+from posheaf.report import Budget, BudgetMeter, RepairFailed, ResourceLimit
 from posheaf.sheaves import (
     Presheaf,
     SubSheaf,
@@ -85,11 +97,15 @@ def corpus():
     return _corpus()
 
 
+def _shuffled_frame(frame: FiniteFrame, rng: random.Random) -> FiniteFrame:
+    elements = list(frame.elements)
+    rng.shuffle(elements)
+    return FiniteFrame(FinitePoset(elements, frame.poset.pairs(), closed=True))
+
+
 def _shuffled(F: PoSheaf, rng: random.Random) -> PoSheaf:
     """F over the same frame with its element list in a random order."""
-    elements = list(F.frame.elements)
-    rng.shuffle(elements)
-    frame = FiniteFrame(FinitePoset(elements, F.frame.poset.pairs(), closed=True))
+    frame = _shuffled_frame(F.frame, rng)
     res = {key: table for key, table in F.sheaf.res.items() if key[0] != key[1]}
     return PoSheaf(Presheaf(frame, F.sheaf.carriers, res), F.orders)
 
@@ -356,3 +372,132 @@ def test_preserves_all_joins_and_meets_match_every_subset(corpus):
         assert meets == oracles.preserves_all_meets(f)
         verdicts.add((joins, meets))
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _etale_presheaves() -> list[tuple[str, Presheaf]]:
+    """The fixture sheaves, gen_sheaf seeds 0-39 and their first five
+    remove-amalgamation mutants (presheaves that are not sheaves)."""
+    out = [(f"terminal({name})", terminal(build())) for name, build in FIXTURE_FRAMES.items()]
+    out += [(f"omega({name})", omega(build()).sheaf) for name, build in FIXTURE_FRAMES.items()]
+    out.append(("sheaf_ab", sheaf_ab()))
+    mutants = []
+    for seed in range(40):
+        cfg = GenConfig(seed=seed, max_opens=6, max_carrier=2)
+        P = gen_sheaf(gen_frame(cfg), cfg)
+        out.append((f"gen_sheaf[{seed}]", P))
+        if len(mutants) < 5:
+            try:
+                mutants.append((f"gen_sheaf[{seed}]+remove-amalgamation", mutate(P, "remove-amalgamation", cfg)))
+            except RepairFailed:
+                pass
+    return out + mutants
+
+
+def _random_locale(seed: int) -> LocaleOverX | None:
+    """A frame hom between two generated frames, from a random monotone map
+    of the target's join-irreducibles to the source's; None when the map
+    search gets stuck."""
+    rng = random.Random(seed)
+    X = gen_frame(GenConfig(seed=seed, max_opens=rng.randint(3, 7)))
+    Y = gen_frame(GenConfig(seed=seed + 1000, max_opens=rng.randint(3, 8)))
+    p: dict = {}
+    for y in Y.join_irreducibles_by_height():
+        lower = [p[z] for z in p if Y.poset.lt(z, y)]
+        candidates = [j for j in X.join_irreducibles() if all(X.leq(k, j) for k in lower)]
+        if not candidates:
+            return None
+        p[y] = rng.choice(candidates)
+    fstar = {x: Y.join_all(y for y in p if X.leq(p[y], x)) for x in X.elements}
+    return LocaleOverX(OY=Y, fstar=FrameHom(X, Y, fstar))
+
+
+@pytest.fixture(scope="module")
+def etale_presheaves():
+    return _etale_presheaves()
+
+
+@pytest.fixture(scope="module")
+def locales(etale_presheaves):
+    """Fixture locales, every open inclusion of the fixture frames, the sheaf
+    locales of the presheaves above with at most 40 opens, and random frame
+    homs."""
+    out = [("identity(FRAME_D)", identity_locale(FIXTURE_FRAMES["FRAME_D"]()))]
+    out += [("three_chain_over_2", three_chain_over_2()), ("sections_free", sections_free_locale())]
+    for name, build in FIXTURE_FRAMES.items():
+        X = build()
+        out += [(f"open_inclusion({name},{a})", open_inclusion(X, a)) for a in X.elements]
+    for name, P in etale_presheaves:
+        E = etale_locale(P)
+        if len(E.frame) <= 40:
+            out.append((f"lambda({name})", E.locale))
+    for seed in range(60):
+        f = _random_locale(seed)
+        if f is not None:
+            out.append((f"random_hom[{seed}]", f))
+    return out
+
+
+def _shuffled_locale(f: LocaleOverX, rng: random.Random) -> LocaleOverX:
+    X, Y = _shuffled_frame(f.base, rng), _shuffled_frame(f.OY, rng)
+    return LocaleOverX(OY=Y, fstar=FrameHom(X, Y, f.fstar.mapping))
+
+
+def test_sheaf_locale_matches_the_filtered_product(etale_presheaves):
+    # the assignment lists agree in the given and in a shuffled element
+    # order, and Budget(lambda_elements=n) admits exactly the n members on
+    # both sides
+    rng = random.Random(29)
+    sizes = set()
+    for name, P in etale_presheaves:
+        for Q in (P, _shuffled(PoSheaf(P, {}), rng).sheaf):
+            E = etale_locale(Q)
+            assert E.report.passed, name
+            assert sorted(E.assignments) == sorted(oracles.lambda_assignments(Q, budget=Budget())), name
+            n = len(E.assignments)
+            assert oracles.lambda_assignments(Q, budget=Budget(lambda_elements=n))
+            for build in (etale_locale, oracles.lambda_assignments):
+                with pytest.raises(ResourceLimit) as exc:
+                    build(Q, budget=Budget(lambda_elements=n - 1))
+                assert exc.value.what == "sheaf-locale elements"
+            sizes.add(n)
+    assert len(etale_presheaves) == 54
+    assert max(sizes) >= 30
+
+
+def test_cross_sections_match_the_frame_hom_search(locales):
+    rng = random.Random(31)
+    counts = set()
+    for name, f in locales:
+        for g in (f, _shuffled_locale(f, rng)):
+            G = cross_sections(g)
+            assert G.report.passed, name
+            for u in g.base.elements:
+                assert list(G.sheaf.carriers[u]) == oracles.sections_over(g, u, BudgetMeter("oracle", 10**7)), (name, u)
+            counts.add(sum(len(c) for c in G.sheaf.carriers.values()) > len(g.base))
+    assert len(locales) >= 100
+    assert counts == {True, False}
+
+
+def test_section_budget_counts_point_search_nodes(locales):
+    # Budget(section_nodes=n) admits exactly the n nodes of the point search
+    for name, f in locales[::7]:
+        p = _point_map(f)
+        fibres = {j: [y for y in p if p[y] == j] for j in f.base.join_irreducibles()}
+        meter = BudgetMeter("count", 10**7)
+        for u in f.base.elements:
+            _point_sections(f, fibres, u, meter)
+        assert cross_sections(f, budget=Budget(section_nodes=meter.count)).report.passed, name
+        with pytest.raises(ResourceLimit) as exc:
+            cross_sections(f, budget=Budget(section_nodes=meter.count - 1))
+        assert exc.value.what == "section search nodes"
+
+
+def test_local_homeomorphism_matches_the_base_open_search(locales):
+    rng = random.Random(37)
+    verdicts = set()
+    for name, f in locales:
+        for g in (f, _shuffled_locale(f, rng)):
+            rep = is_local_homeomorphism(g)
+            assert _report(rep) == _report(oracles.local_homeomorphism(g)), name
+            verdicts.add(rep.passed)
+    assert verdicts == {True, False}
