@@ -8,9 +8,12 @@ preservation over every subset; the point-order bounds of a subsheaf one pair
 at a time; and, for the étale layer, the sheaf locale as the product of the
 sections' down-sets filtered by pairwise agreement opens, cross-sections by a
 search over every open of O(Y) with a frame-hom filter, and local
-homeomorphisms by a search for each open's base open. They are slow (2^|↓u|
-covers per open, product spaces, |O(Y)|·|O(X)|³ scans) and live here so that
-no package module can fall back to them."""
+homeomorphisms by a search for each open's base open; the poset and frame
+laws with every pair, chain and triple scanned and a Heyting implication
+sought for every pair, and join preservation by a frame hom over every
+subset. They are slow (2^|↓u| covers per open, product spaces,
+|O(Y)|·|O(X)|³ scans) and live here so that no package module can fall back
+to them."""
 from __future__ import annotations
 
 from posheaf.locale_equiv import Section
@@ -259,6 +262,68 @@ def greatest(poset, subset):
 def heyting(frame, x, y):
     """The greatest z with z ∧ x ≤ y, by scanning the candidates."""
     return greatest(frame.poset, [z for z in frame.elements if frame.leq(frame.meet(z, x), y)])
+
+
+def poset_laws(poset) -> CheckReport:
+    """Reflexivity on every element, antisymmetry on every pair and
+    transitivity on every chain x ≤ y ≤ z, first witness wins."""
+    for x in poset.elements:
+        if not poset.leq(x, x):
+            return CheckReport.fail("poset.reflexive", {"element": x})
+    for x in poset.elements:
+        for y in poset.elements:
+            if x != y and poset.leq(x, y) and poset.leq(y, x):
+                return CheckReport.fail("poset.antisymmetric", {"cycle": [x, y]})
+    for x in poset.elements:
+        for y in poset.sorted(poset.up(x)):
+            for z in poset.sorted(poset.up(y)):
+                if not poset.leq(x, z):
+                    return CheckReport.fail("poset.transitive", {"chain": [x, y, z]})
+    return CheckReport.ok("poset")
+
+
+def frame_laws(frame) -> CheckReport:
+    """The frame laws by their definitions, first violated law wins: poset,
+    bounds, a join and a meet for every pair, distributivity on every triple,
+    and a Heyting implication for every pair."""
+    p = poset_laws(frame.poset)
+    if not p.passed:
+        return CheckReport.fail("frame.poset", p.witness, law=p.name)
+    if frame.poset.bottom is None:
+        return CheckReport.fail("frame.lattice", {"missing": "bottom"})
+    if frame.poset.top is None:
+        return CheckReport.fail("frame.lattice", {"missing": "top"})
+    for x in frame.elements:
+        for y in frame.elements:
+            if frame.join(x, y) is None:
+                return CheckReport.fail("frame.lattice", {"pair": [x, y], "missing": "join"})
+            if frame.meet(x, y) is None:
+                return CheckReport.fail("frame.lattice", {"pair": [x, y], "missing": "meet"})
+    for a in frame.elements:
+        for b in frame.elements:
+            for c in frame.elements:
+                lhs = frame.meet(a, frame.join(b, c))
+                rhs = frame.join(frame.meet(a, b), frame.meet(a, c))
+                if lhs != rhs:
+                    return CheckReport.fail("frame.distributive", {"triple": [a, b, c], "lhs": lhs, "rhs": rhs})
+    for x in frame.elements:
+        for y in frame.elements:
+            if heyting(frame, x, y) is None:
+                return CheckReport.fail("frame.heyting", {"pair": [x, y]})
+    return CheckReport.ok("frame", elements=len(frame.elements))
+
+
+def frame_hom_joins(h) -> CheckReport:
+    """h(⋁S) = ⋁h(S) over every subset S of the source, the first failing
+    subset in mask order as the witness."""
+    elems = h.source.elements
+    for mask in range(1 << len(elems)):
+        subset = [elems[i] for i in range(len(elems)) if mask >> i & 1]
+        lhs = h(h.source.join_all(subset))
+        rhs = h.target.join_all(h(x) for x in subset)
+        if lhs != rhs:
+            return CheckReport.fail("frame_hom.joins", {"subset": subset, "expected": rhs, "got": lhs})
+    return CheckReport.ok("frame_hom.joins")
 
 
 def preserves_all_joins(f) -> bool:

@@ -4,9 +4,11 @@ single joins for cover existence, the Heyting implication as a join, Sub,
 Dow and generated subsheaves as down-sets of germs at the join-irreducibles,
 least and greatest elements by one scan, join and meet preservation from the
 empty and binary bounds, the bounds of a subsheaf from bitset rows of the
-point order, and the étale layer on points: the sheaf locale from the germ
+point order, the étale layer on points: the sheaf locale from the germ
 walk, cross-sections and local homeomorphisms through the point map of the
-join-irreducibles.
+join-irreducibles, and the frame laws through join-prime join-irreducibles
+and binary joins, with frame homs' joins read from the empty and binary
+ones.
 
 Verdicts, the Sub/Dow lists and generated subsheaves must agree on every
 element order of the frame; witnesses and sheaf certificate entries must
@@ -31,7 +33,15 @@ from posheaf.fixtures import (
     sheaf_ab,
     three_chain_over_2,
 )
-from posheaf.frames import FiniteFrame, FinitePoset, FrameHom, MonotoneMap, preserves_all_joins, preserves_all_meets
+from posheaf.frames import (
+    FiniteFrame,
+    FinitePoset,
+    FrameHom,
+    MonotoneMap,
+    preserves_all_joins,
+    preserves_all_meets,
+    verify_frame_hom,
+)
 from posheaf.generate import GenConfig, _order_closure, gen_frame, gen_posheaf, gen_sheaf, mutate
 from posheaf.locale_equiv import LocaleOverX, _point_map, _point_sections, cross_sections, etale_locale, is_local_homeomorphism
 from posheaf.orders import (
@@ -265,14 +275,17 @@ def test_least_and_greatest_match_the_minimal_member_scan(corpus):
     n5, m3 = _non_distributive()
     posets = [build().poset for build in FIXTURE_FRAMES.values()] + [n5.poset, m3.poset]
     posets += [F.poset(u) for _, F in corpus for u in F.frame.elements]
-    # reflexive relations that are not partial orders
+    # reflexive relations that are not partial orders; the poset laws are
+    # compared with their scans too
     rng = random.Random(17)
     for _ in range(40):
         pairs = [(x, y) for x in range(5) for y in range(5) if rng.random() < 0.3]
         posets.append(FinitePoset(range(5), pairs, closed=True))
     laws = set()
     for poset in posets:
-        laws.add(poset.verify().name)
+        rep = poset.verify()
+        assert _report(rep) == _report(oracles.poset_laws(poset))
+        laws.add(rep.name)
         for r in range(len(poset) + 1):
             for subset in itertools.combinations(poset.elements, r):
                 assert poset.least(subset) == oracles.least(poset, subset)
@@ -501,3 +514,123 @@ def test_local_homeomorphism_matches_the_base_open_search(locales):
             assert _report(rep) == _report(oracles.local_homeomorphism(g)), name
             verdicts.add(rep.passed)
     assert verdicts == {True, False}
+
+
+def _chain(n: int) -> FiniteFrame:
+    names = [f"c{i}" for i in range(n)]
+    return FiniteFrame.from_relation(names, list(zip(names, names[1:])))
+
+
+def _random_relations(rng: random.Random) -> list[FiniteFrame]:
+    """200 relations on at most nine elements: raw reflexive relations (most
+    are not posets), closures of random relations (cycles and missing
+    bounds), and random orders between an added bottom and top (lattices,
+    distributive or not, and bounded posets that are not lattices)."""
+    out = []
+    for i in range(200):
+        n = rng.randint(1, 5)
+        names = [str(k) for k in range(n)]
+        if i % 3 == 0:
+            pairs = [(x, y) for x in names for y in names if rng.random() < 0.4]
+            out.append(FiniteFrame(FinitePoset(names, pairs, closed=True)))
+        elif i % 3 == 1:
+            out.append(FiniteFrame.from_relation(names, [(x, y) for x in names for y in names if x != y and rng.random() < 0.3]))
+        else:
+            names = [str(k) for k in range(n + 2)]
+            pairs = [(x, y) for a, x in enumerate(names) for y in names[a + 1:] if rng.random() < 0.5]
+            pairs += [("bot", x) for x in names] + [(x, "top") for x in names]
+            order = ["bot", *names, "top"]
+            rng.shuffle(order)
+            out.append(FiniteFrame.from_relation(order, pairs))
+    return out
+
+
+def _frame_corpus(etale_presheaves) -> list[tuple[str, FiniteFrame]]:
+    n5, m3 = _non_distributive()
+    out = [(name, build()) for name, build in FIXTURE_FRAMES.items()]
+    out += [("B3", _boolean_3()), ("N5", n5), ("M3", m3)] + [(f"chain{n}", _chain(n)) for n in (1, 2, 5)]
+    out += [(f"lambda({name})", etale_locale(P).frame) for name, P in etale_presheaves]
+    out += [(f"relation[{i}]", frame) for i, frame in enumerate(_random_relations(random.Random(41)))]
+    return out
+
+
+def _fresh(frame: FiniteFrame) -> FiniteFrame:
+    """An unverified copy of frame."""
+    return FiniteFrame(FinitePoset(frame.elements, frame.poset.pairs(), closed=True))
+
+
+def test_frame_verify_matches_the_exhaustive_laws(etale_presheaves):
+    # name, verdict, witness and details agree in the given and in a shuffled
+    # element order, the poset law that failed included; the Heyting law
+    # never fails once distributivity holds
+    rng = random.Random(43)
+    names = set()
+    missing = set()
+    for name, frame in _frame_corpus(etale_presheaves):
+        for given in (frame, _shuffled_frame(frame, rng)):
+            rep = _fresh(given).verify()
+            assert _report(rep) == _report(oracles.frame_laws(_fresh(given))), name
+            names.add(rep.details.get("law", rep.name))
+            if rep.name == "frame.lattice":
+                missing.add(rep.witness["missing"])
+    assert names == {"frame", "poset.antisymmetric", "poset.transitive", "frame.lattice", "frame.distributive"}
+    assert missing == {"bottom", "top", "join", "meet"}
+
+
+def _monotone_map(source: FiniteFrame, target: FiniteFrame, rng: random.Random) -> FrameHom:
+    """A random monotone map, chosen along a linear extension of the source;
+    most of them keep top, and bottom too, so that the binary joins decide."""
+    mapping: dict = {}
+    pinned = rng.random() < 0.8
+    for x in sorted(source.elements, key=lambda x: len(source.poset.down(x))):
+        floor = [mapping[v] for v in source.poset.down(x) if v != x]
+        if pinned and x in (source.bottom, source.top):
+            mapping[x] = target.bottom if x == source.bottom else target.top
+        else:
+            mapping[x] = rng.choice([t for t in target.elements if all(target.leq(f, t) for f in floor)])
+    return FrameHom(source, target, mapping)
+
+
+def test_frame_hom_joins_match_every_subset(locales):
+    # random monotone maps between the fixture frames, B3 and chains, and
+    # the frame homs of the locale corpus, in given and shuffled orders: a
+    # hom whose finite meets hold has the oracle's join verdict and witness
+    rng = random.Random(47)
+    frames = [build() for build in FIXTURE_FRAMES.values()] + [_boolean_3(), _chain(3), _chain(4)]
+    homs = [f.fstar for _, f in locales]
+    homs += [_monotone_map(rng.choice(frames), rng.choice(frames), rng) for _ in range(300)]
+    homs += [FrameHom(_shuffled_frame(h.source, rng), _shuffled_frame(h.target, rng), h.mapping) for h in homs[::3]]
+    names = []
+    sizes = set()
+    for h in homs:
+        rep = verify_frame_hom(h)
+        names.append(rep.name)
+        if rep.name != "frame_hom.finite_meets":
+            expected = oracles.frame_hom_joins(h)
+            assert (rep.passed, rep.witness) == (expected.passed, expected.witness), h.mapping
+        if rep.name == "frame_hom.joins":
+            sizes.add(len(rep.witness["subset"]))
+    assert max(len(h.source) for h in homs) <= 12
+    assert {"frame_hom", "frame_hom.finite_meets", "frame_hom.joins"} == set(names)
+    # some first failing subsets are triples, past the failing pairs
+    assert {0, 2, 3} <= sizes
+
+
+def test_frame_hom_join_verdicts_on_sources_past_the_subset_scan(etale_presheaves):
+    # past 12 source opens the witness is the first failing empty or binary
+    # join, and the verdict still matches every subset: the characters
+    # x ↦ [a ≤ x] into the two-element chain keep every meet, and keep every
+    # join iff a is join-irreducible
+    two = _chain(2)
+    sources = [E.frame for E in (etale_locale(P) for _, P in etale_presheaves) if len(E.frame) > 12]
+    source = min(sources, key=len)
+    verdicts = []
+    for a in source.elements:
+        h = FrameHom(source, two, {x: "c1" if source.leq(a, x) else "c0" for x in source.elements})
+        rep = verify_frame_hom(h)
+        assert rep.passed == oracles.frame_hom_joins(h).passed == (a in source.join_irreducibles())
+        if not rep.passed:
+            subset = rep.witness["subset"]
+            assert len(subset) <= 2 and h(source.join_all(subset)) == rep.witness["got"] != rep.witness["expected"]
+        verdicts.append(rep.passed)
+    assert len(source) > 12 and set(verdicts) == {True, False}
