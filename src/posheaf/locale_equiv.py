@@ -13,6 +13,7 @@ The definitional searches these replace are test oracles (tests/oracles.py).
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .frames import FiniteFrame, FinitePoset, FrameHom, verify_frame_hom
@@ -35,6 +36,9 @@ class LocaleOverX:
 
     OY: FiniteFrame
     fstar: FrameHom
+    # (weak reference to its GammaSheaf, section search nodes counted), set
+    # by cross_sections
+    _gamma: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def base(self) -> FiniteFrame:
@@ -84,36 +88,68 @@ def _germ_join(X: FiniteFrame, germs: list, mask: int):
     return X.join_all(js)
 
 
-@timed
+def _memo_hit(slot, meter: BudgetMeter):
+    """The object a memo slot (weak reference, meter count) still refers to,
+    with the count of its build ticked on the caller's meter, so a smaller
+    budget raises the ResourceLimit a fresh build would; None when the slot
+    is empty or the object is gone."""
+    if slot is None:
+        return None
+    ref, count = slot
+    built = ref()
+    if built is not None:
+        meter.tick(count)
+    return built
+
+
 def etale_locale(P: Presheaf, *, budget: Budget | None = None) -> EtaleLocale:
     """The locale of the presheaf's total space: its opens are the down-sets D
     of the germs (j, x), j a join-irreducible of the base and x ∈ P(j), read
     as the assignment (u, s) ↦ ∨{j ≤ u : (j, s|_j) ∈ D} of an open below each
     section's domain, under the pointwise order. The down-sets come from the
     germ walk of enumerate_subsheaves, one budget tick each; the frame laws
-    are checked, never assumed."""
-    budget = budget or Budget()
-    pre = verify_presheaf(P)
-    pre.require()
+    are checked, never assumed.
+
+    The sheaf locale is built once per presheaf object and kept through a
+    weak reference (E.presheaf is P, so a strong one would be a cycle); a
+    later call ticks the recorded count on a fresh meter of its own budget."""
+    meter = BudgetMeter("sheaf-locale elements", (budget or Budget()).lambda_elements)
+    E = _memo_hit(P._etale, meter)
+    if E is None:
+        E = _etale_locale_fresh(P, meter)
+        P._etale = (weakref.ref(E), meter.count)
+    return E
+
+
+def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
+    """The pointwise order is inclusion of the germ down-sets: D ↦ assignment
+    is monotone, and it reflects the order because the value at a germ
+    (j, x) is j iff (j, x) ∈ D (a join of opens strictly below a
+    join-irreducible j is strictly below j)."""
+    verify_presheaf(P).require()
     X = P.frame
     sections = P.sections()
     germs, masks = _germ_table(P, X.top)
     need = {(v, x): m for v, row in masks for x, m in row}
     needs = [need[sec] for sec in sections]
-    meter = BudgetMeter("sheaf-locale elements", budget.lambda_elements)
-    assignments = [
-        tuple(_germ_join(X, germs, chosen & m) for m in needs) for chosen in _germ_downsets(P, germs, meter)
-    ]
-    assignments.sort(key=lambda a: tuple(X.index[c] for c in a))
+    opens = sorted(
+        (
+            (tuple(_germ_join(X, germs, chosen & m) for m in needs), chosen)
+            for chosen in _germ_downsets(P, germs, meter)
+        ),
+        key=lambda o: tuple(X.index[c] for c in o[0]),
+    )
+    assignments = [a for a, _ in opens]
     width = max(3, len(str(max(len(assignments) - 1, 0))))
     labels = [f"L{i:0{width}d}" for i in range(len(assignments))]
     index = {a: i for i, a in enumerate(assignments)}
 
-    pairs = []
-    for i, a in enumerate(assignments):
-        for j, b in enumerate(assignments):
-            if all(X.leq(x, y) for x, y in zip(a, b)):
-                pairs.append((labels[i], labels[j]))
+    pairs = [
+        (labels[i], labels[j])
+        for i, (_, a) in enumerate(opens)
+        for j, (_, b) in enumerate(opens)
+        if not a & ~b
+    ]
     frame = FiniteFrame(FinitePoset(labels, pairs, closed=True))
 
     lattice_rep = CheckReport.ok("sheaf_locale.pointwise_lattice")
@@ -273,20 +309,32 @@ def _point_sections(f: LocaleOverX, fibres: dict, u, nodes: BudgetMeter) -> list
     return out
 
 
-@timed
 def cross_sections(f: LocaleOverX, *, budget: Budget | None = None) -> GammaSheaf:
     """Γ(f): per open, all continuous sections over it (_point_sections);
     restriction meets the value table with the smaller open. Verified to be
-    a sheaf."""
-    budget = budget or Budget()
+    a sheaf.
+
+    Built once per locale object and kept through a weak reference (G.locale
+    is f); a later call ticks the recorded count of search nodes on a fresh
+    meter of its own budget."""
+    nodes = BudgetMeter("section search nodes", (budget or Budget()).section_nodes)
+    G = _memo_hit(f._gamma, nodes)
+    if G is None:
+        G = _cross_sections_fresh(f, nodes)
+        f._gamma = (weakref.ref(G), nodes.count)
+    return G
+
+
+def _cross_sections_fresh(f: LocaleOverX, nodes: BudgetMeter) -> GammaSheaf:
     f.verify().require()
     OX = f.base
     p = _point_map(f)
     fibres = {j: [y for y in p if p[y] == j] for j in OX.join_irreducibles()}
-    nodes = BudgetMeter("section search nodes", budget.section_nodes)
     carriers = {}
     for u in OX.elements:
         carriers[u] = tuple(_point_sections(f, fibres, u, nodes))
+    members = {u: set(carriers[u]) for u in OX.elements}
+    position = {u: {s: i for i, s in enumerate(carriers[u])} for u in OX.elements}
     res = {}
     for u in OX.elements:
         for v in OX.down(u):
@@ -295,13 +343,13 @@ def cross_sections(f: LocaleOverX, *, budget: Budget | None = None) -> GammaShea
             table = {}
             for s in carriers[u]:
                 restricted = Section(over=v, values=tuple(OX.meet(x, v) for x in s.values))
-                if restricted not in set(carriers[v]):
+                if restricted not in members[v]:
                     raise MalformedInput(f"restriction of a section over {u!r} is not a section over {v!r}")
                 table[s] = restricted
             res[(u, v)] = table
 
     def labeler(u, s):
-        return f"s{carriers[u].index(s)}"
+        return f"s{position[u][s]}"
 
     sheaf = Presheaf(OX, carriers, res, labeler=labeler)
     cert = verify_sheaf(sheaf)
@@ -314,14 +362,15 @@ def unit(P: Presheaf, E: EtaleLocale, G: GammaSheaf) -> tuple[SheafMorphism, Che
     sheaf locale; verified natural, using the agreement identity with its own
     restriction."""
     OY = E.frame
+    position = {sec: k for k, sec in enumerate(E.sections)}
     maps = {}
     for u in P.frame.elements:
+        members = set(G.sheaf.carriers[u])
         table = {}
         for s in P.carriers[u]:
-            k = E.sections.index((u, s))
-            proj = E.projection(k)
+            proj = E.projection(position[u, s])
             candidate = Section(over=u, values=tuple(proj[lab] for lab in OY.elements))
-            if candidate not in set(G.sheaf.carriers[u]):
+            if candidate not in members:
                 return SheafMorphism.identity(P), CheckReport.fail(
                     "unit", {"open": u, "section": P.label(u, s), "not": "a section of the sheaf locale"}
                 )
@@ -478,7 +527,8 @@ def verify_sh_lh_equivalence(instance, *, budget: Budget | None = None) -> Check
     bij_ok, bij_wit = True, None
     for u in P.frame.elements:
         images = [eta(u, s) for s in P.carriers[u]]
-        if len(set(images)) != len(images) or set(images) != set(G.sheaf.carriers[u]):
+        image_set = set(images)
+        if len(image_set) != len(images) or image_set != set(G.sheaf.carriers[u]):
             bij_ok, bij_wit = False, {"open": u, "carrier": len(P.carriers[u]), "sections": len(G.sheaf.carriers[u])}
             break
     if cert.passed:
@@ -488,11 +538,12 @@ def verify_sh_lh_equivalence(instance, *, budget: Budget | None = None) -> Check
         EG = etale_locale(G.sheaf, budget=budget)
         GG = cross_sections(EG.locale, budget=budget)
         eta2, _ = unit(G.sheaf, EG, GG)
-        bij_ok = all(
-            len({eta2(u, s) for s in G.sheaf.carriers[u]}) == len(G.sheaf.carriers[u])
-            and {eta2(u, s) for s in G.sheaf.carriers[u]} == set(GG.sheaf.carriers[u])
-            for u in P.frame.elements
-        )
+
+        def reflects(u) -> bool:
+            images = {eta2(u, s) for s in G.sheaf.carriers[u]}
+            return len(images) == len(G.sheaf.carriers[u]) and images == set(GG.sheaf.carriers[u])
+
+        bij_ok = all(reflects(u) for u in P.frame.elements)
         bij_wit = None if bij_ok else {"not": "idempotent reflection"}
     return CheckReport.combine(
         "sh_lh_equivalence",

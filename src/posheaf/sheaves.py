@@ -66,6 +66,9 @@ class Presheaf:
                             )
                 self.res[(u, v)] = table
         self._labeler = labeler
+        # (weak reference to its EtaleLocale, sheaf-locale elements counted),
+        # set by locale_equiv.etale_locale
+        self._etale = None
 
     def carrier(self, u) -> tuple:
         return self.carriers[u]

@@ -6,7 +6,8 @@ over every cover; Sub and Dow by next-closure over that closure; least and
 greatest elements as the one minimal or maximal member; join and meet
 preservation over every subset; the point-order bounds of a subsheaf one pair
 at a time; and, for the étale layer, the sheaf locale as the product of the
-sections' down-sets filtered by pairwise agreement opens, cross-sections by a
+sections' down-sets filtered by pairwise agreement opens and ordered
+pointwise, cross-sections by a
 search over every open of O(Y) with a frame-hom filter, and local
 homeomorphisms by a search for each open's base open; the poset and frame
 laws with every pair, chain and triple scanned and a Heyting implication
@@ -401,6 +402,18 @@ def lambda_assignments(P, *, budget: Budget) -> list[tuple]:
 
     rec(0)
     return out
+
+
+def pointwise_order(X, assignments: list, labels: list) -> list[tuple]:
+    """The sheaf locale's order by definition: label a below label b iff the
+    assignment a lies below b at every section, one pair of assignments and
+    one section at a time."""
+    return [
+        (labels[i], labels[j])
+        for i, a in enumerate(assignments)
+        for j, b in enumerate(assignments)
+        if all(X.leq(x, y) for x, y in zip(a, b))
+    ]
 
 
 def sections_over(f, u, nodes: BudgetMeter) -> list:

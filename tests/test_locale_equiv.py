@@ -2,10 +2,15 @@
 adjunction with its triangles, spatiality, POSL/CPOSL."""
 from __future__ import annotations
 
+import gc
 import itertools
+import json
+import weakref
+from collections import Counter
 
 import pytest
 
+from posheaf import cli, jsonio, locale_equiv
 from posheaf.frames import FiniteFrame, FinitePoset, frame_iso
 from posheaf.generate import GenConfig, gen_frame, gen_sheaf, mutate
 from posheaf.locale_equiv import (
@@ -296,3 +301,135 @@ def test_posl_cposl_fail_on_transported_break_pos3(FD):
     assert cposl["cposl.CPOSL1"].witness == {"open": "1"}
     assert cposl["cposl.CPOSL3"].witness == {"open": "1", "cover": ["a", "b"]}
     assert cposl["cposl.agreement_with_completeness"].passed
+
+
+def _memo_instances():
+    """A generated sheaf and its sheaf locale as documents, so every load is
+    a fresh object."""
+    cfg = GenConfig(seed=5, max_opens=6, max_carrier=2)
+    P = gen_sheaf(gen_frame(cfg), cfg)
+    return jsonio.dump_presheaf_doc(P), jsonio.dump_locale_doc(etale_locale(P).locale)
+
+
+def test_lambda_and_gamma_are_built_once_per_instance():
+    presheaf_doc, locale_doc = _memo_instances()
+    P = jsonio.load_presheaf(presheaf_doc)
+    E = etale_locale(P)
+    assert etale_locale(P, budget=Budget()) is E
+    G = cross_sections(E.locale)
+    assert cross_sections(E.locale) is G
+    f = jsonio.load_locale(locale_doc)
+    assert cross_sections(f) is cross_sections(f)
+
+
+def _limit(build, instance, budget):
+    with pytest.raises(ResourceLimit) as exc:
+        build(instance, budget=budget)
+    return exc.value.what, exc.value.limit
+
+
+def test_memo_hits_replay_the_budget_of_a_fresh_build():
+    # a hit counts the first build's ticks against the caller's own budget:
+    # below the recorded count it raises what a fresh build on a fresh load
+    # raises, at the count it returns the kept object
+    presheaf_doc, locale_doc = _memo_instances()
+    P = jsonio.load_presheaf(presheaf_doc)
+    E = etale_locale(P)
+    f = jsonio.load_locale(locale_doc)
+    G = cross_sections(f)
+    elements, nodes = P._etale[1], f._gamma[1]
+    assert elements == len(E.assignments) > 2 and nodes > 2
+    for k in (0, 1, elements // 2, elements - 1):
+        budget = Budget(lambda_elements=k)
+        assert _limit(etale_locale, P, budget) == _limit(etale_locale, jsonio.load_presheaf(presheaf_doc), budget)
+    for k in (0, 1, nodes // 2, nodes - 1):
+        budget = Budget(section_nodes=k)
+        assert _limit(cross_sections, f, budget) == _limit(cross_sections, jsonio.load_locale(locale_doc), budget)
+    assert etale_locale(P, budget=Budget(lambda_elements=elements)) is E
+    assert cross_sections(f, budget=Budget(section_nodes=nodes)) is G
+
+
+def test_a_build_that_raised_caches_nothing():
+    presheaf_doc, locale_doc = _memo_instances()
+    P = jsonio.load_presheaf(presheaf_doc)
+    with pytest.raises(ResourceLimit):
+        etale_locale(P, budget=Budget(lambda_elements=1))
+    assert P._etale is None
+    f = jsonio.load_locale(locale_doc)
+    with pytest.raises(ResourceLimit):
+        cross_sections(f, budget=Budget(section_nodes=1))
+    assert f._gamma is None
+
+
+def test_the_memo_makes_no_reference_cycle():
+    # the slots hold weak references: with the cyclic collector off, the
+    # inputs die as soon as the caller drops them and the Λ and Γ built
+    # from them
+    presheaf_doc, locale_doc = _memo_instances()
+    gc.disable()
+    try:
+        P = jsonio.load_presheaf(presheaf_doc)
+        E = etale_locale(P)
+        G = cross_sections(E.locale)
+        alive = [weakref.ref(P), weakref.ref(E.locale)]
+        del P, E, G
+        f = jsonio.load_locale(locale_doc)
+        G = cross_sections(f)
+        E = etale_locale(G.sheaf)
+        alive.append(weakref.ref(f))
+        del f, G, E
+        assert [ref() for ref in alive] == [None] * 3
+    finally:
+        gc.enable()
+
+
+def _count_builds(monkeypatch) -> tuple[Counter, Counter]:
+    """Germ walks per presheaf and section searches per locale, counted by
+    wrapping the two searches Λ and Γ run."""
+    walks, searches = Counter(), Counter()
+    walk, search = locale_equiv._germ_downsets, locale_equiv._point_sections
+
+    def counted_walk(F, *args, **kwargs):
+        walks[id(F)] += 1
+        return walk(F, *args, **kwargs)
+
+    def counted_search(f, fibres, u, nodes):
+        searches[id(f)] += u == f.base.bottom  # one call per open of the base
+        return search(f, fibres, u, nodes)
+
+    monkeypatch.setattr(locale_equiv, "_germ_downsets", counted_walk)
+    monkeypatch.setattr(locale_equiv, "_point_sections", counted_search)
+    return walks, searches
+
+
+def test_equivalence_reuses_the_callers_lambda_and_gamma(monkeypatch):
+    walks, searches = _count_builds(monkeypatch)
+    cfg = GenConfig(seed=5, max_opens=6, max_carrier=2)
+    sheaf = gen_sheaf(gen_frame(cfg), cfg)
+    for P in (sheaf, mutate(sheaf, "remove-amalgamation", cfg)):
+        E = etale_locale(P)
+        G = cross_sections(E.locale)
+        walks.clear()
+        searches.clear()
+        assert verify_sh_lh_equivalence(P).passed
+        assert walks[id(P)] == 0 and searches[id(E.locale)] == 0
+    f = E.locale
+    G = cross_sections(f)
+    E2 = etale_locale(G.sheaf)  # held, as the caller holds its Λ
+    walks.clear()
+    searches.clear()
+    assert verify_sh_lh_equivalence(f).passed
+    assert searches[id(f)] == 0 and walks[id(G.sheaf)] == 0
+
+
+def test_cli_posl_and_cposl_search_the_sections_once(monkeypatch, tmp_path, capsys):
+    walks, searches = _count_builds(monkeypatch)
+    _, locale_doc = _memo_instances()
+    base = jsonio.load_locale(locale_doc).base
+    path = tmp_path / "posl.json"
+    path.write_text(json.dumps({**locale_doc, "section_orders": {u: [] for u in base.elements}}))
+    for kind in ("posl", "cposl"):
+        searches.clear()
+        assert cli.run(["check", kind, str(path)]) in (0, 1)
+        assert sum(searches.values()) == 1, kind
+    capsys.readouterr()

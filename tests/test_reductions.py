@@ -5,7 +5,7 @@ Dow and generated subsheaves as down-sets of germs at the join-irreducibles,
 least and greatest elements by one scan, join and meet preservation from the
 empty and binary bounds, the bounds of a subsheaf from bitset rows of the
 point order, the étale layer on points: the sheaf locale from the germ
-walk, cross-sections and local homeomorphisms through the point map of the
+walk, ordered by germ masks, cross-sections and local homeomorphisms through the point map of the
 join-irreducibles, and the frame laws through join-prime join-irreducibles
 and binary joins, with frame homs' joins read from the empty and binary
 ones.
@@ -475,6 +475,33 @@ def test_sheaf_locale_matches_the_filtered_product(etale_presheaves):
             sizes.add(n)
     assert len(etale_presheaves) == 54
     assert max(sizes) >= 30
+
+
+def test_sheaf_locale_order_matches_the_pointwise_order(etale_presheaves):
+    # the order read from germ masks is the pointwise order of the
+    # assignments, on sheaves and non-sheaves, in given and shuffled element
+    # orders
+    rng = random.Random(41)
+    presheaves = list(etale_presheaves)
+    for opens, carrier in ((4, 2), (5, 2), (6, 3), (7, 3)):
+        for seed in range(3):
+            cfg = GenConfig(seed=seed, max_opens=opens, max_carrier=carrier)
+            P = gen_sheaf(gen_frame(cfg), cfg)
+            presheaves.append((f"gen_sheaf{(opens, carrier, seed)}", P))
+            try:
+                presheaves.append((f"gen_sheaf{(opens, carrier, seed)}+remove-amalgamation", mutate(P, "remove-amalgamation", cfg)))
+            except RepairFailed:
+                pass
+    checked, non_sheaves = 0, 0
+    for name, P in presheaves:
+        for Q in (P, _shuffled(PoSheaf(P, {}), rng).sheaf):
+            E = etale_locale(Q)
+            pointwise = oracles.pointwise_order(Q.frame, E.assignments, E.frame.elements)
+            assert E.frame.poset.pairs() == frozenset(pointwise), name
+            checked += 1
+            non_sheaves += not verify_sheaf(Q).passed
+    assert checked >= 100
+    assert non_sheaves >= 10
 
 
 def test_cross_sections_match_the_frame_hom_search(locales):
