@@ -3,7 +3,14 @@ equivalent forms, the sup morphism, sup-preserving morphisms, finite
 completeness, and frame (complete Heyting) sheaves.
 
 Every multi-form characterization is computed once per form, independently,
-and the verdicts are reconciled; a disagreement is itself a failure."""
+and the verdicts are reconciled; a disagreement is itself a failure. The
+per-open laws exist once each and every form that needs one reads it: a
+complete lattice at each open (_lattice_gap), a surjective restriction
+preserving all joins and meets (_restriction_gap; the sheaf-locale CPOSL1-2
+read both on Γ), and the commuting left-adjoint square of a morphism
+(_adjoint_square_gap). The left adjoint of each restriction is built once
+and kept on its posheaf; its right adjoint is the left adjoint of the same
+restriction of the opposite."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -15,7 +22,6 @@ from .frames import (
     left_adjoint,
     preserves_all_joins,
     preserves_all_meets,
-    right_adjoint,
     verify_frame_hom,
 )
 from .report import Budget, BudgetMeter, CheckReport, NotComplete, timed
@@ -118,10 +124,6 @@ def sup_in_open(F: PoSheaf, S: SubSheaf, u):
     return F.poset(u).least(cands)
 
 
-def _restriction_map(F: PoSheaf, u, v) -> MonotoneMap:
-    return MonotoneMap(F.poset(u), F.poset(v), dict(F.sheaf.res[(u, v)]))
-
-
 @dataclass
 class CompletenessCertificate:
     """Both sides of every completeness characterization plus the square and
@@ -174,6 +176,57 @@ def _lattice_gap(F: PoSheaf, u) -> dict | None:
     return None
 
 
+def _restriction_gap(F: PoSheaf, u, v) -> str | None:
+    """None when F's restriction u → v is surjective and monotone and
+    preserves all joins and all meets, else the first of these it breaks."""
+    res = MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[(u, v)])
+    if set(res.mapping.values()) != set(F.carrier(v)):
+        return "surjective"
+    if not res.verify().passed:
+        return "monotone"
+    if not preserves_all_joins(res):
+        return "sup-preserving"
+    if not preserves_all_meets(res):
+        return "inf-preserving"
+    return None
+
+
+def _left_adjoint(F: PoSheaf, u, v) -> tuple[dict | None, CheckReport]:
+    """The left adjoint of F's restriction u → v (v < u) as a table, or None,
+    with left_adjoint's report; built once per posheaf and kept on it. Its
+    right adjoint is the left adjoint of the same restriction of F.opposite()."""
+    entry = F._left_adjoints.get((u, v))
+    if entry is None:
+        la, rep = left_adjoint(MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[(u, v)]))
+        entry = F._left_adjoints[(u, v)] = (None if la is None else la.mapping, rep)
+    return entry
+
+
+def _left_adjoint_table(F: PoSheaf, u, v) -> dict:
+    """l_{v→u} for v ≤ u on a complete posheaf."""
+    if u == v:
+        return {x: x for x in F.carrier(v)}
+    table, rep = _left_adjoint(F, u, v)
+    if table is None:
+        raise NotComplete(f"restriction {u!r} -> {v!r} has no left adjoint", report=rep)
+    return table
+
+
+def _adjoint_square_gap(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf, u) -> dict | None:
+    """The first square α_u(l^F x) ≠ l^G(α_v x), v < u and x ∈ F(v), of the
+    left adjoints of the restrictions into u, or None when all commute."""
+    for v in F.frame.down(u):
+        if v == u:
+            continue
+        f_uv = _left_adjoint_table(F, u, v)
+        g_uv = _left_adjoint_table(G, u, v)
+        for x in F.carrier(v):
+            lhs, rhs = alpha(u, f_uv[x]), g_uv[alpha(v, x)]
+            if lhs != rhs:
+                return {"square": [u, v], "section": F.label(v, x), "alpha_after_adjoint": G.label(u, lhs), "adjoint_after_alpha": G.label(u, rhs)}
+    return None
+
+
 def _per_open_form(F: PoSheaf) -> tuple[CheckReport, dict, dict]:
     """Per-open complete lattices plus surjective restrictions having both
     adjoints; returns the report with the per-open/per-pair evidence."""
@@ -191,14 +244,13 @@ def _per_open_form(F: PoSheaf) -> tuple[CheckReport, dict, dict]:
         for v in frame.down(u):
             if v == u:
                 continue
-            res = _restriction_map(F, u, v)
-            surjective = set(res.mapping.values()) == set(F.carrier(v))
-            la, _ = left_adjoint(res)
-            ra, _ = right_adjoint(res)
+            surjective = set(F.sheaf.res[(u, v)].values()) == set(F.carrier(v))
+            la, _ = _left_adjoint(F, u, v)
+            ra, _ = _left_adjoint(F.opposite(), u, v)
             restriction_data[(u, v)] = {
                 "surjective": surjective,
-                "left_adjoint": None if la is None else dict(la.mapping),
-                "right_adjoint": None if ra is None else dict(ra.mapping),
+                "left_adjoint": None if la is None else dict(la),
+                "right_adjoint": None if ra is None else dict(ra),
             }
             if verdict_wit is None and not (surjective and la is not None and ra is not None):
                 verdict_wit = {
@@ -233,27 +285,19 @@ def _sup_extension_form(name: str, F: PoSheaf, subsheaves: list[SubSheaf]) -> Ch
 
 def _complete_surjections_form(F: PoSheaf) -> CheckReport:
     """The surjective-complete-maps reading: per-open complete lattices with surjective restrictions
-    preserving arbitrary sups and infs (POS3 is a posheaf precondition)."""
+    preserving arbitrary sups and infs (POS3 is a posheaf precondition; POS2
+    makes every restriction monotone)."""
     frame = F.frame
     for u in frame.elements:
-        poset = F.poset(u)
-        if poset.bottom is None or poset.top is None:
-            return CheckReport.fail("complete.complete_surjections", {"open": u, "missing": "bounds"})
-        for x in poset.elements:
-            for y in poset.elements:
-                if poset.join(x, y) is None or poset.meet(x, y) is None:
-                    return CheckReport.fail("complete.complete_surjections", {"open": u, "pair": [F.label(u, x), F.label(u, y)]})
+        gap = _lattice_gap(F, u)
+        if gap:
+            witness = {"open": u, "pair": gap["pair"]} if "pair" in gap else {"open": u, "missing": "bounds"}
+            return CheckReport.fail("complete.complete_surjections", witness)
     for u in frame.elements:
         for v in frame.down(u):
-            if v == u:
-                continue
-            res = _restriction_map(F, u, v)
-            if set(res.mapping.values()) != set(F.carrier(v)):
-                return CheckReport.fail("complete.complete_surjections", {"restriction": [u, v], "not": "surjective"})
-            if not preserves_all_joins(res):
-                return CheckReport.fail("complete.complete_surjections", {"restriction": [u, v], "not": "sup-preserving"})
-            if not preserves_all_meets(res):
-                return CheckReport.fail("complete.complete_surjections", {"restriction": [u, v], "not": "inf-preserving"})
+            law = None if v == u else _restriction_gap(F, u, v)
+            if law:
+                return CheckReport.fail("complete.complete_surjections", {"restriction": [u, v], "not": law})
     return CheckReport.ok("complete.complete_surjections")
 
 
@@ -344,16 +388,6 @@ def _is_complete_fresh(F: PoSheaf, meter: BudgetMeter) -> CompletenessCertificat
         restriction_data=restriction_data,
         sup_tables=sup_tables,
     )
-
-
-def _left_adjoint_table(F: PoSheaf, u, v) -> dict:
-    """l_{v→u} for v ≤ u on a complete posheaf."""
-    if u == v:
-        return {x: x for x in F.carrier(v)}
-    la, rep = left_adjoint(_restriction_map(F, u, v))
-    if la is None:
-        raise NotComplete(f"restriction {u!r} -> {v!r} has no left adjoint", report=rep)
-    return la.mapping
 
 
 def sup_morphism(F: PoSheaf, *, budget: Budget | None = None) -> tuple[SheafMorphism, SheafMorphism, CheckReport]:
@@ -461,30 +495,15 @@ def verify_sup_preserving(
         if not square_ok:
             break
 
-    open_ok, open_wit = True, None
+    open_wit = None
     for u in frame.elements:
-        au = MonotoneMap(F.poset(u), G.poset(u), alpha.maps[u])
-        if not preserves_all_joins(au):
-            open_ok, open_wit = False, {"open": u, "not": "join-preserving"}
+        if not preserves_all_joins(MonotoneMap(F.poset(u), G.poset(u), alpha.maps[u])):
+            open_wit = {"open": u, "not": "join-preserving"}
+        else:
+            open_wit = _adjoint_square_gap(alpha, F, G, u)
+        if open_wit:
             break
-        for v in frame.down(u):
-            if v == u:
-                continue
-            f_uv = _left_adjoint_table(F, u, v)
-            g_uv = _left_adjoint_table(G, u, v)
-            for x in F.carrier(v):
-                if alpha(u, f_uv[x]) != g_uv[alpha(v, x)]:
-                    open_ok, open_wit = False, {
-                        "square": [u, v],
-                        "section": F.label(v, x),
-                        "alpha_after_adjoint": G.label(u, alpha(u, f_uv[x])),
-                        "adjoint_after_alpha": G.label(u, g_uv[alpha(v, x)]),
-                    }
-                    break
-            if not open_ok:
-                break
-        if not open_ok:
-            break
+    open_ok = open_wit is None
 
     adj_ok, adj_wit = True, None
     beta_maps = {}
@@ -662,10 +681,6 @@ def meet_morphism(F: PoSheaf, P: PoSheaf) -> SheafMorphism:
     return SheafMorphism(FP, P.sheaf, maps)
 
 
-def _lattice_frame(F: PoSheaf, u) -> FiniteFrame:
-    return FiniteFrame(F.poset(u))
-
-
 def is_frame_sheaf(F: PoSheaf, *, budget: Budget | None = None) -> CheckReport:
     """The defining square (sup after meet-morphism against binary meet after sup)
     versus the per-open complete-Heyting + Frobenius characterization.
@@ -714,8 +729,7 @@ def _is_frame_sheaf_fresh(F: PoSheaf, budget: Budget) -> CheckReport:
 
     heyting_ok, heyting_wit = True, None
     for u in frame.elements:
-        lat = _lattice_frame(F, u)
-        rep = lat.verify()
+        rep = FiniteFrame(F.poset(u)).verify()
         if not rep.passed:
             heyting_ok, heyting_wit = False, {"open": u, "law": rep.name, "witness": rep.witness}
             break
@@ -798,25 +812,16 @@ def verify_frame_morphism(
         if gap:
             hom_ok, hom_wit = False, gap
             break
-        hom = FrameHom(_lattice_frame(F, u), _lattice_frame(G, u), alpha.maps[u])
+        hom = FrameHom(FiniteFrame(F.poset(u)), FiniteFrame(G.poset(u)), alpha.maps[u])
         rep = verify_frame_hom(hom)
         if not rep.passed:
             hom_ok, hom_wit = False, {"open": u, "law": rep.name, "witness": rep.witness}
             break
     if hom_ok:
         for u in F.frame.elements:
-            for v in F.frame.down(u):
-                if v == u:
-                    continue
-                f_uv = _left_adjoint_table(F, u, v)
-                g_uv = _left_adjoint_table(G, u, v)
-                for x in F.carrier(v):
-                    if alpha(u, f_uv[x]) != g_uv[alpha(v, x)]:
-                        hom_ok, hom_wit = False, {"square": [u, v], "section": F.label(v, x)}
-                        break
-                if not hom_ok:
-                    break
-            if not hom_ok:
+            gap = _adjoint_square_gap(alpha, F, G, u)
+            if gap:
+                hom_ok, hom_wit = False, {"square": gap["square"], "section": gap["section"]}
                 break
 
     forms = _three_way(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .frames import FiniteFrame, FrameHom, frame_iso, verify_frame_hom
 from .report import Budget, CheckReport, IsoSearchFailed, NotComplete, NotFrameSheaf, timed
-from .complete import _lattice_frame, _left_adjoint_table, is_frame_sheaf
+from .complete import _left_adjoint_table, is_frame_sheaf
 from .orders import PoSheaf
 from .sheaves import Presheaf, SheafMorphism
 
@@ -73,7 +73,7 @@ def sheaf_to_frame_hom(F: PoSheaf, *, check: bool = True, budget: Budget | None 
         if not rep.passed:
             raise NotFrameSheaf("input is not a frame sheaf", report=rep)
     X = F.frame
-    L = _lattice_frame(F, X.top)
+    L = FiniteFrame(F.poset(X.top))
     mapping = {}
     for u in X.elements:
         l_u = _left_adjoint_table(F, X.top, u)

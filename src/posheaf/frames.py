@@ -589,26 +589,29 @@ def frame_iso(A: FiniteFrame, B: FiniteFrame, fixed: dict | None = None) -> dict
                 return False
         return True
 
-    def rec(i):
-        if i == len(todo):
-            return True
-        x = todo[i]
-        for y in b_by_profile.get(profile(A, x), []):
-            if y in used or not consistent(x, y):
-                continue
-            mapping[x] = y
-            used.add(y)
-            if rec(i + 1):
-                return True
-            del mapping[x]
-            used.discard(y)
-        return False
-
     if fixed:
         for x, y in fixed.items():
             if profile(A, x) != profile(B, y) or not consistent(x, y):
                 return None
-    return dict(mapping) if rec(0) else None
+    # depth first over todo, one iterator of candidate images per level;
+    # mapping holds the fixed pairs and the images of the levels on the stack
+    stack = [iter(b_by_profile.get(profile(A, todo[0]), []))] if todo else []
+    while stack:
+        x = todo[len(stack) - 1]
+        if x in mapping:
+            used.discard(mapping.pop(x))
+        for y in stack[-1]:
+            if y not in used and consistent(x, y):
+                break
+        else:
+            stack.pop()
+            continue
+        mapping[x] = y
+        used.add(y)
+        if len(stack) == len(todo):
+            return dict(mapping)
+        stack.append(iter(b_by_profile.get(profile(A, todo[len(stack)]), [])))
+    return None if todo else dict(mapping)
 
 
 def preserves_all_joins(f: MonotoneMap) -> bool:

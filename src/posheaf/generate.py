@@ -250,34 +250,33 @@ def gen_endomorphism(F: PoSheaf, cfg: GenConfig, *, cap: int = 400) -> SheafMorp
     opens = sorted(frame.elements, key=lambda u: (len(frame.down(u)), frame.index[u]))
     pairs = [(u, x) for u in opens for x in sheaf.carriers[u]]
     found: list[dict] = []
-    assigned: dict = {}
-
-    def rec(i):
-        if len(found) >= cap:
-            return
-        if i == len(pairs):
-            table: dict = {u: {} for u in frame.elements}
-            for (u, x), y in assigned.items():
-                table[u][x] = y
-            found.append(table)
-            return
-        u, x = pairs[i]
-        for y in sheaf.carriers[u]:
-            if all(
-                sheaf.restrict(u, y, v) == assigned[(v, sheaf.restrict(u, x, v))]
-                for v in frame.down(u)
-                if v != u
-            ):
-                assigned[(u, x)] = y
-                rec(i + 1)
-                del assigned[(u, x)]
-
-    rec(0)
+    _natural_tables(sheaf, pairs, {}, found, cap)
     chosen = rng.choice(found)
     alpha = SheafMorphism(sheaf, sheaf, chosen)
     if not verify_morphism(alpha).passed:
         raise RepairFailed("enumerated endomorphism failed naturality")
     return alpha
+
+
+def _natural_tables(sheaf: Presheaf, pairs: list, assigned: dict, found: list, cap: int) -> None:
+    """Append to found, until it holds cap, every natural table extending
+    assigned, the images of the first len(assigned) pairs."""
+    if len(found) >= cap:
+        return
+    frame = sheaf.frame
+    if len(assigned) == len(pairs):
+        found.append({u: {x: y for (w, x), y in assigned.items() if w == u} for u in frame.elements})
+        return
+    u, x = pairs[len(assigned)]
+    for y in sheaf.carriers[u]:
+        if all(
+            sheaf.restrict(u, y, v) == assigned[(v, sheaf.restrict(u, x, v))]
+            for v in frame.down(u)
+            if v != u
+        ):
+            assigned[(u, x)] = y
+            _natural_tables(sheaf, pairs, assigned, found, cap)
+            del assigned[(u, x)]
 
 
 def gen_frame_morphism(X: FiniteFrame, cfg: GenConfig) -> tuple[PoSheaf, SheafMorphism]:

@@ -25,9 +25,9 @@ from .report import (
     OrderNotProvided,
     timed,
 )
-from .complete import is_complete
+from .complete import _lattice_gap, _restriction_gap, is_complete
 from .orders import PoSheaf, _three_way, verify_posheaf
-from .sheaves import Presheaf, SheafMorphism, _germ_downsets, _germ_table, epsilon, verify_presheaf, verify_sheaf
+from .sheaves import Presheaf, SheafMorphism, _germ_downsets, _germ_table, verify_presheaf, verify_sheaf
 
 
 @dataclass
@@ -152,27 +152,7 @@ def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
     ]
     frame = FiniteFrame(FinitePoset(labels, pairs, closed=True))
 
-    lattice_rep = CheckReport.ok("sheaf_locale.pointwise_lattice")
-    for i, a in enumerate(assignments):
-        for j, b in enumerate(assignments):
-            if j > i:
-                break
-            meet_t = tuple(X.meet(x, y) for x, y in zip(a, b))
-            join_t = tuple(X.join(x, y) for x, y in zip(a, b))
-            if meet_t not in index or join_t not in index:
-                lattice_rep = CheckReport.fail(
-                    "sheaf_locale.pointwise_lattice",
-                    {"pair": [labels[i], labels[j]], "closed_under": "meet" if meet_t not in index else "join"},
-                )
-                break
-            if frame.meet(labels[i], labels[j]) != labels[index[meet_t]] or frame.join(labels[i], labels[j]) != labels[index[join_t]]:
-                lattice_rep = CheckReport.fail(
-                    "sheaf_locale.pointwise_lattice",
-                    {"pair": [labels[i], labels[j]], "mismatch": "order-derived ops differ from pointwise"},
-                )
-                break
-        if not lattice_rep.passed:
-            break
+    lattice_rep = _mask_lattice(frame, [m for _, m in opens])
     frame_rep = frame.verify()
 
     pstar_map = {}
@@ -199,6 +179,29 @@ def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
         report=report,
         _index=index,
     )
+
+
+def _mask_lattice(frame: FiniteFrame, masks: list) -> CheckReport:
+    """frame.meet and frame.join of each pair of elements (germ down-sets,
+    masks in element order) are the intersection and the union of their
+    masks: the pointwise meet and join of the assignments, as j ∧ k is a join
+    of join-irreducibles below both j and k on a distributive base."""
+    labels = frame.elements
+    label_of = dict(zip(masks, labels))
+    for i, a in enumerate(masks):
+        for j in range(i + 1):
+            meet, join = label_of.get(a & masks[j]), label_of.get(a | masks[j])
+            if meet is None or join is None:
+                return CheckReport.fail(
+                    "sheaf_locale.pointwise_lattice",
+                    {"pair": [labels[i], labels[j]], "closed_under": "meet" if meet is None else "join"},
+                )
+            if frame.meet(labels[i], labels[j]) != meet or frame.join(labels[i], labels[j]) != join:
+                return CheckReport.fail(
+                    "sheaf_locale.pointwise_lattice",
+                    {"pair": [labels[i], labels[j]], "mismatch": "order-derived ops differ from pointwise"},
+                )
+    return CheckReport.ok("sheaf_locale.pointwise_lattice")
 
 
 def lambda_on_morphism(alpha: SheafMorphism, EP: EtaleLocale, EQ: EtaleLocale) -> tuple[FrameHom, CheckReport]:
@@ -292,19 +295,26 @@ def _point_sections(f: LocaleOverX, fibres: dict, u, nodes: BudgetMeter) -> list
     lower = [[k for k in J[:i] if OX.leq(k, j)] for i, j in enumerate(J)]
     phi: dict = {}
     out: list[Section] = []
-
-    def rec(i):
-        nodes.tick()
+    # depth first over J, one iterator over the fibre of J[i] per level i;
+    # the last level, past J, has no candidates and records the section
+    levels = [fibres[j] for j in J] + [()]
+    stack = [iter(levels[0])]
+    nodes.tick()
+    while stack:
+        i = len(stack) - 1
         if i == len(J):
-            values = tuple(OX.join_all(j for j in J if OY.leq(phi[j], y)) for y in OY.elements)
-            out.append(Section(over=u, values=values))
-            return
-        for y in fibres[J[i]]:
+            out.append(Section(over=u, values=tuple(OX.join_all(j for j in J if OY.leq(phi[j], y)) for y in OY.elements)))
+            stack.pop()
+            continue
+        for y in stack[-1]:
             if all(OY.leq(phi[k], y) for k in lower[i]):
-                phi[J[i]] = y
-                rec(i + 1)
-
-    rec(0)
+                break
+        else:
+            stack.pop()
+            continue
+        phi[J[i]] = y
+        nodes.tick()
+        stack.append(iter(levels[i + 1]))
     out.sort(key=lambda s: tuple(OX.index[v] for v in s.values))
     return out
 
@@ -359,8 +369,11 @@ def _cross_sections_fresh(f: LocaleOverX, nodes: BudgetMeter) -> GammaSheaf:
 
 def unit(P: Presheaf, E: EtaleLocale, G: GammaSheaf) -> tuple[SheafMorphism, CheckReport]:
     """η: each section goes to its projection, viewed as a section of the
-    sheaf locale; verified natural, using the agreement identity with its own
-    restriction."""
+    sheaf locale; verified natural. The agreement identity of a section with
+    its own restriction, ε(P, [(u, s), (v, s|_v)]) = v, follows from the
+    composition of restrictions, which verify_presheaf(P) checks and
+    etale_locale requires before it builds E = Λ(P): its subreport records
+    that precondition."""
     OY = E.frame
     position = {sec: k for k, sec in enumerate(E.sections)}
     maps = {}
@@ -378,15 +391,9 @@ def unit(P: Presheaf, E: EtaleLocale, G: GammaSheaf) -> tuple[SheafMorphism, Che
         maps[u] = table
     eta = SheafMorphism(P, G.sheaf, maps)
     nat = eta.verify()
-    eps_id_ok = all(
-        epsilon(P, [(u, s), (v, P.restrict(u, s, v))]) == v
-        for u in P.frame.elements
-        for s in P.carriers[u]
-        for v in P.frame.down(u)
-    )
     report = CheckReport.combine(
         "unit",
-        [nat, CheckReport("unit.restriction_agreement", eps_id_ok)],
+        [nat, CheckReport("unit.restriction_agreement", E.presheaf is P)],
     )
     return eta, report
 
@@ -643,45 +650,20 @@ def check_posl(f: LocaleOverX, orders, *, budget: Budget | None = None) -> Check
 @timed
 def check_cposl(f: LocaleOverX, orders, *, budget: Budget | None = None) -> CheckReport:
     """CPOSL1–3 on the cross-sections, cross-checked against the completeness
-    verdict with the same orders; CPOSL3 is the posheaf layer's POS3 on Γ."""
+    verdict with the same orders. CPOSL1 and CPOSL2 read the per-open
+    lattice and restriction kernels of the completeness layer on Γ; CPOSL3
+    is the posheaf layer's POS3 on Γ."""
     budget = budget or Budget()
     is_local_homeomorphism(f).require()
     G = cross_sections(f, budget=budget)
     F = _gamma_posheaf(G, orders)
     frame = F.frame
 
-    c1_ok, c1_wit = True, None
-    for u in frame.elements:
-        poset = F.poset(u)
-        if not poset.verify().passed or poset.bottom is None or poset.top is None:
-            c1_ok, c1_wit = False, {"open": u}
-            break
-        for a in poset.elements:
-            for b in poset.elements:
-                if poset.join(a, b) is None or poset.meet(a, b) is None:
-                    c1_ok, c1_wit = False, {"open": u, "pair": [F.label(u, a), F.label(u, b)]}
-                    break
-            if not c1_ok:
-                break
-        if not c1_ok:
-            break
-
-    from .frames import MonotoneMap, preserves_all_joins, preserves_all_meets
-
-    c2_ok, c2_wit = True, None
-    for u in frame.elements:
-        for v in frame.down(u):
-            if v == u:
-                continue
-            res = MonotoneMap(F.poset(u), F.poset(v), dict(F.sheaf.res[(u, v)]))
-            if set(res.mapping.values()) != set(F.carrier(v)):
-                c2_ok, c2_wit = False, {"restriction": [u, v], "not": "surjective"}
-                break
-            if not res.verify().passed or not preserves_all_joins(res) or not preserves_all_meets(res):
-                c2_ok, c2_wit = False, {"restriction": [u, v], "not": "join/meet-preserving"}
-                break
-        if not c2_ok:
-            break
+    gaps = ({"open": u} if not F.poset(u).verify().passed else _lattice_gap(F, u) for u in frame.elements)
+    c1_wit = next(({k: gap[k] for k in ("open", "pair") if k in gap} for gap in gaps if gap), None)
+    laws = ((u, v, _restriction_gap(F, u, v)) for u in frame.elements for v in frame.down(u) if v != u)
+    c2_wit = next(({"restriction": [u, v], "not": "surjective" if law == "surjective" else "join/meet-preserving"} for u, v, law in laws if law), None)
+    c1_ok, c2_ok = c1_wit is None, c2_wit is None
 
     posheaf_rep = verify_posheaf(F)
     c3 = _pos_law(posheaf_rep, "POS3", "cposl.CPOSL3", ("open", "cover"))

@@ -36,8 +36,8 @@ class PoSheaf:
     The relation tables are reflexively closed on construction; POS1-POS3 are
     verified properties (verify_posheaf), not construction invariants. The
     completeness facts about a posheaf are computed once and kept on it: the
-    is_complete and is_frame_sheaf results, the point order as bitset rows,
-    and the opposite.
+    is_complete and is_frame_sheaf results, the left adjoint of each
+    restriction, the point order as bitset rows, and the opposite.
     """
 
     def __init__(self, sheaf: Presheaf, orders: dict):
@@ -58,6 +58,7 @@ class PoSheaf:
         self._sorted_pairs: dict = {}
         self._completeness = None
         self._frame_sheaf = None
+        self._left_adjoints: dict = {}
         self._point_index = None
         self._point_rows: dict = {}
         self._opposite = None

@@ -118,31 +118,29 @@ def compatible_families(P: Presheaf, cover: tuple, parts=None):
     carrier order with early pruning; the empty cover yields the single empty
     family. With ``parts`` (one set per open, in frame order) each x_i is
     drawn from ``parts[index[u_i]]``, read when the search reaches u_i."""
-    cover = list(cover)
+    yield from _families_extending(P, list(cover), parts, [])
+
+
+def _families_extending(P: Presheaf, cover: list, parts, chosen: list):
+    """The compatible families over cover whose first members are chosen."""
+    i = len(chosen)
+    if i == len(cover):
+        yield tuple(chosen)
+        return
     frame = P.frame
-    chosen: list = []
-
-    def rec(i):
-        if i == len(cover):
-            yield tuple(chosen)
-            return
-        ui = cover[i]
-        part = None if parts is None else parts[frame.index[ui]]
-        for x in P.carriers[ui]:
-            if part is not None and x not in part:
-                continue
-            ok = True
-            for j in range(i):
-                w = frame.meet(ui, cover[j])
-                if P.restrict(ui, x, w) != P.restrict(cover[j], chosen[j], w):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(x)
-                yield from rec(i + 1)
-                chosen.pop()
-
-    yield from rec(0)
+    ui = cover[i]
+    part = None if parts is None else parts[frame.index[ui]]
+    for x in P.carriers[ui]:
+        if part is not None and x not in part:
+            continue
+        for j in range(i):
+            w = frame.meet(ui, cover[j])
+            if P.restrict(ui, x, w) != P.restrict(cover[j], chosen[j], w):
+                break
+        else:
+            chosen.append(x)
+            yield from _families_extending(P, cover, parts, chosen)
+            chosen.pop()
 
 
 def _amalgamation_index(P: Presheaf, u, cover: tuple) -> dict:
@@ -636,18 +634,23 @@ def sheaf_iso(F: Presheaf, G: Presheaf) -> dict | None:
                     return False
         return True
 
-    def rec(i) -> bool:
-        if i == len(opens):
-            return True
-        u = opens[i]
-        for perm in itertools.permutations(G.carriers[u]):
+    # depth first over the opens, one iterator of candidate bijections per
+    # level; the assignment holds the opens of the levels on the stack
+    stack = [itertools.permutations(G.carriers[opens[0]])]
+    while stack:
+        u = opens[len(stack) - 1]
+        for perm in stack[-1]:
             assignment[u] = dict(zip(F.carriers[u], perm))
-            if consistent(u) and rec(i + 1):
-                return True
-            del assignment[u]
-        return False
-
-    return dict(assignment) if rec(0) else None
+            if consistent(u):
+                break
+        else:
+            assignment.pop(u, None)
+            stack.pop()
+            continue
+        if len(stack) == len(opens):
+            return dict(assignment)
+        stack.append(itertools.permutations(G.carriers[opens[len(stack)]]))
+    return None
 
 
 def agreement_meet_diagnostic(P: Presheaf, max_tuple: int = 2) -> dict:

@@ -12,6 +12,8 @@ from posheaf.fixtures import (
     posheaf_ab,
     sheaf_ab,
 )
+from posheaf.orders import PoSheaf
+from posheaf.sheaves import Presheaf
 
 FIXTURE_FRAME_BUILDERS = FIXTURE_FRAMES
 
@@ -44,3 +46,23 @@ def SAB(FD):
 @pytest.fixture
 def PAB(FD):
     return posheaf_ab(FD)
+
+
+def _diamond_over_chain(images: str) -> PoSheaf:
+    """On the 3-chain 0 < a < 1: the chain s < t over a and the diamond
+    b < x, y < z over 1, whose restriction to a sends b, x, y, z to the
+    letters of images. Every F(u) is a lattice, and every cover of an open
+    holds it, so this is a posheaf whenever the restriction is monotone."""
+    carriers = {"0": ("*",), "a": ("s", "t"), "1": ("b", "x", "y", "z")}
+    res = {
+        ("a", "0"): {"s": "*", "t": "*"},
+        ("1", "0"): {c: "*" for c in carriers["1"]},
+        ("1", "a"): dict(zip(carriers["1"], images)),
+    }
+    orders = {"a": [("s", "t")], "1": [("b", "x"), ("b", "y"), ("x", "z"), ("y", "z"), ("b", "z")]}
+    return PoSheaf(Presheaf(frame_3(), carriers, res), orders)
+
+
+@pytest.fixture
+def diamond_over_chain():
+    return _diamond_over_chain

@@ -6,8 +6,9 @@ over every cover; Sub and Dow by next-closure over that closure; least and
 greatest elements as the one minimal or maximal member; join and meet
 preservation over every subset; the point-order bounds of a subsheaf one pair
 at a time; and, for the étale layer, the sheaf locale as the product of the
-sections' down-sets filtered by pairwise agreement opens and ordered
-pointwise, cross-sections by a
+sections' down-sets filtered by pairwise agreement opens, ordered
+pointwise and with pointwise meets and joins, a section's agreement with its
+own restrictions, cross-sections by a
 search over every open of O(Y) with a frame-hom filter, and local
 homeomorphisms by a search for each open's base open; the poset and frame
 laws with every pair, chain and triple scanned and a Heyting implication
@@ -414,6 +415,41 @@ def pointwise_order(X, assignments: list, labels: list) -> list[tuple]:
         for j, b in enumerate(assignments)
         if all(X.leq(x, y) for x, y in zip(a, b))
     ]
+
+
+def pointwise_lattice(X, assignments: list, frame) -> CheckReport:
+    """The sheaf locale's lattice check by definition: for each pair of
+    assignments (the frame's elements, in order), the pointwise meet and join
+    over all sections are assignments, and they are the frame's meet and join
+    of the pair."""
+    labels = frame.elements
+    index = {a: i for i, a in enumerate(assignments)}
+    for i, a in enumerate(assignments):
+        for j, b in enumerate(assignments[: i + 1]):
+            meet_t = tuple(X.meet(x, y) for x, y in zip(a, b))
+            join_t = tuple(X.join(x, y) for x, y in zip(a, b))
+            if meet_t not in index or join_t not in index:
+                return CheckReport.fail(
+                    "sheaf_locale.pointwise_lattice",
+                    {"pair": [labels[i], labels[j]], "closed_under": "meet" if meet_t not in index else "join"},
+                )
+            if frame.meet(labels[i], labels[j]) != labels[index[meet_t]] or frame.join(labels[i], labels[j]) != labels[index[join_t]]:
+                return CheckReport.fail(
+                    "sheaf_locale.pointwise_lattice",
+                    {"pair": [labels[i], labels[j]], "mismatch": "order-derived ops differ from pointwise"},
+                )
+    return CheckReport.ok("sheaf_locale.pointwise_lattice")
+
+
+def restriction_agreement(P) -> bool:
+    """ε(P, [(u, s), (v, s|_v)]) = v for every section s over u and every
+    v ≤ u: a section and its restriction agree on all of the smaller open."""
+    return all(
+        epsilon(P, [(u, s), (v, P.restrict(u, s, v))]) == v
+        for u in P.frame.elements
+        for s in P.carriers[u]
+        for v in P.frame.down(u)
+    )
 
 
 def sections_over(f, u, nodes: BudgetMeter) -> list:

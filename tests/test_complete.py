@@ -314,6 +314,78 @@ def test_frame_morphism_identity_and_meet_breaker():
     assert forms["frame_morphism.agreement"].passed
 
 
+@pytest.mark.parametrize("images, law", [("ssss", "surjective"), ("ssst", "sup-preserving"), ("sttt", "inf-preserving")])
+def test_complete_surjections_names_the_restriction_law(diamond_over_chain, images, law):
+    # lattice stalks, so the first failure is the restriction 1 → a
+    cert = is_complete(diamond_over_chain(images))
+    assert not cert.passed
+    assert cert.complete_surjections.witness == {"restriction": ["1", "a"], "not": law}
+    assert cert.agreement.passed
+
+
+def test_a_missing_left_adjoint_raises_its_report_each_time(diamond_over_chain):
+    # the restriction kept without a left adjoint raises NotComplete with
+    # left_adjoint's report on every request
+    from posheaf.complete import _left_adjoint_table
+
+    F = diamond_over_chain("sttt")
+    reports = []
+    for _ in range(2):
+        with pytest.raises(NotComplete) as exc:
+            _left_adjoint_table(F, "1", "a")
+        reports.append(exc.value.report)
+    assert reports[0] is reports[1]
+    assert reports[0].name == "left_adjoint.absent"
+
+
+def test_per_open_frame_hom_names_the_left_adjoint_square():
+    # on Ω of the 3-chain, α_1 sends a to 1 and α_a is the identity: α is
+    # natural and every α_u is a frame hom, but α_1(l a) = 1 ≠ a = l(α_a a)
+    Om = omega(frame_3())
+    alpha = SheafMorphism(
+        Om.sheaf, Om.sheaf, {"0": {"0": "0"}, "a": {"0": "0", "a": "a"}, "1": {"0": "0", "a": "1", "1": "1"}}
+    )
+    assert alpha.verify().passed
+    rep = verify_frame_morphism(alpha, Om, Om)
+    assert not rep.passed
+    forms = {r.name: r for r in rep.subreports}
+    assert forms["frame_morphism.per_open_frame_hom"].witness == {"square": ["1", "a"], "section": "a"}
+    assert forms["frame_morphism.agreement"].passed
+    sup_forms = {r.name: r for r in forms["sup_preserving"].subreports}
+    assert sup_forms["sup_preserving.per_open"].witness == {
+        "square": ["1", "a"],
+        "section": "a",
+        "alpha_after_adjoint": "1",
+        "adjoint_after_alpha": "a",
+    }
+
+
+def test_each_restriction_adjoint_is_built_once(monkeypatch):
+    # the left adjoint of each restriction is kept on its posheaf, and the
+    # right adjoints are the opposite's left adjoints: across completeness,
+    # the frame-sheaf check and the frame equivalence, left_adjoint runs at
+    # most once per (posheaf, u, v)
+    from collections import Counter
+
+    from posheaf import complete
+    from posheaf.frame_equiv import verify_frame_equivalence
+
+    calls = Counter()
+    real = complete.left_adjoint
+
+    def counted(f):
+        calls[id(f.source), id(f.target)] += 1
+        return real(f)
+
+    monkeypatch.setattr(complete, "left_adjoint", counted)
+    F = omega(frame_d())
+    assert is_complete(F).passed
+    assert is_frame_sheaf(F).passed
+    assert verify_frame_equivalence(F).passed
+    # five pairs v < u on the diamond, for F and for its opposite
+    assert len(calls) == 10 and set(calls.values()) == {1}
+
+
 def test_adjoint_square_check_square_on_complete_fixtures(PAB):
     for F in (omega(frame_d()), omega(frame_6()), PAB, power_sheaf(sheaf_ab())):
         cert = is_complete(F)

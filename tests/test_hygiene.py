@@ -1,8 +1,8 @@
 """Source hygiene with the standard library's ast: no unused imports in the
 package modules, no module-level private function that nothing uses, and no
 exhaustive cover enumeration, closure-fixpoint enumeration, subset loop
-for join and meet preservation, or product-space and frame-hom-filter search
-of the étale layer in the package."""
+for join and meet preservation, product-space and frame-hom-filter search
+of the étale layer, or nested function that calls itself in the package."""
 from __future__ import annotations
 
 import ast
@@ -132,3 +132,21 @@ def test_no_product_space_or_frame_hom_filter_search():
     assert defined == []
     assert {(module, scope) for module, scope, _ in products} <= allowed
     assert products
+
+
+def test_no_self_recursive_closures():
+    # a nested function that calls itself by name holds a cell referring to
+    # itself: a reference cycle that keeps all it closes over alive until
+    # the cyclic collector runs. Recursion is module level or a stack
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = [
+        f"{path.name}:{outer.name}.{inner.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for outer in ast.walk(ast.parse(path.read_text()))
+        if isinstance(outer, functions)
+        for inner in ast.walk(outer)
+        if inner is not outer
+        and isinstance(inner, functions)
+        and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == inner.name for n in ast.walk(inner))
+    ]
+    assert found == []

@@ -303,6 +303,24 @@ def test_posl_cposl_fail_on_transported_break_pos3(FD):
     assert cposl["cposl.agreement_with_completeness"].passed
 
 
+@pytest.mark.parametrize(
+    "images, law", [("ssss", "surjective"), ("ssst", "join/meet-preserving"), ("sttt", "join/meet-preserving")]
+)
+def test_cposl2_names_the_restriction_law(diamond_over_chain, images, law):
+    # a posheaf with lattice stalks whose restriction 1 → a is not surjective,
+    # not sup-preserving or not inf-preserving, transported along the unit
+    F = diamond_over_chain(images)
+    E = etale_locale(F.sheaf)
+    G = cross_sections(E.locale)
+    eta, rep = unit(F.sheaf, E, G)
+    assert rep.passed
+    orders = {u: [(eta(u, x), eta(u, y)) for (x, y) in F.orders[u]] for u in F.frame.elements}
+    forms = {r.name: r for r in check_cposl(E.locale, orders).subreports}
+    assert forms["cposl.CPOSL1"].passed
+    assert forms["cposl.CPOSL2"].witness == {"restriction": ["1", "a"], "not": law}
+    assert forms["cposl.agreement_with_completeness"].passed
+
+
 def _memo_instances():
     """A generated sheaf and its sheaf locale as documents, so every load is
     a fresh object."""
@@ -379,6 +397,24 @@ def test_the_memo_makes_no_reference_cycle():
         alive.append(weakref.ref(f))
         del f, G, E
         assert [ref() for ref in alive] == [None] * 3
+    finally:
+        gc.enable()
+
+
+def test_verify_sheaf_makes_no_reference_cycle():
+    # the gluing search keeps no closure that calls itself: with the cyclic
+    # collector off, Γ's sheaf, verified by cross_sections and again here,
+    # dies as soon as the caller drops the locale, Γ and its sheaf locale
+    _, locale_doc = _memo_instances()
+    gc.disable()
+    try:
+        f = jsonio.load_locale(locale_doc)
+        G = cross_sections(f)
+        assert verify_sheaf(G.sheaf).passed
+        E = etale_locale(G.sheaf)
+        alive = weakref.ref(G.sheaf)
+        del f, G, E
+        assert alive() is None
     finally:
         gc.enable()
 

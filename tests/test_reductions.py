@@ -5,7 +5,8 @@ Dow and generated subsheaves as down-sets of germs at the join-irreducibles,
 least and greatest elements by one scan, join and meet preservation from the
 empty and binary bounds, the bounds of a subsheaf from bitset rows of the
 point order, the étale layer on points: the sheaf locale from the germ
-walk, ordered by germ masks, cross-sections and local homeomorphisms through the point map of the
+walk, ordered and with meets and joins read from germ masks, a section's
+agreement with its own restrictions, cross-sections and local homeomorphisms through the point map of the
 join-irreducibles, and the frame laws through join-prime join-irreducibles
 and binary joins, with frame homs' joins read from the empty and binary
 ones.
@@ -43,7 +44,8 @@ from posheaf.frames import (
     verify_frame_hom,
 )
 from posheaf.generate import GenConfig, _order_closure, gen_frame, gen_posheaf, gen_sheaf, mutate
-from posheaf.locale_equiv import LocaleOverX, _point_map, _point_sections, cross_sections, etale_locale, is_local_homeomorphism
+from posheaf import locale_equiv
+from posheaf.locale_equiv import LocaleOverX, _point_map, _point_sections, cross_sections, etale_locale, is_local_homeomorphism, unit
 from posheaf.orders import (
     PoSheaf,
     down_closure,
@@ -477,10 +479,11 @@ def test_sheaf_locale_matches_the_filtered_product(etale_presheaves):
     assert max(sizes) >= 30
 
 
-def test_sheaf_locale_order_matches_the_pointwise_order(etale_presheaves):
-    # the order read from germ masks is the pointwise order of the
-    # assignments, on sheaves and non-sheaves, in given and shuffled element
-    # orders
+@pytest.fixture(scope="module")
+def pointwise_corpus(etale_presheaves):
+    """(name, presheaf, its sheaf locale): the étale presheaves, generated
+    sheaves and their remove-amalgamation mutants, each in the given and a
+    shuffled element order."""
     rng = random.Random(41)
     presheaves = list(etale_presheaves)
     for opens, carrier in ((4, 2), (5, 2), (6, 3), (7, 3)):
@@ -492,16 +495,51 @@ def test_sheaf_locale_order_matches_the_pointwise_order(etale_presheaves):
                 presheaves.append((f"gen_sheaf{(opens, carrier, seed)}+remove-amalgamation", mutate(P, "remove-amalgamation", cfg)))
             except RepairFailed:
                 pass
-    checked, non_sheaves = 0, 0
-    for name, P in presheaves:
-        for Q in (P, _shuffled(PoSheaf(P, {}), rng).sheaf):
-            E = etale_locale(Q)
-            pointwise = oracles.pointwise_order(Q.frame, E.assignments, E.frame.elements)
-            assert E.frame.poset.pairs() == frozenset(pointwise), name
-            checked += 1
-            non_sheaves += not verify_sheaf(Q).passed
-    assert checked >= 100
-    assert non_sheaves >= 10
+    return [(name, Q, etale_locale(Q)) for name, P in presheaves for Q in (P, _shuffled(PoSheaf(P, {}), rng).sheaf)]
+
+
+def test_sheaf_locale_order_matches_the_pointwise_order(pointwise_corpus):
+    # the order read from germ masks is the pointwise order of the
+    # assignments, on sheaves and non-sheaves, in given and shuffled element
+    # orders
+    for name, Q, E in pointwise_corpus:
+        pointwise = oracles.pointwise_order(Q.frame, E.assignments, E.frame.elements)
+        assert E.frame.poset.pairs() == frozenset(pointwise), name
+    assert len(pointwise_corpus) >= 100
+    assert sum(not verify_sheaf(Q).passed for _, Q, _ in pointwise_corpus) >= 10
+
+
+def _germ_masks(Q, E) -> list[int]:
+    """Each assignment's germ down-set: the sections (j, x) over a
+    join-irreducible j whose value is j."""
+    ji = set(Q.frame.join_irreducibles())
+    germs = [k for k, (u, _) in enumerate(E.sections) if u in ji]
+    return [sum(1 << bit for bit, k in enumerate(germs) if a[k] == E.sections[k][0]) for a in E.assignments]
+
+
+def test_sheaf_locale_lattice_matches_the_pointwise_lattice(pointwise_corpus):
+    # meets and joins read from germ masks are the pointwise ones; on the
+    # opposite order, which they are not, both checks name the same pair
+    for name, Q, E in pointwise_corpus:
+        sub = next(r for r in E.report.subreports if r.name == "sheaf_locale.pointwise_lattice")
+        oracle = oracles.pointwise_lattice(Q.frame, E.assignments, E.frame)
+        assert (sub.passed, sub.witness) == (oracle.passed, oracle.witness) == (True, None), name
+        masks = _germ_masks(Q, E)
+        assert locale_equiv._mask_lattice(E.frame, masks).passed, name
+        if len(E.assignments) > 1:
+            flipped = FiniteFrame(E.frame.poset.opposite())
+            got = locale_equiv._mask_lattice(flipped, masks)
+            expected = oracles.pointwise_lattice(Q.frame, E.assignments, flipped)
+            assert not got.passed and got.witness == expected.witness, name
+
+
+def test_a_section_agrees_with_its_restrictions(pointwise_corpus):
+    # ε(P, [(u, s), (v, s|_v)]) = v on every presheaf, by the composition of
+    # restrictions; unit records it as that precondition of Λ
+    for name, Q, E in pointwise_corpus:
+        assert oracles.restriction_agreement(Q), name
+        _, rep = unit(Q, E, cross_sections(E.locale))
+        assert next(r for r in rep.subreports if r.name == "unit.restriction_agreement").passed, name
 
 
 def test_cross_sections_match_the_frame_hom_search(locales):
