@@ -8,9 +8,12 @@ per-open laws exist once each and every form that needs one reads it: a
 complete lattice at each open (_lattice_gap), a surjective restriction
 preserving all joins and meets (_restriction_gap; the sheaf-locale CPOSL1-2
 read both on Γ), and the commuting left-adjoint square of a morphism
-(_adjoint_square_gap). The left adjoint of each restriction is built once
+(_adjoint_square_gap). Preservation of the empty and binary joins or meets
+is frames._bound_failure, read by finite completeness and the finite-meets
+form of frame morphisms. The left adjoint of each restriction is built once
 and kept on its posheaf; its right adjoint is the left adjoint of the same
-restriction of the opposite."""
+restriction of the opposite, as the right adjoint of a morphism is its
+least-preimage construction (_least_preimages) on the opposites."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -19,6 +22,7 @@ from .frames import (
     FiniteFrame,
     FrameHom,
     MonotoneMap,
+    _bound_failure,
     left_adjoint,
     preserves_all_joins,
     preserves_all_meets,
@@ -137,9 +141,7 @@ class CompletenessCertificate:
     opposite_per_open: CheckReport
     adjoint_square: CheckReport
     agreement: CheckReport
-    lattice_witnesses: dict = field(default_factory=dict)
     restriction_data: dict = field(default_factory=dict)
-    sup_tables: dict | None = None
 
     def report(self) -> CheckReport:
         subs = [
@@ -160,18 +162,23 @@ class CompletenessCertificate:
         )
 
 
-def _lattice_gap(F: PoSheaf, u) -> dict | None:
-    """None when F(u) is a lattice, else the first missing bound."""
+def _lattice_gap(F: PoSheaf, u, *, meets: bool = True) -> dict | None:
+    """None when the partial order F(u) is a lattice (with meets=False, has
+    a bottom and every binary join), else the first missing bound: bottom,
+    top, then the first pair x before y in carrier order without a join or
+    a meet. Bounds are symmetric and x with x always has both, so no pair
+    with y before x fails first."""
     poset = F.poset(u)
     if poset.bottom is None:
         return {"open": u, "missing": "bottom"}
-    if poset.top is None:
+    if meets and poset.top is None:
         return {"open": u, "missing": "top"}
-    for x in poset.elements:
-        for y in poset.elements:
+    elems = poset.elements
+    for i, x in enumerate(elems):
+        for y in elems[i + 1:]:
             if poset.join(x, y) is None:
                 return {"open": u, "pair": [F.label(u, x), F.label(u, y)], "missing": "join"}
-            if poset.meet(x, y) is None:
+            if meets and poset.meet(x, y) is None:
                 return {"open": u, "pair": [F.label(u, x), F.label(u, y)], "missing": "meet"}
     return None
 
@@ -227,19 +234,13 @@ def _adjoint_square_gap(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf, u) -> dict
     return None
 
 
-def _per_open_form(F: PoSheaf) -> tuple[CheckReport, dict, dict]:
+def _per_open_form(F: PoSheaf) -> tuple[CheckReport, dict]:
     """Per-open complete lattices plus surjective restrictions having both
-    adjoints; returns the report with the per-open/per-pair evidence."""
+    adjoints; returns the report with the per-restriction evidence."""
     frame = F.frame
-    lattice_witnesses = {}
     restriction_data = {}
-    verdict_wit = None
-    for u in frame.elements:
-        poset = F.poset(u)
-        bad = _lattice_gap(F, u)
-        lattice_witnesses[u] = {"bottom": poset.bottom, "top": poset.top} if not bad else bad
-        if bad and verdict_wit is None:
-            verdict_wit = {"complete_lattice": bad}
+    gap = next(filter(None, (_lattice_gap(F, u) for u in frame.elements)), None)
+    verdict_wit = None if gap is None else {"complete_lattice": gap}
     for u in frame.elements:
         for v in frame.down(u):
             if v == u:
@@ -260,7 +261,7 @@ def _per_open_form(F: PoSheaf) -> tuple[CheckReport, dict, dict]:
                     "right_adjoint": ra is not None,
                 }
     report = CheckReport("complete.per_open", verdict_wit is None, witness=verdict_wit)
-    return report, lattice_witnesses, restriction_data
+    return report, restriction_data
 
 
 def _sup_extension_form(name: str, F: PoSheaf, subsheaves: list[SubSheaf]) -> CheckReport:
@@ -345,13 +346,13 @@ def is_complete(F: PoSheaf, *, budget: Budget | None = None) -> CompletenessCert
 @timed
 def _is_complete_fresh(F: PoSheaf, meter: BudgetMeter) -> CompletenessCertificate:
     verify_posheaf(F).require()
-    per_open_form, lattice_witnesses, restriction_data = _per_open_form(F)
+    per_open_form, restriction_data = _per_open_form(F)
     downs = enumerate_downsheaves(F, meter=meter)
     downsheaf_sups = _sup_extension_form("complete.downsheaf_sups", F, downs)
     subs = enumerate_subsheaves(F.sheaf, meter=meter)
     subsheaf_sups = _sup_extension_form("complete.subsheaf_sups", F, subs)
     surjections = _complete_surjections_form(F)
-    op4, _, _ = _per_open_form(F.opposite())
+    op4, _ = _per_open_form(F.opposite())
     op4.name = "complete.opposite_per_open"
     square = _adjoint_square_check(F, restriction_data)
 
@@ -365,15 +366,6 @@ def _is_complete_fresh(F: PoSheaf, meter: BudgetMeter) -> CompletenessCertificat
     agree = len(set(verdicts.values())) == 1
     agreement = CheckReport("complete.agreement", agree, witness=None if agree else verdicts)
 
-    sup_tables = None
-    if per_open_form.passed and agree:
-        sup_tables = {}
-        for u in F.frame.elements:
-            table = []
-            for S in enumerate_downsheaves(F, u, meter=meter):
-                table.append([S.describe(), F.label(u, sup_in_open(F, S, u))])
-            sup_tables[u] = table
-
     passed = per_open_form.passed and agree and (square.passed if per_open_form.passed else True)
     return CompletenessCertificate(
         passed=passed,
@@ -384,9 +376,7 @@ def _is_complete_fresh(F: PoSheaf, meter: BudgetMeter) -> CompletenessCertificat
         opposite_per_open=op4,
         adjoint_square=square,
         agreement=agreement,
-        lattice_witnesses=lattice_witnesses,
         restriction_data=restriction_data,
-        sup_tables=sup_tables,
     )
 
 
@@ -506,20 +496,10 @@ def verify_sup_preserving(
     open_ok = open_wit is None
 
     adj_ok, adj_wit = True, None
-    beta_maps = {}
-    for u in frame.elements:
-        table = {}
-        for y in G.carrier(u):
-            cand = F.poset(u).greatest([x for x in F.carrier(u) if G.leq(u, alpha(u, x), y)])
-            if cand is None:
-                adj_ok, adj_wit = False, {"open": u, "section": G.label(u, y), "missing": "greatest preimage"}
-                break
-            table[y] = cand
-        if not adj_ok:
-            break
-        beta_maps[u] = table
-    if adj_ok:
-        beta = SheafMorphism(G.sheaf, F.sheaf, beta_maps)
+    beta, gap = _least_preimages(alpha, F.opposite(), G.opposite())
+    if beta is None:
+        adj_ok, adj_wit = False, {**gap, "missing": "greatest preimage"}
+    else:
         nat = verify_morphism(beta)
         if not nat.passed:
             adj_ok, adj_wit = False, {"beta_naturality": nat.witness}
@@ -567,27 +547,49 @@ def _terminal_posheaf(X: FiniteFrame) -> PoSheaf:
     return discrete(terminal(X))
 
 
+def _least_preimages(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> tuple[SheafMorphism | None, dict | None]:
+    """The candidate left adjoint G → F of α: y ↦ the least x ∈ F(u) with
+    y ≤ α_u(x), at each open u; or None with the first {open, section} y that
+    has no least such x. On F.opposite() and G.opposite() (the same sheaves,
+    orders reversed) it is the candidate right adjoint, of greatest x with
+    α_u(x) ≤ y. Naturality and the Galois laws are the caller's to check."""
+    maps = {}
+    for u in F.frame.elements:
+        poset, table = F.poset(u), {}
+        for y in G.carrier(u):
+            cand = poset.least([x for x in F.carrier(u) if G.leq(u, y, alpha(u, x))])
+            if cand is None:
+                return None, {"open": u, "section": G.label(u, y)}
+            table[y] = cand
+        maps[u] = table
+    return SheafMorphism(G.sheaf, F.sheaf, maps), None
+
+
 def _morphism_left_adjoint(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> SheafMorphism | None:
     """Left adjoint of a posheaf morphism: per-open minimum construction, then
     naturality and the Galois laws; None when any step fails."""
-    maps = {}
-    for u in F.frame.elements:
-        table = {}
-        for y in G.carrier(u):
-            cand = F.poset(u).least([x for x in F.carrier(u) if G.leq(u, y, alpha(u, x))])
-            if cand is None:
-                return None
-            table[y] = cand
-        maps[u] = table
-    try:
-        candidate = SheafMorphism(G.sheaf, F.sheaf, maps)
-    except Exception:
-        return None
-    if not verify_morphism(candidate).passed:
-        return None
-    if not verify_galois(candidate, alpha, G, F).passed:
+    candidate, _ = _least_preimages(alpha, F, G)
+    if candidate is None or not verify_morphism(candidate).passed or not verify_galois(candidate, alpha, G, F).passed:
         return None
     return candidate
+
+
+def _semilattice_gaps(F: PoSheaf):
+    """The per-open form of finite sup-completeness, its failures in order:
+    each open without a bottom or a binary join (_lattice_gap's witness),
+    then, once every open has them, each restriction v < u not preserving
+    bottom or a binary join, first failure per restriction."""
+    frame = F.frame
+    yield from filter(None, (_lattice_gap(F, u, meets=False) for u in frame.elements))
+    for u in frame.elements:
+        for v in frame.down(u):
+            bad = None if v == u else _bound_failure(MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[(u, v)]), "join")
+            if bad is None:
+                continue
+            if bad["subset"]:
+                yield {"restriction": [u, v], "pair": [F.label(u, x) for x in bad["subset"]]}
+            else:
+                yield {"restriction": [u, v], "not": "bottom-preserving"}
 
 
 @timed
@@ -606,43 +608,8 @@ def check_finite_completeness(F: PoSheaf, mode: str = "both") -> CheckReport:
     reports = []
     if mode in ("sup", "both"):
         adj = _morphism_left_adjoint(bang, F, one) is not None and _morphism_left_adjoint(diag, F, FF) is not None
-        open_ok, wit = True, None
-        for u in frame.elements:
-            poset = F.poset(u)
-            if poset.bottom is None:
-                open_ok, wit = False, {"open": u, "missing": "bottom"}
-                break
-            for x in poset.elements:
-                for y in poset.elements:
-                    if poset.join(x, y) is None:
-                        open_ok, wit = False, {"open": u, "pair": [F.label(u, x), F.label(u, y)], "missing": "join"}
-                        break
-                if not open_ok:
-                    break
-            if not open_ok:
-                break
-        if open_ok:
-            for u in frame.elements:
-                for v in frame.down(u):
-                    if v == u:
-                        continue
-                    poset_u, poset_v = F.poset(u), F.poset(v)
-                    if F.sheaf.restrict(u, poset_u.bottom, v) != poset_v.bottom:
-                        open_ok, wit = False, {"restriction": [u, v], "not": "bottom-preserving"}
-                        break
-                    for x in poset_u.elements:
-                        for y in poset_u.elements:
-                            lhs = F.sheaf.restrict(u, poset_u.join(x, y), v)
-                            rhs = poset_v.join(F.sheaf.restrict(u, x, v), F.sheaf.restrict(u, y, v))
-                            if lhs != rhs:
-                                open_ok, wit = False, {"restriction": [u, v], "pair": [F.label(u, x), F.label(u, y)]}
-                                break
-                        if not open_ok:
-                            break
-                    if not open_ok:
-                        break
-                if not open_ok:
-                    break
+        wit = next(_semilattice_gaps(F), None)
+        open_ok = wit is None
         reports.append(
             _three_way("finite_sup_complete", [("adjoint_form", adj, None), ("per_open_form", open_ok, wit)])
         )
@@ -767,6 +734,25 @@ def _is_frame_sheaf_fresh(F: PoSheaf, budget: Budget) -> CheckReport:
     return report
 
 
+def _finite_meets_gap(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf, u) -> dict | None:
+    """None when F(u) is a lattice and α_u keeps its top and binary meets,
+    else _lattice_gap's witness or the first top or pair α_u does not keep."""
+    gap = _lattice_gap(F, u)
+    if gap:
+        return gap
+    bad = _bound_failure(MonotoneMap(F.poset(u), G.poset(u), alpha.maps[u]), "meet")
+    if bad is None:
+        return None
+    if not bad["subset"]:
+        return {"open": u, "not": "top-preserving"}
+    return {
+        "open": u,
+        "pair": [F.label(u, x) for x in bad["subset"]],
+        "alpha_of_meet": G.label(u, bad["got"]),
+        "meet_of_alphas": G.label(u, bad["expected"]),
+    }
+
+
 @timed
 def verify_frame_morphism(
     alpha: SheafMorphism, F: PoSheaf, G: PoSheaf, *, budget: Budget | None = None
@@ -779,31 +765,8 @@ def verify_frame_morphism(
     if sup_rep.name == "sup_preserving" and sup_rep.details.get("stage") == "order_preserving":
         return sup_rep
 
-    meets_ok, meets_wit = True, None
-    for u in F.frame.elements:
-        gap = _lattice_gap(F, u)
-        if gap:
-            meets_ok, meets_wit = False, gap
-            break
-        if alpha(u, F.poset(u).top) != G.poset(u).top:
-            meets_ok, meets_wit = False, {"open": u, "not": "top-preserving"}
-            break
-        for x in F.carrier(u):
-            for y in F.carrier(u):
-                lhs = alpha(u, F.poset(u).meet(x, y))
-                rhs = G.poset(u).meet(alpha(u, x), alpha(u, y))
-                if lhs != rhs:
-                    meets_ok, meets_wit = False, {
-                        "open": u,
-                        "pair": [F.label(u, x), F.label(u, y)],
-                        "alpha_of_meet": G.label(u, lhs),
-                        "meet_of_alphas": G.label(u, rhs),
-                    }
-                    break
-            if not meets_ok:
-                break
-        if not meets_ok:
-            break
+    meets_wit = next(filter(None, (_finite_meets_gap(alpha, F, G, u) for u in F.frame.elements)), None)
+    meets_ok = meets_wit is None
     path_a = sup_rep.passed and meets_ok
 
     hom_ok, hom_wit = True, None

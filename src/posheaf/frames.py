@@ -426,37 +426,15 @@ def verify_frame_hom(h: FrameHom) -> CheckReport:
             raise DomainMismatch(f"map not total: missing {x!r}")
         if h.mapping[x] not in tgt.index:
             raise DomainMismatch(f"map value outside target: {h.mapping[x]!r}")
-    if h(src.top) != tgt.top:
-        return CheckReport.fail("frame_hom.finite_meets", {"subset": [], "expected": tgt.top, "got": h(src.top)})
-    for x in src.elements:
-        for y in src.elements:
-            lhs = h(src.meet(x, y))
-            rhs = tgt.meet(h(x), h(y))
-            if lhs != rhs:
-                return CheckReport.fail("frame_hom.finite_meets", {"subset": [x, y], "expected": rhs, "got": lhs})
-    witness = _binary_join_failure(h)
+    meets = _bound_failure(h, "meet")
+    if meets is not None:
+        return CheckReport.fail("frame_hom.finite_meets", meets)
+    witness = _bound_failure(h, "join")
     if witness is None:
         return CheckReport.ok("frame_hom")
     if len(src) <= _EXHAUSTIVE_JOIN_LIMIT:
         witness = _first_failing_join(h) or witness
     return CheckReport.fail("frame_hom.joins", witness)
-
-
-def _binary_join_failure(h: FrameHom) -> dict | None:
-    """The empty join, else the first pair x, y in element order, that h
-    does not preserve. Joins are symmetric and idempotent, so the first
-    failing pair has x before y and the pairs with x before y suffice."""
-    src, tgt = h.source, h.target
-    if h(src.bottom) != tgt.bottom:
-        return {"subset": [], "expected": tgt.bottom, "got": h(src.bottom)}
-    elems = src.elements
-    for i, x in enumerate(elems):
-        for y in elems[i + 1:]:
-            lhs = h(src.join(x, y))
-            rhs = tgt.join(h(x), h(y))
-            if lhs != rhs:
-                return {"subset": [x, y], "expected": rhs, "got": lhs}
-    return None
 
 
 def _first_failing_join(h: FrameHom) -> dict | None:
@@ -545,26 +523,35 @@ def right_adjoint(f: MonotoneMap) -> tuple[MonotoneMap | None, CheckReport]:
     return MonotoneMap(f.target, f.source, gop.mapping), CheckReport.ok("right_adjoint")
 
 
-def _preserves_empty_and_binary(f: MonotoneMap, empty, empty_image, pair, pair_image) -> bool:
-    """The empty bound (empty, empty_image) and every binary bound exist on
-    both sides and f preserves them. Between partial orders that is every
-    finite bound of the source existing and being preserved, by induction on
-    the subset size."""
-    if empty is None or empty_image is None or f(empty) != empty_image:
-        return False
-    elems = f.source.elements
+def _bound_failure(f: MonotoneMap | FrameHom, kind: str) -> dict | None:
+    """The first bound of kind "join" or "meet" that f does not preserve, as
+    {"subset", "expected", "got"}, or None: first the empty bound (bottom or
+    top), then each pair x, y with x before y in the source's element order.
+    A bound missing on either side fails, with None in its place. Between
+    finite partial orders f preserves every bound of that kind iff it
+    preserves these, by induction on the subset size; bounds are symmetric
+    and x with x never fails, so this is also the first failure over all
+    ordered pairs."""
+    src, tgt = f.source, f.target
+    empty = "bottom" if kind == "join" else "top"
+    bound, image_bound = getattr(src, empty), getattr(tgt, empty)
+    if bound is None or image_bound is None or f(bound) != image_bound:
+        return {"subset": [], "expected": image_bound, "got": None if bound is None else f(bound)}
+    pair, image_pair = getattr(src, kind), getattr(tgt, kind)
+    elems = src.elements
     for i, x in enumerate(elems):
-        for y in elems[i:]:
-            lhs, rhs = pair(x, y), pair_image(f(x), f(y))
-            if lhs is None or rhs is None or f(lhs) != rhs:
-                return False
-    return True
+        fx = f(x)
+        for y in elems[i + 1:]:
+            bound, image_bound = pair(x, y), image_pair(fx, f(y))
+            if bound is None or image_bound is None or f(bound) != image_bound:
+                return {"subset": [x, y], "expected": image_bound, "got": None if bound is None else f(bound)}
+    return None
 
 
 def preserves_all_meets(f: MonotoneMap) -> bool:
     """f(⋀S) = ⋀f(S) for every subset S of the (finite) source poset, read
     from the top and the binary meets (the left-adjoint existence criterion)."""
-    return _preserves_empty_and_binary(f, f.source.top, f.target.top, f.source.meet, f.target.meet)
+    return _bound_failure(f, "meet") is None
 
 
 def frame_iso(A: FiniteFrame, B: FiniteFrame, fixed: dict | None = None) -> dict | None:
@@ -617,4 +604,4 @@ def frame_iso(A: FiniteFrame, B: FiniteFrame, fixed: dict | None = None) -> dict
 def preserves_all_joins(f: MonotoneMap) -> bool:
     """f(⋁S) = ⋁f(S) for every subset S of the (finite) source poset, read
     from the bottom and the binary joins."""
-    return _preserves_empty_and_binary(f, f.source.bottom, f.target.bottom, f.source.join, f.target.join)
+    return _bound_failure(f, "join") is None

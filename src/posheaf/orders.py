@@ -24,7 +24,6 @@ from .sheaves import (
     enumerate_subsheaves,
     product_sheaf,
     verify_morphism,
-    verify_restriction_closed,
     verify_sheaf,
     verify_subsheaf,
 )
@@ -225,16 +224,14 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
     subs.append(pos3)
 
     square, rel = order_subsheaf(F)
-    internal_subs = []
-    internal_subs.append(
-        CheckReport(
-            "internal.subsheaf_restriction",
-            verify_restriction_closed(rel).passed,
-            witness=verify_restriction_closed(rel).witness,
-        )
-    )
+    # verify_subsheaf checks restriction closure first and names the failing
+    # half in its reason; a restriction failure fails both subreports
     sub_rep = verify_subsheaf(rel)
-    internal_subs.append(CheckReport("internal.subsheaf_amalgamation", sub_rep.passed, witness=sub_rep.witness))
+    closed = sub_rep.passed or sub_rep.details.get("reason") != "restriction"
+    internal_subs = [
+        CheckReport("internal.subsheaf_restriction", closed, witness=None if closed else sub_rep.witness),
+        CheckReport("internal.subsheaf_amalgamation", sub_rep.passed, witness=sub_rep.witness),
+    ]
     refl = CheckReport.ok("internal.reflexive")
     antisym = CheckReport.ok("internal.antisymmetric")
     trans = CheckReport.ok("internal.transitive")

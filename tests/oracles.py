@@ -13,7 +13,10 @@ search over every open of O(Y) with a frame-hom filter, and local
 homeomorphisms by a search for each open's base open; the poset and frame
 laws with every pair, chain and triple scanned and a Heyting implication
 sought for every pair, and join preservation by a frame hom over every
-subset. They are slow (2^|↓u| covers per open, product spaces,
+subset; and, for completeness, the bound checks over every ordered pair
+(a frame hom's finite meets, the lattice law at an open, finite
+sup-completeness per open, a morphism's finite meets) and a morphism's
+greatest preimages. They are slow (2^|↓u| covers per open, product spaces,
 |O(Y)|·|O(X)|³ scans) and live here so that no package module can fall back
 to them."""
 from __future__ import annotations
@@ -546,3 +549,98 @@ def local_homeomorphism(f) -> CheckReport:
         witness=witness,
         details={"cover": good if passed else None, "good_opens": [d["open"] for d in good]},
     )
+
+
+def frame_hom_meets(h) -> CheckReport:
+    """h(top) = top and h(x ∧ y) = h(x) ∧ h(y) over every ordered pair, the
+    first failure as the witness."""
+    src, tgt = h.source, h.target
+    if h(src.top) != tgt.top:
+        return CheckReport.fail("frame_hom.finite_meets", {"subset": [], "expected": tgt.top, "got": h(src.top)})
+    for x in src.elements:
+        for y in src.elements:
+            lhs = h(src.meet(x, y))
+            rhs = tgt.meet(h(x), h(y))
+            if lhs != rhs:
+                return CheckReport.fail("frame_hom.finite_meets", {"subset": [x, y], "expected": rhs, "got": lhs})
+    return CheckReport.ok("frame_hom.finite_meets")
+
+
+def lattice_gap(F, u, meets: bool = True) -> dict | None:
+    """The first missing bound of the partial order F(u): bottom, top (with
+    meets), then every ordered pair's join and meet (with meets)."""
+    poset = F.poset(u)
+    if poset.bottom is None:
+        return {"open": u, "missing": "bottom"}
+    if meets and poset.top is None:
+        return {"open": u, "missing": "top"}
+    for x in poset.elements:
+        for y in poset.elements:
+            if poset.join(x, y) is None:
+                return {"open": u, "pair": [F.label(u, x), F.label(u, y)], "missing": "join"}
+            if meets and poset.meet(x, y) is None:
+                return {"open": u, "pair": [F.label(u, x), F.label(u, y)], "missing": "meet"}
+    return None
+
+
+def finite_sup_per_open(F) -> dict | None:
+    """The per-open form of finite sup-completeness: each open's bottom and
+    binary joins, then each restriction's bottom and the joins of every
+    ordered pair; the first failure."""
+    frame = F.frame
+    for u in frame.elements:
+        gap = lattice_gap(F, u, meets=False)
+        if gap:
+            return gap
+    for u in frame.elements:
+        for v in frame.down(u):
+            if v == u:
+                continue
+            poset_u, poset_v = F.poset(u), F.poset(v)
+            if F.sheaf.restrict(u, poset_u.bottom, v) != poset_v.bottom:
+                return {"restriction": [u, v], "not": "bottom-preserving"}
+            for x in poset_u.elements:
+                for y in poset_u.elements:
+                    lhs = F.sheaf.restrict(u, poset_u.join(x, y), v)
+                    rhs = poset_v.join(F.sheaf.restrict(u, x, v), F.sheaf.restrict(u, y, v))
+                    if lhs != rhs:
+                        return {"restriction": [u, v], "pair": [F.label(u, x), F.label(u, y)]}
+    return None
+
+
+def frame_morphism_meets(alpha, F, G) -> dict | None:
+    """At each open: the lattice law of F(u), then α_u(top) = top and
+    α_u(x ∧ y) = α_u(x) ∧ α_u(y) over every ordered pair; the first failure."""
+    for u in F.frame.elements:
+        gap = lattice_gap(F, u)
+        if gap:
+            return gap
+        if alpha(u, F.poset(u).top) != G.poset(u).top:
+            return {"open": u, "not": "top-preserving"}
+        for x in F.carrier(u):
+            for y in F.carrier(u):
+                lhs = alpha(u, F.poset(u).meet(x, y))
+                rhs = G.poset(u).meet(alpha(u, x), alpha(u, y))
+                if lhs != rhs:
+                    return {
+                        "open": u,
+                        "pair": [F.label(u, x), F.label(u, y)],
+                        "alpha_of_meet": G.label(u, lhs),
+                        "meet_of_alphas": G.label(u, rhs),
+                    }
+    return None
+
+
+def greatest_preimages(alpha, F, G) -> tuple[dict | None, dict | None]:
+    """The tables y ↦ the greatest x ∈ F(u) with α_u(x) ≤ y, or None with
+    the first {open, section, missing} y that has none."""
+    maps = {}
+    for u in F.frame.elements:
+        table = {}
+        for y in G.carrier(u):
+            cand = F.poset(u).greatest([x for x in F.carrier(u) if G.leq(u, alpha(u, x), y)])
+            if cand is None:
+                return None, {"open": u, "section": G.label(u, y), "missing": "greatest preimage"}
+            table[y] = cand
+        maps[u] = table
+    return maps, None

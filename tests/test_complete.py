@@ -160,6 +160,8 @@ def test_sup_preserving_three_forms(PAB):
     assert not forms["sup_preserving.square"].passed
     assert not forms["sup_preserving.per_open"].passed
     assert not forms["sup_preserving.right_adjoint"].passed
+    # nothing lies below 0 at a, so 0 has no greatest preimage
+    assert forms["sup_preserving.right_adjoint"].witness == {"open": "a", "section": "0", "missing": "greatest preimage"}
     assert forms["sup_preserving.agreement"].passed
 
 
@@ -266,6 +268,27 @@ def test_finite_completeness_forms(PAB, SAB):
     assert check_finite_completeness(PAB).passed
 
 
+@pytest.mark.parametrize(
+    "images, top_order, witness",
+    [
+        # x and y have no join at 1
+        ("sttt", [("b", "x"), ("b", "y"), ("b", "z")], {"open": "1", "pair": ["x", "y"], "missing": "join"}),
+        # lattice stalks, so the restriction 1 → a decides
+        ("tttt", None, {"restriction": ["1", "a"], "not": "bottom-preserving"}),
+        ("ssst", None, {"restriction": ["1", "a"], "pair": ["x", "y"]}),
+    ],
+)
+def test_finite_completeness_names_the_first_semilattice_failure(diamond_over_chain, images, top_order, witness):
+    F = diamond_over_chain(images)
+    if top_order is not None:
+        F = PoSheaf(F.sheaf, {**F.orders, "1": top_order})
+    rep = check_finite_completeness(F, mode="sup")
+    assert not rep.passed
+    forms = {r.name: r for r in rep.subreports[0].subreports}
+    assert forms["finite_sup_complete.per_open_form"].witness == witness
+    assert forms["finite_sup_complete.agreement"].passed
+
+
 def test_frame_sheaf_positive(PAB):
     for build in (frame_2, frame_3, frame_d):
         Om = omega(build())
@@ -311,6 +334,26 @@ def test_frame_morphism_identity_and_meet_breaker():
     assert not meets.passed
     assert meets.witness == {"open": "b", "not": "top-preserving"}
     forms = {r.name: r for r in rep.subreports}
+    assert forms["frame_morphism.agreement"].passed
+
+
+def test_finite_meets_form_names_the_first_broken_meet():
+    # the diamond b < x, y < z over 1 of the 2-chain, and α_1 sending x to z:
+    # monotone, natural, sup- and top-preserving, but α(x ∧ y) = b ≠ y
+    carriers = {"0": ("*",), "1": ("b", "x", "y", "z")}
+    sheaf = Presheaf(frame_2(), carriers, {("1", "0"): {c: "*" for c in carriers["1"]}})
+    F = PoSheaf(sheaf, {"1": [("b", "x"), ("b", "y"), ("x", "z"), ("y", "z"), ("b", "z")]})
+    alpha = SheafMorphism(sheaf, sheaf, {"0": {"*": "*"}, "1": {"b": "b", "x": "z", "y": "y", "z": "z"}})
+    rep = verify_frame_morphism(alpha, F, F)
+    assert not rep.passed
+    forms = {r.name: r for r in rep.subreports}
+    assert forms["sup_preserving"].passed
+    assert forms["frame_morphism.finite_meets"].witness == {
+        "open": "1",
+        "pair": ["x", "y"],
+        "alpha_of_meet": "b",
+        "meet_of_alphas": "y",
+    }
     assert forms["frame_morphism.agreement"].passed
 
 

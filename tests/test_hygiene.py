@@ -2,7 +2,8 @@
 package modules, no module-level private function that nothing uses, and no
 exhaustive cover enumeration, closure-fixpoint enumeration, subset loop
 for join and meet preservation, product-space and frame-hom-filter search
-of the étale layer, or nested function that calls itself in the package."""
+of the étale layer, nested function that calls itself, or broad exception
+handler in the package."""
 from __future__ import annotations
 
 import ast
@@ -81,7 +82,7 @@ def test_no_closure_fixpoint_enumeration():
 def test_no_subset_loop_for_join_and_meet_preservation():
     # preserving every join (meet) follows from the empty and the binary
     # ones; the 2^n subset loop is a test oracle (tests/oracles.py)
-    names = {"preserves_all_joins", "preserves_all_meets", "_preserves_empty_and_binary"}
+    names = {"preserves_all_joins", "preserves_all_meets", "_bound_failure"}
 
     def subset_loop(node) -> bool:
         return (
@@ -96,7 +97,7 @@ def test_no_subset_loop_for_join_and_meet_preservation():
         for fn in ast.walk(ast.parse(path.read_text()))
         if isinstance(fn, ast.FunctionDef) and fn.name in names
     ]
-    assert {"preserves_all_joins", "preserves_all_meets"} <= {fn.name for _, fn in functions}
+    assert {"preserves_all_joins", "preserves_all_meets", "_bound_failure"} <= {fn.name for _, fn in functions}
     found = [f"{module}:{fn.name}:{node.lineno}" for module, fn in functions for node in ast.walk(fn) if subset_loop(node)]
     assert found == []
 
@@ -148,5 +149,21 @@ def test_no_self_recursive_closures():
         if inner is not outer
         and isinstance(inner, functions)
         and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == inner.name for n in ast.walk(inner))
+    ]
+    assert found == []
+
+
+def test_no_broad_except():
+    # a handler for every exception hides the failures it was not written
+    # for; the package names the errors it expects
+    def broad(handler) -> bool:
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(t is None or getattr(t, "id", None) in ("Exception", "BaseException") for t in types)
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ExceptHandler) and broad(node)
     ]
     assert found == []

@@ -2,8 +2,9 @@
 downsheaves, principal ideals, powersheaves, down-closure, Galois pairs."""
 from __future__ import annotations
 
+import sys
 
-
+from posheaf import sheaves
 from posheaf.sheaves import (
     Point,
     Presheaf,
@@ -86,6 +87,31 @@ def test_pos2_violation_detected(SAB):
     by_name = {r.name: r for r in rep.subreports}
     assert not by_name["posheaf.POS2"].passed
     assert by_name["posheaf.agreement"].passed
+    # the order subsheaf is not restriction-closed, which fails both halves
+    # of the subsheaf check with the same witness
+    internal = {r.name: r for r in by_name["posheaf.internal_poset"].subreports}
+    closed, amalgamation = internal["internal.subsheaf_restriction"], internal["internal.subsheaf_amalgamation"]
+    assert not closed.passed and not amalgamation.passed
+    assert closed.witness == amalgamation.witness == {"open": "1", "section": "(xz,yz)", "at": "a"}
+
+
+def test_verify_posheaf_checks_restriction_closure_once(SAB):
+    # both internal subsheaf subreports read one verify_subsheaf report
+    code = sheaves.verify_restriction_closed.__code__
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(1)
+
+    for orders in ({}, {"a": [("x", "y")], "1": [("xz", "yz")]}, {"1": [("xz", "yz")]}):
+        calls.clear()
+        sys.setprofile(count)
+        try:
+            verify_posheaf(PoSheaf(SAB, orders))
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 1, orders
 
 
 def test_point_order(PAB, FD):

@@ -23,7 +23,7 @@ import random
 import pytest
 
 import oracles
-from posheaf.complete import bounds
+from posheaf.complete import _finite_meets_gap, _lattice_gap, _least_preimages, bounds, check_finite_completeness
 from posheaf.fixtures import (
     FIXTURE_FRAMES,
     identity_locale,
@@ -43,7 +43,7 @@ from posheaf.frames import (
     preserves_all_meets,
     verify_frame_hom,
 )
-from posheaf.generate import GenConfig, _order_closure, gen_frame, gen_posheaf, gen_sheaf, mutate
+from posheaf.generate import GenConfig, _order_closure, gen_endomorphism, gen_frame, gen_posheaf, gen_sheaf, mutate
 from posheaf import locale_equiv
 from posheaf.locale_equiv import LocaleOverX, _point_map, _point_sections, cross_sections, etale_locale, is_local_homeomorphism, unit
 from posheaf.orders import (
@@ -59,6 +59,7 @@ from posheaf.orders import (
 from posheaf.report import Budget, BudgetMeter, RepairFailed, ResourceLimit
 from posheaf.sheaves import (
     Presheaf,
+    SheafMorphism,
     SubSheaf,
     enumerate_subsheaves,
     generate_subsheaf,
@@ -389,6 +390,38 @@ def test_preserves_all_joins_and_meets_match_every_subset(corpus):
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_bound_witnesses_match_every_ordered_pair(corpus, diamond_over_chain):
+    # the posheaves of the corpus and the diamond over the 3-chain, and
+    # their opposites, with the identity and two generated endomorphisms:
+    # the lattice law, finite sup-completeness per open, a morphism's finite
+    # meets and its greatest preimages read the empty bound and the pairs x
+    # before y, with the witnesses of the scans over every ordered pair
+    diamonds = [(images, diamond_over_chain(images)) for images in ("sstt", "ssst", "tttt")]
+    found = set()
+    for i, (name, F) in enumerate(corpus + diamonds):
+        if not verify_posheaf(F).passed:
+            continue
+        for H in (F, F.opposite()):
+            for u in H.frame.elements:
+                for meets in (True, False):
+                    assert _lattice_gap(H, u, meets=meets) == oracles.lattice_gap(H, u, meets), (name, u)
+            rep = check_finite_completeness(H, mode="sup")
+            per_open = _subreport(rep.subreports[0], "finite_sup_complete.per_open_form").witness
+            assert per_open == oracles.finite_sup_per_open(H), name
+            found.add(tuple(per_open or ()))
+            endos = [gen_endomorphism(H, GenConfig(seed=seed)) for seed in (i, i + 1000)]
+            for alpha in [SheafMorphism.identity(H.sheaf)] + endos:
+                meets_gap = next(filter(None, (_finite_meets_gap(alpha, H, H, u) for u in H.frame.elements)), None)
+                assert meets_gap == oracles.frame_morphism_meets(alpha, H, H), name
+                found.add(tuple(meets_gap or ()))
+                beta, gap = _least_preimages(alpha, H.opposite(), H.opposite())
+                maps, witness = oracles.greatest_preimages(alpha, H, H)
+                assert (None if beta is None else beta.maps, None if gap is None else {**gap, "missing": "greatest preimage"}) == (maps, witness), name
+                found.add(gap is None)
+    assert {("open", "missing"), ("open", "pair", "missing"), ("restriction", "not"), ("restriction", "pair")} <= found
+    assert {("open", "not"), ("open", "pair", "alpha_of_meet", "meet_of_alphas"), True, False} <= found
+
+
 def _etale_presheaves() -> list[tuple[str, Presheaf]]:
     """The fixture sheaves, gen_sheaf seeds 0-39 and their first five
     remove-amalgamation mutants (presheaves that are not sheaves)."""
@@ -658,7 +691,8 @@ def _monotone_map(source: FiniteFrame, target: FiniteFrame, rng: random.Random) 
 
 def test_frame_hom_joins_match_every_subset(locales):
     # random monotone maps between the fixture frames, B3 and chains, and
-    # the frame homs of the locale corpus, in given and shuffled orders: a
+    # the frame homs of the locale corpus, in given and shuffled orders: the
+    # finite meets have the every-pair oracle's verdict and witness, and a
     # hom whose finite meets hold has the oracle's join verdict and witness
     rng = random.Random(47)
     frames = [build() for build in FIXTURE_FRAMES.values()] + [_boolean_3(), _chain(3), _chain(4)]
@@ -670,7 +704,11 @@ def test_frame_hom_joins_match_every_subset(locales):
     for h in homs:
         rep = verify_frame_hom(h)
         names.append(rep.name)
-        if rep.name != "frame_hom.finite_meets":
+        meets = oracles.frame_hom_meets(h)
+        if rep.name == "frame_hom.finite_meets":
+            assert (rep.passed, rep.witness) == (meets.passed, meets.witness), h.mapping
+        else:
+            assert meets.passed
             expected = oracles.frame_hom_joins(h)
             assert (rep.passed, rep.witness) == (expected.passed, expected.witness), h.mapping
         if rep.name == "frame_hom.joins":
