@@ -4,6 +4,8 @@ completeness, and frame (complete Heyting) sheaves.
 
 Every multi-form characterization is computed once per form, independently,
 and the verdicts are reconciled; a disagreement is itself a failure. The
+frame-sheaf square is the exception: it follows from the Frobenius form by
+proof (is_frame_sheaf), and is scanned only when that form fails. The
 per-open laws exist once each and every form that needs one reads it: a
 complete lattice at each open (_lattice_gap), a surjective restriction
 preserving all joins and meets (_restriction_gap; the sheaf-locale CPOSL1-2
@@ -43,8 +45,11 @@ from .orders import (
 )
 from .sheaves import (
     Point,
+    Presheaf,
     SheafMorphism,
     SubSheaf,
+    _germ_downsets,
+    _top_germ_table,
     enumerate_subsheaves,
     generate_subsheaf,
     product_sheaf,
@@ -649,12 +654,21 @@ def meet_morphism(F: PoSheaf, P: PoSheaf) -> SheafMorphism:
 
 
 def is_frame_sheaf(F: PoSheaf, *, budget: Budget | None = None) -> CheckReport:
-    """The defining square (sup after meet-morphism against binary meet after sup)
-    versus the per-open complete-Heyting + Frobenius characterization.
+    """The defining square, sup μ(x, S) = x ∧ sup S for S ∈ Sub(F^u), versus
+    the per-open frame + Frobenius form, which implies it on a complete
+    posheaf: both sides preserve joins in Sub(F^u), every S is a join of
+    principal subsheaves ⟨(v, y)⟩ with sup l_{v→u}(y), and μ(x, ⟨(v, y)⟩) =
+    ⟨(v, x|_v ∧ y)⟩ since restrictions preserve meets. So the square holds
+    iff Frobenius, l_{v→u}(x|_v ∧ y) = x ∧ l_{v→u}(y) for v ≤ u, holds and
+    each F(u) is distributive (the square on ⟨(u, y1)⟩ ∨ ⟨(u, y2)⟩). When
+    the form passes, so does definition_square; only a reject scans the
+    square over ℙF (_definition_square_gap), to name its witness.
 
-    Computed once per posheaf, like is_complete: a later call replays the
-    completeness budget and then the power sheaf's member count against its
-    own budget, and returns the first report, elapsed_ms included."""
+    The "power sheaf subsheaves" meter counts ℙF either way, by the germ
+    walk power_sheaf enumerates with, so the count and every budget outcome
+    are those of building ℙF. Computed once per posheaf, like is_complete: a
+    later call replays the completeness budget and then that count against
+    its own budget, and returns the first report, elapsed_ms included."""
     budget = budget or Budget()
     cert = is_complete(F, budget=budget)
     if not cert.passed:
@@ -668,70 +682,85 @@ def is_frame_sheaf(F: PoSheaf, *, budget: Budget | None = None) -> CheckReport:
 
 @timed
 def _is_frame_sheaf_fresh(F: PoSheaf, budget: Budget) -> CheckReport:
-    """Runs the two forms and records (report, power sheaf members) in
-    F._frame_sheaf; the report object is the one timed stamps."""
-    frame = F.frame
-    P = power_sheaf(F.sheaf, budget=budget, verify=False)
-    mu = meet_morphism(F, P)
+    """Runs the Frobenius form, and the square when it fails, and records
+    (report, power sheaf members) in F._frame_sheaf; the report object is
+    the one timed stamps."""
+    heyting_wit = _frobenius_gap(F)
+    if heyting_wit is None:
+        members, square_wit = _power_sheaf_members(F.sheaf, budget), None
+    else:
+        P = power_sheaf(F.sheaf, budget=budget, verify=False)
+        members = sum(len(c) for c in P.carriers.values())
+        square_wit = _definition_square_gap(F, P)
+    report = _three_way(
+        "frame_sheaf",
+        [("definition_square", square_wit is None, square_wit), ("heyting_frobenius", heyting_wit is None, heyting_wit)],
+    )
+    F._frame_sheaf = (report, members)
+    return report
 
-    square_ok, square_wit = True, None
+
+def _power_sheaf_members(F: Presheaf, budget: Budget) -> int:
+    """The number of members of ℙF, ticked on power_sheaf's meter by the
+    germ walk it runs, open by open in frame order, without building them.
+    The germs below u are those of the top in the same order."""
+    meter = BudgetMeter("power sheaf subsheaves", budget.subsheaves)
+    frame = F.frame
+    germs, _ = _top_germ_table(F)
     for u in frame.elements:
+        for _ in _germ_downsets(F, [g for g in germs if frame.leq(g[0], u)], meter):
+            pass
+    return meter.count
+
+
+def _frobenius_gap(F: PoSheaf) -> dict | None:
+    """The heyting_frobenius form on a complete posheaf: the first open whose
+    F(u) is not a frame, with its law and witness; else the first v < u,
+    x ∈ F(u) and y ∈ F(v) with x ∧ l_{v→u}(y) ≠ l_{v→u}(x|_v ∧ y); else None."""
+    frame = F.frame
+    lattices = {u: FiniteFrame(F.poset(u)) for u in frame.elements}
+    for u, lattice in lattices.items():
+        rep = lattice.verify()
+        if not rep.passed:
+            return {"open": u, "law": rep.name, "witness": rep.witness}
+    for u in frame.elements:
+        for v in frame.down(u):
+            if v == u:
+                continue
+            l_vu = _left_adjoint_table(F, u, v)
+            for x in F.carrier(u):
+                xv = F.sheaf.restrict(u, x, v)
+                for y in F.carrier(v):
+                    lhs = lattices[u].meet(x, l_vu[y])
+                    rhs = l_vu[lattices[v].meet(xv, y)]
+                    if lhs != rhs:
+                        return {
+                            "opens": [u, v],
+                            "sections": [F.label(u, x), F.label(v, y)],
+                            "meet_then_adjoint": F.label(u, rhs),
+                            "adjoint_then_meet": F.label(u, lhs),
+                        }
+    return None
+
+
+def _definition_square_gap(F: PoSheaf, P: PoSheaf) -> dict | None:
+    """The exhaustive square over P = ℙF: the first open u, x ∈ F(u) and
+    S ∈ Sub(F^u) with sup μ(x, S) ≠ x ∧ sup S, or None."""
+    mu = meet_morphism(F, P)
+    for u in F.frame.elements:
         for x in F.carrier(u):
             for S in P.carrier(u):
                 lhs = sup_in_open(F, mu(u, (x, S)), u)
                 rhs = F.poset(u).meet(x, sup_in_open(F, S, u))
                 if lhs != rhs:
-                    square_ok, square_wit = False, {
+                    return {
                         "open": u,
                         "section": F.label(u, x),
                         "subsheaf": S.describe(),
                         "sup_of_meets": F.label(u, lhs),
                         "meet_of_sup": F.label(u, rhs),
                     }
-                    break
-            if not square_ok:
-                break
-        if not square_ok:
-            break
-
-    heyting_ok, heyting_wit = True, None
-    for u in frame.elements:
-        rep = FiniteFrame(F.poset(u)).verify()
-        if not rep.passed:
-            heyting_ok, heyting_wit = False, {"open": u, "law": rep.name, "witness": rep.witness}
-            break
-    if heyting_ok:
-        for u in frame.elements:
-            for v in frame.down(u):
-                if v == u:
-                    continue
-                l_vu = _left_adjoint_table(F, u, v)
-                for x in F.carrier(u):
-                    xv = F.sheaf.restrict(u, x, v)
-                    for y in F.carrier(v):
-                        lhs = F.poset(u).meet(x, l_vu[y])
-                        rhs = l_vu[F.poset(v).meet(xv, y)]
-                        if lhs != rhs:
-                            heyting_ok, heyting_wit = False, {
-                                "opens": [u, v],
-                                "sections": [F.label(u, x), F.label(v, y)],
-                                "meet_then_adjoint": F.label(u, rhs),
-                                "adjoint_then_meet": F.label(u, lhs),
-                            }
-                            break
-                    if not heyting_ok:
-                        break
-                if not heyting_ok:
-                    break
-            if not heyting_ok:
-                break
-
-    report = _three_way(
-        "frame_sheaf",
-        [("definition_square", square_ok, square_wit), ("heyting_frobenius", heyting_ok, heyting_wit)],
-    )
-    F._frame_sheaf = (report, sum(len(P.carrier(u)) for u in frame.elements))
-    return report
+    return None
 
 
 def _finite_meets_gap(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf, u) -> dict | None:

@@ -198,11 +198,21 @@ class FiniteFrame:
     def leq(self, x, y) -> bool:
         return self.poset.leq(x, y)
 
-    def down(self, u) -> list:
-        return self.poset.sorted(self.poset.down(u))
+    def down(self, u) -> tuple:
+        return self._sorted_downs[u]
 
-    def up(self, u) -> list:
-        return self.poset.sorted(self.poset.up(u))
+    def up(self, u) -> tuple:
+        return self._sorted_ups[u]
+
+    @cached_property
+    def _sorted_downs(self) -> dict:
+        """↓u in element order, for every u, built once."""
+        return {u: tuple(self.poset.sorted(self.poset.down(u))) for u in self.elements}
+
+    @cached_property
+    def _sorted_ups(self) -> dict:
+        """↑u in element order, for every u, built once."""
+        return {u: tuple(self.poset.sorted(self.poset.up(u))) for u in self.elements}
 
     @cached_property
     def bottom(self):

@@ -45,8 +45,10 @@ class Presheaf:
     ):
         self.frame = frame
         self.carriers = {u: tuple(carriers.get(u, ())) for u in frame.elements}
+        # each carrier as a set, for membership tests
+        self.carrier_sets = {u: frozenset(xs) for u, xs in self.carriers.items()}
         for u, xs in self.carriers.items():
-            if len(set(xs)) != len(xs):
+            if len(self.carrier_sets[u]) != len(xs):
                 raise MalformedInput(f"duplicate sections at {u!r}")
         self.res = {}
         for u in frame.elements:
@@ -60,7 +62,7 @@ class Presheaf:
                     for x in self.carriers[u]:
                         if x not in table:
                             raise MissingRestriction(f"restriction {u!r} -> {v!r} missing {x!r}")
-                        if table[x] not in set(self.carriers[v]):
+                        if table[x] not in self.carrier_sets[v]:
                             raise MalformedInput(
                                 f"restriction {u!r} -> {v!r} sends {x!r} outside the carrier"
                             )
@@ -69,6 +71,8 @@ class Presheaf:
         # (weak reference to its EtaleLocale, sheaf-locale elements counted),
         # set by locale_equiv.etale_locale
         self._etale = None
+        # _germ_table(self, frame.top), set by _top_germ_table
+        self._top_germs = None
 
     def carrier(self, u) -> tuple:
         return self.carriers[u]
@@ -231,7 +235,7 @@ class SubSheaf:
         else:
             normalized = tuple(frozenset(p) for p in parts)
         for u, part in zip(parent.frame.elements, normalized):
-            bad = part - set(parent.carriers[u])
+            bad = part - parent.carrier_sets[u]
             if bad:
                 raise MalformedInput(f"subsheaf part at {u!r} outside the carrier: {sorted(map(str, bad))}")
         self.parts = normalized
@@ -398,6 +402,13 @@ def _germ_table(F: Presheaf, u, leq: Callable | None = None) -> tuple[list, list
     return germs, masks
 
 
+def _top_germ_table(F: Presheaf) -> tuple[list, list]:
+    """_germ_table(F, top), built once per presheaf and kept on it."""
+    if F._top_germs is None:
+        F._top_germs = _germ_table(F, F.frame.top)
+    return F._top_germs
+
+
 def _germ_subsheaf(F: Presheaf, masks: list, chosen: int) -> SubSheaf:
     """S(v) = {x ∈ F(v) : every germ of x is chosen}, for the opens in masks."""
     return SubSheaf(F, {v: [x for x, need in row if need & chosen == need] for v, row in masks})
@@ -412,7 +423,7 @@ def generate_subsheaf(F: Presheaf, B, *, require_closed: bool = True) -> SubShea
     seed = B if isinstance(B, SubSheaf) else SubSheaf(F, B)
     if require_closed:
         verify_restriction_closed(seed).require(NotRestrictionClosed)
-    _, masks = _germ_table(F, F.frame.top)
+    _, masks = _top_germ_table(F)
     kept = 0
     for v, row in masks:
         for x, need in row:
@@ -494,7 +505,7 @@ def epsilon(P: Presheaf, sections: list[tuple]):
     for u, x in sections:
         if u not in P.frame:
             raise SectionNotInCarrier(f"unknown open {u!r}")
-        if x not in set(P.carriers[u]):
+        if x not in P.carrier_sets[u]:
             raise SectionNotInCarrier(f"section {x!r} not in carrier at {u!r}")
     frame = P.frame
     bound = frame.meet_all(u for u, _ in sections)
@@ -536,7 +547,7 @@ class SheafMorphism:
             for x in source.carriers[u]:
                 if x not in table:
                     raise DomainMismatch(f"morphism map at {u!r} missing {source.label(u, x)!r}")
-                if table[x] not in set(target.carriers[u]):
+                if table[x] not in target.carrier_sets[u]:
                     raise DomainMismatch(f"morphism at {u!r} sends {source.label(u, x)!r} outside the target")
             self.maps[u] = table
 

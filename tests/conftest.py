@@ -1,6 +1,8 @@
 """Shared fixtures, re-exported from the package's fixture catalog."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from posheaf.fixtures import (
@@ -12,6 +14,7 @@ from posheaf.fixtures import (
     posheaf_ab,
     sheaf_ab,
 )
+from posheaf.frames import FiniteFrame
 from posheaf.orders import PoSheaf
 from posheaf.sheaves import Presheaf
 
@@ -66,3 +69,19 @@ def _diamond_over_chain(images: str) -> PoSheaf:
 @pytest.fixture
 def diamond_over_chain():
     return _diamond_over_chain
+
+
+def _boolean_frame(k: int) -> FiniteFrame:
+    """2^k, the down-sets of the antichain a, b, c, ... of k points: each
+    open is named by its points ("0" when empty) and listed by size, then
+    alphabetically, which is a linear extension of inclusion."""
+    points = "abcdefghijklmnopqrstuvwxyz"[:k]
+    subsets = [c for n in range(k + 1) for c in itertools.combinations(points, n)]
+    names = ["".join(c) or "0" for c in subsets]
+    pairs = [(names[i], names[j]) for i, s in enumerate(subsets) for j, t in enumerate(subsets) if set(s) <= set(t)]
+    return FiniteFrame.from_relation(names, pairs)
+
+
+@pytest.fixture
+def boolean_frame():
+    return _boolean_frame

@@ -15,14 +15,16 @@ laws with every pair, chain and triple scanned and a Heyting implication
 sought for every pair, and join preservation by a frame hom over every
 subset; and, for completeness, the bound checks over every ordered pair
 (a frame hom's finite meets, the lattice law at an open, finite
-sup-completeness per open, a morphism's finite meets) and a morphism's
-greatest preimages. They are slow (2^|↓u| covers per open, product spaces,
+sup-completeness per open, a morphism's finite meets), a morphism's
+greatest preimages, and the defining square of a frame sheaf over the whole
+power sheaf. They are slow (2^|↓u| covers per open, product spaces,
 |O(Y)|·|O(X)|³ scans) and live here so that no package module can fall back
 to them."""
 from __future__ import annotations
 
+from posheaf.complete import _definition_square_gap
 from posheaf.locale_equiv import Section
-from posheaf.orders import PoSheaf, point_leq_bool
+from posheaf.orders import PoSheaf, point_leq_bool, power_sheaf
 from posheaf.report import Budget, BudgetMeter, CheckReport
 from posheaf.sheaves import SubSheaf, compatible_families, enumerate_points, epsilon, verify_restriction_closed
 
@@ -644,3 +646,10 @@ def greatest_preimages(alpha, F, G) -> tuple[dict | None, dict | None]:
             table[y] = cand
         maps[u] = table
     return maps, None
+
+
+def definition_square(F, budget: Budget | None = None) -> dict | None:
+    """The defining square of a frame sheaf through meet_morphism over all of
+    ℙF: the first open u, x ∈ F(u) and S ∈ Sub(F^u) with sup μ(x, S) ≠
+    x ∧ sup S, or None. F must be complete."""
+    return _definition_square_gap(F, power_sheaf(F.sheaf, budget=budget, verify=False))

@@ -535,6 +535,34 @@ def test_cached_frame_sheaf_check_replays_both_budgets():
     assert binding == {"completeness enumeration", "power sheaf subsheaves"}
 
 
+def test_a_passing_frame_sheaf_check_builds_no_power_sheaf(monkeypatch, boolean_frame):
+    # Frobenius implies the definition square, so only a reject builds ℙF
+    # and μ, to name the square's witness; the germ walk still counts ℙF
+    from posheaf import complete
+
+    built = {"power_sheaf": 0, "meet_morphism": 0}
+
+    def counting(name):
+        real = getattr(complete, name)
+
+        def counted(*args, **kwargs):
+            built[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(complete, name, counted)
+
+    counting("power_sheaf")
+    counting("meet_morphism")
+    for F in (omega(frame_d()), posheaf_ab(), omega(boolean_frame(4))):
+        assert is_frame_sheaf(F).passed
+        assert built == {"power_sheaf": 0, "meet_morphism": 0}
+        assert F._frame_sheaf[1] == sum(len(c) for c in power_sheaf(F.sheaf, verify=False).carriers.values())
+    F = m3_posheaf()
+    assert not is_frame_sheaf(F).passed
+    assert built == {"power_sheaf": 1, "meet_morphism": 1}
+    assert F._frame_sheaf[1] == sum(len(c) for c in power_sheaf(F.sheaf, verify=False).carriers.values())
+
+
 def test_a_cached_frame_sheaf_report_keeps_its_elapsed_ms():
     F = omega(frame_d())
     first = is_frame_sheaf(F)

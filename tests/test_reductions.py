@@ -23,7 +23,15 @@ import random
 import pytest
 
 import oracles
-from posheaf.complete import _finite_meets_gap, _lattice_gap, _least_preimages, bounds, check_finite_completeness
+from posheaf.complete import (
+    _finite_meets_gap,
+    _lattice_gap,
+    _least_preimages,
+    bounds,
+    check_finite_completeness,
+    is_complete,
+    is_frame_sheaf,
+)
 from posheaf.fixtures import (
     FIXTURE_FRAMES,
     identity_locale,
@@ -48,6 +56,7 @@ from posheaf import locale_equiv
 from posheaf.locale_equiv import LocaleOverX, _point_map, _point_sections, cross_sections, etale_locale, is_local_homeomorphism, unit
 from posheaf.orders import (
     PoSheaf,
+    discrete,
     down_closure,
     down_power_sheaf,
     enumerate_downsheaves,
@@ -420,6 +429,40 @@ def test_bound_witnesses_match_every_ordered_pair(corpus, diamond_over_chain):
                 found.add(gap is None)
     assert {("open", "missing"), ("open", "pair", "missing"), ("restriction", "not"), ("restriction", "pair")} <= found
     assert {("open", "not"), ("open", "pair", "alpha_of_meet", "meet_of_alphas"), True, False} <= found
+
+
+def _frame_sheaf_corpus(diamond_over_chain) -> list[tuple[str, PoSheaf]]:
+    """The complete posheaves of: posheaf_ab, Ω of the fixture frames, m3,
+    the diamond over the 3-chain under every restriction, ℙ and 𝔻 over
+    FRAME_2 and FRAME_3 (of the terminal sheaf) and FRAME_D (of sheaf_ab and
+    posheaf_ab), as in the acceptance suite's criterion 2, and gen posheaf
+    seeds 0-29; with the opposites of all of them."""
+    out = [("posheaf_ab", posheaf_ab()), ("m3", m3_posheaf())]
+    out += [(f"omega({name})", omega(build())) for name, build in FIXTURE_FRAMES.items()]
+    out += [(f"diamond[{''.join(images)}]", diamond_over_chain(images)) for images in itertools.product("st", repeat=4)]
+    for name in ("FRAME_2", "FRAME_3"):
+        F = discrete(terminal(FIXTURE_FRAMES[name]()))
+        out += [(f"power({name})", power_sheaf(F.sheaf)), (f"down_power({name})", down_power_sheaf(F))]
+    out += [("power(sheaf_ab)", power_sheaf(sheaf_ab())), ("down_power(posheaf_ab)", down_power_sheaf(posheaf_ab()))]
+    for seed in range(30):
+        cfg = GenConfig(seed=seed)
+        out.append((f"gen[{seed}]", gen_posheaf(gen_frame(cfg), cfg)))
+    out += [(f"{name}^op", F.opposite()) for name, F in out]
+    return [(name, F) for name, F in out if verify_posheaf(F).passed and is_complete(F).passed]
+
+
+def test_frame_sheaf_square_matches_frobenius(diamond_over_chain):
+    # the Frobenius form decides the defining square on a complete posheaf,
+    # and a reject names the exhaustive square's own witness
+    rejects = 0
+    for name, F in _frame_sheaf_corpus(diamond_over_chain):
+        rep = is_frame_sheaf(F)
+        witness = oracles.definition_square(F)
+        assert rep.passed == (witness is None), name
+        assert _subreport(rep, "frame_sheaf.definition_square").witness == witness, name
+        assert _subreport(rep, "frame_sheaf.agreement").passed, name
+        rejects += not rep.passed
+    assert rejects >= 5
 
 
 def _etale_presheaves() -> list[tuple[str, Presheaf]]:
