@@ -252,9 +252,15 @@ def _cmd_verify(args) -> int:
     budget = _budget(args)
     timing = args.format == "human"
     kind = args.kind
+    wanted = 2 if kind == "galois" else 1
+    if len(args.inputs) != wanted:
+        raise MalformedInput(f"verify {kind} takes {wanted} document(s), not {len(args.inputs)}")
     if kind == "galois":
         alpha, F, G = jsonio.load_morphism(jsonio.read_json(args.inputs[0]), Path(args.inputs[0]).parent)
         beta, G2, F2 = jsonio.load_morphism(jsonio.read_json(args.inputs[1]), Path(args.inputs[1]).parent)
+        # the same frame, carriers, restrictions and orders dump the same
+        if [jsonio.dump_posheaf_doc(H) for H in (G2, F2)] != [jsonio.dump_posheaf_doc(H) for H in (G, F)]:
+            raise MalformedInput("the second morphism must run from the first one's target to its source")
         report = verify_galois(alpha, beta, F, G)
     elif kind == "sup-preserving":
         alpha, F, G = jsonio.load_morphism(jsonio.read_json(args.inputs[0]), Path(args.inputs[0]).parent)

@@ -15,7 +15,10 @@ is frames._bound_failure, read by finite completeness and the finite-meets
 form of frame morphisms. The left adjoint of each restriction is built once
 and kept on its posheaf; its right adjoint is the left adjoint of the same
 restriction of the opposite, as the right adjoint of a morphism is its
-least-preimage construction (_least_preimages) on the opposites."""
+least-preimage construction (_least_preimages) on the opposites. Bounds
+and sups are one kernel: the AND of point-order rows (_upper_bound_mask)
+and its least point (_point_minimum), read by bounds, sup_in_open and the
+sup-extension forms."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -33,6 +36,9 @@ from .frames import (
 from .report import Budget, BudgetMeter, CheckReport, NotComplete, timed
 from .orders import (
     PoSheaf,
+    _power_members,
+    _power_meter,
+    _power_sheaf_members,
     _three_way,
     down_embedding,
     down_power_sheaf,
@@ -45,11 +51,8 @@ from .orders import (
 )
 from .sheaves import (
     Point,
-    Presheaf,
     SheafMorphism,
     SubSheaf,
-    _germ_downsets,
-    _top_germ_table,
     enumerate_subsheaves,
     generate_subsheaf,
     product_sheaf,
@@ -91,11 +94,12 @@ def _point_minimum(F: PoSheaf, mask: int):
     return None, mins
 
 
-def _upper_bound_mask(F: PoSheaf, A: SubSheaf) -> int:
-    """The points above every point of A: the AND of their point-order rows."""
-    mask = (1 << len(F.point_index())) - 1
-    for a in A.points():
-        mask &= F.point_row(a)
+def _upper_bound_mask(F: PoSheaf, A: SubSheaf, opens, mask: int) -> int:
+    """The points of mask above every point of A over the given opens: the
+    AND of their point-order rows."""
+    for v in opens:
+        for x in A.part(v):
+            mask &= F.point_row(Point(v, x))
     return mask
 
 
@@ -104,10 +108,11 @@ def bounds(F: PoSheaf, A: SubSheaf) -> BoundReport:
     is unchanged by that closure. The point order is read from F's rows and
     those of its opposite, so F must satisfy POS1 and POS2 (verify_posheaf)."""
     A = generate_subsheaf(F.sheaf, A, require_closed=False)
-    ups = _upper_bound_mask(F, A)
+    every = (1 << len(F.point_index())) - 1
+    ups = _upper_bound_mask(F, A, F.frame.elements, every)
     sup, sup_min = _point_minimum(F, ups)
     op = F.opposite()
-    inf, inf_min = _point_minimum(op, _upper_bound_mask(op, A))
+    inf, inf_min = _point_minimum(op, _upper_bound_mask(op, A, F.frame.elements, every))
     return BoundReport(
         target=A,
         upper_bounds=_mask_points(F, ups),
@@ -119,18 +124,15 @@ def bounds(F: PoSheaf, A: SubSheaf) -> BoundReport:
 
 
 def sup_in_open(F: PoSheaf, S: SubSheaf, u):
-    """Brute-force bound scan: the least y in F(u) with S^u ⊆ ↓y, or None."""
-    frame = F.frame
-    cands = [
-        y
-        for y in F.carrier(u)
-        if all(
-            F.leq(v, x, F.sheaf.restrict(u, y, v))
-            for v in frame.down(u)
-            for x in S.sorted_part(v)
-        )
-    ]
-    return F.poset(u).least(cands)
+    """The least y in F(u) with S^u ⊆ ↓y, or None: the least point over u
+    above every point of S below u, read from the point-order rows as in
+    bounds (F must satisfy POS1 and POS2)."""
+    index = F.point_index()
+    over_u = 0
+    for y in F.carrier(u):
+        over_u |= 1 << index[Point(u, y)]
+    least, _ = _point_minimum(F, _upper_bound_mask(F, S, F.frame.down(u), over_u))
+    return None if least is None else least.value
 
 
 @dataclass
@@ -273,10 +275,11 @@ def _sup_extension_form(name: str, F: PoSheaf, subsheaves: list[SubSheaf]) -> Ch
     """Sup-extension forms: every listed subsheaf has a sup extendable to a global
     point whose every restriction is the least dominating element."""
     frame = F.frame
+    every = (1 << len(F.point_index())) - 1
     for S in subsheaves:
-        b = bounds(F, S)
-        if b.sup is None:
-            return CheckReport.fail(name, {"subsheaf": S.describe(), "missing": "sup", "minimal_upper_bounds": [list(p) for p in b.sup_antichain]})
+        sup, mins = _point_minimum(F, _upper_bound_mask(F, S, frame.elements, every))
+        if sup is None:
+            return CheckReport.fail(name, {"subsheaf": S.describe(), "missing": "sup", "minimal_upper_bounds": [list(p) for p in mins]})
         least_at = {}
         for u in frame.elements:
             cand = sup_in_open(F, S, u)
@@ -387,8 +390,9 @@ def _is_complete_fresh(F: PoSheaf, meter: BudgetMeter) -> CompletenessCertificat
 
 def sup_morphism(F: PoSheaf, *, budget: Budget | None = None) -> tuple[SheafMorphism, SheafMorphism, CheckReport]:
     """The left adjoint of the principal-ideal embedding, on downsheaves and on
-    all subsheaves: primary path is the adjoint-composition construction, the
-    brute-force bound scan is the oracle, and the two must agree."""
+    all subsheaves: the adjoint-composition formula must agree with
+    sup_in_open, the least upper bound read from the point-order rows, whose
+    sups the maps take (the subreport keeps its name, formula_vs_scan)."""
     budget = budget or Budget()
     cert = is_complete(F, budget=budget)
     if not cert.passed:
@@ -437,23 +441,37 @@ def sup_morphism(F: PoSheaf, *, budget: Budget | None = None) -> tuple[SheafMorp
 def image_subsheaf(alpha: SheafMorphism, S: SubSheaf, u=None) -> SubSheaf:
     """Per-open image, then the generated subsheaf (the image of S)."""
     G = alpha.target
-    parts = {
-        v: sorted({alpha(v, x) for x in S.sorted_part(v)}, key=lambda y: G.section_key(v, y))
-        for v in G.frame.elements
-    }
+    parts = {v: {alpha(v, x) for x in S.part(v)} for v in G.frame.elements}
     img = generate_subsheaf(G, SubSheaf(G, parts), require_closed=False)
     return img if u is None else img.clip(u)
+
+
+def _sup_square_gap(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf, budget: Budget) -> dict | None:
+    """The defining square of a sup-preserving morphism, open by open over
+    Sub(F^u): the first open u and S with no sup, or none of its image, or
+    with α_u(sup S) ≠ sup α(S); else None."""
+    members = _power_members(F.sheaf, budget)
+    for u in F.frame.elements:
+        for S in members[u]:
+            sup = sup_in_open(F, S, u)
+            rhs = sup_in_open(G, image_subsheaf(alpha, S, u), u)
+            if sup is None or rhs is None:
+                return {"open": u, "subsheaf": S.describe(), "missing": "sup" if sup is None else "sup_of_image"}
+            lhs = alpha(u, sup)
+            if lhs != rhs:
+                return {"open": u, "subsheaf": S.describe(), "alpha_of_sup": G.label(u, lhs), "sup_of_image": G.label(u, rhs)}
+    return None
 
 
 @timed
 def verify_sup_preserving(
     alpha: SheafMorphism, F: PoSheaf, G: PoSheaf, *, budget: Budget | None = None
 ) -> CheckReport:
-    """Three forms: the defining square over the powersheaf, per-open join
-    preservation with commuting left-adjoint squares, and right-adjoint
-    existence — reconciled. F and G must be posheaves (verify_posheaf; a
-    failure raises with its report), since the powersheaf and the image
-    subsheaves are computed on their sheaves. The forms are equivalent only
+    """Three forms: the defining square over the members of the powersheaf
+    (_sup_square_gap), per-open join preservation with commuting left-adjoint
+    squares, and right-adjoint existence — reconciled. F and G must be
+    posheaves (verify_posheaf; a failure raises with its report), since the
+    members and the image subsheaves are computed on their sheaves. The forms are equivalent only
     for complete posheaves: when they disagree and F or G is not complete
     (is_complete), a failing sup_preserving.complete subreport naming the
     side replaces the agreement."""
@@ -465,31 +483,7 @@ def verify_sup_preserving(
     budget = budget or Budget()
     frame = F.frame
 
-    square_ok, square_wit = True, None
-    P = power_sheaf(F.sheaf, budget=budget, verify=False)
-    for u in frame.elements:
-        for S in P.carrier(u):
-            sup = sup_in_open(F, S, u)
-            rhs = sup_in_open(G, image_subsheaf(alpha, S, u), u)
-            if sup is None or rhs is None:
-                square_ok, square_wit = False, {
-                    "open": u,
-                    "subsheaf": S.describe(),
-                    "missing": "sup" if sup is None else "sup_of_image",
-                }
-                break
-            lhs = alpha(u, sup)
-            if lhs != rhs:
-                square_ok, square_wit = False, {
-                    "open": u,
-                    "subsheaf": S.describe(),
-                    "alpha_of_sup": G.label(u, lhs),
-                    "sup_of_image": G.label(u, rhs),
-                }
-                break
-        if not square_ok:
-            break
-
+    square_wit = _sup_square_gap(alpha, F, G, budget)
     open_wit = None
     for u in frame.elements:
         if not preserves_all_joins(MonotoneMap(F.poset(u), G.poset(u), alpha.maps[u])):
@@ -513,7 +507,7 @@ def verify_sup_preserving(
             if not gal.passed:
                 adj_ok, adj_wit = False, {"galois": gal.witness}
 
-    forms = [("square", square_ok, square_wit), ("per_open", open_ok, open_wit), ("right_adjoint", adj_ok, adj_wit)]
+    forms = [("square", square_wit is None, square_wit), ("per_open", open_ok, open_wit), ("right_adjoint", adj_ok, adj_wit)]
     if len({ok for _, ok, _ in forms}) > 1:
         # the forms are equivalent only on complete posheaves: a disagreement
         # on one that is not complete is no inconsistency
@@ -631,25 +625,21 @@ def check_finite_completeness(F: PoSheaf, mode: str = "both") -> CheckReport:
     return CheckReport.combine(f"finite_complete[{mode}]", reports)
 
 
+def _meet_subsheaf(F: PoSheaf, u, x, S: SubSheaf) -> SubSheaf:
+    """μ(x, S) for x ∈ F(u) and S ∈ Sub(F^u): the subsheaf generated by the
+    meets x|_v ∧ y, y ∈ S(v), at each open v ≤ u."""
+    parts = {}
+    for v in F.frame.down(u):
+        xv = F.sheaf.restrict(u, x, v)
+        parts[v] = {F.poset(v).meet(xv, y) for y in S.part(v)}
+    return generate_subsheaf(F.sheaf, SubSheaf(F.sheaf, parts), require_closed=False).clip(u)
+
+
 def meet_morphism(F: PoSheaf, P: PoSheaf) -> SheafMorphism:
     """μ: F × ℙF → ℙF, sending (x, S) to the subsheaf generated by the
     per-open meets of S's members with the matching restrictions of x."""
     FP = product_sheaf(F.sheaf, P.sheaf)
-    frame = F.frame
-    maps = {}
-    for u in frame.elements:
-        table = {}
-        for (x, S) in FP.carriers[u]:
-            parts = {}
-            for v in frame.down(u):
-                xv = F.sheaf.restrict(u, x, v)
-                parts[v] = sorted(
-                    {F.poset(v).meet(xv, y) for y in S.sorted_part(v)},
-                    key=lambda z: F.sheaf.section_key(v, z),
-                )
-            gen = generate_subsheaf(F.sheaf, SubSheaf(F.sheaf, parts), require_closed=False).clip(u)
-            table[(x, S)] = gen
-        maps[u] = table
+    maps = {u: {(x, S): _meet_subsheaf(F, u, x, S) for (x, S) in FP.carriers[u]} for u in F.frame.elements}
     return SheafMorphism(FP, P.sheaf, maps)
 
 
@@ -662,11 +652,13 @@ def is_frame_sheaf(F: PoSheaf, *, budget: Budget | None = None) -> CheckReport:
     iff Frobenius, l_{v→u}(x|_v ∧ y) = x ∧ l_{v→u}(y) for v ≤ u, holds and
     each F(u) is distributive (the square on ⟨(u, y1)⟩ ∨ ⟨(u, y2)⟩). When
     the form passes, so does definition_square; only a reject scans the
-    square over ℙF (_definition_square_gap), to name its witness.
+    square over Sub(F^u) open by open (_definition_square_gap), to name its
+    witness.
 
-    The "power sheaf subsheaves" meter counts ℙF either way, by the germ
-    walk power_sheaf enumerates with, so the count and every budget outcome
-    are those of building ℙF. Computed once per posheaf, like is_complete: a
+    The "power sheaf subsheaves" meter counts ℙF first either way, by the
+    germ walk power_sheaf enumerates with, so the count and every budget
+    outcome are those of building ℙF; neither path builds ℙF, F × ℙF or
+    μ. Computed once per posheaf, like is_complete: a
     later call replays the completeness budget and then that count against
     its own budget, and returns the first report, elapsed_ms included."""
     budget = budget or Budget()
@@ -676,41 +668,24 @@ def is_frame_sheaf(F: PoSheaf, *, budget: Budget | None = None) -> CheckReport:
     if F._frame_sheaf is None:
         return _is_frame_sheaf_fresh(F, budget)
     report, members = F._frame_sheaf
-    BudgetMeter("power sheaf subsheaves", budget.subsheaves).tick(members)
+    _power_meter(budget).tick(members)
     return report
 
 
 @timed
 def _is_frame_sheaf_fresh(F: PoSheaf, budget: Budget) -> CheckReport:
-    """Runs the Frobenius form, and the square when it fails, and records
-    (report, power sheaf members) in F._frame_sheaf; the report object is
-    the one timed stamps."""
+    """Counts ℙF, runs the Frobenius form, and the square when it fails, and
+    records (report, power sheaf members) in F._frame_sheaf; the report
+    object is the one timed stamps."""
+    members = _power_sheaf_members(F.sheaf, budget)
     heyting_wit = _frobenius_gap(F)
-    if heyting_wit is None:
-        members, square_wit = _power_sheaf_members(F.sheaf, budget), None
-    else:
-        P = power_sheaf(F.sheaf, budget=budget, verify=False)
-        members = sum(len(c) for c in P.carriers.values())
-        square_wit = _definition_square_gap(F, P)
+    square_wit = None if heyting_wit is None else _definition_square_gap(F, budget)
     report = _three_way(
         "frame_sheaf",
         [("definition_square", square_wit is None, square_wit), ("heyting_frobenius", heyting_wit is None, heyting_wit)],
     )
     F._frame_sheaf = (report, members)
     return report
-
-
-def _power_sheaf_members(F: Presheaf, budget: Budget) -> int:
-    """The number of members of ℙF, ticked on power_sheaf's meter by the
-    germ walk it runs, open by open in frame order, without building them.
-    The germs below u are those of the top in the same order."""
-    meter = BudgetMeter("power sheaf subsheaves", budget.subsheaves)
-    frame = F.frame
-    germs, _ = _top_germ_table(F)
-    for u in frame.elements:
-        for _ in _germ_downsets(F, [g for g in germs if frame.leq(g[0], u)], meter):
-            pass
-    return meter.count
 
 
 def _frobenius_gap(F: PoSheaf) -> dict | None:
@@ -743,15 +718,16 @@ def _frobenius_gap(F: PoSheaf) -> dict | None:
     return None
 
 
-def _definition_square_gap(F: PoSheaf, P: PoSheaf) -> dict | None:
-    """The exhaustive square over P = ℙF: the first open u, x ∈ F(u) and
-    S ∈ Sub(F^u) with sup μ(x, S) ≠ x ∧ sup S, or None."""
-    mu = meet_morphism(F, P)
+def _definition_square_gap(F: PoSheaf, budget: Budget) -> dict | None:
+    """The exhaustive square, open by open over Sub(F^u): the first open u,
+    x ∈ F(u) and S ∈ Sub(F^u) with sup μ(x, S) ≠ x ∧ sup S, or None."""
+    members = _power_members(F.sheaf, budget)
     for u in F.frame.elements:
+        sups = [sup_in_open(F, S, u) for S in members[u]]
         for x in F.carrier(u):
-            for S in P.carrier(u):
-                lhs = sup_in_open(F, mu(u, (x, S)), u)
-                rhs = F.poset(u).meet(x, sup_in_open(F, S, u))
+            for S, sup in zip(members[u], sups):
+                lhs = sup_in_open(F, _meet_subsheaf(F, u, x, S), u)
+                rhs = F.poset(u).meet(x, sup)
                 if lhs != rhs:
                     return {
                         "open": u,

@@ -67,6 +67,18 @@ def gen_frame(cfg: GenConfig) -> FiniteFrame:
     raise RepairFailed(f"no frame of at most {cfg.max_opens} opens found for seed {cfg.seed}")
 
 
+def _merge_germs(combo) -> dict | None:
+    """The union of the germs' value assignments, or None when two of them
+    give one irreducible different values."""
+    merged: dict = {}
+    for germ in combo:
+        for key, val in germ:
+            if merged.get(key, val) != val:
+                return None
+            merged[key] = val
+    return merged
+
+
 def _stalks(X: FiniteFrame, cfg: GenConfig, rng: random.Random) -> dict:
     """Germ tables on the join-irreducible subposet: each germ is a coherent
     value assignment on the irreducibles below its home, so restriction is
@@ -80,17 +92,8 @@ def _stalks(X: FiniteFrame, cfg: GenConfig, rng: random.Random) -> dict:
         bases = []
         if maximal_lower:
             for combo in itertools.product(*(stalks[j2] for j2 in maximal_lower)):
-                merged: dict = {}
-                ok = True
-                for germ in combo:
-                    for key, val in germ:
-                        if merged.get(key, val) != val:
-                            ok = False
-                            break
-                        merged[key] = val
-                    if not ok:
-                        break
-                if ok:
+                merged = _merge_germs(combo)
+                if merged is not None:
                     bases.append(merged)
             if not bases:
                 stalks[j] = []
@@ -123,17 +126,8 @@ def gen_sheaf(X: FiniteFrame, cfg: GenConfig) -> Presheaf:
             return [tuple()]
         out = []
         for combo in itertools.product(*(stalks[j] for j in maximal)):
-            merged: dict = {}
-            ok = True
-            for germ in combo:
-                for key, val in germ:
-                    if merged.get(key, val) != val:
-                        ok = False
-                        break
-                    merged[key] = val
-                if not ok:
-                    break
-            if ok:
+            merged = _merge_germs(combo)
+            if merged is not None:
                 out.append(tuple(sorted(merged.items())))
         return sorted(set(out))
 

@@ -66,9 +66,6 @@ class EtaleLocale:
     def label_of(self, assignment: tuple) -> str:
         return self.frame.elements[self._index[assignment]]
 
-    def assignment_of(self, label: str) -> tuple:
-        return self.assignments[self.frame.index[label]]
-
     def projection(self, k: int) -> dict:
         """p_s* for the k-th section: element label -> open of the base."""
         return {lab: self.assignments[i][k] for i, lab in enumerate(self.frame.elements)}

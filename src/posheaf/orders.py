@@ -20,6 +20,8 @@ from .sheaves import (
     Presheaf,
     SheafMorphism,
     SubSheaf,
+    _germ_downsets,
+    _top_germ_table,
     enumerate_points,
     enumerate_subsheaves,
     product_sheaf,
@@ -118,9 +120,6 @@ class PoSheaf:
                     row |= 1 << i
             self._point_rows[p] = row
         return row
-
-    def discrete_like(self) -> bool:
-        return all(len(rel) == len(self.sheaf.carriers[u]) for u, rel in self.orders.items())
 
 
 def discrete(sheaf: Presheaf) -> PoSheaf:
@@ -541,16 +540,12 @@ def _power_posheaf(F_sheaf: Presheaf, per_open: dict) -> PoSheaf:
     """Assemble a powersheaf-style posheaf from per-open subsheaf carriers."""
     frame = F_sheaf.frame
     carriers = {u: tuple(per_open[u]) for u in frame.elements}
-    res = {}
-    for u in frame.elements:
-        lookup = {s: s for s in per_open[u]}
-        for v in frame.down(u):
-            if v == u:
-                continue
-            table = {}
-            for s in per_open[u]:
-                table[s] = s.clip(v)
-            res[(u, v)] = table
+    res = {
+        (u, v): {s: s.clip(v) for s in per_open[u]}
+        for u in frame.elements
+        for v in frame.down(u)
+        if v != u
+    }
     sheaf = Presheaf(frame, carriers, res, labeler=lambda u, s: s.describe())
     orders = {
         u: [(s, t) for s in per_open[u] for t in per_open[u] if s.issubset(t)]
@@ -559,13 +554,34 @@ def _power_posheaf(F_sheaf: Presheaf, per_open: dict) -> PoSheaf:
     return PoSheaf(sheaf, orders)
 
 
+def _power_meter(budget: Budget | None) -> BudgetMeter:
+    """The one meter that counts the members of ℙF over all its opens."""
+    return BudgetMeter("power sheaf subsheaves", (budget or Budget()).subsheaves)
+
+
+def _power_members(F: Presheaf, budget: Budget | None = None) -> dict:
+    """u ↦ Sub(F^u) for each open of a sheaf F: the members of ℙF."""
+    meter = _power_meter(budget)
+    return {u: enumerate_subsheaves(F, u, meter=meter) for u in F.frame.elements}
+
+
+def _power_sheaf_members(F: Presheaf, budget: Budget) -> int:
+    """The number of members of ℙF, ticked on its meter by the germ walk
+    _power_members runs, open by open in frame order, without building them.
+    The germs below u are those of the top in the same order."""
+    meter = _power_meter(budget)
+    frame = F.frame
+    germs, _ = _top_germ_table(F)
+    for u in frame.elements:
+        for _ in _germ_downsets(F, [g for g in germs if frame.leq(g[0], u)], meter):
+            pass
+    return meter.count
+
+
 def power_sheaf(F: Presheaf, *, budget: Budget | None = None, verify: bool = True) -> PoSheaf:
     """ℙF: u ↦ Sub(F^u) under inclusion, restriction by clipping, for a sheaf
     F; one budget meter counts the members over all opens."""
-    budget = budget or Budget()
-    meter = BudgetMeter("power sheaf subsheaves", budget.subsheaves)
-    per_open = {u: enumerate_subsheaves(F, u, meter=meter) for u in F.frame.elements}
-    P = _power_posheaf(F, per_open)
+    P = _power_posheaf(F, _power_members(F, budget))
     if verify:
         verify_posheaf(P).require()
     return P

@@ -171,7 +171,10 @@ class Budget:
         raw = os.environ.get("POSH_BUDGET")
         if raw is None:
             return cls()
-        n = int(raw)
+        try:
+            n = int(raw)
+        except ValueError:
+            raise MalformedInput(f"POSH_BUDGET must be an integer, not {raw!r}") from None
         return cls(subsheaves=n, lambda_elements=n, section_nodes=n)
 
 

@@ -298,18 +298,6 @@ class SubSheaf:
             masks.append(mask)
         return (self.size(), tuple(masks))
 
-    def as_presheaf(self) -> Presheaf:
-        """The parts as a standalone presheaf on the same frame."""
-        frame = self.parent.frame
-        carriers = {u: tuple(self.sorted_part(u)) for u in frame.elements}
-        res = {
-            (u, v): {x: self.parent.restrict(u, x, v) for x in carriers[u]}
-            for u in frame.elements
-            for v in frame.down(u)
-            if v != u
-        }
-        return Presheaf(frame, carriers, res, labeler=self.parent._labeler)
-
 
 def full_subsheaf(P: Presheaf, u=None) -> SubSheaf:
     """F itself, or F^u as the subsheaf with empty carriers above u."""

@@ -16,13 +16,14 @@ sought for every pair, and join preservation by a frame hom over every
 subset; and, for completeness, the bound checks over every ordered pair
 (a frame hom's finite meets, the lattice law at an open, finite
 sup-completeness per open, a morphism's finite meets), a morphism's
-greatest preimages, and the defining square of a frame sheaf over the whole
-power sheaf. They are slow (2^|↓u| covers per open, product spaces,
+greatest preimages, the sup of a subsheaf over an open by a scan of every
+candidate, and the defining square of a frame sheaf over the whole power
+sheaf. They are slow (2^|↓u| covers per open, product spaces,
 |O(Y)|·|O(X)|³ scans) and live here so that no package module can fall back
 to them."""
 from __future__ import annotations
 
-from posheaf.complete import _definition_square_gap
+from posheaf.complete import meet_morphism
 from posheaf.locale_equiv import Section
 from posheaf.orders import PoSheaf, point_leq_bool, power_sheaf
 from posheaf.report import Budget, BudgetMeter, CheckReport
@@ -648,8 +649,34 @@ def greatest_preimages(alpha, F, G) -> tuple[dict | None, dict | None]:
     return maps, None
 
 
+def sup_scan(F, S: SubSheaf, u):
+    """The least y in F(u) with S^u ⊆ ↓y, or None: every candidate y of
+    F(u) checked against every section of S below u."""
+    cands = [
+        y
+        for y in F.carrier(u)
+        if all(F.leq(v, x, F.sheaf.restrict(u, y, v)) for v in F.frame.down(u) for x in S.sorted_part(v))
+    ]
+    return F.poset(u).least(cands)
+
+
 def definition_square(F, budget: Budget | None = None) -> dict | None:
     """The defining square of a frame sheaf through meet_morphism over all of
-    ℙF: the first open u, x ∈ F(u) and S ∈ Sub(F^u) with sup μ(x, S) ≠
-    x ∧ sup S, or None. F must be complete."""
-    return _definition_square_gap(F, power_sheaf(F.sheaf, budget=budget, verify=False))
+    ℙF, with sups by sup_scan: the first open u, x ∈ F(u) and S ∈ Sub(F^u)
+    with sup μ(x, S) ≠ x ∧ sup S, or None. F must be complete."""
+    P = power_sheaf(F.sheaf, budget=budget, verify=False)
+    mu = meet_morphism(F, P)
+    for u in F.frame.elements:
+        for x in F.carrier(u):
+            for S in P.carrier(u):
+                lhs = sup_scan(F, mu(u, (x, S)), u)
+                rhs = F.poset(u).meet(x, sup_scan(F, S, u))
+                if lhs != rhs:
+                    return {
+                        "open": u,
+                        "section": F.label(u, x),
+                        "subsheaf": S.describe(),
+                        "sup_of_meets": F.label(u, lhs),
+                        "meet_of_sup": F.label(u, rhs),
+                    }
+    return None

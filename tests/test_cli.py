@@ -193,6 +193,45 @@ def test_verify_galois_cli(tmp_path, capsys):
     assert run(["verify", "galois", m_path, m_path]) == 0
 
 
+def test_verify_reads_exactly_its_documents(tmp_path, capsys):
+    # galois takes two morphism documents and every other kind one; a wrong
+    # count is malformed input, not a traceback
+    from posheaf.sheaves import SheafMorphism
+
+    Om = omega(frame_d())
+    m_path = write(tmp_path, "id.json", jsonio.dump_morphism_doc(SheafMorphism.identity(Om.sheaf), Om, Om))
+    for argv in (["galois", m_path], ["galois", m_path, m_path, m_path], ["sup-preserving", m_path, m_path]):
+        assert run(["verify", *argv]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "malformed" and "document" in out["message"]
+
+
+def test_verify_galois_needs_the_reverse_morphism(tmp_path, capsys):
+    # the second morphism must run from the first one's target to its
+    # source: the same frame, carriers, restrictions and orders
+    from posheaf.sheaves import SheafMorphism
+
+    Om, PAB = omega(frame_d()), posheaf_ab()
+    om_path = write(tmp_path, "om.json", jsonio.dump_morphism_doc(SheafMorphism.identity(Om.sheaf), Om, Om))
+    ab_path = write(tmp_path, "ab.json", jsonio.dump_morphism_doc(SheafMorphism.identity(PAB.sheaf), PAB, PAB))
+    unordered = json.loads(Path(ab_path).read_text())
+    unordered["target"]["order"] = {}
+    un_path = write(tmp_path, "unordered.json", unordered)
+    for first, second in ((om_path, ab_path), (ab_path, om_path), (ab_path, un_path)):
+        assert run(["verify", "galois", first, second]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "malformed" and "target" in out["message"]
+    assert run(["verify", "galois", ab_path, ab_path]) == 0
+
+
+def test_a_non_integer_budget_variable_is_malformed(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "ab.json", jsonio.dump_posheaf_doc(posheaf_ab()))
+    monkeypatch.setenv("POSH_BUDGET", "abc")
+    assert run(["check", "complete", path]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "malformed" and "POSH_BUDGET" in out["message"]
+
+
 def test_check_lh_and_spatial(tmp_path, capsys):
     from posheaf.fixtures import three_chain_over_2, identity_locale
 

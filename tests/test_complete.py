@@ -536,8 +536,9 @@ def test_cached_frame_sheaf_check_replays_both_budgets():
 
 
 def test_a_passing_frame_sheaf_check_builds_no_power_sheaf(monkeypatch, boolean_frame):
-    # Frobenius implies the definition square, so only a reject builds ℙF
-    # and μ, to name the square's witness; the germ walk still counts ℙF
+    # Frobenius implies the definition square, so only a reject scans it, to
+    # name its witness, over Sub(F^u) open by open: neither path builds ℙF
+    # or μ, and the germ walk counts ℙF either way
     from posheaf import complete
 
     built = {"power_sheaf": 0, "meet_morphism": 0}
@@ -559,7 +560,7 @@ def test_a_passing_frame_sheaf_check_builds_no_power_sheaf(monkeypatch, boolean_
         assert F._frame_sheaf[1] == sum(len(c) for c in power_sheaf(F.sheaf, verify=False).carriers.values())
     F = m3_posheaf()
     assert not is_frame_sheaf(F).passed
-    assert built == {"power_sheaf": 1, "meet_morphism": 1}
+    assert built == {"power_sheaf": 0, "meet_morphism": 0}
     assert F._frame_sheaf[1] == sum(len(c) for c in power_sheaf(F.sheaf, verify=False).carriers.values())
 
 

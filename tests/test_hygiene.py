@@ -1,9 +1,9 @@
 """Source hygiene with the standard library's ast: no unused imports in the
-package modules, no module-level private function that nothing uses, and no
-exhaustive cover enumeration, closure-fixpoint enumeration, subset loop
-for join and meet preservation, product-space and frame-hom-filter search
-of the étale layer, nested function that calls itself, or broad exception
-handler in the package."""
+package modules, no module-level private function and no method that
+nothing uses, and no exhaustive cover enumeration, closure-fixpoint
+enumeration, subset loop for join and meet preservation, product-space and
+frame-hom-filter search of the étale layer, nested function that calls
+itself, or broad exception handler in the package."""
 from __future__ import annotations
 
 import ast
@@ -33,10 +33,10 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_no_unreferenced_private_functions():
-    sources = [p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")]
+def _referenced_names() -> set:
+    """Every name, attribute and imported name in src, tests and bench."""
     referenced = set()
-    for path in sources:
+    for path in (p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -44,11 +44,33 @@ def test_no_unreferenced_private_functions():
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
+    return referenced
+
+
+def test_no_unreferenced_private_functions():
+    referenced = _referenced_names()
     dead = [
         f"{path.name}:{node.name}"
         for path in _modules()
         for node in ast.parse(path.read_text()).body
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and node.name not in referenced
+    ]
+    assert dead == []
+
+
+def test_no_unreferenced_methods():
+    # a method of a package class that no code names is dead; dunder
+    # methods are called by the language
+    referenced = _referenced_names()
+    dead = [
+        f"{path.name}:{cls.name}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced
     ]
     assert dead == []
 

@@ -3,13 +3,13 @@
 single joins for cover existence, the Heyting implication as a join, Sub,
 Dow and generated subsheaves as down-sets of germs at the join-irreducibles,
 least and greatest elements by one scan, join and meet preservation from the
-empty and binary bounds, the bounds of a subsheaf from bitset rows of the
-point order, the étale layer on points: the sheaf locale from the germ
-walk, ordered and with meets and joins read from germ masks, a section's
-agreement with its own restrictions, cross-sections and local homeomorphisms through the point map of the
-join-irreducibles, and the frame laws through join-prime join-irreducibles
-and binary joins, with frame homs' joins read from the empty and binary
-ones.
+empty and binary bounds, the bounds of a subsheaf and its sup over each
+open from bitset rows of the point order, the étale layer on points: the
+sheaf locale from the germ walk, ordered and with meets and joins read from
+germ masks, a section's agreement with its own restrictions, cross-sections
+and local homeomorphisms through the point map of the join-irreducibles,
+and the frame laws through join-prime join-irreducibles and binary joins,
+with frame homs' joins read from the empty and binary ones.
 
 Verdicts, the Sub/Dow lists and generated subsheaves must agree on every
 element order of the frame; witnesses and sheaf certificate entries must
@@ -31,6 +31,7 @@ from posheaf.complete import (
     check_finite_completeness,
     is_complete,
     is_frame_sheaf,
+    sup_in_open,
 )
 from posheaf.fixtures import (
     FIXTURE_FRAMES,
@@ -369,6 +370,22 @@ def test_bounds_match_the_per_pair_scan(corpus):
                 compared += 1
     assert compared >= 1000
     assert found == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_sup_in_open_matches_the_candidate_scan(corpus):
+    rng = random.Random(29)
+    compared = 0
+    found = set()
+    for name, F in _small_posheaves(corpus):
+        for G in (F, _shuffled(F, rng)):
+            for S in enumerate_subsheaves(G.sheaf):
+                for u in G.frame.elements:
+                    sup = sup_in_open(G, S, u)
+                    assert sup == oracles.sup_scan(G, S, u), (name, S.describe(), u)
+                    found.add(sup is None)
+                    compared += 1
+    assert compared >= 1000
+    assert found == {True, False}
 
 
 def test_preserves_all_joins_and_meets_match_every_subset(corpus):
