@@ -211,23 +211,10 @@ def _cmd_gamma(args) -> int:
     doc = jsonio.read_json(args.input)
     f = jsonio.load_locale(doc, Path(args.input).parent)
     G = cross_sections(f, budget=budget)
-    sheaf_doc = jsonio.dump_presheaf_doc(_relabelled(G.sheaf))
+    sheaf_doc = jsonio.dump_presheaf_doc(G.sheaf)
     sheaf_doc["report"] = _report_doc(G.report, args.format == "human")
     _emit(sheaf_doc, args)
     return EXIT_PASS if G.report.passed else EXIT_FAIL
-
-
-def _relabelled(P):
-    """Replace non-string carrier elements with their labels for JSON output."""
-    from .sheaves import Presheaf
-
-    carriers = {u: tuple(P.label(u, x) for x in P.carriers[u]) for u in P.frame.elements}
-    res = {}
-    for (u, v), table in P.res.items():
-        if u == v:
-            continue
-        res[(u, v)] = {P.label(u, x): P.label(v, y) for x, y in table.items()}
-    return Presheaf(P.frame, carriers, res)
 
 
 def _cmd_phi(args) -> int:

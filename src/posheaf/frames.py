@@ -273,7 +273,9 @@ class FiniteFrame:
         bottom only), (u,), and every pair v, w ≤ u with v ∨ w = u; ordered by
         (size, element indices). On a finite distributive lattice gluing,
         amalgamation closure and patching hold for every cover iff they hold
-        for these, by induction on the cover size."""
+        for these, by induction on the cover size. The POS forms read them;
+        gluing and amalgamation closure are decided on canonical_cover and
+        scan these only to name the witness of a failure."""
         if u not in self._covers_cache:
             below = self.down(u)
             found = [()] if u == self.bottom else []
@@ -283,6 +285,22 @@ class FiniteFrame:
             )
             self._covers_cache[u] = tuple(found)
         return self._covers_cache[u]
+
+    def canonical_cover(self, u) -> tuple:
+        """J↓u, the join-irreducibles below u in join_irreducibles_by_height
+        order: a cover of u (every open is the join of the join-irreducibles
+        below it), empty for bottom, and holding u itself when u is
+        join-irreducible. Each j in it is join-prime, so j lies below some
+        member of any cover of u: a family over any cover of u restricts to
+        one over J↓u, and sheaf gluing and amalgamation closure hold for
+        every cover iff they hold for these (sheaves.verify_sheaf)."""
+        return self._canonical_covers[u]
+
+    @cached_property
+    def _canonical_covers(self) -> dict:
+        """canonical_cover(u) for every u, built once."""
+        J = self.join_irreducibles_by_height()
+        return {u: tuple(j for j in J if self.leq(j, u)) for u in self.elements}
 
     def join_irreducibles(self) -> tuple:
         """The opens j with exactly one lower cover, i.e. whose strictly

@@ -117,29 +117,47 @@ def load_posheaf(doc, base_dir: Path | None = None) -> PoSheaf:
     return PoSheaf(sheaf, orders)
 
 
-def dump_presheaf_doc(P: Presheaf, **extra) -> dict:
-    res = {}
-    for (u, v), table in P.res.items():
-        if u == v:
-            continue
-        res[f"{u}->{v}"] = {str(x): str(y) for x, y in table.items()}
-    doc = {
+def _section_labels(P: Presheaf) -> dict:
+    """u ↦ {x: P.label(u, x)} in carrier order, the names sections are
+    written under; two sections with one label at an open would load back
+    as one, so they are malformed."""
+    out = {}
+    for u in P.frame.elements:
+        labels = {x: P.label(u, x) for x in P.carriers[u]}
+        if len(set(labels.values())) != len(labels):
+            raise MalformedInput(f"two sections at {u!r} have the same label")
+        out[u] = labels
+    return out
+
+
+def _presheaf_doc(P: Presheaf, labels: dict) -> dict:
+    res = {
+        f"{u}->{v}": {labels[u][x]: labels[v][y] for x, y in table.items()}
+        for (u, v), table in P.res.items()
+        if u != v
+    }
+    return {
         "frame": dump_frame_doc(P.frame),
-        "carriers": {u: [str(x) for x in P.carriers[u]] for u in P.frame.elements},
+        "carriers": {u: list(labels[u].values()) for u in P.frame.elements},
         "res": res,
     }
+
+
+def dump_presheaf_doc(P: Presheaf, **extra) -> dict:
+    """The document load_presheaf reads, with every section written as its
+    label (P.label)."""
+    doc = _presheaf_doc(P, _section_labels(P))
     doc.update(extra)
     return doc
 
 
 def dump_posheaf_doc(F: PoSheaf, **extra) -> dict:
-    doc = dump_presheaf_doc(F.sheaf)
+    """dump_presheaf_doc of the sheaf plus the strict order pairs at each
+    open, sorted by the carrier positions of both ends."""
+    labels = _section_labels(F.sheaf)
+    doc = _presheaf_doc(F.sheaf, labels)
     doc["order"] = {
-        u: sorted(
-            [[str(x), str(y)] for (x, y) in F.orders[u] if x != y],
-            key=lambda p: (F.sheaf.carriers[u].index(p[0]), F.sheaf.carriers[u].index(p[1])),
-        )
-        for u in F.frame.elements
+        u: [[labels[u][x], labels[u][y]] for x, y in F.sorted_pairs(u) if x != y] for u in F.frame.elements
     }
     doc.update(extra)
     return doc
@@ -164,7 +182,7 @@ def dump_morphism_doc(alpha: SheafMorphism, source: PoSheaf, target: PoSheaf) ->
         "source": dump_posheaf_doc(source),
         "target": dump_posheaf_doc(target),
         "maps": {
-            u: {str(x): str(alpha(u, x)) for x in alpha.source.carriers[u]}
+            u: {alpha.source.label(u, x): alpha.target.label(u, alpha(u, x)) for x in alpha.source.carriers[u]}
             for u in alpha.source.frame.elements
         },
     }

@@ -288,7 +288,7 @@ def _point_sections(f: LocaleOverX, fibres: dict, u, nodes: BudgetMeter) -> list
     linear extension of the base's points; the value table is
     s(y) = ∨{j : φ(j) ≤ y}. The meter ticks once per search node."""
     OY, OX = f.OY, f.base
-    J = [j for j in OX.join_irreducibles_by_height() if OX.leq(j, u)]
+    J = OX.canonical_cover(u)
     lower = [[k for k in J[:i] if OX.leq(k, j)] for i, j in enumerate(J)]
     phi: dict = {}
     out: list[Section] = []

@@ -141,7 +141,11 @@ def order_subsheaf(F: PoSheaf) -> tuple[Presheaf, SubSheaf]:
 def verify_posheaf(F: PoSheaf) -> CheckReport:
     """POS1–POS3 with witnesses, cross-checked against the internal-poset
     reading: the order relation must be a subsheaf of F×F satisfying internal
-    reflexivity, antisymmetry, and transitivity. Verdicts must agree."""
+    reflexivity, antisymmetry, and transitivity. Verdicts must agree. POS3
+    reads the empty and binary covers (_pos3); the subsheaf half of the
+    internal reading is decided at the join-irreducibles
+    (_order_closed_at_germs), and only a reject builds F×F to name its
+    witness."""
     cached = getattr(F, "_posheaf_report", None)
     if cached is not None:
         return cached
@@ -188,55 +192,31 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
             break
     subs.append(pos2)
 
-    # POS3 over every cover follows from POS3 over the empty and binary
-    # covers, by induction on the cover size; a cover containing u itself
-    # repeats the premise s ≤ t at u and cannot fail
-    pos3 = CheckReport.ok("posheaf.POS3")
-    done = False
-    for u in F.frame.elements:
-        for cover in F.frame.binary_covers(u):
-            if u in cover:
-                continue
-            for s in F.sheaf.carriers[u]:
-                for t in F.sheaf.carriers[u]:
-                    if F.leq(u, s, t):
-                        continue
-                    if all(F.leq(ui, F.sheaf.restrict(u, s, ui), F.sheaf.restrict(u, t, ui)) for ui in cover):
-                        pos3 = CheckReport.fail(
-                            "posheaf.POS3",
-                            {
-                                "open": u,
-                                "cover": list(cover),
-                                "lower_family": [F.label(ui, F.sheaf.restrict(u, s, ui)) for ui in cover],
-                                "upper_family": [F.label(ui, F.sheaf.restrict(u, t, ui)) for ui in cover],
-                                "patched": [F.label(u, s), F.label(u, t)],
-                            },
-                        )
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-        if done:
-            break
+    pos3 = _pos3(F)
     subs.append(pos3)
 
-    square, rel = order_subsheaf(F)
-    # verify_subsheaf checks restriction closure first and names the failing
-    # half in its reason; a restriction failure fails both subreports
-    sub_rep = verify_subsheaf(rel)
-    closed = sub_rep.passed or sub_rep.details.get("reason") != "restriction"
-    internal_subs = [
-        CheckReport("internal.subsheaf_restriction", closed, witness=None if closed else sub_rep.witness),
-        CheckReport("internal.subsheaf_amalgamation", sub_rep.passed, witness=sub_rep.witness),
-    ]
+    if _order_closed_at_germs(F):
+        internal_subs = [
+            CheckReport("internal.subsheaf_restriction", True),
+            CheckReport("internal.subsheaf_amalgamation", True),
+        ]
+    else:
+        # only a reject builds F×F; verify_subsheaf checks restriction
+        # closure first and names the failing half in its reason, and a
+        # restriction failure fails both subreports
+        _, rel = order_subsheaf(F)
+        sub_rep = verify_subsheaf(rel)
+        closed = sub_rep.passed or sub_rep.details.get("reason") != "restriction"
+        internal_subs = [
+            CheckReport("internal.subsheaf_restriction", closed, witness=None if closed else sub_rep.witness),
+            CheckReport("internal.subsheaf_amalgamation", sub_rep.passed, witness=sub_rep.witness),
+        ]
     refl = CheckReport.ok("internal.reflexive")
     antisym = CheckReport.ok("internal.antisymmetric")
     trans = CheckReport.ok("internal.transitive")
     for u in F.frame.elements:
         for x in F.sheaf.carriers[u]:
-            if refl.passed and not rel.contains(u, (x, x)):
+            if refl.passed and (x, x) not in F.orders[u]:
                 refl = CheckReport.fail("internal.reflexive", {"open": u, "section": F.label(u, x)})
         for (x, y) in F.orders[u]:
             if antisym.passed and x != y and (y, x) in F.orders[u]:
@@ -266,6 +246,69 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
         witness=None if first is None else {"first_failed": first.name, "witness": first.witness},
         subreports=subs,
     )
+
+
+def _pos3(F: PoSheaf) -> CheckReport:
+    """POS3 over the empty and binary covers of each open, in order; over
+    every cover it follows by induction on the cover size, and a cover
+    holding u itself repeats the premise s ≤ t at u and cannot fail. The
+    pairs s ≰_u t of F(u), s-major in carrier order, are the bits of a mask,
+    the first pair the highest bit; below[v] holds those with s|_v ≤_v t|_v,
+    so the pairs a cover patches wrongly are the AND of its members' masks,
+    and the highest is the first a pair-by-pair scan finds."""
+    P = F.sheaf
+    for u in F.frame.elements:
+        outside = [(s, t) for s in P.carriers[u] for t in P.carriers[u] if (s, t) not in F.orders[u]]
+        if not outside:
+            continue
+        below = {}
+        for cover in F.frame.binary_covers(u):
+            if u in cover:
+                continue
+            failing = (1 << len(outside)) - 1
+            for v in cover:
+                if v not in below:
+                    res, order = P.res[u, v], F.orders[v]
+                    below[v] = int("0" + "".join("1" if (res[s], res[t]) in order else "0" for s, t in outside), 2)
+                failing &= below[v]
+            if failing:
+                s, t = outside[len(outside) - failing.bit_length()]
+                return CheckReport.fail(
+                    "posheaf.POS3",
+                    {
+                        "open": u,
+                        "cover": list(cover),
+                        "lower_family": [F.label(v, P.restrict(u, s, v)) for v in cover],
+                        "upper_family": [F.label(v, P.restrict(u, t, v)) for v in cover],
+                        "patched": [F.label(u, s), F.label(u, t)],
+                    },
+                )
+    return CheckReport.ok("posheaf.POS3")
+
+
+def _order_closed_at_germs(F: PoSheaf) -> bool:
+    """Whether ≤ is a subsheaf of F×F, for a sheaf F, read from F's own
+    tables by the comparison lemma: (x, y) ∈ ≤_u iff x|_j ≤_j y|_j for every
+    j in J↓u (FiniteFrame.canonical_cover), at every open u.
+
+    "Only if" is restriction closure at the germs, "if" is amalgamation
+    closure over J↓u: a family of ≤ over J↓u is a pair of compatible
+    families, whose one amalgamation in F×F is the pair (x, y) they
+    restrict. A subsheaf of F×F has both. Conversely, for v ≤ u and
+    (x, y) ∈ ≤_u, "only if" at u gives x|_j ≤_j y|_j on J↓v ⊆ J↓u, so
+    (x|_v, y|_v) ∈ ≤_v by "if" at v: ≤ is restriction-closed, and closed
+    under the amalgamations over every J↓u, hence over every cover
+    (sheaves.verify_subsheaf)."""
+    P, orders = F.sheaf, F.orders
+    for u in F.frame.elements:
+        cover = F.frame.canonical_cover(u)
+        germs = [(x, [P.res[u, j][x] for j in cover]) for x in P.carriers[u]]
+        for x, gx in germs:
+            for y, gy in germs:
+                below = all((a, b) in orders[j] for j, a, b in zip(cover, gx, gy))
+                if below != ((x, y) in orders[u]):
+                    return False
+    return True
 
 
 @dataclass

@@ -184,9 +184,25 @@ class SheafCertificate:
 def verify_sheaf(P: Presheaf) -> SheafCertificate:
     """Every compatible family over every cover patches to exactly one section.
 
-    The covers checked, and listed in the certificate's entries, are the
-    empty cover of bottom and the covers by at most two opens; on a finite
-    frame these imply the rest (FiniteFrame.binary_covers). Presheaves are
+    The verdict is read from one cover per open, J↓u
+    (FiniteFrame.canonical_cover), by the comparison lemma (Sh(X) is the
+    category of presheaves on the join-irreducibles J when X is the down-set
+    lattice of J). For u in J the cover holds u and glues trivially, so only
+    the other opens are checked. If every family over every J↓u has exactly
+    one amalgamation, P is a sheaf: let (x_c) be a compatible family over a
+    cover C of u. Each j in J↓u is join-prime, so j ≤ c for some c in C, and
+    y_j = x_c|_j does not depend on c (compatibility on c ∧ c'). The y_j form
+    a compatible family over J↓u, so they have one amalgamation s. For each
+    c, s|_c and x_c agree on J↓c, so they are equal by uniqueness at c. Two
+    amalgamations of (x_c) agree on J↓u, so they are equal by uniqueness at
+    u.
+
+    On a sheaf the compatible families over a cover of u biject with P(u),
+    so the certificate lists each open with each of its empty and binary
+    covers (FiniteFrame.binary_covers) and |P(u)| families. On a
+    reject those covers are scanned in order, and the entries and witness
+    are those of the scan: the covers passed before the first family
+    without exactly one amalgamation, and that family. Presheaves are
     immutable, so the certificate is memoized on the instance.
     """
     cached = getattr(P, "_sheaf_certificate", None)
@@ -201,24 +217,49 @@ def _verify_sheaf_fresh(P: Presheaf) -> SheafCertificate:
     pre = P.verify()
     if not pre.passed:
         return SheafCertificate(False, [], {"precondition": pre.witness}, precondition=pre)
+    frame = P.frame
+    if _gluing_gap(P, _canonical_covers(frame), []) is None:
+        entries = [
+            {"open": u, "cover": list(cover), "families": len(P.carriers[u])} for u, cover in _binary_covers(frame)
+        ]
+        return SheafCertificate(True, entries)
     entries = []
-    for u in P.frame.elements:
-        for cover in P.frame.binary_covers(u):
-            families = 0
-            index = _amalgamation_index(P, u, cover)
-            for family in compatible_families(P, cover):
-                families += 1
-                glue = index.get(family, ())
-                if len(glue) != 1:
-                    witness = {
-                        "open": u,
-                        "cover": list(cover),
-                        "family": [P.label(ui, xi) for ui, xi in zip(cover, family)],
-                        "amalgamations": len(glue),
-                    }
-                    return SheafCertificate(False, entries, witness)
-            entries.append({"open": u, "cover": list(cover), "families": families})
-    return SheafCertificate(True, entries)
+    witness = _gluing_gap(P, _binary_covers(frame), entries)
+    if witness is None:
+        raise AssertionError("a family over some J↓u fails to glue, so one over a binary cover does")
+    return SheafCertificate(False, entries, witness)
+
+
+def _canonical_covers(frame: FiniteFrame) -> Iterator[tuple]:
+    """(u, J↓u) for every open u outside J, in element order."""
+    covers = ((u, frame.canonical_cover(u)) for u in frame.elements)
+    return ((u, cover) for u, cover in covers if u not in cover)
+
+
+def _binary_covers(frame: FiniteFrame) -> Iterator[tuple]:
+    """(u, cover) for every open u and each of its binary covers, in order."""
+    return ((u, cover) for u in frame.elements for cover in frame.binary_covers(u))
+
+
+def _gluing_gap(P: Presheaf, covers, entries: list) -> dict | None:
+    """The first family, over the given (open, cover) pairs in order, that
+    has no amalgamation or more than one, as the certificate's witness, or
+    None; each cover whose families all glue appends its entry."""
+    for u, cover in covers:
+        families = 0
+        index = _amalgamation_index(P, u, cover)
+        for family in compatible_families(P, cover):
+            families += 1
+            glue = index.get(family, ())
+            if len(glue) != 1:
+                return {
+                    "open": u,
+                    "cover": list(cover),
+                    "family": [P.label(ui, xi) for ui, xi in zip(cover, family)],
+                    "amalgamations": len(glue),
+                }
+        entries.append({"open": u, "cover": list(cover), "families": families})
+    return None
 
 
 class SubSheaf:
@@ -338,53 +379,73 @@ def verify_restriction_closed(S: SubSheaf) -> CheckReport:
 
 
 def verify_subsheaf(S: SubSheaf) -> CheckReport:
-    """Restriction-closed and closed under amalgamation (itself a sheaf);
-    for a restriction-closed part of a sheaf on a finite frame, closure under
-    the empty and binary covers' amalgamations gives closure under all."""
+    """Restriction-closed and closed under amalgamation (itself a sheaf).
+
+    For a restriction-closed part S of a presheaf on a finite frame,
+    closure under the amalgamations of families over J↓u
+    (FiniteFrame.canonical_cover) for every open u gives closure under every
+    cover: if s ∈ P(u) amalgamates a family of S over a cover C of u, each
+    j in J↓u lies below some c in C (j is join-prime), so s|_j = x_c|_j is
+    in S(j), and s amalgamates the family (s|_j) of S over J↓u. So the
+    verdict is read from those covers; on a reject the empty and binary
+    covers are scanned in order, and the first family of S with an
+    amalgamation outside S(u) is the witness."""
     rc = verify_restriction_closed(S)
     if not rc.passed:
         return CheckReport.fail("subsheaf", rc.witness, reason="restriction")
+    frame = S.parent.frame
+    if _closure_gap(S, _canonical_covers(frame)) is None:
+        return CheckReport.ok("subsheaf")
+    gap = _closure_gap(S, _binary_covers(frame))
+    if gap is None:
+        raise AssertionError("S is not closed over some J↓u, so it is not closed over some binary cover")
+    return gap
+
+
+def _closure_gap(S: SubSheaf, covers) -> CheckReport | None:
+    """The failing report for the first family of S, over the given (open,
+    cover) pairs in order, with an amalgamation outside S(u), or None. A
+    cover holding u itself is skipped: the family's member at u is its only
+    amalgamation."""
     P = S.parent
-    for u in P.frame.elements:
-        for cover in P.frame.binary_covers(u):
-            if u in cover:
-                continue  # the family's member at u is its only amalgamation
-            index = _amalgamation_index(P, u, cover)
-            for family in compatible_families(P, cover, S.parts):
-                missing = [x for x in index.get(family, ()) if not S.contains(u, x)]
-                if missing:
-                    return CheckReport.fail(
-                        "subsheaf",
-                        {
-                            "open": u,
-                            "cover": list(cover),
-                            "family": [P.label(ui, xi) for ui, xi in zip(cover, family)],
-                            "amalgam_outside": [P.label(u, x) for x in missing],
-                        },
-                        reason="amalgamation",
-                    )
-    return CheckReport.ok("subsheaf")
+    for u, cover in covers:
+        if u in cover:
+            continue
+        index = _amalgamation_index(P, u, cover)
+        for family in compatible_families(P, cover, S.parts):
+            missing = [x for x in index.get(family, ()) if not S.contains(u, x)]
+            if missing:
+                return CheckReport.fail(
+                    "subsheaf",
+                    {
+                        "open": u,
+                        "cover": list(cover),
+                        "family": [P.label(ui, xi) for ui, xi in zip(cover, family)],
+                        "amalgam_outside": [P.label(u, x) for x in missing],
+                    },
+                    reason="amalgamation",
+                )
+    return None
 
 
 def _germ_table(F: Presheaf, u, leq: Callable | None = None) -> tuple[list, list]:
     """The germs (j, x) with j a join-irreducible below u and x ∈ F(j), listed
     in a linear extension of "lies directly below": (j, x) lies below (j', y)
     when j < j' and y|_j = x, or, with ``leq`` (the order at each open), when
-    j = j' and x ≤ y. J is listed by FiniteFrame.join_irreducibles_by_height,
+    j = j' and x ≤ y. The j are listed as in FiniteFrame.canonical_cover(u),
     each F(j) by the number of sections below (in carrier order without
     ``leq``). Also returns, for each open v ≤ u, its sections x with the
-    bitmask of the germs (j, x|_j)."""
+    bitmask of the germs (j, x|_j), j in canonical_cover(v)."""
     frame = F.frame
-    J = [j for j in frame.join_irreducibles_by_height() if frame.leq(j, u)]
     germs = []
-    for j in J:
+    for j in frame.canonical_cover(u):
         xs = F.carriers[j]
         if leq is not None:
             xs = sorted(xs, key=lambda y: sum(leq(j, x, y) for x in F.carriers[j]))
         germs.extend((j, x) for x in xs)
     bit = {g: 1 << i for i, g in enumerate(germs)}
     masks = [
-        (v, [(x, sum(bit[j, F.restrict(v, x, j)] for j in J if frame.leq(j, v))) for x in F.carriers[v]])
+        (v, [(x, sum(bit[j, F.restrict(v, x, j)] for j in frame.canonical_cover(v))) for x in F.carriers[v]])
         for v in frame.down(u)
     ]
     return germs, masks

@@ -2,8 +2,11 @@
 reductions in the package: every cover of an open (each subset of its downset
 that joins to it), amalgamations found by scanning the carrier, and the
 gluing, subsheaf, patching, closure and downward-closure checks quantified
-over every cover; Sub and Dow by next-closure over that closure; least and
-greatest elements as the one minimal or maximal member; join and meet
+over every cover; the gluing and amalgamation-closure scans over every
+empty and binary cover, which the package runs only to name a reject's
+witness, and the internal-poset subsheaf subreports read from the order
+relation as a part of F×F; Sub and Dow by next-closure over that closure;
+least and greatest elements as the one minimal or maximal member; join and meet
 preservation over every subset; the point-order bounds of a subsheaf one pair
 at a time; and, for the étale layer, the sheaf locale as the product of the
 sections' down-sets filtered by pairwise agreement opens, ordered
@@ -24,10 +27,19 @@ to them."""
 from __future__ import annotations
 
 from posheaf.complete import meet_morphism
+from posheaf.frames import FiniteFrame
 from posheaf.locale_equiv import Section
 from posheaf.orders import PoSheaf, point_leq_bool, power_sheaf
 from posheaf.report import Budget, BudgetMeter, CheckReport
-from posheaf.sheaves import SubSheaf, compatible_families, enumerate_points, epsilon, verify_restriction_closed
+from posheaf.sheaves import (
+    SheafCertificate,
+    SubSheaf,
+    compatible_families,
+    enumerate_points,
+    epsilon,
+    product_sheaf,
+    verify_restriction_closed,
+)
 
 
 def covers(frame, u) -> tuple:
@@ -53,9 +65,23 @@ def amalgamations(P, u, cover: tuple, family: tuple) -> list:
 
 def verify_sheaf(P) -> tuple[bool, list, dict | None]:
     """(passed, entries, witness) of the gluing check over every cover."""
+    return _gluing(P, covers)
+
+
+def binary_cover_gluing(P) -> SheafCertificate:
+    """The gluing check over the empty and binary covers of every open, in
+    order, as the full certificate: an entry for each cover whose families
+    all glue, up to the first family without exactly one amalgamation."""
+    pre = P.verify()
+    if not pre.passed:
+        return SheafCertificate(False, [], {"precondition": pre.witness}, precondition=pre)
+    return SheafCertificate(*_gluing(P, FiniteFrame.binary_covers))
+
+
+def _gluing(P, covers_of) -> tuple[bool, list, dict | None]:
     entries = []
     for u in P.frame.elements:
-        for cover in covers(P.frame, u):
+        for cover in covers_of(P.frame, u):
             families = 0
             for family in compatible_families(P, cover):
                 families += 1
@@ -74,12 +100,23 @@ def verify_sheaf(P) -> tuple[bool, list, dict | None]:
 
 def verify_subsheaf(S: SubSheaf) -> CheckReport:
     """Restriction-closed, and closed under amalgamation over every cover."""
+    return _closure(S, covers)
+
+
+def binary_cover_closure(S: SubSheaf) -> CheckReport:
+    """Restriction-closed, and closed under amalgamation over the empty and
+    binary covers of every open, in order: the full report, naming the first
+    family of S with an amalgamation outside S."""
+    return _closure(S, FiniteFrame.binary_covers)
+
+
+def _closure(S: SubSheaf, covers_of) -> CheckReport:
     rc = verify_restriction_closed(S)
     if not rc.passed:
         return CheckReport.fail("subsheaf", rc.witness, reason="restriction")
     P = S.parent
     for u in P.frame.elements:
-        for cover in covers(P.frame, u):
+        for cover in covers_of(P.frame, u):
             for family in compatible_families(P, cover, S.parts):
                 missing = [x for x in amalgamations(P, u, cover, family) if not S.contains(u, x)]
                 if missing:
@@ -94,6 +131,20 @@ def verify_subsheaf(S: SubSheaf) -> CheckReport:
                         reason="amalgamation",
                     )
     return CheckReport.ok("subsheaf")
+
+
+def internal_subsheaf(F) -> list[CheckReport]:
+    """The two subsheaf subreports of verify_posheaf's internal-poset
+    reading, from the order relation as a part of F×F: restriction closure,
+    and restriction plus amalgamation closure over the binary covers."""
+    square = product_sheaf(F.sheaf, F.sheaf)
+    rel = SubSheaf(square, {u: [p for p in square.carriers[u] if p in F.orders[u]] for u in F.frame.elements})
+    rep = binary_cover_closure(rel)
+    closed = rep.passed or rep.details.get("reason") != "restriction"
+    return [
+        CheckReport("internal.subsheaf_restriction", closed, witness=None if closed else rep.witness),
+        CheckReport("internal.subsheaf_amalgamation", rep.passed, witness=rep.witness),
+    ]
 
 
 def pos3(F) -> CheckReport:

@@ -7,6 +7,7 @@ import tempfile
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,9 @@ from posheaf import jsonio
 from posheaf.cli import run
 from posheaf.fixtures import frame_d, identity_locale, posheaf_ab, sheaf_ab
 from posheaf.generate import GenConfig, gen_frame, gen_posheaf, mutate
-from posheaf.orders import omega
+from posheaf.orders import PoSheaf, omega, power_sheaf
+from posheaf.report import MalformedInput
+from posheaf.sheaves import Presheaf
 
 
 # lattices that are not frames (not distributive)
@@ -161,6 +164,26 @@ def test_gamma_of_lambda(tmp_path, capsys):
     assert run(["gamma", str(lam_path), "-o", str(gam_path)]) == 0
     capsys.readouterr()
     assert run(["check", "sheaf", str(gam_path)]) == 0
+
+
+def test_a_power_sheaf_dumps_by_its_labels_and_reloads_to_the_same_bytes():
+    # ℙ(sheaf_ab)'s sections are SubSheaf objects, written by their labels
+    P = power_sheaf(sheaf_ab())
+    first = json.dumps(jsonio.dump_posheaf_doc(P), sort_keys=True)
+    again = json.dumps(jsonio.dump_posheaf_doc(jsonio.load_posheaf(json.loads(first))), sort_keys=True)
+    assert first == again
+    assert "object at" not in first
+    assert json.loads(first)["carriers"]["a"] == [P.label("a", s) for s in P.carriers["a"]]
+
+
+def test_two_sections_with_one_label_are_malformed():
+    P = sheaf_ab()
+    res = {key: table for key, table in P.res.items() if key[0] != key[1]}
+    Q = Presheaf(P.frame, P.carriers, res, labeler=lambda u, x: "same")
+    with pytest.raises(MalformedInput):
+        jsonio.dump_presheaf_doc(Q)
+    with pytest.raises(MalformedInput):
+        jsonio.dump_posheaf_doc(PoSheaf(Q, {}))
 
 
 def test_phi_psi_roundtrip(tmp_path, capsys):

@@ -36,7 +36,8 @@ from posheaf.orders import (
     verify_order_preserving,
     verify_posheaf,
 )
-from posheaf.fixtures import frame_2
+from posheaf.fixtures import frame_2, posheaf_ab
+from posheaf.generate import GenConfig, gen_frame, gen_posheaf
 
 
 def test_omega_is_a_posheaf(FD, F3, F6):
@@ -95,23 +96,45 @@ def test_pos2_violation_detected(SAB):
     assert closed.witness == amalgamation.witness == {"open": "1", "section": "(xz,yz)", "at": "a"}
 
 
-def test_verify_posheaf_checks_restriction_closure_once(SAB):
-    # both internal subsheaf subreports read one verify_subsheaf report
-    code = sheaves.verify_restriction_closed.__code__
+def _calls_during(run, *functions) -> list[tuple]:
+    """run(), recording (function, arguments) at each call of the given
+    functions (at each resumption, for a generator)."""
+    codes = {f.__code__: f for f in functions}
     calls = []
 
-    def count(frame, event, arg):
-        if event == "call" and frame.f_code is code:
-            calls.append(1)
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append((codes[frame.f_code], dict(frame.f_locals)))
 
+    sys.setprofile(record)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_passing_posheaf_check_builds_no_square_and_searches_canonical_covers_only(SAB, FD):
+    # on a pass the internal subsheaf reading is decided at the germs: no
+    # F×F, no restriction-closure scan, and every family search runs over a
+    # canonical cover J↓u; a reject checks restriction closure once, to
+    # name its witness
+    watched = (sheaves.product_sheaf, sheaves.verify_restriction_closed, sheaves.compatible_families)
+    passing = [posheaf_ab(), omega(FD)]
+    for seed in range(10):
+        cfg = GenConfig(seed=seed)
+        passing.append(gen_posheaf(gen_frame(cfg), cfg))
+    for F in passing:
+        calls = _calls_during(lambda: verify_posheaf(F).require(), *watched)
+        assert {f for f, _ in calls} <= {sheaves.compatible_families}
+        canonical = {F.frame.canonical_cover(u) for u in F.frame.elements}
+        assert all(tuple(args["cover"]) in canonical for _, args in calls)
+    verdicts = set()
     for orders in ({}, {"a": [("x", "y")], "1": [("xz", "yz")]}, {"1": [("xz", "yz")]}):
-        calls.clear()
-        sys.setprofile(count)
-        try:
-            verify_posheaf(PoSheaf(SAB, orders))
-        finally:
-            sys.setprofile(None)
-        assert len(calls) == 1, orders
+        F = PoSheaf(SAB, orders)
+        calls = _calls_during(lambda: verdicts.add(verify_posheaf(F).passed), sheaves.verify_restriction_closed)
+        assert len(calls) == (0 if verify_posheaf(F).passed else 1), orders
+    assert verdicts == {True, False}
 
 
 def test_point_order(PAB, FD):

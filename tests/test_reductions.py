@@ -1,6 +1,10 @@
 """The finite-lattice reductions against their exhaustive definitions
 (tests/oracles.py): binary covers for gluing, subsheaf closure and POS3,
-single joins for cover existence, the Heyting implication as a join, Sub,
+and the canonical covers J↓u against the binary-cover scans for gluing,
+subsheaf closure and the internal subsheaf reading of posheaves (the
+verdict from J↓u, the entries and witnesses from the scan, on the
+generated sheaves, their mutants, every member of Sub(F) and seeded
+parts), single joins for cover existence, the Heyting implication as a join, Sub,
 Dow and generated subsheaves as down-sets of germs at the join-irreducibles,
 least and greatest elements by one scan, join and meet preservation from the
 empty and binary bounds, the bounds of a subsheaf and its sup over each
@@ -126,11 +130,16 @@ def _shuffled_frame(frame: FiniteFrame, rng: random.Random) -> FiniteFrame:
     return FiniteFrame(FinitePoset(elements, frame.poset.pairs(), closed=True))
 
 
+def _shuffled_presheaf(P: Presheaf, rng: random.Random) -> Presheaf:
+    """P over the same frame with its element list in a random order."""
+    frame = _shuffled_frame(P.frame, rng)
+    res = {key: table for key, table in P.res.items() if key[0] != key[1]}
+    return Presheaf(frame, P.carriers, res)
+
+
 def _shuffled(F: PoSheaf, rng: random.Random) -> PoSheaf:
     """F over the same frame with its element list in a random order."""
-    frame = _shuffled_frame(F.frame, rng)
-    res = {key: table for key, table in F.sheaf.res.items() if key[0] != key[1]}
-    return PoSheaf(Presheaf(frame, F.sheaf.carriers, res), F.orders)
+    return PoSheaf(_shuffled_presheaf(F.sheaf, rng), F.orders)
 
 
 def _is_linear_extension(frame) -> bool:
@@ -225,6 +234,104 @@ def test_subsheaf_verdicts_on_every_choice_of_parts(SAB):
             assert fast.passed == slow.passed
             if _is_linear_extension(P.frame):
                 assert _report(fast) == _report(slow)
+
+
+GLUING_SIZES = ((4, 2), (5, 2), (6, 3), (8, 2))
+
+
+def _gluing_corpus() -> list[tuple[str, Presheaf]]:
+    """gen_sheaf at GLUING_SIZES, seeds 0-299, with the remove-amalgamation
+    mutants. gen_posheaf orders the gen_sheaf of its config, and the mutant
+    of a posheaf has the mutant of its sheaf as its sheaf, so these are the
+    sheaves of the generated posheaves and their mutants too."""
+    out = []
+    for opens, carrier in GLUING_SIZES:
+        for seed in range(300):
+            cfg = GenConfig(seed=seed, max_opens=opens, max_carrier=carrier)
+            P = gen_sheaf(gen_frame(cfg), cfg)
+            name = f"sheaf({opens},{carrier})[{seed}]"
+            out.append((name, P))
+            try:
+                out.append((f"{name}+remove-amalgamation", mutate(P, "remove-amalgamation", cfg)))
+            except RepairFailed:
+                pass
+    return out
+
+
+def test_gluing_certificates_match_the_binary_cover_scan():
+    # the verdict comes from the canonical covers, the entries and witness
+    # from the binary covers: all three must be the scan's, in every order
+    rng = random.Random(11)
+    corpus = _gluing_corpus()
+    assert len(corpus) >= 1500
+    assert sum(not verify_sheaf(P).passed for _, P in corpus) >= 300
+    for name, P in corpus:
+        for Q in (P, _shuffled_presheaf(P, rng)):
+            cert, scan = verify_sheaf(Q), oracles.binary_cover_gluing(Q)
+            assert (cert.passed, cert.entries, cert.witness) == (scan.passed, scan.entries, scan.witness), name
+
+
+def _restriction_closed_part(P: Presheaf, rng: random.Random) -> SubSheaf:
+    """Random sections of P with all their restrictions: closed under
+    restriction, and often not under amalgamation."""
+    parts = {u: set() for u in P.frame.elements}
+    for u in P.frame.elements:
+        for x in P.carriers[u]:
+            if rng.random() < 0.4:
+                for v in P.frame.down(u):
+                    parts[v].add(P.restrict(u, x, v))
+    return SubSheaf(P, parts)
+
+
+def test_subsheaf_closure_matches_the_binary_cover_scan(corpus):
+    # every member of Sub(F), which passes, and seeded parts that fail
+    # restriction or amalgamation closure
+    rng = random.Random(17)
+    reasons = []
+    for name, F in _small_posheaves(corpus):
+        for G in (F, _shuffled(F, rng)):
+            P = G.sheaf
+            parts = enumerate_subsheaves(P, budget=Budget(subsheaves=400))
+            parts += [_restriction_closed_part(P, rng) for _ in range(6)]
+            parts += [
+                SubSheaf(P, {u: [x for x in P.carriers[u] if rng.random() < 0.5] for u in P.frame.elements})
+                for _ in range(2)
+            ]
+            for S in parts:
+                fast = verify_subsheaf(S)
+                assert _report(fast) == _report(oracles.binary_cover_closure(S)), name
+                reasons.append(fast.details.get("reason"))
+    assert reasons.count(None) >= 1000
+    assert reasons.count("amalgamation") >= 100 and reasons.count("restriction") >= 50
+
+
+def test_internal_subsheaf_reading_matches_the_binary_cover_scan(corpus):
+    # the germ reading on a pass, F×F on a reject: both subsheaf subreports
+    # must be the ones read from F×F over the binary covers
+    rng = random.Random(19)
+    verdicts = set()
+    for name, F in _small_posheaves(corpus):
+        family = [F, F.opposite()]
+        try:
+            broken = mutate(F, "break-POS3")
+            family += [broken, broken.opposite()]
+        except RepairFailed:
+            pass
+        for H in family:
+            for G in (H, _shuffled(H, rng)):
+                internal = _subreport(verify_posheaf(G), "posheaf.internal_poset")
+                expected = oracles.internal_subsheaf(G)
+                assert [_report(r) for r in internal.subreports[:2]] == [_report(r) for r in expected], name
+                verdicts.add(internal.subreports[1].passed)
+    assert verdicts == {True, False}
+
+
+def test_omega_of_2_to_the_5_glues_on_its_canonical_covers(boolean_frame):
+    F = omega(boolean_frame(5))
+    cert = verify_sheaf(F.sheaf)
+    assert cert.passed and verify_posheaf(F).passed
+    assert cert.entries == oracles.binary_cover_gluing(F.sheaf).entries
+    assert all(e["families"] == len(F.carriers[e["open"]]) for e in cert.entries)
 
 
 def test_sub_and_dow_lists_match_the_exhaustive_closures(corpus):
