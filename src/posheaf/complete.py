@@ -76,30 +76,42 @@ class BoundReport:
 
 
 def _mask_points(F: PoSheaf, mask: int) -> list[Point]:
-    """The points whose bits are set, in enumerate_points order."""
-    return [p for i, p in enumerate(F.point_index()) if mask >> i & 1]
+    """The points whose bits are set, in point order."""
+    points = F.points()
+    return [points[i] for i in _bits(mask)]
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits, ascending, visiting only those."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _point_minimum(F: PoSheaf, mask: int):
     """The least point of a bitset of points, or None with its minimal
     members: a member is minimal when no other member's row reaches it."""
-    members = _mask_points(F, mask)
-    index = F.point_index()
+    members = _bits(mask)
     above = 0
-    for q in members:
-        above |= F.point_row(q) & ~(1 << index[q])
-    mins = [p for p in members if not above >> index[p] & 1]
-    if len(mins) == 1 and F.point_row(mins[0]) & mask == mask:
-        return mins[0], mins
-    return None, mins
+    for i in members:
+        above |= F.row(i) & ~(1 << i)
+    mins = [i for i in members if not above >> i & 1]
+    points = F.points()
+    if len(mins) == 1 and F.row(mins[0]) & mask == mask:
+        return points[mins[0]], [points[mins[0]]]
+    return None, [points[i] for i in mins]
 
 
 def _upper_bound_mask(F: PoSheaf, A: SubSheaf, opens, mask: int) -> int:
     """The points of mask above every point of A over the given opens: the
     AND of their point-order rows."""
+    index = F.point_index()
     for v in opens:
         for x in A.part(v):
-            mask &= F.point_row(Point(v, x))
+            mask &= F.row(index[v, x])
     return mask
 
 
@@ -127,11 +139,7 @@ def sup_in_open(F: PoSheaf, S: SubSheaf, u):
     """The least y in F(u) with S^u ⊆ ↓y, or None: the least point over u
     above every point of S below u, read from the point-order rows as in
     bounds (F must satisfy POS1 and POS2)."""
-    index = F.point_index()
-    over_u = 0
-    for y in F.carrier(u):
-        over_u |= 1 << index[Point(u, y)]
-    least, _ = _point_minimum(F, _upper_bound_mask(F, S, F.frame.down(u), over_u))
+    least, _ = _point_minimum(F, _upper_bound_mask(F, S, F.frame.down(u), F.points_over(u)))
     return None if least is None else least.value
 
 

@@ -1,5 +1,7 @@
 """Finite frames (lattices of opens), frame homomorphisms, and adjoint
-computation on finite posets.
+computation on finite posets. A frame is read as the down-sets of its
+join-irreducibles (Birkhoff): one bitmask per open answers its order, joins,
+meets and Heyting implications.
 
 Everything downstream consumes these: opens are identified by user-supplied
 strings, iteration order is the input order, and all values are immutable
@@ -8,7 +10,7 @@ after construction.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .report import (
     CheckReport,
@@ -59,8 +61,15 @@ class FinitePoset:
         else:
             rel = _closure(self.elements, leq_pairs)
         self._rel = rel
-        self._uppers = {x: frozenset(y for y in self.elements if (x, y) in rel) for x in self.elements}
-        self._lowers = {x: frozenset(y for y in self.elements if (y, x) in rel) for x in self.elements}
+        ups: dict = {x: [] for x in self.elements}
+        downs: dict = {x: [] for x in self.elements}
+        for x, y in rel:
+            ups[x].append(y)
+            downs[y].append(x)
+        # each set is filled in element order, as a scan of the elements would
+        key = self.index.__getitem__
+        self._uppers = {x: frozenset(sorted(ys, key=key)) for x, ys in ups.items()}
+        self._lowers = {x: frozenset(sorted(xs, key=key)) for x, xs in downs.items()}
 
     def __contains__(self, x) -> bool:
         return x in self.index
@@ -162,22 +171,28 @@ class FinitePoset:
 
 
 class FiniteFrame:
-    """Finite distributive lattice of opens; joins, meets and Heyting
-    implications are computed on first use and cached.
+    """Finite distributive lattice of opens, read through Birkhoff's
+    representation: with J the join-irreducibles in
+    join_irreducibles_by_height order, each open x is its mask
+    m(x) = {j ∈ J : j ≤ x}, an int with bit i for J[i], and x ↦ m(x) is an
+    isomorphism onto the down-sets of J ordered by inclusion (Birkhoff,
+    "Rings of sets", 1937). So on a frame x ≤ y iff m(x) ⊆ m(y), x ∨ y and
+    x ∧ y are the opens of m(x) | m(y) and m(x) & m(y), a join or meet of
+    many opens is one OR or AND of their masks and one lookup, and x → y is
+    the open of {j : ↓j ∩ m(x) ⊆ m(y)}.
 
-    Build with close_and_verify_frame (or from_relation + verify). verify
-    reads the lattice law from the binary joins and distributivity from the
-    join-irreducibles being join-prime; it scans every pair or triple only to
-    name the witness of a failure. Operations assume the frame laws hold.
+    Build with close_and_verify_frame (or from_relation + verify), or from
+    a family of sets closed under union and intersection with
+    frame_of_sets. The masks come from the Birkhoff test of verify, run on
+    first use; on a relation that fails it the operations answer from the
+    FinitePoset scans (None where a bound is missing), which verify's reject
+    path reads to name its witness.
     """
 
     def __init__(self, poset: FinitePoset):
         self.poset = poset
         self.elements = poset.elements
         self.index = poset.index
-        self._join_cache: dict = {}
-        self._meet_cache: dict = {}
-        self._heyting_cache: dict = {}
         self._covers_cache: dict = {}
         self._join_irreducibles: tuple | None = None
         self._join_irreducibles_by_height: tuple | None = None
@@ -195,8 +210,28 @@ class FiniteFrame:
     def __len__(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _birkhoff(self) -> "_Masks | None":
+        """The masks when the relation passes Birkhoff's test (verify), else
+        None. J and m are read from the poset as it is, so the test needs no
+        law to hold first."""
+        if not self.elements:
+            return None
+        bit = {j: 1 << i for i, j in enumerate(self.join_irreducibles_by_height())}
+        down = self.poset.down
+        masks = [sum(bit[j] for j in down(x) if j in bit) for x in self.elements]
+        at = dict(zip(masks, self.elements))
+        pairs, gap = _inclusion_pairs(self.elements, masks, at)
+        if gap is not None or len(at) < len(masks) or frozenset(pairs) != self.poset.pairs():
+            return None
+        return _mask_table(self, masks)
+
     def leq(self, x, y) -> bool:
-        return self.poset.leq(x, y)
+        b = self._birkhoff
+        if b is None:
+            return self.poset.leq(x, y)
+        of = b.of
+        return not of[x] & ~of[y]
 
     def down(self, u) -> tuple:
         return self._sorted_downs[u]
@@ -216,57 +251,66 @@ class FiniteFrame:
 
     @cached_property
     def bottom(self):
-        b = self.poset.bottom
-        if b is None:
+        b = self._birkhoff
+        bottom = self.poset.bottom if b is None else b.at[0]
+        if bottom is None:
             raise NotALattice("no bottom element")
-        return b
+        return bottom
 
     @cached_property
     def top(self):
-        t = self.poset.top
-        if t is None:
+        b = self._birkhoff
+        top = self.poset.top if b is None else b.at[(1 << len(b.below)) - 1]
+        if top is None:
             raise NotALattice("no top element")
-        return t
+        return top
 
     def join(self, x, y):
-        key = (x, y)
-        if key not in self._join_cache:
-            self._join_cache[key] = self.poset.join(x, y)
-        return self._join_cache[key]
+        b = self._birkhoff
+        if b is None:
+            return self.poset.join(x, y)
+        of = b.of
+        return b.at[of[x] | of[y]]
 
     def meet(self, x, y):
-        key = (x, y)
-        if key not in self._meet_cache:
-            self._meet_cache[key] = self.poset.meet(x, y)
-        return self._meet_cache[key]
+        b = self._birkhoff
+        if b is None:
+            return self.poset.meet(x, y)
+        of = b.of
+        return b.at[of[x] & of[y]]
 
     def join_all(self, xs: Iterable):
-        out = self.bottom
+        b = self._birkhoff
+        if b is None:
+            return _fold(self.join, self.bottom, xs)
+        acc = 0
         for x in xs:
-            out = self.join(out, x)
-            if out is None:
-                return None
-        return out
+            acc |= b.of[x]
+        return b.at[acc]
 
     def meet_all(self, xs: Iterable):
-        out = self.top
+        b = self._birkhoff
+        if b is None:
+            return _fold(self.meet, self.top, xs)
+        acc = (1 << len(b.below)) - 1
         for x in xs:
-            out = self.meet(out, x)
-            if out is None:
-                return None
-        return out
+            acc &= b.of[x]
+        return b.at[acc]
 
     def heyting(self, x, y):
         """Largest z with z ∧ x ≤ y, for lattices; total on verified frames.
-        The candidates' join is that z when it is itself a candidate, and
-        otherwise they have no largest member."""
-        key = (x, y)
-        if key not in self._heyting_cache:
+        On a frame it is the down-set {j : ↓j ∩ m(x) ⊆ m(y)}, the largest
+        whose meet with m(x) lies in m(y). Otherwise the candidates' join is
+        that z when it is itself a candidate, and else they have no largest
+        member."""
+        b = self._birkhoff
+        if b is None:
             j = self.join_all(z for z in self.elements if self.leq(self.meet(z, x), y))
             if j is not None and not self.leq(self.meet(j, x), y):
                 j = None
-            self._heyting_cache[key] = j
-        return self._heyting_cache[key]
+            return j
+        outside = b.of[x] & ~b.of[y]
+        return b.at[sum(1 << i for i, below in enumerate(b.below) if not below & outside)]
 
     def binary_covers(self, u) -> tuple:
         """The covers of u with at most two members: the empty cover (of
@@ -288,12 +332,13 @@ class FiniteFrame:
 
     def canonical_cover(self, u) -> tuple:
         """J↓u, the join-irreducibles below u in join_irreducibles_by_height
-        order: a cover of u (every open is the join of the join-irreducibles
-        below it), empty for bottom, and holding u itself when u is
-        join-irreducible. Each j in it is join-prime, so j lies below some
-        member of any cover of u: a family over any cover of u restricts to
-        one over J↓u, and sheaf gluing and amalgamation closure hold for
-        every cover iff they hold for these (sheaves.verify_sheaf)."""
+        order (on a frame, the bits of m(u)): a cover of u (every open is the
+        join of the join-irreducibles below it), empty for bottom, and
+        holding u itself when u is join-irreducible. Each j in it is
+        join-prime, so j lies below some member of any cover of u: a family
+        over any cover of u restricts to one over J↓u, and sheaf gluing and
+        amalgamation closure hold for every cover iff they hold for these
+        (sheaves.verify_sheaf)."""
         return self._canonical_covers[u]
 
     @cached_property
@@ -332,6 +377,25 @@ class FiniteFrame:
         distributivity; first violated law wins, with its witness. A finite
         distributive lattice is Heyting, so the Heyting law needs no check.
 
+        The verdict is Birkhoff's test, one pass over the pairs: with J the
+        opens whose strictly smaller opens have a greatest member and
+        m(x) = {j ∈ J : j ≤ x}, the relation is a frame iff (1) x ≤ y ⇔
+        m(x) ⊆ m(y) for every pair, (2) the masks are distinct and (3) the
+        set of masks is closed under | and &. If they hold, x ↦ m(x) is an
+        order isomorphism onto a family of sets closed under union and
+        intersection, which is a distributive lattice with those as join
+        and meet, so every law holds. Conversely, on a frame J is the set of
+        join-irreducibles; every x is the join of m(x), so (1) and (2) hold;
+        m(x ∧ y) = m(x) & m(y) in any lattice, and m(x ∨ y) = m(x) | m(y)
+        because each join-irreducible of a distributive lattice is
+        join-prime, so (3) holds. Only a reject runs the law sequence below,
+        which names today's first failed law and witness: the poset laws,
+        the bounds, the binary joins (with a bottom and every binary join a
+        finite poset is a complete lattice, so every binary meet exists
+        too), and Birkhoff's join-prime test, j ≰ ∨{x : j ≰ x} for each
+        join-irreducible j, with the pair and triple scans naming the
+        witness.
+
         Frames are immutable, so the first report is kept and returned again.
         """
         if self._report is None:
@@ -340,6 +404,8 @@ class FiniteFrame:
 
     @timed
     def _verify_fresh(self) -> CheckReport:
+        if self._birkhoff is not None:
+            return CheckReport.ok("frame", elements=len(self.elements))
         p = self.poset.verify()
         if not p.passed:
             return CheckReport.fail("frame.poset", p.witness, law=p.name)
@@ -347,14 +413,11 @@ class FiniteFrame:
             return CheckReport.fail("frame.lattice", {"missing": "bottom"})
         if self.poset.top is None:
             return CheckReport.fail("frame.lattice", {"missing": "top"})
-        # with a bottom and every binary join (symmetric, idempotent) a finite
-        # poset is a complete lattice, so every binary meet exists too
         elems = self.elements
         if any(self.join(x, y) is None for i, x in enumerate(elems) for y in elems[i + 1:]):
             return self._missing_bound()
-        # Birkhoff: a finite lattice is distributive iff each join-irreducible
-        # j is join-prime, i.e. j ≰ ∨{x : j ≰ x}; every x is the join of the
-        # join-irreducibles below it, so that join runs over J alone
+        # every x is the join of the join-irreducibles below it, so the
+        # join-prime test runs over J alone
         J = self.join_irreducibles()
         if any(self.leq(j, self.join_all(k for k in J if not self.leq(j, k))) for j in J):
             return self._distributivity_failure()
@@ -383,6 +446,87 @@ class FiniteFrame:
                             {"triple": [a, b, c], "lhs": lhs, "rhs": rhs},
                         )
         raise AssertionError("a join-irreducible is not join-prime, so distributivity fails")
+
+
+def _fold(op, out, xs: Iterable):
+    """out op x for each x in turn; None from the first missing bound on."""
+    for x in xs:
+        out = op(out, x)
+        if out is None:
+            return None
+    return out
+
+
+def _inclusion_pairs(labels: Sequence, sets: Sequence[int], at: dict) -> tuple[list, tuple | None]:
+    """One pass over the pairs (labels[i], labels[k]), k ≤ i: the pairs
+    (x, y) with set(x) ⊆ set(y), and the first pair (x, y) in that order
+    whose intersection or union is not in ``at`` (set -> label), with
+    "meet" or "join", which ends the pass."""
+    pairs = []
+    for i, a in enumerate(sets):
+        x = labels[i]
+        for k in range(i + 1):
+            b = sets[k]
+            meet, join = a & b, a | b
+            if meet not in at or join not in at:
+                return pairs, (x, labels[k], "meet" if meet not in at else "join")
+            if meet == a:
+                pairs.append((x, labels[k]))
+            if meet == b and k != i:
+                pairs.append((labels[k], x))
+    return pairs, None
+
+
+class _Masks(NamedTuple):
+    """A frame's Birkhoff masks: m(x) of each open, the open of each mask,
+    and m(J[i]) for each bit i."""
+
+    of: dict
+    at: dict
+    below: list
+
+
+def _mask_table(frame: FiniteFrame, masks: list) -> _Masks:
+    """FiniteFrame._birkhoff from the Birkhoff masks in element order."""
+    of = dict(zip(frame.elements, masks))
+    return _Masks(of, dict(zip(masks, frame.elements)), [of[j] for j in frame.join_irreducibles_by_height()])
+
+
+def frame_of_sets(labels: Sequence[str], sets: Sequence[int]) -> tuple[FiniteFrame, tuple | None]:
+    """The labels ordered by inclusion of their sets (distinct ints, bit
+    sets), and the first pair (x, y), y at or before x in label order, whose
+    sets' intersection ("meet") or union ("join") is not one of the sets, or
+    None; one pass over the pairs decides both (_inclusion_pairs).
+
+    Sets closed under union and intersection form a distributive lattice
+    under inclusion with those as join and meet, so the frame passes verify
+    with no test of its own. Its join-irreducibles are the distinct sets
+    ℓ(b) = ∩{s : b ∈ s} for the bits b outside the least set (ℓ(b) = x ∪ y
+    puts b in x or y; and every set is its least set joined with the ℓ(b)
+    of its other bits), and m(x) is the ℓ(b) inside set(x). On a gap, or
+    with repeated sets, the frame is the unverified inclusion relation."""
+    at = dict(zip(sets, labels))
+    pairs, gap = _inclusion_pairs(labels, sets, at)
+    if gap is not None:
+        pairs = [(x, y) for x, a in zip(labels, sets) for y, b in zip(labels, sets) if not a & ~b]
+    frame = FiniteFrame(FinitePoset(labels, pairs, closed=True))
+    if gap is None and len(at) == len(sets):
+        floor = -1
+        for s in sets:
+            floor &= s
+        least: dict = {}
+        for s in sets:
+            rest = s & ~floor
+            while rest:
+                low = rest & -rest
+                least[low] = least.get(low, s) & s
+                rest ^= low
+        frame._join_irreducibles = tuple(frame.poset.sorted({at[s] for s in least.values()}))
+        of = dict(zip(labels, sets))
+        ells = [of[j] for j in frame.join_irreducibles_by_height()]
+        masks = [sum(1 << i for i, ell in enumerate(ells) if not ell & ~s) for s in sets]
+        frame._birkhoff = _mask_table(frame, masks)
+    return frame, gap
 
 
 def close_and_verify_frame(elements: Sequence[str], pairs: Iterable[tuple]) -> tuple[FiniteFrame | None, CheckReport]:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .frames import FiniteFrame, FinitePoset, FrameHom, verify_frame_hom
+from .frames import FiniteFrame, FrameHom, frame_of_sets, verify_frame_hom
 from .report import (
     Budget,
     BudgetMeter,
@@ -75,14 +76,24 @@ class EtaleLocale:
         return f"{self.presheaf.label(u, s)}@{u}"
 
 
-def _germ_join(X: FiniteFrame, germs: list, mask: int):
-    """∨ of the opens j of the germs (j, x) whose bits are set in mask."""
-    js = []
-    while mask:
-        low = mask & -mask
-        js.append(germs[low.bit_length() - 1][0])
-        mask ^= low
-    return X.join_all(js)
+def _germ_joins(X: FiniteFrame, germs: list) -> Callable[[int], str]:
+    """mask ↦ ∨ of the opens j of the germs (j, x) whose bits are set in
+    mask: one OR of their masks in X and one lookup (X.join_all), kept per
+    mask, as the sections of one presheaf share their germs."""
+    joins: dict = {}
+
+    def join(mask: int) -> str:
+        out = joins.get(mask)
+        if out is None:
+            js, rest = [], mask
+            while rest:
+                low = rest & -rest
+                js.append(germs[low.bit_length() - 1][0])
+                rest ^= low
+            out = joins[mask] = X.join_all(js)
+        return out
+
+    return join
 
 
 def _memo_hit(slot, meter: BudgetMeter):
@@ -104,8 +115,12 @@ def etale_locale(P: Presheaf, *, budget: Budget | None = None) -> EtaleLocale:
     of the germs (j, x), j a join-irreducible of the base and x ∈ P(j), read
     as the assignment (u, s) ↦ ∨{j ≤ u : (j, s|_j) ∈ D} of an open below each
     section's domain, under the pointwise order. The down-sets come from the
-    germ walk of enumerate_subsheaves, one budget tick each; the frame laws
-    are checked, never assumed.
+    germ walk of enumerate_subsheaves, one budget tick each. The frame is
+    built from their masks (frames.frame_of_sets): one pass over the pairs
+    collects the order and checks that each pair's intersection and union
+    are down-sets of the frame (the pointwise lattice), and a family of sets
+    closed under both is a frame, so the frame laws are checked, never
+    assumed, with no second pass.
 
     The sheaf locale is built once per presheaf object and kept through a
     weak reference (E.presheaf is P, so a strong one would be a cycle); a
@@ -129,9 +144,10 @@ def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
     germs, masks = _germ_table(P, X.top)
     need = {(v, x): m for v, row in masks for x, m in row}
     needs = [need[sec] for sec in sections]
+    germ_join = _germ_joins(X, germs)
     opens = sorted(
         (
-            (tuple(_germ_join(X, germs, chosen & m) for m in needs), chosen)
+            (tuple(germ_join(chosen & m) for m in needs), chosen)
             for chosen in _germ_downsets(P, germs, meter)
         ),
         key=lambda o: tuple(X.index[c] for c in o[0]),
@@ -141,16 +157,13 @@ def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
     labels = [f"L{i:0{width}d}" for i in range(len(assignments))]
     index = {a: i for i, a in enumerate(assignments)}
 
-    pairs = [
-        (labels[i], labels[j])
-        for i, (_, a) in enumerate(opens)
-        for j, (_, b) in enumerate(opens)
-        if not a & ~b
-    ]
-    frame = FiniteFrame(FinitePoset(labels, pairs, closed=True))
-
-    lattice_rep = _mask_lattice(frame, [m for _, m in opens])
+    frame, gap = frame_of_sets(labels, [m for _, m in opens])
     frame_rep = frame.verify()
+    if gap is None:
+        lattice_rep = CheckReport.ok("sheaf_locale.pointwise_lattice")
+    else:
+        x, y, missing = gap
+        lattice_rep = CheckReport.fail("sheaf_locale.pointwise_lattice", {"pair": [x, y], "closed_under": missing})
 
     pstar_map = {}
     for x in X.elements:
@@ -176,29 +189,6 @@ def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
         report=report,
         _index=index,
     )
-
-
-def _mask_lattice(frame: FiniteFrame, masks: list) -> CheckReport:
-    """frame.meet and frame.join of each pair of elements (germ down-sets,
-    masks in element order) are the intersection and the union of their
-    masks: the pointwise meet and join of the assignments, as j ∧ k is a join
-    of join-irreducibles below both j and k on a distributive base."""
-    labels = frame.elements
-    label_of = dict(zip(masks, labels))
-    for i, a in enumerate(masks):
-        for j in range(i + 1):
-            meet, join = label_of.get(a & masks[j]), label_of.get(a | masks[j])
-            if meet is None or join is None:
-                return CheckReport.fail(
-                    "sheaf_locale.pointwise_lattice",
-                    {"pair": [labels[i], labels[j]], "closed_under": "meet" if meet is None else "join"},
-                )
-            if frame.meet(labels[i], labels[j]) != meet or frame.join(labels[i], labels[j]) != join:
-                return CheckReport.fail(
-                    "sheaf_locale.pointwise_lattice",
-                    {"pair": [labels[i], labels[j]], "mismatch": "order-derived ops differ from pointwise"},
-                )
-    return CheckReport.ok("sheaf_locale.pointwise_lattice")
 
 
 def lambda_on_morphism(alpha: SheafMorphism, EP: EtaleLocale, EQ: EtaleLocale) -> tuple[FrameHom, CheckReport]:

@@ -60,8 +60,7 @@ class PoSheaf:
         self._completeness = None
         self._frame_sheaf = None
         self._left_adjoints: dict = {}
-        self._point_index = None
-        self._point_rows: dict = {}
+        self._points: tuple | None = None
         self._opposite = None
 
     @property
@@ -98,28 +97,68 @@ class PoSheaf:
             self._opposite = op
         return self._opposite
 
+    def _point_table(self) -> tuple:
+        """(points, point -> position, bitset of the points over each open,
+        rows by position) in enumerate_points order, built once."""
+        if self._points is None:
+            points = enumerate_points(self.sheaf)
+            over = dict.fromkeys(self.frame.elements, 0)
+            for i, p in enumerate(points):
+                over[p.dom] |= 1 << i
+            self._points = (points, {p: i for i, p in enumerate(points)}, over, [None] * len(points))
+        return self._points
+
+    def points(self) -> list:
+        """enumerate_points(self.sheaf), the order of every point bitset."""
+        return self._point_table()[0]
+
     def point_index(self) -> dict:
-        """Point -> its position in enumerate_points(self.sheaf); the key order
-        is that list's order."""
-        if self._point_index is None:
-            self._point_index = {p: i for i, p in enumerate(enumerate_points(self.sheaf))}
-        return self._point_index
+        """Point -> its position in points()."""
+        return self._point_table()[1]
+
+    def points_over(self, u) -> int:
+        """The bitset of the points over u."""
+        return self._point_table()[2][u]
+
+    def point_order(self, i: int) -> tuple[int, int]:
+        """(row, disagreements) of the i-th point p: the bitsets over points()
+        of the q with p ≤ q, and of the q on which the two readings of
+        point_leq disagree (none under POS2). Built on first use and kept in
+        a list by position; it never raises, so a caller raises only for the
+        pairs it reads."""
+        points, _, _, rows = self._points or self._point_table()
+        out = rows[i]
+        if out is None:
+            p = points[i]
+            row = bad = 0
+            for k, q in enumerate(points):
+                w = point_leq(self, p, q)
+                row |= w.holds << k
+                bad |= (not w.agree()) << k
+            out = rows[i] = (row, bad)
+        return out
+
+    def row(self, i: int) -> int:
+        """The row of point_order(i); a disagreement (impossible under POS2)
+        raises AssertionError, as in point_leq_bool."""
+        row, bad = self.point_order(i)
+        if bad:
+            _read_point_leq(self, i, (bad & -bad).bit_length() - 1)
+        return row
 
     def point_row(self, p: Point) -> int:
-        """The bitset over point_index of the q with p ≤ q, built on first use
-        from both readings of point_leq; a disagreement (impossible under
-        POS2) raises AssertionError, as in point_leq_bool."""
-        row = self._point_rows.get(p)
-        if row is None:
-            row = 0
-            for i, q in enumerate(self.point_index()):
-                w = point_leq(self, p, q)
-                if not w.agree():
-                    raise AssertionError(f"point order readings disagree on {p} vs {q}")
-                if w.holds:
-                    row |= 1 << i
-            self._point_rows[p] = row
-        return row
+        """row() of a point."""
+        return self.row(self.point_index()[p])
+
+
+def _read_point_leq(F: "PoSheaf", i: int, k: int) -> bool:
+    """p_i ≤ p_k from F's rows, raising AssertionError as point_leq_bool does
+    when the two readings disagree on that pair."""
+    row, bad = F.point_order(i)
+    if bad >> k & 1:
+        points = F.points()
+        raise AssertionError(f"point order readings disagree on {points[i]} vs {points[k]}")
+    return bool(row >> k & 1)
 
 
 def discrete(sheaf: Presheaf) -> PoSheaf:
@@ -370,13 +409,21 @@ def verify_order_preserving(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> Che
     if not nat.passed:
         return CheckReport.fail("order_preserving", {"precondition": nat.witness}, stage="morphism")
 
-    pts = enumerate_points(F.sheaf)
+    # the pairs p ≤ q of F in point order, read from F's rows, each image
+    # pair read from G's rows; a pair whose readings disagree raises when
+    # reached, as point_leq_bool does
+    pts = F.points()
+    image = [G.point_index()[alpha.on_point(p)] for p in pts]
     point_ok, point_wit = True, None
-    for p in pts:
-        for q in pts:
-            if point_leq_bool(F, p, q) and not point_leq_bool(G, alpha.on_point(p), alpha.on_point(q)):
-                point_ok, point_wit = False, {"points": [list(p), list(q)]}
-                break
+    for i, p in enumerate(pts):
+        row, bad = F.point_order(i)
+        reached = row | bad
+        while reached and point_ok:
+            low = reached & -reached
+            reached ^= low
+            k = low.bit_length() - 1
+            if _read_point_leq(F, i, k) and not _read_point_leq(G, image[i], image[k]):
+                point_ok, point_wit = False, {"points": [list(p), list(pts[k])]}
         if not point_ok:
             break
 
@@ -387,11 +434,11 @@ def verify_order_preserving(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> Che
             open_ok, open_wit = False, {"open": u, "pair": m.witness["pair"]}
             break
 
+    # (a, b) lies in the order subsheaf of G×G at u iff (a, b) ∈ ≤_u
     fact_ok, fact_wit = True, None
-    square, rel = order_subsheaf(G)
     for u in F.frame.elements:
         for (x, y) in F.sorted_pairs(u):
-            if not rel.contains(u, (alpha(u, x), alpha(u, y))):
+            if (alpha(u, x), alpha(u, y)) not in G.orders[u]:
                 fact_ok, fact_wit = False, {"open": u, "pair": [F.label(u, x), F.label(u, y)]}
                 break
         if not fact_ok:
@@ -406,10 +453,10 @@ def verify_order_preserving(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> Che
 @timed
 def morphism_leq(alpha: SheafMorphism, beta: SheafMorphism, F: PoSheaf, G: PoSheaf) -> tuple[bool, CheckReport]:
     """α ≤ β in the three equivalent readings; verdict plus report."""
-    pts = enumerate_points(F.sheaf)
+    index = G.point_index()
     point_ok, point_wit = True, None
-    for p in pts:
-        if not point_leq_bool(G, alpha.on_point(p), beta.on_point(p)):
+    for p in enumerate_points(F.sheaf):
+        if not _read_point_leq(G, index[alpha.on_point(p)], index[beta.on_point(p)]):
             point_ok, point_wit = False, {"point": list(p)}
             break
 
@@ -422,11 +469,11 @@ def morphism_leq(alpha: SheafMorphism, beta: SheafMorphism, F: PoSheaf, G: PoShe
         if not open_ok:
             break
 
-    _, rel = order_subsheaf(G)
+    # (a, b) lies in the order subsheaf of G×G at u iff (a, b) ∈ ≤_u
     diag_ok, diag_wit = True, None
     for u in F.frame.elements:
         for x in F.sheaf.carriers[u]:
-            if not rel.contains(u, (alpha(u, x), beta(u, x))):
+            if (alpha(u, x), beta(u, x)) not in G.orders[u]:
                 diag_ok, diag_wit = False, {"open": u, "section": F.label(u, x)}
                 break
         if not diag_ok:
@@ -682,13 +729,15 @@ def verify_galois(
             stage="order_preserving",
         )
 
-    fpts = enumerate_points(F.sheaf)
-    gpts = enumerate_points(G.sheaf)
+    fpts = F.points()
+    gpts = G.points()
+    alpha_at = [G.point_index()[alpha.on_point(x)] for x in fpts]
+    beta_at = [F.point_index()[beta.on_point(y)] for y in gpts]
     pt_ok, pt_wit = True, None
-    for x in fpts:
-        for y in gpts:
-            lhs = point_leq_bool(G, alpha.on_point(x), y)
-            rhs = point_leq_bool(F, x, beta.on_point(y))
+    for i, x in enumerate(fpts):
+        for k, y in enumerate(gpts):
+            lhs = _read_point_leq(G, alpha_at[i], k)
+            rhs = _read_point_leq(F, i, beta_at[k])
             if lhs != rhs:
                 pt_ok, pt_wit = False, {"points": [list(x), list(y)], "alpha_leq": lhs, "leq_beta": rhs}
                 break

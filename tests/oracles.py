@@ -10,12 +10,15 @@ least and greatest elements as the one minimal or maximal member; join and meet
 preservation over every subset; the point-order bounds of a subsheaf one pair
 at a time; and, for the étale layer, the sheaf locale as the product of the
 sections' down-sets filtered by pairwise agreement opens, ordered
-pointwise and with pointwise meets and joins, a section's agreement with its
+pointwise and with pointwise meets and joins, its frame by the pair list of
+germ down-sets closed to a poset with the pair loop over its meets and joins,
+a section's agreement with its
 own restrictions, cross-sections by a
 search over every open of O(Y) with a frame-hom filter, and local
 homeomorphisms by a search for each open's base open; the poset and frame
 laws with every pair, chain and triple scanned and a Heyting implication
-sought for every pair, and join preservation by a frame hom over every
+sought for every pair, a frame's operations read from its poset alone,
+and join preservation by a frame hom over every
 subset; and, for completeness, the bound checks over every ordered pair
 (a frame hom's finite meets, the lattice law at an open, finite
 sup-completeness per open, a morphism's finite meets), a morphism's
@@ -26,11 +29,13 @@ sheaf. They are slow (2^|↓u| covers per open, product spaces,
 to them."""
 from __future__ import annotations
 
+from functools import cached_property
+
 from posheaf.complete import meet_morphism
-from posheaf.frames import FiniteFrame
+from posheaf.frames import FiniteFrame, FinitePoset
 from posheaf.locale_equiv import Section
 from posheaf.orders import PoSheaf, point_leq_bool, power_sheaf
-from posheaf.report import Budget, BudgetMeter, CheckReport
+from posheaf.report import Budget, BudgetMeter, CheckReport, NotALattice
 from posheaf.sheaves import (
     SheafCertificate,
     SubSheaf,
@@ -323,6 +328,89 @@ def heyting(frame, x, y):
     return greatest(frame.poset, [z for z in frame.elements if frame.leq(frame.meet(z, x), y)])
 
 
+class _PosetOps:
+    """The operations of FiniteFrame by their definitions on the poset alone:
+    a join or meet is the least common upper or greatest common lower bound
+    by the minimal-member scan, a join or meet of many is the fold of the
+    binary ones from bottom or top (None from the first missing one), the
+    Heyting implication is the candidates' join when it is a candidate, and
+    the join-irreducibles are the opens whose strictly smaller opens have a
+    greatest member. A missing bottom or top raises NotALattice."""
+
+    def __init__(self, poset):
+        self.poset = poset
+        self.elements = poset.elements
+
+    def leq(self, x, y) -> bool:
+        return self.poset.leq(x, y)
+
+    def join(self, x, y):
+        return least(self.poset, self.poset.up(x) & self.poset.up(y))
+
+    def meet(self, x, y):
+        return greatest(self.poset, self.poset.down(x) & self.poset.down(y))
+
+    @property
+    def bottom(self):
+        b = least(self.poset, self.elements)
+        if b is None:
+            raise NotALattice("no bottom element")
+        return b
+
+    @property
+    def top(self):
+        t = greatest(self.poset, self.elements)
+        if t is None:
+            raise NotALattice("no top element")
+        return t
+
+    def join_all(self, xs):
+        out = self.bottom
+        for x in xs:
+            out = self.join(out, x)
+            if out is None:
+                return None
+        return out
+
+    def meet_all(self, xs):
+        out = self.top
+        for x in xs:
+            out = self.meet(out, x)
+            if out is None:
+                return None
+        return out
+
+    def heyting(self, x, y):
+        z = self.join_all(c for c in self.elements if self.leq(self.meet(c, x), y))
+        return z if z is not None and self.leq(self.meet(z, x), y) else None
+
+    def down(self, u) -> tuple:
+        return tuple(self.poset.sorted(self.poset.down(u)))
+
+    def up(self, u) -> tuple:
+        return tuple(self.poset.sorted(self.poset.up(u)))
+
+    @cached_property
+    def join_irreducibles_by_height(self) -> tuple:
+        J = [j for j in self.elements if greatest(self.poset, self.poset.down(j) - {j}) is not None]
+        return tuple(sorted(J, key=lambda j: (len(self.poset.down(j)), self.poset.index[j])))
+
+    def canonical_cover(self, u) -> tuple:
+        return tuple(j for j in self.join_irreducibles_by_height if self.leq(j, u))
+
+    def binary_covers(self, u) -> tuple:
+        below = self.down(u)
+        found = [()] if u == self.bottom else []
+        found.append((u,))
+        found.extend((v, w) for i, v in enumerate(below) for w in below[i + 1:] if self.join(v, w) == u)
+        return tuple(found)
+
+
+def frame_ops(frame) -> _PosetOps:
+    """FiniteFrame's operations read from frame.poset only (_PosetOps)."""
+    return _PosetOps(frame.poset)
+
+
 def poset_laws(poset) -> CheckReport:
     """Reflexivity on every element, antisymmetry on every pair and
     transitivity on every chain x ≤ y ≤ z, first witness wins."""
@@ -496,6 +584,53 @@ def pointwise_lattice(X, assignments: list, frame) -> CheckReport:
                     {"pair": [labels[i], labels[j]], "mismatch": "order-derived ops differ from pointwise"},
                 )
     return CheckReport.ok("sheaf_locale.pointwise_lattice")
+
+
+def germ_masks(E, assignments: list) -> list[int]:
+    """Each assignment of the sheaf locale E as its germ down-set: the
+    sections (j, x) over a join-irreducible j whose value is j."""
+    ji = set(E.presheaf.frame.join_irreducibles())
+    germs = [k for k, (u, _) in enumerate(E.sections) if u in ji]
+    return [sum(1 << bit for bit, k in enumerate(germs) if a[k] == E.sections[k][0]) for a in assignments]
+
+
+def mask_lattice(frame, masks: list) -> CheckReport:
+    """frame.meet and frame.join of each pair of elements (masks in element
+    order) are the opens of the intersection and the union of their masks,
+    pair by pair, the first pair without them or with other ops named."""
+    labels = frame.elements
+    label_of = dict(zip(masks, labels))
+    for i, a in enumerate(masks):
+        for j in range(i + 1):
+            meet, join = label_of.get(a & masks[j]), label_of.get(a | masks[j])
+            if meet is None or join is None:
+                return CheckReport.fail(
+                    "sheaf_locale.pointwise_lattice",
+                    {"pair": [labels[i], labels[j]], "closed_under": "meet" if meet is None else "join"},
+                )
+            if frame.meet(labels[i], labels[j]) != meet or frame.join(labels[i], labels[j]) != join:
+                return CheckReport.fail(
+                    "sheaf_locale.pointwise_lattice",
+                    {"pair": [labels[i], labels[j]], "mismatch": "order-derived ops differ from pointwise"},
+                )
+    return CheckReport.ok("sheaf_locale.pointwise_lattice")
+
+
+def sheaf_locale_frame(E) -> tuple:
+    """The sheaf locale's frame by the pair-list construction: E's
+    assignments sorted by the element indices of their values and labelled
+    L000, L001, ..., the pairs of labels whose germ down-sets are included
+    one in the other as a FinitePoset, its frame's verify, and the
+    pointwise-lattice loop over the pairs (mask_lattice). Returns
+    (assignments, frame, frame report, pointwise-lattice report)."""
+    X = E.presheaf.frame
+    assignments = sorted(E.assignments, key=lambda a: tuple(X.index[c] for c in a))
+    width = max(3, len(str(max(len(assignments) - 1, 0))))
+    labels = [f"L{i:0{width}d}" for i in range(len(assignments))]
+    masks = germ_masks(E, assignments)
+    pairs = [(labels[i], labels[j]) for i, a in enumerate(masks) for j, b in enumerate(masks) if not a & ~b]
+    frame = FiniteFrame(FinitePoset(labels, pairs, closed=True))
+    return assignments, frame, frame.verify(), mask_lattice(frame, masks)
 
 
 def restriction_agreement(P) -> bool:

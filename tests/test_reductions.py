@@ -12,8 +12,9 @@ open from bitset rows of the point order, the étale layer on points: the
 sheaf locale from the germ walk, ordered and with meets and joins read from
 germ masks, a section's agreement with its own restrictions, cross-sections
 and local homeomorphisms through the point map of the join-irreducibles,
-and the frame laws through join-prime join-irreducibles and binary joins,
-with frame homs' joins read from the empty and binary ones.
+and the frame laws through Birkhoff masks (with the join-prime test and
+binary joins naming a reject's witness) and the frame operations read from
+those masks, with frame homs' joins read from the empty and binary ones.
 
 Verdicts, the Sub/Dow lists and generated subsheaves must agree on every
 element order of the frame; witnesses and sheaf certificate entries must
@@ -52,12 +53,13 @@ from posheaf.frames import (
     FinitePoset,
     FrameHom,
     MonotoneMap,
+    frame_of_sets,
     preserves_all_joins,
     preserves_all_meets,
     verify_frame_hom,
 )
 from posheaf.generate import GenConfig, _order_closure, gen_endomorphism, gen_frame, gen_posheaf, gen_sheaf, mutate
-from posheaf import locale_equiv
+from posheaf import frames as frames_module
 from posheaf.locale_equiv import LocaleOverX, _point_map, _point_sections, cross_sections, etale_locale, is_local_homeomorphism, unit
 from posheaf.orders import (
     PoSheaf,
@@ -70,7 +72,7 @@ from posheaf.orders import (
     power_sheaf,
     verify_posheaf,
 )
-from posheaf.report import Budget, BudgetMeter, RepairFailed, ResourceLimit
+from posheaf.report import Budget, BudgetMeter, PosheafError, RepairFailed, ResourceLimit
 from posheaf.sheaves import (
     Presheaf,
     SheafMorphism,
@@ -709,28 +711,60 @@ def test_sheaf_locale_order_matches_the_pointwise_order(pointwise_corpus):
     assert sum(not verify_sheaf(Q).passed for _, Q, _ in pointwise_corpus) >= 10
 
 
-def _germ_masks(Q, E) -> list[int]:
-    """Each assignment's germ down-set: the sections (j, x) over a
-    join-irreducible j whose value is j."""
-    ji = set(Q.frame.join_irreducibles())
-    germs = [k for k, (u, _) in enumerate(E.sections) if u in ji]
-    return [sum(1 << bit for bit, k in enumerate(germs) if a[k] == E.sections[k][0]) for a in E.assignments]
-
-
 def test_sheaf_locale_lattice_matches_the_pointwise_lattice(pointwise_corpus):
-    # meets and joins read from germ masks are the pointwise ones; on the
-    # opposite order, which they are not, both checks name the same pair
+    # the pointwise-lattice subreport is the definition's on every sheaf
+    # locale; on families of sets, closed or not, frame_of_sets names the
+    # pair that the loop over the inclusion frame's order-derived ops names,
+    # and its frame has the verdict of the same relation verified afresh
     for name, Q, E in pointwise_corpus:
         sub = next(r for r in E.report.subreports if r.name == "sheaf_locale.pointwise_lattice")
         oracle = oracles.pointwise_lattice(Q.frame, E.assignments, E.frame)
         assert (sub.passed, sub.witness) == (oracle.passed, oracle.witness) == (True, None), name
-        masks = _germ_masks(Q, E)
-        assert locale_equiv._mask_lattice(E.frame, masks).passed, name
-        if len(E.assignments) > 1:
-            flipped = FiniteFrame(E.frame.poset.opposite())
-            got = locale_equiv._mask_lattice(flipped, masks)
-            expected = oracles.pointwise_lattice(Q.frame, E.assignments, flipped)
-            assert not got.passed and got.witness == expected.witness, name
+    rng = random.Random(53)
+    missing = set()
+    for i in range(300):
+        bits = rng.randint(1, 5)
+        sets = set(rng.sample(range(1 << bits), rng.randint(1, min(10, 1 << bits))))
+        while i % 2 and any(a & b not in sets or a | b not in sets for a in sets for b in sets):
+            sets |= {op(a, b) for a in sets for b in sets for op in (int.__and__, int.__or__)}
+        sets = rng.sample(sorted(sets), len(sets))
+        labels = [f"s{k}" for k in range(len(sets))]
+        frame, gap = frame_of_sets(labels, sets)
+        expected = oracles.mask_lattice(_fresh(frame), sets)
+        assert (gap is None) == expected.passed, sets
+        if gap is not None:
+            assert expected.witness == {"pair": [gap[0], gap[1]], "closed_under": gap[2]}, sets
+            missing.add(gap[2])
+        assert _report(frame.verify()) == _report(_fresh(frame).verify()), sets
+        assert frame.verify().passed or gap is not None, sets
+        if gap is None:
+            # the masks read from the least sets answer as the poset does
+            oracle = oracles.frame_ops(frame)
+            for x, y in rng.sample([(x, y) for x in labels for y in labels], min(30, len(labels) ** 2)):
+                for op in ("leq", "join", "meet", "heyting"):
+                    assert getattr(frame, op)(x, y) == getattr(oracle, op)(x, y), (sets, op, x, y)
+            assert [frame.canonical_cover(u) for u in labels] == [oracle.canonical_cover(u) for u in labels], sets
+    assert missing == {"meet", "join"}
+
+
+def test_sheaf_locale_frame_matches_the_pair_list_construction(pointwise_corpus):
+    # Λ's frame, read from its germ masks, has the element order, the order
+    # relation and both subreports of the pair list closed to a poset, with
+    # the pointwise-lattice loop over the pairs
+    for name, Q, E in pointwise_corpus:
+        assignments, frame, frame_rep, lattice_rep = oracles.sheaf_locale_frame(E)
+        assert E.assignments == assignments and E.frame.elements == frame.elements, name
+        assert E.frame.poset.pairs() == frame.poset.pairs(), name
+        subs = {r.name: _report(r) for r in E.report.subreports}
+        assert subs["frame"] == _report(frame_rep) and subs["sheaf_locale.pointwise_lattice"] == _report(lattice_rep), name
+
+
+def test_omega_of_2_to_the_5_has_a_sheaf_locale_of_1024_opens(boolean_frame):
+    E = etale_locale(omega(boolean_frame(5)).sheaf)
+    assert E.report.passed and len(E.frame) == 1024
+    assignments, frame, frame_rep, lattice_rep = oracles.sheaf_locale_frame(E)
+    assert E.assignments == assignments and E.frame.poset.pairs() == frame.poset.pairs()
+    assert [_report(r) for r in E.report.subreports[:2]] == [_report(frame_rep), _report(lattice_rep)]
 
 
 def test_a_section_agrees_with_its_restrictions(pointwise_corpus):
@@ -840,6 +874,70 @@ def test_frame_verify_matches_the_exhaustive_laws(etale_presheaves):
                 missing.add(rep.witness["missing"])
     assert names == {"frame", "poset.antisymmetric", "poset.transitive", "frame.lattice", "frame.distributive"}
     assert missing == {"bottom", "top", "join", "meet"}
+
+
+def _outcome(op, *args):
+    """op(*args), or the name of the PosheafError it raises."""
+    try:
+        return op(*args)
+    except PosheafError as exc:
+        return type(exc).__name__
+
+
+def test_frame_ops_match_the_poset_definitions(etale_presheaves):
+    # on frames the masks answer, on the rejected relations the poset scans
+    # do: both agree with the definitions on the poset alone, None and
+    # raised errors included, in given and shuffled element orders
+    rng = random.Random(59)
+    verdicts = set()
+    for name, frame in _frame_corpus(etale_presheaves):
+        for given in (frame, _shuffled_frame(frame, rng)):
+            verdicts.add(given.verify().passed)
+            oracle = oracles.frame_ops(given)
+            elems = given.elements
+            pairs = [(x, y) for x in elems for y in elems]
+            pairs = pairs if len(pairs) <= 150 else rng.sample(pairs, 150)
+            for i, (x, y) in enumerate(pairs):
+                for op in ("leq", "join", "meet", "heyting") if i < 40 else ("leq", "join", "meet"):
+                    assert _outcome(getattr(given, op), x, y) == _outcome(getattr(oracle, op), x, y), (name, op, x, y)
+            for _ in range(20):
+                xs = rng.sample(elems, rng.randint(0, min(4, len(elems))))
+                for op in ("join_all", "meet_all"):
+                    assert _outcome(getattr(given, op), xs) == _outcome(getattr(oracle, op), xs), (name, op, xs)
+            for u in elems:
+                for op in ("down", "up", "canonical_cover", "binary_covers"):
+                    assert _outcome(getattr(given, op), u) == _outcome(getattr(oracle, op), u), (name, op, u)
+    assert verdicts == {True, False}
+
+
+def test_a_passing_frame_answers_from_its_masks(monkeypatch, boolean_frame):
+    # after verify, a passing frame's ops run no least or greatest scan; Λ
+    # builds its frame with no closure and no poset join
+    sheaves = []
+    for seed in range(10):
+        cfg = GenConfig(seed=seed, max_opens=6, max_carrier=2)
+        sheaves.append(gen_sheaf(gen_frame(cfg), cfg))
+    frames = [build() for build in FIXTURE_FRAMES.values()] + [boolean_frame(4)]
+    calls = []
+    for target, name in ((frames_module, "_closure"), (FinitePoset, "join")):
+        original = getattr(target, name)
+        monkeypatch.setattr(target, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    frames += [etale_locale(P).frame for P in sheaves]
+    assert calls == []
+    for name in ("least", "greatest"):
+        original = getattr(FinitePoset, name)
+        monkeypatch.setattr(FinitePoset, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    for frame in frames:
+        assert frame.verify().passed
+        calls.clear()
+        elems = frame.elements
+        for x in elems:
+            for y in elems[:12]:
+                frame.leq(x, y), frame.join(x, y), frame.meet(x, y), frame.heyting(x, y)
+        frame.join_all(elems[:5]), frame.meet_all(elems[-5:]), frame.bottom, frame.top
+        for u in elems:
+            frame.canonical_cover(u), frame.binary_covers(u)
+        assert calls == [], frame.elements
 
 
 def _monotone_map(source: FiniteFrame, target: FiniteFrame, rng: random.Random) -> FrameHom:
