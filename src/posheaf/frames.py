@@ -341,6 +341,32 @@ class FiniteFrame:
         (sheaves.verify_sheaf)."""
         return self._canonical_covers[u]
 
+    def lower_covers(self, u) -> tuple:
+        """The opens v < u with no open strictly between, in element order,
+        built once per frame. Every v < u lies below one of them, so a law
+        that composes along chains (restriction composition, POS2) holds
+        at every v ≤ u iff it holds along these, by induction on u. On a
+        frame they are the opens whose Birkhoff mask is m(u) less one bit:
+        a distributive lattice is graded by |m(x)|, and m(u) less bit i is a
+        down-set of J, so an open, iff J[i] is maximal in m(u). On a
+        relation that is not a frame they are the maximal members of ↓u
+        other than u."""
+        return self._lower_covers[u]
+
+    @cached_property
+    def _lower_covers(self) -> dict:
+        b = self._birkhoff
+        out = {}
+        for u in self.elements:
+            if b is None:
+                below = [v for v in self.down(u) if v != u]
+                found = {v for v in below if not any(self.poset.lt(v, z) for z in below)}
+            else:
+                mask = b.of[u]
+                found = {b.at[mask ^ 1 << i] for i in range(mask.bit_length()) if mask >> i & 1 and mask ^ 1 << i in b.at}
+            out[u] = tuple(self.poset.sorted(found))
+        return out
+
     @cached_property
     def _canonical_covers(self) -> dict:
         """canonical_cover(u) for every u, built once."""

@@ -125,16 +125,33 @@ class PoSheaf:
         of the q with p ≤ q, and of the q on which the two readings of
         point_leq disagree (none under POS2). Built on first use and kept in
         a list by position; it never raises, so a caller raises only for the
-        pairs it reads."""
-        points, _, _, rows = self._points or self._point_table()
+        pairs it reads.
+
+        When a memoized verify_posheaf report of this posheaf or its
+        opposite (POS2 is symmetric in the order) shows POS2 passed, the row
+        is the dom-then-value reading alone, over the opens above p.dom, and
+        the disagreements are 0 by proof: the report passed the sheaf check
+        first, so restriction composes, and if p ≤ q|_{dom p} then for each
+        v ≤ dom p, POS2 gives p|_v ≤ (q|_{dom p})|_v = q|_v, while the
+        factoring reading at v = dom p is the dom-then-value one. Otherwise
+        both readings are computed for every q."""
+        points, index, _, rows = self._points or self._point_table()
         out = rows[i]
         if out is None:
             p = points[i]
             row = bad = 0
-            for k, q in enumerate(points):
-                w = point_leq(self, p, q)
-                row |= w.holds << k
-                bad |= (not w.agree()) << k
+            if _pos2_passed(self):
+                P, order = self.sheaf, self.orders[p.dom]
+                for w in self.frame.up(p.dom):
+                    res = P.res[w, p.dom]
+                    for x in P.carriers[w]:
+                        if (p.value, res[x]) in order:
+                            row |= 1 << index[w, x]
+            else:
+                for k, q in enumerate(points):
+                    w = point_leq(self, p, q)
+                    row |= w.holds << k
+                    bad |= (not w.agree()) << k
             out = rows[i] = (row, bad)
         return out
 
@@ -149,6 +166,17 @@ class PoSheaf:
     def point_row(self, p: Point) -> int:
         """row() of a point."""
         return self.row(self.point_index()[p])
+
+
+def _pos2_passed(F: "PoSheaf") -> bool:
+    """Whether the memoized verify_posheaf report of F or of its opposite
+    shows POS2 passed; False when neither was verified past the sheaf
+    check."""
+    for G in (F, F._opposite):
+        report = getattr(G, "_posheaf_report", None)
+        if report is not None and any(r.name == "posheaf.POS2" and r.passed for r in report.subreports):
+            return True
+    return False
 
 
 def _read_point_leq(F: "PoSheaf", i: int, k: int) -> bool:
@@ -180,11 +208,14 @@ def order_subsheaf(F: PoSheaf) -> tuple[Presheaf, SubSheaf]:
 def verify_posheaf(F: PoSheaf) -> CheckReport:
     """POS1–POS3 with witnesses, cross-checked against the internal-poset
     reading: the order relation must be a subsheaf of F×F satisfying internal
-    reflexivity, antisymmetry, and transitivity. Verdicts must agree. POS3
-    reads the empty and binary covers (_pos3); the subsheaf half of the
-    internal reading is decided at the join-irreducibles
-    (_order_closed_at_germs), and only a reject builds F×F to name its
-    witness."""
+    reflexivity, antisymmetry, and transitivity. Verdicts must agree. POS2
+    is decided along the lower covers (_pos2) and POS3 over the empty and
+    binary covers (_patching_gap); the subsheaf half of the internal
+    reading is decided at the join-irreducibles (_order_closed_at_germs),
+    and a reject reads its witness from F's tables and POS3's failing
+    masks (_internal_subsheaf), so no path builds F×F. Antisymmetry and
+    transitivity are decided from successor sets, and a reject names the
+    first pair or chain in sorted_pairs order."""
     cached = getattr(F, "_posheaf_report", None)
     if cached is not None:
         return cached
@@ -213,58 +244,30 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
             break
     subs.append(pos1)
 
-    pos2 = CheckReport.ok("posheaf.POS2")
-    done = False
-    for u in F.frame.elements:
-        for v in F.frame.down(u):
-            for (x, y) in F.sorted_pairs(u):
-                if not F.leq(v, F.sheaf.restrict(u, x, v), F.sheaf.restrict(u, y, v)):
-                    pos2 = CheckReport.fail(
-                        "posheaf.POS2",
-                        {"square": [u, v], "pair": [F.label(u, x), F.label(u, y)]},
-                    )
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+    pos2 = _pos2(F)
     subs.append(pos2)
 
-    pos3 = _pos3(F)
+    gap = _patching_gap(F)
+    pos3 = _pos3(F, gap)
     subs.append(pos3)
 
-    if _order_closed_at_germs(F):
-        internal_subs = [
-            CheckReport("internal.subsheaf_restriction", True),
-            CheckReport("internal.subsheaf_amalgamation", True),
-        ]
-    else:
-        # only a reject builds F×F; verify_subsheaf checks restriction
-        # closure first and names the failing half in its reason, and a
-        # restriction failure fails both subreports
-        _, rel = order_subsheaf(F)
-        sub_rep = verify_subsheaf(rel)
-        closed = sub_rep.passed or sub_rep.details.get("reason") != "restriction"
-        internal_subs = [
-            CheckReport("internal.subsheaf_restriction", closed, witness=None if closed else sub_rep.witness),
-            CheckReport("internal.subsheaf_amalgamation", sub_rep.passed, witness=sub_rep.witness),
-        ]
+    internal_subs = _internal_subsheaf(F, pos2.passed, gap)
     refl = CheckReport.ok("internal.reflexive")
     antisym = CheckReport.ok("internal.antisymmetric")
     trans = CheckReport.ok("internal.transitive")
     for u in F.frame.elements:
+        order = F.orders[u]
         for x in F.sheaf.carriers[u]:
-            if refl.passed and (x, x) not in F.orders[u]:
+            if refl.passed and (x, x) not in order:
                 refl = CheckReport.fail("internal.reflexive", {"open": u, "section": F.label(u, x)})
-        for (x, y) in F.orders[u]:
-            if antisym.passed and x != y and (y, x) in F.orders[u]:
-                antisym = CheckReport.fail("internal.antisymmetric", {"open": u, "pair": [F.label(u, x), F.label(u, y)]})
-            for (y2, z) in F.orders[u]:
-                if trans.passed and y2 == y and (x, z) not in F.orders[u]:
-                    trans = CheckReport.fail(
-                        "internal.transitive", {"open": u, "chain": [F.label(u, x), F.label(u, y), F.label(u, z)]}
-                    )
+        ups: dict = {}
+        for x, y in order:
+            ups.setdefault(x, set()).add(y)
+        if antisym.passed and any(x != y and x in ups.get(y, ()) for x, y in order):
+            x, y = next((x, y) for x, y in F.sorted_pairs(u) if x != y and (y, x) in order)
+            antisym = CheckReport.fail("internal.antisymmetric", {"open": u, "pair": [F.label(u, x), F.label(u, y)]})
+        if trans.passed and any(not ups.get(y, set()) <= ups[x] for x, y in order):
+            trans = CheckReport.fail("internal.transitive", {"open": u, "chain": _broken_chain(F, u)})
     internal_subs.extend([refl, antisym, trans])
     internal = CheckReport.combine("posheaf.internal_poset", internal_subs)
     subs.append(internal)
@@ -287,14 +290,52 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
     )
 
 
-def _pos3(F: PoSheaf) -> CheckReport:
-    """POS3 over the empty and binary covers of each open, in order; over
-    every cover it follows by induction on the cover size, and a cover
-    holding u itself repeats the premise s ≤ t at u and cannot fail. The
-    pairs s ≰_u t of F(u), s-major in carrier order, are the bits of a mask,
-    the first pair the highest bit; below[v] holds those with s|_v ≤_v t|_v,
-    so the pairs a cover patches wrongly are the AND of its members' masks,
-    and the highest is the first a pair-by-pair scan finds."""
+def _broken_chain(F: PoSheaf, u) -> list:
+    """The labels of the first chain x ≤ y ≤ z at u with x ≰ z: the pairs
+    (x, y) in sorted_pairs order, then each z above y in carrier order, from
+    a list of successors per element."""
+    order = F.orders[u]
+    succ: dict = {}
+    for x, y in F.sorted_pairs(u):
+        succ.setdefault(x, []).append(y)
+    x, y, z = next((x, y, z) for x, y in F.sorted_pairs(u) for z in succ[y] if (x, z) not in order)
+    return [F.label(u, x), F.label(u, y), F.label(u, z)]
+
+
+def _pos2(F: PoSheaf) -> CheckReport:
+    """POS2, x ≤_u y ⇒ x|_v ≤_v y|_v, decided along the lower covers v of u
+    (FiniteFrame.lower_covers) from the unsorted order pairs. Restriction
+    composes on a sheaf, and every v < u is reached from u by a chain of
+    lower covers, so POS2 at every v ≤ u follows link by link. Only a
+    reject scans every v ≤ u over sorted_pairs, to name the first failing
+    square and pair."""
+    P, frame, orders = F.sheaf, F.frame, F.orders
+    if all(
+        (res[x], res[y]) in orders[v]
+        for u in frame.elements
+        for v in frame.lower_covers(u)
+        for res in (P.res[u, v],)
+        for x, y in orders[u]
+    ):
+        return CheckReport.ok("posheaf.POS2")
+    for u in frame.elements:
+        for v in frame.down(u):
+            res = P.res[u, v]
+            for x, y in F.sorted_pairs(u):
+                if (res[x], res[y]) not in orders[v]:
+                    return CheckReport.fail("posheaf.POS2", {"square": [u, v], "pair": [F.label(u, x), F.label(u, y)]})
+    raise AssertionError("POS2 fails along a lower cover, so at some square")
+
+
+def _patching_gap(F: PoSheaf) -> tuple | None:
+    """The first empty or binary cover of an open u, in order, that patches
+    some pair s ≰_u t, as (u, cover, outside, failing), or None. POS3 over
+    every cover follows by induction on the cover size, and a cover holding
+    u itself repeats the premise s ≤ t at u and cannot fail. The pairs
+    s ≰_u t of F(u), s-major in carrier order, are ``outside`` and the bits
+    of a mask, the first pair the highest bit; below[v] holds those with
+    s|_v ≤_v t|_v, so ``failing``, the pairs the cover patches wrongly, is
+    the AND of its members' masks."""
     P = F.sheaf
     for u in F.frame.elements:
         outside = [(s, t) for s in P.carriers[u] for t in P.carriers[u] if (s, t) not in F.orders[u]]
@@ -311,18 +352,81 @@ def _pos3(F: PoSheaf) -> CheckReport:
                     below[v] = int("0" + "".join("1" if (res[s], res[t]) in order else "0" for s, t in outside), 2)
                 failing &= below[v]
             if failing:
-                s, t = outside[len(outside) - failing.bit_length()]
-                return CheckReport.fail(
-                    "posheaf.POS3",
-                    {
-                        "open": u,
-                        "cover": list(cover),
-                        "lower_family": [F.label(v, P.restrict(u, s, v)) for v in cover],
-                        "upper_family": [F.label(v, P.restrict(u, t, v)) for v in cover],
-                        "patched": [F.label(u, s), F.label(u, t)],
-                    },
-                )
-    return CheckReport.ok("posheaf.POS3")
+                return u, cover, outside, failing
+    return None
+
+
+def _pos3(F: PoSheaf, gap: tuple | None) -> CheckReport:
+    """POS3 from _patching_gap: the highest failing bit is the first pair a
+    pair-by-pair scan of the cover finds."""
+    if gap is None:
+        return CheckReport.ok("posheaf.POS3")
+    u, cover, outside, failing = gap
+    s, t = outside[len(outside) - failing.bit_length()]
+    P = F.sheaf
+    return CheckReport.fail(
+        "posheaf.POS3",
+        {
+            "open": u,
+            "cover": list(cover),
+            "lower_family": [F.label(v, P.restrict(u, s, v)) for v in cover],
+            "upper_family": [F.label(v, P.restrict(u, t, v)) for v in cover],
+            "patched": [F.label(u, s), F.label(u, t)],
+        },
+    )
+
+
+def _pair_label(F: PoSheaf, u, x, y) -> str:
+    """The label of (x, y) as a section of F×F (sheaves.product_sheaf)."""
+    return f"({F.label(u, x)},{F.label(u, y)})"
+
+
+def _internal_subsheaf(F: PoSheaf, pos2: bool, gap: tuple | None) -> list[CheckReport]:
+    """The subreports internal.subsheaf_restriction and
+    internal.subsheaf_amalgamation: whether ≤ is a subsheaf of F×F, decided
+    by _order_closed_at_germs, with the witnesses verify_subsheaf would
+    name on the order relation as a part of F×F, read from F's own tables.
+
+    Restriction closure of ≤ in F×F is POS2 itself; its witness is the
+    first pair (x, y) of ≤_u in product order (x-major), and the first
+    v ≤ u, with (x|_v, y|_v) ∉ ≤_v, and a restriction failure fails both
+    subreports. When ≤ is restriction-closed the reject is an amalgamation
+    one, over the binary covers in order. F is a sheaf, so a family of ≤
+    over a cover of u is the family of restrictions of exactly one pair
+    (x, y) ∈ F(u)², and it lacks its amalgamation iff (x, y) ∉ ≤_u: the
+    covers that fail are those that break POS3, and the failing families
+    of a cover are the bits of its POS3 failing mask (_patching_gap). The
+    family search runs member by member in the carrier order of F×F,
+    x-major, so its first failing family is that of the failing pair whose
+    restrictions (x|_c, y|_c) come first in that order."""
+    ok = [CheckReport("internal.subsheaf_restriction", True), CheckReport("internal.subsheaf_amalgamation", True)]
+    if _order_closed_at_germs(F):
+        return ok
+    P, frame, orders = F.sheaf, F.frame, F.orders
+    if not pos2:
+        witness = next(
+            {"open": u, "section": _pair_label(F, u, x, y), "at": v}
+            for u in frame.elements
+            for x, y in F.sorted_pairs(u)
+            for v in frame.down(u)
+            if (P.res[u, v][x], P.res[u, v][y]) not in orders[v]
+        )
+        return [CheckReport(r.name, False, witness=witness) for r in ok]
+    if gap is None:
+        raise AssertionError("≤ is restriction-closed and not a subsheaf, so some binary cover patches wrongly")
+    u, cover, outside, failing = gap
+    key = P.section_key
+    s, t = min(
+        (pair for k, pair in enumerate(outside) if failing >> (len(outside) - 1 - k) & 1),
+        key=lambda p: [(key(c, P.res[u, c][p[0]]), key(c, P.res[u, c][p[1]])) for c in cover],
+    )
+    witness = {
+        "open": u,
+        "cover": list(cover),
+        "family": [_pair_label(F, c, P.res[u, c][s], P.res[u, c][t]) for c in cover],
+        "amalgam_outside": [_pair_label(F, u, s, t)],
+    }
+    return [ok[0], CheckReport("internal.subsheaf_amalgamation", False, witness=witness)]
 
 
 def _order_closed_at_germs(F: PoSheaf) -> bool:

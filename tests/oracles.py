@@ -5,9 +5,11 @@ gluing, subsheaf, patching, closure and downward-closure checks quantified
 over every cover; the gluing and amalgamation-closure scans over every
 empty and binary cover, which the package runs only to name a reject's
 witness, and the internal-poset subsheaf subreports read from the order
-relation as a part of F×F; Sub and Dow by next-closure over that closure;
-least and greatest elements as the one minimal or maximal member; join and meet
-preservation over every subset; the point-order bounds of a subsheaf one pair
+relation as a subsheaf of F×F; presheaf composition over every chain and
+POS2 at every v ≤ u, which the package decides along lower covers; Sub
+and Dow by next-closure over that closure; least and greatest elements as
+the one minimal or maximal member; join and meet preservation over every
+subset; the point-order bounds of a subsheaf one pair
 at a time; and, for the étale layer, the sheaf locale as the product of the
 sections' down-sets filtered by pairwise agreement opens, ordered
 pointwise and with pointwise meets and joins, its frame by the pair list of
@@ -34,7 +36,7 @@ from functools import cached_property
 from posheaf.complete import meet_morphism
 from posheaf.frames import FiniteFrame, FinitePoset
 from posheaf.locale_equiv import Section
-from posheaf.orders import PoSheaf, point_leq_bool, power_sheaf
+from posheaf.orders import PoSheaf, order_subsheaf, point_leq_bool, power_sheaf
 from posheaf.report import Budget, BudgetMeter, CheckReport, NotALattice
 from posheaf.sheaves import (
     SheafCertificate,
@@ -42,7 +44,6 @@ from posheaf.sheaves import (
     compatible_families,
     enumerate_points,
     epsilon,
-    product_sheaf,
     verify_restriction_closed,
 )
 
@@ -138,18 +139,43 @@ def _closure(S: SubSheaf, covers_of) -> CheckReport:
     return CheckReport.ok("subsheaf")
 
 
-def internal_subsheaf(F) -> list[CheckReport]:
+def order_subsheaf_report(F) -> list[CheckReport]:
     """The two subsheaf subreports of verify_posheaf's internal-poset
-    reading, from the order relation as a part of F×F: restriction closure,
-    and restriction plus amalgamation closure over the binary covers."""
-    square = product_sheaf(F.sheaf, F.sheaf)
-    rel = SubSheaf(square, {u: [p for p in square.carriers[u] if p in F.orders[u]] for u in F.frame.elements})
+    reading, from the order relation as a subsheaf of F×F
+    (orders.order_subsheaf): restriction closure, and restriction plus
+    amalgamation closure over the binary covers."""
+    _, rel = order_subsheaf(F)
     rep = binary_cover_closure(rel)
     closed = rep.passed or rep.details.get("reason") != "restriction"
     return [
         CheckReport("internal.subsheaf_restriction", closed, witness=None if closed else rep.witness),
         CheckReport("internal.subsheaf_amalgamation", rep.passed, witness=rep.witness),
     ]
+
+
+def presheaf_composition(P) -> CheckReport:
+    """Presheaf.verify by the scan of every chain w ≤ v ≤ u."""
+    for u in P.frame.elements:
+        for x in P.carriers[u]:
+            if P.restrict(u, x, u) != x:
+                return CheckReport.fail("presheaf.identity", {"open": u, "section": P.label(u, x)})
+    for u in P.frame.elements:
+        for v in P.frame.down(u):
+            for w in P.frame.down(v):
+                for x in P.carriers[u]:
+                    if P.restrict(u, x, w) != P.restrict(v, P.restrict(u, x, v), w):
+                        return CheckReport.fail("presheaf.composition", {"triple": [u, v, w], "section": P.label(u, x)})
+    return CheckReport.ok("presheaf")
+
+
+def pos2_scan(F) -> CheckReport:
+    """POS2 at every v ≤ u, over the order pairs at u in sorted order."""
+    for u in F.frame.elements:
+        for v in F.frame.down(u):
+            for x, y in F.sorted_pairs(u):
+                if not F.leq(v, F.sheaf.restrict(u, x, v), F.sheaf.restrict(u, y, v)):
+                    return CheckReport.fail("posheaf.POS2", {"square": [u, v], "pair": [F.label(u, x), F.label(u, y)]})
+    return CheckReport.ok("posheaf.POS2")
 
 
 def pos3(F) -> CheckReport:

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from posheaf import jsonio
 from posheaf.cli import run
-from posheaf.fixtures import frame_d, identity_locale, posheaf_ab, sheaf_ab
+from posheaf.fixtures import frame_2, frame_d, identity_locale, posheaf_ab, sheaf_ab
 from posheaf.generate import GenConfig, gen_frame, gen_posheaf, mutate
 from posheaf.orders import PoSheaf, omega, power_sheaf
 from posheaf.report import MalformedInput
@@ -443,3 +446,26 @@ def test_mutated_documents_never_crash(which, kind, pick, value):
     assert code in (0, 1, 2, 3)
     if swapped:
         assert code == 2
+
+
+def test_check_posheaf_names_the_same_chain_under_every_hash_seed(tmp_path):
+    # the 5-cycle a < b < c < d < e < a at the top of frame_2 is not
+    # transitive; the internal reading walks the order pairs in sorted
+    # order, so the report does not depend on string hashing
+    xs = "abcde"
+    P = Presheaf(frame_2(), {"0": ("*",), "1": tuple(xs)}, {("1", "0"): {x: "*" for x in xs}})
+    F = PoSheaf(P, {"1": [(xs[i], xs[(i + 1) % 5]) for i in range(5)]})
+    path = write(tmp_path, "cycle.json", jsonio.dump_posheaf_doc(F))
+    src = str(Path(jsonio.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "posheaf.cli", "check", "posheaf", path], env=env, capture_output=True, timeout=120
+        )
+        assert done.returncode == 1, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    internal = next(r for r in json.loads(outputs.pop())["subreports"] if r["name"] == "posheaf.internal_poset")
+    transitive = next(r for r in internal["subreports"] if r["name"] == "internal.transitive")
+    assert transitive["witness"] == {"open": "1", "chain": ["a", "b", "c"]}

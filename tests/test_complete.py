@@ -61,6 +61,18 @@ def test_bounds_on_posheaf_ab(PAB):
     assert {(p.dom, p.value) for p in b.upper_bounds} == {("a", "x"), ("a", "y"), ("1", "xz"), ("1", "yz")}
 
 
+def test_bounds_keep_an_enumerated_member_as_its_target():
+    # members of Sub and Dow come from the germ walk, so they are subsheaves
+    # already: bounds takes each as its target without closing it again,
+    # and the target equals the generated subsheaf of its sections
+    for F in (posheaf_ab(), omega(frame_d()), m3_posheaf()):
+        assert verify_posheaf(F).passed
+        members = enumerate_subsheaves(F.sheaf) + enumerate_downsheaves(F)
+        for S in members:
+            assert bounds(F, S).target is S
+            assert S == generate_subsheaf(F.sheaf, SubSheaf(F.sheaf, S.parts), require_closed=False)
+
+
 def test_omega_complete_on_every_fixture_frame():
     for build in (frame_2, frame_3, frame_d, frame_6):
         cert = is_complete(omega(build()))

@@ -117,8 +117,8 @@ def _calls_during(run, *functions) -> list[tuple]:
 def test_a_passing_posheaf_check_builds_no_square_and_searches_canonical_covers_only(SAB, FD):
     # on a pass the internal subsheaf reading is decided at the germs: no
     # F×F, no restriction-closure scan, and every family search runs over a
-    # canonical cover J↓u; a reject checks restriction closure once, to
-    # name its witness
+    # canonical cover J↓u; a reject reads its witness from F's tables, with
+    # no restriction-closure scan either
     watched = (sheaves.product_sheaf, sheaves.verify_restriction_closed, sheaves.compatible_families)
     passing = [posheaf_ab(), omega(FD)]
     for seed in range(10):
@@ -132,9 +132,37 @@ def test_a_passing_posheaf_check_builds_no_square_and_searches_canonical_covers_
     verdicts = set()
     for orders in ({}, {"a": [("x", "y")], "1": [("xz", "yz")]}, {"1": [("xz", "yz")]}):
         F = PoSheaf(SAB, orders)
-        calls = _calls_during(lambda: verdicts.add(verify_posheaf(F).passed), sheaves.verify_restriction_closed)
-        assert len(calls) == (0 if verify_posheaf(F).passed else 1), orders
+        calls = _calls_during(lambda: verdicts.add(verify_posheaf(F).passed), *watched[:2])
+        assert not calls, orders
     assert verdicts == {True, False}
+
+
+def test_verify_posheaf_builds_no_square(monkeypatch):
+    # every reading of the posheaf laws, a reject's witnesses included, comes
+    # from F's own tables: building F×F or the order subsheaf refuses
+    from posheaf import orders
+    from posheaf.fixtures import FIXTURE_FRAMES, m3_posheaf
+    from posheaf.generate import mutate
+    from posheaf.report import RepairFailed
+
+    instances = [omega(build()) for build in FIXTURE_FRAMES.values()] + [posheaf_ab(), m3_posheaf()]
+    for seed in range(30):
+        cfg = GenConfig(seed=seed)
+        F = gen_posheaf(gen_frame(cfg), cfg)
+        instances.append(F)
+        try:
+            instances.append(mutate(F, "break-POS3", cfg))
+        except RepairFailed:
+            pass
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_posheaf built F×F")
+
+    monkeypatch.setattr(orders, "order_subsheaf", refuse)
+    monkeypatch.setattr(orders, "product_sheaf", refuse)
+    monkeypatch.setattr(sheaves, "product_sheaf", refuse)
+    verdicts = [verify_posheaf(PoSheaf(F.sheaf, F.orders)).passed for F in instances]
+    assert verdicts.count(False) >= 10 and verdicts.count(True) >= 30
 
 
 def test_point_order(PAB, FD):

@@ -308,8 +308,9 @@ def test_subsheaf_closure_matches_the_binary_cover_scan(corpus):
 
 
 def test_internal_subsheaf_reading_matches_the_binary_cover_scan(corpus):
-    # the germ reading on a pass, F×F on a reject: both subsheaf subreports
-    # must be the ones read from F×F over the binary covers
+    # the germ reading on a pass, F's tables and POS3's failing masks on a
+    # reject: both subsheaf subreports must be the ones read from F×F over
+    # the binary covers
     rng = random.Random(19)
     verdicts = set()
     for name, F in _small_posheaves(corpus):
@@ -322,10 +323,125 @@ def test_internal_subsheaf_reading_matches_the_binary_cover_scan(corpus):
         for H in family:
             for G in (H, _shuffled(H, rng)):
                 internal = _subreport(verify_posheaf(G), "posheaf.internal_poset")
-                expected = oracles.internal_subsheaf(G)
+                expected = oracles.order_subsheaf_report(G)
                 assert [_report(r) for r in internal.subreports[:2]] == [_report(r) for r in expected], name
                 verdicts.add(internal.subreports[1].passed)
     assert verdicts == {True, False}
+
+
+def _chain_4() -> FiniteFrame:
+    return FiniteFrame.from_relation(["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "1")])
+
+
+def _non_cover_cases() -> tuple[PoSheaf, Presheaf, PoSheaf]:
+    """On the chain 0 < a < b < 1 (a is no lower cover of 1): a posheaf with
+    s ≤ t at 1 and their restrictions incomparable at b and a, so the first
+    failing POS2 square is (1, a); a presheaf whose restriction 1 → 0 alone
+    disagrees with the chains through b and a, so the first failing chain
+    is (1, a, 0); and, over frame_2, the 5-cycle a < b < c < d < e < a at
+    the top, which is not transitive."""
+    chain = _chain_4()
+    carriers = {"0": ("*",), "a": ("p", "q"), "b": ("m", "n"), "1": ("s", "t")}
+    res = {
+        ("1", "b"): {"s": "m", "t": "n"},
+        ("1", "a"): {"s": "p", "t": "q"},
+        ("b", "a"): {"m": "p", "n": "q"},
+    }
+    res.update({(u, "0"): {x: "*" for x in carriers[u]} for u in ("a", "b", "1")})
+    pos2 = PoSheaf(Presheaf(chain, carriers, res), {"1": [("s", "t")]})
+    carriers = {"0": ("o", "o2"), "a": ("p",), "b": ("m",), "1": ("s",)}
+    res = {
+        ("1", "b"): {"s": "m"},
+        ("1", "a"): {"s": "p"},
+        ("b", "a"): {"m": "p"},
+        ("a", "0"): {"p": "o"},
+        ("b", "0"): {"m": "o"},
+        ("1", "0"): {"s": "o2"},
+    }
+    composition = Presheaf(chain, carriers, res)
+    xs = "abcde"
+    cycle = PoSheaf(
+        Presheaf(FIXTURE_FRAMES["FRAME_2"](), {"0": ("*",), "1": tuple(xs)}, {("1", "0"): {x: "*" for x in xs}}),
+        {"1": [(xs[i], xs[(i + 1) % 5]) for i in range(5)]},
+    )
+    return pos2, composition, cycle
+
+
+def _discrete_top_over_diamond() -> PoSheaf:
+    """The 2-chains x1 < x2 over a and z1 < z2 over b of the diamond, their
+    product over the top, listed backwards and ordered discretely: the
+    cover (a, b) patches five pairs wrongly. POS3 names the first in
+    carrier order, (x2z1, x2z2); the first family of ≤ over the cover in
+    the search order of F×F restricts (x1z1, x1z2)."""
+    top = ("x2z2", "x2z1", "x1z2", "x1z1")
+    res = {("1", "a"): {s: s[:2] for s in top}, ("1", "b"): {s: s[2:] for s in top}}
+    res.update({(u, "0"): {x: "*" for x in xs} for u, xs in (("a", ("x1", "x2")), ("b", ("z1", "z2")), ("1", top))})
+    P = Presheaf(FIXTURE_FRAMES["FRAME_D"](), {"0": ("*",), "a": ("x1", "x2"), "b": ("z1", "z2"), "1": top}, res)
+    return PoSheaf(P, {"a": [("x1", "x2")], "b": [("z1", "z2")]})
+
+
+def test_lower_covers_are_the_covering_opens(corpus):
+    # from the masks on a frame, from the order on the pentagon and diamond
+    rng = random.Random(29)
+    frames = [G.frame for _, F in corpus for G in (F, _shuffled(F, rng))] + list(_non_distributive())
+    for frame in frames:
+        lt = frame.poset.lt
+        for u in frame.elements:
+            covered = [v for v in frame.elements if lt(v, u) and not any(lt(v, z) and lt(z, u) for z in frame.elements)]
+            assert frame.lower_covers(u) == tuple(covered)
+
+
+def test_lower_cover_reductions_match_the_scans(corpus):
+    # composition and POS2 are decided along lower covers, the internal
+    # subsheaf witnesses from F's tables; each must give the scan's report,
+    # on the corpus and on hand-built rejects through non-covers, in the
+    # given and a shuffled element order
+    rng = random.Random(23)
+    pos2, composition, cycle = _non_cover_cases()
+    assert "a" not in _chain_4().lower_covers("1")
+    cases = [(name, H) for name, F in corpus for H in (F, _shuffled(F, rng))]
+    patching = _discrete_top_over_diamond()
+    hand_built = (("pos2", pos2), ("cycle", cycle), ("patching", patching))
+    cases += [(name, H) for name, F in hand_built for H in (F, _shuffled(F, rng))]
+    for name, G in cases:
+        assert _report(G.sheaf.verify()) == _report(oracles.presheaf_composition(G.sheaf)), name
+        if not verify_sheaf(G.sheaf).passed:
+            continue
+        report = verify_posheaf(G)
+        assert _report(_subreport(report, "posheaf.POS2")) == _report(oracles.pos2_scan(G)), name
+        internal = _subreport(report, "posheaf.internal_poset")
+        assert [_report(r) for r in internal.subreports[:2]] == [_report(r) for r in oracles.order_subsheaf_report(G)], name
+    for P in (composition, _shuffled_presheaf(composition, rng)):
+        rep = P.verify()
+        assert _report(rep) == _report(oracles.presheaf_composition(P))
+        if _is_linear_extension(P.frame):
+            assert rep.witness == {"triple": ["1", "a", "0"], "section": "s"}
+    report = verify_posheaf(pos2)
+    assert _subreport(report, "posheaf.POS2").witness == {"square": ["1", "a"], "pair": ["s", "t"]}
+    internal = _subreport(report, "posheaf.internal_poset")
+    assert internal.subreports[0].witness == {"open": "1", "section": "(s,t)", "at": "a"}
+    report = verify_posheaf(patching)
+    assert _subreport(report, "posheaf.POS3").witness["patched"] == ["x2z1", "x2z2"]
+    internal = _subreport(report, "posheaf.internal_poset")
+    assert internal.subreports[1].witness["amalgam_outside"] == ["(x1z1,x1z2)"]
+    for G in (cycle, _shuffled(cycle, rng)):
+        internal = _subreport(verify_posheaf(G), "posheaf.internal_poset")
+        assert _subreport(internal, "internal.transitive").witness == {"open": "1", "chain": ["a", "b", "c"]}
+
+
+def test_point_rows_after_pos2_match_both_readings(corpus):
+    # once verify_posheaf has passed POS2, the rows of F and of its opposite
+    # are the dom-then-value reading alone; they must be the rows both
+    # readings give on a copy that was never verified
+    compared = 0
+    for name, F in _small_posheaves(corpus):
+        verified, fresh = PoSheaf(F.sheaf, F.orders), PoSheaf(F.sheaf, F.orders)
+        assert verify_posheaf(verified).passed
+        for G, H in ((verified, fresh), (verified.opposite(), fresh.opposite())):
+            for i in range(len(G.points())):
+                assert G.point_order(i) == H.point_order(i), (name, i)
+                compared += 1
+    assert compared >= 500
 
 
 def test_omega_of_2_to_the_5_glues_on_its_canonical_covers(boolean_frame):
