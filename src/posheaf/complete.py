@@ -8,20 +8,25 @@ frame-sheaf square is the exception: it follows from the Frobenius form by
 proof (is_frame_sheaf), and is scanned only when that form fails. The
 per-open laws exist once each and every form that needs one reads it: a
 complete lattice at each open (_lattice_gap), a surjective restriction
-preserving all joins and meets (_restriction_gap; the sheaf-locale CPOSL1-2
-read both on Γ), and the commuting left-adjoint square of a morphism
+preserving all joins and meets (_restriction_gap, decided at the lower
+covers by _restriction_failure; the sheaf-locale CPOSL1-2 read both on Γ),
+and the commuting left-adjoint square of a morphism
 (_adjoint_square_gap). Preservation of the empty and binary joins or meets
 is frames._bound_failure, read by finite completeness and the finite-meets
 form of frame morphisms. The left adjoint of each restriction is built once
-and kept on its posheaf; its right adjoint is the left adjoint of the same
+and kept on its posheaf, off the lower covers as a composite; its right
+adjoint is the left adjoint of the same
 restriction of the opposite, as the right adjoint of a morphism is its
 least-preimage construction (_least_preimages) on the opposites. Bounds
 and sups are one kernel: the AND of point-order rows (_upper_bound_mask)
-and its least point (_point_minimum), read by bounds, sup_in_open and the
-sup-extension forms."""
+and its least point by descent (_point_minimum), read by bounds,
+sup_in_open and the sup-extension forms, which take each member's upper
+bounds from its germ masks (_member_gap)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, reduce
+from operator import and_
 
 from .frames import (
     FiniteFrame,
@@ -42,7 +47,6 @@ from .orders import (
     _three_way,
     down_embedding,
     down_power_sheaf,
-    enumerate_downsheaves,
     power_sheaf,
     verify_galois,
     verify_morphism,
@@ -53,7 +57,10 @@ from .sheaves import (
     Point,
     SheafMorphism,
     SubSheaf,
-    enumerate_subsheaves,
+    _germ_downsets,
+    _germ_subsheaf,
+    _germ_table,
+    _top_germ_table,
     generate_subsheaf,
     product_sheaf,
     terminal,
@@ -93,7 +100,34 @@ def _bits(mask: int) -> list[int]:
 
 def _point_minimum(F: PoSheaf, mask: int):
     """The least point of a bitset of points, or None with its minimal
-    members: a member is minimal when no other member's row reaches it."""
+    members, by descent from the first member c: when c's row holds the
+    mask, c is the least member; otherwise the descent steps to the first
+    other member of the mask in c's row of F.opposite(), and on from there.
+
+    Over one open u, that row holds, of the points over u, those below c,
+    so each step goes to a member strictly below c, and the descent ends. A
+    least member lies below every member, so the descent reaches it; and a
+    member whose row holds the mask lies below every member, so it is the
+    least one. A descent that ends on an empty step has found a minimal
+    member that is not least, so there is no least point, and only then
+    does the minimal-members scan (_minimal_points) run, to name the
+    antichain. Over several opens the opposite's row is not the set below
+    c, and there the scan also decides."""
+    c = mask & -mask
+    while c:
+        i = c.bit_length() - 1
+        if F.row(i) & mask == mask:
+            return F.points()[i], [F.points()[i]]
+        c = mask & F.opposite().row(i) & ~c
+        c &= -c
+    return _minimal_points(F, mask)
+
+
+def _minimal_points(F: PoSheaf, mask: int):
+    """The least point of a bitset of points, or None with its minimal
+    members, by a scan: a member is minimal when no other member's row
+    reaches it, and least when it is the only minimal one and its row holds
+    the mask."""
     members = _bits(mask)
     above = 0
     for i in members:
@@ -216,11 +250,25 @@ def _restriction_gap(F: PoSheaf, u, v) -> str | None:
 def _left_adjoint(F: PoSheaf, u, v) -> tuple[dict | None, CheckReport]:
     """The left adjoint of F's restriction u → v (v < u) as a table, or None,
     with left_adjoint's report; built once per posheaf and kept on it. Its
-    right adjoint is the left adjoint of the same restriction of F.opposite()."""
+    right adjoint is the left adjoint of the same restriction of F.opposite().
+
+    left_adjoint runs on a lower cover v of u (FiniteFrame.lower_covers).
+    For any other v, with w the first lower cover of u above v, the
+    restriction u → v is u → w then w → v; when both have left adjoints the
+    table is their composite l_{w→u} ∘ l_{v→w}, since Galois connections
+    compose and a left adjoint is unique, so it is the table left_adjoint
+    would build. Only when one is missing does left_adjoint run on u → v."""
     entry = F._left_adjoints.get((u, v))
     if entry is None:
-        la, rep = left_adjoint(MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[(u, v)]))
-        entry = F._left_adjoints[(u, v)] = (None if la is None else la.mapping, rep)
+        w = next(w for w in F.frame.lower_covers(u) if F.frame.leq(v, w))
+        upper = None if w == v else _left_adjoint(F, u, w)[0]
+        lower = None if upper is None else _left_adjoint(F, w, v)[0]
+        if lower is None:
+            la, rep = left_adjoint(MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[(u, v)]))
+            entry = (None if la is None else la.mapping, rep)
+        else:
+            entry = ({x: upper[lower[x]] for x in F.carrier(v)}, CheckReport.ok("left_adjoint"))
+        F._left_adjoints[(u, v)] = entry
     return entry
 
 
@@ -251,7 +299,9 @@ def _adjoint_square_gap(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf, u) -> dict
 
 def _per_open_form(F: PoSheaf) -> tuple[CheckReport, dict]:
     """Per-open complete lattices plus surjective restrictions having both
-    adjoints; returns the report with the per-restriction evidence."""
+    adjoints; returns the report with the per-restriction evidence. Each
+    pair v < u is read in frame order, and its adjoints are built by
+    left_adjoint only along lower covers while those exist (_left_adjoint)."""
     frame = F.frame
     restriction_data = {}
     gap = next(filter(None, (_lattice_gap(F, u) for u in frame.elements)), None)
@@ -260,7 +310,7 @@ def _per_open_form(F: PoSheaf) -> tuple[CheckReport, dict]:
         for v in frame.down(u):
             if v == u:
                 continue
-            surjective = set(F.sheaf.res[(u, v)].values()) == set(F.carrier(v))
+            surjective = set(F.sheaf.res[(u, v)].values()) == F.sheaf.carrier_sets[v]
             la, _ = _left_adjoint(F, u, v)
             ra, _ = _left_adjoint(F.opposite(), u, v)
             restriction_data[(u, v)] = {
@@ -279,42 +329,119 @@ def _per_open_form(F: PoSheaf) -> tuple[CheckReport, dict]:
     return report, restriction_data
 
 
-def _sup_extension_form(name: str, F: PoSheaf, subsheaves: list[SubSheaf]) -> CheckReport:
-    """Sup-extension forms: every listed subsheaf has a sup extendable to a global
-    point whose every restriction is the least dominating element."""
-    frame = F.frame
-    every = (1 << len(F.point_index())) - 1
-    for S in subsheaves:
-        sup, mins = _point_minimum(F, _upper_bound_mask(F, S, frame.elements, every))
+def _sup_forms(F: PoSheaf, meter: BudgetMeter) -> list[CheckReport]:
+    """The downsheaf and subsheaf sup-extension forms: every member of
+    Dow(F), then every member of Sub(F), has a sup extendable to a global
+    point whose every restriction is the least dominating element over its
+    open (_member_gap).
+
+    The members are the germ down-sets that enumerate_downsheaves and
+    enumerate_subsheaves walk (sheaves._germ_downsets), walked the same way,
+    so the meter ticks at the same members in the same order. A Dow member
+    is moved onto Sub's germ bits, and each member is decided once for both
+    forms. Only a failing member is built as a SubSheaf, and the witness is
+    the failing member first in SubSheaf.key() order, the order of the
+    enumerated lists."""
+    P = F.sheaf
+    germs, masks = _top_germ_table(P)
+    dow_germs, _ = _germ_table(P, F.frame.top, F.leq)
+    moved = [1 << germs.index(g) for g in dow_germs]
+    dows = [sum(moved[i] for i in _bits(d)) for d in _germ_downsets(P, dow_germs, meter, F.leq)]
+    subs = list(_germ_downsets(P, germs, meter))
+    gap = cache(_member_gap(F, germs))
+    reports = []
+    for name, members in (("complete.downsheaf_sups", dows), ("complete.subsheaf_sups", subs)):
+        failed = [(_germ_subsheaf(P, masks, m), gap(m)) for m in members if gap(m)]
+        S, witness = min(failed, key=lambda f: f[0].key(), default=(None, None))
+        reports.append(CheckReport.ok(name, checked=len(members)) if S is None else CheckReport.fail(name, {"subsheaf": S.describe(), **witness}))
+    return reports
+
+
+def _member_gap(F: PoSheaf, germs: list):
+    """The sup-extension law of one member of Sub(F), given as a down-set of
+    the germs (j, x) at the join-irreducibles (_top_germ_table): a function
+    from its mask to None, or to the first failure: no sup, with the
+    minimal upper bounds; the first open with no least dominating element;
+    or no global point whose restrictions are those least elements.
+
+    The upper bounds come from the member's germs alone. For a posheaf over
+    a sheaf, x ≤ y|_v iff x|_j ≤ y|_j for every j in J↓v, by POS3 and the
+    comparison lemma (orders._order_closed_at_germs); so (v, x) lies below
+    (w, y) iff each germ (j, x|_j) does, as j ≤ w for all of them iff v ≤ w.
+    A member's points at j are its germs there, and each of its points has
+    its germs in it, so the points above all of it are the AND of its germs'
+    rows, and those over u the AND over j in J↓u of one mask per j, the AND
+    of the rows of its germs at j. A least element over the top restricts to
+    the only candidate global point, so the global point exists iff its
+    restrictions are the least elements at every open. The least point of
+    a bitset over one open, and the restrictions of a section over the top,
+    are kept for the members that share them."""
+    frame, P = F.frame, F.sheaf
+    J = frame.canonical_cover(frame.top)
+    at_j = [J.index(j) for j, _ in germs]
+    rows = [F.point_row(g) for g in germs]
+    opens = [(u, F.points_over(u), [J.index(j) for j in frame.canonical_cover(u)]) for u in frame.elements]
+    every = (1 << len(F.points())) - 1
+    least = cache(lambda over: _point_minimum(F, over)[0])
+    restrictions = cache(lambda x: [P.restrict(frame.top, x, u) for u in frame.elements])
+
+    def gap(mask: int) -> dict | None:
+        by_j = [every] * len(J)
+        for i in _bits(mask):
+            by_j[at_j[i]] &= rows[i]
+        sup, mins = _point_minimum(F, reduce(and_, by_j, every))
         if sup is None:
-            return CheckReport.fail(name, {"subsheaf": S.describe(), "missing": "sup", "minimal_upper_bounds": [list(p) for p in mins]})
-        least_at = {}
-        for u in frame.elements:
-            cand = sup_in_open(F, S, u)
-            if cand is None:
-                return CheckReport.fail(name, {"subsheaf": S.describe(), "open": u, "missing": "least dominating element"})
-            least_at[u] = cand
-        globals_ = [g for g in F.carrier(frame.top) if all(F.sheaf.restrict(frame.top, g, u) == least_at[u] for u in frame.elements)]
-        if not globals_:
-            return CheckReport.fail(name, {"subsheaf": S.describe(), "missing": "global point extending the sup"})
-    return CheckReport.ok(name, checked=len(subsheaves))
+            return {"missing": "sup", "minimal_upper_bounds": [list(p) for p in mins]}
+        least_at = []
+        for u, over, js in opens:
+            for k in js:
+                over &= by_j[k]
+            least_at.append(least(over))
+            if least_at[-1] is None:
+                return {"open": u, "missing": "least dominating element"}
+        if restrictions(least_at[frame.index[frame.top]].value) != [p.value for p in least_at]:
+            return {"missing": "global point extending the sup"}
+        return None
+
+    return gap
+
+
+def _restriction_failure(F: PoSheaf) -> tuple | None:
+    """The first pair v < u, u in frame order and v in frame.down(u), whose
+    restriction breaks a law of _restriction_gap, as (u, v, law), or None.
+
+    The verdict is read from the lower covers (FiniteFrame.lower_covers):
+    every v < u is reached from u by a chain of lower covers, restriction
+    composes along it, and maps that are surjective, monotone, and keep the
+    bottom and binary joins (the top and binary meets) compose, on any
+    reflexive orders. For x, y with f(x) ≠ f(y), g keeps their join. When
+    f(x) = f(y) = z, the join of z with itself is z unless some c ≠ z has
+    z ≤ c ≤ z, and then g(z) has no such partner: a partner g(z') of it, g
+    being surjective, would leave z, z' without a join in g's image. Only a
+    failing lower cover runs the scan over every pair, for the first
+    failure."""
+    frame = F.frame
+    if not any(_restriction_gap(F, u, w) for u in frame.elements for w in frame.lower_covers(u)):
+        return None
+    pairs = ((u, v) for u in frame.elements for v in frame.down(u) if v != u)
+    return next(((u, v, law) for u, v in pairs for law in [_restriction_gap(F, u, v)] if law), None)
 
 
 def _complete_surjections_form(F: PoSheaf) -> CheckReport:
     """The surjective-complete-maps reading: per-open complete lattices with surjective restrictions
     preserving arbitrary sups and infs (POS3 is a posheaf precondition; POS2
-    makes every restriction monotone)."""
+    makes every restriction monotone), the restrictions read by
+    _restriction_failure."""
     frame = F.frame
     for u in frame.elements:
         gap = _lattice_gap(F, u)
         if gap:
             witness = {"open": u, "pair": gap["pair"]} if "pair" in gap else {"open": u, "missing": "bounds"}
             return CheckReport.fail("complete.complete_surjections", witness)
-    for u in frame.elements:
-        for v in frame.down(u):
-            law = None if v == u else _restriction_gap(F, u, v)
-            if law:
-                return CheckReport.fail("complete.complete_surjections", {"restriction": [u, v], "not": law})
+    failure = _restriction_failure(F)
+    if failure:
+        u, v, law = failure
+        return CheckReport.fail("complete.complete_surjections", {"restriction": [u, v], "not": law})
     return CheckReport.ok("complete.complete_surjections")
 
 
@@ -363,10 +490,7 @@ def is_complete(F: PoSheaf, *, budget: Budget | None = None) -> CompletenessCert
 def _is_complete_fresh(F: PoSheaf, meter: BudgetMeter) -> CompletenessCertificate:
     verify_posheaf(F).require()
     per_open_form, restriction_data = _per_open_form(F)
-    downs = enumerate_downsheaves(F, meter=meter)
-    downsheaf_sups = _sup_extension_form("complete.downsheaf_sups", F, downs)
-    subs = enumerate_subsheaves(F.sheaf, meter=meter)
-    subsheaf_sups = _sup_extension_form("complete.subsheaf_sups", F, subs)
+    downsheaf_sups, subsheaf_sups = _sup_forms(F, meter)
     surjections = _complete_surjections_form(F)
     op4, _ = _per_open_form(F.opposite())
     op4.name = "complete.opposite_per_open"

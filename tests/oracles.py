@@ -26,19 +26,32 @@ subset; and, for completeness, the bound checks over every ordered pair
 sup-completeness per open, a morphism's finite meets), a morphism's
 greatest preimages, the sup of a subsheaf over an open by a scan of every
 candidate, and the defining square of a frame sheaf over the whole power
-sheaf. They are slow (2^|↓u| covers per open, product spaces,
+sheaf; and is_complete with each member of Dow(F) and Sub(F) built as a
+subsheaf and its sups read from the rows of all its points, least points
+by the minimal-members scan, a global point sought among all of F(top),
+and the restriction laws and both adjoints built by left_adjoint at every
+pair v < u. They are slow (2^|↓u| covers per open, product spaces,
 |O(Y)|·|O(X)|³ scans) and live here so that no package module can fall back
 to them."""
 from __future__ import annotations
 
 from functools import cached_property
 
-from posheaf.complete import meet_morphism
-from posheaf.frames import FiniteFrame, FinitePoset
+from posheaf.complete import (
+    CompletenessCertificate,
+    _adjoint_square_check,
+    _lattice_gap,
+    _minimal_points,
+    _restriction_gap,
+    _upper_bound_mask,
+    meet_morphism,
+)
+from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap, left_adjoint
 from posheaf.locale_equiv import Section
-from posheaf.orders import PoSheaf, order_subsheaf, point_leq_bool, power_sheaf
+from posheaf.orders import PoSheaf, enumerate_downsheaves, order_subsheaf, point_leq_bool, power_sheaf, verify_posheaf
 from posheaf.report import Budget, BudgetMeter, CheckReport, NotALattice
 from posheaf.sheaves import (
+    enumerate_subsheaves,
     SheafCertificate,
     SubSheaf,
     compatible_families,
@@ -892,3 +905,117 @@ def definition_square(F, budget: Budget | None = None) -> dict | None:
                         "meet_of_sup": F.label(u, rhs),
                     }
     return None
+
+
+def sup_extension_form(name: str, F, subsheaves: list) -> CheckReport:
+    """Every listed subsheaf has a sup extendable to a global point whose
+    every restriction is the least dominating element: the sup from the AND
+    of the rows of all of S's points, the least element over each open from
+    those of its points below the open, each by the minimal-members scan,
+    and the global point sought among all of F(top)."""
+    frame = F.frame
+    every = (1 << len(F.point_index())) - 1
+    for S in subsheaves:
+        sup, mins = _minimal_points(F, _upper_bound_mask(F, S, frame.elements, every))
+        if sup is None:
+            return CheckReport.fail(name, {"subsheaf": S.describe(), "missing": "sup", "minimal_upper_bounds": [list(p) for p in mins]})
+        least_at = {}
+        for u in frame.elements:
+            least, _ = _minimal_points(F, _upper_bound_mask(F, S, frame.down(u), F.points_over(u)))
+            if least is None:
+                return CheckReport.fail(name, {"subsheaf": S.describe(), "open": u, "missing": "least dominating element"})
+            least_at[u] = least.value
+        globals_ = [g for g in F.carrier(frame.top) if all(F.sheaf.restrict(frame.top, g, u) == least_at[u] for u in frame.elements)]
+        if not globals_:
+            return CheckReport.fail(name, {"subsheaf": S.describe(), "missing": "global point extending the sup"})
+    return CheckReport.ok(name, checked=len(subsheaves))
+
+
+def restriction_adjoints(F, u, v) -> tuple:
+    """(left adjoint table or None, right adjoint table or None) of F's
+    restriction u → v, each built by left_adjoint."""
+    tables = []
+    for G in (F, F.opposite()):
+        la, _ = left_adjoint(MonotoneMap(G.poset(u), G.poset(v), G.sheaf.res[(u, v)]))
+        tables.append(None if la is None else dict(la.mapping))
+    return tuple(tables)
+
+
+def per_open_form(F) -> tuple[CheckReport, dict]:
+    """Per-open complete lattices plus surjective restrictions having both
+    adjoints, with both adjoints built at every pair v < u."""
+    frame = F.frame
+    restriction_data = {}
+    gap = next(filter(None, (_lattice_gap(F, u) for u in frame.elements)), None)
+    verdict_wit = None if gap is None else {"complete_lattice": gap}
+    for u in frame.elements:
+        for v in frame.down(u):
+            if v == u:
+                continue
+            surjective = set(F.sheaf.res[(u, v)].values()) == set(F.carrier(v))
+            la, ra = restriction_adjoints(F, u, v)
+            restriction_data[(u, v)] = {"surjective": surjective, "left_adjoint": la, "right_adjoint": ra}
+            if verdict_wit is None and not (surjective and la is not None and ra is not None):
+                verdict_wit = {"restriction": [u, v], "surjective": surjective, "left_adjoint": la is not None, "right_adjoint": ra is not None}
+    return CheckReport("complete.per_open", verdict_wit is None, witness=verdict_wit), restriction_data
+
+
+def restriction_scan(F) -> tuple | None:
+    """The first pair v < u, in frame order, whose restriction breaks a law
+    of _restriction_gap, as (u, v, law), scanning every pair."""
+    frame = F.frame
+    for u in frame.elements:
+        for v in frame.down(u):
+            law = None if v == u else _restriction_gap(F, u, v)
+            if law:
+                return u, v, law
+    return None
+
+
+def complete_surjections_form(F) -> CheckReport:
+    """Per-open complete lattices with surjective restrictions preserving
+    all sups and infs, the restrictions scanned at every pair."""
+    for u in F.frame.elements:
+        gap = _lattice_gap(F, u)
+        if gap:
+            witness = {"open": u, "pair": gap["pair"]} if "pair" in gap else {"open": u, "missing": "bounds"}
+            return CheckReport.fail("complete.complete_surjections", witness)
+    failure = restriction_scan(F)
+    if failure:
+        return CheckReport.fail("complete.complete_surjections", {"restriction": list(failure[:2]), "not": failure[2]})
+    return CheckReport.ok("complete.complete_surjections")
+
+
+def is_complete(F, budget: Budget | None = None) -> tuple[CompletenessCertificate, int]:
+    """The completeness certificate from the forms above, with Dow(F) and
+    Sub(F) enumerated and built as subsheaves on one meter, and that
+    meter's count."""
+    meter = BudgetMeter("completeness enumeration", (budget or Budget()).subsheaves)
+    verify_posheaf(F).require()
+    per_open, restriction_data = per_open_form(F)
+    downsheaf_sups = sup_extension_form("complete.downsheaf_sups", F, enumerate_downsheaves(F, meter=meter))
+    subsheaf_sups = sup_extension_form("complete.subsheaf_sups", F, enumerate_subsheaves(F.sheaf, meter=meter))
+    surjections = complete_surjections_form(F)
+    opposite, _ = per_open_form(F.opposite())
+    opposite.name = "complete.opposite_per_open"
+    square = _adjoint_square_check(F, restriction_data)
+    verdicts = {
+        "downsheaf_sups": downsheaf_sups.passed,
+        "subsheaf_sups": subsheaf_sups.passed,
+        "per_open_form": per_open.passed,
+        "complete_surjections": surjections.passed,
+        "opposite_per_open": opposite.passed,
+    }
+    agree = len(set(verdicts.values())) == 1
+    cert = CompletenessCertificate(
+        passed=per_open.passed and agree and (square.passed if per_open.passed else True),
+        downsheaf_sups=downsheaf_sups,
+        subsheaf_sups=subsheaf_sups,
+        per_open_form=per_open,
+        complete_surjections=surjections,
+        opposite_per_open=opposite,
+        adjoint_square=square,
+        agreement=CheckReport("complete.agreement", agree, witness=None if agree else verdicts),
+        restriction_data=restriction_data,
+    )
+    return cert, meter.count

@@ -419,7 +419,8 @@ def test_each_restriction_adjoint_is_built_once(monkeypatch):
     # the left adjoint of each restriction is kept on its posheaf, and the
     # right adjoints are the opposite's left adjoints: across completeness,
     # the frame-sheaf check and the frame equivalence, left_adjoint runs at
-    # most once per (posheaf, u, v)
+    # most once per (posheaf, u, v), and only along lower covers, since the
+    # other adjoints are composites of those
     from collections import Counter
 
     from posheaf import complete
@@ -437,8 +438,8 @@ def test_each_restriction_adjoint_is_built_once(monkeypatch):
     assert is_complete(F).passed
     assert is_frame_sheaf(F).passed
     assert verify_frame_equivalence(F).passed
-    # five pairs v < u on the diamond, for F and for its opposite
-    assert len(calls) == 10 and set(calls.values()) == {1}
+    # four lower covers on the diamond, for F and for its opposite
+    assert len(calls) == 8 and set(calls.values()) == {1}
 
 
 def test_adjoint_square_check_square_on_complete_fixtures(PAB):
@@ -574,6 +575,34 @@ def test_a_passing_frame_sheaf_check_builds_no_power_sheaf(monkeypatch, boolean_
     assert not is_frame_sheaf(F).passed
     assert built == {"power_sheaf": 0, "meet_morphism": 0}
     assert F._frame_sheaf[1] == sum(len(c) for c in power_sheaf(F.sheaf, verify=False).carriers.values())
+
+
+def test_a_passing_completeness_check_builds_no_member_and_scans_no_antichain(monkeypatch, boolean_frame, SAB):
+    # the sup-extension forms decide each member from its germ mask, and
+    # every least point is found by descent: a pass builds no SubSheaf by
+    # the germ walk and runs no minimal-members scan; a reject builds its
+    # witness and scans the antichain it names
+    from posheaf import complete, sheaves
+
+    calls = {"_germ_subsheaf": 0, "_minimal_points": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(sheaves, "_germ_subsheaf")
+    monkeypatch.setattr(complete, "_germ_subsheaf", sheaves._germ_subsheaf)
+    counting(complete, "_minimal_points")
+    for F in (omega(frame_d()), omega(boolean_frame(4))):
+        assert is_complete(F).passed
+        assert calls == {"_germ_subsheaf": 0, "_minimal_points": 0}
+    assert not is_complete(discrete(SAB)).passed
+    assert calls["_germ_subsheaf"] >= 1 and calls["_minimal_points"] >= 1
 
 
 def test_a_cached_frame_sheaf_report_keeps_its_elapsed_ms():

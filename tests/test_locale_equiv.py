@@ -30,7 +30,7 @@ from posheaf.locale_equiv import (
     unit,
     verify_sh_lh_equivalence,
 )
-from posheaf.orders import omega
+from posheaf.orders import PoSheaf, omega
 from posheaf.report import OrderNotProvided, ResourceLimit
 from posheaf.report import Budget
 from posheaf.sheaves import Presheaf, SheafMorphism, subterminal, terminal, verify_sheaf
@@ -319,6 +319,44 @@ def test_cposl2_names_the_restriction_law(diamond_over_chain, images, law):
     assert forms["cposl.CPOSL1"].passed
     assert forms["cposl.CPOSL2"].witness == {"restriction": ["1", "a"], "not": law}
     assert forms["cposl.agreement_with_completeness"].passed
+
+
+@pytest.mark.parametrize("top, witness", [(("s", "t"), None), (("p",), {"restriction": ["1", "a"], "not": "surjective"})])
+def test_cposl2_decides_on_lower_covers_and_names_the_first_pair(monkeypatch, top, witness):
+    # on the chain 0 < a < b < 1, with F(1) a copy of F(b) or one point:
+    # CPOSL2 reads the restriction laws at the lower covers alone when they
+    # pass; when 1 → b is not surjective, neither is 1 → a, which comes
+    # first in frame order though a is no lower cover of 1, and the scan
+    # over every pair names it
+    from posheaf import complete
+
+    chain = FiniteFrame.from_relation(["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "1")])
+    carriers = {"0": ("*",), "a": ("s", "t"), "b": ("s", "t"), "1": top}
+    res = {(u, "0"): {x: "*" for x in carriers[u]} for u in ("a", "b", "1")}
+    down = {"s": "s", "t": "t", "p": "s"}
+    res.update({("b", "a"): {"s": "s", "t": "t"}, ("1", "b"): {x: down[x] for x in top}, ("1", "a"): {x: down[x] for x in top}})
+    order = [("s", "t")]
+    F = PoSheaf(Presheaf(chain, carriers, res), {"a": order, "b": order, "1": order if len(top) == 2 else []})
+    E = etale_locale(F.sheaf)
+    G = cross_sections(E.locale)
+    eta, rep = unit(F.sheaf, E, G)
+    assert rep.passed
+    orders = {u: [(eta(u, x), eta(u, y)) for (x, y) in F.orders[u]] for u in F.frame.elements}
+    pairs = []
+    real = complete._restriction_gap
+
+    def counted(H, u, v):
+        pairs.append((u, v))
+        return real(H, u, v)
+
+    monkeypatch.setattr(complete, "_restriction_gap", counted)
+    forms = {r.name: r for r in check_cposl(E.locale, orders).subreports}
+    assert "a" not in chain.lower_covers("1")
+    assert forms["cposl.CPOSL1"].passed
+    assert forms["cposl.CPOSL2"].witness == witness
+    assert forms["cposl.agreement_with_completeness"].passed
+    lower = {(u, v) for u in chain.elements for v in chain.lower_covers(u)}
+    assert set(pairs) == lower if witness is None else ("1", "a") in pairs
 
 
 def _memo_instances():

@@ -32,6 +32,7 @@ from posheaf.complete import (
     _finite_meets_gap,
     _lattice_gap,
     _least_preimages,
+    _restriction_failure,
     bounds,
     check_finite_completeness,
     is_complete,
@@ -611,6 +612,132 @@ def test_sup_in_open_matches_the_candidate_scan(corpus):
                     compared += 1
     assert compared >= 1000
     assert found == {True, False}
+
+
+def _chain_posheaf(frame: FiniteFrame, carriers: dict, images: dict, orders: dict) -> PoSheaf:
+    """A posheaf on a chain (every presheaf on a chain is a sheaf, and POS3
+    holds over covers that hold their open) from the restrictions to each
+    lower cover, composed down the chain."""
+    below = sorted(frame.elements, key=lambda u: len(frame.down(u)))
+    res = {}
+    for i, u in enumerate(below[1:], 1):
+        w = below[i - 1]
+        step = images.get(u) or {x: carriers[w][0] for x in carriers[u]}
+        res[u, w] = step
+        for v in below[:i - 1]:
+            res[u, v] = {x: res[w, v][y] for x, y in step.items()}
+    return PoSheaf(Presheaf(frame, carriers, res), orders)
+
+
+def _completeness_rejects() -> dict[str, PoSheaf]:
+    """Posheaves that fail is_complete first in each way: on the chain
+    0 < a < 1, a member {p, q} of Dow and Sub whose upper bounds r, t have
+    no least one; the smallest member {0:*} with no least dominating element
+    over a (s, t incomparable); and with least elements s and p over a and
+    1 but p|_a = t, so no global point; on the chain 0 < a < b < 1, a
+    restriction 1 → a that is not surjective, the first failing pair in
+    frame order though a is no lower cover of 1. The lower cover 1 → b has
+    no left adjoint, so left_adjoint decides 1 → a itself, while its right
+    adjoint is a composite."""
+    f3, chain = FIXTURE_FRAMES["FRAME_3"](), _chain_4()
+    above = [("b", "p"), ("b", "q"), ("p", "r"), ("q", "r"), ("p", "t"), ("q", "t"), ("b", "r"), ("b", "t")]
+    return {
+        "no sup": _chain_posheaf(f3, {"0": ("*",), "a": ("s",), "1": ("b", "p", "q", "r", "t")}, {}, {"1": above}),
+        "no least over a": _chain_posheaf(f3, {"0": ("*",), "a": ("s", "t"), "1": ("s", "t")}, {"1": {"s": "s", "t": "t"}}, {}),
+        "no global point": _chain_posheaf(
+            f3, {"0": ("*",), "a": ("s", "t"), "1": ("p", "q")}, {"1": {"p": "t", "q": "t"}}, {"a": [("s", "t")], "1": [("p", "q")]}
+        ),
+        "not surjective at a non-cover": _chain_posheaf(
+            chain,
+            {"0": ("*",), "a": ("s", "t"), "b": ("s", "t"), "1": ("p",)},
+            {"b": {"s": "s", "t": "t"}, "1": {"p": "s"}},
+            {"a": [("s", "t")], "b": [("s", "t")]},
+        ),
+    }
+
+
+def _completeness_corpus() -> list[tuple[str, PoSheaf]]:
+    """The fixture Ω, ℙ and 𝔻 instances, posheaf_ab, m3 and generated
+    posheaves, each with its opposite."""
+    out = [(f"omega({name})", omega(build())) for name, build in FIXTURE_FRAMES.items()]
+    for name in ("FRAME_2", "FRAME_3", "FRAME_D"):
+        one = terminal(FIXTURE_FRAMES[name]())
+        out += [(f"power({name})", power_sheaf(one, verify=False)), (f"down_power({name})", down_power_sheaf(discrete(one), verify=False))]
+    out += [("posheaf_ab", posheaf_ab()), ("m3", m3_posheaf())]
+    for opens, carrier in ((4, 2), (5, 2), (6, 2), (6, 3), (8, 2)):
+        for seed in range(40):
+            cfg = GenConfig(seed=seed, max_opens=opens, max_carrier=carrier)
+            out.append((f"gen({opens},{carrier})[{seed}]", gen_posheaf(gen_frame(cfg), cfg)))
+    return out + [(f"{name}^op", PoSheaf(F.sheaf, {u: [(y, x) for x, y in rel] for u, rel in F.orders.items()})) for name, F in out]
+
+
+def _ordered(value):
+    """value with each dict replaced by its list of items, so that == also
+    compares the order of every dict."""
+    if isinstance(value, dict):
+        return [(k, _ordered(v)) for k, v in value.items()]
+    return value
+
+
+def _completeness(check) -> tuple:
+    """(report JSON, ordered restriction data, members counted) of a
+    completeness check returning (certificate, count), or its ResourceLimit."""
+    try:
+        cert, count = check()
+    except ResourceLimit as exc:
+        return ("limit", str(exc))
+    return cert.report().to_json(include_timing=False), _ordered(cert.restriction_data), count
+
+
+def test_is_complete_matches_the_member_and_pair_scans():
+    # the sup-extension forms from germ masks, least points by descent and
+    # the restriction laws along lower covers, with composite adjoints, give
+    # the report, restriction data and member count of the scans that build
+    # every member and every adjoint, on the corpus and on hand-built
+    # rejects in the given and a shuffled element order
+    rng = random.Random(37)
+    rejects = _completeness_rejects()
+    cases = _completeness_corpus() + [(name, H) for name, F in rejects.items() for H in (F, _shuffled(F, rng))]
+    failed = 0
+    for name, F in cases:
+        fresh = PoSheaf(F.sheaf, F.orders)
+        got = _completeness(lambda: (is_complete(F), F._completeness[1]))
+        assert got == _completeness(lambda: oracles.is_complete(fresh)), name
+        failed += got[0] != "limit" and not got[0]["passed"]
+    assert failed >= 100
+    first = {name: is_complete(F).report().witness for name, F in rejects.items()}
+    assert first["no sup"] == {
+        "first_failed": "complete.downsheaf_sups",
+        "witness": {"subsheaf": "{0:*|a:s|1:b,p,q}", "missing": "sup", "minimal_upper_bounds": [["1", "r"], ["1", "t"]]},
+    }
+    assert first["no least over a"]["witness"] == {"subsheaf": "{0:*}", "open": "a", "missing": "least dominating element"}
+    assert first["no global point"]["witness"] == {"subsheaf": "{0:*}", "missing": "global point extending the sup"}
+    F = rejects["not surjective at a non-cover"]
+    cert = is_complete(F)
+    assert "a" not in F.frame.lower_covers("1")
+    assert cert.per_open_form.witness == {"restriction": ["1", "a"], "surjective": False, "left_adjoint": False, "right_adjoint": True}
+    assert cert.complete_surjections.witness == {"restriction": ["1", "a"], "not": "surjective"}
+
+
+def test_restriction_laws_at_lower_covers_match_every_pair(diamond_over_chain):
+    # surjective, monotone, join- and meet-preserving restrictions compose
+    # on any reflexive orders, so the lower covers decide; the scan over
+    # every pair names the same first failure, on generated sheaves with
+    # random relations, mostly not partial orders, on the diamond over the
+    # 3-chain with restrictions that break each law, and on their opposites
+    rng = random.Random(41)
+    cases = [diamond_over_chain(images) for images in ("ssss", "ssst", "sttt", "stst", "tsst")]
+    for seed in range(100):
+        cfg = GenConfig(seed=seed, max_opens=rng.choice([3, 4, 5, 6]), max_carrier=rng.choice([2, 3]))
+        P = gen_sheaf(gen_frame(cfg), cfg)
+        for p in (rng.random() for _ in range(10)):
+            cases.append(PoSheaf(P, {u: [(x, y) for x in P.carriers[u] for y in P.carriers[u] if rng.random() < p] for u in P.frame.elements}))
+    outcomes = set()
+    for G in (H for F in cases for H in (F, F.opposite())):
+        failure = _restriction_failure(G)
+        assert failure == oracles.restriction_scan(G), G.orders
+        outcomes.add(None if failure is None else failure[2])
+    assert outcomes == {None, "surjective", "monotone", "sup-preserving", "inf-preserving"}
 
 
 def test_preserves_all_joins_and_meets_match_every_subset(corpus):
