@@ -72,10 +72,12 @@ def load_frame(doc, base_dir: Path | None = None) -> FiniteFrame:
 
 
 def dump_frame_doc(frame: FiniteFrame, **extra) -> dict:
-    pairs = sorted(
-        [list(p) for p in frame.poset.pairs() if p[0] != p[1]],
-        key=lambda p: (frame.index[p[0]], frame.index[p[1]]),
-    )
+    """The frame as a document: its elements, and every pair x < y of its
+    order, x-major in element order, read from the up rows."""
+    poset = frame.poset
+    pairs = [
+        [x, y] for i, x in enumerate(frame.elements) for y in poset.members(poset.up_rows[i] & ~(1 << i))
+    ]
     doc = {"elements": list(frame.elements), "leq": pairs}
     doc.update(extra)
     return doc

@@ -213,9 +213,13 @@ def verify_posheaf(F: PoSheaf) -> CheckReport:
     binary covers (_patching_gap); the subsheaf half of the internal
     reading is decided at the join-irreducibles (_order_closed_at_germs),
     and a reject reads its witness from F's tables and POS3's failing
-    masks (_internal_subsheaf), so no path builds F×F. Antisymmetry and
-    transitivity are decided from successor sets, and a reject names the
-    first pair or chain in sorted_pairs order."""
+    masks (_internal_subsheaf), so no path builds F×F. POS1 and the
+    internal antisymmetry and transitivity are one row test per open
+    (FinitePoset.broken_laws on F.poset(u), whose rows are F.orders[u]):
+    POS1 at u says ≤_u is reflexive, antisymmetric and transitive, which is
+    what the internal reading says of ≤ at u, and ≤_u is reflexive by
+    construction. A reject names the first pair or chain in sorted_pairs
+    order."""
     cached = getattr(F, "_posheaf_report", None)
     if cached is not None:
         return cached
@@ -230,18 +234,20 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
     if not cert.passed:
         return CheckReport.fail("posheaf", {"precondition": cert.witness}, stage="sheaf")
 
+    # one row test per open decides POS1 and, below, internal antisymmetry
+    # and transitivity: each reads the same relation F.orders[u]
+    broken = {u: F.poset(u).broken_laws for u in F.frame.elements}
     subs = []
     pos1 = CheckReport.ok("posheaf.POS1")
-    for u in F.frame.elements:
+    u = next((u for u in F.frame.elements if broken[u]), None)
+    if u is not None:
         law = F.poset(u).verify()
-        if not law.passed:
-            # the poset witness holds carrier elements; report their labels
-            witness = {
-                key: [F.label(u, x) for x in value] if isinstance(value, list) else F.label(u, value)
-                for key, value in law.witness.items()
-            }
-            pos1 = CheckReport.fail("posheaf.POS1", {"open": u, "law": law.name, "witness": witness})
-            break
+        # the poset witness holds carrier elements; report their labels
+        witness = {
+            key: [F.label(u, x) for x in value] if isinstance(value, list) else F.label(u, value)
+            for key, value in law.witness.items()
+        }
+        pos1 = CheckReport.fail("posheaf.POS1", {"open": u, "law": law.name, "witness": witness})
     subs.append(pos1)
 
     pos2 = _pos2(F)
@@ -260,13 +266,10 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
         for x in F.sheaf.carriers[u]:
             if refl.passed and (x, x) not in order:
                 refl = CheckReport.fail("internal.reflexive", {"open": u, "section": F.label(u, x)})
-        ups: dict = {}
-        for x, y in order:
-            ups.setdefault(x, set()).add(y)
-        if antisym.passed and any(x != y and x in ups.get(y, ()) for x, y in order):
+        if antisym.passed and "antisymmetric" in broken[u]:
             x, y = next((x, y) for x, y in F.sorted_pairs(u) if x != y and (y, x) in order)
             antisym = CheckReport.fail("internal.antisymmetric", {"open": u, "pair": [F.label(u, x), F.label(u, y)]})
-        if trans.passed and any(not ups.get(y, set()) <= ups[x] for x, y in order):
+        if trans.passed and "transitive" in broken[u]:
             trans = CheckReport.fail("internal.transitive", {"open": u, "chain": _broken_chain(F, u)})
     internal_subs.extend([refl, antisym, trans])
     internal = CheckReport.combine("posheaf.internal_poset", internal_subs)
@@ -441,16 +444,23 @@ def _order_closed_at_germs(F: PoSheaf) -> bool:
     (x, y) ∈ ≤_u, "only if" at u gives x|_j ≤_j y|_j on J↓v ⊆ J↓u, so
     (x|_v, y|_v) ∈ ≤_v by "if" at v: ≤ is restriction-closed, and closed
     under the amalgamations over every J↓u, hence over every cover
-    (sheaves.verify_subsheaf)."""
-    P, orders = F.sheaf, F.orders
+    (sheaves.verify_subsheaf).
+
+    Read on rows: the up row of x in F.poset(u) must be the AND, over j,
+    of the sections y whose germ at j lies above x's (upper_rows of F(j)
+    at the germs of F(u))."""
+    P = F.sheaf
     for u in F.frame.elements:
-        cover = F.frame.canonical_cover(u)
-        germs = [(x, [P.res[u, j][x] for j in cover]) for x in P.carriers[u]]
-        for x, gx in germs:
-            for y, gy in germs:
-                below = all((a, b) in orders[j] for j, a, b in zip(cover, gx, gy))
-                if below != ((x, y) in orders[u]):
-                    return False
+        carrier = P.carriers[u]
+        rows = [(1 << len(carrier)) - 1] * len(carrier)
+        for j in F.frame.canonical_cover(u):
+            res, at_j = P.res[u, j], F.poset(j)
+            germs = [res[x] for x in carrier]
+            above = at_j.upper_rows(germs)
+            for a, germ in enumerate(germs):
+                rows[a] &= above[at_j.index[germ]]
+        if rows != F.poset(u).up_rows:
+            return False
     return True
 
 

@@ -737,40 +737,3 @@ def sheaf_iso(F: Presheaf, G: Presheaf) -> dict | None:
             return dict(assignment)
         stack.append(itertools.permutations(G.carriers[opens[len(stack)]]))
     return None
-
-
-def agreement_meet_diagnostic(P: Presheaf, max_tuple: int = 2) -> dict:
-    """Report whether agreement-open equality holds for all tuples (up to the
-    given arity on each side) and whether P is terminal; the two need not
-    coincide (empty carriers above bottom give equality without terminality)."""
-    secs = P.sections()
-    equality = True
-    witness = None
-    for n in range(1, max_tuple + 1):
-        for m in range(1, max_tuple + 1):
-            for left in itertools.combinations_with_replacement(secs, n):
-                for right in itertools.combinations_with_replacement(secs, m):
-                    lhs = epsilon(P, list(left) + list(right))
-                    rhs = P.frame.meet(epsilon(P, list(left)), epsilon(P, list(right)))
-                    if lhs != rhs:
-                        equality = False
-                        witness = {
-                            "left": [[u, P.label(u, x)] for u, x in left],
-                            "right": [[u, P.label(u, x)] for u, x in right],
-                            "joint": lhs,
-                            "meet_of_parts": rhs,
-                        }
-                        break
-                if not equality:
-                    break
-            if not equality:
-                break
-        if not equality:
-            break
-    is_terminal = all(len(P.carriers[u]) == 1 for u in P.frame.elements)
-    return {
-        "equality_for_all_tuples": equality,
-        "is_terminal": is_terminal,
-        "biconditional_holds": equality == is_terminal,
-        "witness": witness,
-    }

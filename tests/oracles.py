@@ -29,12 +29,19 @@ candidate, and the defining square of a frame sheaf over the whole power
 sheaf; and is_complete with each member of Dow(F) and Sub(F) built as a
 subsheaf and its sups read from the rows of all its points, least points
 by the minimal-members scan, a global point sought among all of F(top),
-and the restriction laws and both adjoints built by left_adjoint at every
-pair v < u. They are slow (2^|↓u| covers per open, product spaces,
-|O(Y)|·|O(X)|³ scans) and live here so that no package module can fall back
-to them."""
+and the restriction laws and both adjoints built at every pair v < u by
+left_adjoint_scan, which checks monotonicity and the adjunction on every
+pair. For the order kernel: the reflexive-transitive closure of a
+relation by a fixpoint over sets of pairs, the inclusion pairs of a
+family of sets with its first pair whose meet or join is missing, and
+SetPoset, a relation kept as its pair set and its up-sets and down-sets
+as frozensets. And agreement_meet_diagnostic, which compares agreement
+opens of tuples of sections with the meets of their parts. They are slow
+(2^|↓u| covers per open, product spaces, |O(Y)|·|O(X)|³ scans) and live
+here so that no package module can fall back to them."""
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 from posheaf.complete import (
@@ -46,10 +53,10 @@ from posheaf.complete import (
     _upper_bound_mask,
     meet_morphism,
 )
-from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap, left_adjoint
+from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap
 from posheaf.locale_equiv import Section
 from posheaf.orders import PoSheaf, enumerate_downsheaves, order_subsheaf, point_leq_bool, power_sheaf, verify_posheaf
-from posheaf.report import Budget, BudgetMeter, CheckReport, NotALattice
+from posheaf.report import Budget, BudgetMeter, CheckReport, MalformedInput, NotALattice
 from posheaf.sheaves import (
     enumerate_subsheaves,
     SheafCertificate,
@@ -450,6 +457,12 @@ def frame_ops(frame) -> _PosetOps:
     return _PosetOps(frame.poset)
 
 
+def set_frame(elements, pairs) -> _PosetOps:
+    """The relation closed by relation_closure, with FiniteFrame's
+    operations by their definitions on its SetPoset."""
+    return _PosetOps(SetPoset(elements, pairs))
+
+
 def poset_laws(poset) -> CheckReport:
     """Reflexivity on every element, antisymmetry on every pair and
     transitivity on every chain x ≤ y ≤ z, first witness wins."""
@@ -466,6 +479,169 @@ def poset_laws(poset) -> CheckReport:
                 if not poset.leq(x, z):
                     return CheckReport.fail("poset.transitive", {"chain": [x, y, z]})
     return CheckReport.ok("poset")
+
+
+def relation_closure(elements, pairs) -> frozenset:
+    """The reflexive-transitive closure of a relation given as (lo, hi)
+    pairs, as a set of pairs, by iterating to a fixpoint."""
+    idx = {x: i for i, x in enumerate(elements)}
+    n = len(elements)
+    below = [set() for _ in range(n)]  # below[j] = {i : i <= j}
+    for lo, hi in pairs:
+        if lo not in idx or hi not in idx:
+            raise MalformedInput(f"relation mentions unknown element: {(lo, hi)!r}")
+        below[idx[hi]].add(idx[lo])
+    for i in range(n):
+        below[i].add(i)
+    changed = True
+    while changed:
+        changed = False
+        for j in range(n):
+            extra = set()
+            for i in below[j]:
+                extra |= below[i]
+            if not extra <= below[j]:
+                below[j] |= extra
+                changed = True
+    return frozenset((elements[i], elements[j]) for j in range(n) for i in below[j])
+
+
+def inclusion_pairs(labels, sets, at: dict) -> tuple[list, tuple | None]:
+    """The pairs (x, y) with set(x) ⊆ set(y), and the first pair (x, y),
+    over (labels[i], labels[k]) with k ≤ i in that order, whose
+    intersection or union is not in ``at`` (set -> label), with "meet" or
+    "join"."""
+    pairs = [(x, y) for x, a in zip(labels, sets) for y, b in zip(labels, sets) if not a & ~b]
+    for i, a in enumerate(sets):
+        for k in range(i + 1):
+            meet, join = a & sets[k], a | sets[k]
+            if meet not in at or join not in at:
+                return pairs, (labels[i], labels[k], "meet" if meet not in at else "join")
+    return pairs, None
+
+
+class SetPoset:
+    """A finite relation as a set of pairs, closed by relation_closure (or
+    only reflexively when ``closed``), with its up-sets and down-sets as
+    frozensets: each operation of FinitePoset by its definition on the
+    sets."""
+
+    def __init__(self, elements, leq_pairs, *, closed: bool = False):
+        self.elements = tuple(elements)
+        if len(set(self.elements)) != len(self.elements):
+            raise MalformedInput("duplicate elements")
+        self.index = {x: i for i, x in enumerate(self.elements)}
+        if closed:
+            rel = set()
+            for lo, hi in leq_pairs:
+                if lo not in self.index or hi not in self.index:
+                    raise MalformedInput(f"relation mentions unknown element: {(lo, hi)!r}")
+                rel.add((lo, hi))
+            self._rel = frozenset(rel) | frozenset((x, x) for x in self.elements)
+        else:
+            self._rel = relation_closure(self.elements, leq_pairs)
+        self._ups = {x: frozenset(y for y in self.elements if (x, y) in self._rel) for x in self.elements}
+        self._downs = {y: frozenset(x for x in self.elements if (x, y) in self._rel) for y in self.elements}
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def leq(self, x, y) -> bool:
+        return (x, y) in self._rel
+
+    def lt(self, x, y) -> bool:
+        return x != y and (x, y) in self._rel
+
+    def pairs(self) -> frozenset:
+        return self._rel
+
+    def up(self, x) -> frozenset:
+        return self._ups[x]
+
+    def down(self, x) -> frozenset:
+        return self._downs[x]
+
+    def sorted(self, xs) -> list:
+        return sorted(xs, key=self.index.__getitem__)
+
+    def opposite(self) -> "SetPoset":
+        return SetPoset(self.elements, [(y, x) for (x, y) in self._rel], closed=True)
+
+    def minimal(self, subset) -> list:
+        xs = self.sorted(subset)
+        return [m for m in xs if not any(self.lt(o, m) for o in xs)]
+
+    def least(self, subset):
+        return least(self, subset)
+
+    def greatest(self, subset):
+        return greatest(self, subset)
+
+    def join(self, x, y):
+        return least(self, self._ups[x] & self._ups[y])
+
+    def meet(self, x, y):
+        return greatest(self, self._downs[x] & self._downs[y])
+
+    def join_all(self, xs):
+        uppers = set(self.elements)
+        for x in xs:
+            uppers &= self._ups[x]
+        return least(self, uppers)
+
+    def meet_all(self, xs):
+        lowers = set(self.elements)
+        for x in xs:
+            lowers &= self._downs[x]
+        return greatest(self, lowers)
+
+    @property
+    def bottom(self):
+        return self.join_all(())
+
+    @property
+    def top(self):
+        return self.meet_all(())
+
+    def verify(self) -> CheckReport:
+        return poset_laws(self)
+
+
+def monotone_scan(f) -> CheckReport:
+    """x ≤ y ⇒ f(x) ≤ f(y) over every pair of source elements."""
+    for x in f.source.elements:
+        for y in f.source.elements:
+            if f.source.leq(x, y) and not f.target.leq(f(x), f(y)):
+                return CheckReport.fail("monotone", {"pair": [x, y], "images": [f(x), f(y)]})
+    return CheckReport.ok("monotone")
+
+
+def left_adjoint_scan(f) -> tuple[dict | None, CheckReport]:
+    """g(b) = the least a with b ≤ f(a), by the minimal-member scan, then
+    the monotonicity of g and the adjunction over every pair, on any
+    relation; (table or None, report)."""
+    src, tgt = f.source, f.target
+    mapping = {}
+    for b in tgt.elements:
+        candidates = [a for a in src.elements if tgt.leq(b, f(a))]
+        m = least(src, candidates)
+        if m is None:
+            return None, CheckReport.fail(
+                "left_adjoint.absent", {"element": b, "minimal_candidates": src.minimal(candidates)}
+            )
+        mapping[b] = m
+    g = MonotoneMap(tgt, src, mapping)
+    gm = monotone_scan(g)
+    if not gm.passed:
+        return None, CheckReport.fail("left_adjoint.absent", {"not_monotone": gm.witness})
+    for b in tgt.elements:
+        for a in src.elements:
+            lhs, rhs = src.leq(mapping[b], a), tgt.leq(b, f(a))
+            if lhs != rhs:
+                return None, CheckReport.fail(
+                    "left_adjoint.absent", {"adjunction": {"pair": [b, a], "left_leq": lhs, "right_leq": rhs}}
+                )
+    return mapping, CheckReport.ok("left_adjoint")
 
 
 def frame_laws(frame) -> CheckReport:
@@ -933,11 +1109,11 @@ def sup_extension_form(name: str, F, subsheaves: list) -> CheckReport:
 
 def restriction_adjoints(F, u, v) -> tuple:
     """(left adjoint table or None, right adjoint table or None) of F's
-    restriction u → v, each built by left_adjoint."""
+    restriction u → v, each built by left_adjoint_scan."""
     tables = []
     for G in (F, F.opposite()):
-        la, _ = left_adjoint(MonotoneMap(G.poset(u), G.poset(v), G.sheaf.res[(u, v)]))
-        tables.append(None if la is None else dict(la.mapping))
+        la, _ = left_adjoint_scan(MonotoneMap(G.poset(u), G.poset(v), G.sheaf.res[(u, v)]))
+        tables.append(la)
     return tuple(tables)
 
 
@@ -1019,3 +1195,40 @@ def is_complete(F, budget: Budget | None = None) -> tuple[CompletenessCertificat
         restriction_data=restriction_data,
     )
     return cert, meter.count
+
+
+def agreement_meet_diagnostic(P, max_tuple: int = 2) -> dict:
+    """Report whether agreement-open equality holds for all tuples (up to the
+    given arity on each side) and whether P is terminal; the two need not
+    coincide (empty carriers above bottom give equality without terminality)."""
+    secs = P.sections()
+    equality = True
+    witness = None
+    for n in range(1, max_tuple + 1):
+        for m in range(1, max_tuple + 1):
+            for left in itertools.combinations_with_replacement(secs, n):
+                for right in itertools.combinations_with_replacement(secs, m):
+                    lhs = epsilon(P, list(left) + list(right))
+                    rhs = P.frame.meet(epsilon(P, list(left)), epsilon(P, list(right)))
+                    if lhs != rhs:
+                        equality = False
+                        witness = {
+                            "left": [[u, P.label(u, x)] for u, x in left],
+                            "right": [[u, P.label(u, x)] for u, x in right],
+                            "joint": lhs,
+                            "meet_of_parts": rhs,
+                        }
+                        break
+                if not equality:
+                    break
+            if not equality:
+                break
+        if not equality:
+            break
+    is_terminal = all(len(P.carriers[u]) == 1 for u in P.frame.elements)
+    return {
+        "equality_for_all_tuples": equality,
+        "is_terminal": is_terminal,
+        "biconditional_holds": equality == is_terminal,
+        "witness": witness,
+    }

@@ -448,24 +448,54 @@ def test_mutated_documents_never_crash(which, kind, pick, value):
         assert code == 2
 
 
-def test_check_posheaf_names_the_same_chain_under_every_hash_seed(tmp_path):
-    # the 5-cycle a < b < c < d < e < a at the top of frame_2 is not
-    # transitive; the internal reading walks the order pairs in sorted
-    # order, so the report does not depend on string hashing
+def test_reject_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
+    # rejects whose witness is read from the order: check frame on a
+    # 5-cycle, N5 and M3, and check posheaf on an antisymmetry reject and on
+    # the 5-cycle a < b < c < d < e < a at the top of frame_2, which is not
+    # transitive. The kernel reads bit rows in element or sorted order, so
+    # stdout and the exit code are the same under every string hash seed
     xs = "abcde"
+    cycle = [[xs[i], xs[(i + 1) % 5]] for i in range(5)]
     P = Presheaf(frame_2(), {"0": ("*",), "1": tuple(xs)}, {("1", "0"): {x: "*" for x in xs}})
-    F = PoSheaf(P, {"1": [(xs[i], xs[(i + 1) % 5]) for i in range(5)]})
-    path = write(tmp_path, "cycle.json", jsonio.dump_posheaf_doc(F))
+    docs = [
+        ("frame", {"elements": list(xs), "leq": cycle}),
+        ("frame", N5),
+        ("frame", M3),
+        ("posheaf", jsonio.dump_posheaf_doc(PoSheaf(P, {"1": [("a", "b"), ("b", "a"), ("c", "d")]}))),
+        ("posheaf", jsonio.dump_posheaf_doc(PoSheaf(P, {"1": [tuple(pair) for pair in cycle]}))),
+    ]
+    argvs = [["check", kind, write(tmp_path, f"doc{i}.json", doc)] for i, (kind, doc) in enumerate(docs)]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from posheaf.cli import run\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        code = run(argv)\n"
+        "    out.append([code, buf.getvalue()])\n"
+        "print(json.dumps(out))\n"
+    )
     src = str(Path(jsonio.__file__).resolve().parents[1])
-    outputs = set()
+    runs = set()
     for seed in range(4):
         env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
         done = subprocess.run(
-            [sys.executable, "-m", "posheaf.cli", "check", "posheaf", path], env=env, capture_output=True, timeout=120
+            [sys.executable, "-c", script, json.dumps(argvs)], env=env, capture_output=True, text=True, timeout=120
         )
-        assert done.returncode == 1, done.stderr
-        outputs.add(done.stdout)
-    assert len(outputs) == 1
-    internal = next(r for r in json.loads(outputs.pop())["subreports"] if r["name"] == "posheaf.internal_poset")
-    transitive = next(r for r in internal["subreports"] if r["name"] == "internal.transitive")
+        assert done.returncode == 0, done.stderr
+        runs.add(done.stdout)
+    assert len(runs) == 1
+    results = json.loads(runs.pop())
+    assert [code for code, _ in results] == [1] * len(docs)
+    reports = [json.loads(stdout) for _, stdout in results]
+    assert [r["name"] for r in reports[:3]] == ["frame.poset", "frame.distributive", "frame.distributive"]
+    assert reports[0]["witness"] == {"cycle": ["a", "b"]}
+    internal = {
+        name: next(r for r in report["subreports"] if r["name"] == "posheaf.internal_poset")
+        for name, report in zip(("antisymmetric", "transitive"), reports[3:])
+    }
+    antisymmetric = next(r for r in internal["antisymmetric"]["subreports"] if r["name"] == "internal.antisymmetric")
+    assert antisymmetric["witness"] == {"open": "1", "pair": ["a", "b"]}
+    transitive = next(r for r in internal["transitive"]["subreports"] if r["name"] == "internal.transitive")
     assert transitive["witness"] == {"open": "1", "chain": ["a", "b", "c"]}

@@ -14,7 +14,9 @@ germ masks, a section's agreement with its own restrictions, cross-sections
 and local homeomorphisms through the point map of the join-irreducibles,
 and the frame laws through Birkhoff masks (with the join-prime test and
 binary joins naming a reject's witness) and the frame operations read from
-those masks, with frame homs' joins read from the empty and binary ones.
+those masks, with frame homs' joins read from the empty and binary ones;
+and the bit-row FinitePoset, monotone maps, left adjoints, frame loading
+and frame documents against a relation kept as a set of pairs.
 
 Verdicts, the Sub/Dow lists and generated subsheaves must agree on every
 element order of the frame; witnesses and sheaf certificate entries must
@@ -23,6 +25,7 @@ order, as in every generated and fixture frame."""
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -54,13 +57,15 @@ from posheaf.frames import (
     FinitePoset,
     FrameHom,
     MonotoneMap,
+    close_and_verify_frame,
     frame_of_sets,
+    left_adjoint,
     preserves_all_joins,
     preserves_all_meets,
     verify_frame_hom,
 )
 from posheaf.generate import GenConfig, _order_closure, gen_endomorphism, gen_frame, gen_posheaf, gen_sheaf, mutate
-from posheaf import frames as frames_module
+from posheaf import jsonio
 from posheaf.locale_equiv import LocaleOverX, _point_map, _point_sections, cross_sections, etale_locale, is_local_homeomorphism, unit
 from posheaf.orders import (
     PoSheaf,
@@ -73,7 +78,7 @@ from posheaf.orders import (
     power_sheaf,
     verify_posheaf,
 )
-from posheaf.report import Budget, BudgetMeter, PosheafError, RepairFailed, ResourceLimit
+from posheaf.report import Budget, BudgetMeter, MalformedInput, PosheafError, RepairFailed, ResourceLimit
 from posheaf.sheaves import (
     Presheaf,
     SheafMorphism,
@@ -530,6 +535,156 @@ def test_least_and_greatest_match_the_minimal_member_scan(corpus):
                 assert poset.least(subset) == oracles.least(poset, subset)
                 assert poset.greatest(subset) == oracles.greatest(poset, subset)
     assert {"poset", "poset.antisymmetric", "poset.transitive"} <= laws
+
+
+def _seeded_relations(rng: random.Random, count: int) -> list[tuple[list, list, bool]]:
+    """(elements, pairs, closed) on up to 7 of 9 names in a random order:
+    in turn a relation along the element order (often a lattice once
+    closed), a random relation with some reflexive pairs, one with a cycle,
+    and a path that is not transitive; each closed or not, and a few with
+    a pair on an unknown element or a repeated element."""
+    out = []
+    for case in range(count):
+        elements = rng.sample([f"x{i}" for i in range(9)], rng.randint(0, 7))
+        n, shape = len(elements), case % 4
+        if shape == 0:
+            pairs = [(elements[i], elements[k]) for i in range(n) for k in range(i + 1, n) if rng.random() < 0.4]
+        elif shape == 1:
+            pairs = [(x, y) for x in elements for y in elements if rng.random() < 0.25]
+        elif shape == 2:
+            ring = rng.sample(elements, rng.randint(0, n))
+            pairs = [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
+            pairs += [(x, y) for x in elements for y in elements if rng.random() < 0.1]
+        else:
+            pairs = [(elements[i], elements[i + 1]) for i in range(n - 1)]
+        rng.shuffle(pairs)
+        if elements and rng.random() < 0.06:
+            pairs.insert(rng.randint(0, len(pairs)), rng.choice([(elements[0], "zz"), ("zz", elements[-1])]))
+        if elements and rng.random() < 0.03:
+            elements.append(elements[0])
+        out.append((elements, pairs, rng.random() < 0.5))
+    return out
+
+
+def test_the_row_poset_matches_the_set_based_relation():
+    # 600 seeded relations, cyclic, not transitive or not reflexive before
+    # closing, closed or not, and with unknown or repeated elements: every
+    # operation of the bit-row FinitePoset, its verify report, its
+    # opposite, its pairs and its up-sets and down-sets agree with the
+    # relation kept as a set of pairs; leq on an element it does not hold
+    # is False, and a malformed relation raises the same message
+    rng = random.Random(61)
+    seen = set()
+    for elements, pairs, closed in _seeded_relations(rng, 600):
+        try:
+            oracle = oracles.SetPoset(elements, pairs, closed=closed)
+        except MalformedInput as exc:
+            with pytest.raises(MalformedInput) as raised:
+                FinitePoset(elements, pairs, closed=closed)
+            assert str(raised.value) == str(exc)
+            seen.add(str(exc).split(":")[0])
+            continue
+        poset = FinitePoset(elements, pairs, closed=closed)
+        for given, expected in ((poset, oracle), (poset.opposite(), oracle.opposite())):
+            rep = given.verify()
+            assert _report(rep) == _report(expected.verify()), (elements, pairs, closed)
+            seen.add(rep.name)
+            assert given.elements == expected.elements and len(given) == len(expected)
+            assert given.pairs() == expected.pairs()
+            for x in elements + ["zz"]:
+                for y in elements + ["zz"]:
+                    assert (given.leq(x, y), given.lt(x, y)) == (expected.leq(x, y), expected.lt(x, y))
+            for x in elements:
+                assert (given.up(x), given.down(x)) == (expected.up(x), expected.down(x))
+                for y in elements:
+                    assert (given.join(x, y), given.meet(x, y)) == (expected.join(x, y), expected.meet(x, y))
+            assert (given.bottom, given.top) == (expected.bottom, expected.top)
+            for _ in range(8):
+                subset = rng.sample(elements, rng.randint(0, len(elements)))
+                for op in ("least", "greatest", "minimal", "join_all", "meet_all", "sorted"):
+                    assert getattr(given, op)(subset) == getattr(expected, op)(subset), (op, subset)
+    assert {"poset", "poset.antisymmetric", "poset.transitive", "duplicate elements", "relation mentions unknown element"} <= seen
+
+
+def test_maps_and_adjoints_match_the_pair_scans():
+    # random maps between seeded relations, partial orders or not: the
+    # monotonicity report walks the comparable pairs to the witness of the
+    # scan over every pair, and left_adjoint, which skips its own checks
+    # between partial orders, gives the table or report of the scan that
+    # checks monotonicity and the adjunction on every pair
+    rng = random.Random(71)
+    relations = [
+        FinitePoset(elements, pairs, closed=closed)
+        for elements, pairs, closed in _seeded_relations(rng, 300)
+        if elements and len(set(elements)) == len(elements) and all("zz" not in p for p in pairs)
+    ]
+    found = set()
+    for _ in range(1500):
+        source, target = rng.choice(relations), rng.choice(relations)
+        f = MonotoneMap(source, target, {x: rng.choice(target.elements) for x in source.elements})
+        mono = f.verify()
+        assert _report(mono) == _report(oracles.monotone_scan(f))
+        if not mono.passed:
+            found.add("not monotone")
+            continue
+        g, rep = left_adjoint(f)
+        table, expected = oracles.left_adjoint_scan(f)
+        assert (None if g is None else g.mapping, _report(rep)) == (table, _report(expected))
+        found.add((not source.broken_laws and not target.broken_laws, rep.passed, next(iter(rep.witness or {None: 0}))))
+    assert "not monotone" in found
+    found.discard("not monotone")
+    assert {(True, True), (True, False), (False, True), (False, False)} <= {f[:2] for f in found}
+    assert {"element", "not_monotone", "adjunction"} <= {f[2] for f in found}
+
+
+def _closed_family(rng: random.Random) -> list[int]:
+    """Distinct subsets of 4 bits closed under | and &."""
+    family = set(rng.sample(range(16), rng.randint(1, 4)))
+    while True:
+        more = {a | b for a in family for b in family} | {a & b for a in family for b in family}
+        if more <= family:
+            return rng.sample(sorted(family), len(family))
+        family |= more
+
+
+def test_frame_loading_matches_the_set_based_closure(boolean_frame):
+    # close_and_verify_frame's report and dump_frame_doc's document on
+    # every fixture frame, generated frame and break-distributivity mutant
+    # (the relations tests/test_generate.py loads), N5, M3 and seeded
+    # relations agree with the definitions on the set-based closure; and
+    # frame_of_sets, on closed and open families with repeats, has the
+    # inclusion pairs and first gap of the pair scan
+    rng = random.Random(73)
+    frames = [build() for build in FIXTURE_FRAMES.values()] + [boolean_frame(4), *_non_distributive()]
+    for seed in range(60):
+        cfg = GenConfig(seed=seed, max_opens=4 + seed % 6)
+        X = gen_frame(cfg)
+        frames += [X, mutate(X, "break-distributivity", cfg)]
+    relations = [(list(X.elements), sorted(X.poset.pairs(), key=str)) for X in frames]
+    relations += [
+        (elements, pairs)
+        for elements, pairs, _ in _seeded_relations(rng, 200)
+        if elements and len(set(elements)) == len(elements) and all("zz" not in p for p in pairs)
+    ]
+    names = set()
+    for elements, pairs in relations:
+        _, rep = close_and_verify_frame(elements, pairs)
+        assert _report(rep) == _report(oracles.frame_laws(oracles.set_frame(elements, pairs))), (elements, pairs)
+        names.add(rep.name)
+        closure = oracles.SetPoset(elements, pairs)
+        expected = {"elements": elements, "leq": [[x, y] for x in elements for y in closure.sorted(closure.up(x)) if x != y]}
+        doc = jsonio.dump_frame_doc(FiniteFrame.from_relation(elements, pairs))
+        assert json.dumps(doc) == json.dumps(expected)
+    assert names == {"frame", "frame.poset", "frame.lattice", "frame.distributive"}
+    gaps = set()
+    for case in range(300):
+        sets = _closed_family(rng) if case % 2 else [rng.randrange(16) for _ in range(rng.randint(1, 7))]
+        labels = [f"s{i}" for i in range(len(sets))]
+        frame, gap = frame_of_sets(labels, sets)
+        pairs, expected_gap = oracles.inclusion_pairs(labels, sets, dict(zip(sets, labels)))
+        assert (frame.poset.pairs(), gap) == (frozenset(pairs), expected_gap)
+        gaps.add(gap if gap is None else gap[2])
+    assert gaps == {None, "meet", "join"}
 
 
 def test_down_closure_matches_the_cover_formula(corpus):
@@ -1154,22 +1309,30 @@ def test_frame_ops_match_the_poset_definitions(etale_presheaves):
 
 
 def test_a_passing_frame_answers_from_its_masks(monkeypatch, boolean_frame):
-    # after verify, a passing frame's ops run no least or greatest scan; Λ
-    # builds its frame with no closure and no poset join
+    # loading a frame document that passes and building Λ read the order's
+    # rows: no pair set, up-set or down-set is built and no least or
+    # greatest scan runs; after verify, a passing frame's ops run no least
+    # or greatest scan at all
     sheaves = []
     for seed in range(10):
         cfg = GenConfig(seed=seed, max_opens=6, max_carrier=2)
         sheaves.append(gen_sheaf(gen_frame(cfg), cfg))
-    frames = [build() for build in FIXTURE_FRAMES.values()] + [boolean_frame(4)]
+    given = [build() for build in FIXTURE_FRAMES.values()] + [boolean_frame(4)]
+    given += [gen_frame(GenConfig(seed=seed, max_opens=8)) for seed in range(10)]
+    docs = [jsonio.dump_frame_doc(frame) for frame in given]
     calls = []
-    for target, name in ((frames_module, "_closure"), (FinitePoset, "join")):
-        original = getattr(target, name)
-        monkeypatch.setattr(target, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+
+    def spy(names):
+        for name in names:
+            original = getattr(FinitePoset, name)
+            monkeypatch.setattr(FinitePoset, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+
+    spy(("pairs", "up", "down", "least", "greatest", "join", "meet", "join_all", "meet_all"))
+    frames = [jsonio.load_frame(doc) for doc in docs]
     frames += [etale_locale(P).frame for P in sheaves]
     assert calls == []
-    for name in ("least", "greatest"):
-        original = getattr(FinitePoset, name)
-        monkeypatch.setattr(FinitePoset, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    assert [jsonio.dump_frame_doc(frame) for frame in frames[: len(docs)]] == docs
+    spy(("least_index", "greatest_index"))
     for frame in frames:
         assert frame.verify().passed
         calls.clear()
@@ -1179,7 +1342,7 @@ def test_a_passing_frame_answers_from_its_masks(monkeypatch, boolean_frame):
                 frame.leq(x, y), frame.join(x, y), frame.meet(x, y), frame.heyting(x, y)
         frame.join_all(elems[:5]), frame.meet_all(elems[-5:]), frame.bottom, frame.top
         for u in elems:
-            frame.canonical_cover(u), frame.binary_covers(u)
+            frame.canonical_cover(u), frame.binary_covers(u), frame.lower_covers(u), frame.up(u)
         assert calls == [], frame.elements
 
 

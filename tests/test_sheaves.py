@@ -18,7 +18,6 @@ from posheaf.sheaves import (
     epsilon,
     full_subsheaf,
     generate_subsheaf,
-    agreement_meet_diagnostic,
     product_sheaf,
     sheaf_iso,
     sheaf_on_down,
@@ -31,7 +30,7 @@ from posheaf.sheaves import (
     verify_subsheaf,
 )
 
-from oracles import covers
+from oracles import agreement_meet_diagnostic, covers
 
 
 def brute_force_subsheaves(F):
