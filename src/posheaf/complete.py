@@ -32,13 +32,15 @@ from .frames import (
     FiniteFrame,
     FrameHom,
     MonotoneMap,
+    _bits,
     _bound_failure,
+    _least_candidates,
     left_adjoint,
     preserves_all_joins,
     preserves_all_meets,
     verify_frame_hom,
 )
-from .report import Budget, BudgetMeter, CheckReport, NotComplete, timed
+from .report import Budget, BudgetMeter, CheckReport, NotComplete, once, timed
 from .orders import (
     PoSheaf,
     _power_members,
@@ -88,16 +90,6 @@ def _mask_points(F: PoSheaf, mask: int) -> list[Point]:
     return [points[i] for i in _bits(mask)]
 
 
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits, ascending, visiting only those."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _point_minimum(F: PoSheaf, mask: int):
     """The least point of a bitset of points, or None with its minimal
     members, by descent from the first member c: when c's row holds the
@@ -128,7 +120,7 @@ def _minimal_points(F: PoSheaf, mask: int):
     members, by a scan: a member is minimal when no other member's row
     reaches it, and least when it is the only minimal one and its row holds
     the mask."""
-    members = _bits(mask)
+    members = list(_bits(mask))
     above = 0
     for i in members:
         above |= F.row(i) & ~(1 << i)
@@ -472,18 +464,9 @@ def is_complete(F: PoSheaf, *, budget: Budget | None = None) -> CompletenessCert
     """Both characterizations of completeness run independently — downsheaf
     and subsheaf sup-extension against the per-open lattice/adjoint form —
     plus the square, surjection, and opposite cross-checks, with agreement asserted.
-
-    The certificate is computed once per posheaf, with the number of members
-    its enumerations counted. A later call ticks that count on a fresh meter
-    of its own budget, so a budget too small for the first run still raises
-    the same ResourceLimit."""
-    budget = budget or Budget()
-    meter = BudgetMeter("completeness enumeration", budget.subsheaves)
-    if F._completeness is None:
-        F._completeness = (_is_complete_fresh(F, meter), meter.count)
-    else:
-        meter.tick(F._completeness[1])
-    return F._completeness[0]
+    Computed once per posheaf (report.once)."""
+    meter = BudgetMeter("completeness enumeration", (budget or Budget()).subsheaves)
+    return once(F, "_completeness", meter, lambda m: _is_complete_fresh(F, m))
 
 
 @timed
@@ -683,16 +666,15 @@ def _least_preimages(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> tuple[Shea
     y ≤ α_u(x), at each open u; or None with the first {open, section} y that
     has no least such x. On F.opposite() and G.opposite() (the same sheaves,
     orders reversed) it is the candidate right adjoint, of greatest x with
-    α_u(x) ≤ y. Naturality and the Galois laws are the caller's to check."""
+    α_u(x) ≤ y. Each open's table is the one frames.left_adjoint builds
+    (_least_candidates). Naturality and the Galois laws are the caller's to
+    check."""
     maps = {}
     for u in F.frame.elements:
-        poset, table = F.poset(u), {}
-        for y in G.carrier(u):
-            cand = poset.least([x for x in F.carrier(u) if G.leq(u, y, alpha(u, x))])
-            if cand is None:
-                return None, {"open": u, "section": G.label(u, y)}
-            table[y] = cand
-        maps[u] = table
+        g, report = _least_candidates(MonotoneMap(F.poset(u), G.poset(u), alpha.maps[u]))
+        if g is None:
+            return None, {"open": u, "section": G.label(u, report.witness["element"])}
+        maps[u] = g.mapping
     return SheafMorphism(G.sheaf, F.sheaf, maps), None
 
 
@@ -790,34 +772,24 @@ def is_frame_sheaf(F: PoSheaf, *, budget: Budget | None = None) -> CheckReport:
     The "power sheaf subsheaves" meter counts ℙF first either way, by the
     germ walk power_sheaf enumerates with, so the count and every budget
     outcome are those of building ℙF; neither path builds ℙF, F × ℙF or
-    μ. Computed once per posheaf, like is_complete: a
-    later call replays the completeness budget and then that count against
-    its own budget, and returns the first report, elapsed_ms included."""
-    budget = budget or Budget()
+    μ. Computed once per posheaf (report.once)."""
     cert = is_complete(F, budget=budget)
     if not cert.passed:
         raise NotComplete("frame sheaf check needs a complete posheaf", report=cert.report())
-    if F._frame_sheaf is None:
-        return _is_frame_sheaf_fresh(F, budget)
-    report, members = F._frame_sheaf
-    _power_meter(budget).tick(members)
-    return report
+    return once(F, "_frame_sheaf", _power_meter(budget), lambda m: _is_frame_sheaf_fresh(F, m, budget))
 
 
 @timed
-def _is_frame_sheaf_fresh(F: PoSheaf, budget: Budget) -> CheckReport:
-    """Counts ℙF, runs the Frobenius form, and the square when it fails, and
-    records (report, power sheaf members) in F._frame_sheaf; the report
-    object is the one timed stamps."""
-    members = _power_sheaf_members(F.sheaf, budget)
+def _is_frame_sheaf_fresh(F: PoSheaf, meter: BudgetMeter, budget: Budget | None) -> CheckReport:
+    """Counts ℙF on meter, runs the Frobenius form, and the square when it
+    fails."""
+    _power_sheaf_members(F.sheaf, meter)
     heyting_wit = _frobenius_gap(F)
     square_wit = None if heyting_wit is None else _definition_square_gap(F, budget)
-    report = _three_way(
+    return _three_way(
         "frame_sheaf",
         [("definition_square", square_wit is None, square_wit), ("heyting_frobenius", heyting_wit is None, heyting_wit)],
     )
-    F._frame_sheaf = (report, members)
-    return report
 
 
 def _frobenius_gap(F: PoSheaf) -> dict | None:

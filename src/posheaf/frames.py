@@ -281,9 +281,6 @@ class FiniteFrame:
         self.elements = poset.elements
         self.index = poset.index
         self._covers_cache: dict = {}
-        self._join_irreducibles: tuple | None = None
-        self._join_irreducibles_by_height: tuple | None = None
-        self._report: CheckReport | None = None
 
     @classmethod
     def from_relation(cls, elements: Sequence[str], pairs: Iterable[tuple]) -> "FiniteFrame":
@@ -471,22 +468,22 @@ class FiniteFrame:
         """The opens j with exactly one lower cover, i.e. whose strictly
         smaller opens have a greatest member (so not bottom), in element
         order; the frame is the down-set lattice of these (Birkhoff)."""
-        if self._join_irreducibles is None:
-            greatest, downs = self.poset.greatest_index, self.poset.down_rows
-            self._join_irreducibles = tuple(
-                j for i, j in enumerate(self.elements) if greatest(downs[i] & ~(1 << i)) is not None
-            )
         return self._join_irreducibles
+
+    @cached_property
+    def _join_irreducibles(self) -> tuple:
+        greatest, downs = self.poset.greatest_index, self.poset.down_rows
+        return tuple(j for i, j in enumerate(self.elements) if greatest(downs[i] & ~(1 << i)) is not None)
 
     def join_irreducibles_by_height(self) -> tuple:
         """join_irreducibles() in a linear extension of the order: by the size
         of ↓j, then element order."""
-        if self._join_irreducibles_by_height is None:
-            index, downs = self.index, self.poset.down_rows
-            self._join_irreducibles_by_height = tuple(
-                sorted(self.join_irreducibles(), key=lambda j: (downs[index[j]].bit_count(), index[j]))
-            )
         return self._join_irreducibles_by_height
+
+    @cached_property
+    def _join_irreducibles_by_height(self) -> tuple:
+        index, downs = self.index, self.poset.down_rows
+        return tuple(sorted(self._join_irreducibles, key=lambda j: (downs[index[j]].bit_count(), index[j])))
 
     def subframe(self, u) -> "FiniteFrame":
         """The open sublocale frame on the downset of u."""
@@ -521,12 +518,11 @@ class FiniteFrame:
 
         Frames are immutable, so the first report is kept and returned again.
         """
-        if self._report is None:
-            self._report = self._verify_fresh()
         return self._report
 
+    @cached_property
     @timed
-    def _verify_fresh(self) -> CheckReport:
+    def _report(self) -> CheckReport:
         if self._birkhoff is not None:
             return CheckReport.ok("frame", elements=len(self.elements))
         p = self.poset.verify()
@@ -794,10 +790,27 @@ def galois_check(left: MonotoneMap, right: MonotoneMap) -> CheckReport:
     return CheckReport.ok("galois")
 
 
+def _least_candidates(f: MonotoneMap) -> tuple[MonotoneMap | None, CheckReport]:
+    """The table b ↦ min{a : b ≤ f(a)}, monotone f or not, or (None, the
+    report naming the first b without that minimum). The candidates of b
+    are one row of upper_rows."""
+    src, tgt = f.source, f.target
+    mapping = {}
+    for y, candidates in zip(tgt.elements, tgt.upper_rows([f.mapping[x] for x in src.elements])):
+        m = src.least_index(candidates)
+        if m is None:
+            return None, CheckReport.fail(
+                "left_adjoint.absent",
+                {"element": y, "minimal_candidates": src.minimal(src.members(candidates))},
+            )
+        mapping[y] = src.elements[m]
+    return MonotoneMap(tgt, src, mapping), CheckReport.ok("left_adjoint")
+
+
 def left_adjoint(f: MonotoneMap) -> tuple[MonotoneMap | None, CheckReport]:
-    """g with g(b) = min{a : b ≤ f(a)} when that minimum exists for every b
-    and the pair satisfies the adjunction; otherwise (None, witness report).
-    The candidates of b are one row of upper_rows.
+    """g with g(b) = min{a : b ≤ f(a)} (_least_candidates) when that minimum
+    exists for every b and the pair satisfies the adjunction; otherwise
+    (None, witness report).
 
     When source and target are partial orders (no broken_laws), the table
     of least candidates is the left adjoint by proof, and neither its
@@ -809,25 +822,15 @@ def left_adjoint(f: MonotoneMap) -> tuple[MonotoneMap | None, CheckReport]:
     mono = f.verify()
     if not mono.passed:
         raise NotMonotone("left_adjoint requires a monotone map", report=mono)
-    src, tgt = f.source, f.target
-    mapping = {}
-    for y, candidates in zip(tgt.elements, tgt.upper_rows([f.mapping[x] for x in src.elements])):
-        m = src.least_index(candidates)
-        if m is None:
-            return None, CheckReport.fail(
-                "left_adjoint.absent",
-                {"element": y, "minimal_candidates": src.minimal(src.members(candidates))},
-            )
-        mapping[y] = src.elements[m]
-    g = MonotoneMap(tgt, src, mapping)
-    if src.broken_laws or tgt.broken_laws:
+    g, report = _least_candidates(f)
+    if g is not None and (f.source.broken_laws or f.target.broken_laws):
         gm = g.verify()
         if not gm.passed:
             return None, CheckReport.fail("left_adjoint.absent", {"not_monotone": gm.witness})
         gc = galois_check(g, f)
         if not gc.passed:
             return None, CheckReport.fail("left_adjoint.absent", {"adjunction": gc.witness})
-    return g, CheckReport.ok("left_adjoint")
+    return g, report
 
 
 def right_adjoint(f: MonotoneMap) -> tuple[MonotoneMap | None, CheckReport]:

@@ -13,7 +13,6 @@ The definitional searches these replace are test oracles (tests/oracles.py).
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,6 +23,7 @@ from .report import (
     CheckReport,
     MalformedInput,
     OrderNotProvided,
+    once,
     timed,
 )
 from .complete import _lattice_gap, _restriction_failure, is_complete
@@ -96,20 +96,6 @@ def _germ_joins(X: FiniteFrame, germs: list) -> Callable[[int], str]:
     return join
 
 
-def _memo_hit(slot, meter: BudgetMeter):
-    """The object a memo slot (weak reference, meter count) still refers to,
-    with the count of its build ticked on the caller's meter, so a smaller
-    budget raises the ResourceLimit a fresh build would; None when the slot
-    is empty or the object is gone."""
-    if slot is None:
-        return None
-    ref, count = slot
-    built = ref()
-    if built is not None:
-        meter.tick(count)
-    return built
-
-
 def etale_locale(P: Presheaf, *, budget: Budget | None = None) -> EtaleLocale:
     """The locale of the presheaf's total space: its opens are the down-sets D
     of the germs (j, x), j a join-irreducible of the base and x ∈ P(j), read
@@ -122,15 +108,10 @@ def etale_locale(P: Presheaf, *, budget: Budget | None = None) -> EtaleLocale:
     closed under both is a frame, so the frame laws are checked, never
     assumed, with no second pass.
 
-    The sheaf locale is built once per presheaf object and kept through a
-    weak reference (E.presheaf is P, so a strong one would be a cycle); a
-    later call ticks the recorded count on a fresh meter of its own budget."""
+    Built once per presheaf object (report.once), through a weak reference
+    since E.presheaf is P."""
     meter = BudgetMeter("sheaf-locale elements", (budget or Budget()).lambda_elements)
-    E = _memo_hit(P._etale, meter)
-    if E is None:
-        E = _etale_locale_fresh(P, meter)
-        P._etale = (weakref.ref(E), meter.count)
-    return E
+    return once(P, "_etale", meter, lambda m: _etale_locale_fresh(P, m), weak=True)
 
 
 def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
@@ -311,15 +292,10 @@ def cross_sections(f: LocaleOverX, *, budget: Budget | None = None) -> GammaShea
     restriction meets the value table with the smaller open. Verified to be
     a sheaf.
 
-    Built once per locale object and kept through a weak reference (G.locale
-    is f); a later call ticks the recorded count of search nodes on a fresh
-    meter of its own budget."""
+    Built once per locale object (report.once), through a weak reference
+    since G.locale is f."""
     nodes = BudgetMeter("section search nodes", (budget or Budget()).section_nodes)
-    G = _memo_hit(f._gamma, nodes)
-    if G is None:
-        G = _cross_sections_fresh(f, nodes)
-        f._gamma = (weakref.ref(G), nodes.count)
-    return G
+    return once(f, "_gamma", nodes, lambda m: _cross_sections_fresh(f, m), weak=True)
 
 
 def _cross_sections_fresh(f: LocaleOverX, nodes: BudgetMeter) -> GammaSheaf:

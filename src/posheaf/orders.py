@@ -13,6 +13,7 @@ from .report import (
     BudgetMeter,
     CheckReport,
     MalformedInput,
+    once,
     timed,
 )
 from .sheaves import (
@@ -60,6 +61,8 @@ class PoSheaf:
         self._completeness = None
         self._frame_sheaf = None
         self._left_adjoints: dict = {}
+        # set by _point_table; not a cached_property, whose read of __dict__
+        # slows every attribute read after it on CPython 3.11
         self._points: tuple | None = None
         self._opposite = None
 
@@ -173,8 +176,8 @@ def _pos2_passed(F: "PoSheaf") -> bool:
     shows POS2 passed; False when neither was verified past the sheaf
     check."""
     for G in (F, F._opposite):
-        report = getattr(G, "_posheaf_report", None)
-        if report is not None and any(r.name == "posheaf.POS2" and r.passed for r in report.subreports):
+        memo = getattr(G, "_posheaf_report", None)
+        if memo is not None and any(r.name == "posheaf.POS2" and r.passed for r in memo[0].subreports):
             return True
     return False
 
@@ -195,14 +198,9 @@ def discrete(sheaf: Presheaf) -> PoSheaf:
 
 def order_subsheaf(F: PoSheaf) -> tuple[Presheaf, SubSheaf]:
     """The product sheaf F×F together with the order relation as its subsheaf."""
-    cached = getattr(F, "_order_subsheaf", None)
-    if cached is not None:
-        return cached
     square = product_sheaf(F.sheaf, F.sheaf)
     parts = {u: [pair for pair in square.carriers[u] if pair in F.orders[u]] for u in F.frame.elements}
-    out = (square, SubSheaf(square, parts))
-    F._order_subsheaf = out
-    return out
+    return square, SubSheaf(square, parts)
 
 
 def verify_posheaf(F: PoSheaf) -> CheckReport:
@@ -219,13 +217,8 @@ def verify_posheaf(F: PoSheaf) -> CheckReport:
     POS1 at u says ≤_u is reflexive, antisymmetric and transitive, which is
     what the internal reading says of ≤ at u, and ≤_u is reflexive by
     construction. A reject names the first pair or chain in sorted_pairs
-    order."""
-    cached = getattr(F, "_posheaf_report", None)
-    if cached is not None:
-        return cached
-    report = _verify_posheaf_fresh(F)
-    F._posheaf_report = report
-    return report
+    order. Computed once per posheaf (report.once)."""
+    return once(F, "_posheaf_report", None, lambda _: _verify_posheaf_fresh(F))
 
 
 @timed
@@ -769,17 +762,15 @@ def _power_members(F: Presheaf, budget: Budget | None = None) -> dict:
     return {u: enumerate_subsheaves(F, u, meter=meter) for u in F.frame.elements}
 
 
-def _power_sheaf_members(F: Presheaf, budget: Budget) -> int:
-    """The number of members of ℙF, ticked on its meter by the germ walk
+def _power_sheaf_members(F: Presheaf, meter: BudgetMeter) -> None:
+    """Ticks the members of ℙF on meter (_power_meter) by the germ walk
     _power_members runs, open by open in frame order, without building them.
     The germs below u are those of the top in the same order."""
-    meter = _power_meter(budget)
     frame = F.frame
     germs, _ = _top_germ_table(F)
     for u in frame.elements:
         for _ in _germ_downsets(F, [g for g in germs if frame.leq(g[0], u)], meter):
             pass
-    return meter.count
 
 
 def power_sheaf(F: Presheaf, *, budget: Budget | None = None, verify: bool = True) -> PoSheaf:

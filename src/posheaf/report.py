@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import os
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -190,3 +191,23 @@ class BudgetMeter:
         self.count += n
         if self.count > self.limit:
             raise ResourceLimit(self.what, self.limit)
+
+
+def once(obj, slot: str, meter: BudgetMeter | None, build: Callable, *, weak: bool = False):
+    """build(meter), computed once per object and kept in obj.<slot> as
+    (result, meter.count), the result through a weak reference if weak
+    (for a result that refers back to obj). A later call ticks that count
+    on the caller's own meter, so a budget too small for the build raises
+    the same ResourceLimit a fresh build would, and returns the first
+    result, elapsed_ms included. A build that raises stores nothing; a
+    slot that is absent, None or holds a dead reference is built again.
+    Without a meter the count is 0."""
+    memo = getattr(obj, slot, None)
+    result = None if memo is None else memo[0]() if weak else memo[0]
+    if result is None:
+        result = build(meter)
+        count = 0 if meter is None else meter.count
+        setattr(obj, slot, (weakref.ref(result) if weak else result, count))
+    elif meter is not None:
+        meter.tick(memo[1])
+    return result

@@ -17,6 +17,7 @@ from .report import (
     MissingRestriction,
     NotRestrictionClosed,
     SectionNotInCarrier,
+    once,
     timed,
 )
 
@@ -71,7 +72,8 @@ class Presheaf:
         # (weak reference to its EtaleLocale, sheaf-locale elements counted),
         # set by locale_equiv.etale_locale
         self._etale = None
-        # _germ_table(self, frame.top), set by _top_germ_table
+        # _germ_table(self, frame.top), set by _top_germ_table; not a cached_property,
+        # whose read of __dict__ slows every attribute read after it on CPython 3.11
         self._top_germs = None
 
     def carrier(self, u) -> tuple:
@@ -195,7 +197,6 @@ class SheafCertificate:
         return rep
 
 
-@timed
 def verify_sheaf(P: Presheaf) -> SheafCertificate:
     """Every compatible family over every cover patches to exactly one section.
 
@@ -218,14 +219,9 @@ def verify_sheaf(P: Presheaf) -> SheafCertificate:
     reject those covers are scanned in order, and the entries and witness
     are those of the scan: the covers passed before the first family
     without exactly one amalgamation, and that family. Presheaves are
-    immutable, so the certificate is memoized on the instance.
+    immutable, so the certificate is kept on the instance (report.once).
     """
-    cached = getattr(P, "_sheaf_certificate", None)
-    if cached is not None:
-        return cached
-    cert = _verify_sheaf_fresh(P)
-    P._sheaf_certificate = cert
-    return cert
+    return once(P, "_sheaf_certificate", None, lambda _: _verify_sheaf_fresh(P))
 
 
 def _verify_sheaf_fresh(P: Presheaf) -> SheafCertificate:

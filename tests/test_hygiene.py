@@ -3,7 +3,8 @@ package modules, no module-level private function and no method that
 nothing uses, and no exhaustive cover enumeration, closure-fixpoint
 enumeration, subset loop for join and meet preservation, product-space and
 frame-hom-filter search of the étale layer, nested function that calls
-itself, or broad exception handler in the package."""
+itself, or broad exception handler in the package, and no memo kept
+outside report.once."""
 from __future__ import annotations
 
 import ast
@@ -188,4 +189,29 @@ def test_no_broad_except():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ExceptHandler) and broad(node)
     ]
+    assert found == []
+
+
+def test_memos_are_kept_by_report_once_alone():
+    # the compute-once policy (store, budget replay, weak references) lives
+    # in report.once: no other module imports weakref, and no code assigns
+    # a memo slot but the None an __init__ starts it with
+    slots = {"_sheaf_certificate", "_posheaf_report", "_completeness", "_frame_sheaf", "_etale", "_gamma"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inits = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "__init__" for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "report.py":
+                if "weakref" in {getattr(node, "module", None), *(a.name for a in node.names)}:
+                    found.append(f"{path.name}:{node.lineno} imports weakref")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+                if any(isinstance(a, ast.Constant) and a.value in slots for a in node.args):
+                    found.append(f"{path.name}:{node.lineno} setattr of a memo slot")
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                initialiser = id(node) in inits and isinstance(node.value, ast.Constant) and node.value.value is None
+                for t in targets:
+                    if any(isinstance(n, ast.Attribute) and n.attr in slots for n in ast.walk(t)) and not initialiser:
+                        found.append(f"{path.name}:{node.lineno} assigns a memo slot")
     assert found == []

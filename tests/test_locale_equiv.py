@@ -12,6 +12,7 @@ import pytest
 
 from posheaf import cli, jsonio, locale_equiv
 from posheaf.frames import FiniteFrame, FinitePoset, frame_iso
+from posheaf.complete import is_complete, is_frame_sheaf
 from posheaf.generate import GenConfig, gen_frame, gen_sheaf, mutate
 from posheaf.locale_equiv import (
     LocaleOverX,
@@ -41,6 +42,7 @@ from posheaf.fixtures import (
     frame_d,
     identity_locale,
     open_inclusion,
+    posheaf_ab,
     sections_free_locale,
     sheaf_ab,
     three_chain_over_2,
@@ -415,6 +417,11 @@ def test_a_build_that_raised_caches_nothing():
     with pytest.raises(ResourceLimit):
         cross_sections(f, budget=Budget(section_nodes=1))
     assert f._gamma is None
+    F = posheaf_ab()
+    for check in (is_complete, is_frame_sheaf):
+        with pytest.raises(ResourceLimit):
+            check(F, budget=Budget(subsheaves=1))
+        assert F._completeness is None and F._frame_sheaf is None
 
 
 def test_the_memo_makes_no_reference_cycle():

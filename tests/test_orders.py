@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 
 from posheaf import sheaves
+from posheaf.frames import FiniteFrame
 from posheaf.sheaves import (
     Point,
     Presheaf,
@@ -14,6 +15,7 @@ from posheaf.sheaves import (
     full_subsheaf,
     generate_subsheaf,
     terminal,
+    verify_sheaf,
     verify_subsheaf,
 )
 from posheaf.orders import (
@@ -58,6 +60,14 @@ def test_memoized_posheaf_report_keeps_its_time(PAB):
     assert first.elapsed_ms is not None
     elapsed = first.elapsed_ms
     second = verify_posheaf(PAB)
+    assert second is first
+    assert second.elapsed_ms == elapsed
+    assert verify_sheaf(PAB.sheaf) is verify_sheaf(PAB.sheaf)
+    frame = FiniteFrame(PAB.frame.poset)
+    first = frame.verify()
+    assert first.elapsed_ms is not None
+    elapsed = first.elapsed_ms
+    second = frame.verify()
     assert second is first
     assert second.elapsed_ms == elapsed
 
