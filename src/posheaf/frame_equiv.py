@@ -180,7 +180,8 @@ def verify_frame_equivalence(instance, *, budget: Budget | None = None) -> Check
 
 
 def _roundtrip_sheaf_report(F: PoSheaf, G: PoSheaf) -> CheckReport:
+    # equal carriers index the rows alike, so the orders agree iff the rows do
     same = all(F.sheaf.carriers[u] == G.sheaf.carriers[u] for u in F.frame.elements) and all(
-        F.orders[u] == G.orders[u] for u in F.frame.elements
+        F.poset(u).up_rows == G.poset(u).up_rows for u in F.frame.elements
     ) and F.sheaf.res == G.sheaf.res
     return CheckReport("roundtrip_stable", same, witness=None if same else {"not": "identical"})

@@ -241,6 +241,24 @@ class FinitePoset:
                 rest ^= low
         return ("antisymmetric",) * (not antisymmetric) + ("transitive",) * (not transitive)
 
+    def first_cycle(self) -> list | None:
+        """The first [x, y], x ≠ y, with x ≤ y ≤ x, x-major in element
+        order, or None on an antisymmetric relation."""
+        elements, downs = self.elements, self.down_rows
+        return next(
+            ([elements[i], elements[k]] for i, row in enumerate(self.up_rows) for k in _bits(row & downs[i] & ~(1 << i))),
+            None,
+        )
+
+    def first_chain(self) -> list | None:
+        """The first [x, y, z] with x ≤ y ≤ z and x ≰ z, x-major, then y,
+        then z in element order, or None on a transitive relation."""
+        elements, ups = self.elements, self.up_rows
+        return next(
+            ([elements[i], elements[k], elements[m]] for i, row in enumerate(ups) for k in _bits(row) for m in _bits(ups[k] & ~row)),
+            None,
+        )
+
     def verify(self) -> CheckReport:
         """Reflexivity (which holds by construction), antisymmetry and
         transitivity, with the first witness found. The verdict is the row
@@ -249,12 +267,9 @@ class FinitePoset:
         broken = self.broken_laws
         if not broken:
             return CheckReport.ok("poset")
-        elements, ups = self.elements, self.up_rows
         if broken[0] == "antisymmetric":
-            i, k = next((i, k) for i, row in enumerate(ups) for k in _bits(row & self.down_rows[i] & ~(1 << i)))
-            return CheckReport.fail("poset.antisymmetric", {"cycle": [elements[i], elements[k]]})
-        i, k, m = next((i, k, m) for i, row in enumerate(ups) for k in _bits(row) for m in _bits(ups[k] & ~row))
-        return CheckReport.fail("poset.transitive", {"chain": [elements[i], elements[k], elements[m]]})
+            return CheckReport.fail("poset.antisymmetric", {"cycle": self.first_cycle()})
+        return CheckReport.fail("poset.transitive", {"chain": self.first_chain()})
 
 
 class FiniteFrame:

@@ -344,12 +344,12 @@ def _mutate_break_pos3(F: PoSheaf) -> PoSheaf:
                 F.sheaf.restrict(w, a, u) == s and F.sheaf.restrict(w, b, u) == t
                 for w in frame.up(u)
                 if w != u
-                for (a, b) in F.orders[w]
+                for (a, b) in F.sorted_pairs(w)
             ):
                 continue
-            orders = {v: set(F.orders[v]) for v in frame.elements}
-            orders[u].discard((s, t))
-            mutant = PoSheaf(F.sheaf, {v: sorted(orders[v]) for v in frame.elements})
+            orders = {v: F.sorted_pairs(v) for v in frame.elements}
+            orders[u].remove((s, t))
+            mutant = PoSheaf(F.sheaf, orders)
             report = verify_posheaf(mutant)
             by_name = {r.name: r for r in report.subreports}
             if (
@@ -388,14 +388,8 @@ def _mutate_remove_amalgamation(instance) -> object:
             continue
         if F is None:
             return mutant_sheaf
-        orders = {
-            u: [
-                (a, b)
-                for (a, b) in F.orders[u]
-                if a in set(carriers[u]) and b in set(carriers[u])
-            ]
-            for u in frame.elements
-        }
+        orders = {u: F.sorted_pairs(u) for u in frame.elements}
+        orders[top] = [(a, b) for (a, b) in orders[top] if x not in (a, b)]
         return PoSheaf(mutant_sheaf, orders)
     raise RepairFailed("no removable amalgamation at the top open")
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frames import FiniteFrame, FinitePoset, MonotoneMap, galois_check
+from .frames import FiniteFrame, FinitePoset, MonotoneMap, _bits, galois_check
 from .report import (
     Budget,
     BudgetMeter,
@@ -33,31 +33,25 @@ from .sheaves import (
 
 
 class PoSheaf:
-    """A sheaf plus one partial-order relation per open.
-
-    The relation tables are reflexively closed on construction; POS1-POS3 are
-    verified properties (verify_posheaf), not construction invariants. The
-    completeness facts about a posheaf are computed once and kept on it: the
-    is_complete and is_frame_sheaf results, the left adjoint of each
-    restriction, the point order as bitset rows, and the opposite.
+    """A sheaf plus one partial-order relation per open, kept as one
+    FinitePoset per open over the carrier (poset(u)), closed reflexively on
+    construction; POS1-POS3 are verified properties (verify_posheaf), not
+    construction invariants. The completeness facts about a posheaf are
+    computed once and kept on it: the is_complete and is_frame_sheaf
+    results, the left adjoint of each restriction, the point order as bitset
+    rows, and the opposite.
     """
 
     def __init__(self, sheaf: Presheaf, orders: dict):
         self.sheaf = sheaf
         self.frame = sheaf.frame
-        closed = {}
+        self._posets = {}
         for u in self.frame.elements:
-            carrier = set(sheaf.carriers[u])
-            pairs = set()
-            for x, y in orders.get(u, ()):
+            carrier, pairs = sheaf.carrier_sets[u], orders.get(u, ())
+            for x, y in pairs:
                 if x not in carrier or y not in carrier:
                     raise MalformedInput(f"order pair at {u!r} outside the carrier: {(x, y)!r}")
-                pairs.add((x, y))
-            pairs |= {(x, x) for x in sheaf.carriers[u]}
-            closed[u] = frozenset(pairs)
-        self.orders = closed
-        self._posets: dict = {}
-        self._sorted_pairs: dict = {}
+            self._posets[u] = FinitePoset(sheaf.carriers[u], pairs, closed=True)
         self._completeness = None
         self._frame_sheaf = None
         self._left_adjoints: dict = {}
@@ -77,25 +71,30 @@ class PoSheaf:
         return self.sheaf.label(u, x)
 
     def leq(self, u, x, y) -> bool:
-        return (x, y) in self.orders[u]
+        return self._posets[u].leq(x, y)
 
     def poset(self, u) -> FinitePoset:
-        if u not in self._posets:
-            self._posets[u] = FinitePoset(self.sheaf.carriers[u], self.orders[u], closed=True)
         return self._posets[u]
 
+    @property
+    def orders(self) -> dict:
+        """u -> the order pairs at u, as a frozenset; a view for documents
+        and tests, built on request."""
+        return {u: poset.pairs() for u, poset in self._posets.items()}
+
     def sorted_pairs(self, u) -> list:
-        """The order pairs at u, sorted by the section keys of both ends."""
-        if u not in self._sorted_pairs:
-            key = self.sheaf.section_key
-            self._sorted_pairs[u] = sorted(self.orders[u], key=lambda p: (key(u, p[0]), key(u, p[1])))
-        return self._sorted_pairs[u]
+        """The order pairs at u, x-major, each end in carrier order: the up
+        rows of poset(u) walked bit by bit."""
+        poset = self._posets[u]
+        elements = poset.elements
+        return [(x, elements[k]) for x, row in zip(elements, poset.up_rows) for k in _bits(row)]
 
     def opposite(self) -> "PoSheaf":
-        """Same underlying sheaf, per-open orders reversed; built once, and
-        its own opposite is self."""
+        """Same underlying sheaf, the rows of each open swapped
+        (FinitePoset.opposite); built once, and its own opposite is self."""
         if self._opposite is None:
-            op = PoSheaf(self.sheaf, {u: [(y, x) for (x, y) in rel] for u, rel in self.orders.items()})
+            op = PoSheaf(self.sheaf, {})
+            op._posets = {u: poset.opposite() for u, poset in self._posets.items()}
             op._opposite = self
             self._opposite = op
         return self._opposite
@@ -144,11 +143,12 @@ class PoSheaf:
             p = points[i]
             row = bad = 0
             if _pos2_passed(self):
-                P, order = self.sheaf, self.orders[p.dom]
+                P, at = self.sheaf, self._posets[p.dom]
+                above, at_index = at.up_rows[at.index[p.value]], at.index
                 for w in self.frame.up(p.dom):
                     res = P.res[w, p.dom]
                     for x in P.carriers[w]:
-                        if (p.value, res[x]) in order:
+                        if above >> at_index[res[x]] & 1:
                             row |= 1 << index[w, x]
             else:
                 for k, q in enumerate(points):
@@ -199,7 +199,7 @@ def discrete(sheaf: Presheaf) -> PoSheaf:
 def order_subsheaf(F: PoSheaf) -> tuple[Presheaf, SubSheaf]:
     """The product sheaf F×F together with the order relation as its subsheaf."""
     square = product_sheaf(F.sheaf, F.sheaf)
-    parts = {u: [pair for pair in square.carriers[u] if pair in F.orders[u]] for u in F.frame.elements}
+    parts = {u: [pair for pair in square.carriers[u] if F.leq(u, *pair)] for u in F.frame.elements}
     return square, SubSheaf(square, parts)
 
 
@@ -213,11 +213,12 @@ def verify_posheaf(F: PoSheaf) -> CheckReport:
     and a reject reads its witness from F's tables and POS3's failing
     masks (_internal_subsheaf), so no path builds F×F. POS1 and the
     internal antisymmetry and transitivity are one row test per open
-    (FinitePoset.broken_laws on F.poset(u), whose rows are F.orders[u]):
-    POS1 at u says ≤_u is reflexive, antisymmetric and transitive, which is
-    what the internal reading says of ≤ at u, and ≤_u is reflexive by
-    construction. A reject names the first pair or chain in sorted_pairs
-    order. Computed once per posheaf (report.once)."""
+    (FinitePoset.broken_laws on F.poset(u)): POS1 at u says ≤_u is
+    reflexive, antisymmetric and transitive, which is what the internal
+    reading says of ≤ at u, and ≤_u is reflexive by construction, since
+    every row holds its own bit. A reject names the first pair or chain in
+    sorted_pairs order (FinitePoset.first_cycle and first_chain). Computed
+    once per posheaf (report.once)."""
     return once(F, "_posheaf_report", None, lambda _: _verify_posheaf_fresh(F))
 
 
@@ -228,7 +229,7 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
         return CheckReport.fail("posheaf", {"precondition": cert.witness}, stage="sheaf")
 
     # one row test per open decides POS1 and, below, internal antisymmetry
-    # and transitivity: each reads the same relation F.orders[u]
+    # and transitivity: each reads the same rows F.poset(u)
     broken = {u: F.poset(u).broken_laws for u in F.frame.elements}
     subs = []
     pos1 = CheckReport.ok("posheaf.POS1")
@@ -251,19 +252,17 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
     subs.append(pos3)
 
     internal_subs = _internal_subsheaf(F, pos2.passed, gap)
+    # every row holds its own bit, so ≤ is internally reflexive
     refl = CheckReport.ok("internal.reflexive")
     antisym = CheckReport.ok("internal.antisymmetric")
     trans = CheckReport.ok("internal.transitive")
     for u in F.frame.elements:
-        order = F.orders[u]
-        for x in F.sheaf.carriers[u]:
-            if refl.passed and (x, x) not in order:
-                refl = CheckReport.fail("internal.reflexive", {"open": u, "section": F.label(u, x)})
         if antisym.passed and "antisymmetric" in broken[u]:
-            x, y = next((x, y) for x, y in F.sorted_pairs(u) if x != y and (y, x) in order)
-            antisym = CheckReport.fail("internal.antisymmetric", {"open": u, "pair": [F.label(u, x), F.label(u, y)]})
+            pair = [F.label(u, x) for x in F.poset(u).first_cycle()]
+            antisym = CheckReport.fail("internal.antisymmetric", {"open": u, "pair": pair})
         if trans.passed and "transitive" in broken[u]:
-            trans = CheckReport.fail("internal.transitive", {"open": u, "chain": _broken_chain(F, u)})
+            chain = [F.label(u, x) for x in F.poset(u).first_chain()]
+            trans = CheckReport.fail("internal.transitive", {"open": u, "chain": chain})
     internal_subs.extend([refl, antisym, trans])
     internal = CheckReport.combine("posheaf.internal_poset", internal_subs)
     subs.append(internal)
@@ -286,40 +285,26 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
     )
 
 
-def _broken_chain(F: PoSheaf, u) -> list:
-    """The labels of the first chain x ≤ y ≤ z at u with x ≰ z: the pairs
-    (x, y) in sorted_pairs order, then each z above y in carrier order, from
-    a list of successors per element."""
-    order = F.orders[u]
-    succ: dict = {}
-    for x, y in F.sorted_pairs(u):
-        succ.setdefault(x, []).append(y)
-    x, y, z = next((x, y, z) for x, y in F.sorted_pairs(u) for z in succ[y] if (x, z) not in order)
-    return [F.label(u, x), F.label(u, y), F.label(u, z)]
-
-
 def _pos2(F: PoSheaf) -> CheckReport:
-    """POS2, x ≤_u y ⇒ x|_v ≤_v y|_v, decided along the lower covers v of u
-    (FiniteFrame.lower_covers) from the unsorted order pairs. Restriction
+    """POS2, x ≤_u y ⇒ x|_v ≤_v y|_v, is restriction monotonicity, decided
+    along the lower covers v of u (FiniteFrame.lower_covers). Restriction
     composes on a sheaf, and every v < u is reached from u by a chain of
     lower covers, so POS2 at every v ≤ u follows link by link. Only a
-    reject scans every v ≤ u over sorted_pairs, to name the first failing
+    reject runs the same test at every v ≤ u, to name the first failing
     square and pair."""
-    P, frame, orders = F.sheaf, F.frame, F.orders
-    if all(
-        (res[x], res[y]) in orders[v]
-        for u in frame.elements
-        for v in frame.lower_covers(u)
-        for res in (P.res[u, v],)
-        for x, y in orders[u]
-    ):
+    frame = F.frame
+
+    def monotone(u, v) -> CheckReport:
+        return MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[u, v]).verify()
+
+    if all(monotone(u, v).passed for u in frame.elements for v in frame.lower_covers(u)):
         return CheckReport.ok("posheaf.POS2")
     for u in frame.elements:
         for v in frame.down(u):
-            res = P.res[u, v]
-            for x, y in F.sorted_pairs(u):
-                if (res[x], res[y]) not in orders[v]:
-                    return CheckReport.fail("posheaf.POS2", {"square": [u, v], "pair": [F.label(u, x), F.label(u, y)]})
+            m = monotone(u, v)
+            if not m.passed:
+                pair = [F.label(u, x) for x in m.witness["pair"]]
+                return CheckReport.fail("posheaf.POS2", {"square": [u, v], "pair": pair})
     raise AssertionError("POS2 fails along a lower cover, so at some square")
 
 
@@ -334,7 +319,8 @@ def _patching_gap(F: PoSheaf) -> tuple | None:
     the AND of its members' masks."""
     P = F.sheaf
     for u in F.frame.elements:
-        outside = [(s, t) for s in P.carriers[u] for t in P.carriers[u] if (s, t) not in F.orders[u]]
+        carrier, ups = P.carriers[u], F.poset(u).up_rows
+        outside = [(s, t) for s, row in zip(carrier, ups) for k, t in enumerate(carrier) if not row >> k & 1]
         if not outside:
             continue
         below = {}
@@ -344,8 +330,9 @@ def _patching_gap(F: PoSheaf) -> tuple | None:
             failing = (1 << len(outside)) - 1
             for v in cover:
                 if v not in below:
-                    res, order = P.res[u, v], F.orders[v]
-                    below[v] = int("0" + "".join("1" if (res[s], res[t]) in order else "0" for s, t in outside), 2)
+                    res, at = P.res[u, v], F.poset(v)
+                    index, ups = at.index, at.up_rows
+                    below[v] = int("0" + "".join("1" if ups[index[res[s]]] >> index[res[t]] & 1 else "0" for s, t in outside), 2)
                 failing &= below[v]
             if failing:
                 return u, cover, outside, failing
@@ -398,23 +385,22 @@ def _internal_subsheaf(F: PoSheaf, pos2: bool, gap: tuple | None) -> list[CheckR
     ok = [CheckReport("internal.subsheaf_restriction", True), CheckReport("internal.subsheaf_amalgamation", True)]
     if _order_closed_at_germs(F):
         return ok
-    P, frame, orders = F.sheaf, F.frame, F.orders
+    P, frame = F.sheaf, F.frame
     if not pos2:
         witness = next(
             {"open": u, "section": _pair_label(F, u, x, y), "at": v}
             for u in frame.elements
             for x, y in F.sorted_pairs(u)
             for v in frame.down(u)
-            if (P.res[u, v][x], P.res[u, v][y]) not in orders[v]
+            if not F.leq(v, P.res[u, v][x], P.res[u, v][y])
         )
         return [CheckReport(r.name, False, witness=witness) for r in ok]
     if gap is None:
         raise AssertionError("≤ is restriction-closed and not a subsheaf, so some binary cover patches wrongly")
     u, cover, outside, failing = gap
-    key = P.section_key
     s, t = min(
         (pair for k, pair in enumerate(outside) if failing >> (len(outside) - 1 - k) & 1),
-        key=lambda p: [(key(c, P.res[u, c][p[0]]), key(c, P.res[u, c][p[1]])) for c in cover],
+        key=lambda p: [(F.poset(c).index[P.res[u, c][p[0]]], F.poset(c).index[P.res[u, c][p[1]]]) for c in cover],
     )
     witness = {
         "open": u,
@@ -479,8 +465,7 @@ def point_leq(F: PoSheaf, p: Point, q: Point) -> PointOrderWitness:
     via = F.sheaf.restrict(q.dom, q.value, p.dom)
     holds = F.leq(p.dom, p.value, via)
     factoring = all(
-        (F.sheaf.restrict(p.dom, p.value, v), F.sheaf.restrict(q.dom, q.value, v)) in F.orders[v]
-        for v in frame.down(p.dom)
+        F.leq(v, F.sheaf.restrict(p.dom, p.value, v), F.sheaf.restrict(q.dom, q.value, v)) for v in frame.down(p.dom)
     )
     return PointOrderWitness(p, q, holds=holds, via=via, factoring=factoring)
 
@@ -545,7 +530,7 @@ def verify_order_preserving(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> Che
     fact_ok, fact_wit = True, None
     for u in F.frame.elements:
         for (x, y) in F.sorted_pairs(u):
-            if (alpha(u, x), alpha(u, y)) not in G.orders[u]:
+            if not G.leq(u, alpha(u, x), alpha(u, y)):
                 fact_ok, fact_wit = False, {"open": u, "pair": [F.label(u, x), F.label(u, y)]}
                 break
         if not fact_ok:
@@ -580,7 +565,7 @@ def morphism_leq(alpha: SheafMorphism, beta: SheafMorphism, F: PoSheaf, G: PoShe
     diag_ok, diag_wit = True, None
     for u in F.frame.elements:
         for x in F.sheaf.carriers[u]:
-            if (alpha(u, x), beta(u, x)) not in G.orders[u]:
+            if not G.leq(u, alpha(u, x), beta(u, x)):
                 diag_ok, diag_wit = False, {"open": u, "section": F.label(u, x)}
                 break
         if not diag_ok:

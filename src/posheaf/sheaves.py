@@ -91,9 +91,6 @@ class Presheaf:
             return self._labeler(u, x)
         return str(x)
 
-    def section_key(self, u, x) -> tuple:
-        return (self.frame.index[u], self.carriers[u].index(x))
-
     @timed
     def verify(self) -> CheckReport:
         """Identity restrictions and composition over every chain w ≤ v ≤ u.

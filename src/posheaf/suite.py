@@ -204,7 +204,7 @@ def _criterion_1(seed: int, budget: Budget) -> tuple[bool, dict]:
         const_top = SheafMorphism(F.sheaf, Om.sheaf, {u: {x: u for x in F.carrier(u)} for u in F.frame.elements})
         rep2 = verify_order_preserving(const_top, F, Om)
         battery.add("order_preserving", f"const_top[{name}]", rep2.details.get("verdict", rep2.passed), _agreement_subreport(rep2))
-        if any(len(F.orders[u]) > len(F.carrier(u)) for u in F.frame.elements):
+        if any(x != y for u in F.frame.elements for x, y in F.sorted_pairs(u)):
             rep3 = verify_order_preserving(ident, F, F.opposite())
             battery.add(
                 "order_preserving",
@@ -245,14 +245,9 @@ def _criterion_1(seed: int, budget: Budget) -> tuple[bool, dict]:
         pr = principal(F, top_pt)
         rep = is_downsheaf(pr, F)
         battery.add("downsheaf", f"principal[{name}]", rep.details.get("verdict", rep.passed), _agreement_subreport(rep))
-        strict = [
-            (u, x, y)
-            for u in F.frame.elements
-            for (x, y) in F.orders[u]
-            if x != y
-        ]
+        strict = next(((u, x, y) for u in F.frame.elements for x, y in F.sorted_pairs(u) if x != y), None)
         if strict:
-            u, x, y = strict[0]
+            u, x, y = strict
             upper = generate_subsheaf(F.sheaf, SubSheaf(F.sheaf, {u: [y]}), require_closed=False)
             rep2 = is_downsheaf(upper, F)
             battery.add(
@@ -775,7 +770,7 @@ def _criterion_10(seed: int, budget: Budget) -> tuple[bool, dict]:
     orders_ab = {
         u: [
             (eta_ab(u, x), eta_ab(u, y))
-            for (x, y) in PAB.orders[u]
+            for (x, y) in PAB.sorted_pairs(u)
         ]
         for u in FD.elements
     }

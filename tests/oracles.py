@@ -35,7 +35,8 @@ pair. For the order kernel: the reflexive-transitive closure of a
 relation by a fixpoint over sets of pairs, the inclusion pairs of a
 family of sets with its first pair whose meet or join is missing, and
 SetPoset, a relation kept as its pair set and its up-sets and down-sets
-as frozensets. And agreement_meet_diagnostic, which compares agreement
+as frozensets; PairSetPoSheaf, a posheaf with a pair set per open, and
+verify_posheaf read from those pair sets (posheaf_report). And agreement_meet_diagnostic, which compares agreement
 opens of tuples of sections with the meets of their parts. They are slow
 (2^|↓u| covers per open, product spaces, |O(Y)|·|O(X)|³ scans) and live
 here so that no package module can fall back to them."""
@@ -55,7 +56,18 @@ from posheaf.complete import (
 )
 from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap
 from posheaf.locale_equiv import Section
-from posheaf.orders import PoSheaf, enumerate_downsheaves, order_subsheaf, point_leq_bool, power_sheaf, verify_posheaf
+from posheaf import sheaves
+from posheaf.orders import (
+    PoSheaf,
+    _order_closed_at_germs,
+    _pair_label,
+    _pos3,
+    enumerate_downsheaves,
+    order_subsheaf,
+    point_leq_bool,
+    power_sheaf,
+    verify_posheaf,
+)
 from posheaf.report import Budget, BudgetMeter, CheckReport, MalformedInput, NotALattice
 from posheaf.sheaves import (
     enumerate_subsheaves,
@@ -196,6 +208,171 @@ def pos2_scan(F) -> CheckReport:
                 if not F.leq(v, F.sheaf.restrict(u, x, v), F.sheaf.restrict(u, y, v)):
                     return CheckReport.fail("posheaf.POS2", {"square": [u, v], "pair": [F.label(u, x), F.label(u, y)]})
     return CheckReport.ok("posheaf.POS2")
+
+
+class PairSetPoSheaf:
+    """A posheaf whose order at each open is a frozenset of pairs, closed
+    reflexively: the reading orders.PoSheaf kept before its rows. Its
+    sorted_pairs sort by the carrier positions of both ends, its opposite
+    reverses every pair, and its poset(u) is built from the pairs on first
+    use."""
+
+    def __init__(self, sheaf, orders: dict):
+        self.sheaf, self.frame = sheaf, sheaf.frame
+        self.orders = {}
+        for u in self.frame.elements:
+            carrier = set(sheaf.carriers[u])
+            pairs = set()
+            for x, y in orders.get(u, ()):
+                if x not in carrier or y not in carrier:
+                    raise MalformedInput(f"order pair at {u!r} outside the carrier: {(x, y)!r}")
+                pairs.add((x, y))
+            self.orders[u] = frozenset(pairs | {(x, x) for x in sheaf.carriers[u]})
+        self._posets: dict = {}
+
+    @property
+    def carriers(self):
+        return self.sheaf.carriers
+
+    def carrier(self, u):
+        return self.sheaf.carriers[u]
+
+    def label(self, u, x) -> str:
+        return self.sheaf.label(u, x)
+
+    def leq(self, u, x, y) -> bool:
+        return (x, y) in self.orders[u]
+
+    def poset(self, u) -> FinitePoset:
+        if u not in self._posets:
+            self._posets[u] = FinitePoset(self.sheaf.carriers[u], self.orders[u], closed=True)
+        return self._posets[u]
+
+    def section_key(self, u, x) -> tuple:
+        return (self.frame.index[u], self.sheaf.carriers[u].index(x))
+
+    def sorted_pairs(self, u) -> list:
+        key = self.section_key
+        return sorted(self.orders[u], key=lambda p: (key(u, p[0]), key(u, p[1])))
+
+    def opposite(self) -> "PairSetPoSheaf":
+        return PairSetPoSheaf(self.sheaf, {u: [(y, x) for (x, y) in rel] for u, rel in self.orders.items()})
+
+
+def broken_chain(F, u) -> list | None:
+    """The labels of the first chain x ≤ y ≤ z at u with x ≰ z: the pairs
+    (x, y) in sorted_pairs order, then each z above y in carrier order."""
+    succ: dict = {}
+    for x, y in F.sorted_pairs(u):
+        succ.setdefault(x, []).append(y)
+    found = next(((x, y, z) for x, y in F.sorted_pairs(u) for z in succ[y] if not F.leq(u, x, z)), None)
+    return None if found is None else [F.label(u, w) for w in found]
+
+
+def patching_gap(F) -> tuple | None:
+    """orders._patching_gap over the order pairs: the pairs s ≰_u t,
+    s-major in carrier order, as mask bits, the first pair the highest."""
+    P = F.sheaf
+    for u in F.frame.elements:
+        outside = [(s, t) for s in P.carriers[u] for t in P.carriers[u] if not F.leq(u, s, t)]
+        if not outside:
+            continue
+        below = {}
+        for cover in F.frame.binary_covers(u):
+            if u in cover:
+                continue
+            failing = (1 << len(outside)) - 1
+            for v in cover:
+                if v not in below:
+                    res = P.res[u, v]
+                    below[v] = int("0" + "".join("1" if F.leq(v, res[s], res[t]) else "0" for s, t in outside), 2)
+                failing &= below[v]
+            if failing:
+                return u, cover, outside, failing
+    return None
+
+
+def internal_subsheaf(F, pos2: bool, gap: tuple | None) -> list[CheckReport]:
+    """orders._internal_subsheaf over the order pairs, the amalgamation
+    witness the failing pair least by the section keys of its
+    restrictions."""
+    ok = [CheckReport("internal.subsheaf_restriction", True), CheckReport("internal.subsheaf_amalgamation", True)]
+    if _order_closed_at_germs(F):
+        return ok
+    P, frame = F.sheaf, F.frame
+    if not pos2:
+        witness = next(
+            {"open": u, "section": _pair_label(F, u, x, y), "at": v}
+            for u in frame.elements
+            for x, y in F.sorted_pairs(u)
+            for v in frame.down(u)
+            if not F.leq(v, P.res[u, v][x], P.res[u, v][y])
+        )
+        return [CheckReport(r.name, False, witness=witness) for r in ok]
+    u, cover, outside, failing = gap
+    key = F.section_key
+    s, t = min(
+        (pair for k, pair in enumerate(outside) if failing >> (len(outside) - 1 - k) & 1),
+        key=lambda p: [(key(c, P.res[u, c][p[0]]), key(c, P.res[u, c][p[1]])) for c in cover],
+    )
+    witness = {
+        "open": u,
+        "cover": list(cover),
+        "family": [_pair_label(F, c, P.res[u, c][s], P.res[u, c][t]) for c in cover],
+        "amalgam_outside": [_pair_label(F, u, s, t)],
+    }
+    return [ok[0], CheckReport("internal.subsheaf_amalgamation", False, witness=witness)]
+
+
+def posheaf_report(F: PairSetPoSheaf) -> CheckReport:
+    """verify_posheaf read from the order pairs: POS1 by poset_laws on the
+    pair set, POS2 by pos2_scan, POS3 by patching_gap, the internal
+    antisymmetry and transitivity by pair scans in sorted_pairs order."""
+    cert = sheaves.verify_sheaf(F.sheaf)
+    if not cert.passed:
+        return CheckReport.fail("posheaf", {"precondition": cert.witness}, stage="sheaf")
+    subs = []
+    pos1 = CheckReport.ok("posheaf.POS1")
+    for u in F.frame.elements:
+        law = poset_laws(SetPoset(F.carrier(u), F.orders[u], closed=True))
+        if not law.passed:
+            witness = {key: [F.label(u, x) for x in value] for key, value in law.witness.items()}
+            pos1 = CheckReport.fail("posheaf.POS1", {"open": u, "law": law.name, "witness": witness})
+            break
+    subs.append(pos1)
+    pos2 = pos2_scan(F)
+    subs.append(pos2)
+    gap = patching_gap(F)
+    subs.append(_pos3(F, gap))
+    internal_subs = internal_subsheaf(F, pos2.passed, gap)
+    refl = CheckReport.ok("internal.reflexive")
+    antisym = CheckReport.ok("internal.antisymmetric")
+    trans = CheckReport.ok("internal.transitive")
+    for u in F.frame.elements:
+        for x in F.carrier(u):
+            if refl.passed and not F.leq(u, x, x):
+                refl = CheckReport.fail("internal.reflexive", {"open": u, "section": F.label(u, x)})
+        cycle = next(((x, y) for x, y in F.sorted_pairs(u) if x != y and F.leq(u, y, x)), None)
+        if antisym.passed and cycle:
+            antisym = CheckReport.fail("internal.antisymmetric", {"open": u, "pair": [F.label(u, x) for x in cycle]})
+        chain = broken_chain(F, u)
+        if trans.passed and chain:
+            trans = CheckReport.fail("internal.transitive", {"open": u, "chain": chain})
+    internal_subs.extend([refl, antisym, trans])
+    internal = CheckReport.combine("posheaf.internal_poset", internal_subs)
+    subs.append(internal)
+    pos_verdict = all(r.passed for r in subs[:3])
+    agreement = pos_verdict == internal.passed
+    subs.append(
+        CheckReport("posheaf.agreement", agreement, witness=None if agreement else {"pos_forms": pos_verdict, "internal": internal.passed})
+    )
+    first = next((r for r in subs if not r.passed), None)
+    return CheckReport(
+        name="posheaf",
+        passed=pos_verdict and agreement,
+        witness=None if first is None else {"first_failed": first.name, "witness": first.witness},
+        subreports=subs,
+    )
 
 
 def pos3(F) -> CheckReport:

@@ -3,8 +3,8 @@ package modules, no module-level private function and no method that
 nothing uses, and no exhaustive cover enumeration, closure-fixpoint
 enumeration, subset loop for join and meet preservation, product-space and
 frame-hom-filter search of the étale layer, nested function that calls
-itself, or broad exception handler in the package, and no memo kept
-outside report.once."""
+itself, or broad exception handler in the package, no memo kept outside
+report.once, and no read of a posheaf's orders outside orders.PoSheaf."""
 from __future__ import annotations
 
 import ast
@@ -214,4 +214,22 @@ def test_memos_are_kept_by_report_once_alone():
                 for t in targets:
                     if any(isinstance(n, ast.Attribute) and n.attr in slots for n in ast.walk(t)) and not initialiser:
                         found.append(f"{path.name}:{node.lineno} assigns a memo slot")
+    assert found == []
+
+
+def test_only_posheaf_reads_its_orders_attribute():
+    # a posheaf keeps each order as the rows of one FinitePoset per open;
+    # other code reads them through leq, poset or sorted_pairs, so the
+    # format stays behind orders.PoSheaf. The argparse args.orders is
+    # another attribute
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        if path.name == "orders.py":
+            inside = {id(n) for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "PoSheaf" for n in ast.walk(c)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "orders" and id(node) not in inside:
+                if not (path.name == "cli.py" and getattr(node.value, "id", None) == "args"):
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -16,7 +16,8 @@ and the frame laws through Birkhoff masks (with the join-prime test and
 binary joins naming a reject's witness) and the frame operations read from
 those masks, with frame homs' joins read from the empty and binary ones;
 and the bit-row FinitePoset, monotone maps, left adjoints, frame loading
-and frame documents against a relation kept as a set of pairs.
+and frame documents, and each posheaf order with verify_posheaf on it,
+against a relation kept as a set of pairs.
 
 Verdicts, the Sub/Dow lists and generated subsheaves must agree on every
 element order of the frame; witnesses and sheaf certificate entries must
@@ -1408,3 +1409,100 @@ def test_frame_hom_join_verdicts_on_sources_past_the_subset_scan(etale_presheave
             assert len(subset) <= 2 and h(source.join_all(subset)) == rep.witness["got"] != rep.witness["expected"]
         verdicts.append(rep.passed)
     assert len(source) > 12 and set(verdicts) == {True, False}
+
+
+def _order_cases(corpus) -> list[tuple[str, object, dict]]:
+    """(name, sheaf, order pairs per open): the corpus (fixtures, Ω of the
+    fixture frames, generated posheaves and their break-POS3 and
+    remove-amalgamation mutants), ℙ and 𝔻 of the fixtures, and 600
+    random reflexive relations on generated sheaves: dense ones, subsets of
+    a ranking (antisymmetric, maybe not transitive) and a ranking in full
+    (a total order per open, maybe not restriction-monotone)."""
+    cases = [(name, F.sheaf, {u: list(rel) for u, rel in F.orders.items()}) for name, F in corpus]
+    powers = [("power(sheaf_ab)", power_sheaf(sheaf_ab(), verify=False)), ("down_power(posheaf_ab)", down_power_sheaf(posheaf_ab(), verify=False))]
+    for name in ("FRAME_2", "FRAME_3", "FRAME_D"):
+        one = terminal(FIXTURE_FRAMES[name]())
+        powers += [(f"power({name})", power_sheaf(one, verify=False)), (f"down_power({name})", down_power_sheaf(discrete(one), verify=False))]
+    cases += [(name, F.sheaf, {u: list(rel) for u, rel in F.orders.items()}) for name, F in powers]
+    rng = random.Random(43)
+    sheaves = (gen_sheaf(gen_frame(cfg), cfg) for cfg in (GenConfig(seed=seed, max_opens=6, max_carrier=3) for seed in itertools.count()))
+    for seed, P in enumerate(itertools.islice((P for P in sheaves if sum(map(len, P.carriers.values())) >= 8), 60)):
+        for k in range(10):
+            orders = {}
+            for u in P.frame.elements:
+                xs = list(P.carriers[u])
+                rng.shuffle(xs)
+                rank = {x: i for i, x in enumerate(xs)}
+                pairs = [(x, y) for x in xs for y in xs]
+                if k % 3 == 0:
+                    orders[u] = [p for p in pairs if rng.random() < 0.4]
+                else:
+                    orders[u] = [(x, y) for x, y in pairs if rank[x] <= rank[y] and (k % 3 == 2 or rng.random() < 0.6)]
+            cases.append((f"random[{seed}.{k}]", P, orders))
+    return cases
+
+
+def test_posheaf_rows_match_the_pair_sets(corpus):
+    # PoSheaf keeps each order as the rows of one FinitePoset per open; the
+    # pair-set reading must give the same orders, comparisons, sorted
+    # pairs, opposite, verify_posheaf report and malformed-pair message,
+    # for each case and its opposite
+    broken = {"posheaf.POS1": 0, "posheaf.POS2": 0, "internal.antisymmetric": 0, "internal.transitive": 0}
+    randoms = 0
+    for name, sheaf, orders in _order_cases(corpus):
+        F, O = PoSheaf(sheaf, orders), oracles.PairSetPoSheaf(sheaf, orders)
+        found = set()
+        for G, H in ((F, O), (F.opposite(), O.opposite())):
+            assert G.orders == H.orders, name
+            for u in sheaf.frame.elements:
+                xs = sheaf.carriers[u] + ("?",)
+                assert [G.leq(u, x, y) for x in xs for y in xs] == [H.leq(u, x, y) for x in xs for y in xs], name
+                assert G.sorted_pairs(u) == H.sorted_pairs(u), name
+            report = verify_posheaf(G).to_json(include_timing=False)
+            assert report == oracles.posheaf_report(H).to_json(include_timing=False), name
+            found |= {r["name"] for r in _failed_reports(report)}
+        for law in broken:
+            broken[law] += law in found
+        randoms += name.startswith("random") and "posheaf" in found
+        u = next(u for u in reversed(sheaf.frame.elements) if sheaf.carriers[u])
+        bad = {**orders, u: list(orders.get(u, ())) + [(sheaf.carriers[u][0], "?")]}
+        messages = []
+        for build in (PoSheaf, oracles.PairSetPoSheaf):
+            with pytest.raises(MalformedInput) as exc:
+                build(sheaf, bad)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1], name
+    assert randoms >= 500
+    assert min(broken.values()) >= 50, broken
+
+
+def _failed_reports(report: dict):
+    """The failed reports of a report JSON, depth first."""
+    if not report["passed"]:
+        yield report
+    for sub in report.get("subreports", ()):
+        yield from _failed_reports(sub)
+
+
+def test_a_passing_posheaf_builds_no_pair_set(monkeypatch, boolean_frame):
+    # verify_posheaf, is_complete and enumerate_downsheaves read the rows:
+    # a passing run computes no FinitePoset.pairs() and no sorted pair
+    # list, and the opposite swaps the rows and passes no pairs
+    instances = [posheaf_ab(), m3_posheaf(), omega(boolean_frame(4))] + [omega(build()) for build in FIXTURE_FRAMES.values()]
+    for seed in range(10):
+        cfg = GenConfig(seed=seed, max_opens=6, max_carrier=2)
+        instances.append(gen_posheaf(gen_frame(cfg), cfg))
+    calls = []
+    for cls, name in ((FinitePoset, "pairs"), (PoSheaf, "sorted_pairs")):
+        original = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    init = PoSheaf.__init__
+    monkeypatch.setattr(PoSheaf, "__init__", lambda self, sheaf, orders: calls.append(dict(orders)) or init(self, sheaf, orders))
+    completed = 0
+    for F in instances:
+        assert verify_posheaf(F).passed
+        completed += is_complete(F).passed
+        assert enumerate_downsheaves(F)
+        assert verify_posheaf(F.opposite()).passed and F.opposite().opposite() is F
+        assert all(call == {} for call in calls), calls
+    assert completed >= 5
