@@ -248,6 +248,8 @@ def _cmd_verify(args) -> int:
         # the same frame, carriers, restrictions and orders dump the same
         if [jsonio.dump_posheaf_doc(H) for H in (G2, F2)] != [jsonio.dump_posheaf_doc(H) for H in (G, F)]:
             raise MalformedInput("the second morphism must run from the first one's target to its source")
+        verify_posheaf(F).require()
+        verify_posheaf(G).require()
         report = verify_galois(alpha, beta, F, G)
     elif kind == "sup-preserving":
         alpha, F, G = jsonio.load_morphism(jsonio.read_json(args.inputs[0]), Path(args.inputs[0]).parent)

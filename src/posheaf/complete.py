@@ -144,7 +144,9 @@ def _upper_bound_mask(F: PoSheaf, A: SubSheaf, opens, mask: int) -> int:
 def bounds(F: PoSheaf, A: SubSheaf) -> BoundReport:
     """A sub-presheaf is closed to its generated subsheaf first; the bound set
     is unchanged by that closure. The point order is read from F's rows and
-    those of its opposite, so F must satisfy POS1 and POS2 (verify_posheaf)."""
+    those of its opposite, so F must satisfy the posheaf laws: a failing
+    verify_posheaf report raises."""
+    verify_posheaf(F).require()
     A = generate_subsheaf(F.sheaf, A, require_closed=False)
     every = (1 << len(F.point_index())) - 1
     ups = _upper_bound_mask(F, A, F.frame.elements, every)
@@ -164,7 +166,8 @@ def bounds(F: PoSheaf, A: SubSheaf) -> BoundReport:
 def sup_in_open(F: PoSheaf, S: SubSheaf, u):
     """The least y in F(u) with S^u ⊆ ↓y, or None: the least point over u
     above every point of S below u, read from the point-order rows as in
-    bounds (F must satisfy POS1 and POS2)."""
+    bounds, which also requires the posheaf laws of F."""
+    verify_posheaf(F).require()
     least, _ = _point_minimum(F, _upper_bound_mask(F, S, F.frame.down(u), F.points_over(u)))
     return None if least is None else least.value
 

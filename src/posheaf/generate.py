@@ -286,15 +286,33 @@ def _pentagon(names: list[str]) -> FiniteFrame:
     return FiniteFrame.from_relation(names, pairs)
 
 
+def _morphism_pair(instance) -> bool:
+    if not (isinstance(instance, tuple) and len(instance) == 2):
+        return False
+    return isinstance(instance[0], PoSheaf) and isinstance(instance[1], SheafMorphism)
+
+
+# the instances each kind applies to: a test and its description
+_MUTATION_TARGETS = {
+    "break-distributivity": (lambda i: isinstance(i, FiniteFrame), "frames"),
+    "break-POS3": (lambda i: isinstance(i, PoSheaf), "posheaves"),
+    "remove-amalgamation": (lambda i: isinstance(i, (PoSheaf, Presheaf)), "posheaves and presheaves"),
+    "break-naturality": (_morphism_pair, "(posheaf, morphism) pairs"),
+    "break-meet-square": (_morphism_pair, "(omega, morphism) pairs"),
+}
+
+
 def mutate(instance, kind: str, cfg: GenConfig | None = None):
     """Inject exactly one named violation; the mutant fails its targeted check
-    and nothing earlier (verified before returning)."""
+    and nothing earlier (verified before returning). An instance of a shape
+    the kind does not apply to is malformed input."""
     cfg = cfg or GenConfig(seed=0)
     if kind not in MUTATION_KINDS:
         raise MalformedInput(f"unknown mutation kind {kind!r}")
+    applies, targets = _MUTATION_TARGETS[kind]
+    if not applies(instance):
+        raise MalformedInput(f"{kind} applies to {targets}")
     if kind == "break-distributivity":
-        if not isinstance(instance, FiniteFrame):
-            raise MalformedInput("break-distributivity applies to frames")
         base = [str(x) for x in instance.elements][:5]
         while len(base) < 5:
             base.append(f"n{len(base)}")
@@ -307,9 +325,7 @@ def mutate(instance, kind: str, cfg: GenConfig | None = None):
         return _mutate_remove_amalgamation(instance)
     if kind == "break-naturality":
         return _mutate_break_naturality(instance)
-    if kind == "break-meet-square":
-        return _mutate_break_meet_square(instance, cfg)
-    raise MalformedInput(kind)
+    return _mutate_break_meet_square(instance, cfg)
 
 
 def _proper_cover_exists(frame: FiniteFrame, u, opens) -> bool:
@@ -421,6 +437,9 @@ def _mutate_break_meet_square(instance, cfg: GenConfig) -> tuple[PoSheaf, SheafM
     candidates = [c for c in frame.elements if c != frame.top]
     if not candidates:
         raise RepairFailed("one-element frame has no meet-square breaker")
+    # x ↦ x ∧ c maps each Ω(u), the opens below u, into itself
+    if any(set(Om.carrier(u)) != set(frame.down(u)) for u in frame.elements):
+        raise MalformedInput("break-meet-square applies to (omega, morphism) pairs, whose sections over u are the opens below u")
     c = rng.choice(sorted(candidates, key=frame.index.__getitem__))
     shrink = SheafMorphism(
         Om.sheaf,

@@ -5,8 +5,6 @@ Galois connections — each characterization checked in every one of its equival
 form, with the verdicts reconciled."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .frames import FiniteFrame, FinitePoset, MonotoneMap, _bits, galois_check
 from .report import (
     Budget,
@@ -122,74 +120,35 @@ class PoSheaf:
         """The bitset of the points over u."""
         return self._point_table()[2][u]
 
-    def point_order(self, i: int) -> tuple[int, int]:
-        """(row, disagreements) of the i-th point p: the bitsets over points()
-        of the q with p ≤ q, and of the q on which the two readings of
-        point_leq disagree (none under POS2). Built on first use and kept in
-        a list by position; it never raises, so a caller raises only for the
-        pairs it reads.
-
-        When a memoized verify_posheaf report of this posheaf or its
-        opposite (POS2 is symmetric in the order) shows POS2 passed, the row
-        is the dom-then-value reading alone, over the opens above p.dom, and
-        the disagreements are 0 by proof: the report passed the sheaf check
-        first, so restriction composes, and if p ≤ q|_{dom p} then for each
-        v ≤ dom p, POS2 gives p|_v ≤ (q|_{dom p})|_v = q|_v, while the
-        factoring reading at v = dom p is the dom-then-value one. Otherwise
-        both readings are computed for every q."""
-        points, index, _, rows = self._points or self._point_table()
-        out = rows[i]
-        if out is None:
-            p = points[i]
-            row = bad = 0
-            if _pos2_passed(self):
-                P, at = self.sheaf, self._posets[p.dom]
-                above, at_index = at.up_rows[at.index[p.value]], at.index
-                for w in self.frame.up(p.dom):
-                    res = P.res[w, p.dom]
-                    for x in P.carriers[w]:
-                        if above >> at_index[res[x]] & 1:
-                            row |= 1 << index[w, x]
-            else:
-                for k, q in enumerate(points):
-                    w = point_leq(self, p, q)
-                    row |= w.holds << k
-                    bad |= (not w.agree()) << k
-            out = rows[i] = (row, bad)
-        return out
-
     def row(self, i: int) -> int:
-        """The row of point_order(i); a disagreement (impossible under POS2)
-        raises AssertionError, as in point_leq_bool."""
-        row, bad = self.point_order(i)
-        if bad:
-            _read_point_leq(self, i, (bad & -bad).bit_length() - 1)
+        """The bitset over points() of the q above the i-th point p: dom p ≤
+        dom q and p ≤ q|_{dom p}, read over the opens above p.dom. Built on
+        first use and kept in a list by position.
+
+        This is the point order when F satisfies POS1 and POS2 over a sheaf
+        (verify_posheaf, which bounds and sup_in_open require), and there it
+        is also the factoring reading, p|_v ≤ q|_v at every v ≤ dom p:
+        restriction composes, and if p ≤ q|_{dom p} then for each v ≤ dom p,
+        POS2 gives p|_v ≤ (q|_{dom p})|_v = q|_v, while the factoring reading
+        at v = dom p is this one."""
+        points, index, _, rows = self._points or self._point_table()
+        row = rows[i]
+        if row is None:
+            p = points[i]
+            P, at = self.sheaf, self._posets[p.dom]
+            above, at_index = at.up_rows[at.index[p.value]], at.index
+            row = 0
+            for w in self.frame.up(p.dom):
+                res = P.res[w, p.dom]
+                for x in P.carriers[w]:
+                    if above >> at_index[res[x]] & 1:
+                        row |= 1 << index[w, x]
+            rows[i] = row
         return row
 
     def point_row(self, p: Point) -> int:
         """row() of a point."""
         return self.row(self.point_index()[p])
-
-
-def _pos2_passed(F: "PoSheaf") -> bool:
-    """Whether the memoized verify_posheaf report of F or of its opposite
-    shows POS2 passed; False when neither was verified past the sheaf
-    check."""
-    for G in (F, F._opposite):
-        memo = getattr(G, "_posheaf_report", None)
-        if memo is not None and any(r.name == "posheaf.POS2" and r.passed for r in memo[0].subreports):
-            return True
-    return False
-
-
-def _read_point_leq(F: "PoSheaf", i: int, k: int) -> bool:
-    """p_i ≤ p_k from F's rows, raising AssertionError as point_leq_bool does
-    when the two readings disagree on that pair."""
-    row, bad = F.point_order(i)
-    if bad >> k & 1:
-        points = F.points()
-        raise AssertionError(f"point order readings disagree on {points[i]} vs {points[k]}")
-    return bool(row >> k & 1)
 
 
 def discrete(sheaf: Presheaf) -> PoSheaf:
@@ -443,38 +402,10 @@ def _order_closed_at_germs(F: PoSheaf) -> bool:
     return True
 
 
-@dataclass
-class PointOrderWitness:
-    """Both readings of the point order: the displayed dom-then-value
-    comparison and the factoring through the order subsheaf."""
-
-    p: Point
-    q: Point
-    holds: bool
-    via: object = None
-    factoring: bool = False
-
-    def agree(self) -> bool:
-        return self.holds == self.factoring
-
-
-def point_leq(F: PoSheaf, p: Point, q: Point) -> PointOrderWitness:
-    frame = F.frame
-    if not frame.leq(p.dom, q.dom):
-        return PointOrderWitness(p, q, holds=False, factoring=False)
-    via = F.sheaf.restrict(q.dom, q.value, p.dom)
-    holds = F.leq(p.dom, p.value, via)
-    factoring = all(
-        F.leq(v, F.sheaf.restrict(p.dom, p.value, v), F.sheaf.restrict(q.dom, q.value, v)) for v in frame.down(p.dom)
-    )
-    return PointOrderWitness(p, q, holds=holds, via=via, factoring=factoring)
-
-
 def point_leq_bool(F: PoSheaf, p: Point, q: Point) -> bool:
-    w = point_leq(F, p, q)
-    if not w.agree():
-        raise AssertionError(f"point order readings disagree on {p} vs {q}")
-    return w.holds
+    """p ≤ q in the point order: one bit of F's rows (PoSheaf.row)."""
+    index = F.point_index()
+    return bool(F.row(index[p]) >> index[q] & 1)
 
 
 def _three_way(name: str, forms: list[tuple[str, bool, object]]) -> CheckReport:
@@ -502,21 +433,15 @@ def verify_order_preserving(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> Che
         return CheckReport.fail("order_preserving", {"precondition": nat.witness}, stage="morphism")
 
     # the pairs p ≤ q of F in point order, read from F's rows, each image
-    # pair read from G's rows; a pair whose readings disagree raises when
-    # reached, as point_leq_bool does
+    # pair read from G's rows
     pts = F.points()
     image = [G.point_index()[alpha.on_point(p)] for p in pts]
     point_ok, point_wit = True, None
     for i, p in enumerate(pts):
-        row, bad = F.point_order(i)
-        reached = row | bad
-        while reached and point_ok:
-            low = reached & -reached
-            reached ^= low
-            k = low.bit_length() - 1
-            if _read_point_leq(F, i, k) and not _read_point_leq(G, image[i], image[k]):
-                point_ok, point_wit = False, {"points": [list(p), list(pts[k])]}
-        if not point_ok:
+        above = G.row(image[i])
+        k = next((k for k in _bits(F.row(i)) if not above >> image[k] & 1), None)
+        if k is not None:
+            point_ok, point_wit = False, {"points": [list(p), list(pts[k])]}
             break
 
     open_ok, open_wit = True, None
@@ -547,11 +472,14 @@ def morphism_leq(alpha: SheafMorphism, beta: SheafMorphism, F: PoSheaf, G: PoShe
     """α ≤ β in the three equivalent readings; verdict plus report."""
     index = G.point_index()
     point_ok, point_wit = True, None
-    for p in enumerate_points(F.sheaf):
-        if not _read_point_leq(G, index[alpha.on_point(p)], index[beta.on_point(p)]):
+    for p in F.points():
+        if not G.row(index[alpha.on_point(p)]) >> index[beta.on_point(p)] & 1:
             point_ok, point_wit = False, {"point": list(p)}
             break
 
+    # (a, b) lies in the order subsheaf of G×G at u iff (a, b) ∈ ≤_u, so the
+    # diagonal form, (α_u(x), β_u(x)) in that subsheaf, is the per-open one:
+    # one loop decides both
     open_ok, open_wit = True, None
     for u in F.frame.elements:
         for x in F.sheaf.carriers[u]:
@@ -561,19 +489,9 @@ def morphism_leq(alpha: SheafMorphism, beta: SheafMorphism, F: PoSheaf, G: PoShe
         if not open_ok:
             break
 
-    # (a, b) lies in the order subsheaf of G×G at u iff (a, b) ∈ ≤_u
-    diag_ok, diag_wit = True, None
-    for u in F.frame.elements:
-        for x in F.sheaf.carriers[u]:
-            if not G.leq(u, alpha(u, x), beta(u, x)):
-                diag_ok, diag_wit = False, {"open": u, "section": F.label(u, x)}
-                break
-        if not diag_ok:
-            break
-
     report = _three_way(
         "morphism_leq",
-        [("points", point_ok, point_wit), ("per_open", open_ok, open_wit), ("diagonal", diag_ok, diag_wit)],
+        [("points", point_ok, point_wit), ("per_open", open_ok, open_wit), ("diagonal", open_ok, open_wit)],
     )
     return point_ok and report.subreports[-1].passed, report
 
@@ -629,15 +547,14 @@ def is_downsheaf(G: SubSheaf, F: PoSheaf) -> CheckReport:
     if not pre.passed:
         return CheckReport.fail("downsheaf", {"precondition": pre.witness}, stage="subsheaf")
 
-    pts = enumerate_points(F.sheaf)
-    gpts = {(p.dom, p.value) for p in G.points()}
+    # a point outside G whose row meets G's points lies below a member
+    pts, index = F.points(), F.point_index()
+    members = sum(1 << index[p] for p in G.points())
     point_ok, point_wit = True, None
-    for p in pts:
-        for q in pts:
-            if point_leq_bool(F, p, q) and (q.dom, q.value) in gpts and (p.dom, p.value) not in gpts:
-                point_ok, point_wit = False, {"below": list(p), "member": list(q)}
-                break
-        if not point_ok:
+    for i, p in enumerate(pts):
+        above = F.row(i) & members
+        if above and not members >> i & 1:
+            point_ok, point_wit = False, {"below": list(p), "member": list(pts[(above & -above).bit_length() - 1])}
             break
 
     open_ok, open_wit = True, None
@@ -825,9 +742,10 @@ def verify_galois(
     beta_at = [F.point_index()[beta.on_point(y)] for y in gpts]
     pt_ok, pt_wit = True, None
     for i, x in enumerate(fpts):
+        above_alpha, above_x = G.row(alpha_at[i]), F.row(i)
         for k, y in enumerate(gpts):
-            lhs = _read_point_leq(G, alpha_at[i], k)
-            rhs = _read_point_leq(F, i, beta_at[k])
+            lhs = bool(above_alpha >> k & 1)
+            rhs = bool(above_x >> beta_at[k] & 1)
             if lhs != rhs:
                 pt_ok, pt_wit = False, {"points": [list(x), list(y)], "alpha_leq": lhs, "leq_beta": rhs}
                 break

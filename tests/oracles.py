@@ -9,10 +9,11 @@ relation as a subsheaf of F×F; presheaf composition over every chain and
 POS2 at every v ≤ u, which the package decides along lower covers; Sub
 and Dow by next-closure over that closure; least and greatest elements as
 the one minimal or maximal member; join and meet preservation over every
-subset; the point-order bounds of a subsheaf one pair
-at a time; and, for the étale layer, the sheaf locale as the product of the
-sections' down-sets filtered by pairwise agreement opens, ordered
-pointwise and with pointwise meets and joins, its frame by the pair list of
+subset; the point order in both of its readings, dom-then-value and
+factoring through the order subsheaf, and the point-order bounds of a
+subsheaf one pair at a time; and, for the étale layer, the sheaf locale
+as the product of the sections' down-sets filtered by pairwise
+agreement opens, ordered pointwise and with pointwise meets and joins, its frame by the pair list of
 germ down-sets closed to a poset with the pair loop over its meets and joins,
 a section's agreement with its
 own restrictions, cross-sections by a
@@ -43,6 +44,7 @@ here so that no package module can fall back to them."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import cached_property
 
 from posheaf.complete import (
@@ -64,13 +66,13 @@ from posheaf.orders import (
     _pos3,
     enumerate_downsheaves,
     order_subsheaf,
-    point_leq_bool,
     power_sheaf,
     verify_posheaf,
 )
 from posheaf.report import Budget, BudgetMeter, CheckReport, MalformedInput, NotALattice
 from posheaf.sheaves import (
     enumerate_subsheaves,
+    Point,
     SheafCertificate,
     SubSheaf,
     compatible_families,
@@ -887,6 +889,44 @@ def preserves_all_meets(f) -> bool:
         if lhs is None or rhs is None or f(lhs) != rhs:
             return False
     return True
+
+
+@dataclass
+class PointOrderWitness:
+    """Both readings of the point order: the displayed dom-then-value
+    comparison and the factoring through the order subsheaf."""
+
+    p: Point
+    q: Point
+    holds: bool
+    via: object = None
+    factoring: bool = False
+
+    def agree(self) -> bool:
+        return self.holds == self.factoring
+
+
+def point_leq(F, p: Point, q: Point) -> PointOrderWitness:
+    """p ≤ q read both ways: dom p ≤ dom q and p ≤ q|_{dom p}, and
+    p|_v ≤ q|_v at every v ≤ dom p."""
+    frame = F.frame
+    if not frame.leq(p.dom, q.dom):
+        return PointOrderWitness(p, q, holds=False, factoring=False)
+    via = F.sheaf.restrict(q.dom, q.value, p.dom)
+    holds = F.leq(p.dom, p.value, via)
+    factoring = all(
+        F.leq(v, F.sheaf.restrict(p.dom, p.value, v), F.sheaf.restrict(q.dom, q.value, v)) for v in frame.down(p.dom)
+    )
+    return PointOrderWitness(p, q, holds=holds, via=via, factoring=factoring)
+
+
+def point_leq_bool(F, p: Point, q: Point) -> bool:
+    """p ≤ q by point_leq, raising AssertionError when the readings
+    disagree."""
+    w = point_leq(F, p, q)
+    if not w.agree():
+        raise AssertionError(f"point order readings disagree on {p} vs {q}")
+    return w.holds
 
 
 def upper_bound_points(F, A: SubSheaf) -> list:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from posheaf import jsonio
 from posheaf.cli import run
 from posheaf.fixtures import frame_2, frame_d, identity_locale, posheaf_ab, sheaf_ab
-from posheaf.generate import GenConfig, gen_frame, gen_posheaf, mutate
+from posheaf.generate import MUTATION_KINDS, GenConfig, gen_frame, gen_posheaf, mutate
 from posheaf.orders import PoSheaf, omega, power_sheaf
 from posheaf.report import MalformedInput
 from posheaf.sheaves import Presheaf
@@ -248,6 +248,42 @@ def test_verify_galois_needs_the_reverse_morphism(tmp_path, capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "malformed" and "target" in out["message"]
     assert run(["verify", "galois", ab_path, ab_path]) == 0
+
+
+def test_verify_galois_checks_the_posheaf_laws_first(tmp_path, capsys):
+    # xz ≤ yz at the top of sheaf_ab but x and y are incomparable over a:
+    # POS2 fails, and galois exits 1 with the posheaf report, as
+    # sup-preserving does
+    from posheaf.sheaves import SheafMorphism
+
+    F = PoSheaf(sheaf_ab(), {"1": [("xz", "yz")]})
+    path = write(tmp_path, "m.json", jsonio.dump_morphism_doc(SheafMorphism.identity(F.sheaf), F, F))
+    assert run(["verify", "galois", path, path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "property" and out["report"]["name"] == "posheaf"
+    assert out["report"]["witness"] == {"first_failed": "posheaf.POS2", "witness": {"square": ["1", "a"], "pair": ["xz", "yz"]}}
+
+
+def test_gen_mutate_of_every_kind_exits_without_a_traceback(capsys):
+    # a mutation that does not apply to the generated instance is malformed
+    # input naming what it applies to; an exception out of run() would be a
+    # traceback
+    applied = set()
+    for kind in ("frame", "posheaf", "morphism"):
+        for mutation in MUTATION_KINDS:
+            code = run(["gen", kind, "--seed", "1", "--mutate", mutation])
+            out = json.loads(capsys.readouterr().out)
+            assert code in (0, 2), (kind, mutation)
+            if code == 0:
+                applied.add((kind, mutation))
+            else:
+                assert out["error"] == "malformed" and out["message"].startswith(f"{mutation} applies to "), out
+    assert applied == {
+        ("frame", "break-distributivity"),
+        ("posheaf", "break-POS3"),
+        ("posheaf", "remove-amalgamation"),
+        ("morphism", "break-naturality"),
+    }
 
 
 def test_a_non_integer_budget_variable_is_malformed(tmp_path, capsys, monkeypatch):

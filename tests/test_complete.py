@@ -25,10 +25,12 @@ from posheaf.orders import (
     omega,
     power_inclusion,
     power_sheaf,
+    verify_galois,
+    verify_order_preserving,
     verify_posheaf,
 )
 from posheaf.generate import GenConfig, gen_frame, gen_posheaf
-from posheaf.report import Budget, NotComplete, ResourceLimit
+from posheaf.report import Budget, NotComplete, PosheafError, ResourceLimit
 from posheaf.sheaves import (
     Point,
     Presheaf,
@@ -645,9 +647,15 @@ def test_the_opposite_is_built_once():
 
 
 def test_point_rows_need_pos2(SAB):
-    # xz ≤ yz at the top but x and y are incomparable over a: the two
-    # readings of the point order disagree
+    # xz ≤ yz at the top but x and y are incomparable over a: POS2 fails.
+    # The bound kernels read the rows as a partial order and refuse F with
+    # its posheaf report; the three-form checks read the rows as they are
     F = PoSheaf(SAB, {"1": [("xz", "yz")]})
-    assert not verify_posheaf(F).passed
-    with pytest.raises(AssertionError):
-        F.point_row(Point("1", "xz"))
+    S = SubSheaf(SAB, {"1": ["xz"]})
+    for kernel in (lambda: bounds(F, S), lambda: sup_in_open(F, S, "1")):
+        with pytest.raises(PosheafError) as err:
+            kernel()
+        assert err.value.report.witness["first_failed"] == "posheaf.POS2"
+    ident = SheafMorphism.identity(SAB)
+    assert verify_order_preserving(ident, F, F).passed
+    assert verify_galois(ident, ident, F, F).passed

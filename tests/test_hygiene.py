@@ -194,8 +194,10 @@ def test_no_broad_except():
 
 def test_memos_are_kept_by_report_once_alone():
     # the compute-once policy (store, budget replay, weak references) lives
-    # in report.once: no other module imports weakref, and no code assigns
-    # a memo slot but the None an __init__ starts it with
+    # in report.once: no other module imports weakref, no code assigns a
+    # memo slot but the None an __init__ starts it with, and no code reads
+    # one, by getattr or as an attribute, outside report.py and __init__,
+    # so no result depends on whether another check happened to run first
     slots = {"_sheaf_certificate", "_posheaf_report", "_completeness", "_frame_sheaf", "_etale", "_gamma"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -208,6 +210,12 @@ def test_memos_are_kept_by_report_once_alone():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
                 if any(isinstance(a, ast.Constant) and a.value in slots for a in node.args):
                     found.append(f"{path.name}:{node.lineno} setattr of a memo slot")
+            if path.name != "report.py" and id(node) not in inits:
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
+                    if any(isinstance(a, ast.Constant) and a.value in slots for a in node.args):
+                        found.append(f"{path.name}:{node.lineno} getattr of a memo slot")
+                if isinstance(node, ast.Attribute) and node.attr in slots and isinstance(node.ctx, ast.Load):
+                    found.append(f"{path.name}:{node.lineno} reads a memo slot")
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 initialiser = id(node) in inits and isinstance(node.value, ast.Constant) and node.value.value is None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 
+import oracles
 from posheaf import sheaves
 from posheaf.frames import FiniteFrame
 from posheaf.sheaves import (
@@ -29,7 +30,6 @@ from posheaf.orders import (
     is_downsheaf,
     morphism_leq,
     omega,
-    point_leq,
     point_leq_bool,
     power_inclusion,
     power_sheaf,
@@ -181,10 +181,12 @@ def test_point_order(PAB, FD):
     for p in pts:
         assert point_leq_bool(PAB, bottom, p)
     assert point_leq_bool(PAB, Point("a", "x"), Point("1", "yz"))
-    w = point_leq(PAB, Point("b", "z"), Point("a", "x"))
+    w = oracles.point_leq(PAB, Point("b", "z"), Point("a", "x"))
     assert not w.holds and w.agree()
-    w2 = point_leq(PAB, Point("a", "x"), Point("b", "z"))
+    w2 = oracles.point_leq(PAB, Point("a", "x"), Point("b", "z"))
     assert not w2.holds
+    # the package's row bit is the oracle's reading on every pair
+    assert all(point_leq_bool(PAB, p, q) == oracles.point_leq_bool(PAB, p, q) for p in pts for q in pts)
 
 
 def test_point_order_is_a_partial_order(PAB):

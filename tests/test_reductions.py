@@ -437,16 +437,19 @@ def test_lower_cover_reductions_match_the_scans(corpus):
 
 
 def test_point_rows_after_pos2_match_both_readings(corpus):
-    # once verify_posheaf has passed POS2, the rows of F and of its opposite
-    # are the dom-then-value reading alone; they must be the rows both
-    # readings give on a copy that was never verified
+    # under POS2 a row is the dom-then-value reading, and that reading is
+    # the factoring one too: the oracle reads both pair by pair, on F and
+    # on its opposite, and the rows are built on a copy never verified
     compared = 0
     for name, F in _small_posheaves(corpus):
-        verified, fresh = PoSheaf(F.sheaf, F.orders), PoSheaf(F.sheaf, F.orders)
-        assert verify_posheaf(verified).passed
-        for G, H in ((verified, fresh), (verified.opposite(), fresh.opposite())):
-            for i in range(len(G.points())):
-                assert G.point_order(i) == H.point_order(i), (name, i)
+        assert _subreport(verify_posheaf(F), "posheaf.POS2").passed, name
+        fresh = PoSheaf(F.sheaf, F.orders)
+        for G in (fresh, fresh.opposite()):
+            pts = G.points()
+            for i, p in enumerate(pts):
+                readings = [oracles.point_leq(G, p, q) for q in pts]
+                assert G.row(i) == sum(w.holds << k for k, w in enumerate(readings)), (name, i)
+                assert G.row(i) == sum(w.factoring << k for k, w in enumerate(readings)), (name, i)
                 compared += 1
     assert compared >= 500
 
