@@ -7,13 +7,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import jsonio
 from .complete import is_complete, is_frame_sheaf, verify_frame_morphism, verify_sup_preserving
 from .frames import close_and_verify_frame
 from .frame_equiv import frame_hom_to_sheaf, sheaf_to_frame_hom, verify_frame_equivalence
-from .generate import GenConfig, MUTATION_KINDS, gen_endomorphism, gen_frame, gen_posheaf, mutate
+from .generate import GenConfig, MUTATION_KINDS, gen_endomorphism, gen_frame, gen_frame_morphism, gen_posheaf, mutate
 from .locale_equiv import (
     check_cposl,
     check_posl,
@@ -83,25 +84,10 @@ def _report_doc(report: CheckReport, include_timing: bool) -> dict:
 
 def _budget(args) -> Budget:
     base = Budget.from_env()
-    if getattr(args, "budget", None) is not None:
-        n = args.budget
-        base = Budget(subsheaves=n, lambda_elements=n, section_nodes=n)
-    kwargs = {}
-    for field, flag in (
-        ("subsheaves", "budget_subsheaves"),
-        ("lambda_elements", "budget_lambda"),
-        ("section_nodes", "budget_sections"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            kwargs[field] = val
-    if kwargs:
-        base = Budget(
-            subsheaves=kwargs.get("subsheaves", base.subsheaves),
-            lambda_elements=kwargs.get("lambda_elements", base.lambda_elements),
-            section_nodes=kwargs.get("section_nodes", base.section_nodes),
-        )
-    return base
+    if args.budget is not None:
+        base = Budget(subsheaves=args.budget, lambda_elements=args.budget, section_nodes=args.budget)
+    flags = {"subsheaves": args.budget_subsheaves, "lambda_elements": args.budget_lambda, "section_nodes": args.budget_sections}
+    return replace(base, **{field: n for field, n in flags.items() if n is not None})
 
 
 def _load_orders(args, doc, gamma):
@@ -133,10 +119,7 @@ def _cmd_check(args) -> int:
     elif kind == "frame-sheaf":
         F = jsonio.load_posheaf(doc, base)
         cert = is_complete(F, budget=budget)
-        if not cert.passed:
-            report = cert.report()
-        else:
-            report = is_frame_sheaf(F, budget=budget)
+        report = is_frame_sheaf(F, budget=budget) if cert.passed else cert.report()
     elif kind == "lh":
         report = is_local_homeomorphism(jsonio.load_locale(doc, base))
     elif kind == "spatial":
@@ -295,8 +278,12 @@ def _cmd_gen(args) -> int:
             F = mutate(F, args.mutate, cfg)
         out = jsonio.dump_posheaf_doc(F)
     elif args.kind == "morphism":
-        F = gen_posheaf(X, cfg)
-        alpha = gen_endomorphism(F, cfg)
+        # the meet-square mutation applies to Ω and its identity
+        if args.mutate == "break-meet-square":
+            F, alpha = gen_frame_morphism(X, cfg)
+        else:
+            F = gen_posheaf(X, cfg)
+            alpha = gen_endomorphism(F, cfg)
         if args.mutate:
             alpha = mutate((F, alpha), args.mutate, cfg)
             if isinstance(alpha, tuple):

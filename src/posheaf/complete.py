@@ -2,14 +2,19 @@
 equivalent forms, the sup morphism, sup-preserving morphisms, finite
 completeness, and frame (complete Heyting) sheaves.
 
-Every multi-form characterization is computed once per form, independently,
-and the verdicts are reconciled; a disagreement is itself a failure. The
-frame-sheaf square is the exception: it follows from the Frobenius form by
-proof (is_frame_sheaf), and is scanned only when that form fails. The
-per-open laws exist once each and every form that needs one reads it: a
-complete lattice at each open (_lattice_gap), a surjective restriction
-preserving all joins and meets (_restriction_gap, decided at the lower
-covers by _restriction_failure; the sheaf-locale CPOSL1-2 read both on Γ),
+Completeness and frame sheaves are each decided by one form: the per-open
+form with its opposite and the adjoint square (is_complete), and the
+Frobenius form (is_frame_sheaf). The restated forms follow from it by
+proof, pass with it, and are scanned only on a reject, to name their own
+witnesses; there the verdicts are reconciled, and a disagreement is itself
+a failure. So a budget meter ticks only where a reject scan builds or
+decides a member. The forms of sup-preserving and frame morphisms, which
+are equivalent only on complete posheaves, are all computed and
+reconciled. The per-open laws exist once each and every form that needs
+one reads it: a complete lattice at each open (_lattice_gap), a surjective
+restriction preserving all joins and meets (_restriction_gap, decided at
+the lower covers by _restriction_failure; the sheaf-locale CPOSL1-2 read
+both on Γ),
 and the commuting left-adjoint square of a morphism
 (_adjoint_square_gap). Preservation of the empty and binary joins or meets
 is frames._bound_failure, read by finite completeness and the finite-meets
@@ -45,8 +50,8 @@ from .orders import (
     PoSheaf,
     _power_members,
     _power_meter,
-    _power_sheaf_members,
     _three_way,
+    discrete,
     down_embedding,
     down_power_sheaf,
     power_sheaf,
@@ -174,8 +179,9 @@ def sup_in_open(F: PoSheaf, S: SubSheaf, u):
 
 @dataclass
 class CompletenessCertificate:
-    """Both sides of every completeness characterization plus the square and
-    duality cross-checks; agreement is part of the verdict."""
+    """Every completeness form plus the square and duality cross-checks,
+    the restated forms passing by proof when the deciding ones pass
+    (is_complete); agreement is part of the verdict."""
 
     passed: bool
     downsheaf_sups: CheckReport
@@ -328,7 +334,8 @@ def _sup_forms(F: PoSheaf, meter: BudgetMeter) -> list[CheckReport]:
     """The downsheaf and subsheaf sup-extension forms: every member of
     Dow(F), then every member of Sub(F), has a sup extendable to a global
     point whose every restriction is the least dominating element over its
-    open (_member_gap).
+    open (_member_gap). is_complete runs them only on a reject; a pass of
+    the per-open form implies them.
 
     The members are the germ down-sets that enumerate_downsheaves and
     enumerate_subsheaves walk (sheaves._germ_downsets), walked the same way,
@@ -464,10 +471,22 @@ def _adjoint_square_check(F: PoSheaf, restriction_data: dict) -> CheckReport:
 
 
 def is_complete(F: PoSheaf, *, budget: Budget | None = None) -> CompletenessCertificate:
-    """Both characterizations of completeness run independently — downsheaf
-    and subsheaf sup-extension against the per-open lattice/adjoint form —
-    plus the square, surjection, and opposite cross-checks, with agreement asserted.
-    Computed once per posheaf (report.once)."""
+    """The completeness certificate of F, computed once per posheaf
+    (report.once). Three forms decide: each F(u) is a complete lattice and
+    each restriction v < u is surjective with both adjoints (per_open_form),
+    the same on F.opposite(), and the adjoint square
+    (l_{v→u∨v} x)|_u = l_{u∧v→u}(x|_{u∧v}). When all three pass, the
+    restated forms hold by proof and pass with no count. complete_surjections:
+    a left (right) adjoint preserves all joins (meets), and POS2 makes each
+    restriction monotone. The sup-extension forms: for S in Sub(F), s_u =
+    ∨{l_{v→u}(x) : v ≤ u, x ∈ S(v)} is the least element of F(u) above S
+    below u, by adjointness; a surjection r with left adjoint l has r∘l = id,
+    so the square gives (l_{v→w} x)|_u = l_{u∧v→u}(x|_{u∧v}) for v, u ≤ w,
+    and as restrictions preserve joins, s_w|_u = s_u. So (w0, s_{w0}), w0 the
+    join of S's support, is the sup, and s_top the global point extending it
+    (README). Otherwise _sup_forms, ticking the "completeness enumeration"
+    meter at each member it decides, and _complete_surjections_form run, to
+    name their own verdicts and witnesses."""
     meter = BudgetMeter("completeness enumeration", (budget or Budget()).subsheaves)
     return once(F, "_completeness", meter, lambda m: _is_complete_fresh(F, m))
 
@@ -476,11 +495,16 @@ def is_complete(F: PoSheaf, *, budget: Budget | None = None) -> CompletenessCert
 def _is_complete_fresh(F: PoSheaf, meter: BudgetMeter) -> CompletenessCertificate:
     verify_posheaf(F).require()
     per_open_form, restriction_data = _per_open_form(F)
-    downsheaf_sups, subsheaf_sups = _sup_forms(F, meter)
-    surjections = _complete_surjections_form(F)
     op4, _ = _per_open_form(F.opposite())
     op4.name = "complete.opposite_per_open"
     square = _adjoint_square_check(F, restriction_data)
+    if per_open_form.passed and op4.passed and square.passed:
+        downsheaf_sups, subsheaf_sups, surjections = (
+            CheckReport.ok(f"complete.{name}") for name in ("downsheaf_sups", "subsheaf_sups", "complete_surjections")
+        )
+    else:
+        downsheaf_sups, subsheaf_sups = _sup_forms(F, meter)
+        surjections = _complete_surjections_form(F)
 
     verdicts = {
         "downsheaf_sups": downsheaf_sups.passed,
@@ -568,7 +592,7 @@ def _sup_square_gap(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf, budget: Budget
     """The defining square of a sup-preserving morphism, open by open over
     Sub(F^u): the first open u and S with no sup, or none of its image, or
     with α_u(sup S) ≠ sup α(S); else None."""
-    members = _power_members(F.sheaf, budget)
+    members = _power_members(F.sheaf, _power_meter(budget))
     for u in F.frame.elements:
         for S in members[u]:
             sup = sup_in_open(F, S, u)
@@ -658,12 +682,6 @@ def product_posheaf(F: PoSheaf, G: PoSheaf) -> PoSheaf:
     return PoSheaf(sheaf, orders)
 
 
-def _terminal_posheaf(X: FiniteFrame) -> PoSheaf:
-    from .orders import discrete
-
-    return discrete(terminal(X))
-
-
 def _least_preimages(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> tuple[SheafMorphism | None, dict | None]:
     """The candidate left adjoint G → F of α: y ↦ the least x ∈ F(u) with
     y ≤ α_u(x), at each open u; or None with the first {open, section} y that
@@ -714,7 +732,7 @@ def check_finite_completeness(F: PoSheaf, mode: str = "both") -> CheckReport:
     the per-open semilattice form; agreement asserted. mode: sup | inf | both."""
     verify_posheaf(F).require()
     frame = F.frame
-    one = _terminal_posheaf(frame)
+    one = discrete(terminal(frame))
     bang = SheafMorphism(F.sheaf, one.sheaf, {u: {x: "*" for x in F.carrier(u)} for u in frame.elements})
     FF = product_posheaf(F, F)
     diag = SheafMorphism(
@@ -772,23 +790,21 @@ def is_frame_sheaf(F: PoSheaf, *, budget: Budget | None = None) -> CheckReport:
     square over Sub(F^u) open by open (_definition_square_gap), to name its
     witness.
 
-    The "power sheaf subsheaves" meter counts ℙF first either way, by the
-    germ walk power_sheaf enumerates with, so the count and every budget
-    outcome are those of building ℙF; neither path builds ℙF, F × ℙF or
-    μ. Computed once per posheaf (report.once)."""
+    The "power sheaf subsheaves" meter ticks only at the members of ℙF
+    that the reject scan builds: a pass builds none and ticks nothing.
+    Neither path builds ℙF, F × ℙF or μ. Computed once per posheaf
+    (report.once), the meter's count kept with the report."""
     cert = is_complete(F, budget=budget)
     if not cert.passed:
         raise NotComplete("frame sheaf check needs a complete posheaf", report=cert.report())
-    return once(F, "_frame_sheaf", _power_meter(budget), lambda m: _is_frame_sheaf_fresh(F, m, budget))
+    return once(F, "_frame_sheaf", _power_meter(budget), lambda m: _is_frame_sheaf_fresh(F, m))
 
 
 @timed
-def _is_frame_sheaf_fresh(F: PoSheaf, meter: BudgetMeter, budget: Budget | None) -> CheckReport:
-    """Counts ℙF on meter, runs the Frobenius form, and the square when it
-    fails."""
-    _power_sheaf_members(F.sheaf, meter)
+def _is_frame_sheaf_fresh(F: PoSheaf, meter: BudgetMeter) -> CheckReport:
+    """Runs the Frobenius form, and the square on meter when it fails."""
     heyting_wit = _frobenius_gap(F)
-    square_wit = None if heyting_wit is None else _definition_square_gap(F, budget)
+    square_wit = None if heyting_wit is None else _definition_square_gap(F, meter)
     return _three_way(
         "frame_sheaf",
         [("definition_square", square_wit is None, square_wit), ("heyting_frobenius", heyting_wit is None, heyting_wit)],
@@ -825,10 +841,11 @@ def _frobenius_gap(F: PoSheaf) -> dict | None:
     return None
 
 
-def _definition_square_gap(F: PoSheaf, budget: Budget) -> dict | None:
-    """The exhaustive square, open by open over Sub(F^u): the first open u,
-    x ∈ F(u) and S ∈ Sub(F^u) with sup μ(x, S) ≠ x ∧ sup S, or None."""
-    members = _power_members(F.sheaf, budget)
+def _definition_square_gap(F: PoSheaf, meter: BudgetMeter) -> dict | None:
+    """The exhaustive square, open by open over Sub(F^u), its members built
+    on meter: the first open u, x ∈ F(u) and S ∈ Sub(F^u) with sup μ(x, S)
+    ≠ x ∧ sup S, or None."""
+    members = _power_members(F.sheaf, meter)
     for u in F.frame.elements:
         sups = [sup_in_open(F, S, u) for S in members[u]]
         for x in F.carrier(u):

@@ -759,12 +759,13 @@ def _first_failing_join(h: FrameHom) -> dict | None:
 
 
 class MonotoneMap:
-    """Order-preserving element table between finite posets."""
+    """Order-preserving element table between finite posets. The table is
+    kept as given, not copied, and must not change while it is wrapped."""
 
     def __init__(self, source: FinitePoset, target: FinitePoset, mapping: dict):
         self.source = source
         self.target = target
-        self.mapping = dict(mapping)
+        self.mapping = mapping
 
     def __call__(self, x):
         return self.mapping[x]

@@ -19,8 +19,6 @@ from .sheaves import (
     Presheaf,
     SheafMorphism,
     SubSheaf,
-    _germ_downsets,
-    _top_germ_table,
     enumerate_points,
     enumerate_subsheaves,
     product_sheaf,
@@ -658,27 +656,16 @@ def _power_meter(budget: Budget | None) -> BudgetMeter:
     return BudgetMeter("power sheaf subsheaves", (budget or Budget()).subsheaves)
 
 
-def _power_members(F: Presheaf, budget: Budget | None = None) -> dict:
-    """u ↦ Sub(F^u) for each open of a sheaf F: the members of ℙF."""
-    meter = _power_meter(budget)
+def _power_members(F: Presheaf, meter: BudgetMeter) -> dict:
+    """u ↦ Sub(F^u) for each open of a sheaf F: the members of ℙF, built on
+    the caller's meter (_power_meter)."""
     return {u: enumerate_subsheaves(F, u, meter=meter) for u in F.frame.elements}
-
-
-def _power_sheaf_members(F: Presheaf, meter: BudgetMeter) -> None:
-    """Ticks the members of ℙF on meter (_power_meter) by the germ walk
-    _power_members runs, open by open in frame order, without building them.
-    The germs below u are those of the top in the same order."""
-    frame = F.frame
-    germs, _ = _top_germ_table(F)
-    for u in frame.elements:
-        for _ in _germ_downsets(F, [g for g in germs if frame.leq(g[0], u)], meter):
-            pass
 
 
 def power_sheaf(F: Presheaf, *, budget: Budget | None = None, verify: bool = True) -> PoSheaf:
     """ℙF: u ↦ Sub(F^u) under inclusion, restriction by clipping, for a sheaf
     F; one budget meter counts the members over all opens."""
-    P = _power_posheaf(F, _power_members(F, budget))
+    P = _power_posheaf(F, _power_members(F, _power_meter(budget)))
     if verify:
         verify_posheaf(P).require()
     return P

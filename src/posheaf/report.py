@@ -161,11 +161,17 @@ def timed(fn: Callable) -> Callable:
 
 @dataclass(frozen=True)
 class Budget:
-    """Enumeration guards; exceeding one raises ResourceLimit, never truncates."""
+    """Enumeration guards; exceeding one raises ResourceLimit, never truncates.
+    A negative guard is malformed input."""
 
     subsheaves: int = 5000
     lambda_elements: int = 2000
     section_nodes: int = 500_000
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise MalformedInput(f"budget {name} must not be negative, not {value}")
 
     @classmethod
     def from_env(cls) -> "Budget":

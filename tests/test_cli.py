@@ -19,7 +19,7 @@ from posheaf.cli import run
 from posheaf.fixtures import frame_2, frame_d, identity_locale, posheaf_ab, sheaf_ab
 from posheaf.generate import MUTATION_KINDS, GenConfig, gen_frame, gen_posheaf, mutate
 from posheaf.orders import PoSheaf, omega, power_sheaf
-from posheaf.report import MalformedInput
+from posheaf.report import Budget, MalformedInput
 from posheaf.sheaves import Presheaf
 
 
@@ -283,6 +283,7 @@ def test_gen_mutate_of_every_kind_exits_without_a_traceback(capsys):
         ("posheaf", "break-POS3"),
         ("posheaf", "remove-amalgamation"),
         ("morphism", "break-naturality"),
+        ("morphism", "break-meet-square"),
     }
 
 
@@ -292,6 +293,50 @@ def test_a_non_integer_budget_variable_is_malformed(tmp_path, capsys, monkeypatc
     assert run(["check", "complete", path]) == 2
     out = json.loads(capsys.readouterr().out)
     assert out["error"] == "malformed" and "POSH_BUDGET" in out["message"]
+
+
+def test_a_negative_budget_is_malformed(tmp_path, capsys, monkeypatch):
+    # from any flag or the variable, on either completeness check: a memo
+    # replay ticks a count of 0, and on a negative limit that alone would
+    # raise on one check and not on the other
+    path = write(tmp_path, "ab.json", jsonio.dump_posheaf_doc(posheaf_ab()))
+    runs = [(kind, flags) for kind in ("complete", "frame-sheaf") for flags in (["--budget", "-1"], ["--budget-subsheaves", "-1"], ["--budget-lambda", "-1"])]
+    monkeypatch.setenv("POSH_BUDGET", "-1")
+    runs += [("complete", []), ("frame-sheaf", []), ("complete", ["--budget", "5"])]
+    for kind, flags in runs:
+        assert run(["check", kind, path, *flags]) == 2, (kind, flags)
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "malformed" and "must not be negative" in out["message"], out
+    with pytest.raises(MalformedInput):
+        Budget(section_nodes=-1)
+
+
+def test_completeness_budgets_bind_only_on_members_that_are_built(tmp_path, capsys, boolean_frame):
+    # a pass holds by proof and builds no member, so a zero budget gives the
+    # verdict and Ω(2^6) passes the frame-sheaf check under the default
+    # budget; the reject scan of an incomplete posheaf still binds
+    small = write(tmp_path, "b4.json", jsonio.dump_posheaf_doc(omega(boolean_frame(4))))
+    for kind in ("complete", "frame-sheaf"):
+        assert run(["check", kind, small, "--budget", "0"]) == 0, kind
+        capsys.readouterr()
+    large = write(tmp_path, "b6.json", jsonio.dump_posheaf_doc(omega(boolean_frame(6))))
+    assert run(["check", "frame-sheaf", large]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "frame_sheaf"
+    cfg = GenConfig(seed=9, max_opens=4, max_carrier=2)
+    incomplete = write(tmp_path, "incomplete.json", jsonio.dump_posheaf_doc(gen_posheaf(gen_frame(cfg), cfg)))
+    assert run(["check", "complete", incomplete, "--budget", "0"]) == 3
+    assert json.loads(capsys.readouterr().out) == {"error": "budget", "what": "completeness enumeration", "limit": 0}
+
+
+def test_gen_break_meet_square_emits_a_sup_preserving_mutant(tmp_path, capsys):
+    # the mutation starts from Ω of the generated frame and its identity
+    assert run(["gen", "morphism", "--seed", "1", "--mutate", "break-meet-square"]) == 0
+    path = write(tmp_path, "m.json", json.loads(capsys.readouterr().out))
+    assert run(["verify", "sup-preserving", path]) == 0
+    capsys.readouterr()
+    assert run(["verify", "frame-morphism", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [s["name"] for s in out["subreports"] if not s["passed"]][0] == "frame_morphism.finite_meets"
 
 
 def test_check_lh_and_spatial(tmp_path, capsys):

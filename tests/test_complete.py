@@ -495,6 +495,8 @@ def _outcome(check, F: PoSheaf, limit: int) -> tuple:
         return ("report", check(F, budget=Budget(subsheaves=limit)).passed)
     except ResourceLimit as exc:
         return ("limit", exc.what, exc.limit)
+    except NotComplete:
+        return ("not complete",)
 
 
 def _incomplete_posheaf() -> PoSheaf:
@@ -503,23 +505,27 @@ def _incomplete_posheaf() -> PoSheaf:
 
 
 def test_cached_completeness_replays_its_budget():
-    verdicts = set()
-    for F in (omega(frame_d()), posheaf_ab(), m3_posheaf(), _incomplete_posheaf()):
-        cert = is_complete(F)
-        verdicts.add(cert.passed)
-        n = F._completeness[1]
-        assert is_complete(F, budget=Budget(subsheaves=n)) is cert
-        assert _outcome(is_complete, F, n - 1) == ("limit", "completeness enumeration", n - 1)
-        for limit in (n, n - 1, 1, 0):
-            assert _outcome(is_complete, F, limit) == _outcome(is_complete, _copy(F), limit)
-        assert F._completeness[0] is cert
-    assert verdicts == {True, False}
+    # a pass holds by proof and ticks nothing; only a reject scans, ticking
+    # at each member it decides, and a memo hit replays that count: at every
+    # limit it gives what a fresh build on a copy gives
+    for F in (omega(frame_d()), posheaf_ab(), m3_posheaf()):
+        assert is_complete(F).passed and F._completeness[1] == 0
+        assert _outcome(is_complete, F, 0) == _outcome(is_complete, _copy(F), 0) == ("report", True)
+    F = _incomplete_posheaf()
+    cert = is_complete(F)
+    n = F._completeness[1]
+    assert not cert.passed and n > 1
+    assert _outcome(is_complete, F, n - 1) == ("limit", "completeness enumeration", n - 1)
+    for limit in range(n + 2):
+        assert _outcome(is_complete, F, limit) == _outcome(is_complete, _copy(F), limit)
+    assert is_complete(F, budget=Budget(subsheaves=n)) is cert
+    assert F._completeness[0] is cert
 
 
 def _two_chain_over_a_chain(n: int) -> PoSheaf:
     """The constant sheaf 0 < 1 over the chain frame 0 < a1 < ... < an: a
-    frame sheaf whose power sheaf has more members than is_complete
-    enumerates once n ≥ 9, so its budget is the one that binds."""
+    frame sheaf whose power sheaf grows with n, and which neither check
+    enumerates on a pass."""
     from posheaf.frames import build_frame
 
     opens = ["0"] + [f"a{i}" for i in range(1, n + 1)]
@@ -530,30 +536,35 @@ def _two_chain_over_a_chain(n: int) -> PoSheaf:
 
 
 def test_cached_frame_sheaf_check_replays_both_budgets():
-    binding = set()
-    for F in (omega(frame_d()), posheaf_ab(), m3_posheaf(), _two_chain_over_a_chain(9)):
-        report = is_frame_sheaf(F)
-        complete_members, power_members = F._completeness[1], F._frame_sheaf[1]
-        # the recorded count is the power sheaf's own meter
-        assert power_members == sum(len(c) for c in power_sheaf(F.sheaf, verify=False).carriers.values())
-        with pytest.raises(ResourceLimit) as exc:
-            power_sheaf(F.sheaf, budget=Budget(subsheaves=power_members - 1), verify=False)
-        assert (exc.value.what, exc.value.limit) == ("power sheaf subsheaves", power_members - 1)
-        n = max(complete_members, power_members)
-        assert is_frame_sheaf(F, budget=Budget(subsheaves=n)) is report
-        outcome = _outcome(is_frame_sheaf, F, n - 1)
-        assert outcome[0] == "limit"
-        binding.add(outcome[1])
-        for limit in (n, n - 1, power_members, power_members - 1, 0):
-            assert _outcome(is_frame_sheaf, F, limit) == _outcome(is_frame_sheaf, _copy(F), limit)
-        assert F._frame_sheaf[0] is report
-    assert binding == {"completeness enumeration", "power sheaf subsheaves"}
+    # a frame sheaf ticks neither meter; m3's reject scan builds ℙF on the
+    # power meter, and on an incomplete posheaf the completeness scan binds
+    # first; a memo hit and a fresh build agree at every limit
+    for F in (omega(frame_d()), posheaf_ab(), _two_chain_over_a_chain(9)):
+        assert is_frame_sheaf(F).passed
+        assert F._completeness[1] == F._frame_sheaf[1] == 0
+        assert _outcome(is_frame_sheaf, F, 0) == _outcome(is_frame_sheaf, _copy(F), 0) == ("report", True)
+    F = m3_posheaf()
+    report = is_frame_sheaf(F)
+    n = F._frame_sheaf[1]
+    assert not report.passed and F._completeness[1] == 0
+    assert n == sum(len(c) for c in power_sheaf(F.sheaf, verify=False).carriers.values())
+    assert _outcome(is_frame_sheaf, F, n - 1) == ("limit", "power sheaf subsheaves", n - 1)
+    for limit in range(n + 2):
+        assert _outcome(is_frame_sheaf, F, limit) == _outcome(is_frame_sheaf, _copy(F), limit)
+    assert is_frame_sheaf(F, budget=Budget(subsheaves=n)) is report
+    assert F._frame_sheaf[0] is report
+    G = _incomplete_posheaf()
+    assert _outcome(is_frame_sheaf, G, 5000) == ("not complete",)
+    n = G._completeness[1]
+    assert _outcome(is_frame_sheaf, G, n - 1) == ("limit", "completeness enumeration", n - 1)
+    for limit in range(n + 2):
+        assert _outcome(is_frame_sheaf, G, limit) == _outcome(is_frame_sheaf, _copy(G), limit)
 
 
 def test_a_passing_frame_sheaf_check_builds_no_power_sheaf(monkeypatch, boolean_frame):
     # Frobenius implies the definition square, so only a reject scans it, to
     # name its witness, over Sub(F^u) open by open: neither path builds ℙF
-    # or μ, and the germ walk counts ℙF either way
+    # or μ, a pass ticks nothing, and the reject ticks the members it builds
     from posheaf import complete
 
     built = {"power_sheaf": 0, "meet_morphism": 0}
@@ -572,7 +583,7 @@ def test_a_passing_frame_sheaf_check_builds_no_power_sheaf(monkeypatch, boolean_
     for F in (omega(frame_d()), posheaf_ab(), omega(boolean_frame(4))):
         assert is_frame_sheaf(F).passed
         assert built == {"power_sheaf": 0, "meet_morphism": 0}
-        assert F._frame_sheaf[1] == sum(len(c) for c in power_sheaf(F.sheaf, verify=False).carriers.values())
+        assert F._frame_sheaf[1] == 0
     F = m3_posheaf()
     assert not is_frame_sheaf(F).passed
     assert built == {"power_sheaf": 0, "meet_morphism": 0}

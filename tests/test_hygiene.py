@@ -4,7 +4,8 @@ nothing uses, and no exhaustive cover enumeration, closure-fixpoint
 enumeration, subset loop for join and meet preservation, product-space and
 frame-hom-filter search of the étale layer, nested function that calls
 itself, or broad exception handler in the package, no memo kept outside
-report.once, and no read of a posheaf's orders outside orders.PoSheaf."""
+report.once, no read of a posheaf's orders outside orders.PoSheaf, and no
+walk of a metered enumeration that only counts its members."""
 from __future__ import annotations
 
 import ast
@@ -240,4 +241,65 @@ def test_only_posheaf_reads_its_orders_attribute():
             if isinstance(node, ast.Attribute) and node.attr == "orders" and id(node) not in inside:
                 if not (path.name == "cli.py" and getattr(node.value, "id", None) == "args"):
                     found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+WALKERS = {"_germ_downsets", "enumerate_subsheaves", "enumerate_downsheaves", "_power_members"}
+
+
+def _walks(node) -> bool:
+    """node calls a metered enumeration, directly or through list, tuple,
+    sorted or enumerate."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+    if name in WALKERS:
+        return True
+    return name in ("list", "tuple", "sorted", "enumerate") and bool(node.args) and _walks(node.args[0])
+
+
+def _count_only_walks(tree) -> list[int]:
+    """The lines where an enumeration's members are dropped: a loop or a
+    comprehension over it that never reads its target, a call of it whose
+    value is discarded, or its len()."""
+    found = []
+
+    def reads(names, nodes) -> bool:
+        return any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in names for part in nodes for n in ast.walk(part))
+
+    def bound(target) -> set:
+        return {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and _walks(node.iter) and not reads(bound(node.target), node.body):
+            found.append(node.lineno)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            body = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            for i, gen in enumerate(node.generators):
+                rest = body + [c for g in node.generators[i:] for c in g.ifs] + [g.iter for g in node.generators[i + 1:]]
+                if _walks(gen.iter) and not reads(bound(gen.target), rest):
+                    found.append(node.lineno)
+        elif isinstance(node, ast.Expr) and _walks(node.value):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len" and node.args and _walks(node.args[0]):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_count_only_walks():
+    # a budget meter ticks only at members that are built or decided: no
+    # package loop walks Sub, Dow, ℙF or the germ down-sets only to drop
+    # what it walks, so a count-only walk cannot tick a meter for a verdict
+    # that never reads the members. The patterns are caught as written
+    bad = """
+for _ in _germ_downsets(F, germs, meter):
+    pass
+n = sum(1 for _ in enumerate_subsheaves(F, u, meter=meter))
+_power_members(F, meter)
+m = len(list(enumerate_downsheaves(F, u)))
+"""
+    assert _count_only_walks(ast.parse(bad)) == [2, 4, 5, 6]
+    good = "subs = [S.key() for S in enumerate_subsheaves(F)]\nfor i, d in enumerate(_germ_downsets(P, g, m)):\n    use(d)\n"
+    assert _count_only_walks(ast.parse(good)) == []
+    found = [f"{path.name}:{line}" for path in _modules() for line in _count_only_walks(ast.parse(path.read_text()))]
     assert found == []

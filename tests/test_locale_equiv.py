@@ -13,7 +13,7 @@ import pytest
 from posheaf import cli, jsonio, locale_equiv
 from posheaf.frames import FiniteFrame, FinitePoset, frame_iso
 from posheaf.complete import is_complete, is_frame_sheaf
-from posheaf.generate import GenConfig, gen_frame, gen_sheaf, mutate
+from posheaf.generate import GenConfig, gen_frame, gen_posheaf, gen_sheaf, mutate
 from posheaf.locale_equiv import (
     LocaleOverX,
     Section,
@@ -41,8 +41,8 @@ from posheaf.fixtures import (
     frame_6,
     frame_d,
     identity_locale,
+    m3_posheaf,
     open_inclusion,
-    posheaf_ab,
     sections_free_locale,
     sheaf_ab,
     three_chain_over_2,
@@ -417,11 +417,17 @@ def test_a_build_that_raised_caches_nothing():
     with pytest.raises(ResourceLimit):
         cross_sections(f, budget=Budget(section_nodes=1))
     assert f._gamma is None
-    F = posheaf_ab()
-    for check in (is_complete, is_frame_sheaf):
-        with pytest.raises(ResourceLimit):
-            check(F, budget=Budget(subsheaves=1))
-        assert F._completeness is None and F._frame_sheaf is None
+    # the completeness reject scan of an incomplete posheaf, and m3's frame
+    # sheaf reject scan, which builds ℙF (its completeness ticks nothing)
+    cfg = GenConfig(seed=9, max_opens=4, max_carrier=2)
+    F = gen_posheaf(gen_frame(cfg), cfg)
+    with pytest.raises(ResourceLimit):
+        is_complete(F, budget=Budget(subsheaves=1))
+    assert F._completeness is None
+    F = m3_posheaf()
+    with pytest.raises(ResourceLimit):
+        is_frame_sheaf(F, budget=Budget(subsheaves=1))
+    assert F._completeness is not None and F._frame_sheaf is None
 
 
 def test_the_memo_makes_no_reference_cycle():

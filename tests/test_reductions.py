@@ -848,22 +848,40 @@ def _completeness(check) -> tuple:
     return cert.report().to_json(include_timing=False), _ordered(cert.restriction_data), count
 
 
+_RESTATED = {"complete.downsheaf_sups", "complete.subsheaf_sups", "complete.complete_surjections"}
+
+
 def test_is_complete_matches_the_member_and_pair_scans():
-    # the sup-extension forms from germ masks, least points by descent and
-    # the restriction laws along lower covers, with composite adjoints, give
-    # the report, restriction data and member count of the scans that build
-    # every member and every adjoint, on the corpus and on hand-built
-    # rejects in the given and a shuffled element order
+    # on a reject, the sup-extension forms from germ masks, least points by
+    # descent and the restriction laws along lower covers, with composite
+    # adjoints, give the report, restriction data and member count of the
+    # scans that build every member and every adjoint; on a pass the
+    # restated forms hold by proof: the scans pass them too (the corpus
+    # check of the proof), every verdict is the scans', the report differs
+    # only in their counts, and nothing is enumerated, so a zero budget
+    # gives the same report. On the corpus and on hand-built rejects in the
+    # given and a shuffled element order
     rng = random.Random(37)
     rejects = _completeness_rejects()
     cases = _completeness_corpus() + [(name, H) for name, F in rejects.items() for H in (F, _shuffled(F, rng))]
-    failed = 0
+    failed = proved = 0
     for name, F in cases:
         fresh = PoSheaf(F.sheaf, F.orders)
         got = _completeness(lambda: (is_complete(F), F._completeness[1]))
-        assert got == _completeness(lambda: oracles.is_complete(fresh)), name
-        failed += got[0] != "limit" and not got[0]["passed"]
-    assert failed >= 100
+        want = _completeness(lambda: oracles.is_complete(fresh))
+        if got[0] == "limit" or not got[0]["passed"]:
+            assert got == want, name
+            failed += got[0] != "limit"
+            continue
+        report, data, count = got
+        assert count == 0 and data == want[1], name
+        scanned = want[0]["subreports"]
+        assert all(sub["passed"] for sub in scanned if sub["name"] in _RESTATED), name
+        assert report == {**want[0], "subreports": [{**sub, "details": {}} if sub["name"] in _RESTATED else sub for sub in scanned]}, name
+        G = PoSheaf(F.sheaf, F.orders)
+        assert is_complete(G, budget=Budget(subsheaves=0)).report().to_json(include_timing=False) == report, name
+        proved += 1
+    assert failed >= 100 and proved >= 100
     first = {name: is_complete(F).report().witness for name, F in rejects.items()}
     assert first["no sup"] == {
         "first_failed": "complete.downsheaf_sups",
@@ -876,6 +894,28 @@ def test_is_complete_matches_the_member_and_pair_scans():
     assert "a" not in F.frame.lower_covers("1")
     assert cert.per_open_form.witness == {"restriction": ["1", "a"], "surjective": False, "left_adjoint": False, "right_adjoint": True}
     assert cert.complete_surjections.witness == {"restriction": ["1", "a"], "not": "surjective"}
+
+
+def test_a_zero_budget_binds_only_on_the_frame_sheaf_reject_scan():
+    # on the complete posheaves of the corpus the completeness check ticks
+    # nothing; a frame sheaf's check ticks nothing either and gives the same
+    # report under a zero budget, while a reject scan builds ℙF on the power
+    # meter, so a zero budget names that meter
+    outcomes = set()
+    for name, F in _completeness_corpus():
+        if not is_complete(F).passed:
+            continue
+        report = is_frame_sheaf(F)
+        G = PoSheaf(F.sheaf, F.orders)
+        if report.passed:
+            assert F._frame_sheaf[1] == 0, name
+            assert is_frame_sheaf(G, budget=Budget(subsheaves=0)).to_json(False) == report.to_json(False), name
+        else:
+            with pytest.raises(ResourceLimit) as exc:
+                is_frame_sheaf(G, budget=Budget(subsheaves=0))
+            assert exc.value.what == "power sheaf subsheaves" and F._frame_sheaf[1] > 0, name
+        outcomes.add(report.passed)
+    assert outcomes == {True, False}
 
 
 def test_restriction_laws_at_lower_covers_match_every_pair(diamond_over_chain):
