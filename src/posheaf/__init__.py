@@ -15,7 +15,6 @@ from .frames import (
     frame_iso,
     heyting_implication,
     left_adjoint,
-    right_adjoint,
     verify_frame_hom,
 )
 from .sheaves import (
@@ -31,7 +30,6 @@ from .sheaves import (
     generate_subsheaf,
     product_sheaf,
     sheaf_iso,
-    sheaf_on_down,
     subterminal,
     terminal,
     verify_morphism,
@@ -66,7 +64,6 @@ from .complete import (
     image_subsheaf,
     is_complete,
     is_frame_sheaf,
-    meet_morphism,
     product_posheaf,
     sup_in_open,
     sup_morphism,
@@ -76,7 +73,6 @@ from .complete import (
 from .frame_equiv import (
     FrameUnderX,
     frame_hom_to_sheaf,
-    frame_hom_to_sheaf_morphism,
     sheaf_to_frame_hom,
     verify_frame_equivalence,
 )

@@ -3,30 +3,28 @@ equivalent forms, the sup morphism, sup-preserving morphisms, finite
 completeness, and frame (complete Heyting) sheaves.
 
 Completeness and frame sheaves are each decided by one form: the per-open
-form with its opposite and the adjoint square (is_complete), and the
-Frobenius form (is_frame_sheaf). The restated forms follow from it by
-proof, pass with it, and are scanned only on a reject, to name their own
-witnesses; there the verdicts are reconciled, and a disagreement is itself
-a failure. So a budget meter ticks only where a reject scan builds or
-decides a member. The forms of sup-preserving and frame morphisms, which
-are equivalent only on complete posheaves, are all computed and
-reconciled. The per-open laws exist once each and every form that needs
-one reads it: a complete lattice at each open (_lattice_gap), a surjective
-restriction preserving all joins and meets (_restriction_gap, decided at
-the lower covers by _restriction_failure; the sheaf-locale CPOSL1-2 read
-both on Γ),
-and the commuting left-adjoint square of a morphism
-(_adjoint_square_gap). Preservation of the empty and binary joins or meets
-is frames._bound_failure, read by finite completeness and the finite-meets
-form of frame morphisms. The left adjoint of each restriction is built once
-and kept on its posheaf, off the lower covers as a composite; its right
-adjoint is the left adjoint of the same
-restriction of the opposite, as the right adjoint of a morphism is its
-least-preimage construction (_least_preimages) on the opposites. Bounds
-and sups are one kernel: the AND of point-order rows (_upper_bound_mask)
-and its least point by descent (_point_minimum), read by bounds,
-sup_in_open and the sup-extension forms, which take each member's upper
-bounds from its germ masks (_member_gap)."""
+form (is_complete) and the Frobenius form (is_frame_sheaf). The restated
+forms follow from it by proof, pass with it, and are computed only on a
+reject, to name their own witnesses; there the verdicts are reconciled,
+and a disagreement is itself a failure. So a budget meter ticks only where
+a reject scan builds or decides a member. The forms of sup-preserving and
+frame morphisms, which are equivalent only on complete posheaves, are all
+computed and reconciled. The per-open laws exist once each and every form
+that needs one reads it: a complete lattice at each open (_lattice_gap), a
+surjective restriction preserving all joins and meets (_restriction_gap,
+decided at the lower covers by FiniteFrame.first_failing_pair; the
+sheaf-locale CPOSL1-2 read both on Γ), and the commuting left-adjoint
+square of a morphism (_adjoint_square_gap). Preservation of the empty and
+binary joins or meets is frames._bound_failure, read by finite
+completeness and the finite-meets form of frame morphisms. The left
+adjoint of each restriction is built once and kept on its posheaf, off the
+lower covers as a composite; its right adjoint is the left adjoint of the
+same restriction of the opposite, as the right adjoint of a morphism is
+its least-preimage construction (_least_preimages) on the opposites.
+Bounds and sups are one kernel: the AND of point-order rows
+(_upper_bound_mask) and its least point by descent (_point_minimum), read
+by bounds, sup_in_open and the sup-extension forms, which take each
+member's upper bounds from its germ masks (_member_gap)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -179,9 +177,9 @@ def sup_in_open(F: PoSheaf, S: SubSheaf, u):
 
 @dataclass
 class CompletenessCertificate:
-    """Every completeness form plus the square and duality cross-checks,
-    the restated forms passing by proof when the deciding ones pass
-    (is_complete); agreement is part of the verdict."""
+    """Every completeness form plus the square and duality cross-checks.
+    per_open_form alone decides passed; the others pass by proof with it,
+    and are computed and reconciled (agreement) only when it fails."""
 
     passed: bool
     downsheaf_sups: CheckReport
@@ -235,7 +233,16 @@ def _lattice_gap(F: PoSheaf, u, *, meets: bool = True) -> dict | None:
 
 def _restriction_gap(F: PoSheaf, u, v) -> str | None:
     """None when F's restriction u → v is surjective and monotone and
-    preserves all joins and all meets, else the first of these it breaks."""
+    preserves all joins and all meets, else the first of these it breaks.
+
+    The laws compose along chains, so FiniteFrame.first_failing_pair
+    decides them at the lower covers: restriction composes, and maps that
+    are surjective, monotone, and keep the bottom and binary joins (the
+    top and binary meets) compose, on any reflexive orders. For x, y with
+    f(x) ≠ f(y), g keeps their join. When f(x) = f(y) = z, the join of z
+    with itself is z unless some c ≠ z has z ≤ c ≤ z, and then g(z) has no
+    such partner: a partner g(z') of it, g being surjective, would leave
+    z, z' without a join in g's image."""
     res = MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[(u, v)])
     if set(res.mapping.values()) != set(F.carrier(v)):
         return "surjective"
@@ -408,39 +415,18 @@ def _member_gap(F: PoSheaf, germs: list):
     return gap
 
 
-def _restriction_failure(F: PoSheaf) -> tuple | None:
-    """The first pair v < u, u in frame order and v in frame.down(u), whose
-    restriction breaks a law of _restriction_gap, as (u, v, law), or None.
-
-    The verdict is read from the lower covers (FiniteFrame.lower_covers):
-    every v < u is reached from u by a chain of lower covers, restriction
-    composes along it, and maps that are surjective, monotone, and keep the
-    bottom and binary joins (the top and binary meets) compose, on any
-    reflexive orders. For x, y with f(x) ≠ f(y), g keeps their join. When
-    f(x) = f(y) = z, the join of z with itself is z unless some c ≠ z has
-    z ≤ c ≤ z, and then g(z) has no such partner: a partner g(z') of it, g
-    being surjective, would leave z, z' without a join in g's image. Only a
-    failing lower cover runs the scan over every pair, for the first
-    failure."""
-    frame = F.frame
-    if not any(_restriction_gap(F, u, w) for u in frame.elements for w in frame.lower_covers(u)):
-        return None
-    pairs = ((u, v) for u in frame.elements for v in frame.down(u) if v != u)
-    return next(((u, v, law) for u, v in pairs for law in [_restriction_gap(F, u, v)] if law), None)
-
-
 def _complete_surjections_form(F: PoSheaf) -> CheckReport:
     """The surjective-complete-maps reading: per-open complete lattices with surjective restrictions
     preserving arbitrary sups and infs (POS3 is a posheaf precondition; POS2
     makes every restriction monotone), the restrictions read by
-    _restriction_failure."""
+    _restriction_gap at the lower covers."""
     frame = F.frame
     for u in frame.elements:
         gap = _lattice_gap(F, u)
         if gap:
             witness = {"open": u, "pair": gap["pair"]} if "pair" in gap else {"open": u, "missing": "bounds"}
             return CheckReport.fail("complete.complete_surjections", witness)
-    failure = _restriction_failure(F)
+    failure = frame.first_failing_pair(lambda u, v: _restriction_gap(F, u, v))
     if failure:
         u, v, law = failure
         return CheckReport.fail("complete.complete_surjections", {"restriction": [u, v], "not": law})
@@ -472,21 +458,26 @@ def _adjoint_square_check(F: PoSheaf, restriction_data: dict) -> CheckReport:
 
 def is_complete(F: PoSheaf, *, budget: Budget | None = None) -> CompletenessCertificate:
     """The completeness certificate of F, computed once per posheaf
-    (report.once). Three forms decide: each F(u) is a complete lattice and
-    each restriction v < u is surjective with both adjoints (per_open_form),
-    the same on F.opposite(), and the adjoint square
-    (l_{v→u∨v} x)|_u = l_{u∧v→u}(x|_{u∧v}). When all three pass, the
-    restated forms hold by proof and pass with no count. complete_surjections:
-    a left (right) adjoint preserves all joins (meets), and POS2 makes each
-    restriction monotone. The sup-extension forms: for S in Sub(F), s_u =
+    (report.once). One form decides: each F(u) is a complete lattice and
+    each restriction v < u is surjective with both adjoints (per_open_form).
+    When it passes, the five restated forms hold by proof (README) and pass
+    with no count. opposite_per_open: a finite poset is a lattice iff its
+    opposite is, and the opposite's adjoints are F's, swapped.
+    adjoint_square, (l_{v→u∨v} x)|_u = l_{u∧v→u}(x|_{u∧v}): F(u∨v) is the
+    pullback F(u) ×_{F(u∧v)} F(v), ordered componentwise by POS3, and a
+    surjection r with left adjoint l has r∘l = id, so l_{v→u∨v}(x) is the
+    pair (l_{u∧v→u}(x|_{u∧v}), x). complete_surjections: a left (right)
+    adjoint preserves all joins (meets), and POS2 makes each restriction
+    monotone. The sup-extension forms: for S in Sub(F), s_u =
     ∨{l_{v→u}(x) : v ≤ u, x ∈ S(v)} is the least element of F(u) above S
-    below u, by adjointness; a surjection r with left adjoint l has r∘l = id,
-    so the square gives (l_{v→w} x)|_u = l_{u∧v→u}(x|_{u∧v}) for v, u ≤ w,
-    and as restrictions preserve joins, s_w|_u = s_u. So (w0, s_{w0}), w0 the
-    join of S's support, is the sup, and s_top the global point extending it
-    (README). Otherwise _sup_forms, ticking the "completeness enumeration"
-    meter at each member it decides, and _complete_surjections_form run, to
-    name their own verdicts and witnesses."""
+    below u, by adjointness; by the square, (l_{v→w} x)|_u =
+    l_{u∧v→u}(x|_{u∧v}) for v, u ≤ w, and as restrictions preserve joins,
+    s_w|_u = s_u. So (w0, s_{w0}), w0 the join of S's support, is the sup,
+    and s_top the global point extending it. Otherwise the opposite's form,
+    the square (_adjoint_square_check), _sup_forms, ticking the
+    "completeness enumeration" meter at each member it decides, and
+    _complete_surjections_form run, to name their own verdicts and
+    witnesses."""
     meter = BudgetMeter("completeness enumeration", (budget or Budget()).subsheaves)
     return once(F, "_completeness", meter, lambda m: _is_complete_fresh(F, m))
 
@@ -495,14 +486,15 @@ def is_complete(F: PoSheaf, *, budget: Budget | None = None) -> CompletenessCert
 def _is_complete_fresh(F: PoSheaf, meter: BudgetMeter) -> CompletenessCertificate:
     verify_posheaf(F).require()
     per_open_form, restriction_data = _per_open_form(F)
-    op4, _ = _per_open_form(F.opposite())
-    op4.name = "complete.opposite_per_open"
-    square = _adjoint_square_check(F, restriction_data)
-    if per_open_form.passed and op4.passed and square.passed:
-        downsheaf_sups, subsheaf_sups, surjections = (
-            CheckReport.ok(f"complete.{name}") for name in ("downsheaf_sups", "subsheaf_sups", "complete_surjections")
+    if per_open_form.passed:
+        downsheaf_sups, subsheaf_sups, surjections, op4, square = (
+            CheckReport.ok(f"complete.{name}")
+            for name in ("downsheaf_sups", "subsheaf_sups", "complete_surjections", "opposite_per_open", "adjoint_square")
         )
     else:
+        op4, _ = _per_open_form(F.opposite())
+        op4.name = "complete.opposite_per_open"
+        square = _adjoint_square_check(F, restriction_data)
         downsheaf_sups, subsheaf_sups = _sup_forms(F, meter)
         surjections = _complete_surjections_form(F)
 
@@ -515,10 +507,8 @@ def _is_complete_fresh(F: PoSheaf, meter: BudgetMeter) -> CompletenessCertificat
     }
     agree = len(set(verdicts.values())) == 1
     agreement = CheckReport("complete.agreement", agree, witness=None if agree else verdicts)
-
-    passed = per_open_form.passed and agree and (square.passed if per_open_form.passed else True)
     return CompletenessCertificate(
-        passed=passed,
+        passed=per_open_form.passed,
         downsheaf_sups=downsheaf_sups,
         subsheaf_sups=subsheaf_sups,
         per_open_form=per_open_form,
@@ -708,22 +698,27 @@ def _morphism_left_adjoint(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> Shea
     return candidate
 
 
-def _semilattice_gaps(F: PoSheaf):
-    """The per-open form of finite sup-completeness, its failures in order:
-    each open without a bottom or a binary join (_lattice_gap's witness),
-    then, once every open has them, each restriction v < u not preserving
-    bottom or a binary join, first failure per restriction."""
+def _semilattice_gap(F: PoSheaf) -> dict | None:
+    """The per-open form of finite sup-completeness, its first failure: the
+    first open without a bottom or a binary join (_lattice_gap's witness),
+    else the first restriction v < u not preserving bottom or a binary
+    join, else None. Once every open is a join-semilattice with bottom the
+    restrictions are read at the lower covers (FiniteFrame.first_failing_pair):
+    restriction composes, and maps between join-semilattices that keep the
+    bottom and binary joins compose."""
     frame = F.frame
-    yield from filter(None, (_lattice_gap(F, u, meets=False) for u in frame.elements))
-    for u in frame.elements:
-        for v in frame.down(u):
-            bad = None if v == u else _bound_failure(MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[(u, v)]), "join")
-            if bad is None:
-                continue
-            if bad["subset"]:
-                yield {"restriction": [u, v], "pair": [F.label(u, x) for x in bad["subset"]]}
-            else:
-                yield {"restriction": [u, v], "not": "bottom-preserving"}
+    gap = next(filter(None, (_lattice_gap(F, u, meets=False) for u in frame.elements)), None)
+    if gap:
+        return gap
+    failure = frame.first_failing_pair(
+        lambda u, v: _bound_failure(MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[(u, v)]), "join")
+    )
+    if failure is None:
+        return None
+    u, v, bad = failure
+    if bad["subset"]:
+        return {"restriction": [u, v], "pair": [F.label(u, x) for x in bad["subset"]]}
+    return {"restriction": [u, v], "not": "bottom-preserving"}
 
 
 @timed
@@ -742,7 +737,7 @@ def check_finite_completeness(F: PoSheaf, mode: str = "both") -> CheckReport:
     reports = []
     if mode in ("sup", "both"):
         adj = _morphism_left_adjoint(bang, F, one) is not None and _morphism_left_adjoint(diag, F, FF) is not None
-        wit = next(_semilattice_gaps(F), None)
+        wit = _semilattice_gap(F)
         open_ok = wit is None
         reports.append(
             _three_way("finite_sup_complete", [("adjoint_form", adj, None), ("per_open_form", open_ok, wit)])
@@ -768,14 +763,6 @@ def _meet_subsheaf(F: PoSheaf, u, x, S: SubSheaf) -> SubSheaf:
         xv = F.sheaf.restrict(u, x, v)
         parts[v] = {F.poset(v).meet(xv, y) for y in S.part(v)}
     return generate_subsheaf(F.sheaf, SubSheaf(F.sheaf, parts), require_closed=False).clip(u)
-
-
-def meet_morphism(F: PoSheaf, P: PoSheaf) -> SheafMorphism:
-    """μ: F × ℙF → ℙF, sending (x, S) to the subsheaf generated by the
-    per-open meets of S's members with the matching restrictions of x."""
-    FP = product_sheaf(F.sheaf, P.sheaf)
-    maps = {u: {(x, S): _meet_subsheaf(F, u, x, S) for (x, S) in FP.carriers[u]} for u in F.frame.elements}
-    return SheafMorphism(FP, P.sheaf, maps)
 
 
 def is_frame_sheaf(F: PoSheaf, *, budget: Budget | None = None) -> CheckReport:

@@ -9,7 +9,7 @@ from .frames import FiniteFrame, FrameHom, frame_iso, verify_frame_hom
 from .report import Budget, CheckReport, IsoSearchFailed, NotComplete, NotFrameSheaf, timed
 from .complete import _left_adjoint_table, is_frame_sheaf
 from .orders import PoSheaf
-from .sheaves import Presheaf, SheafMorphism
+from .sheaves import Presheaf
 
 
 @dataclass
@@ -50,15 +50,6 @@ def frame_hom_to_sheaf(h: FrameUnderX, *, verify: bool = False, budget: Budget |
     if verify:
         is_frame_sheaf(F, budget=budget).require(NotFrameSheaf)
     return F
-
-
-def frame_hom_to_sheaf_morphism(f: FrameUnderX, g: FrameUnderX, m: FrameHom) -> SheafMorphism:
-    """Φ on morphisms: a commuting triangle m∘f = g under O(X) restricts to
-    per-open maps between the carrier downsets."""
-    F = frame_hom_to_sheaf(f)
-    G = frame_hom_to_sheaf(g)
-    maps = {u: {x: m(x) for x in F.sheaf.carriers[u]} for u in f.base.elements}
-    return SheafMorphism(F.sheaf, G.sheaf, maps)
 
 
 def sheaf_to_frame_hom(F: PoSheaf, *, check: bool = True, budget: Budget | None = None) -> FrameUnderX:

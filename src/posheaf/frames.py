@@ -449,14 +449,25 @@ class FiniteFrame:
     def lower_covers(self, u) -> tuple:
         """The opens v < u with no open strictly between, in element order,
         built once per frame. Every v < u lies below one of them, so a law
-        that composes along chains (restriction composition, POS2) holds
-        at every v ≤ u iff it holds along these, by induction on u. On a
-        frame they are the opens whose Birkhoff mask is m(u) less one bit:
-        a distributive lattice is graded by |m(x)|, and m(u) less bit i is a
-        down-set of J, so an open, iff J[i] is maximal in m(u). On a
-        relation that is not a frame they are the maximal members of ↓u
-        other than u."""
+        that composes along chains holds at every v ≤ u iff it holds along
+        these, by induction on u; first_failing_pair is the one kernel that
+        decides such a law here. On a frame they are the opens whose
+        Birkhoff mask is m(u) less one bit: a distributive lattice is graded
+        by |m(x)|, and m(u) less bit i is a down-set of J, so an open, iff
+        J[i] is maximal in m(u). On a relation that is not a frame they are
+        the maximal members of ↓u other than u."""
         return self._lower_covers[u]
+
+    def first_failing_pair(self, gap):
+        """The first (u, v, gap(u, v)) with v < u and gap(u, v) not None, u
+        in element order and v in down(u) order, or None. gap states a law
+        of the map u → v that composes along chains, so it holds at every
+        v < u iff it holds at the lower covers (lower_covers): only a
+        failing lower cover runs the scan over every pair, for the first."""
+        if all(gap(u, v) is None for u in self.elements for v in self.lower_covers(u)):
+            return None
+        pairs = ((u, v) for u in self.elements for v in self.down(u) if v != u)
+        return next(((u, v, found) for u, v in pairs for found in [gap(u, v)] if found is not None), None)
 
     @cached_property
     def _lower_covers(self) -> dict:
@@ -847,16 +858,6 @@ def left_adjoint(f: MonotoneMap) -> tuple[MonotoneMap | None, CheckReport]:
         if not gc.passed:
             return None, CheckReport.fail("left_adjoint.absent", {"adjunction": gc.witness})
     return g, report
-
-
-def right_adjoint(f: MonotoneMap) -> tuple[MonotoneMap | None, CheckReport]:
-    """Dual of left_adjoint, computed on the order-opposites."""
-    fop = MonotoneMap(f.source.opposite(), f.target.opposite(), f.mapping)
-    gop, report = left_adjoint(fop)
-    if gop is None:
-        report.name = "right_adjoint.absent" if not report.passed else report.name
-        return None, report
-    return MonotoneMap(f.target, f.source, gop.mapping), CheckReport.ok("right_adjoint")
 
 
 def _bound_failure(f: MonotoneMap | FrameHom, kind: str) -> dict | None:

@@ -26,7 +26,7 @@ from .report import (
     once,
     timed,
 )
-from .complete import _lattice_gap, _restriction_failure, is_complete
+from .complete import _lattice_gap, _restriction_gap, is_complete
 from .orders import PoSheaf, _three_way, verify_posheaf
 from .sheaves import Presheaf, SheafMorphism, _germ_downsets, _germ_table, verify_presheaf, verify_sheaf
 
@@ -615,8 +615,8 @@ def check_cposl(f: LocaleOverX, orders, *, budget: Budget | None = None) -> Chec
     """CPOSL1–3 on the cross-sections, cross-checked against the completeness
     verdict with the same orders. CPOSL1 and CPOSL2 read the per-open
     lattice and restriction kernels of the completeness layer on Γ, CPOSL2
-    from the lower covers (_restriction_failure); CPOSL3 is the posheaf
-    layer's POS3 on Γ."""
+    at the lower covers (FiniteFrame.first_failing_pair); CPOSL3 is the
+    posheaf layer's POS3 on Γ."""
     budget = budget or Budget()
     is_local_homeomorphism(f).require()
     G = cross_sections(f, budget=budget)
@@ -625,7 +625,7 @@ def check_cposl(f: LocaleOverX, orders, *, budget: Budget | None = None) -> Chec
 
     gaps = ({"open": u} if not F.poset(u).verify().passed else _lattice_gap(F, u) for u in frame.elements)
     c1_wit = next(({k: gap[k] for k in ("open", "pair") if k in gap} for gap in gaps if gap), None)
-    failure = _restriction_failure(F)
+    failure = frame.first_failing_pair(lambda u, v: _restriction_gap(F, u, v))
     c2_wit = failure and {"restriction": list(failure[:2]), "not": "surjective" if failure[2] == "surjective" else "join/meet-preserving"}
     c1_ok, c2_ok = c1_wit is None, c2_wit is None
 

@@ -21,7 +21,6 @@ from .sheaves import (
     SubSheaf,
     enumerate_points,
     enumerate_subsheaves,
-    product_sheaf,
     verify_morphism,
     verify_sheaf,
     verify_subsheaf,
@@ -153,13 +152,6 @@ def discrete(sheaf: Presheaf) -> PoSheaf:
     return PoSheaf(sheaf, {})
 
 
-def order_subsheaf(F: PoSheaf) -> tuple[Presheaf, SubSheaf]:
-    """The product sheaf F×F together with the order relation as its subsheaf."""
-    square = product_sheaf(F.sheaf, F.sheaf)
-    parts = {u: [pair for pair in square.carriers[u] if F.leq(u, *pair)] for u in F.frame.elements}
-    return square, SubSheaf(square, parts)
-
-
 def verify_posheaf(F: PoSheaf) -> CheckReport:
     """POS1–POS3 with witnesses, cross-checked against the internal-poset
     reading: the order relation must be a subsheaf of F×F satisfying internal
@@ -244,25 +236,20 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
 
 def _pos2(F: PoSheaf) -> CheckReport:
     """POS2, x ≤_u y ⇒ x|_v ≤_v y|_v, is restriction monotonicity, decided
-    along the lower covers v of u (FiniteFrame.lower_covers). Restriction
+    along the lower covers (FiniteFrame.first_failing_pair). Restriction
     composes on a sheaf, and every v < u is reached from u by a chain of
-    lower covers, so POS2 at every v ≤ u follows link by link. Only a
-    reject runs the same test at every v ≤ u, to name the first failing
-    square and pair."""
-    frame = F.frame
+    lower covers, so POS2 at every v ≤ u follows link by link; at v = u it
+    is the identity. A reject names the first failing square and pair."""
 
-    def monotone(u, v) -> CheckReport:
-        return MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[u, v]).verify()
+    def gap(u, v):
+        m = MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[u, v]).verify()
+        return None if m.passed else m.witness["pair"]
 
-    if all(monotone(u, v).passed for u in frame.elements for v in frame.lower_covers(u)):
+    failure = F.frame.first_failing_pair(gap)
+    if failure is None:
         return CheckReport.ok("posheaf.POS2")
-    for u in frame.elements:
-        for v in frame.down(u):
-            m = monotone(u, v)
-            if not m.passed:
-                pair = [F.label(u, x) for x in m.witness["pair"]]
-                return CheckReport.fail("posheaf.POS2", {"square": [u, v], "pair": pair})
-    raise AssertionError("POS2 fails along a lower cover, so at some square")
+    u, v, pair = failure
+    return CheckReport.fail("posheaf.POS2", {"square": [u, v], "pair": [F.label(u, x) for x in pair]})
 
 
 def _patching_gap(F: PoSheaf) -> tuple | None:

@@ -95,36 +95,32 @@ class Presheaf:
     def verify(self) -> CheckReport:
         """Identity restrictions and composition over every chain w ≤ v ≤ u.
 
-        Composition is decided where v is a lower cover of u
-        (FiniteFrame.lower_covers): then it holds on every chain, by
-        induction on u. A chain with v = u or w = v holds by identity.
-        Otherwise pick a lower cover v′ of u with v ≤ v′; then
-        res(u,w) = res(v′,w)∘res(u,v′) (checked), res(v′,w) =
+        Composition at u → v, res(u,w) = res(v,w)∘res(u,v) for w ≤ v, is
+        decided along the lower covers (FiniteFrame.first_failing_pair) and
+        then holds on every chain, by induction on u. A chain with v = u or
+        w = v holds by identity. Otherwise pick a lower cover v′ of u with
+        v ≤ v′; then res(u,w) = res(v′,w)∘res(u,v′) (checked), res(v′,w) =
         res(v,w)∘res(v′,v) (induction at v′ < u) and res(v′,v)∘res(u,v′) =
-        res(u,v) (checked), so res(u,w) = res(v,w)∘res(u,v). Only a reject
-        scans every chain, in order, to name the first failing one."""
+        res(u,v) (checked), so res(u,w) = res(v,w)∘res(u,v)."""
         frame, res = self.frame, self.res
         for u in frame.elements:
             for x in self.carriers[u]:
                 if self.restrict(u, x, u) != x:
                     return CheckReport.fail("presheaf.identity", {"open": u, "section": self.label(u, x)})
-        if all(
-            [res[u, w][x] for x in self.carriers[u]] == [res[v, w][res[u, v][x]] for x in self.carriers[u]]
-            for u in frame.elements
-            for v in frame.lower_covers(u)
-            for w in frame.down(v)
-        ):
+
+        def composition_gap(u, v):
+            xs, uv = self.carriers[u], res[u, v]
+            for w in frame.down(v):
+                uw, vw = res[u, w], res[v, w]
+                if [uw[x] for x in xs] != [vw[uv[x]] for x in xs]:
+                    return w, next(x for x in xs if uw[x] != vw[uv[x]])
+            return None
+
+        failure = frame.first_failing_pair(composition_gap)
+        if failure is None:
             return CheckReport.ok("presheaf")
-        for u in frame.elements:
-            for v in frame.down(u):
-                for w in frame.down(v):
-                    for x in self.carriers[u]:
-                        if res[u, w][x] != res[v, w][res[u, v][x]]:
-                            return CheckReport.fail(
-                                "presheaf.composition",
-                                {"triple": [u, v, w], "section": self.label(u, x)},
-                            )
-        raise AssertionError("composition fails along a lower cover, so on some chain")
+        u, v, (w, x) = failure
+        return CheckReport.fail("presheaf.composition", {"triple": [u, v, w], "section": self.label(u, x)})
 
 
 def verify_presheaf(P: Presheaf) -> CheckReport:
@@ -360,20 +356,6 @@ def full_subsheaf(P: Presheaf, u=None) -> SubSheaf:
         P,
         {v: P.carriers[v] for v in frame.down(u)},
     )
-
-
-def sheaf_on_down(P: Presheaf, u) -> Presheaf:
-    """F^u as a sheaf on the open sublocale frame of u (the other realization
-    of the restriction; full_subsheaf gives the empty-above-u form)."""
-    sub = P.frame.subframe(u)
-    carriers = {v: P.carriers[v] for v in sub.elements}
-    res = {
-        (v, w): dict(P.res[(v, w)])
-        for v in sub.elements
-        for w in sub.down(v)
-        if w != v
-    }
-    return Presheaf(sub, carriers, res, labeler=P._labeler)
 
 
 def verify_restriction_closed(S: SubSheaf) -> CheckReport:

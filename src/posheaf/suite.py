@@ -9,6 +9,7 @@ import itertools
 import json
 
 from .complete import (
+    _adjoint_square_check,
     bounds,
     check_finite_completeness,
     image_subsheaf,
@@ -539,7 +540,7 @@ def _criterion_5(seed: int, budget: Budget) -> tuple[bool, dict]:
     ok = True
     for name, F in _complete_fixture_list(budget):
         cert = is_complete(F, budget=budget)
-        results["adjoint_square"][name] = cert.passed and cert.adjoint_square.passed
+        results["adjoint_square"][name] = cert.passed and _adjoint_square_check(F, cert.restriction_data).passed
         ok = ok and results["adjoint_square"][name]
     corpus = _generated_posheaves(seed + 5, 8, budget) + [
         ("discrete(sheaf_ab)", discrete(sheaf_ab())),

@@ -40,7 +40,12 @@ as frozensets; PairSetPoSheaf, a posheaf with a pair set per open, and
 verify_posheaf read from those pair sets (posheaf_report). And agreement_meet_diagnostic, which compares agreement
 opens of tuples of sections with the meets of their parts. They are slow
 (2^|↓u| covers per open, product spaces, |O(Y)|·|O(X)|³ scans) and live
-here so that no package module can fall back to them."""
+here so that no package module can fall back to them. So do the
+constructions that only the tests use: the order relation as a subsheaf
+of F×F (order_subsheaf), F^u as a sheaf on the open sublocale of u
+(sheaf_on_down), the meet morphism μ: F × ℙF → ℙF (meet_morphism), Φ on
+morphisms (frame_hom_to_sheaf_morphism), and the right adjoint of a
+monotone map on the order-opposites (right_adjoint)."""
 from __future__ import annotations
 
 import itertools
@@ -53,10 +58,11 @@ from posheaf.complete import (
     _lattice_gap,
     _minimal_points,
     _restriction_gap,
+    _meet_subsheaf,
     _upper_bound_mask,
-    meet_morphism,
 )
-from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap
+from posheaf.frame_equiv import frame_hom_to_sheaf
+from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap, left_adjoint
 from posheaf.locale_equiv import Section
 from posheaf import sheaves
 from posheaf.orders import (
@@ -65,7 +71,6 @@ from posheaf.orders import (
     _pair_label,
     _pos3,
     enumerate_downsheaves,
-    order_subsheaf,
     power_sheaf,
     verify_posheaf,
 )
@@ -73,11 +78,14 @@ from posheaf.report import Budget, BudgetMeter, CheckReport, MalformedInput, Not
 from posheaf.sheaves import (
     enumerate_subsheaves,
     Point,
+    Presheaf,
     SheafCertificate,
+    SheafMorphism,
     SubSheaf,
     compatible_families,
     enumerate_points,
     epsilon,
+    product_sheaf,
     verify_restriction_closed,
 )
 
@@ -173,10 +181,26 @@ def _closure(S: SubSheaf, covers_of) -> CheckReport:
     return CheckReport.ok("subsheaf")
 
 
+def order_subsheaf(F) -> tuple[Presheaf, SubSheaf]:
+    """The product sheaf F×F together with the order relation as its subsheaf."""
+    square = product_sheaf(F.sheaf, F.sheaf)
+    parts = {u: [pair for pair in square.carriers[u] if F.leq(u, *pair)] for u in F.frame.elements}
+    return square, SubSheaf(square, parts)
+
+
+def sheaf_on_down(P: Presheaf, u) -> Presheaf:
+    """F^u as a sheaf on the open sublocale frame of u (the other realization
+    of the restriction; sheaves.full_subsheaf gives the empty-above-u form)."""
+    sub = P.frame.subframe(u)
+    carriers = {v: P.carriers[v] for v in sub.elements}
+    res = {(v, w): dict(P.res[(v, w)]) for v in sub.elements for w in sub.down(v) if w != v}
+    return Presheaf(sub, carriers, res, labeler=P._labeler)
+
+
 def order_subsheaf_report(F) -> list[CheckReport]:
     """The two subsheaf subreports of verify_posheaf's internal-poset
     reading, from the order relation as a subsheaf of F×F
-    (orders.order_subsheaf): restriction closure, and restriction plus
+    (order_subsheaf): restriction closure, and restriction plus
     amalgamation closure over the binary covers."""
     _, rel = order_subsheaf(F)
     rep = binary_cover_closure(rel)
@@ -823,6 +847,16 @@ def left_adjoint_scan(f) -> tuple[dict | None, CheckReport]:
     return mapping, CheckReport.ok("left_adjoint")
 
 
+def right_adjoint(f: MonotoneMap) -> tuple[MonotoneMap | None, CheckReport]:
+    """Dual of frames.left_adjoint, computed on the order-opposites."""
+    fop = MonotoneMap(f.source.opposite(), f.target.opposite(), f.mapping)
+    gop, report = left_adjoint(fop)
+    if gop is None:
+        report.name = "right_adjoint.absent" if not report.passed else report.name
+        return None, report
+    return MonotoneMap(f.target, f.source, gop.mapping), CheckReport.ok("right_adjoint")
+
+
 def frame_laws(frame) -> CheckReport:
     """The frame laws by their definitions, first violated law wins: poset,
     bounds, a join and a meet for every pair, distributivity on every triple,
@@ -1276,6 +1310,23 @@ def sup_scan(F, S: SubSheaf, u):
         if all(F.leq(v, x, F.sheaf.restrict(u, y, v)) for v in F.frame.down(u) for x in S.sorted_part(v))
     ]
     return F.poset(u).least(cands)
+
+
+def meet_morphism(F, P) -> SheafMorphism:
+    """μ: F × ℙF → ℙF, sending (x, S) to the subsheaf generated by the
+    per-open meets of S's members with the matching restrictions of x."""
+    FP = product_sheaf(F.sheaf, P.sheaf)
+    maps = {u: {(x, S): _meet_subsheaf(F, u, x, S) for (x, S) in FP.carriers[u]} for u in F.frame.elements}
+    return SheafMorphism(FP, P.sheaf, maps)
+
+
+def frame_hom_to_sheaf_morphism(f, g, m) -> SheafMorphism:
+    """Φ on morphisms: a commuting triangle m∘f = g under O(X) restricts to
+    per-open maps between the carrier downsets."""
+    F = frame_hom_to_sheaf(f)
+    G = frame_hom_to_sheaf(g)
+    maps = {u: {x: m(x) for x in F.sheaf.carriers[u]} for u in f.base.elements}
+    return SheafMorphism(F.sheaf, G.sheaf, maps)
 
 
 def definition_square(F, budget: Budget | None = None) -> dict | None:

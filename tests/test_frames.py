@@ -18,14 +18,13 @@ from posheaf.frames import (
     left_adjoint,
     preserves_all_joins,
     preserves_all_meets,
-    right_adjoint,
     verify_frame_hom,
 )
 from posheaf.generate import GenConfig, gen_frame, gen_sheaf
 from posheaf.locale_equiv import etale_locale
 from posheaf.report import NotDistributive
 
-from oracles import covers
+from oracles import covers, right_adjoint
 
 
 def all_monotone_maps(src: FinitePoset, tgt: FinitePoset):

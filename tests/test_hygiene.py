@@ -4,8 +4,9 @@ nothing uses, and no exhaustive cover enumeration, closure-fixpoint
 enumeration, subset loop for join and meet preservation, product-space and
 frame-hom-filter search of the étale layer, nested function that calls
 itself, or broad exception handler in the package, no memo kept outside
-report.once, no read of a posheaf's orders outside orders.PoSheaf, and no
-walk of a metered enumeration that only counts its members."""
+report.once, no read of a posheaf's orders outside orders.PoSheaf, no
+walk of a metered enumeration that only counts its members, and no read of
+a frame's lower covers outside frames.py and complete._left_adjoint."""
 from __future__ import annotations
 
 import ast
@@ -302,4 +303,34 @@ m = len(list(enumerate_downsheaves(F, u)))
     good = "subs = [S.key() for S in enumerate_subsheaves(F)]\nfor i, d in enumerate(_germ_downsets(P, g, m)):\n    use(d)\n"
     assert _count_only_walks(ast.parse(good)) == []
     found = [f"{path.name}:{line}" for path in _modules() for line in _count_only_walks(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def _lower_cover_readers(tree, filename: str) -> list[int]:
+    """The lines that call lower_covers outside frames.py and
+    complete._left_adjoint."""
+    if filename == "frames.py":
+        return []
+    allowed = set()
+    if filename == "complete.py":
+        allowed = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_left_adjoint" for n in ast.walk(f)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "lower_covers" and id(node) not in allowed
+    )
+
+
+def test_lower_covers_are_read_by_the_kernel_alone():
+    # a law that composes along chains is decided at the lower covers, and
+    # its reject scan over every pair run, by FiniteFrame.first_failing_pair
+    # alone; complete._left_adjoint reads them to compose adjoints through
+    # the first lower cover. So no module keeps a decide-then-rescan loop of
+    # its own. The patterns are caught as written
+    bad = "def f(frame):\n    return all(g(u, v) for u in frame.elements for v in frame.lower_covers(u))\n"
+    assert _lower_cover_readers(ast.parse(bad), "orders.py") == [2]
+    assert _lower_cover_readers(ast.parse(bad), "complete.py") == [2]
+    good = "def _left_adjoint(F, u, v):\n    return next(w for w in F.frame.lower_covers(u))\n"
+    assert _lower_cover_readers(ast.parse(good), "complete.py") == []
+    found = [f"{path.name}:{line}" for path in _modules() for line in _lower_cover_readers(ast.parse(path.read_text()), path.name)]
     assert found == []

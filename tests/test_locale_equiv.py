@@ -330,7 +330,7 @@ def test_cposl2_decides_on_lower_covers_and_names_the_first_pair(monkeypatch, to
     # pass; when 1 → b is not surjective, neither is 1 → a, which comes
     # first in frame order though a is no lower cover of 1, and the scan
     # over every pair names it
-    from posheaf import complete
+    from posheaf import locale_equiv
 
     chain = FiniteFrame.from_relation(["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "1")])
     carriers = {"0": ("*",), "a": ("s", "t"), "b": ("s", "t"), "1": top}
@@ -345,13 +345,13 @@ def test_cposl2_decides_on_lower_covers_and_names_the_first_pair(monkeypatch, to
     assert rep.passed
     orders = {u: [(eta(u, x), eta(u, y)) for (x, y) in F.orders[u]] for u in F.frame.elements}
     pairs = []
-    real = complete._restriction_gap
+    real = locale_equiv._restriction_gap
 
     def counted(H, u, v):
         pairs.append((u, v))
         return real(H, u, v)
 
-    monkeypatch.setattr(complete, "_restriction_gap", counted)
+    monkeypatch.setattr(locale_equiv, "_restriction_gap", counted)
     forms = {r.name: r for r in check_cposl(E.locale, orders).subreports}
     assert "a" not in chain.lower_covers("1")
     assert forms["cposl.CPOSL1"].passed

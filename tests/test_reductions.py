@@ -36,7 +36,7 @@ from posheaf.complete import (
     _finite_meets_gap,
     _lattice_gap,
     _least_preimages,
-    _restriction_failure,
+    _restriction_gap,
     bounds,
     check_finite_completeness,
     is_complete,
@@ -75,7 +75,6 @@ from posheaf.orders import (
     down_power_sheaf,
     enumerate_downsheaves,
     omega,
-    order_subsheaf,
     power_sheaf,
     verify_posheaf,
 )
@@ -208,7 +207,7 @@ def test_pos3_and_subsheaf_witnesses_match_the_exhaustive_checks(corpus):
             continue
         report = verify_posheaf(F)
         assert _report(_subreport(report, "posheaf.POS3")) == _report(oracles.pos3(F)), name
-        _, rel = order_subsheaf(F)
+        _, rel = oracles.order_subsheaf(F)
         assert _report(verify_subsheaf(rel)) == _report(oracles.verify_subsheaf(rel)), name
         verdicts.add(report.passed)
     assert verdicts == {True, False}
@@ -224,7 +223,7 @@ def test_verdicts_match_on_shuffled_element_orders(corpus):
             continue
         report = verify_posheaf(G)
         assert _subreport(report, "posheaf.POS3").passed == oracles.pos3(G).passed, name
-        _, rel = order_subsheaf(G)
+        _, rel = oracles.order_subsheaf(G)
         assert verify_subsheaf(rel).passed == oracles.verify_subsheaf(rel).passed, name
         assert report.passed == verify_posheaf(F).passed, name
 
@@ -396,6 +395,43 @@ def test_lower_covers_are_the_covering_opens(corpus):
         for u in frame.elements:
             covered = [v for v in frame.elements if lt(v, u) and not any(lt(v, z) and lt(z, u) for z in frame.elements)]
             assert frame.lower_covers(u) == tuple(covered)
+
+
+def test_first_failing_pair_reads_the_lower_covers_and_names_the_first_scanned_failure(boolean_frame):
+    # on 2^3 in an element order that is no linear extension: a gap that
+    # fails only beyond a lower cover passes, read at the lower covers
+    # alone; a gap failing into one open v (a law that composes: the last
+    # link of any chain down to v is a lower cover) names the first failing
+    # pair of the scan over every pair, which is no lower cover
+    rng = random.Random(5)
+    frame = boolean_frame(3)
+    while _is_linear_extension(frame):
+        frame = _shuffled_frame(frame, rng)
+    lower = [(u, v) for u in frame.elements for v in frame.lower_covers(u)]
+    pairs = [(u, v) for u in frame.elements for v in frame.down(u) if v != u]
+    calls = []
+
+    def beyond(u, v):
+        calls.append((u, v))
+        return None if (u, v) in lower else "beyond"
+
+    assert frame.first_failing_pair(beyond) is None
+    assert calls == lower and len(lower) < len(pairs)
+
+    def first_scanned(target):
+        return next((u, v) for u, v in pairs if v == target)
+
+    target = next(v for v in frame.elements if v != frame.top and first_scanned(v) not in lower)
+
+    def into(u, v):
+        calls.append((u, v))
+        return ["into", v] if v == target else None
+
+    calls.clear()
+    scan = next((u, v, found) for u, v in pairs for found in [into(u, v)] if found is not None)
+    calls.clear()
+    assert frame.first_failing_pair(into) == scan == (*first_scanned(target), ["into", target])
+    assert scan[:2] not in lower and calls[-1] == scan[:2]
 
 
 def test_lower_cover_reductions_match_the_scans(corpus):
@@ -848,7 +884,13 @@ def _completeness(check) -> tuple:
     return cert.report().to_json(include_timing=False), _ordered(cert.restriction_data), count
 
 
-_RESTATED = {"complete.downsheaf_sups", "complete.subsheaf_sups", "complete.complete_surjections"}
+_RESTATED = {
+    "complete.downsheaf_sups",
+    "complete.subsheaf_sups",
+    "complete.complete_surjections",
+    "complete.opposite_per_open",
+    "complete.adjoint_square",
+}
 
 
 def test_is_complete_matches_the_member_and_pair_scans():
@@ -933,7 +975,7 @@ def test_restriction_laws_at_lower_covers_match_every_pair(diamond_over_chain):
             cases.append(PoSheaf(P, {u: [(x, y) for x in P.carriers[u] for y in P.carriers[u] if rng.random() < p] for u in P.frame.elements}))
     outcomes = set()
     for G in (H for F in cases for H in (F, F.opposite())):
-        failure = _restriction_failure(G)
+        failure = G.frame.first_failing_pair(lambda u, v: _restriction_gap(G, u, v))
         assert failure == oracles.restriction_scan(G), G.orders
         outcomes.add(None if failure is None else failure[2])
     assert outcomes == {None, "surjective", "monotone", "sup-preserving", "inf-preserving"}

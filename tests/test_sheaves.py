@@ -6,7 +6,6 @@ import itertools
 
 import pytest
 
-from posheaf.orders import order_subsheaf
 from posheaf.report import NotRestrictionClosed, SectionNotInCarrier
 from posheaf.sheaves import (
     Presheaf,
@@ -20,7 +19,6 @@ from posheaf.sheaves import (
     generate_subsheaf,
     product_sheaf,
     sheaf_iso,
-    sheaf_on_down,
     subterminal,
     terminal,
     verify_morphism,
@@ -30,7 +28,7 @@ from posheaf.sheaves import (
     verify_subsheaf,
 )
 
-from oracles import agreement_meet_diagnostic, covers
+from oracles import agreement_meet_diagnostic, covers, order_subsheaf, sheaf_on_down
 
 
 def brute_force_subsheaves(F):
