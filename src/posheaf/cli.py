@@ -54,7 +54,10 @@ def _emit(doc: dict, args) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     out = getattr(args, "output", None)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise MalformedInput(f"cannot write the output file {out!r}: {exc.strerror or exc}") from exc
     sys.stdout.write(text)
 
 
@@ -389,8 +392,20 @@ def _error_doc(kind: str, exc: PosheafError) -> dict:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except MalformedInput as exc:
+        # only _emit raises here, when the output file cannot be written:
+        # the error document goes to stdout alone
+        args.output = None
+        _emit(_error_doc("malformed", exc), args)
+        return EXIT_MALFORMED
+
+
+def _run(args) -> int:
+    """The command's exit code, each error caught and emitted as its
+    document."""
     try:
         return args.fn(args)
     except ResourceLimit as exc:

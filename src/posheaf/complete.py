@@ -10,17 +10,21 @@ and a disagreement is itself a failure. So a budget meter ticks only where
 a reject scan builds or decides a member. The forms of sup-preserving and
 frame morphisms, which are equivalent only on complete posheaves, are all
 computed and reconciled. The per-open laws exist once each and every form
-that needs one reads it: a complete lattice at each open (_lattice_gap), a
+that needs one reads it: a complete lattice at each open (_lattice_gap,
+read from FinitePoset.lattice_gap, decided once per poset), a
 surjective restriction preserving all joins and meets (_restriction_gap,
 decided at the lower covers by FiniteFrame.first_failing_pair; the
 sheaf-locale CPOSL1-2 read both on Γ), and the commuting left-adjoint
 square of a morphism (_adjoint_square_gap). Preservation of the empty and
 binary joins or meets is frames._bound_failure, read by finite
 completeness and the finite-meets form of frame morphisms. The left
-adjoint of each restriction is built once and kept on its posheaf, off the
-lower covers as a composite; its right adjoint is the left adjoint of the
-same restriction of the opposite, as the right adjoint of a morphism is
-its least-preimage construction (_least_preimages) on the opposites.
+adjoint of each restriction is the table of least candidates, built once
+and kept on its posheaf, off the lower covers as a composite: POS1 and
+POS2, which verify_posheaf has decided, make that table the left adjoint
+by proof, so neither law is decided again here. Its right adjoint is the
+left adjoint of the same restriction of the opposite, as the right
+adjoint of a morphism is its least-preimage construction
+(_least_preimages) on the opposites.
 Bounds and sups are one kernel: the AND of point-order rows
 (_upper_bound_mask) and its least point by descent (_point_minimum), read
 by bounds, sup_in_open and the sup-extension forms, which take each
@@ -38,7 +42,6 @@ from .frames import (
     _bits,
     _bound_failure,
     _least_candidates,
-    left_adjoint,
     preserves_all_joins,
     preserves_all_meets,
     verify_frame_hom,
@@ -212,23 +215,16 @@ class CompletenessCertificate:
 
 def _lattice_gap(F: PoSheaf, u, *, meets: bool = True) -> dict | None:
     """None when the partial order F(u) is a lattice (with meets=False, has
-    a bottom and every binary join), else the first missing bound: bottom,
-    top, then the first pair x before y in carrier order without a join or
-    a meet. Bounds are symmetric and x with x always has both, so no pair
-    with y before x fails first."""
+    a bottom and every binary join), else the first missing bound, labelled:
+    FinitePoset.lattice_gap (join_gap), decided once per poset."""
     poset = F.poset(u)
-    if poset.bottom is None:
-        return {"open": u, "missing": "bottom"}
-    if meets and poset.top is None:
-        return {"open": u, "missing": "top"}
-    elems = poset.elements
-    for i, x in enumerate(elems):
-        for y in elems[i + 1:]:
-            if poset.join(x, y) is None:
-                return {"open": u, "pair": [F.label(u, x), F.label(u, y)], "missing": "join"}
-            if meets and poset.meet(x, y) is None:
-                return {"open": u, "pair": [F.label(u, x), F.label(u, y)], "missing": "meet"}
-    return None
+    gap = poset.lattice_gap if meets else poset.join_gap
+    if gap is None:
+        return None
+    *pair, missing = gap
+    if not pair:
+        return {"open": u, "missing": missing}
+    return {"open": u, "pair": [F.label(u, x) for x in pair], "missing": missing}
 
 
 def _restriction_gap(F: PoSheaf, u, v) -> str | None:
@@ -257,22 +253,31 @@ def _restriction_gap(F: PoSheaf, u, v) -> str | None:
 
 def _left_adjoint(F: PoSheaf, u, v) -> tuple[dict | None, CheckReport]:
     """The left adjoint of F's restriction u → v (v < u) as a table, or None,
-    with left_adjoint's report; built once per posheaf and kept on it. Its
-    right adjoint is the left adjoint of the same restriction of F.opposite().
+    with the report naming the first element without one; built once per
+    posheaf and kept on it. Its right adjoint is the left adjoint of the
+    same restriction of F.opposite().
 
-    left_adjoint runs on a lower cover v of u (FiniteFrame.lower_covers).
+    Precondition: F satisfies POS1 and POS2, so the restriction is a
+    monotone map between partial orders, and the table of least candidates
+    (frames._least_candidates) is its left adjoint by proof, with no check
+    of monotonicity or of the adjunction (frames.left_adjoint). Every
+    caller has run verify_posheaf, which establishes both, except on Φ(h)
+    in verify_frame_equivalence, where they hold by construction: each
+    F(u) carries L's order, and restriction is meet with h(v).
+
+    The table is built on a lower cover v of u (FiniteFrame.lower_covers).
     For any other v, with w the first lower cover of u above v, the
     restriction u → v is u → w then w → v; when both have left adjoints the
     table is their composite l_{w→u} ∘ l_{v→w}, since Galois connections
-    compose and a left adjoint is unique, so it is the table left_adjoint
-    would build. Only when one is missing does left_adjoint run on u → v."""
+    compose and a left adjoint is unique. Only when one is missing is the
+    table of u → v built directly."""
     entry = F._left_adjoints.get((u, v))
     if entry is None:
         w = next(w for w in F.frame.lower_covers(u) if F.frame.leq(v, w))
         upper = None if w == v else _left_adjoint(F, u, w)[0]
         lower = None if upper is None else _left_adjoint(F, w, v)[0]
         if lower is None:
-            la, rep = left_adjoint(MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[(u, v)]))
+            la, rep = _least_candidates(MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[(u, v)]))
             entry = (None if la is None else la.mapping, rep)
         else:
             entry = ({x: upper[lower[x]] for x in F.carrier(v)}, CheckReport.ok("left_adjoint"))
@@ -308,8 +313,8 @@ def _adjoint_square_gap(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf, u) -> dict
 def _per_open_form(F: PoSheaf) -> tuple[CheckReport, dict]:
     """Per-open complete lattices plus surjective restrictions having both
     adjoints; returns the report with the per-restriction evidence. Each
-    pair v < u is read in frame order, and its adjoints are built by
-    left_adjoint only along lower covers while those exist (_left_adjoint)."""
+    pair v < u is read in frame order, and its adjoints are built only
+    along lower covers while those exist (_left_adjoint)."""
     frame = F.frame
     restriction_data = {}
     gap = next(filter(None, (_lattice_gap(F, u) for u in frame.elements)), None)
@@ -375,8 +380,8 @@ def _member_gap(F: PoSheaf, germs: list):
 
     The upper bounds come from the member's germs alone. For a posheaf over
     a sheaf, x ≤ y|_v iff x|_j ≤ y|_j for every j in J↓v, by POS3 and the
-    comparison lemma (orders._order_closed_at_germs); so (v, x) lies below
-    (w, y) iff each germ (j, x|_j) does, as j ≤ w for all of them iff v ≤ w.
+    comparison lemma (J↓v covers v); so (v, x) lies below (w, y) iff each
+    germ (j, x|_j) does, as j ≤ w for all of them iff v ≤ w.
     A member's points at j are its germs there, and each of its points has
     its germs in it, so the points above all of it are the AND of its germs'
     rows, and those over u the AND over j in J↓u of one mask per j, the AND

@@ -241,6 +241,36 @@ class FinitePoset:
                 rest ^= low
         return ("antisymmetric",) * (not antisymmetric) + ("transitive",) * (not transitive)
 
+    @cached_property
+    def lattice_gap(self) -> tuple | None:
+        """None on a lattice, else its first missing bound: ("bottom",),
+        ("top",), or (x, y, "join") or (x, y, "meet") for the first pair x
+        before y in element order without a join, then a meet. Bounds are
+        symmetric and x with x has both on a partial order, so no pair with
+        y before x fails first. Kept once per poset, as broken_laws is."""
+        return self._bound_gap(meets=True)
+
+    @cached_property
+    def join_gap(self) -> tuple | None:
+        """lattice_gap without the meets: None when the relation has a
+        bottom and every binary join, else the missing bottom or the first
+        pair without a join."""
+        return self._bound_gap(meets=False)
+
+    def _bound_gap(self, meets: bool) -> tuple | None:
+        if self.bottom is None:
+            return ("bottom",)
+        if meets and self.top is None:
+            return ("top",)
+        elements, ups, downs = self.elements, self.up_rows, self.down_rows
+        for i, x in enumerate(elements):
+            for k in range(i + 1, len(elements)):
+                if self.least_index(ups[i] & ups[k]) is None:
+                    return (x, elements[k], "join")
+                if meets and self.greatest_index(downs[i] & downs[k]) is None:
+                    return (x, elements[k], "meet")
+        return None
+
     def first_cycle(self) -> list | None:
         """The first [x, y], x ≠ y, with x ≤ y ≤ x, x-major in element
         order, or None on an antisymmetric relation."""
@@ -536,11 +566,10 @@ class FiniteFrame:
         because each join-irreducible of a distributive lattice is
         join-prime, so (3) holds. Only a reject runs the law sequence below,
         which names today's first failed law and witness: the poset laws,
-        the bounds, the binary joins (with a bottom and every binary join a
-        finite poset is a complete lattice, so every binary meet exists
-        too), and Birkhoff's join-prime test, j ≰ ∨{x : j ≰ x} for each
-        join-irreducible j, with the pair and triple scans naming the
-        witness.
+        the lattice law (FinitePoset.lattice_gap: the bounds, then the first
+        pair without a join or a meet), and Birkhoff's join-prime test,
+        j ≰ ∨{x : j ≰ x} for each join-irreducible j, with the triple scan
+        naming the witness.
 
         Frames are immutable, so the first report is kept and returned again.
         """
@@ -554,29 +583,16 @@ class FiniteFrame:
         p = self.poset.verify()
         if not p.passed:
             return CheckReport.fail("frame.poset", p.witness, law=p.name)
-        if self.poset.bottom is None:
-            return CheckReport.fail("frame.lattice", {"missing": "bottom"})
-        if self.poset.top is None:
-            return CheckReport.fail("frame.lattice", {"missing": "top"})
-        elems = self.elements
-        if any(self.join(x, y) is None for i, x in enumerate(elems) for y in elems[i + 1:]):
-            return self._missing_bound()
+        gap = self.poset.lattice_gap
+        if gap is not None:
+            *pair, missing = gap
+            return CheckReport.fail("frame.lattice", {"pair": pair, "missing": missing} if pair else {"missing": missing})
         # every x is the join of the join-irreducibles below it, so the
         # join-prime test runs over J alone
         J = self.join_irreducibles()
         if any(self.leq(j, self.join_all(k for k in J if not self.leq(j, k))) for j in J):
             return self._distributivity_failure()
         return CheckReport.ok("frame", elements=len(self.elements))
-
-    def _missing_bound(self) -> CheckReport:
-        """The first pair, in element order, without a join or a meet."""
-        for x in self.elements:
-            for y in self.elements:
-                if self.join(x, y) is None:
-                    return CheckReport.fail("frame.lattice", {"pair": [x, y], "missing": "join"})
-                if self.meet(x, y) is None:
-                    return CheckReport.fail("frame.lattice", {"pair": [x, y], "missing": "meet"})
-        raise AssertionError("a binary join is missing, so some pair has no join")
 
     def _distributivity_failure(self) -> CheckReport:
         """The first triple, in element order, with a ∧ (b ∨ c) ≠ (a ∧ b) ∨ (a ∧ c)."""

@@ -115,6 +115,8 @@ def _stalks(X: FiniteFrame, cfg: GenConfig, rng: random.Random) -> dict:
 def gen_sheaf(X: FiniteFrame, cfg: GenConfig) -> Presheaf:
     """Carriers at join-irreducibles, completed to every open by compatible
     families; the sheaf axiom holds by construction and is re-verified."""
+    if cfg.max_carrier < 1:
+        raise MalformedInput("max_carrier must be at least 1")
     rng = cfg.rng("sheaf")
     J = X.join_irreducibles_by_height()
     stalks = _stalks(X, cfg, rng)

@@ -616,7 +616,9 @@ def check_cposl(f: LocaleOverX, orders, *, budget: Budget | None = None) -> Chec
     verdict with the same orders. CPOSL1 and CPOSL2 read the per-open
     lattice and restriction kernels of the completeness layer on Γ, CPOSL2
     at the lower covers (FiniteFrame.first_failing_pair); CPOSL3 is the
-    posheaf layer's POS3 on Γ."""
+    posheaf layer's POS3 on Γ. Each open's lattice law is kept on its
+    poset (FinitePoset.lattice_gap), so the completeness verdict reads it
+    and scans no open again."""
     budget = budget or Budget()
     is_local_homeomorphism(f).require()
     G = cross_sections(f, budget=budget)

@@ -124,6 +124,11 @@ class _Battery:
         if not agree:
             self.disagreements.append({"battery": battery, "instance": instance})
 
+    def add_report(self, battery: str, instance: str, report: CheckReport, mutated_negative: bool = False):
+        """add() with the verdict (the reconciled forms' own, when the report
+        keeps one) and the agreement read from a check's report."""
+        self.add(battery, instance, report.details.get("verdict", report.passed), _agreement_subreport(report), mutated_negative)
+
     @property
     def total(self) -> int:
         return len(self.records)
@@ -181,50 +186,38 @@ def _criterion_1(seed: int, budget: Budget) -> tuple[bool, dict]:
     pos3_mutants = []
     for name, F in all_posheaves:
         rep = verify_posheaf(F)
-        battery.add("posheaf", name, rep.passed, _agreement_subreport(rep))
+        battery.add_report("posheaf", name, rep)
     for name, F in all_posheaves:
         try:
             mutant = mutate(F, "break-POS3", GenConfig(seed=seed))
         except PosheafError:
             continue
         rep = verify_posheaf(mutant)
-        battery.add("posheaf", f"{name}+break-POS3", rep.passed, _agreement_subreport(rep), mutated_negative=True)
+        battery.add_report("posheaf", f"{name}+break-POS3", rep, mutated_negative=True)
         pos3_mutants.append((name, F, mutant))
     # the sheaf-of-posets-but-not-posheaf pattern
     not_posheaf = PoSheaf(sheaf_ab(), {"a": [("x", "y")]})
     rep = verify_posheaf(not_posheaf)
-    battery.add("posheaf", "order-below-discrete-above", rep.passed, _agreement_subreport(rep))
+    battery.add_report("posheaf", "order-below-discrete-above", rep)
 
     # order-preservation battery (three forms)
     op_subjects = corpus[:12] + fixture_posheaves[:4]
     for name, F in op_subjects:
         ident = SheafMorphism.identity(F.sheaf)
         rep = verify_order_preserving(ident, F, F)
-        battery.add("order_preserving", f"id[{name}]", rep.details.get("verdict", rep.passed), _agreement_subreport(rep))
+        battery.add_report("order_preserving", f"id[{name}]", rep)
         Om = omega(F.frame)
         const_top = SheafMorphism(F.sheaf, Om.sheaf, {u: {x: u for x in F.carrier(u)} for u in F.frame.elements})
         rep2 = verify_order_preserving(const_top, F, Om)
-        battery.add("order_preserving", f"const_top[{name}]", rep2.details.get("verdict", rep2.passed), _agreement_subreport(rep2))
+        battery.add_report("order_preserving", f"const_top[{name}]", rep2)
         if any(x != y for u in F.frame.elements for x, y in F.sorted_pairs(u)):
             rep3 = verify_order_preserving(ident, F, F.opposite())
-            battery.add(
-                "order_preserving",
-                f"flip[{name}]",
-                rep3.details.get("verdict", rep3.passed),
-                _agreement_subreport(rep3),
-                mutated_negative=True,
-            )
+            battery.add_report("order_preserving", f"flip[{name}]", rep3, mutated_negative=True)
     # identity into a patching-order mutant drops a comparable pair: all three
     # forms must reject it together
     for name, F, mutant in pos3_mutants:
         rep = verify_order_preserving(SheafMorphism.identity(F.sheaf), F, mutant)
-        battery.add(
-            "order_preserving",
-            f"into-mutant[{name}]",
-            rep.details.get("verdict", rep.passed),
-            _agreement_subreport(rep),
-            mutated_negative=True,
-        )
+        battery.add_report("order_preserving", f"into-mutant[{name}]", rep, mutated_negative=True)
 
     # morphism order battery (three forms)
     for name, F in corpus[:8]:
@@ -236,8 +229,8 @@ def _criterion_1(seed: int, budget: Budget) -> tuple[bool, dict]:
             "endo<=endo": (alpha, alpha),
             "id<=endo": (ident, alpha),
         }.items():
-            verdict, rep = morphism_leq(a, b, F, F)
-            battery.add("morphism_order", f"{label}[{name}]", verdict, _agreement_subreport(rep))
+            _, rep = morphism_leq(a, b, F, F)
+            battery.add_report("morphism_order", f"{label}[{name}]", rep)
 
     # downsheaf battery (three forms, incl. classifier)
     for name, F in corpus[:16] + [("posheaf_ab", posheaf_ab())]:
@@ -245,28 +238,22 @@ def _criterion_1(seed: int, budget: Budget) -> tuple[bool, dict]:
         top_pt = pts[-1]
         pr = principal(F, top_pt)
         rep = is_downsheaf(pr, F)
-        battery.add("downsheaf", f"principal[{name}]", rep.details.get("verdict", rep.passed), _agreement_subreport(rep))
+        battery.add_report("downsheaf", f"principal[{name}]", rep)
         strict = next(((u, x, y) for u in F.frame.elements for x, y in F.sorted_pairs(u) if x != y), None)
         if strict:
             u, x, y = strict
             upper = generate_subsheaf(F.sheaf, SubSheaf(F.sheaf, {u: [y]}), require_closed=False)
             rep2 = is_downsheaf(upper, F)
-            battery.add(
-                "downsheaf",
-                f"generated-upper[{name}]",
-                rep2.details.get("verdict", rep2.passed),
-                _agreement_subreport(rep2),
-                mutated_negative=True,
-            )
+            battery.add_report("downsheaf", f"generated-upper[{name}]", rep2, mutated_negative=True)
             closed = down_closure(F, upper)
             rep3 = is_downsheaf(closed, F)
-            battery.add("downsheaf", f"down-closure[{name}]", rep3.details.get("verdict", rep3.passed), _agreement_subreport(rep3))
+            battery.add_report("downsheaf", f"down-closure[{name}]", rep3)
 
     # Galois battery (three forms)
     for name, F in corpus[:6]:
         ident = SheafMorphism.identity(F.sheaf)
         rep = verify_galois(ident, ident, F, F)
-        battery.add("galois", f"id_pair[{name}]", rep.details.get("verdict", rep.passed), _agreement_subreport(rep))
+        battery.add_report("galois", f"id_pair[{name}]", rep)
     for fname in ("FRAME_2", "FRAME_3", "FRAME_D"):
         Om = omega(FIXTURE_FRAMES[fname]())
         const_top = SheafMorphism(Om.sheaf, Om.sheaf, {u: {w: u for w in Om.carrier(u)} for u in Om.frame.elements})
@@ -274,7 +261,7 @@ def _criterion_1(seed: int, budget: Budget) -> tuple[bool, dict]:
             Om.sheaf, Om.sheaf, {u: {w: Om.frame.bottom for w in Om.carrier(u)} for u in Om.frame.elements}
         )
         rep = verify_galois(const_top, const_bottom, Om, Om)
-        battery.add("galois", f"broken_pair[omega({fname})]", rep.details.get("verdict", rep.passed), _agreement_subreport(rep), mutated_negative=True)
+        battery.add_report("galois", f"broken_pair[omega({fname})]", rep, mutated_negative=True)
     # per-instance broken pairs: collapse-to-top against collapse-to-a-section
     for name, F in corpus[:14]:
         top_sections = F.carrier(F.frame.top)
@@ -289,13 +276,7 @@ def _criterion_1(seed: int, budget: Budget) -> tuple[bool, dict]:
             {u: {w: F.sheaf.restrict(F.frame.top, x0, u) for w in Om.carrier(u)} for u in F.frame.elements},
         )
         rep = verify_galois(const_top, const_sec, F, Om)
-        battery.add(
-            "galois",
-            f"broken_pair[{name}]",
-            rep.details.get("verdict", rep.passed),
-            _agreement_subreport(rep),
-            mutated_negative=True,
-        )
+        battery.add_report("galois", f"broken_pair[{name}]", rep, mutated_negative=True)
 
     # completeness battery: all the equivalent readings, including the duals
     for name, F in corpus[:14] + fixture_posheaves:
@@ -311,15 +292,15 @@ def _criterion_1(seed: int, budget: Budget) -> tuple[bool, dict]:
         Om = omega(FIXTURE_FRAMES[fname]())
         ident = SheafMorphism.identity(Om.sheaf)
         rep = verify_sup_preserving(ident, Om, Om, budget=budget)
-        battery.add("sup_preserving", f"id[omega({fname})]", rep.details.get("verdict", rep.passed), _agreement_subreport(rep))
+        battery.add_report("sup_preserving", f"id[omega({fname})]", rep)
         frame = Om.frame
         c = frame.elements[1] if len(frame.elements) > 1 else frame.top
         shrink = SheafMorphism(Om.sheaf, Om.sheaf, {u: {w: frame.meet(w, c) for w in Om.carrier(u)} for u in frame.elements})
         rep2 = verify_sup_preserving(shrink, Om, Om, budget=budget)
-        battery.add("sup_preserving", f"shrink[omega({fname})]", rep2.details.get("verdict", rep2.passed), _agreement_subreport(rep2))
+        battery.add_report("sup_preserving", f"shrink[omega({fname})]", rep2)
         const_top = SheafMorphism(Om.sheaf, Om.sheaf, {u: {w: u for w in Om.carrier(u)} for u in frame.elements})
         rep3 = verify_sup_preserving(const_top, Om, Om, budget=budget)
-        battery.add("sup_preserving", f"const_top[omega({fname})]", rep3.details.get("verdict", rep3.passed), _agreement_subreport(rep3), mutated_negative=True)
+        battery.add_report("sup_preserving", f"const_top[omega({fname})]", rep3, mutated_negative=True)
 
     # finite completeness battery (adjoint vs per-open forms)
     for name, F in corpus[:10] + fixture_posheaves[:4]:
@@ -346,7 +327,7 @@ def _criterion_1(seed: int, budget: Budget) -> tuple[bool, dict]:
             rep = is_frame_sheaf(F, budget=budget)
         except PosheafError:
             continue
-        battery.add("frame_sheaf", name, rep.details.get("verdict", rep.passed), _agreement_subreport(rep))
+        battery.add_report("frame_sheaf", name, rep)
 
     # top up the corpus until the instance and mutated-negative quotas clear,
     # deterministically in the seed
@@ -360,21 +341,15 @@ def _criterion_1(seed: int, budget: Budget) -> tuple[bool, dict]:
             continue
         name = f"topup[{cfg.seed}]"
         rep = verify_posheaf(F)
-        battery.add("posheaf", name, rep.passed, _agreement_subreport(rep))
+        battery.add_report("posheaf", name, rep)
         try:
             mutant = mutate(F, "break-POS3", cfg)
         except PosheafError:
             continue
         rep_m = verify_posheaf(mutant)
-        battery.add("posheaf", f"{name}+break-POS3", rep_m.passed, _agreement_subreport(rep_m), mutated_negative=True)
+        battery.add_report("posheaf", f"{name}+break-POS3", rep_m, mutated_negative=True)
         rep_o = verify_order_preserving(SheafMorphism.identity(F.sheaf), F, mutant)
-        battery.add(
-            "order_preserving",
-            f"into-mutant[{name}]",
-            rep_o.details.get("verdict", rep_o.passed),
-            _agreement_subreport(rep_o),
-            mutated_negative=True,
-        )
+        battery.add_report("order_preserving", f"into-mutant[{name}]", rep_o, mutated_negative=True)
 
     summary = battery.summary()
     passed = (

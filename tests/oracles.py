@@ -10,8 +10,9 @@ POS2 at every v ≤ u, which the package decides along lower covers; Sub
 and Dow by next-closure over that closure; least and greatest elements as
 the one minimal or maximal member; join and meet preservation over every
 subset; the point order in both of its readings, dom-then-value and
-factoring through the order subsheaf, and the point-order bounds of a
-subsheaf one pair at a time; and, for the étale layer, the sheaf locale
+factoring through the order subsheaf, the point-order bounds of a
+subsheaf one pair at a time, and the forms of an order-preserving map and
+of the morphism order each decided apart; and, for the étale layer, the sheaf locale
 as the product of the sections' down-sets filtered by pairwise
 agreement opens, ordered pointwise and with pointwise meets and joins, its frame by the pair list of
 germ down-sets closed to a poset with the pair loop over its meets and joins,
@@ -37,7 +38,8 @@ relation by a fixpoint over sets of pairs, the inclusion pairs of a
 family of sets with its first pair whose meet or join is missing, and
 SetPoset, a relation kept as its pair set and its up-sets and down-sets
 as frozensets; PairSetPoSheaf, a posheaf with a pair set per open, and
-verify_posheaf read from those pair sets (posheaf_report). And agreement_meet_diagnostic, which compares agreement
+verify_posheaf read from those pair sets (posheaf_report), with the
+internal subsheaf reading decided at the germs (order_closed_at_germs). And agreement_meet_diagnostic, which compares agreement
 opens of tuples of sections with the meets of their parts. They are slow
 (2^|↓u| covers per open, product spaces, |O(Y)|·|O(X)|³ scans) and live
 here so that no package module can fall back to them. So do the
@@ -67,11 +69,12 @@ from posheaf.locale_equiv import Section
 from posheaf import sheaves
 from posheaf.orders import (
     PoSheaf,
-    _order_closed_at_germs,
     _pair_label,
     _pos3,
+    _three_way,
     enumerate_downsheaves,
     power_sheaf,
+    verify_morphism,
     verify_posheaf,
 )
 from posheaf.report import Budget, BudgetMeter, CheckReport, MalformedInput, NotALattice
@@ -318,12 +321,45 @@ def patching_gap(F) -> tuple | None:
     return None
 
 
+def order_closed_at_germs(F) -> bool:
+    """Whether ≤ is a subsheaf of F×F, for a sheaf F, decided apart from
+    POS2 and POS3 (which orders.verify_posheaf reads it off), from F's own
+    tables by the comparison lemma: (x, y) ∈ ≤_u iff x|_j ≤_j y|_j for every
+    j in J↓u (FiniteFrame.canonical_cover), at every open u.
+
+    "Only if" is restriction closure at the germs, "if" is amalgamation
+    closure over J↓u: a family of ≤ over J↓u is a pair of compatible
+    families, whose one amalgamation in F×F is the pair (x, y) they
+    restrict. A subsheaf of F×F has both. Conversely, for v ≤ u and
+    (x, y) ∈ ≤_u, "only if" at u gives x|_j ≤_j y|_j on J↓v ⊆ J↓u, so
+    (x|_v, y|_v) ∈ ≤_v by "if" at v: ≤ is restriction-closed, and closed
+    under the amalgamations over every J↓u, hence over every cover
+    (sheaves.verify_subsheaf).
+
+    Read on rows: the up row of x in F.poset(u) must be the AND, over j,
+    of the sections y whose germ at j lies above x's (upper_rows of F(j)
+    at the germs of F(u))."""
+    P = F.sheaf
+    for u in F.frame.elements:
+        carrier = P.carriers[u]
+        rows = [(1 << len(carrier)) - 1] * len(carrier)
+        for j in F.frame.canonical_cover(u):
+            res, at_j = P.res[u, j], F.poset(j)
+            germs = [res[x] for x in carrier]
+            above = at_j.upper_rows(germs)
+            for a, germ in enumerate(germs):
+                rows[a] &= above[at_j.index[germ]]
+        if rows != F.poset(u).up_rows:
+            return False
+    return True
+
+
 def internal_subsheaf(F, pos2: bool, gap: tuple | None) -> list[CheckReport]:
-    """orders._internal_subsheaf over the order pairs, the amalgamation
-    witness the failing pair least by the section keys of its
-    restrictions."""
+    """orders._internal_subsheaf over the order pairs, its verdict decided
+    at the germs (order_closed_at_germs), the amalgamation witness the
+    failing pair least by the section keys of its restrictions."""
     ok = [CheckReport("internal.subsheaf_restriction", True), CheckReport("internal.subsheaf_amalgamation", True)]
-    if _order_closed_at_germs(F):
+    if order_closed_at_germs(F):
         return ok
     P, frame = F.sheaf, F.frame
     if not pos2:
@@ -961,6 +997,63 @@ def point_leq_bool(F, p: Point, q: Point) -> bool:
     if not w.agree():
         raise AssertionError(f"point order readings disagree on {p} vs {q}")
     return w.holds
+
+
+def order_preserving_forms(alpha, F, G) -> CheckReport:
+    """verify_order_preserving with each form decided apart: the point
+    order over every pair of points, dom-then-value (point_leq), monotonicity
+    at each open by MonotoneMap.verify, and factoring through the order
+    subsheaf of G×G (order_subsheaf) over the pairs of F in sorted order."""
+    nat = verify_morphism(alpha)
+    if not nat.passed:
+        return CheckReport.fail("order_preserving", {"precondition": nat.witness}, stage="morphism")
+    pts = enumerate_points(F.sheaf)
+    point_wit = next(
+        (
+            {"points": [list(p), list(q)]}
+            for p in pts
+            for q in pts
+            if point_leq(F, p, q).holds and not point_leq(G, alpha.on_point(p), alpha.on_point(q)).holds
+        ),
+        None,
+    )
+    open_wit = None
+    for u in F.frame.elements:
+        m = MonotoneMap(F.poset(u), G.poset(u), alpha.maps[u]).verify()
+        if not m.passed:
+            open_wit = {"open": u, "pair": m.witness["pair"]}
+            break
+    _, rel = order_subsheaf(G)
+    fact_wit = next(
+        (
+            {"open": u, "pair": [F.label(u, x), F.label(u, y)]}
+            for u in F.frame.elements
+            for x, y in F.sorted_pairs(u)
+            if not rel.contains(u, (alpha(u, x), alpha(u, y)))
+        ),
+        None,
+    )
+    forms = [("points", point_wit is None, point_wit), ("per_open", open_wit is None, open_wit), ("factoring", fact_wit is None, fact_wit)]
+    return _three_way("order_preserving", forms)
+
+
+def morphism_leq_forms(alpha, beta, F, G) -> tuple[bool, CheckReport]:
+    """morphism_leq with each form decided apart: α(p) ≤ β(p) at every
+    point by point_leq, α_u(x) ≤ β_u(x) at each open, and (α_u(x), β_u(x))
+    in the order subsheaf of G×G (order_subsheaf)."""
+    pts = enumerate_points(F.sheaf)
+    point_wit = next(({"point": list(p)} for p in pts if not point_leq(G, alpha.on_point(p), beta.on_point(p)).holds), None)
+    sections = [(u, x) for u in F.frame.elements for x in F.sheaf.carriers[u]]
+    open_wit = next(({"open": u, "section": F.label(u, x)} for u, x in sections if not G.leq(u, alpha(u, x), beta(u, x))), None)
+    _, rel = order_subsheaf(G)
+    diagonal_wit = next(
+        ({"open": u, "section": F.label(u, x)} for u, x in sections if not rel.contains(u, (alpha(u, x), beta(u, x)))), None
+    )
+    report = _three_way(
+        "morphism_leq",
+        [("points", point_wit is None, point_wit), ("per_open", open_wit is None, open_wit), ("diagonal", diagonal_wit is None, diagonal_wit)],
+    )
+    return point_wit is None and report.subreports[-1].passed, report
 
 
 def upper_bound_points(F, A: SubSheaf) -> list:

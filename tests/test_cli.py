@@ -420,6 +420,30 @@ def test_gen_deterministic_and_mutants(tmp_path, capsys):
         assert "maps" in doc
 
 
+def test_gen_max_carrier_below_one_is_malformed(capsys):
+    # the kinds that read --max-carrier refuse a value below 1, as
+    # --max-opens 0 is refused; frames do not read it
+    for kind in ("posheaf", "morphism"):
+        for n in ("-2", "-1", "0"):
+            assert run(["gen", kind, "--max-carrier", n]) == 2, (kind, n)
+            out = json.loads(capsys.readouterr().out)
+            assert out == {"error": "malformed", "message": "max_carrier must be at least 1"}, (kind, n)
+    assert run(["gen", "frame", "--max-carrier", "0"]) == 0
+
+
+def test_an_unwritable_output_path_is_malformed(tmp_path, capsys):
+    # a verdict, and an error document of its own (here an exceeded
+    # budget), that cannot be written exit 2 with the error on stdout
+    cfg = GenConfig(seed=9, max_opens=4, max_carrier=2)
+    incomplete = write(tmp_path, "incomplete.json", jsonio.dump_posheaf_doc(gen_posheaf(gen_frame(cfg), cfg)))
+    for argv in (["check", "posheaf", incomplete], ["check", "complete", incomplete, "--budget", "0"]):
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            assert run([*argv, "-o", str(target)]) == 2, argv
+            out = json.loads(capsys.readouterr().out)
+            assert out["error"] == "malformed" and out["message"].startswith(f"cannot write the output file {str(target)!r}"), out
+    assert not (tmp_path / "missing").exists()
+
+
 def test_budget_exit_3(tmp_path, capsys):
     path = write(tmp_path, "sab.json", jsonio.dump_presheaf_doc(sheaf_ab()))
     assert run(["lambda", path, "--budget-lambda", "2"]) == 3

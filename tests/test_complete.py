@@ -384,7 +384,7 @@ def test_complete_surjections_names_the_restriction_law(diamond_over_chain, imag
 
 def test_a_missing_left_adjoint_raises_its_report_each_time(diamond_over_chain):
     # the restriction kept without a left adjoint raises NotComplete with
-    # left_adjoint's report on every request
+    # the report naming its missing least candidate on every request
     from posheaf.complete import _left_adjoint_table
 
     F = diamond_over_chain("sttt")
@@ -422,28 +422,42 @@ def test_per_open_frame_hom_names_the_left_adjoint_square():
 def test_each_restriction_adjoint_is_built_once(monkeypatch):
     # the left adjoint of each restriction is kept on its posheaf, and the
     # right adjoints are the opposite's left adjoints: across completeness,
-    # the frame-sheaf check and the frame equivalence, left_adjoint runs at
-    # most once per (posheaf, u, v), and only along lower covers, since the
-    # other adjoints are composites of those
+    # the frame-sheaf check and the frame equivalence, the table of least
+    # candidates is built at most once per (posheaf, u, v), and only along
+    # lower covers, since the other adjoints are composites of those
     from collections import Counter
 
     from posheaf import complete
     from posheaf.frame_equiv import verify_frame_equivalence
 
     calls = Counter()
-    real = complete.left_adjoint
+    real = complete._least_candidates
 
     def counted(f):
         calls[id(f.source), id(f.target)] += 1
         return real(f)
 
-    monkeypatch.setattr(complete, "left_adjoint", counted)
+    monkeypatch.setattr(complete, "_least_candidates", counted)
     F = omega(frame_d())
     assert is_complete(F).passed
     assert is_frame_sheaf(F).passed
     assert verify_frame_equivalence(F).passed
     # four lower covers on the diamond, for F and for its opposite
     assert len(calls) == 8 and set(calls.values()) == {1}
+
+
+def test_completeness_decides_no_restriction_monotonicity_again(monkeypatch):
+    # verify_posheaf's POS2 has decided every restriction monotone, so the
+    # left adjoints of a verified posheaf run no MonotoneMap.verify
+    from posheaf.frames import MonotoneMap
+
+    F = omega(frame_6())
+    assert verify_posheaf(F).passed
+    calls = []
+    real = MonotoneMap.verify
+    monkeypatch.setattr(MonotoneMap, "verify", lambda self: calls.append(self) or real(self))
+    assert is_complete(F).passed
+    assert calls == []
 
 
 def test_adjoint_square_check_square_on_complete_fixtures(PAB):

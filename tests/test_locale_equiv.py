@@ -267,6 +267,22 @@ def test_cposl_transported_from_omega(FD):
     assert check_cposl(E.locale, orders).passed
 
 
+def test_cposl_scans_each_open_lattice_once(monkeypatch):
+    # CPOSL1 and the completeness verdict read one lattice kernel per
+    # stalk poset: on the sheaf locale of Ω(FRAME_6) with the orders
+    # transported along the unit, each open's lattice law is scanned once
+    X = frame_6()
+    Om = omega(X)
+    E = etale_locale(Om.sheaf)
+    eta, _ = unit(Om.sheaf, E, cross_sections(E.locale))
+    orders = {u: [(eta(u, v), eta(u, w)) for v in Om.carrier(u) for w in Om.carrier(u) if X.leq(v, w)] for u in X.elements}
+    scans = Counter()
+    real = FinitePoset._bound_gap
+    monkeypatch.setattr(FinitePoset, "_bound_gap", lambda self, meets: scans.update([(id(self), meets)]) or real(self, meets))
+    assert check_cposl(E.locale, orders).passed
+    assert len(scans) == len(X.elements) and set(scans.values()) == {1}
+
+
 def test_cposl_fails_without_bottoms(SAB, FD):
     # two incomparable stalks over a: a posheaf locale that is not complete
     E = etale_locale(SAB)

@@ -17,7 +17,11 @@ binary joins naming a reject's witness) and the frame operations read from
 those masks, with frame homs' joins read from the empty and binary ones;
 and the bit-row FinitePoset, monotone maps, left adjoints, frame loading
 and frame documents, and each posheaf order with verify_posheaf on it,
-against a relation kept as a set of pairs.
+against a relation kept as a set of pairs; and each law decided once
+against its readings decided apart: the internal subsheaf verdict read
+off POS2 and POS3, the one-loop forms of order-preserving maps and of the
+morphism order, and the restriction adjoints built with no monotonicity
+check.
 
 Verdicts, the Sub/Dow lists and generated subsheaves must agree on every
 element order of the frame; witnesses and sheaf certificate entries must
@@ -35,6 +39,7 @@ import oracles
 from posheaf.complete import (
     _finite_meets_gap,
     _lattice_gap,
+    _left_adjoint,
     _least_preimages,
     _restriction_gap,
     bounds,
@@ -74,8 +79,10 @@ from posheaf.orders import (
     down_closure,
     down_power_sheaf,
     enumerate_downsheaves,
+    morphism_leq,
     omega,
     power_sheaf,
+    verify_order_preserving,
     verify_posheaf,
 )
 from posheaf.report import Budget, BudgetMeter, MalformedInput, PosheafError, RepairFailed, ResourceLimit
@@ -314,13 +321,18 @@ def test_subsheaf_closure_matches_the_binary_cover_scan(corpus):
 
 
 def test_internal_subsheaf_reading_matches_the_binary_cover_scan(corpus):
-    # the germ reading on a pass, F's tables and POS3's failing masks on a
-    # reject: both subsheaf subreports must be the ones read from F×F over
-    # the binary covers
+    # ≤ is a subsheaf of F×F iff POS2 and POS3 hold: on the small
+    # posheaves, their opposites, their break-POS3 mutants and those
+    # mutants' opposites, the top order reversed (mostly not POS2), and a
+    # shuffle of each, the verdict decided apart at the germs is POS2 ∧
+    # POS3, both subsheaf subreports are the ones read from F×F over the
+    # binary covers, and the whole report is the pair-set reading's, whose
+    # internal verdict is the germ one
     rng = random.Random(19)
-    verdicts = set()
+    verdicts, laws = set(), []
     for name, F in _small_posheaves(corpus):
-        family = [F, F.opposite()]
+        top = F.frame.top
+        family = [F, F.opposite(), PoSheaf(F.sheaf, {**F.orders, top: [(y, x) for x, y in F.orders[top]]})]
         try:
             broken = mutate(F, "break-POS3")
             family += [broken, broken.opposite()]
@@ -328,11 +340,18 @@ def test_internal_subsheaf_reading_matches_the_binary_cover_scan(corpus):
             pass
         for H in family:
             for G in (H, _shuffled(H, rng)):
-                internal = _subreport(verify_posheaf(G), "posheaf.internal_poset")
+                report = verify_posheaf(G)
+                pos2, pos3 = (_subreport(report, f"posheaf.{law}").passed for law in ("POS2", "POS3"))
+                internal = _subreport(report, "posheaf.internal_poset")
+                assert oracles.order_closed_at_germs(G) == (pos2 and pos3) == internal.subreports[1].passed, name
                 expected = oracles.order_subsheaf_report(G)
                 assert [_report(r) for r in internal.subreports[:2]] == [_report(r) for r in expected], name
+                pair_sets = oracles.posheaf_report(oracles.PairSetPoSheaf(G.sheaf, G.orders))
+                assert report.to_json(include_timing=False) == pair_sets.to_json(include_timing=False), name
                 verdicts.add(internal.subreports[1].passed)
+                laws.append((pos2, pos3))
     assert verdicts == {True, False}
+    assert len(laws) >= 288 and laws.count((False, True)) + laws.count((False, False)) >= 29 and laws.count((True, False)) >= 29
 
 
 def _chain_4() -> FiniteFrame:
@@ -488,6 +507,83 @@ def test_point_rows_after_pos2_match_both_readings(corpus):
                 assert G.row(i) == sum(w.factoring << k for k, w in enumerate(readings)), (name, i)
                 compared += 1
     assert compared >= 500
+
+
+def _maps_between(corpus) -> list[tuple[str, SheafMorphism, PoSheaf, PoSheaf]]:
+    """(name, α, source, target): on each small posheaf and its opposite,
+    the identity into itself, into its opposite and into a break-POS3
+    mutant, the constant top map into Ω, and two generated endomorphisms,
+    the first also into the opposite."""
+    out = []
+    for i, (name, F) in enumerate(_small_posheaves(corpus)):
+        try:
+            mutant = mutate(F, "break-POS3")
+        except RepairFailed:
+            mutant = None
+        for H in (F, F.opposite()):
+            ident = SheafMorphism.identity(H.sheaf)
+            Om = omega(H.frame)
+            top = SheafMorphism(H.sheaf, Om.sheaf, {u: {x: u for x in H.carrier(u)} for u in H.frame.elements})
+            out += [(name, ident, H, H), (name, ident, H, H.opposite()), (name, top, H, Om)]
+            endos = [gen_endomorphism(H, GenConfig(seed=seed)) for seed in (i, i + 1000)]
+            out += [(name, endos[0], H, H.opposite())] + [(name, alpha, H, H) for alpha in endos]
+            if mutant is not None:
+                out.append((name, ident, H, mutant))
+    return out
+
+
+def test_order_preserving_forms_match_the_forms_decided_apart(corpus):
+    # monotonicity at each open and factoring through the order subsheaf
+    # are decided by one walk of the pairs; the report is the one whose
+    # three forms are each decided apart (MonotoneMap.verify, the order
+    # subsheaf of G×G, the point order pair by pair)
+    verdicts = []
+    for name, alpha, F, G in _maps_between(corpus):
+        report = verify_order_preserving(alpha, F, G)
+        assert report.to_json(include_timing=False) == oracles.order_preserving_forms(alpha, F, G).to_json(include_timing=False), name
+        verdicts.append(report.details.get("verdict", report.passed))
+    assert len(verdicts) >= 432 and verdicts.count(False) >= 136
+
+
+def test_morphism_order_forms_match_the_forms_decided_apart(corpus):
+    # the points, per-open and diagonal readings of α ≤ β are decided by
+    # one walk of the points; verdict and report are those of the forms
+    # decided apart, over every ordered pair of the endomorphisms of each
+    # small posheaf and its opposite
+    verdicts = []
+    for i, (name, F) in enumerate(_small_posheaves(corpus)):
+        for H in (F, F.opposite()):
+            endos = [SheafMorphism.identity(H.sheaf)] + [gen_endomorphism(H, GenConfig(seed=seed)) for seed in range(i, i + 4)]
+            for alpha, beta in itertools.product(endos, repeat=2):
+                verdict, report = morphism_leq(alpha, beta, H, H)
+                expected_verdict, expected = oracles.morphism_leq_forms(alpha, beta, H, H)
+                assert (verdict, report.to_json(include_timing=False)) == (expected_verdict, expected.to_json(include_timing=False)), name
+                verdicts.append(verdict)
+    assert len(verdicts) >= 1296 and verdicts.count(False) >= 100
+
+
+def test_restriction_left_adjoints_match_left_adjoint(corpus, diamond_over_chain):
+    # on a posheaf that passed verify_posheaf the table of least candidates
+    # is the left adjoint with no check of monotonicity or the adjunction:
+    # each restriction's entry, built at a lower cover or composed, is the
+    # table and report of frames.left_adjoint, which checks the restriction
+    # monotone first, on every verified posheaf of the corpus, the diamond
+    # over the 3-chain under every restriction, and their opposites
+    diamonds = [(images, diamond_over_chain(images)) for images in map("".join, itertools.product("st", repeat=4))]
+    found = []
+    for name, F in corpus + diamonds:
+        if not verify_posheaf(F).passed:
+            continue
+        for H in (F, F.opposite()):
+            for u in H.frame.elements:
+                for v in H.frame.down(u):
+                    if v == u:
+                        continue
+                    table, rep = _left_adjoint(H, u, v)
+                    g, expected = left_adjoint(MonotoneMap(H.poset(u), H.poset(v), H.sheaf.res[u, v]))
+                    assert (table, rep.to_json()) == (None if g is None else g.mapping, expected.to_json()), (name, u, v)
+                    found.append(rep.passed)
+    assert len(found) >= 436 and found.count(False) >= 20
 
 
 def test_omega_of_2_to_the_5_glues_on_its_canonical_covers(boolean_frame):
@@ -687,11 +783,31 @@ def _closed_family(rng: random.Random) -> list[int]:
         family |= more
 
 
+def _bounded_relations(rng: random.Random, count: int) -> list[tuple[list, list]]:
+    """(elements, pairs): a bottom below two or three elements, each of
+    those below some of two or three more, and those below a top, with the
+    elements in order or shuffled; often a poset with a bottom and a top
+    in which some pair has two minimal upper bounds."""
+    out = []
+    for case in range(count):
+        lows = [f"l{i}" for i in range(rng.randint(2, 3))]
+        highs = [f"h{i}" for i in range(rng.randint(2, 3))]
+        pairs = [("0", x) for x in lows] + [(y, "1") for y in highs]
+        pairs += [(x, y) for x in lows for y in highs if rng.random() < 0.7]
+        elements = ["0", *lows, *highs, "1"]
+        if case % 2:
+            rng.shuffle(elements)
+        out.append((elements, pairs))
+    return out
+
+
 def test_frame_loading_matches_the_set_based_closure(boolean_frame):
     # close_and_verify_frame's report and dump_frame_doc's document on
     # every fixture frame, generated frame and break-distributivity mutant
-    # (the relations tests/test_generate.py loads), N5, M3 and seeded
-    # relations agree with the definitions on the set-based closure; and
+    # (the relations tests/test_generate.py loads), N5, M3, seeded
+    # relations and bounded posets that are not lattices agree with the
+    # definitions on the set-based closure, whose lattice law scans every
+    # ordered pair; and
     # frame_of_sets, on closed and open families with repeats, has the
     # inclusion pairs and first gap of the pair scan
     rng = random.Random(73)
@@ -706,16 +822,19 @@ def test_frame_loading_matches_the_set_based_closure(boolean_frame):
         for elements, pairs, _ in _seeded_relations(rng, 200)
         if elements and len(set(elements)) == len(elements) and all("zz" not in p for p in pairs)
     ]
-    names = set()
+    relations += _bounded_relations(rng, 220)
+    names, lattice_pairs = set(), 0
     for elements, pairs in relations:
         _, rep = close_and_verify_frame(elements, pairs)
         assert _report(rep) == _report(oracles.frame_laws(oracles.set_frame(elements, pairs))), (elements, pairs)
         names.add(rep.name)
+        lattice_pairs += rep.name == "frame.lattice" and "pair" in rep.witness
         closure = oracles.SetPoset(elements, pairs)
         expected = {"elements": elements, "leq": [[x, y] for x in elements for y in closure.sorted(closure.up(x)) if x != y]}
         doc = jsonio.dump_frame_doc(FiniteFrame.from_relation(elements, pairs))
         assert json.dumps(doc) == json.dumps(expected)
     assert names == {"frame", "frame.poset", "frame.lattice", "frame.distributive"}
+    assert lattice_pairs >= 91
     gaps = set()
     for case in range(300):
         sets = _closed_family(rng) if case % 2 else [rng.randrange(16) for _ in range(rng.randint(1, 7))]
