@@ -32,6 +32,19 @@ def _bits(row: int):
         row ^= low
 
 
+def close_rows(rows: list) -> list:
+    """Close bit rows transitively, in place, and return them: Warshall's
+    pass, where step k joins row k into every row that holds bit k. Row i
+    then holds bit m iff m is reachable from i through the bits of the
+    rows."""
+    for k, row_k in enumerate(rows):
+        bit = 1 << k
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | row_k
+    return rows
+
+
 def _least(mask: int, ups: list, downs: list, first: int) -> int | None:
     """FinitePoset.least_index on the rows given, trying position first."""
     if mask and not mask & ~ups[first] and mask & downs[first] == 1 << first:
@@ -71,22 +84,20 @@ class FinitePoset:
             ups[i] |= 1 << k
             downs[k] |= 1 << i
         if not closed:
-            # Warshall over the rows: step k joins everything that reaches k
-            # to everything k reaches, in both kinds of row
-            n = len(elements)
-            for k in range(n):
-                bit, up_k, down_k = 1 << k, ups[k], downs[k]
-                for i in range(n):
-                    if ups[i] & bit:
-                        ups[i] |= up_k
-                    if downs[i] & bit:
-                        downs[i] |= down_k
+            close_rows(ups)
+            close_rows(downs)
         self.elements, self.index, self.up_rows, self.down_rows = elements, index, ups, downs
 
     @classmethod
-    def from_rows(cls, elements: Sequence[Hashable], ups: list, downs: list) -> "FinitePoset":
+    def from_rows(cls, elements: Sequence[Hashable], ups: list, downs: list | None = None) -> "FinitePoset":
         """The relation whose rows are given, as they are: each up_rows[i]
-        must hold bit i, and downs must be the transpose of ups."""
+        must hold bit i, and downs, when given, must be the transpose of
+        ups; by default it is built as that transpose."""
+        if downs is None:
+            downs = [0] * len(ups)
+            for i, row in enumerate(ups):
+                for k in _bits(row):
+                    downs[k] |= 1 << i
         poset = cls(elements, (), closed=True)
         poset.up_rows, poset.down_rows = ups, downs
         return poset

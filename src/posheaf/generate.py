@@ -8,7 +8,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .frames import FiniteFrame, FinitePoset
+from .frames import FiniteFrame, FinitePoset, close_rows
 from .orders import PoSheaf, omega, verify_posheaf
 from .report import MalformedInput, RepairFailed
 from .sheaves import Presheaf, SheafMorphism, verify_morphism, verify_sheaf
@@ -42,27 +42,19 @@ def gen_frame(cfg: GenConfig) -> FiniteFrame:
     for _ in range(300):
         k = rng.randint(0, 3)
         rel = [(i, j) for i in range(k) for j in range(k) if i != j and rng.random() < 0.4]
-        # force a partial order by keeping only i<j edges, then closing
-        rel = [(i, j) for (i, j) in rel if i < j]
-        below = {j: {j} for j in range(k)}
-        changed = True
-        while changed:
-            changed = False
-            for i, j in rel:
-                add = below[i] | {i}
-                if not add <= below[j]:
-                    below[j] |= add
-                    changed = True
-        downsets = []
-        for mask in range(1 << k):
-            members = {i for i in range(k) if mask >> i & 1}
-            if all(below[j] - {j} <= members for j in members):
-                downsets.append(frozenset(members))
+        # force a partial order by keeping only i<j edges, then closing the
+        # down rows: bit i of below[j] says i ≤ j
+        below = [1 << j for j in range(k)]
+        for i, j in rel:
+            if i < j:
+                below[j] |= 1 << i
+        close_rows(below)
+        downsets = [mask for mask in range(1 << k) if all(below[j] & ~mask == 0 for j in range(k) if mask >> j & 1)]
         if not 1 <= len(downsets) <= cfg.max_opens:
             continue
-        downsets.sort(key=lambda d: (len(d), sorted(d)))
+        downsets.sort(key=lambda d: (d.bit_count(), [j for j in range(k) if d >> j & 1]))
         names = {d: f"o{i}" for i, d in enumerate(downsets)}
-        pairs = [(names[a], names[b]) for a in downsets for b in downsets if a <= b]
+        pairs = [(names[a], names[b]) for a in downsets for b in downsets if a & ~b == 0]
         return FiniteFrame(FinitePoset([names[d] for d in downsets], pairs, closed=True))
     raise RepairFailed(f"no frame of at most {cfg.max_opens} opens found for seed {cfg.seed}")
 
@@ -167,40 +159,111 @@ def gen_sheaf(X: FiniteFrame, cfg: GenConfig) -> Presheaf:
 
 
 def _order_closure(F: Presheaf, orders: dict) -> dict:
-    """Transitive closure per open, then push down restrictions and pull up
-    patched pairs, to fixpoint."""
-    frame = F.frame
-    rel = {u: set(orders.get(u, ())) | {(x, x) for x in F.carriers[u]} for u in frame.elements}
-    changed = True
-    while changed:
-        changed = False
-        for u in frame.elements:
-            for (x, y) in list(rel[u]):
-                for (y2, z) in list(rel[u]):
-                    if y2 == y and (x, z) not in rel[u]:
-                        rel[u].add((x, z))
-                        changed = True
-        for u in frame.elements:
-            for v in frame.down(u):
-                if v == u:
-                    continue
-                for (x, y) in list(rel[u]):
-                    pair = (F.restrict(u, x, v), F.restrict(u, y, v))
-                    if pair not in rel[v]:
-                        rel[v].add(pair)
-                        changed = True
-        # some cover of u has every restriction of (s, t) related iff the
-        # opens where it is related join to u
-        for u in frame.elements:
-            for s in F.carriers[u]:
-                for t in F.carriers[u]:
-                    if (s, t) in rel[u]:
-                        continue
-                    related = (v for v in frame.down(u) if (F.restrict(u, s, v), F.restrict(u, t, v)) in rel[v])
-                    if frame.join_all(related) == u:
-                        rel[u].add((s, t))
-                        changed = True
-    return rel
+    """The closure's pairs at each open (_order_posets), as a pair set."""
+    return {u: set(poset.pairs()) for u, poset in _order_posets(F, orders).items()}
+
+
+def _order_posets(F: Presheaf, orders: dict) -> dict:
+    """The least relation holding the sampled pairs that is reflexive,
+    transitive, closed under restriction and under patching over every
+    cover, as one FinitePoset per open over its carrier. It is the least
+    fixpoint, on up rows (bit k of the row of s at u: s ≤ carriers[u][k]),
+    of three rules: transitivity (close_rows); push-down, where the image
+    under res[u, v] of the row of x joins the row of x|_v, at every v < u;
+    and pull-up at the opens u outside J, where the row of s gains the AND
+    over j in J↓u of the preimage under res[u, j] of the row of s|_j (at ⊥,
+    where J↓⊥ is empty, the full carrier mask).
+
+    On a presheaf over a frame (restriction composes; gen_sheaf verifies
+    its sheaf) the two least fixpoints are equal. Each rule here is an
+    instance of a rule there, as J↓u covers u. Conversely, at a fixpoint of
+    these rules the opens v ≤ u with s|_v ≤ t|_v form a down-set D: push-down
+    from v gives (s|_v)|_w ≤ (t|_v)|_w, which is s|_w ≤ t|_w, at each w ≤ v.
+    If D joins to u, each j in J↓u is join-prime, so it lies below a member
+    of D and is in D; so s ≤ t at u by pull-up if u is outside J, and since
+    u is in D if u is in J. So the fixpoint is closed under patching over
+    every cover."""
+    frame, carriers = F.frame, F.carriers
+    at = {u: {x: k for k, x in enumerate(carriers[u])} for u in frame.elements}
+    rows = {u: [1 << k for k in range(len(carriers[u]))] for u in frame.elements}
+    for u in frame.elements:
+        for x, y in orders.get(u, ()):
+            rows[u][at[u][x]] |= 1 << at[u][y]
+    # top down, so that the rows above u are final for a sweep once u is
+    # reached: one sweep closes under transitivity and push-down
+    opens = sorted(frame.elements, key=lambda u: -len(frame.down(u)))
+    irreducible = set(frame.join_irreducibles())
+    # pushes[u] holds, for each v < u, the rows at v, the position at v of
+    # each x|_v, and bit of x -> bit of x|_v. pulls holds, for each u outside
+    # J, the rows at u, for each j in J↓u the rows at j, the positions and
+    # bit of a section at j -> mask of its preimage, and the full mask
+    pushes, pulls = {}, []
+    for u in opens:
+        pushes[u], sources = [], []
+        for v in frame.down(u):
+            if v == u:
+                continue
+            res, pos = F.res[u, v], at[v]
+            down = [pos[res[x]] for x in carriers[u]]
+            pushes[u].append((rows[v], down, {1 << k: 1 << b for k, b in enumerate(down)}))
+            if v in irreducible:
+                pre = dict.fromkeys((1 << b for b in range(len(carriers[v]))), 0)
+                for k, b in enumerate(down):
+                    pre[1 << b] |= 1 << k
+                sources.append((rows[v], down, pre))
+        if u not in irreducible:
+            pulls.append((rows[u], sources, (1 << len(carriers[u])) - 1))
+    while True:
+        for u in opens:
+            row = close_rows(rows[u])
+            for a, r in enumerate(row):
+                r &= ~(1 << a)
+                if r:
+                    for target, down, image in pushes[u]:
+                        target[down[a]] |= _lift(r, image)
+        # the pull-up reads only rows at J, and leaves them as they are
+        grew = False
+        for row, sources, full in pulls:
+            for s, r in enumerate(row):
+                gained = full & ~r
+                for source, down, pre in sources:
+                    if not gained:
+                        break
+                    gained &= _lift(source[down[s]], pre)
+                if gained:
+                    row[s] = r | gained
+                    grew = True
+        if not grew:
+            return {u: FinitePoset.from_rows(carriers[u], rows[u]) for u in frame.elements}
+
+
+def _lift(row: int, table: dict) -> int:
+    """The OR of table[bit] over the set bits of row."""
+    out = 0
+    while row:
+        low = row & -row
+        out |= table[low]
+        row ^= low
+    return out
+
+
+def _sampled_orders(sheaf: Presheaf, cfg: GenConfig, attempt: int) -> dict:
+    """The order pairs gen_posheaf draws at one attempt: each pair in a
+    random ranking of each carrier, with density 0.35·0.7^attempt."""
+    rng = cfg.rng(f"orders:{attempt}")
+    density = 0.35 * (0.7 ** attempt)
+    sampled = {}
+    for u in sheaf.frame.elements:
+        ranked = list(sheaf.carriers[u])
+        rng.shuffle(ranked)
+        rank = {x: i for i, x in enumerate(ranked)}
+        sampled[u] = [
+            (x, y)
+            for x in sheaf.carriers[u]
+            for y in sheaf.carriers[u]
+            if x != y and rank[x] < rank[y] and rng.random() < density
+        ]
+    return sampled
 
 
 def gen_posheaf(X: FiniteFrame, cfg: GenConfig) -> PoSheaf:
@@ -208,27 +271,11 @@ def gen_posheaf(X: FiniteFrame, cfg: GenConfig) -> PoSheaf:
     deterministic resampling when antisymmetry cannot be repaired."""
     sheaf = gen_sheaf(X, cfg)
     for attempt in range(30):
-        rng = cfg.rng(f"orders:{attempt}")
-        density = 0.35 * (0.7 ** attempt)
-        sampled = {}
-        for u in X.elements:
-            ranked = list(sheaf.carriers[u])
-            rng.shuffle(ranked)
-            rank = {x: i for i, x in enumerate(ranked)}
-            sampled[u] = [
-                (x, y)
-                for x in sheaf.carriers[u]
-                for y in sheaf.carriers[u]
-                if x != y and rank[x] < rank[y] and rng.random() < density
-            ]
-        rel = _order_closure(sheaf, sampled)
-        if any(
-            x != y and (x, y) in rel[u] and (y, x) in rel[u]
-            for u in X.elements
-            for (x, y) in rel[u]
-        ):
+        posets = _order_posets(sheaf, _sampled_orders(sheaf, cfg, attempt))
+        # the closure is transitive, so a broken law is a cycle: ↑x ∩ ↓x ≠ {x}
+        if any(poset.broken_laws for poset in posets.values()):
             continue
-        F = PoSheaf(sheaf, {u: sorted(rel[u]) for u in X.elements})
+        F = PoSheaf(sheaf, posets)
         report = verify_posheaf(F)
         if report.passed:
             return F

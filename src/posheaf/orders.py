@@ -40,10 +40,11 @@ class PoSheaf:
     """A sheaf plus one partial-order relation per open, kept as one
     FinitePoset per open over the carrier (poset(u)), closed reflexively on
     construction; POS1-POS3 are verified properties (verify_posheaf), not
-    construction invariants. The completeness facts about a posheaf are
-    computed once and kept on it: the is_complete and is_frame_sheaf
-    results, the left adjoint of each restriction, the point order as bitset
-    rows, and the opposite.
+    construction invariants. orders maps an open to its order pairs, or to
+    a FinitePoset over its carrier, which is kept as it is. The
+    completeness facts about a posheaf are computed once and kept on it:
+    the is_complete and is_frame_sheaf results, the left adjoint of each
+    restriction, the point order as bitset rows, and the opposite.
     """
 
     def __init__(self, sheaf: Presheaf, orders: dict):
@@ -52,6 +53,9 @@ class PoSheaf:
         self._posets = {}
         for u in self.frame.elements:
             carrier, pairs = sheaf.carrier_sets[u], orders.get(u, ())
+            if isinstance(pairs, FinitePoset):
+                self._posets[u] = pairs
+                continue
             for x, y in pairs:
                 if x not in carrier or y not in carrier:
                     raise MalformedInput(f"order pair at {u!r} outside the carrier: {(x, y)!r}")

@@ -70,7 +70,7 @@ from posheaf.frames import (
     preserves_all_meets,
     verify_frame_hom,
 )
-from posheaf.generate import GenConfig, _order_closure, gen_endomorphism, gen_frame, gen_posheaf, gen_sheaf, mutate
+from posheaf.generate import GenConfig, _order_closure, _sampled_orders, gen_endomorphism, gen_frame, gen_posheaf, gen_sheaf, mutate
 from posheaf import jsonio
 from posheaf.locale_equiv import LocaleOverX, _point_map, _point_sections, cross_sections, etale_locale, is_local_homeomorphism, unit
 from posheaf.orders import (
@@ -883,6 +883,27 @@ def test_order_closure_matches_the_exhaustive_pull_up(corpus):
             for u in F.frame.elements
         }
         assert _order_closure(F.sheaf, sampled) == oracles.order_closure(F.sheaf, sampled), name
+
+
+def test_order_closure_matches_on_every_attempt_of_the_generator():
+    # the sampled orders gen_posheaf draws, attempt by attempt up to the one
+    # it keeps, rejected ones with cycles among them
+    cyclic = 0
+    for opens, carrier in ((6, 3), (4, 2), (8, 4)):
+        for seed in range(40):
+            cfg = GenConfig(seed=seed, max_opens=opens, max_carrier=carrier)
+            X = gen_frame(cfg)
+            sheaf, kept = gen_sheaf(X, cfg), gen_posheaf(X, cfg).orders
+            for attempt in range(30):
+                sampled = _sampled_orders(sheaf, cfg, attempt)
+                closure = _order_closure(sheaf, sampled)
+                assert closure == oracles.order_closure(sheaf, sampled), (cfg, attempt)
+                if closure == kept:
+                    break
+                cyclic += any(x != y and (y, x) in pairs for pairs in closure.values() for x, y in pairs)
+            else:
+                raise AssertionError(f"no attempt gives the kept orders: {cfg}")
+    assert cyclic > 0
 
 
 def test_heyting_equals_the_greatest_candidate():
