@@ -48,7 +48,6 @@ from .orders import (
     is_downsheaf,
     morphism_leq,
     omega,
-    point_leq_bool,
     power_inclusion,
     power_sheaf,
     principal,

@@ -393,7 +393,7 @@ def _member_gap(F: PoSheaf, germs: list):
     frame, P = F.frame, F.sheaf
     J = frame.canonical_cover(frame.top)
     at_j = [J.index(j) for j, _ in germs]
-    rows = [F.point_row(g) for g in germs]
+    rows = [F.row(F.point_index()[g]) for g in germs]
     opens = [(u, F.points_over(u), [J.index(j) for j in frame.canonical_cover(u)]) for u in frame.elements]
     every = (1 << len(F.points())) - 1
     least = cache(lambda over: _point_minimum(F, over)[0])

@@ -45,6 +45,16 @@ def close_rows(rows: list) -> list:
     return rows
 
 
+def _lift(row: int, table: dict) -> int:
+    """The OR of table[bit] over the set bits of row."""
+    out = 0
+    while row:
+        low = row & -row
+        out |= table[low]
+        row ^= low
+    return out
+
+
 def _least(mask: int, ups: list, downs: list, first: int) -> int | None:
     """FinitePoset.least_index on the rows given, trying position first."""
     if mask and not mask & ~ups[first] and mask & downs[first] == 1 << first:

@@ -8,8 +8,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .frames import FiniteFrame, FinitePoset, close_rows
-from .orders import PoSheaf, omega, verify_posheaf
+from .frames import FiniteFrame, FinitePoset, _lift, close_rows
+from .orders import PoSheaf, omega, pull_up, pull_up_sources, verify_posheaf
 from .report import MalformedInput, RepairFailed
 from .sheaves import Presheaf, SheafMorphism, verify_morphism, verify_sheaf
 
@@ -137,6 +137,10 @@ def gen_sheaf(X: FiniteFrame, cfg: GenConfig) -> Presheaf:
         if largest is None:
             break
         stalks[largest] = stalks[largest][:-1]
+        # drop the germs built on the dropped one, lowest first, so that
+        # every family restricts to a family
+        for j in J:
+            stalks[j] = [g for g in stalks[j] if all(tuple(kv for kv in g if X.leq(kv[0], i)) in stalks[i] for i in J if X.poset.lt(i, j))]
         raw_carriers = {u: families(u) for u in X.elements}
     labels = {u: {fam: f"e{i}" for i, fam in enumerate(raw_carriers[u])} for u in X.elements}
     carriers = {u: tuple(labels[u][fam] for fam in raw_carriers[u]) for u in X.elements}
@@ -158,11 +162,6 @@ def gen_sheaf(X: FiniteFrame, cfg: GenConfig) -> Presheaf:
     return sheaf
 
 
-def _order_closure(F: Presheaf, orders: dict) -> dict:
-    """The closure's pairs at each open (_order_posets), as a pair set."""
-    return {u: set(poset.pairs()) for u, poset in _order_posets(F, orders).items()}
-
-
 def _order_posets(F: Presheaf, orders: dict) -> dict:
     """The least relation holding the sampled pairs that is reflexive,
     transitive, closed under restriction and under patching over every
@@ -171,8 +170,8 @@ def _order_posets(F: Presheaf, orders: dict) -> dict:
     of three rules: transitivity (close_rows); push-down, where the image
     under res[u, v] of the row of x joins the row of x|_v, at every v < u;
     and pull-up at the opens u outside J, where the row of s gains the AND
-    over j in J↓u of the preimage under res[u, j] of the row of s|_j (at ⊥,
-    where J↓⊥ is empty, the full carrier mask).
+    over j in J↓u of the preimage under res[u, j] of the row of s|_j
+    (orders.pull_up; at ⊥, where J↓⊥ is empty, the full carrier mask).
 
     On a presheaf over a frame (restriction composes; gen_sheaf verifies
     its sheaf) the two least fixpoints are equal. Each rule here is an
@@ -194,25 +193,15 @@ def _order_posets(F: Presheaf, orders: dict) -> dict:
     opens = sorted(frame.elements, key=lambda u: -len(frame.down(u)))
     irreducible = set(frame.join_irreducibles())
     # pushes[u] holds, for each v < u, the rows at v, the position at v of
-    # each x|_v, and bit of x -> bit of x|_v. pulls holds, for each u outside
-    # J, the rows at u, for each j in J↓u the rows at j, the positions and
-    # bit of a section at j -> mask of its preimage, and the full mask
-    pushes, pulls = {}, []
+    # each x|_v, and bit of x -> bit of x|_v; pulls, for each u outside J,
+    # the rows at u, pull-up's tables at u (pull_up_sources) and the full mask
+    pushes = {u: [] for u in opens}
     for u in opens:
-        pushes[u], sources = [], []
         for v in frame.down(u):
-            if v == u:
-                continue
-            res, pos = F.res[u, v], at[v]
-            down = [pos[res[x]] for x in carriers[u]]
-            pushes[u].append((rows[v], down, {1 << k: 1 << b for k, b in enumerate(down)}))
-            if v in irreducible:
-                pre = dict.fromkeys((1 << b for b in range(len(carriers[v]))), 0)
-                for k, b in enumerate(down):
-                    pre[1 << b] |= 1 << k
-                sources.append((rows[v], down, pre))
-        if u not in irreducible:
-            pulls.append((rows[u], sources, (1 << len(carriers[u])) - 1))
+            if v != u:
+                down = [at[v][F.res[u, v][x]] for x in carriers[u]]
+                pushes[u].append((rows[v], down, {1 << k: 1 << b for k, b in enumerate(down)}))
+    pulls = [(rows[u], pull_up_sources(F, u, rows, at), (1 << len(carriers[u])) - 1) for u in opens if u not in irreducible]
     while True:
         for u in opens:
             row = close_rows(rows[u])
@@ -225,26 +214,12 @@ def _order_posets(F: Presheaf, orders: dict) -> dict:
         grew = False
         for row, sources, full in pulls:
             for s, r in enumerate(row):
-                gained = full & ~r
-                for source, down, pre in sources:
-                    if not gained:
-                        break
-                    gained &= _lift(source[down[s]], pre)
+                gained = pull_up(full & ~r, s, sources)
                 if gained:
                     row[s] = r | gained
                     grew = True
         if not grew:
             return {u: FinitePoset.from_rows(carriers[u], rows[u]) for u in frame.elements}
-
-
-def _lift(row: int, table: dict) -> int:
-    """The OR of table[bit] over the set bits of row."""
-    out = 0
-    while row:
-        low = row & -row
-        out |= table[low]
-        row ^= low
-    return out
 
 
 def _sampled_orders(sheaf: Presheaf, cfg: GenConfig, attempt: int) -> dict:

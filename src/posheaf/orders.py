@@ -14,7 +14,7 @@ Galois forms, are reconciled, and a disagreement is itself a failure. The
 exhaustive readings are kept as test oracles."""
 from __future__ import annotations
 
-from .frames import FiniteFrame, FinitePoset, MonotoneMap, _bits, galois_check
+from .frames import FiniteFrame, FinitePoset, MonotoneMap, _bits, _lift, galois_check
 from .report import (
     Budget,
     BudgetMeter,
@@ -156,10 +156,6 @@ class PoSheaf:
             rows[i] = row
         return row
 
-    def point_row(self, p: Point) -> int:
-        """row() of a point."""
-        return self.row(self.point_index()[p])
-
 
 def discrete(sheaf: Presheaf) -> PoSheaf:
     return PoSheaf(sheaf, {})
@@ -170,18 +166,19 @@ def verify_posheaf(F: PoSheaf) -> CheckReport:
     relation must be a subsheaf of F×F satisfying internal reflexivity,
     antisymmetry, and transitivity. Each law is decided once and both
     readings report it. POS2 is decided along the lower covers (_pos2) and
-    POS3 over the empty and binary covers (_patching_gap); ≤ is a subsheaf
-    of F×F iff POS2 and POS3 hold (_internal_subsheaf), and a reject reads
-    its witness from F's tables and POS3's failing masks, so no path builds
-    F×F. POS1 and the internal antisymmetry and transitivity are one row
-    test per open (FinitePoset.broken_laws on F.poset(u)): POS1 at u says
-    ≤_u is reflexive, antisymmetric and transitive, which is what the
-    internal reading says of ≤ at u, and ≤_u is reflexive by construction,
-    since every row holds its own bit. A reject names the first pair or
-    chain in sorted_pairs order (FinitePoset.first_cycle and first_chain).
-    So the two readings agree by proof, and posheaf.agreement holds on
-    every report; the test oracle decides the subsheaf law on F×F itself.
-    Computed once per posheaf (report.once)."""
+    POS3 by pull-up at J↓u (pull_up, the order repair's kernel), whose
+    flagged pairs alone are scanned over the binary covers (_patching_gap);
+    ≤ is a subsheaf of F×F iff POS2 and POS3 hold (_internal_subsheaf), and
+    a reject reads its witness from F's tables and POS3's failing masks, so
+    no path builds F×F. POS1 and the internal antisymmetry and transitivity
+    are one row test per open (FinitePoset.broken_laws on F.poset(u)): POS1
+    at u says ≤_u is reflexive, antisymmetric and transitive, which is what
+    the internal reading says of ≤ at u, and ≤_u is reflexive by
+    construction, since every row holds its own bit. A reject names the
+    first pair or chain in sorted_pairs order (FinitePoset.first_cycle and
+    first_chain). So the two readings agree by proof, and posheaf.agreement
+    holds on every report; the test oracle decides the subsheaf law on F×F
+    itself. Computed once per posheaf (report.once)."""
     return once(F, "_posheaf_report", None, lambda _: _verify_posheaf_fresh(F))
 
 
@@ -210,7 +207,7 @@ def _verify_posheaf_fresh(F: PoSheaf) -> CheckReport:
     pos2 = _pos2(F)
     subs.append(pos2)
 
-    gap = _patching_gap(F)
+    gap = _patching_gap(F, pos2.passed)
     pos3 = _pos3(F, gap)
     subs.append(pos3)
 
@@ -266,34 +263,74 @@ def _pos2(F: PoSheaf) -> CheckReport:
     return CheckReport.fail("posheaf.POS2", {"square": [u, v], "pair": [F.label(u, x) for x in pair]})
 
 
-def _patching_gap(F: PoSheaf) -> tuple | None:
+def pull_up_sources(P: Presheaf, u, rows: dict, index: dict) -> list:
+    """pull_up's tables at an open u outside J: for each j in J↓u
+    (FiniteFrame.canonical_cover), rows[j] as it is (a caller may grow it),
+    index[j] of x|_j for each x in P(u), and bit -> preimage mask at j."""
+    sources = []
+    for j in P.frame.canonical_cover(u):
+        res, pos = P.res[u, j], index[j]
+        down = [pos[res[x]] for x in P.carriers[u]]
+        pre = dict.fromkeys((1 << b for b in range(len(rows[j]))), 0)
+        for k, b in enumerate(down):
+            pre[1 << b] |= 1 << k
+        sources.append((rows[j], down, pre))
+    return sources
+
+
+def pull_up(gained: int, a: int, sources: list) -> int:
+    """The t in the mask gained with x|_j ≤_j t|_j at every j in J↓u, x the
+    a-th section of P(u) (at ⊥, gained): the one reading of POS3 at J↓u,
+    whose pairs the order repair adds and _patching_gap scans."""
+    for rows, down, pre in sources:
+        if not gained:
+            break
+        gained &= _lift(rows[down[a]], pre)
+    return gained
+
+
+def _patching_gap(F: PoSheaf, pos2: bool) -> tuple | None:
     """The first empty or binary cover of an open u, in order, that patches
     some pair s ≰_u t, as (u, cover, outside, failing), or None. POS3 over
     every cover follows by induction on the cover size, and a cover holding
-    u itself repeats the premise s ≤ t at u and cannot fail. The pairs
-    s ≰_u t of F(u), s-major in carrier order, are ``outside`` and the bits
-    of a mask, the first pair the highest bit; below[v] holds those with
-    s|_v ≤_v t|_v, so ``failing``, the pairs the cover patches wrongly, is
-    the AND of its members' masks."""
-    P = F.sheaf
-    for u in F.frame.elements:
-        carrier, ups = P.carriers[u], F.poset(u).up_rows
-        outside = [(s, t) for s, row in zip(carrier, ups) for k, t in enumerate(carrier) if not row >> k & 1]
-        if not outside:
+    u repeats the premise at u and cannot fail. The scanned pairs s ≰_u t,
+    s-major in carrier order, are ``outside`` and the bits of a mask, the
+    first pair the highest bit; below[v] holds those with s|_v ≤_v t|_v, so
+    ``failing``, the pairs the cover patches wrongly, is the AND of its
+    members' masks.
+
+    Without POS2 every pair s ≰_u t is scanned. Under POS2 only the pairs
+    pull_up flags at the opens outside J are, which is exact: a
+    join-irreducible u has no cover without u, and if a cover C of u patches
+    s ≰_u t, each j in J↓u is join-prime, so j ≤ c for some c in C, where
+    POS2 takes s|_c ≤ t|_c to s|_j ≤ t|_j: the pair is flagged. So every
+    pair a cover patches wrongly is scanned, in the same order, and the
+    first failing cover, its first pair (_pos3) and its least-key pair
+    (_internal_subsheaf) are the full scan's. A flagged pair fails POS3 over
+    J↓u, a cover of u, so where POS3 holds no cover is scanned."""
+    P, frame = F.sheaf, F.frame
+    rows, index = {v: F.poset(v).up_rows for v in frame.elements}, {v: F.poset(v).index for v in frame.elements}
+    irreducible = set(frame.join_irreducibles()) if pos2 else ()
+    for u in frame.elements:
+        if u in irreducible:
+            continue
+        carrier, full = P.carriers[u], (1 << len(P.carriers[u])) - 1
+        sources = pull_up_sources(P, u, rows, index) if pos2 else []
+        pairs = [(a, k) for a, row in enumerate(rows[u]) for k in _bits(pull_up(full & ~row, a, sources))]
+        if not pairs:
             continue
         below = {}
-        for cover in F.frame.binary_covers(u):
+        for cover in frame.binary_covers(u):
             if u in cover:
                 continue
-            failing = (1 << len(outside)) - 1
+            failing = (1 << len(pairs)) - 1
             for v in cover:
                 if v not in below:
-                    res, at = P.res[u, v], F.poset(v)
-                    index, ups = at.index, at.up_rows
-                    below[v] = int("0" + "".join("1" if ups[index[res[s]]] >> index[res[t]] & 1 else "0" for s, t in outside), 2)
+                    row, down = rows[v], [index[v][P.res[u, v][x]] for x in carrier]
+                    below[v] = sum(1 << n for n, (a, k) in enumerate(reversed(pairs)) if row[down[a]] >> down[k] & 1)
                 failing &= below[v]
             if failing:
-                return u, cover, outside, failing
+                return u, cover, [(carrier[a], carrier[k]) for a, k in pairs], failing
     return None
 
 
@@ -370,12 +407,6 @@ def _internal_subsheaf(F: PoSheaf, pos2: bool, gap: tuple | None) -> list[CheckR
     return [ok[0], CheckReport("internal.subsheaf_amalgamation", False, witness=witness)]
 
 
-def point_leq_bool(F: PoSheaf, p: Point, q: Point) -> bool:
-    """p ≤ q in the point order: one bit of F's rows (PoSheaf.row)."""
-    index = F.point_index()
-    return bool(F.row(index[p]) >> index[q] & 1)
-
-
 def _three_way(name: str, forms: list[tuple[str, bool, object]]) -> CheckReport:
     """Combine independently computed forms; passed iff all hold, and the
     report fails loudly if the forms disagree."""
@@ -408,24 +439,20 @@ def verify_order_preserving(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> Che
     # pair read from G's rows
     pts = F.points()
     image = [G.point_index()[alpha.on_point(p)] for p in pts]
-    point_ok, point_wit = True, None
-    for i, p in enumerate(pts):
-        above = G.row(image[i])
-        k = next((k for k in _bits(F.row(i)) if not above >> image[k] & 1), None)
-        if k is not None:
-            point_ok, point_wit = False, {"points": [list(p), list(pts[k])]}
-            break
+    point_wit = next(
+        ({"points": [list(p), list(pts[k])]} for i, p in enumerate(pts) for k in _bits(F.row(i)) if not G.row(image[i]) >> image[k] & 1),
+        None,
+    )
 
+    found = next(((u, [x, y]) for u in F.frame.elements for x, y in F.sorted_pairs(u) if not G.leq(u, alpha(u, x), alpha(u, y))), None)
     open_wit = fact_wit = None
-    for u in F.frame.elements:
-        pair = next(((x, y) for x, y in F.sorted_pairs(u) if not G.leq(u, alpha(u, x), alpha(u, y))), None)
-        if pair is not None:
-            open_wit, fact_wit = {"open": u, "pair": list(pair)}, {"open": u, "pair": [F.label(u, x) for x in pair]}
-            break
+    if found is not None:
+        u, pair = found
+        open_wit, fact_wit = {"open": u, "pair": pair}, {"open": u, "pair": [F.label(u, x) for x in pair]}
 
     return _three_way(
         "order_preserving",
-        [("points", point_ok, point_wit), ("per_open", open_wit is None, open_wit), ("factoring", fact_wit is None, fact_wit)],
+        [("points", point_wit is None, point_wit), ("per_open", open_wit is None, open_wit), ("factoring", fact_wit is None, fact_wit)],
     )
 
 
@@ -481,17 +508,13 @@ def classifier(G: SubSheaf, F: PoSheaf, Om: PoSheaf | None = None) -> tuple[Shea
     }
     phi = SheafMorphism(F.sheaf, Om.sheaf, maps)
     nat = verify_morphism(phi)
-    classify_ok, wit = True, None
-    for u in frame.elements:
-        members = {x for x in F.sheaf.carriers[u] if phi(u, x) == u}
-        if members != set(G.part(u)):
-            classify_ok = False
-            wit = {"open": u, "classified": sorted(F.label(u, x) for x in members), "part": sorted(F.label(u, x) for x in G.part(u))}
-            break
-    report = CheckReport.combine(
-        "classifier",
-        [nat, CheckReport("classifier.pullback", classify_ok, witness=wit)],
+    classified = ((u, {x for x in F.sheaf.carriers[u] if phi(u, x) == u}) for u in frame.elements)
+    wit = next(
+        ({"open": u, "classified": sorted(F.label(u, x) for x in members), "part": sorted(F.label(u, x) for x in G.part(u))}
+         for u, members in classified if members != set(G.part(u))),
+        None,
     )
+    report = CheckReport.combine("classifier", [nat, CheckReport("classifier.pullback", wit is None, witness=wit)])
     return phi, report
 
 
@@ -506,39 +529,31 @@ def is_downsheaf(G: SubSheaf, F: PoSheaf) -> CheckReport:
     # a point outside G whose row meets G's points lies below a member
     pts, index = F.points(), F.point_index()
     members = sum(1 << index[p] for p in G.points())
-    point_ok, point_wit = True, None
-    for i, p in enumerate(pts):
-        above = F.row(i) & members
-        if above and not members >> i & 1:
-            point_ok, point_wit = False, {"below": list(p), "member": list(pts[(above & -above).bit_length() - 1])}
-            break
+    point_wit = next(
+        ({"below": list(p), "member": list(pts[next(_bits(F.row(i) & members))])}
+         for i, p in enumerate(pts) if F.row(i) & members and not members >> i & 1),
+        None,
+    )
 
-    open_ok, open_wit = True, None
-    for u in F.frame.elements:
-        for y in G.sorted_part(u):
-            for x in F.sheaf.carriers[u]:
-                if F.leq(u, x, y) and not G.contains(u, x):
-                    open_ok, open_wit = False, {"open": u, "pair": [F.label(u, x), F.label(u, y)]}
-                    break
-            if not open_ok:
-                break
-        if not open_ok:
-            break
+    open_wit = next(
+        ({"open": u, "pair": [F.label(u, x), F.label(u, y)]}
+         for u in F.frame.elements for y in G.sorted_part(u) for x in F.sheaf.carriers[u]
+         if F.leq(u, x, y) and not G.contains(u, x)),
+        None,
+    )
 
     phi, phi_rep = classifier(G, F)
-    cls_ok, cls_wit = phi_rep.passed, None if phi_rep.passed else phi_rep.witness
-    if cls_ok:
-        for u in F.frame.elements:
-            for (a, b) in F.sorted_pairs(u):
-                if not F.frame.leq(phi(u, b), phi(u, a)):
-                    cls_ok, cls_wit = False, {"open": u, "pair": [F.label(u, a), F.label(u, b)], "truth": [phi(u, a), phi(u, b)]}
-                    break
-            if not cls_ok:
-                break
+    cls_wit = None if phi_rep.passed else phi_rep.witness
+    if phi_rep.passed:
+        cls_wit = next(
+            ({"open": u, "pair": [F.label(u, a), F.label(u, b)], "truth": [phi(u, a), phi(u, b)]}
+             for u in F.frame.elements for a, b in F.sorted_pairs(u) if not F.frame.leq(phi(u, b), phi(u, a))),
+            None,
+        )
 
     return _three_way(
         "downsheaf",
-        [("points", point_ok, point_wit), ("per_open", open_ok, open_wit), ("classifier", cls_ok, cls_wit)],
+        [("points", point_wit is None, point_wit), ("per_open", open_wit is None, open_wit), ("classifier", cls_wit is None, cls_wit)],
     )
 
 

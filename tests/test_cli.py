@@ -604,3 +604,62 @@ def test_reject_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
     assert antisymmetric["witness"] == {"open": "1", "pair": ["a", "b"]}
     transitive = next(r for r in internal["transitive"]["subreports"] if r["name"] == "internal.transitive")
     assert transitive["witness"] == {"open": "1", "chain": ["a", "b", "c"]}
+
+
+# (seed, max-opens, max-carrier) where trimming a stalk once left a family
+# whose restriction was no family, and gen posheaf ended in a KeyError
+TRIMMED_STALK_SEEDS = ((51, 8, 6), (97, 8, 6), (69, 8, 5), (3, 7, 6), (72, 7, 5), (71, 6, 5), (95, 5, 6))
+
+
+def _gen(kind: str, seed: int, opens: int, carrier: int, capsys) -> str:
+    assert run(["gen", kind, "--seed", str(seed), "--max-opens", str(opens), "--max-carrier", str(carrier)]) == 0
+    return capsys.readouterr().out
+
+
+def test_gen_posheaf_after_a_trimmed_stalk_passes_check_posheaf(tmp_path, capsys):
+    for seed, opens, carrier in TRIMMED_STALK_SEEDS:
+        path = tmp_path / f"{seed}-{opens}-{carrier}.json"
+        path.write_text(_gen("posheaf", seed, opens, carrier, capsys))
+        assert run(["check", "posheaf", str(path)]) == 0, (seed, opens, carrier)
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def _mangled(text: str) -> list[str]:
+    """A gen document as written, cut in half, with its first restriction
+    dropped, and with a non-pair entry first in its last open's order; in a
+    morphism document the last two change its source."""
+    doc = json.loads(text)
+    posheaf = doc.get("source", doc)
+    out = [text, text[: len(text) // 2]]
+    if posheaf["res"]:
+        first = next(iter(posheaf["res"]))
+        out.append({**posheaf, "res": {k: v for k, v in posheaf["res"].items() if k != first}})
+    u = posheaf["frame"]["elements"][-1]
+    out.append({**posheaf, "order": {**posheaf["order"], u: [["e0"]] + posheaf["order"][u]}})
+    return out[:2] + [json.dumps({**doc, "source": bad} if "source" in doc else bad) for bad in out[2:]]
+
+
+SWEEP_COMMANDS = {
+    "posheaf": [["check", kind] for kind in ("frame", "presheaf", "sheaf", "posheaf", "complete", "frame-sheaf")]
+    + [["verify", "frame-equivalence"], ["verify", "equivalence"]],
+    "morphism": [["verify", "sup-preserving"], ["verify", "frame-morphism"], ["verify", "galois"]],
+}
+
+
+def test_gen_documents_and_their_mangled_forms_never_crash(tmp_path, capsys):
+    # every gen document of a small grid up to (8, 6), and each one cut,
+    # missing a restriction or holding a non-pair order entry, through check
+    # and verify: an exception out of run() would be a traceback
+    codes = set()
+    for kind, commands in SWEEP_COMMANDS.items():
+        for seed, opens, carrier in ((0, 4, 2), (5, 6, 3), (11, 8, 4), (3, 7, 6), (51, 8, 6), (97, 8, 6)):
+            for n, text in enumerate(_mangled(_gen(kind, seed, opens, carrier, capsys))):
+                path = tmp_path / f"{kind}-{seed}-{n}.json"
+                path.write_text(text)
+                for command in commands:
+                    # verify galois reads the endomorphism as both maps
+                    code = run(command + [str(path)] * (2 if command[-1] == "galois" else 1))
+                    capsys.readouterr()
+                    assert code in (0, 1, 2, 3), (command, seed, n)
+                    codes.add(code)
+    assert {0, 1, 2} <= codes

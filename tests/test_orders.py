@@ -30,7 +30,6 @@ from posheaf.orders import (
     is_downsheaf,
     morphism_leq,
     omega,
-    point_leq_bool,
     power_inclusion,
     power_sheaf,
     principal,
@@ -40,6 +39,12 @@ from posheaf.orders import (
 )
 from posheaf.fixtures import frame_2, posheaf_ab
 from posheaf.generate import GenConfig, gen_frame, gen_posheaf
+
+
+def point_leq_bool(F: PoSheaf, p: Point, q: Point) -> bool:
+    """p ≤ q in the point order: one bit of F's rows (PoSheaf.row)."""
+    index = F.point_index()
+    return bool(F.row(index[p]) >> index[q] & 1)
 
 
 def test_omega_is_a_posheaf(FD, F3, F6):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -70,7 +71,7 @@ from posheaf.frames import (
     preserves_all_meets,
     verify_frame_hom,
 )
-from posheaf.generate import GenConfig, _order_closure, _sampled_orders, gen_endomorphism, gen_frame, gen_posheaf, gen_sheaf, mutate
+from posheaf.generate import GenConfig, _order_posets, _sampled_orders, gen_endomorphism, gen_frame, gen_posheaf, gen_sheaf, mutate
 from posheaf import jsonio
 from posheaf.locale_equiv import LocaleOverX, _point_map, _point_sections, cross_sections, etale_locale, is_local_homeomorphism, unit
 from posheaf.orders import (
@@ -352,6 +353,33 @@ def test_internal_subsheaf_reading_matches_the_binary_cover_scan(corpus):
                 laws.append((pos2, pos3))
     assert verdicts == {True, False}
     assert len(laws) >= 288 and laws.count((False, True)) + laws.count((False, False)) >= 29 and laws.count((True, False)) >= 29
+
+
+def test_a_passing_posheaf_scans_no_binary_cover_for_pos3(corpus, monkeypatch, boolean_frame):
+    # POS3 is decided by pull-up at J↓u, and where it holds pull-up flags no
+    # pair, so _patching_gap asks for no binary cover: on every passing
+    # posheaf of the corpus and on Ω(2^6), each verified afresh. A break-POS3
+    # mutant, one of them over a frame listed top first, still scans its
+    # covers for the witness.
+    callers = []
+    binary_covers = FiniteFrame.binary_covers
+
+    def counted(frame, u):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return binary_covers(frame, u)
+
+    monkeypatch.setattr(FiniteFrame, "binary_covers", counted)
+    passing = [F for _, F in corpus if verify_posheaf(F).passed] + [omega(boolean_frame(6))]
+    for F in passing:
+        callers.clear()
+        assert verify_posheaf(PoSheaf(F.sheaf, {u: F.poset(u) for u in F.frame.elements})).passed
+        assert "_patching_gap" not in callers
+    broken = [F for name, F in corpus + [_top_first_break_pos3()] if name.endswith("break-POS3")]
+    for F in broken:
+        callers.clear()
+        assert not verify_posheaf(PoSheaf(F.sheaf, {u: F.poset(u) for u in F.frame.elements})).passed
+        assert "_patching_gap" in callers
+    assert len(passing) >= 50 and len(broken) >= 16
 
 
 def _chain_4() -> FiniteFrame:
@@ -882,7 +910,8 @@ def test_order_closure_matches_the_exhaustive_pull_up(corpus):
             u: [(x, y) for x in F.carriers[u] for y in F.carriers[u] if rng.random() < 0.3]
             for u in F.frame.elements
         }
-        assert _order_closure(F.sheaf, sampled) == oracles.order_closure(F.sheaf, sampled), name
+        closure = {u: set(p.pairs()) for u, p in _order_posets(F.sheaf, sampled).items()}
+        assert closure == oracles.order_closure(F.sheaf, sampled), name
 
 
 def test_order_closure_matches_on_every_attempt_of_the_generator():
@@ -896,7 +925,7 @@ def test_order_closure_matches_on_every_attempt_of_the_generator():
             sheaf, kept = gen_sheaf(X, cfg), gen_posheaf(X, cfg).orders
             for attempt in range(30):
                 sampled = _sampled_orders(sheaf, cfg, attempt)
-                closure = _order_closure(sheaf, sampled)
+                closure = {u: set(p.pairs()) for u, p in _order_posets(sheaf, sampled).items()}
                 assert closure == oracles.order_closure(sheaf, sampled), (cfg, attempt)
                 if closure == kept:
                     break
@@ -1636,14 +1665,23 @@ def test_frame_hom_join_verdicts_on_sources_past_the_subset_scan(etale_presheave
     assert len(source) > 12 and set(verdicts) == {True, False}
 
 
+def _top_first_break_pos3() -> tuple[str, PoSheaf]:
+    """A break-POS3 mutant of Ω(B3) with B3 listed top first, outside every
+    linear extension of its order (the corpus frames all list one)."""
+    frame = _boolean_3()
+    top_first = FiniteFrame(FinitePoset(frame.elements[::-1], frame.poset.pairs(), closed=True))
+    return "omega(B3 top first)+break-POS3", mutate(omega(top_first), "break-POS3")
+
+
 def _order_cases(corpus) -> list[tuple[str, object, dict]]:
     """(name, sheaf, order pairs per open): the corpus (fixtures, Ω of the
     fixture frames, generated posheaves and their break-POS3 and
-    remove-amalgamation mutants), ℙ and 𝔻 of the fixtures, and 600
+    remove-amalgamation mutants), a break-POS3 mutant over a frame listed
+    top first, ℙ and 𝔻 of the fixtures, and 600
     random reflexive relations on generated sheaves: dense ones, subsets of
     a ranking (antisymmetric, maybe not transitive) and a ranking in full
     (a total order per open, maybe not restriction-monotone)."""
-    cases = [(name, F.sheaf, {u: list(rel) for u, rel in F.orders.items()}) for name, F in corpus]
+    cases = [(name, F.sheaf, {u: list(rel) for u, rel in F.orders.items()}) for name, F in corpus + [_top_first_break_pos3()]]
     powers = [("power(sheaf_ab)", power_sheaf(sheaf_ab(), verify=False)), ("down_power(posheaf_ab)", down_power_sheaf(posheaf_ab(), verify=False))]
     for name in ("FRAME_2", "FRAME_3", "FRAME_D"):
         one = terminal(FIXTURE_FRAMES[name]())
