@@ -474,8 +474,8 @@ class FiniteFrame:
         (size, element indices). On a finite distributive lattice gluing,
         amalgamation closure and patching hold for every cover iff they hold
         for these, by induction on the cover size. The POS forms read them;
-        gluing and amalgamation closure are decided on canonical_cover and
-        scan these only to name the witness of a failure."""
+        gluing and amalgamation closure are decided on square_cover and scan
+        these only to name the witness of a failure."""
         if u not in self._covers_cache:
             below = self.down(u)
             found = [()] if u == self.bottom else []
@@ -492,10 +492,24 @@ class FiniteFrame:
         join of the join-irreducibles below it), empty for bottom, and
         holding u itself when u is join-irreducible. Each j in it is
         join-prime, so j lies below some member of any cover of u: a family
-        over any cover of u restricts to one over J↓u, and sheaf gluing and
-        amalgamation closure hold for every cover iff they hold for these
-        (sheaves.verify_sheaf)."""
+        over any cover of u restricts to one over J↓u. POS3 is decided at
+        these (orders.pull_up_sources), and the germ walks read them
+        (sheaves._germ_table)."""
         return self._canonical_covers[u]
+
+    def square_cover(self, u) -> tuple:
+        """The one cover of u on which gluing and amalgamation closure are
+        decided (sheaves.verify_sheaf, sheaves.verify_subsheaf): the empty
+        cover for bottom, (u,) when u is join-irreducible, and otherwise the
+        first two lower covers (a, b), in element order. Then a ∨ b = u,
+        since it lies below u and strictly above the lower cover a, so it is
+        one of binary_covers(u). On a frame the Birkhoff masks turn join
+        into union and meet into intersection: J↓a ∪ J↓b = J↓u and
+        J↓a ∩ J↓b = J↓(a ∧ b)."""
+        lower = self.lower_covers(u)
+        if len(lower) > 1:
+            return lower[:2]
+        return (u,) if lower else ()
 
     def lower_covers(self, u) -> tuple:
         """The opens v < u with no open strictly between, in element order,

@@ -4,6 +4,7 @@ largest-agreement-open computation."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, NamedTuple
 
@@ -75,6 +76,8 @@ class Presheaf:
         # _germ_table(self, frame.top), set by _top_germ_table; not a cached_property,
         # whose read of __dict__ slows every attribute read after it on CPython 3.11
         self._top_germs = None
+        # the report of verify(), kept by report.once; likewise a plain slot
+        self._presheaf_report = None
 
     def carrier(self, u) -> tuple:
         return self.carriers[u]
@@ -91,7 +94,6 @@ class Presheaf:
             return self._labeler(u, x)
         return str(x)
 
-    @timed
     def verify(self) -> CheckReport:
         """Composition over every chain w ≤ v ≤ u. Identity restrictions
         hold by construction: __init__ builds res[u, u] as the identity, and
@@ -104,7 +106,13 @@ class Presheaf:
         a lower cover v′ of u with v ≤ v′; then res(u,w) = res(v′,w)∘res(u,v′)
         (checked), res(v′,w) = res(v,w)∘res(v′,v) (induction at v′ < u) and
         res(v′,v)∘res(u,v′) = res(u,v) (checked), so res(u,w) =
-        res(v,w)∘res(u,v)."""
+        res(v,w)∘res(u,v). Presheaves are immutable, so the report is kept
+        on the instance (report.once), elapsed_ms of the first call
+        included."""
+        return once(self, "_presheaf_report", None, lambda _: self._verify_fresh())
+
+    @timed
+    def _verify_fresh(self) -> CheckReport:
         frame, res = self.frame, self.res
 
         def composition_gap(u, v):
@@ -194,26 +202,30 @@ class SheafCertificate:
 def verify_sheaf(P: Presheaf) -> SheafCertificate:
     """Every compatible family over every cover patches to exactly one section.
 
-    The verdict is read from one cover per open, J↓u
-    (FiniteFrame.canonical_cover), by the comparison lemma (Sh(X) is the
-    category of presheaves on the join-irreducibles J when X is the down-set
-    lattice of J). For u in J the cover holds u and glues trivially, so only
-    the other opens are checked. If every family over every J↓u has exactly
-    one amalgamation, P is a sheaf: let (x_c) be a compatible family over a
-    cover C of u. Each j in J↓u is join-prime, so j ≤ c for some c in C, and
-    y_j = x_c|_j does not depend on c (compatibility on c ∧ c'). The y_j form
-    a compatible family over J↓u, so they have one amalgamation s. For each
-    c, s|_c and x_c agree on J↓c, so they are equal by uniqueness at c. Two
-    amalgamations of (x_c) agree on J↓u, so they are equal by uniqueness at
-    u.
+    The verdict is read from one square per open (FiniteFrame.square_cover),
+    with no family search. A finite frame X is the frame of down-sets of its
+    join-irreducibles J, and by the comparison lemma (Mac Lane and
+    Moerdijk, Sheaves in Geometry and Logic, II.1 and ex. II.8) P is a sheaf
+    iff x ↦ (x|_j) maps P(u) onto L(u) = lim_{j ∈ J↓u} P(j) bijectively at
+    every open u. That holds iff |P(⊥)| = 1 and, at each u ≠ ⊥ outside J,
+    with square cover (a, b), x ↦ (x|_a, x|_b) maps P(u) bijectively onto
+    P(a) ×_{P(a∧b)} P(b) (_glues). By induction on u: J↓⊥ is empty,
+    so L(⊥) is one point; for u in J, u is the top of J↓u, so L(u) = P(u).
+    Otherwise J↓u = J↓a ∪ J↓b and J↓a ∩ J↓b = J↓(a∧b), all down-sets of J,
+    so a family over J↓u is a pair of families over J↓a and J↓b that agree
+    on J↓(a∧b): L(u) = L(a) ×_{L(a∧b)} L(b). Given the bijections at a, b
+    and a∧b, all below u and commuting with restriction by composition
+    (Presheaf.verify), P(u) → L(u) is a bijection iff the square at u is
+    a pullback.
 
     On a sheaf the compatible families over a cover of u biject with P(u),
     so the certificate lists each open with each of its empty and binary
-    covers (FiniteFrame.binary_covers) and |P(u)| families. On a
-    reject those covers are scanned in order, and the entries and witness
-    are those of the scan: the covers passed before the first family
-    without exactly one amalgamation, and that family. Presheaves are
-    immutable, so the certificate is kept on the instance (report.once).
+    covers (FiniteFrame.binary_covers) and |P(u)| families. On a reject
+    those covers are scanned in order, each decided by _glues, and the
+    entries and witness are those of the scan: the covers that glue before
+    the first that does not, and that cover's first family without exactly
+    one amalgamation, the only family search. Presheaves are immutable, so
+    the certificate is kept on the instance (report.once).
     """
     return once(P, "_sheaf_certificate", None, lambda _: _verify_sheaf_fresh(P))
 
@@ -222,23 +234,15 @@ def _verify_sheaf_fresh(P: Presheaf) -> SheafCertificate:
     pre = P.verify()
     if not pre.passed:
         return SheafCertificate(False, [], {"precondition": pre.witness}, precondition=pre)
-    frame = P.frame
-    if _gluing_gap(P, _canonical_covers(frame), []) is None:
-        entries = [
-            {"open": u, "cover": list(cover), "families": len(P.carriers[u])} for u, cover in _binary_covers(frame)
-        ]
-        return SheafCertificate(True, entries)
-    entries = []
-    witness = _gluing_gap(P, _binary_covers(frame), entries)
-    if witness is None:
-        raise AssertionError("a family over some J↓u fails to glue, so one over a binary cover does")
-    return SheafCertificate(False, entries, witness)
-
-
-def _canonical_covers(frame: FiniteFrame) -> Iterator[tuple]:
-    """(u, J↓u) for every open u outside J, in element order."""
-    covers = ((u, frame.canonical_cover(u)) for u in frame.elements)
-    return ((u, cover) for u, cover in covers if u not in cover)
+    frame, entries = P.frame, []
+    passed = all(_glues(P, u, frame.square_cover(u)) for u in frame.elements)
+    for u, cover in _binary_covers(frame):
+        if not passed and not _glues(P, u, cover):
+            return SheafCertificate(False, entries, _gluing_witness(P, u, cover))
+        entries.append({"open": u, "cover": list(cover), "families": len(P.carriers[u])})
+    if not passed:
+        raise AssertionError("a square is not a pullback, so a binary cover fails to glue")
+    return SheafCertificate(True, entries)
 
 
 def _binary_covers(frame: FiniteFrame) -> Iterator[tuple]:
@@ -246,25 +250,43 @@ def _binary_covers(frame: FiniteFrame) -> Iterator[tuple]:
     return ((u, cover) for u in frame.elements for cover in frame.binary_covers(u))
 
 
-def _gluing_gap(P: Presheaf, covers, entries: list) -> dict | None:
-    """The first family, over the given (open, cover) pairs in order, that
-    has no amalgamation or more than one, as the certificate's witness, or
-    None; each cover whose families all glue appends its entry."""
-    for u, cover in covers:
-        families = 0
-        index = _amalgamation_index(P, u, cover)
-        for family in compatible_families(P, cover):
-            families += 1
-            glue = index.get(family, ())
-            if len(glue) != 1:
-                return {
-                    "open": u,
-                    "cover": list(cover),
-                    "family": [P.label(ui, xi) for ui, xi in zip(cover, family)],
-                    "amalgamations": len(glue),
-                }
-        entries.append({"open": u, "cover": list(cover), "families": families})
-    return None
+def _glues(P: Presheaf, u, cover: tuple) -> bool:
+    """Whether every compatible family over cover, a cover of u with at most
+    two members, has exactly one amalgamation, decided by counting. The
+    empty cover has one family, which every x in P(u) amalgamates; a family
+    over a cover holding u is amalgamated by its member at u alone. Over
+    (v, w) the families are the pairs (y, z) in P(v) × P(w) with y|_m =
+    z|_m, m = v ∧ w, counted by grouping P(w) on its restriction to m, and
+    the amalgamations of a family are the x in P(u) whose profile
+    (x|_v, x|_w) it is. Composition (Presheaf.verify, checked first) makes
+    every profile a family, so each family has exactly one amalgamation iff
+    the profiles are distinct and there are |P(u)| families."""
+    n = len(P.carriers[u])
+    if not cover:
+        return n == 1
+    if u in cover:
+        return True
+    v, w = cover
+    m = P.frame.meet(v, w)
+    vm, wm = P.res[v, m], P.res[w, m]
+    at_meet = Counter(wm[z] for z in P.carriers[w])
+    if sum(at_meet[vm[y]] for y in P.carriers[v]) != n:
+        return False
+    uv, uw = P.res[u, v], P.res[u, w]
+    return len({(uv[x], uw[x]) for x in P.carriers[u]}) == n
+
+
+def _gluing_witness(P: Presheaf, u, cover: tuple) -> dict:
+    """The first family over cover, a cover of u that fails _glues, with no
+    amalgamation or more than one, as the certificate's witness."""
+    index = _amalgamation_index(P, u, cover)
+    family, glue = next((f, g) for f in compatible_families(P, cover) for g in [index.get(f, ())] if len(g) != 1)
+    return {
+        "open": u,
+        "cover": list(cover),
+        "family": [P.label(ui, xi) for ui, xi in zip(cover, family)],
+        "amalgamations": len(glue),
+    }
 
 
 class SubSheaf:
@@ -375,51 +397,69 @@ def verify_restriction_closed(S: SubSheaf) -> CheckReport:
 def verify_subsheaf(S: SubSheaf) -> CheckReport:
     """Restriction-closed and closed under amalgamation (itself a sheaf).
 
-    For a restriction-closed part S of a presheaf on a finite frame,
-    closure under the amalgamations of families over J↓u
-    (FiniteFrame.canonical_cover) for every open u gives closure under every
-    cover: if s ∈ P(u) amalgamates a family of S over a cover C of u, each
-    j in J↓u lies below some c in C (j is join-prime), so s|_j = x_c|_j is
-    in S(j), and s amalgamates the family (s|_j) of S over J↓u. So the
-    verdict is read from those covers; on a reject the empty and binary
-    covers are scanned in order, and the first family of S with an
-    amalgamation outside S(u) is the witness."""
+    For a restriction-closed part S of a presheaf P on a finite frame, say
+    S is closed at u when every x in P(u) with x|_j in S(j) for each j in
+    J↓u (FiniteFrame.canonical_cover) is in S(u). Closure at every open
+    gives closure under every cover: if x in P(u) amalgamates a family
+    (x_c) of S over a cover C of u, each j in J↓u lies below some c in C
+    (j is join-prime), so x|_j = x_c|_j is in S(j), and x is in S(u); J↓u
+    is itself a cover, so the converse holds too. Closure at every open is
+    decided on the squares of verify_sheaf (_closed_at), by the same
+    induction on u. S is closed at ⊥ iff S(⊥) = P(⊥), since J↓⊥ is empty,
+    and at every u in J. Otherwise let (a, b) be the square cover of u, and
+    S closed at a and b. If every x|_j, j in J↓u = J↓a ∪ J↓b, is in S(j),
+    then x|_a is in S(a), by closure at a, and x|_b in S(b); conversely, if x|_a is in S(a)
+    and x|_b in S(b), every x|_j is in S(j) by restriction closure. So S is
+    closed at u iff x|_a in S(a) and x|_b in S(b) imply x in S(u). Only the
+    composition of P's restrictions is used. On a reject the empty and
+    binary covers are scanned in order, each decided by _closed_at, and the
+    first family of S over the first that fails with an amalgamation
+    outside S(u) is the witness."""
     rc = verify_restriction_closed(S)
     if not rc.passed:
         return CheckReport.fail("subsheaf", rc.witness, reason="restriction")
     frame = S.parent.frame
-    if _closure_gap(S, _canonical_covers(frame)) is None:
+    if all(_closed_at(S, u, frame.square_cover(u)) for u in frame.elements):
         return CheckReport.ok("subsheaf")
-    gap = _closure_gap(S, _binary_covers(frame))
-    if gap is None:
-        raise AssertionError("S is not closed over some J↓u, so it is not closed over some binary cover")
-    return gap
+    u, cover = next((u, cover) for u, cover in _binary_covers(frame) if not _closed_at(S, u, cover))
+    return _closure_witness(S, u, cover)
 
 
-def _closure_gap(S: SubSheaf, covers) -> CheckReport | None:
-    """The failing report for the first family of S, over the given (open,
-    cover) pairs in order, with an amalgamation outside S(u), or None. A
-    cover holding u itself is skipped: the family's member at u is its only
-    amalgamation."""
+def _closed_at(S: SubSheaf, u, cover: tuple) -> bool:
+    """Whether every amalgamation in P(u) of a family of S over cover, a
+    cover of u with at most two members, lies in S(u). Every x in P(u)
+    amalgamates the empty cover's one family; a family over a cover holding
+    u is amalgamated by its member at u alone, which is in S. Over (v, w),
+    x amalgamates a family of S iff x|_v is in S(v) and x|_w in S(w)."""
     P = S.parent
-    for u, cover in covers:
-        if u in cover:
-            continue
-        index = _amalgamation_index(P, u, cover)
-        for family in compatible_families(P, cover, S.parts):
-            missing = [x for x in index.get(family, ()) if not S.contains(u, x)]
-            if missing:
-                return CheckReport.fail(
-                    "subsheaf",
-                    {
-                        "open": u,
-                        "cover": list(cover),
-                        "family": [P.label(ui, xi) for ui, xi in zip(cover, family)],
-                        "amalgam_outside": [P.label(u, x) for x in missing],
-                    },
-                    reason="amalgamation",
-                )
-    return None
+    part = S.part(u)
+    if not cover:
+        return len(part) == len(P.carriers[u])
+    if u in cover:
+        return True
+    v, w = cover
+    sv, sw = S.part(v), S.part(w)
+    uv, uw = P.res[u, v], P.res[u, w]
+    return all(x in part for x in P.carriers[u] if uv[x] in sv and uw[x] in sw)
+
+
+def _closure_witness(S: SubSheaf, u, cover: tuple) -> CheckReport:
+    """The failing report for the first family of S over cover, a cover of
+    u that fails _closed_at, with an amalgamation outside S(u)."""
+    P = S.parent
+    index = _amalgamation_index(P, u, cover)
+    outside = ((f, [x for x in index.get(f, ()) if not S.contains(u, x)]) for f in compatible_families(P, cover, S.parts))
+    family, missing = next((f, xs) for f, xs in outside if xs)
+    return CheckReport.fail(
+        "subsheaf",
+        {
+            "open": u,
+            "cover": list(cover),
+            "family": [P.label(ui, xi) for ui, xi in zip(cover, family)],
+            "amalgam_outside": [P.label(u, x) for x in missing],
+        },
+        reason="amalgamation",
+    )
 
 
 def _germ_table(F: Presheaf, u, leq: Callable | None = None) -> tuple[list, list]:

@@ -4,7 +4,9 @@ that joins to it), amalgamations found by scanning the carrier, and the
 gluing, subsheaf, patching, closure and downward-closure checks quantified
 over every cover; the gluing and amalgamation-closure scans over every
 empty and binary cover, which the package runs only to name a reject's
-witness, and the internal-poset subsheaf subreports read from the order
+witness; the same two as family searches over J↓u, one cover per open,
+where the package decides on one pullback square per open; and the
+internal-poset subsheaf subreports read from the order
 relation as a subsheaf of F×F; presheaf composition over every chain and
 POS2 at every v ≤ u, which the package decides along lower covers; Sub
 and Dow by next-closure over that closure; least and greatest elements as
@@ -147,6 +149,38 @@ def _gluing(P, covers_of) -> tuple[bool, list, dict | None]:
                     return False, entries, witness
             entries.append({"open": u, "cover": list(cover), "families": families})
     return True, entries, None
+
+
+def canonical_cover_gluing(P) -> bool:
+    """Whether every compatible family over J↓u (FiniteFrame.canonical_cover)
+    has exactly one amalgamation, at each open u outside J: the comparison
+    lemma's reading of gluing, by the family search."""
+    frame = P.frame
+    for u in frame.elements:
+        cover = frame.canonical_cover(u)
+        if u in cover:
+            continue
+        for family in compatible_families(P, cover):
+            if len(amalgamations(P, u, cover, family)) != 1:
+                return False
+    return True
+
+
+def canonical_cover_closure(S: SubSheaf) -> bool:
+    """Whether S is restriction-closed and, at each open u outside J, every
+    amalgamation of a family of S over J↓u lies in S(u), by the family
+    search."""
+    if not verify_restriction_closed(S).passed:
+        return False
+    P = S.parent
+    for u in P.frame.elements:
+        cover = P.frame.canonical_cover(u)
+        if u in cover:
+            continue
+        for family in compatible_families(P, cover, S.parts):
+            if any(not S.contains(u, x) for x in amalgamations(P, u, cover, family)):
+                return False
+    return True
 
 
 def verify_subsheaf(S: SubSheaf) -> CheckReport:

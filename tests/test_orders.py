@@ -129,21 +129,21 @@ def _calls_during(run, *functions) -> list[tuple]:
     return calls
 
 
-def test_a_passing_posheaf_check_builds_no_square_and_searches_canonical_covers_only(SAB, FD):
-    # on a pass the internal subsheaf reading is decided at the germs: no
-    # F×F, no restriction-closure scan, and every family search runs over a
-    # canonical cover J↓u; a reject reads its witness from F's tables, with
-    # no restriction-closure scan either
+def test_a_passing_posheaf_check_builds_no_square_and_searches_no_family(SAB, FD):
+    # on a pass the internal subsheaf reading is decided at the germs and
+    # gluing on one square per open: no F×F, no restriction-closure scan and
+    # no family search; a reject reads its witness from F's tables, with no
+    # restriction-closure scan either
     watched = (sheaves.product_sheaf, sheaves.verify_restriction_closed, sheaves.compatible_families)
     passing = [posheaf_ab(), omega(FD)]
     for seed in range(10):
         cfg = GenConfig(seed=seed)
         passing.append(gen_posheaf(gen_frame(cfg), cfg))
     for F in passing:
-        calls = _calls_during(lambda: verify_posheaf(F).require(), *watched)
-        assert {f for f, _ in calls} <= {sheaves.compatible_families}
-        canonical = {F.frame.canonical_cover(u) for u in F.frame.elements}
-        assert all(tuple(args["cover"]) in canonical for _, args in calls)
+        # verify_sheaf keeps its certificate on the sheaf, and gen_posheaf
+        # has checked its sheaf already: check a fresh copy
+        F = PoSheaf(Presheaf(F.frame, F.sheaf.carriers, F.sheaf.res), F.orders)
+        assert not _calls_during(lambda: verify_posheaf(F).require(), *watched)
     verdicts = set()
     for orders in ({}, {"a": [("x", "y")], "1": [("xz", "yz")]}, {"1": [("xz", "yz")]}):
         F = PoSheaf(SAB, orders)

@@ -72,7 +72,7 @@ from posheaf.frames import (
     verify_frame_hom,
 )
 from posheaf.generate import GenConfig, _order_posets, _sampled_orders, gen_endomorphism, gen_frame, gen_posheaf, gen_sheaf, mutate
-from posheaf import jsonio
+from posheaf import jsonio, sheaves
 from posheaf.locale_equiv import LocaleOverX, _point_map, _point_sections, cross_sections, etale_locale, is_local_homeomorphism, unit
 from posheaf.orders import (
     PoSheaf,
@@ -319,6 +319,68 @@ def test_subsheaf_closure_matches_the_binary_cover_scan(corpus):
                 reasons.append(fast.details.get("reason"))
     assert reasons.count(None) >= 1000
     assert reasons.count("amalgamation") >= 100 and reasons.count("restriction") >= 50
+
+
+def test_square_verdicts_match_the_canonical_and_binary_cover_readings():
+    # gluing and amalgamation closure are decided on one square per open:
+    # both verdicts must be those of the family search over J↓u and of the
+    # binary-cover scan, in the given and in a shuffled element order; the
+    # closure report is the scan's, witness included
+    rng = random.Random(23)
+    corpus = _gluing_corpus()
+    glued, closed = [], []
+    for i, (name, P) in enumerate(corpus):
+        for Q in (P, _shuffled_presheaf(P, rng)):
+            passed = verify_sheaf(Q).passed
+            assert passed == oracles.canonical_cover_gluing(Q) == oracles.binary_cover_gluing(Q).passed, name
+            glued.append(passed)
+            if i % 3:
+                continue
+            for _ in range(3):
+                S = _restriction_closed_part(Q, rng)
+                report = verify_subsheaf(S)
+                assert _report(report) == _report(oracles.binary_cover_closure(S)), name
+                assert report.passed == oracles.canonical_cover_closure(S), name
+                closed.append(report.passed)
+    assert len(corpus) >= 1500 and glued.count(False) >= 2 * 300
+    assert len(closed) >= 3000 and closed.count(False) >= 1000
+
+
+def _watch_family_searches(monkeypatch) -> list:
+    """Record (name, cover) at each call of sheaves.compatible_families and
+    sheaves._amalgamation_index; the cover is the last argument of both."""
+    calls = []
+    for name in ("compatible_families", "_amalgamation_index"):
+
+        def watched(*args, name=name, f=getattr(sheaves, name)):
+            calls.append((name, tuple(args[-1])))
+            return f(*args)
+
+        monkeypatch.setattr(sheaves, name, watched)
+    return calls
+
+
+def test_gluing_searches_families_only_on_the_witness_cover(monkeypatch, boolean_frame):
+    # a passing verify_sheaf decides every square by counting; a reject
+    # builds one amalgamation index and runs one family search, both on the
+    # cover of its witness. Each instance is a fresh copy, since
+    # verify_sheaf keeps its certificate and gen_sheaf and mutate have
+    # checked theirs already
+    rng = random.Random(29)
+    calls = _watch_family_searches(monkeypatch)
+    instances = _gluing_corpus() + [("omega(2^6)", omega(boolean_frame(6)).sheaf)]
+    rejects = 0
+    for name, P in instances:
+        for Q in (Presheaf(P.frame, P.carriers, P.res), _shuffled_presheaf(P, rng)):
+            calls.clear()
+            cert = verify_sheaf(Q)
+            if cert.passed:
+                assert calls == [], name
+                continue
+            cover = tuple(cert.witness["cover"])
+            assert sorted(calls) == [("_amalgamation_index", cover), ("compatible_families", cover)], name
+            rejects += 1
+    assert rejects >= 2 * 300
 
 
 def test_internal_subsheaf_reading_matches_the_binary_cover_scan(corpus):
