@@ -664,17 +664,7 @@ def verify_sup_preserving(
 
 def product_posheaf(F: PoSheaf, G: PoSheaf) -> PoSheaf:
     """F × G with the componentwise order."""
-    sheaf = product_sheaf(F.sheaf, G.sheaf)
-    orders = {
-        u: [
-            (p, q)
-            for p in sheaf.carriers[u]
-            for q in sheaf.carriers[u]
-            if F.leq(u, p[0], q[0]) and G.leq(u, p[1], q[1])
-        ]
-        for u in F.frame.elements
-    }
-    return PoSheaf(sheaf, orders)
+    return PoSheaf.of(product_sheaf(F.sheaf, G.sheaf), lambda u, p, q: F.leq(u, p[0], q[0]) and G.leq(u, p[1], q[1]))
 
 
 def _least_preimages(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> tuple[SheafMorphism | None, dict | None]:

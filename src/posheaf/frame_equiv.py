@@ -36,17 +36,8 @@ def frame_hom_to_sheaf(h: FrameUnderX, *, verify: bool = False, budget: Budget |
     X, L = h.base, h.target
     f = h.hom
     carriers = {u: tuple(x for x in L.elements if L.leq(x, f(u))) for u in X.elements}
-    res = {
-        (u, v): {x: L.meet(x, f(v)) for x in carriers[u]}
-        for u in X.elements
-        for v in X.down(u)
-        if v != u
-    }
-    sheaf = Presheaf(X, carriers, res)
-    orders = {
-        u: [(x, y) for x in carriers[u] for y in carriers[u] if L.leq(x, y)] for u in X.elements
-    }
-    F = PoSheaf(sheaf, orders)
+    sheaf = Presheaf.of(X, carriers, lambda u, x, v: L.meet(x, f(v)))
+    F = PoSheaf.of(sheaf, lambda u, x, y: L.leq(x, y))
     if verify:
         is_frame_sheaf(F, budget=budget).require(NotFrameSheaf)
     return F

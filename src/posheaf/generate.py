@@ -142,20 +142,14 @@ def gen_sheaf(X: FiniteFrame, cfg: GenConfig) -> Presheaf:
         for j in J:
             stalks[j] = [g for g in stalks[j] if all(tuple(kv for kv in g if X.leq(kv[0], i)) in stalks[i] for i in J if X.poset.lt(i, j))]
         raw_carriers = {u: families(u) for u in X.elements}
-    labels = {u: {fam: f"e{i}" for i, fam in enumerate(raw_carriers[u])} for u in X.elements}
-    carriers = {u: tuple(labels[u][fam] for fam in raw_carriers[u]) for u in X.elements}
-    res = {}
-    for u in X.elements:
-        keep_sets = {v: {j for j in J if X.leq(j, v)} for v in X.down(u)}
-        for v in X.down(u):
-            if v == u:
-                continue
-            table = {}
-            for fam in raw_carriers[u]:
-                sub = tuple(sorted((k, val) for k, val in fam if k in keep_sets[v]))
-                table[labels[u][fam]] = labels[v][sub]
-            res[(u, v)] = table
-    sheaf = Presheaf(X, carriers, res)
+    family = {u: {f"e{i}": fam for i, fam in enumerate(raw_carriers[u])} for u in X.elements}
+    labels = {u: {fam: x for x, fam in family[u].items()} for u in X.elements}
+
+    def restrict(u, x, v):
+        # a family is sorted by join-irreducible, so its part below v is too
+        return labels[v][tuple((j, val) for j, val in family[u][x] if X.leq(j, v))]
+
+    sheaf = Presheaf.of(X, {u: tuple(family[u]) for u in X.elements}, restrict)
     cert = verify_sheaf(sheaf)
     if not cert.passed:
         raise RepairFailed(f"generated carrier system violated the sheaf axiom: {cert.witness}")
@@ -410,17 +404,8 @@ def _mutate_remove_amalgamation(instance) -> object:
     if not _proper_cover_exists(frame, top, frame.down(top)):
         raise RepairFailed("the top open has no proper cover")
     for x in sheaf.carriers[top]:
-        carriers = {u: tuple(sheaf.carriers[u]) for u in frame.elements}
-        carriers[top] = tuple(y for y in sheaf.carriers[top] if y != x)
-        res = {}
-        for u in frame.elements:
-            for v in frame.down(u):
-                if v == u:
-                    continue
-                res[(u, v)] = {
-                    y: sheaf.restrict(u, y, v) for y in carriers[u]
-                }
-        mutant_sheaf = Presheaf(frame, carriers, res)
+        carriers = {**sheaf.carriers, top: tuple(y for y in sheaf.carriers[top] if y != x)}
+        mutant_sheaf = Presheaf.of(frame, carriers, sheaf.restrict)
         if not mutant_sheaf.verify().passed:
             continue
         cert = verify_sheaf(mutant_sheaf)
@@ -428,9 +413,7 @@ def _mutate_remove_amalgamation(instance) -> object:
             continue
         if F is None:
             return mutant_sheaf
-        orders = {u: F.sorted_pairs(u) for u in frame.elements}
-        orders[top] = [(a, b) for (a, b) in orders[top] if x not in (a, b)]
-        return PoSheaf(mutant_sheaf, orders)
+        return PoSheaf.of(mutant_sheaf, F.leq)
     raise RepairFailed("no removable amalgamation at the top open")
 
 

@@ -303,28 +303,16 @@ def _cross_sections_fresh(f: LocaleOverX, nodes: BudgetMeter) -> GammaSheaf:
     OX = f.base
     p = _point_map(f)
     fibres = {j: [y for y in p if p[y] == j] for j in OX.join_irreducibles()}
-    carriers = {}
-    for u in OX.elements:
-        carriers[u] = tuple(_point_sections(f, fibres, u, nodes))
-    members = {u: set(carriers[u]) for u in OX.elements}
+    carriers = {u: tuple(_point_sections(f, fibres, u, nodes)) for u in OX.elements}
     position = {u: {s: i for i, s in enumerate(carriers[u])} for u in OX.elements}
-    res = {}
-    for u in OX.elements:
-        for v in OX.down(u):
-            if v == u:
-                continue
-            table = {}
-            for s in carriers[u]:
-                restricted = Section(over=v, values=tuple(OX.meet(x, v) for x in s.values))
-                if restricted not in members[v]:
-                    raise MalformedInput(f"restriction of a section over {u!r} is not a section over {v!r}")
-                table[s] = restricted
-            res[(u, v)] = table
+
+    def restrict(u, s, v):
+        return Section(over=v, values=tuple(OX.meet(x, v) for x in s.values))
 
     def labeler(u, s):
         return f"s{position[u][s]}"
 
-    sheaf = Presheaf(OX, carriers, res, labeler=labeler)
+    sheaf = Presheaf.of(OX, carriers, restrict, labeler=labeler)
     cert = verify_sheaf(sheaf)
     report = CheckReport.combine("cross_sections", [cert.report()], sections={u: len(carriers[u]) for u in OX.elements})
     return GammaSheaf(locale=f, sheaf=sheaf, report=report)

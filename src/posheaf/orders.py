@@ -14,6 +14,8 @@ Galois forms, are reconciled, and a disagreement is itself a failure. The
 exhaustive readings are kept as test oracles."""
 from __future__ import annotations
 
+from typing import Callable
+
 from .frames import FiniteFrame, FinitePoset, MonotoneMap, _bits, _lift, galois_check
 from .report import (
     Budget,
@@ -41,10 +43,11 @@ class PoSheaf:
     FinitePoset per open over the carrier (poset(u)), closed reflexively on
     construction; POS1-POS3 are verified properties (verify_posheaf), not
     construction invariants. orders maps an open to its order pairs, or to
-    a FinitePoset over its carrier, which is kept as it is. The
-    completeness facts about a posheaf are computed once and kept on it:
-    the is_complete and is_frame_sheaf results, the left adjoint of each
-    restriction, the point order as bitset rows, and the opposite.
+    a FinitePoset over its carrier, which is kept as it is; a construction
+    gives its order as a predicate to PoSheaf.of. The completeness facts
+    about a posheaf are computed once and kept on it: the is_complete and
+    is_frame_sheaf results, the left adjoint of each restriction, the point
+    order as bitset rows, and the opposite.
     """
 
     def __init__(self, sheaf: Presheaf, orders: dict):
@@ -67,6 +70,13 @@ class PoSheaf:
         # slows every attribute read after it on CPython 3.11
         self._points: tuple | None = None
         self._opposite = None
+
+    @classmethod
+    def of(cls, sheaf: Presheaf, leq: Callable) -> "PoSheaf":
+        """The posheaf with x ≤_u y iff leq(u, x, y) or x = y, each open's
+        order built from the predicate as one FinitePoset over its carrier,
+        the form __init__ keeps as it is."""
+        return cls(sheaf, {u: FinitePoset(xs, [(x, y) for x in xs for y in xs if leq(u, x, y)], closed=True) for u, xs in sheaf.carriers.items()})
 
     @property
     def carriers(self):
@@ -482,16 +492,8 @@ def morphism_leq(alpha: SheafMorphism, beta: SheafMorphism, F: PoSheaf, G: PoShe
 def omega(X: FiniteFrame) -> PoSheaf:
     """The subobject classifier: Ω(u) = opens below u, restriction by meet,
     inclusion order."""
-    carriers = {u: tuple(X.down(u)) for u in X.elements}
-    res = {
-        (u, v): {w: X.meet(w, v) for w in carriers[u]}
-        for u in X.elements
-        for v in X.down(u)
-        if v != u
-    }
-    sheaf = Presheaf(X, carriers, res)
-    orders = {u: [(w, w2) for w in carriers[u] for w2 in carriers[u] if X.leq(w, w2)] for u in X.elements}
-    return PoSheaf(sheaf, orders)
+    sheaf = Presheaf.of(X, {u: tuple(X.down(u)) for u in X.elements}, lambda u, w, v: X.meet(w, v))
+    return PoSheaf.of(sheaf, lambda u, w, w2: X.leq(w, w2))
 
 
 def classifier(G: SubSheaf, F: PoSheaf, Om: PoSheaf | None = None) -> tuple[SheafMorphism, CheckReport]:
@@ -608,20 +610,9 @@ def enumerate_downsheaves(F: PoSheaf, u=None, *, budget: Budget | None = None, m
 
 def _power_posheaf(F_sheaf: Presheaf, per_open: dict) -> PoSheaf:
     """Assemble a powersheaf-style posheaf from per-open subsheaf carriers."""
-    frame = F_sheaf.frame
-    carriers = {u: tuple(per_open[u]) for u in frame.elements}
-    res = {
-        (u, v): {s: s.clip(v) for s in per_open[u]}
-        for u in frame.elements
-        for v in frame.down(u)
-        if v != u
-    }
-    sheaf = Presheaf(frame, carriers, res, labeler=lambda u, s: s.describe())
-    orders = {
-        u: [(s, t) for s in per_open[u] for t in per_open[u] if s.issubset(t)]
-        for u in frame.elements
-    }
-    return PoSheaf(sheaf, orders)
+    carriers = {u: tuple(per_open[u]) for u in F_sheaf.frame.elements}
+    sheaf = Presheaf.of(F_sheaf.frame, carriers, lambda u, s, v: s.clip(v), labeler=lambda u, s: s.describe())
+    return PoSheaf.of(sheaf, lambda u, s, t: s.issubset(t))
 
 
 def _power_meter(budget: Budget | None) -> BudgetMeter:

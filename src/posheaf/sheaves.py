@@ -32,7 +32,9 @@ class Point(NamedTuple):
 
 
 class Presheaf:
-    """Finite carrier per open plus total restriction tables for every v ≤ u.
+    """Finite carrier per open plus total restriction tables for every v ≤ u,
+    given as they are only by documents and the literal fixtures; a
+    construction gives x ↦ x|_v as a function to Presheaf.of.
 
     Carrier elements are hashable; iteration order is the carrier tuple order.
     Sheaf status is a verified property (verify_sheaf), not a subclass.
@@ -57,6 +59,8 @@ class Presheaf:
             for v in frame.down(u):
                 if v == u:
                     table = {x: x for x in self.carriers[u]}
+                    if (u, u) in res and any(res[u, u].get(x, x) != x for x in table):
+                        raise MalformedInput(f"restriction {u!r} -> {u!r} is not the identity")
                 else:
                     if (u, v) not in res:
                         raise MissingRestriction(f"no restriction table {u!r} -> {v!r}")
@@ -79,6 +83,14 @@ class Presheaf:
         # the report of verify(), kept by report.once; likewise a plain slot
         self._presheaf_report = None
 
+    @classmethod
+    def of(cls, frame: FiniteFrame, carriers: dict, restrict: Callable, labeler: Callable | None = None) -> "Presheaf":
+        """The presheaf whose restriction sends x in carriers[u] to
+        restrict(u, x, v) for each v < u: the one builder of the tables,
+        which __init__ then validates."""
+        res = {(u, v): {x: restrict(u, x, v) for x in carriers[u]} for u in frame.elements for v in frame.down(u) if v != u}
+        return cls(frame, carriers, res, labeler)
+
     def carrier(self, u) -> tuple:
         return self.carriers[u]
 
@@ -96,8 +108,9 @@ class Presheaf:
 
     def verify(self) -> CheckReport:
         """Composition over every chain w ≤ v ≤ u. Identity restrictions
-        hold by construction: __init__ builds res[u, u] as the identity, and
-        nothing assigns to res after it.
+        hold by construction: __init__ builds res[u, u] as the identity,
+        rejecting a given res[u, u] that is not, and nothing assigns to res
+        after it.
 
         Composition at u → v, res(u,w) = res(v,w)∘res(u,v) for w ≤ v, is
         decided along the lower covers (FiniteFrame.first_failing_pair) and
@@ -613,13 +626,7 @@ def subterminal(X: FiniteFrame, u) -> Presheaf:
     if u not in X:
         raise DomainMismatch(f"open not in frame: {u!r}")
     below = set(X.down(u))
-    carriers = {v: ("*",) if v in below else () for v in X.elements}
-    res = {}
-    for v in X.elements:
-        for w in X.down(v):
-            if w != v:
-                res[(v, w)] = {"*": "*"} if v in below else {}
-    return Presheaf(X, carriers, res)
+    return Presheaf.of(X, {v: ("*",) if v in below else () for v in X.elements}, lambda v, x, w: x)
 
 
 def terminal(X: FiniteFrame) -> Presheaf:
@@ -696,20 +703,14 @@ def product_sheaf(F: Presheaf, G: Presheaf) -> Presheaf:
     carriers = {
         u: tuple(itertools.product(F.carriers[u], G.carriers[u])) for u in frame.elements
     }
-    res = {
-        (u, v): {
-            (x, y): (F.restrict(u, x, v), G.restrict(u, y, v))
-            for (x, y) in carriers[u]
-        }
-        for u in frame.elements
-        for v in frame.down(u)
-        if v != u
-    }
+
+    def restrict(u, pair, v):
+        return F.restrict(u, pair[0], v), G.restrict(u, pair[1], v)
 
     def labeler(u, pair):
         return f"({F.label(u, pair[0])},{G.label(u, pair[1])})"
 
-    return Presheaf(frame, carriers, res, labeler=labeler)
+    return Presheaf.of(frame, carriers, restrict, labeler=labeler)
 
 
 def sheaf_iso(F: Presheaf, G: Presheaf) -> dict | None:

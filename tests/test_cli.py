@@ -120,6 +120,7 @@ def test_malformed_input_exit_2(tmp_path, capsys):
         "leq_not_pair": ("sheaf", {**good, "frame": {**good["frame"], "leq": [["0", "a", "1"]]}}),
         "carriers_list": ("sheaf", {**good, "carriers": [["*"], ["x", "y"]]}),
         "res_table_list": ("sheaf", {**good, "res": {**good["res"], "a->0": ["*", "*"]}}),
+        "res_self_not_identity": ("presheaf", {**good, "res": {**good["res"], "a->a": {"x": "y", "y": "x"}}}),
         "order_not_pair": ("posheaf", {**good, "order": {**good["order"], "a": [["x"]]}}),
         "order_unknown_open": ("posheaf", {**good, "order": {**good["order"], "q": []}}),
         "frame_leq_not_pair": ("frame", {**good["frame"], "leq": [["0"]]}),

@@ -5,8 +5,9 @@ enumeration, subset loop for join and meet preservation, product-space and
 frame-hom-filter search of the étale layer, nested function that calls
 itself, or broad exception handler in the package, no memo kept outside
 report.once, no read of a posheaf's orders outside orders.PoSheaf, no
-walk of a metered enumeration that only counts its members, and no read of
-a frame's lower covers outside frames.py and complete._left_adjoint."""
+walk of a metered enumeration that only counts its members, no read of a
+frame's lower covers outside frames.py and complete._left_adjoint, and no
+restriction table built outside Presheaf, jsonio and fixtures."""
 from __future__ import annotations
 
 import ast
@@ -333,4 +334,36 @@ def test_lower_covers_are_read_by_the_kernel_alone():
     good = "def _left_adjoint(F, u, v):\n    return next(w for w in F.frame.lower_covers(u))\n"
     assert _lower_cover_readers(ast.parse(good), "complete.py") == []
     found = [f"{path.name}:{line}" for path in _modules() for line in _lower_cover_readers(ast.parse(path.read_text()), path.name)]
+    assert found == []
+
+
+def _presheaf_constructions(tree, filename: str) -> list[int]:
+    """The lines that call Presheaf outside jsonio.py, fixtures.py and the
+    Presheaf class itself."""
+    if filename in ("jsonio.py", "fixtures.py"):
+        return []
+    allowed = set()
+    if filename == "sheaves.py":
+        allowed = {id(n) for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "Presheaf" for n in ast.walk(c)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Presheaf"
+        and id(node) not in allowed
+    )
+
+
+def test_restriction_tables_are_built_by_presheaf_of_alone():
+    # a construction gives its restriction as a function, x ↦ x|_v, and
+    # Presheaf.of builds the tables, so their format is known to the
+    # builder, the document loader and the literal fixtures alone. The
+    # patterns are caught as written
+    bad = "def f(X, carriers, res):\n    return Presheaf(X, carriers, res)\n"
+    assert _presheaf_constructions(ast.parse(bad), "orders.py") == [2]
+    assert _presheaf_constructions(ast.parse(bad), "sheaves.py") == [2]
+    assert _presheaf_constructions(ast.parse(bad), "jsonio.py") == []
+    good = "class Presheaf:\n    def of(cls, frame, carriers, restrict):\n        return Presheaf(frame, carriers, {})\n"
+    assert _presheaf_constructions(ast.parse(good), "sheaves.py") == []
+    found = [f"{path.name}:{line}" for path in _modules() for line in _presheaf_constructions(ast.parse(path.read_text()), path.name)]
     assert found == []

@@ -6,7 +6,7 @@ import sys
 
 import oracles
 from posheaf import sheaves
-from posheaf.frames import FiniteFrame
+from posheaf.frames import FiniteFrame, FrameHom
 from posheaf.sheaves import (
     Point,
     Presheaf,
@@ -37,7 +37,9 @@ from posheaf.orders import (
     verify_order_preserving,
     verify_posheaf,
 )
-from posheaf.fixtures import frame_2, posheaf_ab
+from posheaf.complete import product_posheaf
+from posheaf.fixtures import FIXTURE_FRAMES, frame_2, posheaf_ab
+from posheaf.frame_equiv import FrameUnderX, frame_hom_to_sheaf
 from posheaf.generate import GenConfig, gen_frame, gen_posheaf
 
 
@@ -54,6 +56,24 @@ def test_omega_is_a_posheaf(FD, F3, F6):
     assert [len(omega(FD).carrier(u)) for u in FD.elements] == [1, 2, 2, 4]
     Om2 = omega(frame_2())
     assert Om2.carrier("1") == ("0", "1")
+
+
+def test_posheaf_of_builds_the_rows_of_the_pair_lists():
+    # Ω, ℙ, F×G and Φ give their orders as predicates to PoSheaf.of; the
+    # pair lists of the same predicates must give the same rows
+    for build in FIXTURE_FRAMES.values():
+        X = build()
+        Om = omega(X)
+        cases = [
+            (Om, lambda u, x, y: X.leq(x, y)),
+            (power_sheaf(terminal(X)), lambda u, s, t: s.issubset(t)),
+            (product_posheaf(Om, Om), lambda u, p, q: X.leq(p[0], q[0]) and X.leq(p[1], q[1])),
+            (frame_hom_to_sheaf(FrameUnderX(FrameHom.identity(X))), lambda u, x, y: X.leq(x, y)),
+        ]
+        for F, leq in cases:
+            G = PoSheaf(F.sheaf, {u: [(x, y) for x in xs for y in xs if leq(u, x, y)] for u, xs in F.carriers.items()})
+            for u in X.elements:
+                assert (F.poset(u).up_rows, F.poset(u).down_rows) == (G.poset(u).up_rows, G.poset(u).down_rows)
 
 
 def test_posheaf_ab_passes(PAB):

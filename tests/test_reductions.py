@@ -275,7 +275,7 @@ def _gluing_corpus() -> list[tuple[str, Presheaf]]:
 
 
 def test_gluing_certificates_match_the_binary_cover_scan():
-    # the verdict comes from the canonical covers, the entries and witness
+    # the verdict comes from one square per open, the entries and witness
     # from the binary covers: all three must be the scan's, in every order
     rng = random.Random(11)
     corpus = _gluing_corpus()

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from posheaf.report import NotRestrictionClosed, SectionNotInCarrier
+from posheaf.report import MalformedInput, NotRestrictionClosed, SectionNotInCarrier
 from posheaf.sheaves import (
     Presheaf,
     SheafMorphism,
@@ -77,6 +77,12 @@ def test_broken_composition_names_exact_triple(FD):
     cert = verify_sheaf(P)
     assert not cert.passed
     assert cert.witness["amalgamations"] == 0
+
+
+def test_presheaf_of_builds_the_tables_and_rejects_a_restriction_leaving_the_carrier(SAB):
+    assert Presheaf.of(SAB.frame, SAB.carriers, SAB.restrict).res == SAB.res
+    with pytest.raises(MalformedInput, match="outside the carrier"):
+        Presheaf.of(SAB.frame, SAB.carriers, lambda u, x, v: "nowhere")
 
 
 def test_missing_f1_section_fails_with_zero_amalgamations(FD):
