@@ -334,12 +334,11 @@ class FiniteFrame:
     many opens is one OR or AND of their masks and one lookup, and x → y is
     the open of {j : ↓j ∩ m(x) ⊆ m(y)}.
 
-    Build with close_and_verify_frame (or from_relation + verify), or from
-    a family of sets closed under union and intersection with
-    frame_of_sets. The masks come from the Birkhoff test of verify, run on
-    first use; on a relation that fails it the operations answer from the
-    FinitePoset rows (None where a bound is missing), which verify's reject
-    path reads to name its witness.
+    Build with close_and_verify_frame (or from_relation + verify), or as
+    the down-sets of a finite poset with downset_frame. The masks come from
+    the Birkhoff test of verify, run on first use; on a relation that fails
+    it the operations answer from the FinitePoset rows (None where a bound
+    is missing), which verify's reject path reads to name its witness.
     """
 
     def __init__(self, poset: FinitePoset):
@@ -379,6 +378,15 @@ class FiniteFrame:
         if gap is not None or rows != ups:
             return None
         return _mask_table(self, masks)
+
+    @property
+    def masks(self) -> "_Masks":
+        """The Birkhoff masks of a frame, for a kernel that reads its opens
+        as bit sets: m(x) of each open (of), the open of each mask (at), and
+        m(J[i]) for each bit i (below). A relation that fails verify raises
+        its report."""
+        self.verify().require()
+        return self._birkhoff
 
     def leq(self, x, y) -> bool:
         b = self._birkhoff
@@ -475,14 +483,19 @@ class FiniteFrame:
         amalgamation closure and patching hold for every cover iff they hold
         for these, by induction on the cover size. The POS forms read them;
         gluing and amalgamation closure are decided on square_cover and scan
-        these only to name the witness of a failure."""
+        these only to name the witness of a failure. On a frame a pair is
+        tested by its Birkhoff masks, m(v) | m(w) = m(u); a relation that is
+        not one is tested by join."""
         if u not in self._covers_cache:
             below = self.down(u)
             found = [()] if u == self.bottom else []
             found.append((u,))
-            found.extend(
-                (v, w) for i, v in enumerate(below) for w in below[i + 1:] if self.join(v, w) == u
-            )
+            b = self._birkhoff
+            if b is None:
+                found.extend((v, w) for i, v in enumerate(below) for w in below[i + 1:] if self.join(v, w) == u)
+            else:
+                of, mu = b.of, b.of[u]
+                found.extend((v, w) for i, v in enumerate(below) for w in below[i + 1:] if of[v] | of[w] == mu)
             self._covers_cache[u] = tuple(found)
         return self._covers_cache[u]
 
@@ -692,40 +705,45 @@ def _mask_table(frame: FiniteFrame, masks: list) -> _Masks:
     return _Masks(of, dict(zip(masks, frame.elements)), [of[j] for j in frame.join_irreducibles_by_height()])
 
 
-def frame_of_sets(labels: Sequence[str], sets: Sequence[int]) -> tuple[FiniteFrame, tuple | None]:
-    """The labels ordered by inclusion of their sets (distinct ints, bit
-    sets), and the first pair (x, y), y at or before x in label order, whose
-    sets' intersection ("meet") or union ("join") is not one of the sets, or
-    None; one pass over the pairs fills the order's rows and finds the gap
-    (_inclusion_rows).
+def downset_frame(labels: Sequence[str], sets: Sequence[int], points: Sequence[int]) -> FiniteFrame:
+    """The frame of the down-sets of a finite poset Q whose members are the
+    bits q: labels[i] names the down-set sets[i], every down-set of Q is
+    one of the sets, once, and points[q] is ↓q. Nothing of this is checked;
+    the caller's construction proves it.
 
-    Sets closed under union and intersection form a distributive lattice
-    under inclusion with those as join and meet, so the frame passes verify
-    with no test of its own. Its join-irreducibles are the distinct sets
-    ℓ(b) = ∩{s : b ∈ s} for the bits b outside the least set (ℓ(b) = x ∪ y
-    puts b in x or y; and every set is its least set joined with the ℓ(b)
-    of its other bits), and m(x) is the ℓ(b) inside set(x). On a gap, or
-    with repeated sets, the frame is the unverified inclusion relation."""
-    at = dict(zip(sets, labels))
-    ups, downs, gap = _inclusion_rows(labels, sets, at)
+    Down-sets are closed under union and intersection, so they form a
+    distributive lattice under inclusion with those as join and meet, and
+    the frame passes verify with no test of its own. Its join-irreducibles
+    are the principal down-sets ↓q (a down-set is the union of the ↓q of
+    its members, and ↓q = x ∪ y puts q in x or y), so the Birkhoff mask
+    m(x) is set(x) itself, each bit q moved to the place of ↓q in
+    join_irreducibles_by_height. The order's rows are read from the
+    columns col(q) = {i : q ∈ sets[i]}: ↑x is the AND of the columns of
+    the q in set(x), and ↓x the AND of the complements of the columns of
+    the q outside it, so no pass over the pairs is made."""
+    full = (1 << len(sets)) - 1
+    cols = [0] * len(points)
+    for i, s in enumerate(sets):
+        for q in _bits(s):
+            cols[q] |= 1 << i
+    ups, downs = [], []
+    for s in sets:
+        up = down = full
+        for q, col in enumerate(cols):
+            if s >> q & 1:
+                up &= col
+            else:
+                down &= ~col
+        ups.append(up)
+        downs.append(down)
     frame = FiniteFrame(FinitePoset.from_rows(labels, ups, downs))
-    if gap is None and len(at) == len(sets):
-        floor = -1
-        for s in sets:
-            floor &= s
-        least: dict = {}
-        for s in sets:
-            rest = s & ~floor
-            while rest:
-                low = rest & -rest
-                least[low] = least.get(low, s) & s
-                rest ^= low
-        frame._join_irreducibles = tuple(frame.poset.sorted({at[s] for s in least.values()}))
-        of = dict(zip(labels, sets))
-        ells = [of[j] for j in frame.join_irreducibles_by_height()]
-        masks = [sum(1 << i for i, ell in enumerate(ells) if not ell & ~s) for s in sets]
-        frame._birkhoff = _mask_table(frame, masks)
-    return frame, gap
+    at = dict(zip(sets, labels))
+    principal = [at[p] for p in points]
+    frame._join_irreducibles = tuple(frame.poset.sorted(principal))
+    place = {j: 1 << i for i, j in enumerate(frame.join_irreducibles_by_height())}
+    moved = {1 << q: place[j] for q, j in enumerate(principal)}
+    frame._birkhoff = _mask_table(frame, [_lift(s, moved) for s in sets])
+    return frame
 
 
 def close_and_verify_frame(elements: Sequence[str], pairs: Iterable[tuple]) -> tuple[FiniteFrame | None, CheckReport]:

@@ -14,9 +14,9 @@ The definitional searches these replace are test oracles (tests/oracles.py).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import NamedTuple
 
-from .frames import FiniteFrame, FrameHom, frame_of_sets, verify_frame_hom
+from .frames import FiniteFrame, FrameHom, _bits, downset_frame, verify_frame_hom
 from .report import (
     Budget,
     BudgetMeter,
@@ -54,7 +54,8 @@ class LocaleOverX:
 @dataclass
 class EtaleLocale:
     """The sheaf locale of a presheaf: the frame of constrained open
-    assignments, its projection maps, and the construction evidence."""
+    assignments, its projection to the base, and the construction
+    evidence."""
 
     presheaf: Presheaf
     sections: list
@@ -67,33 +68,25 @@ class EtaleLocale:
     def label_of(self, assignment: tuple) -> str:
         return self.frame.elements[self._index[assignment]]
 
-    def projection(self, k: int) -> dict:
-        """p_s* for the k-th section: element label -> open of the base."""
-        return {lab: self.assignments[i][k] for i, lab in enumerate(self.frame.elements)}
-
     def section_label(self, k: int) -> str:
         u, s = self.sections[k]
         return f"{self.presheaf.label(u, s)}@{u}"
 
 
-def _germ_joins(X: FiniteFrame, germs: list) -> Callable[[int], str]:
-    """mask ↦ ∨ of the opens j of the germs (j, x) whose bits are set in
-    mask: one OR of their masks in X and one lookup (X.join_all), kept per
-    mask, as the sections of one presheaf share their germs."""
-    joins: dict = {}
+class _GermJoins(dict):
+    """mask ↦ the index in X of ∨ of the opens j of the germs (j, x) whose
+    bits are set in mask: one OR of their masks in X and one lookup, made on
+    the first read of a mask and kept, as the sections of one presheaf
+    share their germs."""
 
-    def join(mask: int) -> str:
-        out = joins.get(mask)
-        if out is None:
-            js, rest = [], mask
-            while rest:
-                low = rest & -rest
-                js.append(germs[low.bit_length() - 1][0])
-                rest ^= low
-            out = joins[mask] = X.join_all(js)
+    def __init__(self, X: FiniteFrame, germs: list):
+        super().__init__()
+        self.X, self.germs = X, germs
+
+    def __missing__(self, mask: int) -> int:
+        X = self.X
+        out = self[mask] = X.index[X.join_all(self.germs[q][0] for q in _bits(mask))]
         return out
-
-    return join
 
 
 def etale_locale(P: Presheaf, *, budget: Budget | None = None) -> EtaleLocale:
@@ -101,12 +94,11 @@ def etale_locale(P: Presheaf, *, budget: Budget | None = None) -> EtaleLocale:
     of the germs (j, x), j a join-irreducible of the base and x ∈ P(j), read
     as the assignment (u, s) ↦ ∨{j ≤ u : (j, s|_j) ∈ D} of an open below each
     section's domain, under the pointwise order. The down-sets come from the
-    germ walk of enumerate_subsheaves, one budget tick each. The frame is
-    built from their masks (frames.frame_of_sets): one pass over the pairs
-    collects the order and checks that each pair's intersection and union
-    are down-sets of the frame (the pointwise lattice), and a family of sets
-    closed under both is a frame, so the frame laws are checked, never
-    assumed, with no second pass.
+    germ walk of enumerate_subsheaves, one budget tick each, and the frame is
+    their down-set lattice, its rows read from the germ columns
+    (frames.downset_frame). The walk yields every down-set once, and
+    down-sets are closed under union and intersection, so the frame laws and
+    the pointwise lattice hold by proof (_etale_locale_fresh).
 
     Built once per presheaf object (report.once), through a weak reference
     since E.presheaf is P."""
@@ -118,33 +110,31 @@ def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
     """The pointwise order is inclusion of the germ down-sets: D ↦ assignment
     is monotone, and it reflects the order because the value at a germ
     (j, x) is j iff (j, x) ∈ D (a join of opens strictly below a
-    join-irreducible j is strictly below j)."""
+    join-irreducible j is strictly below j). The pointwise lattice holds:
+    the germs of a section s over u that D holds are a down-set A of J↓u
+    (P's restrictions compose, which verify_presheaf checks first), and the
+    join of a down-set of J has it as Birkhoff mask, so the pointwise join
+    and meet of the assignments of D and D' have masks A ∪ A' and A ∩ A':
+    they are the assignments of D ∪ D' and D ∩ D'. A germ (j, x) is the
+    section x over j, and its germ mask, the germs of its restrictions to
+    J↓j, is its principal down-set."""
     verify_presheaf(P).require()
     X = P.frame
     sections = P.sections()
     germs, masks = _germ_table(P, X.top)
     need = {(v, x): m for v, row in masks for x, m in row}
     needs = [need[sec] for sec in sections]
-    germ_join = _germ_joins(X, germs)
-    opens = sorted(
-        (
-            (tuple(germ_join(chosen & m) for m in needs), chosen)
-            for chosen in _germ_downsets(P, germs, meter)
-        ),
-        key=lambda o: tuple(X.index[c] for c in o[0]),
-    )
-    assignments = [a for a, _ in opens]
+    joins = _GermJoins(X, germs)
+    opens = sorted((tuple([joins[chosen & m] for m in needs]), chosen) for chosen in _germ_downsets(P, germs, meter))
+    elements = X.elements
+    assignments = [tuple([elements[i] for i in key]) for key, _ in opens]
     width = max(3, len(str(max(len(assignments) - 1, 0))))
     labels = [f"L{i:0{width}d}" for i in range(len(assignments))]
     index = {a: i for i, a in enumerate(assignments)}
 
-    frame, gap = frame_of_sets(labels, [m for _, m in opens])
+    frame = downset_frame(labels, [m for _, m in opens], [need[g] for g in germs])
     frame_rep = frame.verify()
-    if gap is None:
-        lattice_rep = CheckReport.ok("sheaf_locale.pointwise_lattice")
-    else:
-        x, y, missing = gap
-        lattice_rep = CheckReport.fail("sheaf_locale.pointwise_lattice", {"pair": [x, y], "closed_under": missing})
+    lattice_rep = CheckReport.ok("sheaf_locale.pointwise_lattice")
 
     pstar_map = {}
     for x in X.elements:
@@ -233,10 +223,10 @@ def is_local_homeomorphism(f: LocaleOverX) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     """A continuous section over an open: its frame map as a value table
-    aligned with O(Y)'s element order."""
+    aligned with O(Y)'s element order. A tuple, so hashing and equality run
+    in C."""
 
     over: str
     values: tuple
@@ -252,45 +242,74 @@ class GammaSheaf:
     report: CheckReport
 
 
-def _point_sections(f: LocaleOverX, fibres: dict, u, nodes: BudgetMeter) -> list[Section]:
-    """The frame maps O(Y) → ↓u with s∘f* = (−) ∧ u, sorted by value table.
-    On points they are the monotone φ from the base's points below u to the
-    points of Y with p∘φ = id, so φ(j) is drawn from the fibre of j, in a
-    linear extension of the base's points; the value table is
-    s(y) = ∨{j : φ(j) ≤ y}. The meter ticks once per search node."""
+def _point_sections(f: LocaleOverX, fibres: dict, u, nodes: BudgetMeter) -> list[tuple[tuple, Section]]:
+    """The frame maps O(Y) → ↓u with s∘f* = (−) ∧ u, each with its point map
+    φ, sorted by value table. On points they are the monotone φ from the
+    base's points below u (J↓u, canonical_cover) to the points of Y with
+    p∘φ = id, so φ(j) is drawn from the fibre of j, in a linear extension
+    of the base's points; φ is kept as the tuple of the positions in O(Y)
+    of its values on J↓u. A candidate is tried against the AND of the up
+    rows of the φ(k), k < j in J↓u. The value table is
+    s(y) = ∨{j : φ(j) ≤ y}, one OR of the base's Birkhoff masks m(j) over
+    the y of the up row of each φ(j). The meter ticks once per search
+    node."""
     OY, OX = f.OY, f.base
+    of, at, _ = OX.masks
+    ups, index = OY.poset.up_rows, OY.index
     J = OX.canonical_cover(u)
-    lower = [[k for k in J[:i] if OX.leq(k, j)] for i, j in enumerate(J)]
-    phi: dict = {}
-    out: list[Section] = []
+    lower = [[k for k in range(i) if OX.leq(J[k], j)] for i, j in enumerate(J)]
+    phi = [0] * len(J)
+    anywhere = (1 << len(OY)) - 1
+    room = [anywhere] * len(J)  # room[i]: the y above φ(k) for each k < J[i]
+    points: list[tuple] = []
     # depth first over J, one iterator over the fibre of J[i] per level i;
-    # the last level, past J, has no candidates and records the section
-    levels = [fibres[j] for j in J] + [()]
+    # the last level, past J, has no candidates and records φ
+    levels = [[index[y] for y in fibres[j]] for j in J] + [()]
     stack = [iter(levels[0])]
     nodes.tick()
     while stack:
         i = len(stack) - 1
         if i == len(J):
-            out.append(Section(over=u, values=tuple(OX.join_all(j for j in J if OY.leq(phi[j], y)) for y in OY.elements)))
+            points.append(tuple(phi))
             stack.pop()
             continue
-        for y in stack[-1]:
-            if all(OY.leq(phi[k], y) for k in lower[i]):
+        fits = room[i]
+        for t in stack[-1]:
+            if fits >> t & 1:
                 break
         else:
             stack.pop()
             continue
-        phi[J[i]] = y
+        phi[i] = t
         nodes.tick()
+        if i + 1 < len(J):
+            fits = anywhere
+            for k in lower[i + 1]:
+                fits &= ups[phi[k]]
+            room[i + 1] = fits
         stack.append(iter(levels[i + 1]))
-    out.sort(key=lambda s: tuple(OX.index[v] for v in s.values))
+    out = []
+    for point in points:
+        table = [0] * len(OY)
+        for j, t in zip(J, point):
+            m = of[j]
+            for k in _bits(ups[t]):
+                table[k] |= m
+        out.append((point, Section(over=u, values=tuple([at[m] for m in table]))))
+    position = OX.index
+    out.sort(key=lambda found: [position[x] for x in found[1].values])
     return out
 
 
 def cross_sections(f: LocaleOverX, *, budget: Budget | None = None) -> GammaSheaf:
     """Γ(f): per open, all continuous sections over it (_point_sections);
-    restriction meets the value table with the smaller open. Verified to be
-    a sheaf.
+    restriction to v keeps a section's point map on J↓v and returns the
+    section over v with that point map. Verified to be a sheaf.
+
+    That section is the restriction s(−) ∧ v: the point map φ is monotone,
+    so {j ∈ J↓u : φ(j) ≤ y} is a down-set of J and is m(s(y)), and
+    m(s(y) ∧ v) = m(s(y)) ∩ J↓v holds k ∈ J↓v iff φ(k) ≤ y; and the search
+    at v finds every section, that one too.
 
     Built once per locale object (report.once), through a weak reference
     since G.locale is f."""
@@ -303,11 +322,15 @@ def _cross_sections_fresh(f: LocaleOverX, nodes: BudgetMeter) -> GammaSheaf:
     OX = f.base
     p = _point_map(f)
     fibres = {j: [y for y in p if p[y] == j] for j in OX.join_irreducibles()}
-    carriers = {u: tuple(_point_sections(f, fibres, u, nodes)) for u in OX.elements}
+    found = {u: _point_sections(f, fibres, u, nodes) for u in OX.elements}
+    carriers = {u: tuple(s for _, s in found[u]) for u in OX.elements}
+    by_point = {u: {point: s for point, s in found[u]} for u in OX.elements}
+    point_of = {s: dict(zip(OX.canonical_cover(u), point)) for u in OX.elements for point, s in found[u]}
     position = {u: {s: i for i, s in enumerate(carriers[u])} for u in OX.elements}
 
     def restrict(u, s, v):
-        return Section(over=v, values=tuple(OX.meet(x, v) for x in s.values))
+        phi = point_of[s]
+        return by_point[v][tuple([phi[j] for j in OX.canonical_cover(v)])]
 
     def labeler(u, s):
         return f"s{position[u][s]}"
@@ -319,21 +342,21 @@ def _cross_sections_fresh(f: LocaleOverX, nodes: BudgetMeter) -> GammaSheaf:
 
 
 def unit(P: Presheaf, E: EtaleLocale, G: GammaSheaf) -> tuple[SheafMorphism, CheckReport]:
-    """η: each section goes to its projection, viewed as a section of the
+    """η: each section goes to its projection, its column of E's
+    assignments (its value at each open of Λ), viewed as a section of the
     sheaf locale; verified natural. The agreement identity of a section with
     its own restriction, ε(P, [(u, s), (v, s|_v)]) = v, follows from the
     composition of restrictions, which verify_presheaf(P) checks and
     etale_locale requires before it builds E = Λ(P): its subreport records
     that precondition."""
-    OY = E.frame
     position = {sec: k for k, sec in enumerate(E.sections)}
+    columns = list(zip(*E.assignments))
     maps = {}
     for u in P.frame.elements:
-        members = set(G.sheaf.carriers[u])
+        members = G.sheaf.carrier_sets[u]
         table = {}
         for s in P.carriers[u]:
-            proj = E.projection(position[u, s])
-            candidate = Section(over=u, values=tuple(proj[lab] for lab in OY.elements))
+            candidate = Section(over=u, values=columns[position[u, s]])
             if candidate not in members:
                 return SheafMorphism.identity(P), CheckReport.fail(
                     "unit", {"open": u, "section": P.label(u, s), "not": "a section of the sheaf locale"}
@@ -389,11 +412,8 @@ def triangle_gamma_side(f: LocaleOverX, *, budget: Budget | None = None) -> Chec
     for u in f.fstar.source.elements:
         for s in G.sheaf.carriers[u]:
             lifted = eta_g(u, s)  # a section of the sheaf locale of Γ(f), over u
-            composite = Section(
-                over=u,
-                values=tuple(lifted.value(E.frame, eps_hom(y)) for y in OY.elements),
-            )
-            if composite != s:
+            composite = tuple(lifted.value(E.frame, eps_hom(y)) for y in OY.elements)
+            if composite != s.values:
                 ok, wit = False, {"open": u, "section": G.sheaf.label(u, s)}
                 break
         if not ok:

@@ -66,7 +66,7 @@ from posheaf.complete import (
     _upper_bound_mask,
 )
 from posheaf.frame_equiv import frame_hom_to_sheaf
-from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap, left_adjoint
+from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap, _inclusion_rows, _mask_table, left_adjoint
 from posheaf.locale_equiv import Section
 from posheaf import sheaves
 from posheaf.orders import (
@@ -793,6 +793,43 @@ def inclusion_pairs(labels, sets, at: dict) -> tuple[list, tuple | None]:
     return pairs, None
 
 
+def frame_of_sets(labels, sets) -> tuple:
+    """The labels ordered by inclusion of their sets (distinct ints, bit
+    sets), and the first pair (x, y), y at or before x in label order, whose
+    sets' intersection ("meet") or union ("join") is not one of the sets, or
+    None; one pass over the pairs fills the order's rows and finds the gap
+    (frames._inclusion_rows). The sheaf locale's frame by the pair pass,
+    which frames.downset_frame reads from the germ columns instead.
+
+    Sets closed under union and intersection form a distributive lattice
+    under inclusion with those as join and meet, so the frame passes verify
+    with no test of its own. Its join-irreducibles are the distinct sets
+    ℓ(b) = ∩{s : b ∈ s} for the bits b outside the least set (ℓ(b) = x ∪ y
+    puts b in x or y; and every set is its least set joined with the ℓ(b)
+    of its other bits), and m(x) is the ℓ(b) inside set(x). On a gap, or
+    with repeated sets, the frame is the unverified inclusion relation."""
+    at = dict(zip(sets, labels))
+    ups, downs, gap = _inclusion_rows(labels, sets, at)
+    frame = FiniteFrame(FinitePoset.from_rows(labels, ups, downs))
+    if gap is None and len(at) == len(sets):
+        floor = -1
+        for s in sets:
+            floor &= s
+        least: dict = {}
+        for s in sets:
+            rest = s & ~floor
+            while rest:
+                low = rest & -rest
+                least[low] = least.get(low, s) & s
+                rest ^= low
+        frame._join_irreducibles = tuple(frame.poset.sorted({at[s] for s in least.values()}))
+        of = dict(zip(labels, sets))
+        ells = [of[j] for j in frame.join_irreducibles_by_height()]
+        masks = [sum(1 << i for i, ell in enumerate(ells) if not ell & ~s) for s in sets]
+        frame._birkhoff = _mask_table(frame, masks)
+    return frame, gap
+
+
 class SetPoset:
     """A finite relation as a set of pairs, closed by relation_closure (or
     only reflexively when ``closed``), with its up-sets and down-sets as
@@ -1302,6 +1339,21 @@ def sections_over(f, u, nodes: BudgetMeter) -> list:
     kept = [s for s in out if is_section(s)]
     kept.sort(key=lambda s: tuple(OX.index[v] for v in s.values))
     return kept
+
+
+def restrict_by_meet(X, s, v):
+    """A section's restriction to v by its definition: its value table met
+    with v, open by open."""
+    return Section(over=v, values=tuple(X.meet(x, v) for x in s.values))
+
+
+def point_value_table(f, u, point: tuple) -> tuple:
+    """The value table s(y) = ∨{j ∈ J↓u : φ(j) ≤ y} of a point map φ, given
+    as the positions in O(Y) of its values on J↓u, by one join_all per open
+    of Y."""
+    OY, OX = f.OY, f.base
+    phi = dict(zip(OX.canonical_cover(u), (OY.elements[t] for t in point)))
+    return tuple(OX.join_all(j for j in phi if OY.leq(phi[j], y)) for y in OY.elements)
 
 
 def local_homeomorphism(f) -> CheckReport:

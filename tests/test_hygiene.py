@@ -6,8 +6,9 @@ frame-hom-filter search of the étale layer, nested function that calls
 itself, or broad exception handler in the package, no memo kept outside
 report.once, no read of a posheaf's orders outside orders.PoSheaf, no
 walk of a metered enumeration that only counts its members, no read of a
-frame's lower covers outside frames.py and complete._left_adjoint, and no
-restriction table built outside Presheaf, jsonio and fixtures."""
+frame's lower covers outside frames.py and complete._left_adjoint, no
+restriction table built outside Presheaf, jsonio and fixtures, and no
+cross-section built outside Γ's point search, the unit and the oracles."""
 from __future__ import annotations
 
 import ast
@@ -366,4 +367,43 @@ def test_restriction_tables_are_built_by_presheaf_of_alone():
     good = "class Presheaf:\n    def of(cls, frame, carriers, restrict):\n        return Presheaf(frame, carriers, {})\n"
     assert _presheaf_constructions(ast.parse(good), "sheaves.py") == []
     found = [f"{path.name}:{line}" for path in _modules() for line in _presheaf_constructions(ast.parse(path.read_text()), path.name)]
+    assert found == []
+
+
+def _section_constructions(tree, filename: str) -> list[int]:
+    """The lines that call Section outside locale_equiv's _point_sections and
+    unit and outside tests/oracles.py."""
+    if filename == "oracles.py":
+        return []
+    allowed = set()
+    if filename == "locale_equiv.py":
+        allowed = {
+            id(n)
+            for f in tree.body
+            if isinstance(f, ast.FunctionDef) and f.name in ("_point_sections", "unit")
+            for n in ast.walk(f)
+        }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Section"
+        and id(node) not in allowed
+    )
+
+
+def test_sections_are_built_by_the_point_search_alone():
+    # Γ's sections are built once, by the point search over φ, and its
+    # restriction returns the carrier's own section for φ on J↓v; the unit
+    # reads a section of Λ from its columns. So no path rebuilds a section
+    # by meeting its value table with an open; the definitions that do are
+    # oracles. The patterns are caught as written
+    bad = "def restrict(u, s, v):\n    return Section(over=v, values=tuple(X.meet(x, v) for x in s.values))\n"
+    assert _section_constructions(ast.parse(bad), "locale_equiv.py") == [2]
+    assert _section_constructions(ast.parse(bad), "test_reductions.py") == [2]
+    assert _section_constructions(ast.parse(bad), "oracles.py") == []
+    good = "def unit(P, E, G):\n    return Section(over=u, values=columns[k])\n"
+    assert _section_constructions(ast.parse(good), "locale_equiv.py") == []
+    paths = [*_modules(), *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]
+    found = [f"{path.name}:{line}" for path in paths for line in _section_constructions(ast.parse(path.read_text()), path.name)]
     assert found == []

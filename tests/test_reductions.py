@@ -1,8 +1,8 @@
 """The finite-lattice reductions against their exhaustive definitions
 (tests/oracles.py): binary covers for gluing, subsheaf closure and POS3,
-and the canonical covers J↓u against the binary-cover scans for gluing,
-subsheaf closure and the internal subsheaf reading of posheaves (the
-verdict from J↓u, the entries and witnesses from the scan, on the
+and one pullback square per open against the binary-cover scans for
+gluing, subsheaf closure and the internal subsheaf reading of posheaves
+(the verdict from the squares, the entries and witnesses from the scan, on the
 generated sheaves, their mutants, every member of Sub(F) and seeded
 parts), single joins for cover existence, the Heyting implication as a join, Sub,
 Dow and generated subsheaves as down-sets of germs at the join-irreducibles,
@@ -65,7 +65,6 @@ from posheaf.frames import (
     FrameHom,
     MonotoneMap,
     close_and_verify_frame,
-    frame_of_sets,
     left_adjoint,
     preserves_all_joins,
     preserves_all_meets,
@@ -929,7 +928,7 @@ def test_frame_loading_matches_the_set_based_closure(boolean_frame):
     for case in range(300):
         sets = _closed_family(rng) if case % 2 else [rng.randrange(16) for _ in range(rng.randint(1, 7))]
         labels = [f"s{i}" for i in range(len(sets))]
-        frame, gap = frame_of_sets(labels, sets)
+        frame, gap = oracles.frame_of_sets(labels, sets)
         pairs, expected_gap = oracles.inclusion_pairs(labels, sets, dict(zip(sets, labels)))
         assert (frame.poset.pairs(), gap) == (frozenset(pairs), expected_gap)
         gaps.add(gap if gap is None else gap[2])
@@ -1444,7 +1443,7 @@ def test_sheaf_locale_lattice_matches_the_pointwise_lattice(pointwise_corpus):
             sets |= {op(a, b) for a in sets for b in sets for op in (int.__and__, int.__or__)}
         sets = rng.sample(sorted(sets), len(sets))
         labels = [f"s{k}" for k in range(len(sets))]
-        frame, gap = frame_of_sets(labels, sets)
+        frame, gap = oracles.frame_of_sets(labels, sets)
         expected = oracles.mask_lattice(_fresh(frame), sets)
         assert (gap is None) == expected.passed, sets
         if gap is not None:
@@ -1482,6 +1481,76 @@ def test_omega_of_2_to_the_5_has_a_sheaf_locale_of_1024_opens(boolean_frame):
     assert [_report(r) for r in E.report.subreports[:2]] == [_report(frame_rep), _report(lattice_rep)]
 
 
+def test_sheaf_locale_rows_match_the_pair_pass(pointwise_corpus, boolean_frame):
+    # Λ's frame is the down-set lattice of the germs, its order's rows read
+    # from the germ columns (frames.downset_frame): on the pointwise corpus
+    # and Λ(Ω(2^5)) they are the rows of the pair pass over the germ
+    # down-sets, which finds no gap, and its Birkhoff masks and points are
+    # the pair pass's
+    instances = [(name, E) for name, _, E in pointwise_corpus]
+    instances.append(("omega(2^5)", etale_locale(omega(boolean_frame(5)).sheaf)))
+    for name, E in instances:
+        labels, masks = E.frame.elements, oracles.germ_masks(E, E.assignments)
+        pairs, gap = oracles.inclusion_pairs(labels, masks, dict(zip(masks, labels)))
+        assert gap is None and E.frame.poset.pairs() == frozenset(pairs), name
+        ref, _ = oracles.frame_of_sets(labels, masks)
+        assert (E.frame.poset.up_rows, E.frame.poset.down_rows) == (ref.poset.up_rows, ref.poset.down_rows), name
+        assert E.frame.join_irreducibles() == ref.join_irreducibles() and E.frame.masks == ref.masks, name
+
+
+# (instance, sheaf-locale elements of Λ(P), section search nodes of Γ(Λ(P)),
+# sheaf-locale elements of Λ(Γ(Λ(P)))), as the meters counted them when Λ
+# ran a pair pass over its opens and Γ met value tables: the germ walk and
+# the point search are the same, so the counts are too
+METER_COUNTS = [
+    ("omega(2^4)", 256, 146, 256),
+    ("omega(2^5)", 1024, 454, 1024),
+    ("omega(FRAME_3)", 15, 10, 15),
+    ("omega(FRAME_6)", 60, 33, 60),
+    ("omega(FRAME_D)", 16, 14, 16),
+    ("sheaf_ab", 8, 11, 8),
+    ("gen_sheaf(6, 3, 1)", 32, 17, 32),
+    ("gen_sheaf(6, 3, 1)+remove-amalgamation", 32, 17, 32),
+    ("gen_sheaf(6, 3, 2)", 12, 19, 12),
+    ("gen_sheaf(6, 3, 2)+remove-amalgamation", 12, 19, 12),
+    ("gen_sheaf(7, 3, 1)", 16, 14, 16),
+    ("gen_sheaf(7, 3, 1)+remove-amalgamation", 16, 14, 16),
+]
+
+
+def _meter_instance(name: str, boolean_frame) -> Presheaf:
+    """The presheaf a METER_COUNTS row names."""
+    if name.startswith("omega(2^"):
+        return omega(boolean_frame(int(name[8]))).sheaf
+    if name.startswith("omega("):
+        return omega(FIXTURE_FRAMES[name[6:-1]]()).sheaf
+    if name == "sheaf_ab":
+        return sheaf_ab()
+    opens, carrier, seed = map(int, name[len("gen_sheaf("):name.index(")")].split(", "))
+    cfg = GenConfig(seed=seed, max_opens=opens, max_carrier=carrier)
+    P = gen_sheaf(gen_frame(cfg), cfg)
+    return mutate(P, "remove-amalgamation", cfg) if name.endswith("+remove-amalgamation") else P
+
+
+def _binds_at(build, limit: str, n: int) -> None:
+    """build(Budget(limit=n)) passes and build(Budget(limit=n - 1)) raises."""
+    build(Budget(**{limit: n}))
+    with pytest.raises(ResourceLimit):
+        build(Budget(**{limit: n - 1}))
+
+
+def test_lambda_and_gamma_meter_counts_are_pinned(boolean_frame):
+    # Budget(lambda_elements=n) and Budget(section_nodes=n) bind where they
+    # did: the meters count the same germ down-sets and search nodes
+    for name, elements, nodes, elements_again in METER_COUNTS:
+        P = _meter_instance(name, boolean_frame)
+        f = etale_locale(P).locale
+        G = cross_sections(f)
+        _binds_at(lambda budget: etale_locale(P, budget=budget), "lambda_elements", elements)
+        _binds_at(lambda budget: cross_sections(f, budget=budget), "section_nodes", nodes)
+        _binds_at(lambda budget: etale_locale(G.sheaf, budget=budget), "lambda_elements", elements_again)
+
+
 def test_a_section_agrees_with_its_restrictions(pointwise_corpus):
     # ε(P, [(u, s), (v, s|_v)]) = v on every presheaf, by the composition of
     # restrictions; unit records it as that precondition of Λ
@@ -1491,16 +1560,33 @@ def test_a_section_agrees_with_its_restrictions(pointwise_corpus):
         assert next(r for r in rep.subreports if r.name == "unit.restriction_agreement").passed, name
 
 
-def test_cross_sections_match_the_frame_hom_search(locales):
+def test_cross_sections_match_the_frame_hom_search(locales, boolean_frame):
+    # Γ keys each section by its point map φ on J↓u. On the locale corpus,
+    # the fixture locales among it, and the identity locale of 2^4, whose Γ
+    # is Ω(2^4), in given and shuffled element orders: the carriers, their
+    # order and their labels are the frame-hom search's; each restriction,
+    # the section whose point map is φ on J↓v, is the value table met with
+    # v; and each value table, one OR of Birkhoff masks, is the join of the
+    # points below each open of Y
     rng = random.Random(31)
     counts = set()
-    for name, f in locales:
+    for name, f in locales + [("identity(2^4)", identity_locale(boolean_frame(4)))]:
         for g in (f, _shuffled_locale(f, rng)):
             G = cross_sections(g)
             assert G.report.passed, name
-            for u in g.base.elements:
-                assert list(G.sheaf.carriers[u]) == oracles.sections_over(g, u, BudgetMeter("oracle", 10**7)), (name, u)
-            counts.add(sum(len(c) for c in G.sheaf.carriers.values()) > len(g.base))
+            X = g.base
+            p = _point_map(g)
+            fibres = {j: [y for y in p if p[y] == j] for j in X.join_irreducibles()}
+            for u in X.elements:
+                expected = oracles.sections_over(g, u, BudgetMeter("oracle", 10**7))
+                assert list(G.sheaf.carriers[u]) == expected, (name, u)
+                assert [G.sheaf.label(u, s) for s in expected] == [f"s{i}" for i in range(len(expected))], (name, u)
+                for point, s in _point_sections(g, fibres, u, BudgetMeter("count", 10**7)):
+                    assert s.values == oracles.point_value_table(g, u, point), (name, u)
+                for v in X.down(u):
+                    for s in expected:
+                        assert G.sheaf.restrict(u, s, v) == oracles.restrict_by_meet(X, s, v), (name, u, v)
+            counts.add(sum(len(c) for c in G.sheaf.carriers.values()) > len(X))
     assert len(locales) >= 100
     assert counts == {True, False}
 
