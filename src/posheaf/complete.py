@@ -68,7 +68,6 @@ from .sheaves import (
     _germ_downsets,
     _germ_subsheaf,
     _germ_table,
-    _top_germ_table,
     generate_subsheaf,
     product_sheaf,
     terminal,
@@ -239,9 +238,9 @@ def _restriction_gap(F: PoSheaf, u, v) -> str | None:
     with itself is z unless some c ≠ z has z ≤ c ≤ z, and then g(z) has no
     such partner: a partner g(z') of it, g being surjective, would leave
     z, z' without a join in g's image."""
-    res = MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[(u, v)])
-    if set(res.mapping.values()) != set(F.carrier(v)):
+    if len(set(F.sheaf.res_at[u, v])) != len(F.carrier(v)):
         return "surjective"
+    res = MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[u, v])
     if not res.verify().passed:
         return "monotone"
     if not preserves_all_joins(res):
@@ -323,7 +322,7 @@ def _per_open_form(F: PoSheaf) -> tuple[CheckReport, dict]:
         for v in frame.down(u):
             if v == u:
                 continue
-            surjective = set(F.sheaf.res[(u, v)].values()) == F.sheaf.carrier_sets[v]
+            surjective = len(set(F.sheaf.res_at[u, v])) == len(F.carrier(v))
             la, _ = _left_adjoint(F, u, v)
             ra, _ = _left_adjoint(F.opposite(), u, v)
             restriction_data[(u, v)] = {
@@ -357,7 +356,7 @@ def _sup_forms(F: PoSheaf, meter: BudgetMeter) -> list[CheckReport]:
     the failing member first in SubSheaf.key() order, the order of the
     enumerated lists."""
     P = F.sheaf
-    germs, masks = _top_germ_table(P)
+    germs, masks = P._top_germs
     dow_germs, _ = _germ_table(P, F.frame.top, F.leq)
     moved = [1 << germs.index(g) for g in dow_germs]
     dows = [sum(moved[i] for i in _bits(d)) for d in _germ_downsets(P, dow_germs, meter, F.leq)]
@@ -373,7 +372,7 @@ def _sup_forms(F: PoSheaf, meter: BudgetMeter) -> list[CheckReport]:
 
 def _member_gap(F: PoSheaf, germs: list):
     """The sup-extension law of one member of Sub(F), given as a down-set of
-    the germs (j, x) at the join-irreducibles (_top_germ_table): a function
+    the germs (j, x) at the join-irreducibles (Presheaf._top_germs): a function
     from its mask to None, or to the first failure: no sup, with the
     minimal upper bounds; the first open with no least dominating element;
     or no global point whose restrictions are those least elements.

@@ -9,7 +9,6 @@ after construction.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .report import (
@@ -22,6 +21,24 @@ from .report import (
     NotMonotone,
     timed,
 )
+
+
+class lazy:
+    """functools.cached_property without its lock and without its write to
+    the instance __dict__, which on CPython 3.11 makes every later
+    attribute read of the object take the slower dictionary path: the
+    value is computed on the first read and stored with setattr, where
+    later reads find it, since this is a non-data descriptor."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        setattr(obj, self.name, value)
+        return value
 
 
 def _bits(row: int):
@@ -137,7 +154,7 @@ class FinitePoset:
         elements = self.elements
         return [elements[k] for k in _bits(row)]
 
-    @cached_property
+    @lazy
     def _pairs(self) -> frozenset:
         elements = self.elements
         return frozenset((x, elements[k]) for x, row in zip(elements, self.up_rows) for k in _bits(row))
@@ -145,7 +162,7 @@ class FinitePoset:
     def pairs(self) -> frozenset:
         return self._pairs
 
-    @cached_property
+    @lazy
     def _views(self) -> tuple[dict, dict]:
         """(x -> ↑x, x -> ↓x) as frozensets, each filled in element order."""
         members = self.members
@@ -235,15 +252,15 @@ class FinitePoset:
             mask &= downs[index[x]]
         return self._at(self.greatest_index(mask))
 
-    @cached_property
+    @lazy
     def bottom(self):
         return self.join_all(())
 
-    @cached_property
+    @lazy
     def top(self):
         return self.meet_all(())
 
-    @cached_property
+    @lazy
     def broken_laws(self) -> tuple:
         """The poset laws the relation breaks, of "antisymmetric" and
         "transitive", by one test per row: ↑x ∩ ↓x = {x}, and ↑y ⊆ ↑x for
@@ -262,7 +279,7 @@ class FinitePoset:
                 rest ^= low
         return ("antisymmetric",) * (not antisymmetric) + ("transitive",) * (not transitive)
 
-    @cached_property
+    @lazy
     def lattice_gap(self) -> tuple | None:
         """None on a lattice, else its first missing bound: ("bottom",),
         ("top",), or (x, y, "join") or (x, y, "meet") for the first pair x
@@ -271,7 +288,7 @@ class FinitePoset:
         y before x fails first. Kept once per poset, as broken_laws is."""
         return self._bound_gap(meets=True)
 
-    @cached_property
+    @lazy
     def join_gap(self) -> tuple | None:
         """lattice_gap without the meets: None when the relation has a
         bottom and every binary join, else the missing bottom or the first
@@ -359,7 +376,7 @@ class FiniteFrame:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @cached_property
+    @lazy
     def _birkhoff(self) -> "_Masks | None":
         """The masks when the relation passes Birkhoff's test (verify), else
         None. J and m are read from the poset as it is, so the test needs no
@@ -401,19 +418,19 @@ class FiniteFrame:
     def up(self, u) -> tuple:
         return self._sorted_ups[u]
 
-    @cached_property
+    @lazy
     def _sorted_downs(self) -> dict:
         """↓u in element order, for every u, built once from the rows."""
         members = self.poset.members
         return {u: tuple(members(row)) for u, row in zip(self.elements, self.poset.down_rows)}
 
-    @cached_property
+    @lazy
     def _sorted_ups(self) -> dict:
         """↑u in element order, for every u, built once from the rows."""
         members = self.poset.members
         return {u: tuple(members(row)) for u, row in zip(self.elements, self.poset.up_rows)}
 
-    @cached_property
+    @lazy
     def bottom(self):
         b = self._birkhoff
         bottom = self.poset.bottom if b is None else b.at[0]
@@ -421,7 +438,7 @@ class FiniteFrame:
             raise NotALattice("no bottom element")
         return bottom
 
-    @cached_property
+    @lazy
     def top(self):
         b = self._birkhoff
         top = self.poset.top if b is None else b.at[(1 << len(b.below)) - 1]
@@ -547,7 +564,7 @@ class FiniteFrame:
         pairs = ((u, v) for u in self.elements for v in self.down(u) if v != u)
         return next(((u, v, found) for u, v in pairs for found in [gap(u, v)] if found is not None), None)
 
-    @cached_property
+    @lazy
     def _lower_covers(self) -> dict:
         b = self._birkhoff
         out = {}
@@ -562,7 +579,7 @@ class FiniteFrame:
             out[u] = tuple(self.poset.sorted(found))
         return out
 
-    @cached_property
+    @lazy
     def _canonical_covers(self) -> dict:
         """canonical_cover(u) for every u, built once."""
         J = self.join_irreducibles_by_height()
@@ -574,7 +591,7 @@ class FiniteFrame:
         order; the frame is the down-set lattice of these (Birkhoff)."""
         return self._join_irreducibles
 
-    @cached_property
+    @lazy
     def _join_irreducibles(self) -> tuple:
         greatest, downs = self.poset.greatest_index, self.poset.down_rows
         return tuple(j for i, j in enumerate(self.elements) if greatest(downs[i] & ~(1 << i)) is not None)
@@ -584,7 +601,7 @@ class FiniteFrame:
         of ↓j, then element order."""
         return self._join_irreducibles_by_height
 
-    @cached_property
+    @lazy
     def _join_irreducibles_by_height(self) -> tuple:
         index, downs = self.index, self.poset.down_rows
         return tuple(sorted(self._join_irreducibles, key=lambda j: (downs[index[j]].bit_count(), index[j])))
@@ -623,7 +640,7 @@ class FiniteFrame:
         """
         return self._report
 
-    @cached_property
+    @lazy
     @timed
     def _report(self) -> CheckReport:
         if self._birkhoff is not None:
@@ -855,23 +872,31 @@ class MonotoneMap:
         return cls(poset, poset, {x: x for x in poset.elements})
 
     def verify(self) -> CheckReport:
-        """x ≤ y ⇒ f(x) ≤ f(y), walked over the comparable pairs only (the
-        bits of each up row), x-major in element order: the first failing
-        pair is the one a scan of every pair names."""
+        """x ≤ y ⇒ f(x) ≤ f(y), decided on positions (monotone_gap)."""
         elements, mapping = self.source.elements, self.mapping
         for x in elements:
             if x not in mapping:
                 raise DomainMismatch(f"map not total: missing {x!r}")
-        index, ups = self.target.index, self.target.up_rows
-        image = [index.get(mapping[x]) for x in elements]
-        for i, row in enumerate(self.source.up_rows):
-            a = image[i]
-            for k in _bits(row):
-                b = image[k]
-                if a is None or b is None or not ups[a] >> b & 1:
-                    x, y = elements[i], elements[k]
-                    return CheckReport.fail("monotone", {"pair": [x, y], "images": [self(x), self(y)]})
-        return CheckReport.ok("monotone")
+        index = self.target.index
+        gap = monotone_gap(self.source.up_rows, [index.get(mapping[x]) for x in elements], self.target.up_rows)
+        if gap is None:
+            return CheckReport.ok("monotone")
+        x, y = (elements[i] for i in gap)
+        return CheckReport.fail("monotone", {"pair": [x, y], "images": [self(x), self(y)]})
+
+
+def monotone_gap(ups: list, image: list, target_ups: list) -> tuple | None:
+    """The first (i, k), x-major, with bit k in ups[i] and image[k] not in
+    target_ups[image[i]] (an image None fails), or None when i ↦ image[i]
+    is monotone. Only the bits of each up row are walked, and the first
+    failing pair is the one a scan of every pair names."""
+    for i, row in enumerate(ups):
+        a = image[i]
+        for k in _bits(row):
+            b = image[k]
+            if a is None or b is None or not target_ups[a] >> b & 1:
+                return i, k
+    return None
 
 
 def galois_check(left: MonotoneMap, right: MonotoneMap) -> CheckReport:

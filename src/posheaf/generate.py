@@ -176,8 +176,7 @@ def _order_posets(F: Presheaf, orders: dict) -> dict:
     of D and is in D; so s ≤ t at u by pull-up if u is outside J, and since
     u is in D if u is in J. So the fixpoint is closed under patching over
     every cover."""
-    frame, carriers = F.frame, F.carriers
-    at = {u: {x: k for k, x in enumerate(carriers[u])} for u in frame.elements}
+    frame, carriers, at = F.frame, F.carriers, F.at
     rows = {u: [1 << k for k in range(len(carriers[u]))] for u in frame.elements}
     for u in frame.elements:
         for x, y in orders.get(u, ()):
@@ -193,9 +192,9 @@ def _order_posets(F: Presheaf, orders: dict) -> dict:
     for u in opens:
         for v in frame.down(u):
             if v != u:
-                down = [at[v][F.res[u, v][x]] for x in carriers[u]]
+                down = F.res_at[u, v]
                 pushes[u].append((rows[v], down, {1 << k: 1 << b for k, b in enumerate(down)}))
-    pulls = [(rows[u], pull_up_sources(F, u, rows, at), (1 << len(carriers[u])) - 1) for u in opens if u not in irreducible]
+    pulls = [(rows[u], pull_up_sources(F, u, rows), (1 << len(carriers[u])) - 1) for u in opens if u not in irreducible]
     while True:
         for u in opens:
             row = close_rows(rows[u])

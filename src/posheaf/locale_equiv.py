@@ -13,7 +13,7 @@ The definitional searches these replace are test oracles (tests/oracles.py).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .frames import FiniteFrame, FrameHom, _bits, downset_frame, verify_frame_hom
@@ -40,12 +40,20 @@ class LocaleOverX:
     # (weak reference to its GammaSheaf, section search nodes counted), set
     # by cross_sections
     _gamma: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (the report of verify(), 0), kept by report.once
+    _verified: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def base(self) -> FiniteFrame:
         return self.fstar.source
 
     def verify(self) -> CheckReport:
+        """f* lands in O(Y) and is a frame hom. A locale is immutable, so
+        the report is computed once and kept on it (report.once); a caller
+        that renames it takes a copy."""
+        return once(self, "_verified", None, lambda _: self._verify_fresh())
+
+    def _verify_fresh(self) -> CheckReport:
         if self.fstar.target is not self.OY and self.fstar.target.elements != self.OY.elements:
             return CheckReport.fail("locale_over_x", {"not": "fstar lands in OY"})
         return verify_frame_hom(self.fstar)
@@ -142,9 +150,8 @@ def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
         if img not in index:
             raise MalformedInput(f"projection image of {x!r} escaped the sheaf locale")
         pstar_map[x] = labels[index[img]]
-    pstar = FrameHom(X, frame, pstar_map)
-    pstar_rep = verify_frame_hom(pstar)
-    pstar_rep.name = "sheaf_locale.projection_hom"
+    locale = LocaleOverX(OY=frame, fstar=FrameHom(X, frame, pstar_map))
+    pstar_rep = replace(locale.verify(), name="sheaf_locale.projection_hom")
 
     report = CheckReport.combine(
         "sheaf_locale",
@@ -156,7 +163,7 @@ def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
         sections=sections,
         assignments=assignments,
         frame=frame,
-        locale=LocaleOverX(OY=frame, fstar=pstar),
+        locale=locale,
         report=report,
         _index=index,
     )

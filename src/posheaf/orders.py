@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .frames import FiniteFrame, FinitePoset, MonotoneMap, _bits, _lift, galois_check
+from .frames import FiniteFrame, FinitePoset, MonotoneMap, _bits, _lift, galois_check, lazy, monotone_gap
 from .report import (
     Budget,
     BudgetMeter,
@@ -43,8 +43,10 @@ class PoSheaf:
     FinitePoset per open over the carrier (poset(u)), closed reflexively on
     construction; POS1-POS3 are verified properties (verify_posheaf), not
     construction invariants. orders maps an open to its order pairs, or to
-    a FinitePoset over its carrier, which is kept as it is; a construction
-    gives its order as a predicate to PoSheaf.of. The completeness facts
+    a FinitePoset over its carrier in carrier order, which is kept as it
+    is, so that a position in the poset is one in the carrier (the kernels
+    read both through the sheaf's res_at); a construction gives its order
+    as a predicate to PoSheaf.of. The completeness facts
     about a posheaf are computed once and kept on it: the is_complete and
     is_frame_sheaf results, the left adjoint of each restriction, the point
     order as bitset rows, and the opposite.
@@ -57,6 +59,8 @@ class PoSheaf:
         for u in self.frame.elements:
             carrier, pairs = sheaf.carrier_sets[u], orders.get(u, ())
             if isinstance(pairs, FinitePoset):
+                if pairs.elements != sheaf.carriers[u]:
+                    raise MalformedInput(f"order at {u!r} is not over the carrier in carrier order")
                 self._posets[u] = pairs
                 continue
             for x, y in pairs:
@@ -66,9 +70,6 @@ class PoSheaf:
         self._completeness = None
         self._frame_sheaf = None
         self._left_adjoints: dict = {}
-        # set by _point_table; not a cached_property, whose read of __dict__
-        # slows every attribute read after it on CPython 3.11
-        self._points: tuple | None = None
         self._opposite = None
 
     @classmethod
@@ -117,28 +118,28 @@ class PoSheaf:
             self._opposite = op
         return self._opposite
 
-    def _point_table(self) -> tuple:
-        """(points, point -> position, bitset of the points over each open,
-        rows by position) in enumerate_points order, built once."""
-        if self._points is None:
-            points = enumerate_points(self.sheaf)
-            over = dict.fromkeys(self.frame.elements, 0)
-            for i, p in enumerate(points):
-                over[p.dom] |= 1 << i
-            self._points = (points, {p: i for i, p in enumerate(points)}, over, [None] * len(points))
-        return self._points
+    @lazy
+    def _points(self) -> tuple:
+        """(points, point -> position, the position of the first point over
+        each open, rows by position) in enumerate_points order, built once:
+        the points over u are the sections of F(u) in carrier order."""
+        points = enumerate_points(self.sheaf)
+        first, n = {}, 0
+        for u in self.frame.elements:
+            first[u], n = n, n + len(self.carriers[u])
+        return points, {p: i for i, p in enumerate(points)}, first, [None] * len(points)
 
     def points(self) -> list:
         """enumerate_points(self.sheaf), the order of every point bitset."""
-        return self._point_table()[0]
+        return self._points[0]
 
     def point_index(self) -> dict:
         """Point -> its position in points()."""
-        return self._point_table()[1]
+        return self._points[1]
 
     def points_over(self, u) -> int:
         """The bitset of the points over u."""
-        return self._point_table()[2][u]
+        return ((1 << len(self.carriers[u])) - 1) << self._points[2][u]
 
     def row(self, i: int) -> int:
         """The bitset over points() of the q above the i-th point p: dom p ≤
@@ -151,18 +152,16 @@ class PoSheaf:
         restriction composes, and if p ≤ q|_{dom p} then for each v ≤ dom p,
         POS2 gives p|_v ≤ (q|_{dom p})|_v = q|_v, while the factoring reading
         at v = dom p is this one."""
-        points, index, _, rows = self._points or self._point_table()
+        points, _, first, rows = self._points
         row = rows[i]
         if row is None:
-            p = points[i]
-            P, at = self.sheaf, self._posets[p.dom]
-            above, at_index = at.up_rows[at.index[p.value]], at.index
+            u, P = points[i].dom, self.sheaf
+            above = self._posets[u].up_rows[i - first[u]]
             row = 0
-            for w in self.frame.up(p.dom):
-                res = P.res[w, p.dom]
-                for x in P.carriers[w]:
-                    if above >> at_index[res[x]] & 1:
-                        row |= 1 << index[w, x]
+            for w in self.frame.up(u):
+                for a, b in enumerate(P.res_at[w, u], first[w]):
+                    if above >> b & 1:
+                        row |= 1 << a
             rows[i] = row
         return row
 
@@ -260,27 +259,30 @@ def _pos2(F: PoSheaf) -> CheckReport:
     along the lower covers (FiniteFrame.first_failing_pair). Restriction
     composes on a sheaf, and every v < u is reached from u by a chain of
     lower covers, so POS2 at every v ≤ u follows link by link; at v = u it
-    is the identity. A reject names the first failing square and pair."""
+    is the identity. Each square is the up-row test of MonotoneMap.verify
+    on positions (frames.monotone_gap), with res_at[u, v] as the image. A
+    reject names the first failing square and pair, x-major in carrier
+    order."""
+    res_at = F.sheaf.res_at
 
     def gap(u, v):
-        m = MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[u, v]).verify()
-        return None if m.passed else m.witness["pair"]
+        return monotone_gap(F.poset(u).up_rows, res_at[u, v], F.poset(v).up_rows)
 
     failure = F.frame.first_failing_pair(gap)
     if failure is None:
         return CheckReport.ok("posheaf.POS2")
     u, v, pair = failure
-    return CheckReport.fail("posheaf.POS2", {"square": [u, v], "pair": [F.label(u, x) for x in pair]})
+    return CheckReport.fail("posheaf.POS2", {"square": [u, v], "pair": [F.label(u, F.carrier(u)[a]) for a in pair]})
 
 
-def pull_up_sources(P: Presheaf, u, rows: dict, index: dict) -> list:
+def pull_up_sources(P: Presheaf, u, rows: dict) -> list:
     """pull_up's tables at an open u outside J: for each j in J↓u
     (FiniteFrame.canonical_cover), rows[j] as it is (a caller may grow it),
-    index[j] of x|_j for each x in P(u), and bit -> preimage mask at j."""
+    the position of x|_j for each x in P(u) (res_at[u, j]), and bit ->
+    preimage mask at j."""
     sources = []
     for j in P.frame.canonical_cover(u):
-        res, pos = P.res[u, j], index[j]
-        down = [pos[res[x]] for x in P.carriers[u]]
+        down = P.res_at[u, j]
         pre = dict.fromkeys((1 << b for b in range(len(rows[j]))), 0)
         for k, b in enumerate(down):
             pre[1 << b] |= 1 << k
@@ -319,13 +321,13 @@ def _patching_gap(F: PoSheaf, pos2: bool) -> tuple | None:
     (_internal_subsheaf) are the full scan's. A flagged pair fails POS3 over
     J↓u, a cover of u, so where POS3 holds no cover is scanned."""
     P, frame = F.sheaf, F.frame
-    rows, index = {v: F.poset(v).up_rows for v in frame.elements}, {v: F.poset(v).index for v in frame.elements}
+    rows = {v: F.poset(v).up_rows for v in frame.elements}
     irreducible = set(frame.join_irreducibles()) if pos2 else ()
     for u in frame.elements:
         if u in irreducible:
             continue
         carrier, full = P.carriers[u], (1 << len(P.carriers[u])) - 1
-        sources = pull_up_sources(P, u, rows, index) if pos2 else []
+        sources = pull_up_sources(P, u, rows) if pos2 else []
         pairs = [(a, k) for a, row in enumerate(rows[u]) for k in _bits(pull_up(full & ~row, a, sources))]
         if not pairs:
             continue
@@ -336,7 +338,7 @@ def _patching_gap(F: PoSheaf, pos2: bool) -> tuple | None:
             failing = (1 << len(pairs)) - 1
             for v in cover:
                 if v not in below:
-                    row, down = rows[v], [index[v][P.res[u, v][x]] for x in carrier]
+                    row, down = rows[v], P.res_at[u, v]
                     below[v] = sum(1 << n for n, (a, k) in enumerate(reversed(pairs)) if row[down[a]] >> down[k] & 1)
                 failing &= below[v]
             if failing:
@@ -404,9 +406,10 @@ def _internal_subsheaf(F: PoSheaf, pos2: bool, gap: tuple | None) -> list[CheckR
         )
         return [CheckReport(r.name, False, witness=witness) for r in ok]
     u, cover, outside, failing = gap
+    at = P.at[u]
     s, t = min(
         (pair for k, pair in enumerate(outside) if failing >> (len(outside) - 1 - k) & 1),
-        key=lambda p: [(F.poset(c).index[P.res[u, c][p[0]]], F.poset(c).index[P.res[u, c][p[1]]]) for c in cover],
+        key=lambda p: [(P.res_at[u, c][at[p[0]]], P.res_at[u, c][at[p[1]]]) for c in cover],
     )
     witness = {
         "open": u,

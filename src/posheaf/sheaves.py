@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, NamedTuple
 
-from .frames import FiniteFrame
+from .frames import FiniteFrame, lazy
 from .report import (
     Budget,
     BudgetMeter,
@@ -36,6 +36,12 @@ class Presheaf:
     given as they are only by documents and the literal fixtures; a
     construction gives x ↦ x|_v as a function to Presheaf.of.
 
+    Each carrier is numbered once: at[u] maps a section to its position in
+    carriers[u], and res_at[u, v] holds, for each x in carrier order, the
+    position of x|_v in carriers[v] (range at v = u). The law kernels read
+    these positions; res[u, v], x ↦ x|_v, is the view for documents,
+    witnesses and labels.
+
     Carrier elements are hashable; iteration order is the carrier tuple order.
     Sheaf status is a verified property (verify_sheaf), not a subclass.
     """
@@ -49,38 +55,37 @@ class Presheaf:
     ):
         self.frame = frame
         self.carriers = {u: tuple(carriers.get(u, ())) for u in frame.elements}
-        # each carrier as a set, for membership tests
+        # each carrier as a set, for membership and subset tests, and as
+        # section -> position
         self.carrier_sets = {u: frozenset(xs) for u, xs in self.carriers.items()}
+        self.at = {u: {x: i for i, x in enumerate(xs)} for u, xs in self.carriers.items()}
         for u, xs in self.carriers.items():
             if len(self.carrier_sets[u]) != len(xs):
                 raise MalformedInput(f"duplicate sections at {u!r}")
-        self.res = {}
-        for u in frame.elements:
+        self.res, self.res_at = {}, {}
+        for u, xs in self.carriers.items():
             for v in frame.down(u):
                 if v == u:
-                    table = {x: x for x in self.carriers[u]}
-                    if (u, u) in res and any(res[u, u].get(x, x) != x for x in table):
+                    table, self.res_at[u, u] = {x: x for x in xs}, range(len(xs))
+                    if (u, u) in res and any(res[u, u].get(x, x) != x for x in xs):
                         raise MalformedInput(f"restriction {u!r} -> {u!r} is not the identity")
                 else:
                     if (u, v) not in res:
                         raise MissingRestriction(f"no restriction table {u!r} -> {v!r}")
-                    table = dict(res[(u, v)])
-                    for x in self.carriers[u]:
+                    table, pos = dict(res[u, v]), self.at[v]
+                    try:
+                        self.res_at[u, v] = tuple([pos[table[x]] for x in xs])
+                    except KeyError:
+                        x = next(x for x in xs if x not in table or table[x] not in pos)
                         if x not in table:
-                            raise MissingRestriction(f"restriction {u!r} -> {v!r} missing {x!r}")
-                        if table[x] not in self.carrier_sets[v]:
-                            raise MalformedInput(
-                                f"restriction {u!r} -> {v!r} sends {x!r} outside the carrier"
-                            )
-                self.res[(u, v)] = table
+                            raise MissingRestriction(f"restriction {u!r} -> {v!r} missing {x!r}") from None
+                        raise MalformedInput(f"restriction {u!r} -> {v!r} sends {x!r} outside the carrier") from None
+                self.res[u, v] = table
         self._labeler = labeler
         # (weak reference to its EtaleLocale, sheaf-locale elements counted),
         # set by locale_equiv.etale_locale
         self._etale = None
-        # _germ_table(self, frame.top), set by _top_germ_table; not a cached_property,
-        # whose read of __dict__ slows every attribute read after it on CPython 3.11
-        self._top_germs = None
-        # the report of verify(), kept by report.once; likewise a plain slot
+        # the report of verify(), kept by report.once
         self._presheaf_report = None
 
     @classmethod
@@ -93,6 +98,11 @@ class Presheaf:
 
     def carrier(self, u) -> tuple:
         return self.carriers[u]
+
+    @lazy
+    def _top_germs(self) -> tuple[list, list]:
+        """_germ_table(self, top), built once per presheaf and kept on it."""
+        return _germ_table(self, self.frame.top)
 
     def restrict(self, u, x, v):
         """x|_v for x in the carrier at u and v ≤ u."""
@@ -126,16 +136,17 @@ class Presheaf:
 
     @timed
     def _verify_fresh(self) -> CheckReport:
-        frame, res = self.frame, self.res
+        frame, res_at = self.frame, self.res_at
 
         def composition_gap(u, v):
-            xs, uv = self.carriers[u], res[u, v]
+            uv = res_at[u, v]
             for w in frame.down(v):
                 if w == v:
                     continue
-                uw, vw = res[u, w], res[v, w]
-                if [uw[x] for x in xs] != [vw[uv[x]] for x in xs]:
-                    return w, next(x for x in xs if uw[x] != vw[uv[x]])
+                uw, vw = res_at[u, w], res_at[v, w]
+                composite = tuple([vw[b] for b in uv])
+                if uw != composite:
+                    return w, next(x for x, b, c in zip(self.carriers[u], uw, composite) if b != c)
             return None
 
         failure = frame.first_failing_pair(composition_gap)
@@ -280,13 +291,11 @@ def _glues(P: Presheaf, u, cover: tuple) -> bool:
     if u in cover:
         return True
     v, w = cover
-    m = P.frame.meet(v, w)
-    vm, wm = P.res[v, m], P.res[w, m]
-    at_meet = Counter(wm[z] for z in P.carriers[w])
-    if sum(at_meet[vm[y]] for y in P.carriers[v]) != n:
+    m, res_at = P.frame.meet(v, w), P.res_at
+    at_meet = Counter(res_at[w, m])
+    if sum(at_meet[b] for b in res_at[v, m]) != n:
         return False
-    uv, uw = P.res[u, v], P.res[u, w]
-    return len({(uv[x], uw[x]) for x in P.carriers[u]}) == n
+    return len(set(zip(res_at[u, v], res_at[u, w]))) == n
 
 
 def _gluing_witness(P: Presheaf, u, cover: tuple) -> dict:
@@ -372,15 +381,10 @@ class SubSheaf:
         return "{" + "|".join(bits) + "}"
 
     def key(self) -> tuple:
-        """Deterministic sort key: (total size, per-open membership masks)."""
-        masks = []
-        for u, part in zip(self.parent.frame.elements, self.parts):
-            mask = 0
-            for i, x in enumerate(self.parent.carriers[u]):
-                if x in part:
-                    mask |= 1 << i
-            masks.append(mask)
-        return (self.size(), tuple(masks))
+        """Deterministic sort key: (total size, per-open membership masks
+        over the carrier positions)."""
+        at = self.parent.at
+        return (self.size(), tuple([sum(1 << at[u][x] for x in part) for u, part in zip(self.parent.frame.elements, self.parts)]))
 
 
 def full_subsheaf(P: Presheaf, u=None) -> SubSheaf:
@@ -483,26 +487,28 @@ def _germ_table(F: Presheaf, u, leq: Callable | None = None) -> tuple[list, list
     each F(j) by the number of sections below (in carrier order without
     ``leq``). Also returns, for each open v ≤ u, its sections x with the
     bitmask of the germs (j, x|_j), j in canonical_cover(v)."""
-    frame = F.frame
+    frame, res_at = F.frame, F.res_at
     germs = []
     for j in frame.canonical_cover(u):
         xs = F.carriers[j]
         if leq is not None:
             xs = sorted(xs, key=lambda y: sum(leq(j, x, y) for x in F.carriers[j]))
         germs.extend((j, x) for x in xs)
-    bit = {g: 1 << i for i, g in enumerate(germs)}
+    places = _germ_places(F, germs)
     masks = [
-        (v, [(x, sum(bit[j, F.restrict(v, x, j)] for j in frame.canonical_cover(v))) for x in F.carriers[v]])
+        (v, [(x, sum(1 << places[j][res_at[v, j][a]] for j in frame.canonical_cover(v))) for a, x in enumerate(F.carriers[v])])
         for v in frame.down(u)
     ]
     return germs, masks
 
 
-def _top_germ_table(F: Presheaf) -> tuple[list, list]:
-    """_germ_table(F, top), built once per presheaf and kept on it."""
-    if F._top_germs is None:
-        F._top_germs = _germ_table(F, F.frame.top)
-    return F._top_germs
+def _germ_places(F: Presheaf, germs: list) -> dict:
+    """j ↦ the place in germs of the germ (j, x), for each x by its position
+    in F(j), at every j with germs in the list."""
+    places = {}
+    for i, (j, x) in enumerate(germs):
+        places.setdefault(j, [0] * len(F.carriers[j]))[F.at[j][x]] = i
+    return places
 
 
 def _germ_subsheaf(F: Presheaf, masks: list, chosen: int) -> SubSheaf:
@@ -527,7 +533,7 @@ def generate_subsheaf(F: Presheaf, B, *, require_closed: bool = True) -> SubShea
     seed = B if isinstance(B, SubSheaf) else SubSheaf(F, B)
     if require_closed:
         verify_restriction_closed(seed).require(NotRestrictionClosed)
-    _, masks = _top_germ_table(F)
+    _, masks = F._top_germs
     kept = 0
     for v, row in masks:
         for x, need in row:
@@ -542,18 +548,17 @@ def _germ_downsets(F: Presheaf, germs: list, meter: BudgetMeter, leq: Callable |
     meter once per down-set. The germs are walked from last to first, and a
     germ may be left out only if no chosen germ lies directly above it: every
     leaf is a distinct down-set and there are no dead ends."""
-    frame = F.frame
-    pos = {g: i for i, g in enumerate(germs)}
+    frame, places = F.frame, _germ_places(F, germs)
     above = [0] * len(germs)  # the germs whose choice forces germ i in
     for i, (j, y) in enumerate(germs):
+        a = F.at[j][y]
         for k in frame.down(j):
-            g = (k, F.restrict(j, y, k))
-            if k != j and g in pos:
-                above[pos[g]] |= 1 << i
+            if k != j and k in places:
+                above[places[k][F.res_at[j, k][a]]] |= 1 << i
         if leq is not None:
-            for x in F.carriers[j]:
-                if x != y and leq(j, x, y):
-                    above[pos[j, x]] |= 1 << i
+            for b, x in enumerate(F.carriers[j]):
+                if b != a and leq(j, x, y):
+                    above[places[j][b]] |= 1 << i
     stack = [(len(germs), 0)]
     while stack:
         i, chosen = stack.pop()

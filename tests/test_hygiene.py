@@ -7,8 +7,10 @@ itself, or broad exception handler in the package, no memo kept outside
 report.once, no read of a posheaf's orders outside orders.PoSheaf, no
 walk of a metered enumeration that only counts its members, no read of a
 frame's lower covers outside frames.py and complete._left_adjoint, no
-restriction table built outside Presheaf, jsonio and fixtures, and no
-cross-section built outside Γ's point search, the unit and the oracles."""
+restriction table built outside Presheaf, jsonio and fixtures, no
+cross-section built outside Γ's point search, the unit and the oracles,
+no section-level restriction read in the law kernels that read
+positions, and no functools.cached_property."""
 from __future__ import annotations
 
 import ast
@@ -202,7 +204,7 @@ def test_memos_are_kept_by_report_once_alone():
     # memo slot but the None an __init__ starts it with, and no code reads
     # one, by getattr or as an attribute, outside report.py and __init__,
     # so no result depends on whether another check happened to run first
-    slots = {"_sheaf_certificate", "_posheaf_report", "_completeness", "_frame_sheaf", "_etale", "_gamma"}
+    slots = {"_sheaf_certificate", "_posheaf_report", "_completeness", "_frame_sheaf", "_etale", "_gamma", "_verified"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -226,6 +228,21 @@ def test_memos_are_kept_by_report_once_alone():
                 for t in targets:
                     if any(isinstance(n, ast.Attribute) and n.attr in slots for n in ast.walk(t)) and not initialiser:
                         found.append(f"{path.name}:{node.lineno} assigns a memo slot")
+    assert found == []
+
+
+def test_lazy_attributes_are_frames_lazy():
+    # a value computed on first read is a frames.lazy, which stores it with
+    # setattr and takes no lock; functools.cached_property writes the
+    # instance __dict__, which slows every later attribute read of the
+    # object on CPython 3.11
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and "cached_property" in {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+    ]
     assert found == []
 
 
@@ -406,4 +423,51 @@ def test_sections_are_built_by_the_point_search_alone():
     assert _section_constructions(ast.parse(good), "locale_equiv.py") == []
     paths = [*_modules(), *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]
     found = [f"{path.name}:{line}" for path in paths for line in _section_constructions(ast.parse(path.read_text()), path.name)]
+    assert found == []
+
+
+# the kernels that read a presheaf's restrictions as positions (res_at),
+# by module and by name, a method as Class.method
+POSITION_KERNELS = {
+    "sheaves.py": {"Presheaf._verify_fresh", "_glues", "_germ_table", "_germ_places", "_germ_downsets"},
+    "orders.py": {"PoSheaf.row", "_pos2", "pull_up_sources", "_patching_gap"},
+    "generate.py": {"_order_posets"},
+    "complete.py": {"_per_open_form"},
+}
+
+
+def _section_restrictions(tree, kernels: set) -> list[str]:
+    """The kernels in kernels that read res[...] or call restrict(...), with
+    the line of each read; a kernel missing from the module is reported
+    too, so a rename cannot empty the test."""
+    found, seen = [], set()
+    named = [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body if isinstance(f, ast.FunctionDef)]
+    named += [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    for name, fn in named:
+        if name not in kernels:
+            continue
+        seen.add(name)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "res":
+                found.append(f"{name}:{node.lineno} reads res")
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "restrict":
+                found.append(f"{name}:{node.lineno} calls restrict")
+    return found + [f"{name} missing" for name in sorted(kernels - seen)]
+
+
+def test_position_kernels_read_no_section_restriction():
+    # every law kernel that compares restrictions reads res_at, positions
+    # numbered once per presheaf, and no per-call section -> position
+    # lookup; res and restrict are left to witnesses, labels and documents
+    bad = "class Presheaf:\n    def _verify_fresh(self):\n        return self.res[u, v][x]\ndef _glues(P):\n    return P.restrict(u, x, v)\n"
+    assert _section_restrictions(ast.parse(bad), {"Presheaf._verify_fresh", "_glues", "_gone"}) == [
+        "Presheaf._verify_fresh:3 reads res",
+        "_glues:5 calls restrict",
+        "_gone missing",
+    ]
+    found = [
+        f"{module}: {line}"
+        for module, kernels in POSITION_KERNELS.items()
+        for line in _section_restrictions(ast.parse((PACKAGE / module).read_text()), kernels)
+    ]
     assert found == []

@@ -536,3 +536,28 @@ def test_cli_posl_and_cposl_search_the_sections_once(monkeypatch, tmp_path, caps
         assert cli.run(["check", kind, str(path)]) in (0, 1)
         assert sum(searches.values()) == 1, kind
     capsys.readouterr()
+
+
+def test_a_locale_is_verified_once(monkeypatch, FD):
+    # LocaleOverX.verify keeps its report (report.once): Λ verifies its
+    # projection once, through the locale it returns, and reports a renamed
+    # copy, so the locale's own report keeps its name
+    calls = Counter()
+    hom = locale_equiv.verify_frame_hom
+
+    def counted(h):
+        calls[id(h)] += 1
+        return hom(h)
+
+    monkeypatch.setattr(locale_equiv, "verify_frame_hom", counted)
+    E = etale_locale(terminal(FD))
+    f = E.locale
+    assert calls[id(f.fstar)] == 1
+    rep = f.verify()
+    assert f.verify() is rep and rep.passed and rep.name == "frame_hom"
+    assert calls[id(f.fstar)] == 1
+    projection = next(r for r in E.report.subreports if r.name == "sheaf_locale.projection_hom")
+    assert projection is not rep and projection.passed
+    cross_sections(f)
+    is_local_homeomorphism(f)
+    assert calls[id(f.fstar)] == 1

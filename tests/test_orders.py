@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import sys
 
+import pytest
+
 import oracles
 from posheaf import sheaves
-from posheaf.frames import FiniteFrame, FrameHom
+from posheaf.frames import FiniteFrame, FinitePoset, FrameHom
+from posheaf.report import MalformedInput
 from posheaf.sheaves import (
     Point,
     Presheaf,
@@ -115,6 +118,17 @@ def test_example_2_2_pattern_fails_pos3(SAB):
     # the internal reading fails in lockstep
     assert not by_name["posheaf.internal_poset"].passed
     assert by_name["posheaf.agreement"].passed
+
+
+def test_a_poset_out_of_carrier_order_is_malformed(SAB):
+    # a given FinitePoset is kept as it is, and the kernels read its rows by
+    # carrier position, so its elements must be the carrier in order
+    xs = SAB.carriers["a"]
+    poset = FinitePoset(xs, [(xs[0], xs[1])])
+    assert PoSheaf(SAB, {"a": poset}).poset("a") is poset
+    for elements in (tuple(reversed(xs)), xs[:1], xs + ("w",)):
+        with pytest.raises(MalformedInput, match="not over the carrier in carrier order"):
+            PoSheaf(SAB, {"a": FinitePoset(elements, [])})
 
 
 def test_pos2_violation_detected(SAB):

@@ -181,6 +181,21 @@ def _small_posheaves(corpus) -> list[tuple[str, PoSheaf]]:
     return [(name, F) for name, F in corpus if verify_posheaf(F).passed and sum(len(c) for c in F.carriers.values()) <= 14]
 
 
+def test_position_tables_read_the_restriction_tables(corpus):
+    # the kernels read res_at, numbered once per presheaf; on every
+    # generated presheaf and mutant, and each with its frame's elements in a
+    # random order, it is res on positions: carriers[v][res_at[u, v][i]] =
+    # res[u, v][carriers[u][i]], and at[u] inverts carriers[u]
+    rng = random.Random(3)
+    for name, F in corpus:
+        for P in (F.sheaf, _shuffled_presheaf(F.sheaf, rng)):
+            assert P.res_at.keys() == P.res.keys(), name
+            for (u, v), table in P.res.items():
+                assert [P.carriers[v][b] for b in P.res_at[u, v]] == [table[x] for x in P.carriers[u]], (name, u, v)
+            assert all(P.carriers[u][i] == x for u in P.frame.elements for x, i in P.at[u].items()), name
+            assert all(len(P.at[u]) == len(P.carriers[u]) for u in P.frame.elements), name
+
+
 def test_binary_covers_are_the_prefix_of_all_covers(corpus):
     frames = [build() for build in FIXTURE_FRAMES.values()] + [F.frame for _, F in corpus]
     for frame in frames:

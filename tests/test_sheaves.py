@@ -3,10 +3,13 @@ subterminals, morphisms."""
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 
-from posheaf.report import MalformedInput, NotRestrictionClosed, SectionNotInCarrier
+from posheaf import jsonio
+from posheaf.cli import run
+from posheaf.report import MalformedInput, MissingRestriction, NotRestrictionClosed, SectionNotInCarrier
 from posheaf.sheaves import (
     Presheaf,
     SheafMorphism,
@@ -83,6 +86,43 @@ def test_presheaf_of_builds_the_tables_and_rejects_a_restriction_leaving_the_car
     assert Presheaf.of(SAB.frame, SAB.carriers, SAB.restrict).res == SAB.res
     with pytest.raises(MalformedInput, match="outside the carrier"):
         Presheaf.of(SAB.frame, SAB.carriers, lambda u, x, v: "nowhere")
+
+
+def _bad_tables(SAB) -> dict:
+    """SAB's tables with 1 -> a broken: yz missing; yz sent outside F(a);
+    and xz sent outside with yz missing, where xz, first in carrier order,
+    is the first bad section."""
+    good = {key: table for key, table in SAB.res.items() if key[0] != key[1]}
+    return {
+        "missing": {**good, ("1", "a"): {"xz": "x"}},
+        "outside": {**good, ("1", "a"): {"xz": "x", "yz": "nowhere"}},
+        "outside_then_missing": {**good, ("1", "a"): {"xz": "nowhere"}},
+    }
+
+
+def test_a_bad_restriction_table_names_its_first_bad_section(SAB):
+    # the position tables are built in the pass that validates res, in
+    # carrier order, so the first section missing from a table, or sent
+    # outside the carrier, is the one named
+    assert SAB.carriers["1"] == ("xz", "yz")
+    bad = _bad_tables(SAB)
+    with pytest.raises(MissingRestriction, match="restriction '1' -> 'a' missing 'yz'"):
+        Presheaf(SAB.frame, SAB.carriers, bad["missing"])
+    with pytest.raises(MalformedInput, match="restriction '1' -> 'a' sends 'yz' outside the carrier"):
+        Presheaf(SAB.frame, SAB.carriers, bad["outside"])
+    with pytest.raises(MalformedInput, match="restriction '1' -> 'a' sends 'xz' outside the carrier"):
+        Presheaf(SAB.frame, SAB.carriers, bad["outside_then_missing"])
+
+
+def test_a_bad_restriction_table_in_a_document_exits_2(SAB, tmp_path, capsys):
+    doc = jsonio.dump_presheaf_doc(SAB)
+    first = {"missing": "missing 'yz'", "outside": "sends 'yz' outside", "outside_then_missing": "sends 'xz' outside"}
+    for name, res in _bad_tables(SAB).items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**doc, "res": {**doc["res"], "1->a": res["1", "a"]}}))
+        assert run(["check", "presheaf", str(path)]) == 2, name
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "malformed" and first[name] in out["message"], name
 
 
 def test_missing_f1_section_fails_with_zero_amalgamations(FD):
