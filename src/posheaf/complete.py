@@ -65,6 +65,7 @@ from .sheaves import (
     Point,
     SheafMorphism,
     SubSheaf,
+    _as_part_of,
     _germ_downsets,
     _germ_subsheaf,
     _germ_table,
@@ -87,12 +88,6 @@ class BoundReport:
     inf: Point | None
     sup_antichain: list = field(default_factory=list)
     inf_antichain: list = field(default_factory=list)
-
-
-def _mask_points(F: PoSheaf, mask: int) -> list[Point]:
-    """The points whose bits are set, in point order."""
-    points = F.points()
-    return [points[i] for i in _bits(mask)]
 
 
 def _point_minimum(F: PoSheaf, mask: int):
@@ -136,13 +131,11 @@ def _minimal_points(F: PoSheaf, mask: int):
     return None, [points[i] for i in mins]
 
 
-def _upper_bound_mask(F: PoSheaf, A: SubSheaf, opens, mask: int) -> int:
-    """The points of mask above every point of A over the given opens: the
-    AND of their point-order rows."""
-    index = F.point_index()
-    for v in opens:
-        for x in A.part(v):
-            mask &= F.row(index[v, x])
+def _upper_bound_mask(F: PoSheaf, members: int, mask: int) -> int:
+    """The points of mask above every point of the bitset members: the AND
+    of their point-order rows."""
+    for i in _bits(members):
+        mask &= F.row(i)
     return mask
 
 
@@ -153,14 +146,14 @@ def bounds(F: PoSheaf, A: SubSheaf) -> BoundReport:
     verify_posheaf report raises."""
     verify_posheaf(F).require()
     A = generate_subsheaf(F.sheaf, A, require_closed=False)
-    every = (1 << len(F.point_index())) - 1
-    ups = _upper_bound_mask(F, A, F.frame.elements, every)
+    every = (1 << len(F.points())) - 1
+    ups = _upper_bound_mask(F, A.bits, every)
     sup, sup_min = _point_minimum(F, ups)
     op = F.opposite()
-    inf, inf_min = _point_minimum(op, _upper_bound_mask(op, A, F.frame.elements, every))
+    inf, inf_min = _point_minimum(op, _upper_bound_mask(op, A.bits, every))
     return BoundReport(
         target=A,
-        upper_bounds=_mask_points(F, ups),
+        upper_bounds=[F.points()[i] for i in _bits(ups)],
         sup=sup,
         inf=inf,
         sup_antichain=[] if sup else sup_min,
@@ -173,7 +166,8 @@ def sup_in_open(F: PoSheaf, S: SubSheaf, u):
     above every point of S below u, read from the point-order rows as in
     bounds, which also requires the posheaf laws of F."""
     verify_posheaf(F).require()
-    least, _ = _point_minimum(F, _upper_bound_mask(F, S, F.frame.down(u), F.points_over(u)))
+    S = _as_part_of(F.sheaf, S)
+    least, _ = _point_minimum(F, _upper_bound_mask(F, S.bits & F.sheaf.below[u], F.points_over(u)))
     return None if least is None else least.value
 
 
@@ -392,7 +386,7 @@ def _member_gap(F: PoSheaf, germs: list):
     frame, P = F.frame, F.sheaf
     J = frame.canonical_cover(frame.top)
     at_j = [J.index(j) for j, _ in germs]
-    rows = [F.row(F.point_index()[g]) for g in germs]
+    rows = [F.row(P.position(*g)) for g in germs]
     opens = [(u, F.points_over(u), [J.index(j) for j in frame.canonical_cover(u)]) for u in frame.elements]
     every = (1 << len(F.points())) - 1
     least = cache(lambda over: _point_minimum(F, over)[0])
@@ -538,8 +532,7 @@ def sup_morphism(F: PoSheaf, *, budget: Budget | None = None) -> tuple[SheafMorp
     P = power_sheaf(F.sheaf, budget=budget, verify=False)
 
     def primary(u, S: SubSheaf):
-        support = [v for v in frame.down(u) if S.sorted_part(v)]
-        w = frame.join_all(support)
+        w = frame.join_all(v for v in frame.down(u) if S._mask(v))
         joins = []
         for v in frame.down(w):
             sv = S.sorted_part(v)
@@ -576,9 +569,10 @@ def sup_morphism(F: PoSheaf, *, budget: Budget | None = None) -> tuple[SheafMorp
 
 def image_subsheaf(alpha: SheafMorphism, S: SubSheaf, u=None) -> SubSheaf:
     """Per-open image, then the generated subsheaf (the image of S)."""
-    G = alpha.target
-    parts = {v: {alpha(v, x) for x in S.part(v)} for v in G.frame.elements}
-    img = generate_subsheaf(G, SubSheaf(G, parts), require_closed=False)
+    G, bits = alpha.target, 0
+    for v, x in S.points():
+        bits |= 1 << G.position(v, alpha(v, x))
+    img = generate_subsheaf(G, SubSheaf.of_bits(G, bits), require_closed=False)
     return img if u is None else img.clip(u)
 
 
@@ -751,12 +745,15 @@ def check_finite_completeness(F: PoSheaf, mode: str = "both") -> CheckReport:
 
 def _meet_subsheaf(F: PoSheaf, u, x, S: SubSheaf) -> SubSheaf:
     """μ(x, S) for x ∈ F(u) and S ∈ Sub(F^u): the subsheaf generated by the
-    meets x|_v ∧ y, y ∈ S(v), at each open v ≤ u."""
-    parts = {}
+    meets x|_v ∧ y, y ∈ S(v), at each open v ≤ u, read by position on the
+    lattices F(v) of a complete posheaf."""
+    P, a, bits = F.sheaf, F.sheaf.at[u][x], 0
     for v in F.frame.down(u):
-        xv = F.sheaf.restrict(u, x, v)
-        parts[v] = {F.poset(v).meet(xv, y) for y in S.part(v)}
-    return generate_subsheaf(F.sheaf, SubSheaf(F.sheaf, parts), require_closed=False).clip(u)
+        poset = F.poset(v)
+        below_xv = poset.down_rows[P.res_at[u, v][a]]
+        for k in _bits(S._mask(v)):
+            bits |= 1 << (P.base[v] + poset.greatest_index(below_xv & poset.down_rows[k]))
+    return generate_subsheaf(P, SubSheaf.of_bits(P, bits), require_closed=False).clip(u)
 
 
 def is_frame_sheaf(F: PoSheaf, *, budget: Budget | None = None) -> CheckReport:

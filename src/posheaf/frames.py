@@ -116,17 +116,20 @@ class FinitePoset:
         self.elements, self.index, self.up_rows, self.down_rows = elements, index, ups, downs
 
     @classmethod
-    def from_rows(cls, elements: Sequence[Hashable], ups: list, downs: list | None = None) -> "FinitePoset":
-        """The relation whose rows are given, as they are: each up_rows[i]
-        must hold bit i, and downs, when given, must be the transpose of
-        ups; by default it is built as that transpose."""
+    def from_rows(cls, elements: Sequence[Hashable], ups: list, downs: list | None = None, index: dict | None = None) -> "FinitePoset":
+        """The relation over distinct elements whose rows are given, as they
+        are: each up_rows[i] must hold bit i, and downs, when given, must be
+        the transpose of ups; by default it is built as that transpose.
+        index, when given, must be element -> position, as a presheaf's
+        at[u] is for its carrier, and is kept as it is."""
         if downs is None:
             downs = [0] * len(ups)
             for i, row in enumerate(ups):
                 for k in _bits(row):
                     downs[k] |= 1 << i
-        poset = cls(elements, (), closed=True)
-        poset.up_rows, poset.down_rows = ups, downs
+        poset = cls.__new__(cls)
+        poset.elements, poset.up_rows, poset.down_rows = tuple(elements), ups, downs
+        poset.index = {x: i for i, x in enumerate(poset.elements)} if index is None else index
         return poset
 
     def __contains__(self, x) -> bool:
@@ -181,7 +184,7 @@ class FinitePoset:
         return sorted(xs, key=self.index.__getitem__)
 
     def opposite(self) -> "FinitePoset":
-        return FinitePoset.from_rows(self.elements, self.down_rows, self.up_rows)
+        return FinitePoset.from_rows(self.elements, self.down_rows, self.up_rows, self.index)
 
     def minimal(self, subset: Iterable) -> list:
         xs = self.sorted(subset)

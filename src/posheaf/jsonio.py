@@ -42,11 +42,13 @@ def _strings(value, what: str) -> list[str]:
 
 
 def _pairs(value, what: str) -> list[tuple[str, str]]:
-    if not isinstance(value, (list, tuple)) or any(
-        not isinstance(p, (list, tuple)) or len(p) != 2 for p in value
-    ):
-        raise MalformedInput(f"{what} must be a list of [x, y] pairs")
-    return [(str(x), str(y)) for x, y in value]
+    """The [x, y] pairs of a list as string pairs, in one pass that keeps
+    only the well-formed ones: any other item makes the list shorter."""
+    if isinstance(value, (list, tuple)):
+        pairs = [(str(p[0]), str(p[1])) for p in value if isinstance(p, (list, tuple)) and len(p) == 2]
+        if len(pairs) == len(value):
+            return pairs
+    raise MalformedInput(f"{what} must be a list of [x, y] pairs")
 
 
 def read_json(path) -> dict:

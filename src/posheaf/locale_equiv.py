@@ -130,8 +130,7 @@ def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
     X = P.frame
     sections = P.sections()
     germs, masks = _germ_table(P, X.top)
-    need = {(v, x): m for v, row in masks for x, m in row}
-    needs = [need[sec] for sec in sections]
+    needs = [m for _, m in masks]
     joins = _GermJoins(X, germs)
     opens = sorted((tuple([joins[chosen & m] for m in needs]), chosen) for chosen in _germ_downsets(P, germs, meter))
     elements = X.elements
@@ -140,7 +139,7 @@ def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
     labels = [f"L{i:0{width}d}" for i in range(len(assignments))]
     index = {a: i for i, a in enumerate(assignments)}
 
-    frame = downset_frame(labels, [m for _, m in opens], [need[g] for g in germs])
+    frame = downset_frame(labels, [m for _, m in opens], [needs[P.base[j] + P.at[j][x]] for j, x in germs])
     frame_rep = frame.verify()
     lattice_rep = CheckReport.ok("sheaf_locale.pointwise_lattice")
 
@@ -360,7 +359,7 @@ def unit(P: Presheaf, E: EtaleLocale, G: GammaSheaf) -> tuple[SheafMorphism, Che
     columns = list(zip(*E.assignments))
     maps = {}
     for u in P.frame.elements:
-        members = G.sheaf.carrier_sets[u]
+        members = G.sheaf.at[u]
         table = {}
         for s in P.carriers[u]:
             candidate = Section(over=u, values=columns[position[u, s]])

@@ -30,6 +30,7 @@ from .sheaves import (
     Presheaf,
     SheafMorphism,
     SubSheaf,
+    _as_part_of,
     enumerate_points,
     enumerate_subsheaves,
     verify_morphism,
@@ -42,31 +43,37 @@ class PoSheaf:
     """A sheaf plus one partial-order relation per open, kept as one
     FinitePoset per open over the carrier (poset(u)), closed reflexively on
     construction; POS1-POS3 are verified properties (verify_posheaf), not
-    construction invariants. orders maps an open to its order pairs, or to
-    a FinitePoset over its carrier in carrier order, which is kept as it
-    is, so that a position in the poset is one in the carrier (the kernels
-    read both through the sheaf's res_at); a construction gives its order
-    as a predicate to PoSheaf.of. The completeness facts
-    about a posheaf are computed once and kept on it: the is_complete and
-    is_frame_sheaf results, the left adjoint of each restriction, the point
-    order as bitset rows, and the opposite.
+    construction invariants. orders maps an open to its order pairs, read
+    into bit rows in one pass through the sheaf's at[u], which the poset
+    keeps as its index, or to a FinitePoset over its carrier in carrier
+    order, which is kept as it is, so that a position in the poset is one
+    in the carrier (the kernels read both through the sheaf's res_at); a
+    construction gives its order as a predicate to PoSheaf.of. The
+    completeness facts about a posheaf are computed once and kept on it:
+    the is_complete and is_frame_sheaf results, the left adjoint of each
+    restriction, the point order as bitset rows, and the opposite.
     """
 
     def __init__(self, sheaf: Presheaf, orders: dict):
         self.sheaf = sheaf
         self.frame = sheaf.frame
         self._posets = {}
-        for u in self.frame.elements:
-            carrier, pairs = sheaf.carrier_sets[u], orders.get(u, ())
+        for u, xs in sheaf.carriers.items():
+            pairs = orders.get(u, ())
             if isinstance(pairs, FinitePoset):
-                if pairs.elements != sheaf.carriers[u]:
+                if pairs.elements != xs:
                     raise MalformedInput(f"order at {u!r} is not over the carrier in carrier order")
                 self._posets[u] = pairs
                 continue
+            at, ups = sheaf.at[u], [1 << i for i in range(len(xs))]
+            downs = list(ups)
             for x, y in pairs:
-                if x not in carrier or y not in carrier:
+                i, k = at.get(x), at.get(y)
+                if i is None or k is None:
                     raise MalformedInput(f"order pair at {u!r} outside the carrier: {(x, y)!r}")
-            self._posets[u] = FinitePoset(sheaf.carriers[u], pairs, closed=True)
+                ups[i] |= 1 << k
+                downs[k] |= 1 << i
+            self._posets[u] = FinitePoset.from_rows(xs, ups, downs, at)
         self._completeness = None
         self._frame_sheaf = None
         self._left_adjoints: dict = {}
@@ -120,26 +127,18 @@ class PoSheaf:
 
     @lazy
     def _points(self) -> tuple:
-        """(points, point -> position, the position of the first point over
-        each open, rows by position) in enumerate_points order, built once:
-        the points over u are the sections of F(u) in carrier order."""
+        """(points, rows by position) in enumerate_points order, built once:
+        the point (u, x) is at sheaf.position(u, x)."""
         points = enumerate_points(self.sheaf)
-        first, n = {}, 0
-        for u in self.frame.elements:
-            first[u], n = n, n + len(self.carriers[u])
-        return points, {p: i for i, p in enumerate(points)}, first, [None] * len(points)
+        return points, [None] * len(points)
 
     def points(self) -> list:
         """enumerate_points(self.sheaf), the order of every point bitset."""
         return self._points[0]
 
-    def point_index(self) -> dict:
-        """Point -> its position in points()."""
-        return self._points[1]
-
     def points_over(self, u) -> int:
         """The bitset of the points over u."""
-        return ((1 << len(self.carriers[u])) - 1) << self._points[2][u]
+        return ((1 << len(self.carriers[u])) - 1) << self.sheaf.base[u]
 
     def row(self, i: int) -> int:
         """The bitset over points() of the q above the i-th point p: dom p ≤
@@ -152,14 +151,14 @@ class PoSheaf:
         restriction composes, and if p ≤ q|_{dom p} then for each v ≤ dom p,
         POS2 gives p|_v ≤ (q|_{dom p})|_v = q|_v, while the factoring reading
         at v = dom p is this one."""
-        points, _, first, rows = self._points
+        points, rows = self._points
         row = rows[i]
         if row is None:
             u, P = points[i].dom, self.sheaf
-            above = self._posets[u].up_rows[i - first[u]]
+            above = self._posets[u].up_rows[i - P.base[u]]
             row = 0
             for w in self.frame.up(u):
-                for a, b in enumerate(P.res_at[w, u], first[w]):
+                for a, b in enumerate(P.res_at[w, u], P.base[w]):
                     if above >> b & 1:
                         row |= 1 << a
             rows[i] = row
@@ -451,7 +450,7 @@ def verify_order_preserving(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> Che
     # the pairs p ≤ q of F in point order, read from F's rows, each image
     # pair read from G's rows
     pts = F.points()
-    image = [G.point_index()[alpha.on_point(p)] for p in pts]
+    image = [G.sheaf.position(*alpha.on_point(p)) for p in pts]
     point_wit = next(
         ({"points": [list(p), list(pts[k])]} for i, p in enumerate(pts) for k in _bits(F.row(i)) if not G.row(image[i]) >> image[k] & 1),
         None,
@@ -532,8 +531,7 @@ def is_downsheaf(G: SubSheaf, F: PoSheaf) -> CheckReport:
         return CheckReport.fail("downsheaf", {"precondition": pre.witness}, stage="subsheaf")
 
     # a point outside G whose row meets G's points lies below a member
-    pts, index = F.points(), F.point_index()
-    members = sum(1 << index[p] for p in G.points())
+    pts, members = F.points(), _as_part_of(F.sheaf, G).bits
     point_wit = next(
         ({"below": list(p), "member": list(pts[next(_bits(F.row(i) & members))])}
          for i, p in enumerate(pts) if F.row(i) & members and not members >> i & 1),
@@ -567,18 +565,13 @@ def principal(F: PoSheaf, p: Point, direction: str = "ideal") -> SubSheaf:
     restrictions on opens below dom(p), empty elsewhere."""
     if direction not in ("ideal", "filter"):
         raise MalformedInput(f"direction must be ideal or filter, not {direction!r}")
-    frame = F.frame
-    parts = {}
-    for u in frame.elements:
-        if frame.leq(u, p.dom):
-            pu = F.sheaf.restrict(p.dom, p.value, u)
-            if direction == "ideal":
-                parts[u] = [x for x in F.sheaf.carriers[u] if F.leq(u, x, pu)]
-            else:
-                parts[u] = [x for x in F.sheaf.carriers[u] if F.leq(u, pu, x)]
-        else:
-            parts[u] = []
-    return SubSheaf(F.sheaf, parts)
+    P = F.sheaf
+    a, bits = P.at[p.dom][p.value], 0
+    for u in F.frame.down(p.dom):
+        poset = F.poset(u)
+        rows = poset.down_rows if direction == "ideal" else poset.up_rows
+        bits |= rows[P.res_at[p.dom, u][a]] << P.base[u]
+    return SubSheaf.of_bits(P, bits)
 
 
 def down_closure(F: PoSheaf, S: SubSheaf) -> SubSheaf:
@@ -587,20 +580,20 @@ def down_closure(F: PoSheaf, S: SubSheaf) -> SubSheaf:
     exists iff the opens v ≤ u where x|_v is dominated join to u, since any
     such cover lies among them (S need not be a subsheaf, so no smaller
     family of covers would do)."""
-    frame = F.frame
-    parts = {}
-    for u in frame.elements:
-        parts[u] = [
-            x
-            for x in F.sheaf.carriers[u]
-            if frame.join_all(
-                v
-                for v in frame.down(u)
-                if any(F.leq(v, F.sheaf.restrict(u, x, v), y) for y in S.part(v))
-            )
-            == u
-        ]
-    return SubSheaf(F.sheaf, parts)
+    frame, P = F.frame, F.sheaf
+    S = _as_part_of(P, S)
+    # v ↦ the positions in F(v) below some member of S(v)
+    dominated = {}
+    for v, (b, full) in zip(frame.elements, P._spans):
+        dominated[v] = 0
+        for k in _bits(S.bits >> b & full):
+            dominated[v] |= F.poset(v).down_rows[k]
+    bits = 0
+    for u, (b, _) in zip(frame.elements, P._spans):
+        for a in range(len(P.carriers[u])):
+            if frame.join_all(v for v in frame.down(u) if dominated[v] >> P.res_at[u, v][a] & 1) == u:
+                bits |= 1 << (b + a)
+    return SubSheaf.of_bits(P, bits)
 
 
 def enumerate_downsheaves(F: PoSheaf, u=None, *, budget: Budget | None = None, meter: BudgetMeter | None = None) -> list[SubSheaf]:
@@ -682,8 +675,8 @@ def verify_galois(
 
     fpts = F.points()
     gpts = G.points()
-    alpha_at = [G.point_index()[alpha.on_point(x)] for x in fpts]
-    beta_at = [F.point_index()[beta.on_point(y)] for y in gpts]
+    alpha_at = [G.sheaf.position(*alpha.on_point(x)) for x in fpts]
+    beta_at = [F.sheaf.position(*beta.on_point(y)) for y in gpts]
     pt_ok, pt_wit = True, None
     for i, x in enumerate(fpts):
         above_alpha, above_x = G.row(alpha_at[i]), F.row(i)

@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, NamedTuple
 
-from .frames import FiniteFrame, lazy
+from .frames import FiniteFrame, _bits, lazy
 from .report import (
     Budget,
     BudgetMeter,
@@ -40,7 +40,9 @@ class Presheaf:
     carriers[u], and res_at[u, v] holds, for each x in carrier order, the
     position of x|_v in carriers[v] (range at v = u). The law kernels read
     these positions; res[u, v], x ↦ x|_v, is the view for documents,
-    witnesses and labels.
+    witnesses and labels. The points (u, x), the bits of a SubSheaf, are
+    numbered in enumerate_points order from base[u] on over u; _spans
+    holds (base[u], the mask of F(u)'s positions) in frame order.
 
     Carrier elements are hashable; iteration order is the carrier tuple order.
     Sheaf status is a verified property (verify_sheaf), not a subclass.
@@ -55,12 +57,11 @@ class Presheaf:
     ):
         self.frame = frame
         self.carriers = {u: tuple(carriers.get(u, ())) for u in frame.elements}
-        # each carrier as a set, for membership and subset tests, and as
-        # section -> position
-        self.carrier_sets = {u: frozenset(xs) for u, xs in self.carriers.items()}
-        self.at = {u: {x: i for i, x in enumerate(xs)} for u, xs in self.carriers.items()}
+        self.at, self.base, self._spans, n = {}, {}, [], 0
         for u, xs in self.carriers.items():
-            if len(self.carrier_sets[u]) != len(xs):
+            self.at[u], self.base[u], n = {x: i for i, x in enumerate(xs)}, n, n + len(xs)
+            self._spans.append((self.base[u], (1 << len(xs)) - 1))
+            if len(self.at[u]) != len(xs):
                 raise MalformedInput(f"duplicate sections at {u!r}")
         self.res, self.res_at = {}, {}
         for u, xs in self.carriers.items():
@@ -80,6 +81,9 @@ class Presheaf:
                         if x not in table:
                             raise MissingRestriction(f"restriction {u!r} -> {v!r} missing {x!r}") from None
                         raise MalformedInput(f"restriction {u!r} -> {v!r} sends {x!r} outside the carrier") from None
+                    if len(table) != len(xs):  # every x has an entry, and some other key too
+                        x = next(x for x in table if x not in self.at[u])
+                        raise MalformedInput(f"restriction {u!r} -> {v!r} has an entry for {x!r}, outside the carrier at {u!r}")
                 self.res[u, v] = table
         self._labeler = labeler
         # (weak reference to its EtaleLocale, sheaf-locale elements counted),
@@ -98,6 +102,17 @@ class Presheaf:
 
     def carrier(self, u) -> tuple:
         return self.carriers[u]
+
+    def position(self, u, x) -> int:
+        """The position of the point (u, x) in enumerate_points order: its
+        bit in a SubSheaf and in the point-order rows."""
+        return self.base[u] + self.at[u][x]
+
+    @lazy
+    def below(self) -> dict:
+        """v ↦ the bitset of the points over the opens w ≤ v."""
+        over = {u: full << b for u, (b, full) in zip(self.carriers, self._spans)}
+        return {v: sum(over[w] for w in self.frame.down(v)) for v in self.frame.elements}
 
     @lazy
     def _top_germs(self) -> tuple[list, list]:
@@ -312,90 +327,99 @@ def _gluing_witness(P: Presheaf, u, cover: tuple) -> dict:
 
 
 class SubSheaf:
-    """Per-open subsets of a parent presheaf, aligned with the frame's element
-    order; equality and hashing are on the parts only, and the hash is
-    computed once. ``closed`` marks a member built by the germ walk
-    (_germ_subsheaf), a subsheaf of its parent by construction, which
+    """A part S(u) ⊆ F(u) at each open of a parent presheaf F, kept as one
+    int ``bits`` over F's points (x over u is bit F.base[u] + F.at[u][x]):
+    equality and hashing read the bits, as do issubset and clip (one AND
+    each), size, contains and key. parts, part, sorted_part, points and
+    describe are views for documents, witnesses and labels. SubSheaf(F,
+    parts) reads part-sets, a dict open ↦ sections or one per open in frame
+    order; of_bits takes bits inside the carriers. ``closed`` marks a
+    germ-walk member (_germ_subsheaf), a subsheaf by construction, which
     generate_subsheaf returns as it is."""
 
-    __slots__ = ("parent", "parts", "_hash", "closed")
+    __slots__ = ("parent", "bits", "closed")
 
     def __init__(self, parent: Presheaf, parts):
-        self.parent = parent
-        if isinstance(parts, dict):
-            normalized = tuple(frozenset(parts.get(u, ())) for u in parent.frame.elements)
-        else:
-            normalized = tuple(frozenset(p) for p in parts)
-        for u, part in zip(parent.frame.elements, normalized):
-            bad = part - parent.carrier_sets[u]
-            if bad:
-                raise MalformedInput(f"subsheaf part at {u!r} outside the carrier: {sorted(map(str, bad))}")
-        self.parts = normalized
-        self._hash = hash(normalized)
-        self.closed = False
+        elements, bits = parent.frame.elements, 0
+        for u, part in ((u, parts.get(u, ())) for u in elements) if isinstance(parts, dict) else zip(elements, parts):
+            at, part = parent.at[u], set(part)
+            if not part <= at.keys():
+                raise MalformedInput(f"subsheaf part at {u!r} outside the carrier: {sorted(map(str, part - at.keys()))}")
+            bits |= sum(1 << at[x] for x in part) << parent.base[u]
+        self.parent, self.bits, self.closed = parent, bits, False
+
+    @classmethod
+    def of_bits(cls, parent: Presheaf, bits: int, closed: bool = False) -> "SubSheaf":
+        S = cls.__new__(cls)
+        S.parent, S.bits, S.closed = parent, bits, closed
+        return S
 
     def __eq__(self, other):
-        return isinstance(other, SubSheaf) and self.parts == other.parts
+        # parents with the same carriers number their points alike
+        same_points = isinstance(other, SubSheaf) and (self.parent is other.parent or self.parent.carriers == other.parent.carriers)
+        return same_points and self.bits == other.bits
 
     def __hash__(self):
-        return self._hash
+        return hash(self.bits)
+
+    def _mask(self, u) -> int:
+        """The positions in F(u) of S(u)."""
+        P = self.parent
+        return self.bits >> P.base[u] & ((1 << len(P.carriers[u])) - 1)
+
+    def sorted_part(self, u) -> list:
+        xs = self.parent.carriers[u]
+        return [xs[k] for k in _bits(self._mask(u))]
 
     def part(self, u) -> frozenset:
-        return self.parts[self.parent.frame.index[u]]
+        return frozenset(self.sorted_part(u))
+
+    @property
+    def parts(self) -> tuple:
+        """S(u) as a frozenset for each open, in frame order."""
+        return tuple(self.part(u) for u in self.parent.frame.elements)
 
     def contains(self, u, x) -> bool:
-        return x in self.part(u)
+        P = self.parent
+        i = P.at[u].get(x)
+        return i is not None and bool(self.bits >> (P.base[u] + i) & 1)
 
     def issubset(self, other: "SubSheaf") -> bool:
-        return all(a <= b for a, b in zip(self.parts, other.parts))
+        return not self.bits & ~other.bits
 
     def size(self) -> int:
-        return sum(len(p) for p in self.parts)
-
-    def support(self):
-        """Join of the opens carrying sections."""
-        frame = self.parent.frame
-        return frame.join_all(u for u in frame.elements if self.part(u))
+        return self.bits.bit_count()
 
     def clip(self, v) -> "SubSheaf":
         """S^v: drop every part not below v."""
-        frame = self.parent.frame
-        return SubSheaf(
-            self.parent,
-            tuple(p if frame.leq(u, v) else frozenset() for u, p in zip(frame.elements, self.parts)),
-        )
-
-    def sorted_part(self, u) -> list:
-        order = self.parent.carriers[u]
-        return [x for x in order if x in self.part(u)]
+        return SubSheaf.of_bits(self.parent, self.bits & self.parent.below[v])
 
     def points(self) -> list[Point]:
         return [Point(u, x) for u in self.parent.frame.elements for x in self.sorted_part(u)]
 
     def describe(self) -> str:
-        bits = []
+        shown = []
         for u in self.parent.frame.elements:
             xs = self.sorted_part(u)
             if xs:
-                bits.append(f"{u}:" + ",".join(self.parent.label(u, x) for x in xs))
-        return "{" + "|".join(bits) + "}"
+                shown.append(f"{u}:" + ",".join(self.parent.label(u, x) for x in xs))
+        return "{" + "|".join(shown) + "}"
 
     def key(self) -> tuple:
         """Deterministic sort key: (total size, per-open membership masks
-        over the carrier positions)."""
-        at = self.parent.at
-        return (self.size(), tuple([sum(1 << at[u][x] for x in part) for u, part in zip(self.parent.frame.elements, self.parts)]))
+        over the carrier positions), each mask a slice of the bits."""
+        bits = self.bits
+        return (bits.bit_count(), tuple([bits >> b & full for b, full in self.parent._spans]))
+
+
+def _as_part_of(F: Presheaf, S: SubSheaf) -> SubSheaf:
+    """S itself when F is its parent, else the same part-sets read into F."""
+    return S if S.parent is F else SubSheaf(F, S.parts)
 
 
 def full_subsheaf(P: Presheaf, u=None) -> SubSheaf:
     """F itself, or F^u as the subsheaf with empty carriers above u."""
-    frame = P.frame
-    if u is None:
-        u = frame.top
-    return SubSheaf(
-        P,
-        {v: P.carriers[v] for v in frame.down(u)},
-    )
+    return SubSheaf.of_bits(P, P.below[P.frame.top if u is None else u])
 
 
 def verify_restriction_closed(S: SubSheaf) -> CheckReport:
@@ -449,15 +473,14 @@ def _closed_at(S: SubSheaf, u, cover: tuple) -> bool:
     u is amalgamated by its member at u alone, which is in S. Over (v, w),
     x amalgamates a family of S iff x|_v is in S(v) and x|_w in S(w)."""
     P = S.parent
-    part = S.part(u)
+    part = S._mask(u)
     if not cover:
-        return len(part) == len(P.carriers[u])
+        return part == (1 << len(P.carriers[u])) - 1
     if u in cover:
         return True
     v, w = cover
-    sv, sw = S.part(v), S.part(w)
-    uv, uw = P.res[u, v], P.res[u, w]
-    return all(x in part for x in P.carriers[u] if uv[x] in sv and uw[x] in sw)
+    sv, sw = S._mask(v), S._mask(w)
+    return all(part >> a & 1 for a, (b, c) in enumerate(zip(P.res_at[u, v], P.res_at[u, w])) if sv >> b & 1 and sw >> c & 1)
 
 
 def _closure_witness(S: SubSheaf, u, cover: tuple) -> CheckReport:
@@ -485,8 +508,9 @@ def _germ_table(F: Presheaf, u, leq: Callable | None = None) -> tuple[list, list
     when j < j' and y|_j = x, or, with ``leq`` (the order at each open), when
     j = j' and x ≤ y. The j are listed as in FiniteFrame.canonical_cover(u),
     each F(j) by the number of sections below (in carrier order without
-    ``leq``). Also returns, for each open v ≤ u, its sections x with the
-    bitmask of the germs (j, x|_j), j in canonical_cover(v)."""
+    ``leq``). Also returns, for each point (v, x) with v ≤ u, in point
+    order, its bit in a SubSheaf and the bitmask of the germs (j, x|_j), j
+    in canonical_cover(v); at u = ⊤ entry i is the i-th point."""
     frame, res_at = F.frame, F.res_at
     germs = []
     for j in frame.canonical_cover(u):
@@ -496,8 +520,9 @@ def _germ_table(F: Presheaf, u, leq: Callable | None = None) -> tuple[list, list
         germs.extend((j, x) for x in xs)
     places = _germ_places(F, germs)
     masks = [
-        (v, [(x, sum(1 << places[j][res_at[v, j][a]] for j in frame.canonical_cover(v))) for a, x in enumerate(F.carriers[v])])
+        (1 << (F.base[v] + a), sum(1 << places[j][res_at[v, j][a]] for j in frame.canonical_cover(v)))
         for v in frame.down(u)
+        for a in range(len(F.carriers[v]))
     ]
     return germs, masks
 
@@ -512,12 +537,11 @@ def _germ_places(F: Presheaf, germs: list) -> dict:
 
 
 def _germ_subsheaf(F: Presheaf, masks: list, chosen: int) -> SubSheaf:
-    """S(v) = {x ∈ F(v) : every germ of x is chosen}, for the opens in masks;
-    a subsheaf of the sheaf F when chosen is a down-set of the germs, as at
-    every caller, and marked closed."""
-    S = SubSheaf(F, {v: [x for x, need in row if need & chosen == need] for v, row in masks})
-    S.closed = True
-    return S
+    """S(v) = {x ∈ F(v) : every germ of x is chosen}, for the points in
+    masks, as bits: a subsheaf of the sheaf F when chosen is a down-set of
+    the germs, as at every caller, and marked closed. Every point of masks
+    is one of F's, so the carriers are not checked."""
+    return SubSheaf.of_bits(F, sum(bit for bit, need in masks if need & chosen == need), True)
 
 
 def generate_subsheaf(F: Presheaf, B, *, require_closed: bool = True) -> SubSheaf:
@@ -527,18 +551,17 @@ def generate_subsheaf(F: Presheaf, B, *, require_closed: bool = True) -> SubShea
     is the down-set lattice of its join-irreducibles, and a subsheaf is
     determined by its germs there). A member built by the germ walk
     (SubSheaf.closed) with parent F is already a subsheaf of F, and is
-    returned as it is."""
+    returned as it is. D is the OR of the germ masks of B's points, read
+    by position: the i-th entry of the table over ⊤ is the i-th point."""
     if isinstance(B, SubSheaf) and B.closed and B.parent is F:
         return B
-    seed = B if isinstance(B, SubSheaf) else SubSheaf(F, B)
+    seed = _as_part_of(F, B) if isinstance(B, SubSheaf) else SubSheaf(F, B)
     if require_closed:
         verify_restriction_closed(seed).require(NotRestrictionClosed)
     _, masks = F._top_germs
     kept = 0
-    for v, row in masks:
-        for x, need in row:
-            if seed.contains(v, x):
-                kept |= need
+    for i in _bits(seed.bits):
+        kept |= masks[i][1]
     return _germ_subsheaf(F, masks, kept)
 
 
@@ -614,7 +637,7 @@ def epsilon(P: Presheaf, sections: list[tuple]):
     for u, x in sections:
         if u not in P.frame:
             raise SectionNotInCarrier(f"unknown open {u!r}")
-        if x not in P.carrier_sets[u]:
+        if x not in P.at[u]:
             raise SectionNotInCarrier(f"section {x!r} not in carrier at {u!r}")
     frame = P.frame
     bound = frame.meet_all(u for u, _ in sections)
@@ -650,7 +673,7 @@ class SheafMorphism:
             for x in source.carriers[u]:
                 if x not in table:
                     raise DomainMismatch(f"morphism map at {u!r} missing {source.label(u, x)!r}")
-                if table[x] not in target.carrier_sets[u]:
+                if table[x] not in target.at[u]:
                     raise DomainMismatch(f"morphism at {u!r} sends {source.label(u, x)!r} outside the target")
             self.maps[u] = table
 

@@ -370,7 +370,7 @@ def _minimal_extension_adjoints(F, P, cert) -> bool:
             if not data["surjective"] or data["left_adjoint"] is None or data["right_adjoint"] is None:
                 return False
             for S in P.carrier(v):
-                if data["left_adjoint"][S].parts != S.parts:
+                if data["left_adjoint"][S] != S:
                     return False
                 parts = {
                     w: [
@@ -381,7 +381,7 @@ def _minimal_extension_adjoints(F, P, cert) -> bool:
                     for w in frame.down(u)
                 }
                 expected = generate_subsheaf(F, SubSheaf(F, parts), require_closed=False)
-                if data["right_adjoint"][S].parts != expected.parts:
+                if data["right_adjoint"][S] != expected:
                     return False
     return True
 
@@ -442,17 +442,7 @@ def _criterion_3(seed: int, budget: Budget) -> tuple[bool, dict]:
         entry = {}
         P = power_sheaf(F.sheaf, budget=budget, verify=False)
         D = down_power_sheaf(F, budget=budget, verify=False)
-        down_map = SheafMorphism(
-            P.sheaf,
-            D.sheaf,
-            {
-                u: {
-                    S: down_closure(F, SubSheaf(F.sheaf, {v: S.sorted_part(v) for v in F.frame.elements})).clip(u)
-                    for S in P.carrier(u)
-                }
-                for u in F.frame.elements
-            },
-        )
+        down_map = SheafMorphism(P.sheaf, D.sheaf, {u: {S: down_closure(F, S).clip(u) for S in P.carrier(u)} for u in F.frame.elements})
         inc = power_inclusion(D, P)
         rep = verify_galois(down_map, inc, P, D)
         entry["down_closure_adjoint_to_inclusion"] = rep.passed

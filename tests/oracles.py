@@ -63,7 +63,6 @@ from posheaf.complete import (
     _minimal_points,
     _restriction_gap,
     _meet_subsheaf,
-    _upper_bound_mask,
 )
 from posheaf.frame_equiv import frame_hom_to_sheaf
 from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap, _inclusion_rows, _mask_table, left_adjoint
@@ -1530,6 +1529,16 @@ def definition_square(F, budget: Budget | None = None) -> dict | None:
     return None
 
 
+def upper_bound_mask(F, S, opens, mask: int) -> int:
+    """The points of mask above every point of S over the given opens: the
+    AND of their point-order rows, each point looked up by its section."""
+    index = {p: i for i, p in enumerate(F.points())}
+    for v in opens:
+        for x in S.part(v):
+            mask &= F.row(index[v, x])
+    return mask
+
+
 def sup_extension_form(name: str, F, subsheaves: list) -> CheckReport:
     """Every listed subsheaf has a sup extendable to a global point whose
     every restriction is the least dominating element: the sup from the AND
@@ -1537,14 +1546,14 @@ def sup_extension_form(name: str, F, subsheaves: list) -> CheckReport:
     those of its points below the open, each by the minimal-members scan,
     and the global point sought among all of F(top)."""
     frame = F.frame
-    every = (1 << len(F.point_index())) - 1
+    every = (1 << len(F.points())) - 1
     for S in subsheaves:
-        sup, mins = _minimal_points(F, _upper_bound_mask(F, S, frame.elements, every))
+        sup, mins = _minimal_points(F, upper_bound_mask(F, S, frame.elements, every))
         if sup is None:
             return CheckReport.fail(name, {"subsheaf": S.describe(), "missing": "sup", "minimal_upper_bounds": [list(p) for p in mins]})
         least_at = {}
         for u in frame.elements:
-            least, _ = _minimal_points(F, _upper_bound_mask(F, S, frame.down(u), F.points_over(u)))
+            least, _ = _minimal_points(F, upper_bound_mask(F, S, frame.down(u), F.points_over(u)))
             if least is None:
                 return CheckReport.fail(name, {"subsheaf": S.describe(), "open": u, "missing": "least dominating element"})
             least_at[u] = least.value
@@ -1679,3 +1688,132 @@ def agreement_meet_diagnostic(P, max_tuple: int = 2) -> dict:
         "biconditional_holds": equality == is_terminal,
         "witness": witness,
     }
+
+
+class PartsSubSheaf:
+    """A subsheaf in the frozenset-parts form: one frozenset of sections per
+    open of the parent, aligned with the frame's element order, with
+    equality and hashing on the parts; each operation reads the parts. The
+    oracle for the bitset form of sheaves.SubSheaf."""
+
+    def __init__(self, parent: Presheaf, parts):
+        self.parent = parent
+        if isinstance(parts, dict):
+            normalized = tuple(frozenset(parts.get(u, ())) for u in parent.frame.elements)
+        else:
+            normalized = tuple(frozenset(p) for p in parts)
+        for u, part in zip(parent.frame.elements, normalized):
+            bad = part - frozenset(parent.carriers[u])
+            if bad:
+                raise MalformedInput(f"subsheaf part at {u!r} outside the carrier: {sorted(map(str, bad))}")
+        self.parts = normalized
+
+    def __eq__(self, other):
+        return isinstance(other, PartsSubSheaf) and self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def part(self, u) -> frozenset:
+        return self.parts[self.parent.frame.index[u]]
+
+    def contains(self, u, x) -> bool:
+        return x in self.part(u)
+
+    def issubset(self, other: "PartsSubSheaf") -> bool:
+        return all(a <= b for a, b in zip(self.parts, other.parts))
+
+    def size(self) -> int:
+        return sum(len(p) for p in self.parts)
+
+    def clip(self, v) -> "PartsSubSheaf":
+        frame = self.parent.frame
+        return PartsSubSheaf(self.parent, tuple(p if frame.leq(u, v) else frozenset() for u, p in zip(frame.elements, self.parts)))
+
+    def sorted_part(self, u) -> list:
+        return [x for x in self.parent.carriers[u] if x in self.part(u)]
+
+    def describe(self) -> str:
+        shown = []
+        for u in self.parent.frame.elements:
+            xs = self.sorted_part(u)
+            if xs:
+                shown.append(f"{u}:" + ",".join(self.parent.label(u, x) for x in xs))
+        return "{" + "|".join(shown) + "}"
+
+    def key(self) -> tuple:
+        """(total size, per-open membership masks over the carrier
+        positions), each mask summed from its sections' positions."""
+        at = self.parent.at
+        return (self.size(), tuple(sum(1 << at[u][x] for x in part) for u, part in zip(self.parent.frame.elements, self.parts)))
+
+
+def _germ_member(F: Presheaf, germs: list, chosen: int, opens) -> PartsSubSheaf:
+    """The sections over the given opens whose germs x|_j, j ∈ J↓v, are all
+    among the chosen bits of the germ list, as a PartsSubSheaf."""
+    place = {g: i for i, g in enumerate(germs)}
+    cover = F.frame.canonical_cover
+    parts = {v: [x for x in F.carriers[v] if all(chosen >> place[j, F.restrict(v, x, j)] & 1 for j in cover(v))] for v in opens}
+    return PartsSubSheaf(F, parts)
+
+
+def parts_subsheaves(F: Presheaf, u=None, leq=None) -> list[PartsSubSheaf]:
+    """Sub(F^u), or Dow(F^u) with ``leq``, in the frozenset-parts form: one
+    member per down-set of the germs (sheaves._germ_downsets), sorted by
+    PartsSubSheaf.key."""
+    u = F.frame.top if u is None else u
+    germs, _ = sheaves._germ_table(F, u, leq)
+    meter = BudgetMeter("subsheaf enumeration", 10**6)
+    members = [_germ_member(F, germs, chosen, F.frame.down(u)) for chosen in sheaves._germ_downsets(F, germs, meter, leq)]
+    return sorted(members, key=PartsSubSheaf.key)
+
+
+def parts_generate_subsheaf(F: Presheaf, B: PartsSubSheaf) -> PartsSubSheaf:
+    """The smallest subsheaf of the sheaf F holding B: the sections whose
+    germs all lie among the germs of B's sections."""
+    frame = F.frame
+    germs, _ = sheaves._germ_table(F, frame.top)
+    place = {g: i for i, g in enumerate(germs)}
+    kept = 0
+    for v in frame.elements:
+        for x in B.sorted_part(v):
+            for j in frame.canonical_cover(v):
+                kept |= 1 << place[j, F.restrict(v, x, j)]
+    return _germ_member(F, germs, kept, frame.elements)
+
+
+def parts_bounds(F, A: PartsSubSheaf) -> tuple:
+    """(upper bounds, sup, inf, sup antichain, inf antichain) of the
+    subsheaf A generates, from the rows of its points looked up one section
+    at a time, with least points by descent (complete._point_minimum)."""
+    from posheaf.complete import _point_minimum
+
+    A = parts_generate_subsheaf(F.sheaf, A)
+    every, points = (1 << len(F.points())) - 1, F.points()
+    ups = upper_bound_mask(F, A, F.frame.elements, every)
+    sup, sup_min = _point_minimum(F, ups)
+    op = F.opposite()
+    inf, inf_min = _point_minimum(op, upper_bound_mask(op, A, F.frame.elements, every))
+    return [points[i] for i in range(len(points)) if ups >> i & 1], sup, inf, [] if sup else sup_min, [] if inf else inf_min
+
+
+def parts_sup_in_open(F, S: PartsSubSheaf, u):
+    """sup_in_open from the rows of S's points below u, looked up one
+    section at a time."""
+    from posheaf.complete import _point_minimum
+
+    least, _ = _point_minimum(F, upper_bound_mask(F, S, F.frame.down(u), F.points_over(u)))
+    return None if least is None else least.value
+
+
+def parts_power_tables(F: Presheaf, leq=None) -> dict:
+    """ℙF, or 𝔻F with ``leq``, as tables from the frozenset-parts form:
+    u ↦ (the members' labels in member order, the inclusion pairs by
+    position, and v ↦ the position of each member's clip to v)."""
+    members = {u: parts_subsheaves(F, u, leq) for u in F.frame.elements}
+    tables = {}
+    for u, ms in members.items():
+        pairs = [(i, k) for i, s in enumerate(ms) for k, t in enumerate(ms) if s.issubset(t)]
+        clips = {v: [members[v].index(s.clip(v)) for s in ms] for v in F.frame.down(u)}
+        tables[u] = ([s.describe() for s in ms], pairs, clips)
+    return tables

@@ -220,6 +220,26 @@ def test_verify_galois_cli(tmp_path, capsys):
     assert run(["verify", "galois", m_path, m_path]) == 0
 
 
+def test_a_restriction_entry_outside_the_source_carrier_is_malformed(tmp_path, capsys):
+    # x is in the carrier at 1 but zz is not: the table is rejected when
+    # loaded, naming zz, by check presheaf and by verify galois alike,
+    # which would otherwise write the loaded posheaves back out
+    doc = {
+        "frame": {"elements": ["0", "1"], "leq": [["0", "1"]]},
+        "carriers": {"0": ["a"], "1": ["x"]},
+        "res": {"1->0": {"x": "a", "zz": "a"}},
+    }
+    side = {**doc, "order": {}}
+    morphism = {"source": side, "target": side, "maps": {"0": {"a": "a"}, "1": {"x": "x"}}}
+    paths = [write(tmp_path, "extra.json", doc), write(tmp_path, "m.json", morphism)]
+    for argv in (["check", "presheaf", paths[0]], ["verify", "galois", paths[1], paths[1]]):
+        assert run(argv) == 2, argv
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "malformed" and "'zz'" in out["message"], argv
+    doc["res"]["1->0"].pop("zz")
+    assert run(["check", "presheaf", write(tmp_path, "fixed.json", doc)]) == 0
+
+
 def test_verify_reads_exactly_its_documents(tmp_path, capsys):
     # galois takes two morphism documents and every other kind one; a wrong
     # count is malformed input, not a traceback

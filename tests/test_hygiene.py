@@ -471,3 +471,65 @@ def test_position_kernels_read_no_section_restriction():
         for line in _section_restrictions(ast.parse((PACKAGE / module).read_text()), kernels)
     ]
     assert found == []
+
+
+# the kernels that read a SubSheaf as its bitset over the parent's points,
+# by module and by name, a method as Class.method
+BITSET_KERNELS = {
+    "sheaves.py": {
+        "SubSheaf.__eq__",
+        "SubSheaf.__hash__",
+        "SubSheaf.issubset",
+        "SubSheaf.clip",
+        "SubSheaf.contains",
+        "SubSheaf.size",
+        "SubSheaf.key",
+        "_germ_subsheaf",
+        "generate_subsheaf",
+    },
+    "complete.py": {"_upper_bound_mask"},
+}
+
+
+def _part_set_reads(tree, kernels: set) -> list[str]:
+    """The kernels in kernels that build a frozenset or read .parts or
+    .part(...), each finding once, sorted; a kernel missing from the module is
+    reported too, so a rename cannot empty the test."""
+    found, seen = [], set()
+    named = [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body if isinstance(f, ast.FunctionDef)]
+    named += [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    for name, fn in named:
+        if name not in kernels:
+            continue
+        seen.add(name)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "frozenset":
+                found.append(f"{name}:{node.lineno} builds a frozenset")
+            if isinstance(node, ast.Attribute) and node.attr == "parts":
+                found.append(f"{name}:{node.lineno} reads parts")
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "part":
+                found.append(f"{name}:{node.lineno} calls part")
+    return sorted(set(found)) + [f"{name} missing" for name in sorted(kernels - seen)]
+
+
+def test_subsheaf_kernels_read_the_bitset_alone():
+    # equality, hashing, inclusion, clipping, membership, size, the sort
+    # key, the germ walk's members, the generated subsheaf and the bound
+    # rows all read a subsheaf's bits; the per-open frozensets are views
+    # for documents, witnesses and labels
+    bad = (
+        "class SubSheaf:\n    def __eq__(self, other):\n        return self.parts == other.parts\n"
+        "    def clip(self, v):\n        return frozenset(self.part(v))\n"
+    )
+    assert _part_set_reads(ast.parse(bad), {"SubSheaf.__eq__", "SubSheaf.clip", "_gone"}) == [
+        "SubSheaf.__eq__:3 reads parts",
+        "SubSheaf.clip:5 builds a frozenset",
+        "SubSheaf.clip:5 calls part",
+        "_gone missing",
+    ]
+    found = [
+        f"{module}: {line}"
+        for module, kernels in BITSET_KERNELS.items()
+        for line in _part_set_reads(ast.parse((PACKAGE / module).read_text()), kernels)
+    ]
+    assert found == []

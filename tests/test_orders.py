@@ -48,8 +48,8 @@ from posheaf.generate import GenConfig, gen_frame, gen_posheaf
 
 def point_leq_bool(F: PoSheaf, p: Point, q: Point) -> bool:
     """p ≤ q in the point order: one bit of F's rows (PoSheaf.row)."""
-    index = F.point_index()
-    return bool(F.row(index[p]) >> index[q] & 1)
+    P = F.sheaf
+    return bool(F.row(P.position(*p)) >> P.position(*q) & 1)
 
 
 def test_omega_is_a_posheaf(FD, F3, F6):
@@ -129,6 +129,11 @@ def test_a_poset_out_of_carrier_order_is_malformed(SAB):
     for elements in (tuple(reversed(xs)), xs[:1], xs + ("w",)):
         with pytest.raises(MalformedInput, match="not over the carrier in carrier order"):
             PoSheaf(SAB, {"a": FinitePoset(elements, [])})
+    # order pairs are read through the sheaf's own positions, and a pair
+    # with an end outside the carrier is named
+    assert PoSheaf(SAB, {"a": [(xs[0], xs[1])]}).poset("a").index is SAB.at["a"]
+    with pytest.raises(MalformedInput, match=r"order pair at 'a' outside the carrier: \('x', 'w'\)"):
+        PoSheaf(SAB, {"a": [(xs[0], xs[1]), ("x", "w")]})
 
 
 def test_pos2_violation_detected(SAB):

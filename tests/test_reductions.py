@@ -737,6 +737,79 @@ def test_generate_subsheaf_matches_the_exhaustive_closure(corpus):
                 assert generate_subsheaf(P, B, require_closed=False) == oracles.close_to_subsheaf(P, B.points()), name
 
 
+def _random_parts(P, rng, p: float) -> dict:
+    return {u: [x for x in P.carriers[u] if rng.random() < p] for u in P.frame.elements}
+
+
+def test_bitset_subsheaves_agree_with_the_frozenset_parts_form(corpus):
+    # a SubSheaf is one bitset over its parent's points; on arbitrary
+    # part-sets of every generated presheaf and mutant, each with its
+    # frame's elements also in a random order, every operation agrees with
+    # the frozenset-parts form of the oracle
+    rng = random.Random(31)
+    for name, F in corpus:
+        for P in (F.sheaf, _shuffled_presheaf(F.sheaf, rng)):
+            given = [_random_parts(P, rng, p) for p in (0.0, 0.2, 0.5, 0.8, 1.0)]
+            subs = [SubSheaf(P, parts) for parts in given]
+            olds = [oracles.PartsSubSheaf(P, parts) for parts in given]
+            for S, old in zip(subs, olds):
+                assert S.parts == old.parts and S.key() == old.key(), name
+                assert (S.size(), S.describe()) == (old.size(), old.describe()), name
+                assert [S.sorted_part(u) for u in P.frame.elements] == [old.sorted_part(u) for u in P.frame.elements], name
+                assert all(S.contains(u, x) == old.contains(u, x) for u in P.frame.elements for x in P.carriers[u]), name
+                assert all(S.clip(v).parts == old.clip(v).parts for v in P.frame.elements), name
+                assert S == SubSheaf(P, old.parts) and hash(S) == hash(SubSheaf(P, old.parts)), name
+            for (S, old), (T, old_t) in itertools.product(zip(subs, olds), repeat=2):
+                assert S.issubset(T) == old.issubset(old_t) and (S == T) == (old == old_t), name
+            u = P.frame.elements[-1]
+            outside = {u: [*P.carriers[u], "no-such-section"]}
+            with pytest.raises(MalformedInput) as new_error:
+                SubSheaf(P, outside)
+            with pytest.raises(MalformedInput) as old_error:
+                oracles.PartsSubSheaf(P, outside)
+            assert str(new_error.value) == str(old_error.value), name
+
+
+def test_subsheaf_lists_and_bounds_agree_with_the_frozenset_parts_form(corpus):
+    # Sub and Dow in member order, the generated subsheaf, bounds and
+    # sup_in_open, against the same computations on the frozenset-parts
+    # form, whose point rows are looked up one section at a time
+    rng = random.Random(37)
+    compared = 0
+    for name, F in _small_posheaves(corpus):
+        for G in (F, _shuffled(F, rng)):
+            P = G.sheaf
+            for u in G.frame.elements:
+                assert [S.parts for S in enumerate_subsheaves(P, u)] == [S.parts for S in oracles.parts_subsheaves(P, u)], (name, u)
+                assert [S.parts for S in enumerate_downsheaves(G, u)] == [S.parts for S in oracles.parts_subsheaves(P, u, G.leq)], (name, u)
+            for parts in (_random_parts(P, rng, p) for p in (0.1, 0.3)):
+                old = oracles.PartsSubSheaf(P, parts)
+                assert generate_subsheaf(P, SubSheaf(P, parts), require_closed=False).parts == oracles.parts_generate_subsheaf(P, old).parts, name
+                b = bounds(G, SubSheaf(P, parts))
+                assert (b.upper_bounds, b.sup, b.inf, b.sup_antichain, b.inf_antichain) == oracles.parts_bounds(G, old), name
+            for S in enumerate_subsheaves(P):
+                old = oracles.PartsSubSheaf(P, S.parts)
+                b = bounds(G, S)
+                assert (b.upper_bounds, b.sup, b.inf, b.sup_antichain, b.inf_antichain) == oracles.parts_bounds(G, old), name
+                assert all(sup_in_open(G, S, u) == oracles.parts_sup_in_open(G, old.clip(u), u) for u in G.frame.elements), name
+                compared += 1
+    assert compared >= 200
+
+
+def test_power_sheaves_agree_with_the_frozenset_parts_form(corpus):
+    # ℙF and 𝔻F: each open's member labels in member order, the inclusion
+    # order by position and each restriction (the clip) by position
+    rng = random.Random(41)
+    for name, F in _small_posheaves(corpus):
+        for G in (F, _shuffled(F, rng)):
+            for power, leq in ((power_sheaf(G.sheaf, verify=False), None), (down_power_sheaf(G, verify=False), G.leq)):
+                for u, (labels, pairs, clips) in oracles.parts_power_tables(G.sheaf, leq).items():
+                    members = power.carrier(u)
+                    assert [power.label(u, s) for s in members] == labels, (name, u)
+                    assert [(i, k) for i, s in enumerate(members) for k, t in enumerate(members) if power.leq(u, s, t)] == pairs, (name, u)
+                    assert {v: list(power.sheaf.res_at[u, v]) for v in G.frame.down(u)} == clips, (name, u)
+
+
 def test_budgets_count_members(corpus):
     # Budget(subsheaves=n) admits exactly n members, for one enumeration and
     # for the meter a power sheaf shares across its opens

@@ -90,13 +90,14 @@ def test_presheaf_of_builds_the_tables_and_rejects_a_restriction_leaving_the_car
 
 def _bad_tables(SAB) -> dict:
     """SAB's tables with 1 -> a broken: yz missing; yz sent outside F(a);
-    and xz sent outside with yz missing, where xz, first in carrier order,
-    is the first bad section."""
+    xz sent outside with yz missing, where xz, first in carrier order, is
+    the first bad section; and an entry for zz, which is not in F(1)."""
     good = {key: table for key, table in SAB.res.items() if key[0] != key[1]}
     return {
         "missing": {**good, ("1", "a"): {"xz": "x"}},
         "outside": {**good, ("1", "a"): {"xz": "x", "yz": "nowhere"}},
         "outside_then_missing": {**good, ("1", "a"): {"xz": "nowhere"}},
+        "extra": {**good, ("1", "a"): {"xz": "x", "yz": "y", "zz": "x"}},
     }
 
 
@@ -112,11 +113,13 @@ def test_a_bad_restriction_table_names_its_first_bad_section(SAB):
         Presheaf(SAB.frame, SAB.carriers, bad["outside"])
     with pytest.raises(MalformedInput, match="restriction '1' -> 'a' sends 'xz' outside the carrier"):
         Presheaf(SAB.frame, SAB.carriers, bad["outside_then_missing"])
+    with pytest.raises(MalformedInput, match="restriction '1' -> 'a' has an entry for 'zz', outside the carrier at '1'"):
+        Presheaf(SAB.frame, SAB.carriers, bad["extra"])
 
 
 def test_a_bad_restriction_table_in_a_document_exits_2(SAB, tmp_path, capsys):
     doc = jsonio.dump_presheaf_doc(SAB)
-    first = {"missing": "missing 'yz'", "outside": "sends 'yz' outside", "outside_then_missing": "sends 'xz' outside"}
+    first = {"missing": "missing 'yz'", "outside": "sends 'yz' outside", "outside_then_missing": "sends 'xz' outside", "extra": "entry for 'zz'"}
     for name, res in _bad_tables(SAB).items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**doc, "res": {**doc["res"], "1->a": res["1", "a"]}}))
