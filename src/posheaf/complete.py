@@ -18,13 +18,13 @@ sheaf-locale CPOSL1-2 read both on Γ), and the commuting left-adjoint
 square of a morphism (_adjoint_square_gap). Preservation of the empty and
 binary joins or meets is frames._bound_failure, read by finite
 completeness and the finite-meets form of frame morphisms. The left
-adjoint of each restriction is the table of least candidates, built once
-and kept on its posheaf, off the lower covers as a composite: POS1 and
-POS2, which verify_posheaf has decided, make that table the left adjoint
-by proof, so neither law is decided again here. Its right adjoint is the
-left adjoint of the same restriction of the opposite, as the right
-adjoint of a morphism is its least-preimage construction
-(_least_preimages) on the opposites.
+adjoint of each restriction is the table of least candidates, by
+position, built once and kept on its posheaf, off the lower covers as a
+composite: POS1 and POS2, which verify_posheaf has decided, make that
+table the left adjoint by proof, so neither law is decided again here.
+Its right adjoint is the left adjoint of the same restriction of the
+opposite, as the right adjoint of a morphism is its least-preimage
+construction (_least_preimages) on the opposites.
 Bounds and sups are one kernel: the AND of point-order rows
 (_upper_bound_mask) and its least point by descent (_point_minimum), read
 by bounds, sup_in_open and the sup-extension forms, which take each
@@ -244,11 +244,11 @@ def _restriction_gap(F: PoSheaf, u, v) -> str | None:
     return None
 
 
-def _left_adjoint(F: PoSheaf, u, v) -> tuple[dict | None, CheckReport]:
-    """The left adjoint of F's restriction u → v (v < u) as a table, or None,
-    with the report naming the first element without one; built once per
-    posheaf and kept on it. Its right adjoint is the left adjoint of the
-    same restriction of F.opposite().
+def _left_adjoint(F: PoSheaf, u, v) -> tuple[tuple | None, CheckReport]:
+    """The left adjoint of F's restriction u → v (v < u) as a table by
+    position, F(v) into F(u), or None, with the report naming the first
+    element without one; built once per posheaf and kept on it. Its right
+    adjoint is the left adjoint of the same restriction of F.opposite().
 
     Precondition: F satisfies POS1 and POS2, so the restriction is a
     monotone map between partial orders, and the table of least candidates
@@ -270,18 +270,17 @@ def _left_adjoint(F: PoSheaf, u, v) -> tuple[dict | None, CheckReport]:
         upper = None if w == v else _left_adjoint(F, u, w)[0]
         lower = None if upper is None else _left_adjoint(F, w, v)[0]
         if lower is None:
-            la, rep = _least_candidates(MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[(u, v)]))
-            entry = (None if la is None else la.mapping, rep)
+            entry = _least_candidates(F.poset(u), F.poset(v), F.sheaf.res_at[u, v])
         else:
-            entry = ({x: upper[lower[x]] for x in F.carrier(v)}, CheckReport.ok("left_adjoint"))
+            entry = (tuple([upper[b] for b in lower]), CheckReport.ok("left_adjoint"))
         F._left_adjoints[(u, v)] = entry
     return entry
 
 
-def _left_adjoint_table(F: PoSheaf, u, v) -> dict:
-    """l_{v→u} for v ≤ u on a complete posheaf."""
+def _left_adjoint_table(F: PoSheaf, u, v) -> tuple | range:
+    """l_{v→u} for v ≤ u on a complete posheaf, by position (_left_adjoint)."""
     if u == v:
-        return {x: x for x in F.carrier(v)}
+        return range(len(F.carrier(v)))
     table, rep = _left_adjoint(F, u, v)
     if table is None:
         raise NotComplete(f"restriction {u!r} -> {v!r} has no left adjoint", report=rep)
@@ -291,13 +290,14 @@ def _left_adjoint_table(F: PoSheaf, u, v) -> dict:
 def _adjoint_square_gap(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf, u) -> dict | None:
     """The first square α_u(l^F x) ≠ l^G(α_v x), v < u and x ∈ F(v), of the
     left adjoints of the restrictions into u, or None when all commute."""
+    xs, ys, at = F.carrier(u), G.carrier(u), G.sheaf.at
     for v in F.frame.down(u):
         if v == u:
             continue
         f_uv = _left_adjoint_table(F, u, v)
         g_uv = _left_adjoint_table(G, u, v)
-        for x in F.carrier(v):
-            lhs, rhs = alpha(u, f_uv[x]), g_uv[alpha(v, x)]
+        for x, a in zip(F.carrier(v), f_uv):
+            lhs, rhs = alpha(u, xs[a]), ys[g_uv[at[v][alpha(v, x)]]]
             if lhs != rhs:
                 return {"square": [u, v], "section": F.label(v, x), "alpha_after_adjoint": G.label(u, lhs), "adjoint_after_alpha": G.label(u, rhs)}
     return None
@@ -319,11 +319,7 @@ def _per_open_form(F: PoSheaf) -> tuple[CheckReport, dict]:
             surjective = len(set(F.sheaf.res_at[u, v])) == len(F.carrier(v))
             la, _ = _left_adjoint(F, u, v)
             ra, _ = _left_adjoint(F.opposite(), u, v)
-            restriction_data[(u, v)] = {
-                "surjective": surjective,
-                "left_adjoint": None if la is None else dict(la),
-                "right_adjoint": None if ra is None else dict(ra),
-            }
+            restriction_data[(u, v)] = {"surjective": surjective, "left_adjoint": la, "right_adjoint": ra}
             if verdict_wit is None and not (surjective and la is not None and ra is not None):
                 verdict_wit = {
                     "restriction": [u, v],
@@ -434,22 +430,23 @@ def _complete_surjections_form(F: PoSheaf) -> CheckReport:
 def _adjoint_square_check(F: PoSheaf, restriction_data: dict) -> CheckReport:
     """(l_{v,u∨v} x)|_u = l_{u∧v,u}(x|_{u∧v}) for all pairs of opens; runs when
     the needed left adjoints exist (the law's hypothesis)."""
-    frame = F.frame
+    frame, res_at = F.frame, F.sheaf.res_at
     for u in frame.elements:
+        xs = F.carrier(u)
         for v in frame.elements:
             uv = frame.join(u, v)
             uw = frame.meet(u, v)
-            l_v_uv = restriction_data.get((uv, v), {}).get("left_adjoint") if uv != v else {x: x for x in F.carrier(v)}
-            l_uw_u = restriction_data.get((u, uw), {}).get("left_adjoint") if u != uw else {x: x for x in F.carrier(u)}
+            l_v_uv = restriction_data.get((uv, v), {}).get("left_adjoint") if uv != v else range(len(F.carrier(v)))
+            l_uw_u = restriction_data.get((u, uw), {}).get("left_adjoint") if u != uw else range(len(xs))
             if l_v_uv is None or l_uw_u is None:
                 return CheckReport.ok("complete.adjoint_square", skipped="missing left adjoints")
-            for x in F.carrier(v):
-                lhs = F.sheaf.restrict(uv, l_v_uv[x], u)
-                rhs = l_uw_u[F.sheaf.restrict(v, x, uw)]
+            to_u, to_uw = res_at[uv, u], res_at[v, uw]
+            for x, a, b in zip(F.carrier(v), l_v_uv, to_uw):
+                lhs, rhs = to_u[a], l_uw_u[b]
                 if lhs != rhs:
                     return CheckReport.fail(
                         "complete.adjoint_square",
-                        {"opens": [u, v], "section": F.label(v, x), "via_join": F.label(u, lhs), "via_meet": F.label(u, rhs)},
+                        {"opens": [u, v], "section": F.label(v, x), "via_join": F.label(u, xs[lhs]), "via_meet": F.label(u, xs[rhs])},
                     )
     return CheckReport.ok("complete.adjoint_square")
 
@@ -527,7 +524,7 @@ def sup_morphism(F: PoSheaf, *, budget: Budget | None = None) -> tuple[SheafMorp
     cert = is_complete(F, budget=budget)
     if not cert.passed:
         raise NotComplete("sup morphism needs a complete posheaf", report=cert.report())
-    frame = F.frame
+    frame, at = F.frame, F.sheaf.at
     D = down_power_sheaf(F, budget=budget, verify=False)
     P = power_sheaf(F.sheaf, budget=budget, verify=False)
 
@@ -537,9 +534,9 @@ def sup_morphism(F: PoSheaf, *, budget: Budget | None = None) -> tuple[SheafMorp
         for v in frame.down(w):
             sv = S.sorted_part(v)
             join_v = F.poset(v).join_all(sv) if sv else F.poset(v).bottom
-            joins.append(_left_adjoint_table(F, w, v)[join_v])
+            joins.append(F.carrier(w)[_left_adjoint_table(F, w, v)[at[v][join_v]]])
         s = F.poset(w).join_all(joins) if joins else F.poset(w).bottom
-        return _left_adjoint_table(F, u, w)[s]
+        return F.carrier(u)[_left_adjoint_table(F, u, w)[at[w][s]]]
 
     mismatch = None
     maps_d, maps_p = {}, {}
@@ -670,10 +667,11 @@ def _least_preimages(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> tuple[Shea
     check."""
     maps = {}
     for u in F.frame.elements:
-        g, report = _least_candidates(MonotoneMap(F.poset(u), G.poset(u), alpha.maps[u]))
-        if g is None:
+        xs, at = F.carrier(u), G.sheaf.at[u]
+        table, report = _least_candidates(F.poset(u), G.poset(u), [at[alpha(u, x)] for x in xs])
+        if table is None:
             return None, {"open": u, "section": G.label(u, report.witness["element"])}
-        maps[u] = g.mapping
+        maps[u] = dict(zip(G.carrier(u), map(xs.__getitem__, table)))
     return SheafMorphism(G.sheaf, F.sheaf, maps), None
 
 
@@ -800,15 +798,15 @@ def _frobenius_gap(F: PoSheaf) -> dict | None:
         if not rep.passed:
             return {"open": u, "law": rep.name, "witness": rep.witness}
     for u in frame.elements:
+        xs = F.carrier(u)
         for v in frame.down(u):
             if v == u:
                 continue
-            l_vu = _left_adjoint_table(F, u, v)
-            for x in F.carrier(u):
-                xv = F.sheaf.restrict(u, x, v)
-                for y in F.carrier(v):
-                    lhs = lattices[u].meet(x, l_vu[y])
-                    rhs = l_vu[lattices[v].meet(xv, y)]
+            l_vu, ys, at = _left_adjoint_table(F, u, v), F.carrier(v), F.sheaf.at[v]
+            for x, b in zip(xs, F.sheaf.res_at[u, v]):
+                for y, a in zip(ys, l_vu):
+                    lhs = lattices[u].meet(x, xs[a])
+                    rhs = xs[l_vu[at[lattices[v].meet(ys[b], y)]]]
                     if lhs != rhs:
                         return {
                             "opens": [u, v],

@@ -56,10 +56,7 @@ def sheaf_to_frame_hom(F: PoSheaf, *, check: bool = True, budget: Budget | None 
             raise NotFrameSheaf("input is not a frame sheaf", report=rep)
     X = F.frame
     L = FiniteFrame(F.poset(X.top))
-    mapping = {}
-    for u in X.elements:
-        l_u = _left_adjoint_table(F, X.top, u)
-        mapping[u] = l_u[F.poset(u).top]
+    mapping = {u: L.elements[_left_adjoint_table(F, X.top, u)[F.sheaf.at[u][F.poset(u).top]]] for u in X.elements}
     hom = FrameHom(X, L, mapping)
     out = FrameUnderX(hom)
     out.verify().require(NotFrameSheaf)
@@ -135,35 +132,28 @@ def verify_frame_equivalence(instance, *, budget: Budget | None = None) -> Check
     back = sheaf_to_frame_hom(F, check=False)
     FF = frame_hom_to_sheaf(back)
     X = F.frame
-    tables = {u: dict(_left_adjoint_table(F, X.top, u)) for u in X.elements}
+    top = F.carrier(X.top)
+    tables = {u: dict(zip(F.carrier(u), map(top.__getitem__, _left_adjoint_table(F, X.top, u)))) for u in X.elements}
     iso = _posheaf_iso_via(F, FF, tables)
     iso.name = "frame_equivalence.phi_psi"
-    naturality_ok, nat_wit = True, None
-    for u in X.elements:
-        for v in X.down(u):
-            l_u = tables[u]
-            l_v = tables[v]
-            top_v = F.poset(v).top
-            for x in F.carrier(u):
-                lhs = F.poset(X.top).meet(l_u[x], l_v[top_v])
-                rhs = l_v[F.sheaf.restrict(u, x, v)]
-                if lhs != rhs:
-                    naturality_ok, nat_wit = False, {
-                        "opens": [u, v],
-                        "section": F.label(u, x),
-                    }
-                    break
-            if not naturality_ok:
-                break
-        if not naturality_ok:
-            break
-    nat_rep = CheckReport("frame_equivalence.adjoint_naturality", naturality_ok, witness=nat_wit)
+    meet = F.poset(X.top).meet
+    nat_wit = next(
+        (
+            {"opens": [u, v], "section": F.label(u, x)}
+            for u in X.elements
+            for v in X.down(u)
+            for x in F.carrier(u)
+            if meet(tables[u][x], tables[v][F.poset(v).top]) != tables[v][F.sheaf.restrict(u, x, v)]
+        ),
+        None,
+    )
+    nat_rep = CheckReport("frame_equivalence.adjoint_naturality", nat_wit is None, witness=nat_wit)
     return CheckReport.combine("frame_equivalence", [iso, nat_rep])
 
 
 def _roundtrip_sheaf_report(F: PoSheaf, G: PoSheaf) -> CheckReport:
-    # equal carriers index the rows alike, so the orders agree iff the rows do
+    # equal carriers index the rows and res_at alike, so the posheaves agree iff those do
     same = all(F.sheaf.carriers[u] == G.sheaf.carriers[u] for u in F.frame.elements) and all(
         F.poset(u).up_rows == G.poset(u).up_rows for u in F.frame.elements
-    ) and F.sheaf.res == G.sheaf.res
+    ) and F.sheaf.res_at == G.sheaf.res_at
     return CheckReport("roundtrip_stable", same, witness=None if same else {"not": "identical"})

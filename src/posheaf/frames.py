@@ -191,13 +191,13 @@ class FinitePoset:
         mask, index, downs = self.mask(xs), self.index, self.down_rows
         return [m for m in xs if not mask & downs[index[m]] & ~(1 << index[m])]
 
-    def upper_rows(self, xs: Sequence) -> list:
-        """For each element b, the bit row over the positions of xs (a list
-        of elements) of the x with b ≤ x: the OR, over the members t of ↑b,
-        of the positions holding t."""
-        at, index = [0] * len(self.elements), self.index
-        for a, x in enumerate(xs):
-            at[index[x]] |= 1 << a
+    def upper_rows(self, image: Sequence[int]) -> list:
+        """For each position b, the bit row over the a with b ≤ image[a], a
+        position here: the OR, over the members t of ↑b, of the a with
+        image[a] = t."""
+        at = [0] * len(self.elements)
+        for a, t in enumerate(image):
+            at[t] |= 1 << a
         out = []
         for row in self.up_rows:
             found = 0
@@ -914,21 +914,20 @@ def galois_check(left: MonotoneMap, right: MonotoneMap) -> CheckReport:
     return CheckReport.ok("galois")
 
 
-def _least_candidates(f: MonotoneMap) -> tuple[MonotoneMap | None, CheckReport]:
-    """The table b ↦ min{a : b ≤ f(a)}, monotone f or not, or (None, the
-    report naming the first b without that minimum). The candidates of b
-    are one row of upper_rows."""
-    src, tgt = f.source, f.target
-    mapping = {}
-    for y, candidates in zip(tgt.elements, tgt.upper_rows([f.mapping[x] for x in src.elements])):
+def _least_candidates(src: FinitePoset, tgt: FinitePoset, image: Sequence[int]) -> tuple[tuple | None, CheckReport]:
+    """The table b ↦ min{a : b ≤ image[a]} of positions, a in src and b in
+    tgt, monotone or not, or (None, the report naming the first b without
+    that minimum). The candidates of b are one row of upper_rows."""
+    table = []
+    for y, candidates in zip(tgt.elements, tgt.upper_rows(image)):
         m = src.least_index(candidates)
         if m is None:
             return None, CheckReport.fail(
                 "left_adjoint.absent",
                 {"element": y, "minimal_candidates": src.minimal(src.members(candidates))},
             )
-        mapping[y] = src.elements[m]
-    return MonotoneMap(tgt, src, mapping), CheckReport.ok("left_adjoint")
+        table.append(m)
+    return tuple(table), CheckReport.ok("left_adjoint")
 
 
 def left_adjoint(f: MonotoneMap) -> tuple[MonotoneMap | None, CheckReport]:
@@ -946,8 +945,10 @@ def left_adjoint(f: MonotoneMap) -> tuple[MonotoneMap | None, CheckReport]:
     mono = f.verify()
     if not mono.passed:
         raise NotMonotone("left_adjoint requires a monotone map", report=mono)
-    g, report = _least_candidates(f)
-    if g is not None and (f.source.broken_laws or f.target.broken_laws):
+    src, tgt = f.source, f.target
+    table, report = _least_candidates(src, tgt, [tgt.index[f.mapping[x]] for x in src.elements])
+    g = None if table is None else MonotoneMap(tgt, src, dict(zip(tgt.elements, map(src.elements.__getitem__, table))))
+    if g is not None and (src.broken_laws or tgt.broken_laws):
         gm = g.verify()
         if not gm.passed:
             return None, CheckReport.fail("left_adjoint.absent", {"not_monotone": gm.witness})

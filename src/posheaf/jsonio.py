@@ -135,16 +135,15 @@ def _section_labels(P: Presheaf) -> dict:
 
 
 def _presheaf_doc(P: Presheaf, labels: dict) -> dict:
+    """The document of P, each u->v table written from res_at[u, v] over
+    the label lists in carrier order."""
+    names = {u: list(labels[u].values()) for u in P.frame.elements}
     res = {
-        f"{u}->{v}": {labels[u][x]: labels[v][y] for x, y in table.items()}
-        for (u, v), table in P.res.items()
+        f"{u}->{v}": dict(zip(names[u], map(names[v].__getitem__, table)))
+        for (u, v), table in P.res_at.items()
         if u != v
     }
-    return {
-        "frame": dump_frame_doc(P.frame),
-        "carriers": {u: list(labels[u].values()) for u in P.frame.elements},
-        "res": res,
-    }
+    return {"frame": dump_frame_doc(P.frame), "carriers": names, "res": res}
 
 
 def dump_presheaf_doc(P: Presheaf, **extra) -> dict:

@@ -82,9 +82,12 @@ class PoSheaf:
     @classmethod
     def of(cls, sheaf: Presheaf, leq: Callable) -> "PoSheaf":
         """The posheaf with x ≤_u y iff leq(u, x, y) or x = y, each open's
-        order built from the predicate as one FinitePoset over its carrier,
-        the form __init__ keeps as it is."""
-        return cls(sheaf, {u: FinitePoset(xs, [(x, y) for x in xs for y in xs if leq(u, x, y)], closed=True) for u, xs in sheaf.carriers.items()})
+        up rows read from the predicate into one FinitePoset over its
+        carrier, indexed by sheaf.at[u]: the form __init__ keeps as it is."""
+        return cls(sheaf, {
+            u: FinitePoset.from_rows(xs, [sum(1 << k for k, y in enumerate(xs) if k == i or leq(u, x, y)) for i, x in enumerate(xs)], None, sheaf.at[u])
+            for u, xs in sheaf.carriers.items()
+        })
 
     @property
     def carriers(self):
@@ -397,11 +400,12 @@ def _internal_subsheaf(F: PoSheaf, pos2: bool, gap: tuple | None) -> list[CheckR
     P, frame = F.sheaf, F.frame
     if not pos2:
         witness = next(
-            {"open": u, "section": _pair_label(F, u, x, y), "at": v}
-            for u in frame.elements
-            for x, y in F.sorted_pairs(u)
+            {"open": u, "section": _pair_label(F, u, xs[i], xs[k]), "at": v}
+            for u, xs in P.carriers.items()
+            for i, row in enumerate(F.poset(u).up_rows)
+            for k in _bits(row)
             for v in frame.down(u)
-            if not F.leq(v, P.res[u, v][x], P.res[u, v][y])
+            if not F.poset(v).up_rows[P.res_at[u, v][i]] >> P.res_at[u, v][k] & 1
         )
         return [CheckReport(r.name, False, witness=witness) for r in ok]
     u, cover, outside, failing = gap
@@ -413,7 +417,7 @@ def _internal_subsheaf(F: PoSheaf, pos2: bool, gap: tuple | None) -> list[CheckR
     witness = {
         "open": u,
         "cover": list(cover),
-        "family": [_pair_label(F, c, P.res[u, c][s], P.res[u, c][t]) for c in cover],
+        "family": [_pair_label(F, c, P.restrict(u, s, c), P.restrict(u, t, c)) for c in cover],
         "amalgam_outside": [_pair_label(F, u, s, t)],
     }
     return [ok[0], CheckReport("internal.subsheaf_amalgamation", False, witness=witness)]

@@ -38,9 +38,10 @@ class Presheaf:
 
     Each carrier is numbered once: at[u] maps a section to its position in
     carriers[u], and res_at[u, v] holds, for each x in carrier order, the
-    position of x|_v in carriers[v] (range at v = u). The law kernels read
-    these positions; res[u, v], x ↦ x|_v, is the view for documents,
-    witnesses and labels. The points (u, x), the bits of a SubSheaf, are
+    position of x|_v in carriers[v] (range at v = u). res_at is the one
+    stored form of each table, and the law kernels read it; res[u, v],
+    x ↦ x|_v, is a view built from it on first read, for documents and
+    external readers. The points (u, x), the bits of a SubSheaf, are
     numbered in enumerate_points order from base[u] on over u; _spans
     holds (base[u], the mask of F(u)'s positions) in frame order.
 
@@ -63,28 +64,27 @@ class Presheaf:
             self._spans.append((self.base[u], (1 << len(xs)) - 1))
             if len(self.at[u]) != len(xs):
                 raise MalformedInput(f"duplicate sections at {u!r}")
-        self.res, self.res_at = {}, {}
+        self.res_at = {}
         for u, xs in self.carriers.items():
             for v in frame.down(u):
                 if v == u:
-                    table, self.res_at[u, u] = {x: x for x in xs}, range(len(xs))
+                    self.res_at[u, u] = range(len(xs))
                     if (u, u) in res and any(res[u, u].get(x, x) != x for x in xs):
                         raise MalformedInput(f"restriction {u!r} -> {u!r} is not the identity")
-                else:
-                    if (u, v) not in res:
-                        raise MissingRestriction(f"no restriction table {u!r} -> {v!r}")
-                    table, pos = dict(res[u, v]), self.at[v]
-                    try:
-                        self.res_at[u, v] = tuple([pos[table[x]] for x in xs])
-                    except KeyError:
-                        x = next(x for x in xs if x not in table or table[x] not in pos)
-                        if x not in table:
-                            raise MissingRestriction(f"restriction {u!r} -> {v!r} missing {x!r}") from None
-                        raise MalformedInput(f"restriction {u!r} -> {v!r} sends {x!r} outside the carrier") from None
-                    if len(table) != len(xs):  # every x has an entry, and some other key too
-                        x = next(x for x in table if x not in self.at[u])
-                        raise MalformedInput(f"restriction {u!r} -> {v!r} has an entry for {x!r}, outside the carrier at {u!r}")
-                self.res[u, v] = table
+                    continue
+                if (u, v) not in res:
+                    raise MissingRestriction(f"no restriction table {u!r} -> {v!r}")
+                table, pos = res[u, v], self.at[v]
+                try:
+                    self.res_at[u, v] = tuple([pos[table[x]] for x in xs])
+                except KeyError:
+                    x = next(x for x in xs if x not in table or table[x] not in pos)
+                    if x not in table:
+                        raise MissingRestriction(f"restriction {u!r} -> {v!r} missing {x!r}") from None
+                    raise MalformedInput(f"restriction {u!r} -> {v!r} sends {x!r} outside the carrier") from None
+                if len(table) != len(xs):  # every x has an entry, and some other key too
+                    x = next(x for x in table if x not in self.at[u])
+                    raise MalformedInput(f"restriction {u!r} -> {v!r} has an entry for {x!r}, outside the carrier at {u!r}")
         self._labeler = labeler
         # (weak reference to its EtaleLocale, sheaf-locale elements counted),
         # set by locale_equiv.etale_locale
@@ -115,13 +115,19 @@ class Presheaf:
         return {v: sum(over[w] for w in self.frame.down(v)) for v in self.frame.elements}
 
     @lazy
+    def res(self) -> dict:
+        """(u, v) ↦ {x: x|_v} for every v ≤ u, identities included: res_at's view."""
+        carriers = self.carriers
+        return {(u, v): dict(zip(carriers[u], map(carriers[v].__getitem__, table))) for (u, v), table in self.res_at.items()}
+
+    @lazy
     def _top_germs(self) -> tuple[list, list]:
         """_germ_table(self, top), built once per presheaf and kept on it."""
         return _germ_table(self, self.frame.top)
 
     def restrict(self, u, x, v):
         """x|_v for x in the carrier at u and v ≤ u."""
-        return self.res[(u, v)][x]
+        return self.carriers[v][self.res_at[u, v][self.at[u][x]]]
 
     def sections(self) -> list[tuple]:
         return [(u, x) for u in self.frame.elements for x in self.carriers[u]]
@@ -133,9 +139,9 @@ class Presheaf:
 
     def verify(self) -> CheckReport:
         """Composition over every chain w ≤ v ≤ u. Identity restrictions
-        hold by construction: __init__ builds res[u, u] as the identity,
-        rejecting a given res[u, u] that is not, and nothing assigns to res
-        after it.
+        hold by construction: __init__ stores res_at[u, u] as the range of
+        positions and rejects a given table u -> u that is not the identity,
+        and res_at, the one stored table, is never reassigned.
 
         Composition at u → v, res(u,w) = res(v,w)∘res(u,v) for w ≤ v, is
         decided along the lower covers (FiniteFrame.first_failing_pair) and

@@ -367,10 +367,11 @@ def _minimal_extension_adjoints(F, P, cert) -> bool:
             if v == u:
                 continue
             data = cert.restriction_data[(u, v)]
-            if not data["surjective"] or data["left_adjoint"] is None or data["right_adjoint"] is None:
+            left, right, extensions = data["left_adjoint"], data["right_adjoint"], P.carrier(u)
+            if not data["surjective"] or left is None or right is None:
                 return False
-            for S in P.carrier(v):
-                if data["left_adjoint"][S] != S:
+            for S, a, b in zip(P.carrier(v), left, right):
+                if extensions[a] != S:
                     return False
                 parts = {
                     w: [
@@ -381,7 +382,7 @@ def _minimal_extension_adjoints(F, P, cert) -> bool:
                     for w in frame.down(u)
                 }
                 expected = generate_subsheaf(F, SubSheaf(F, parts), require_closed=False)
-                if data["right_adjoint"][S] != expected:
+                if extensions[b] != expected:
                     return False
     return True
 

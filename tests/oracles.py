@@ -377,11 +377,10 @@ def order_closed_at_germs(F) -> bool:
         carrier = P.carriers[u]
         rows = [(1 << len(carrier)) - 1] * len(carrier)
         for j in F.frame.canonical_cover(u):
-            res, at_j = P.res[u, j], F.poset(j)
-            germs = [res[x] for x in carrier]
-            above = at_j.upper_rows(germs)
+            germs = P.res_at[u, j]
+            above = F.poset(j).upper_rows(germs)
             for a, germ in enumerate(germs):
-                rows[a] &= above[at_j.index[germ]]
+                rows[a] &= above[germ]
         if rows != F.poset(u).up_rows:
             return False
     return True
@@ -1565,11 +1564,12 @@ def sup_extension_form(name: str, F, subsheaves: list) -> CheckReport:
 
 def restriction_adjoints(F, u, v) -> tuple:
     """(left adjoint table or None, right adjoint table or None) of F's
-    restriction u → v, each built by left_adjoint_scan."""
+    restriction u → v, each built by left_adjoint_scan and read by position,
+    as complete._left_adjoint keeps it."""
     tables = []
     for G in (F, F.opposite()):
         la, _ = left_adjoint_scan(MonotoneMap(G.poset(u), G.poset(v), G.sheaf.res[(u, v)]))
-        tables.append(la)
+        tables.append(None if la is None else tuple(G.sheaf.at[u][la[y]] for y in G.carrier(v)))
     return tuple(tables)
 
 

@@ -8,9 +8,10 @@ report.once, no read of a posheaf's orders outside orders.PoSheaf, no
 walk of a metered enumeration that only counts its members, no read of a
 frame's lower covers outside frames.py and complete._left_adjoint, no
 restriction table built outside Presheaf, jsonio and fixtures, no
-cross-section built outside Γ's point search, the unit and the oracles,
-no section-level restriction read in the law kernels that read
-positions, and no functools.cached_property."""
+restriction table stored by Presheaf but res_at, no cross-section built
+outside Γ's point search, the unit and the oracles, no section-level
+restriction read in the law kernels that read positions, and no
+functools.cached_property."""
 from __future__ import annotations
 
 import ast
@@ -387,6 +388,34 @@ def test_restriction_tables_are_built_by_presheaf_of_alone():
     assert found == []
 
 
+def _res_stores(tree) -> list[int]:
+    """The lines of Presheaf.__init__ that assign res, as an attribute or
+    into it by key, and the line of class Presheaf when its res is not a
+    frames.lazy view."""
+    cls = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "Presheaf")
+    methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+    lines = [
+        node.lineno
+        for node in ast.walk(methods["__init__"])
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if any(isinstance(n, ast.Attribute) and n.attr == "res" for n in ast.walk(target))
+    ]
+    view = "res" in methods and any(getattr(d, "id", None) == "lazy" for d in methods["res"].decorator_list)
+    return sorted(set(lines + ([] if view else [cls.lineno])))
+
+
+def test_presheaf_stores_each_table_once():
+    # res_at is the one stored form of a restriction and res a view built
+    # from it on first read, so __init__ assigns no res, as an attribute or
+    # by key. The patterns are caught as written
+    bad = "class Presheaf:\n    def __init__(self, res):\n        self.res, self.res_at = {}, {}\n        self.res[u, v] = res[u, v]\n"
+    assert _res_stores(ast.parse(bad)) == [1, 3, 4]
+    good = "class Presheaf:\n    def __init__(self, res):\n        self.res_at = {}\n        table = res[u, v]\n    @lazy\n    def res(self):\n        return {}\n"
+    assert _res_stores(ast.parse(good)) == []
+    assert _res_stores(ast.parse((PACKAGE / "sheaves.py").read_text())) == []
+
+
 def _section_constructions(tree, filename: str) -> list[int]:
     """The lines that call Section outside locale_equiv's _point_sections and
     unit and outside tests/oracles.py."""
@@ -432,7 +461,7 @@ POSITION_KERNELS = {
     "sheaves.py": {"Presheaf._verify_fresh", "_glues", "_germ_table", "_germ_places", "_germ_downsets"},
     "orders.py": {"PoSheaf.row", "_pos2", "pull_up_sources", "_patching_gap"},
     "generate.py": {"_order_posets"},
-    "complete.py": {"_per_open_form"},
+    "complete.py": {"_per_open_form", "_left_adjoint", "_adjoint_square_check", "_adjoint_square_gap"},
 }
 
 

@@ -182,18 +182,24 @@ def _small_posheaves(corpus) -> list[tuple[str, PoSheaf]]:
 
 
 def test_position_tables_read_the_restriction_tables(corpus):
-    # the kernels read res_at, numbered once per presheaf; on every
-    # generated presheaf and mutant, and each with its frame's elements in a
-    # random order, it is res on positions: carriers[v][res_at[u, v][i]] =
-    # res[u, v][carriers[u][i]], and at[u] inverts carriers[u]
+    # res_at, numbered once per presheaf, is the one stored table, and
+    # restrict and the res view read it: on every generated presheaf and
+    # mutant and the fixtures, each written as a document and loaded back,
+    # and again with its frame's elements in a random order, both give the
+    # document's tables, with the identity at every u -> u; at[u] inverts
+    # carriers[u]
     rng = random.Random(3)
-    for name, F in corpus:
-        for P in (F.sheaf, _shuffled_presheaf(F.sheaf, rng)):
-            assert P.res_at.keys() == P.res.keys(), name
-            for (u, v), table in P.res.items():
-                assert [P.carriers[v][b] for b in P.res_at[u, v]] == [table[x] for x in P.carriers[u]], (name, u, v)
-            assert all(P.carriers[u][i] == x for u in P.frame.elements for x, i in P.at[u].items()), name
-            assert all(len(P.at[u]) == len(P.carriers[u]) for u in P.frame.elements), name
+    sheaves = [(name, F.sheaf) for name, F in corpus] + [("sheaf_ab", sheaf_ab()), ("P(sheaf_ab)", power_sheaf(sheaf_ab()).sheaf)]
+    for name, P in sheaves:
+        doc = jsonio.dump_presheaf_doc(P)
+        tables = {tuple(key.split("->")): table for key, table in doc["res"].items()}
+        tables.update({(u, u): {x: x for x in xs} for u, xs in doc["carriers"].items()})
+        loaded = jsonio.load_presheaf(doc)
+        for Q in (loaded, _shuffled_presheaf(loaded, rng)):
+            assert Q.res == tables, name
+            assert all(Q.restrict(u, x, v) == y for (u, v), table in tables.items() for x, y in table.items()), name
+            assert all(Q.carriers[u][i] == x for u in Q.frame.elements for x, i in Q.at[u].items()), name
+            assert all(len(Q.at[u]) == len(Q.carriers[u]) for u in Q.frame.elements), name
 
 
 def test_binary_covers_are_the_prefix_of_all_covers(corpus):
@@ -671,8 +677,10 @@ def test_restriction_left_adjoints_match_left_adjoint(corpus, diamond_over_chain
     # is the left adjoint with no check of monotonicity or the adjunction:
     # each restriction's entry, built at a lower cover or composed, is the
     # table and report of frames.left_adjoint, which checks the restriction
-    # monotone first, on every verified posheaf of the corpus, the diamond
-    # over the 3-chain under every restriction, and their opposites
+    # monotone first, read by position (for each position in H(v), the
+    # position in H(u) of its image), on every verified posheaf of the
+    # corpus, the diamond over the 3-chain under every restriction, and
+    # their opposites
     diamonds = [(images, diamond_over_chain(images)) for images in map("".join, itertools.product("st", repeat=4))]
     found = []
     for name, F in corpus + diamonds:
@@ -685,7 +693,8 @@ def test_restriction_left_adjoints_match_left_adjoint(corpus, diamond_over_chain
                         continue
                     table, rep = _left_adjoint(H, u, v)
                     g, expected = left_adjoint(MonotoneMap(H.poset(u), H.poset(v), H.sheaf.res[u, v]))
-                    assert (table, rep.to_json()) == (None if g is None else g.mapping, expected.to_json()), (name, u, v)
+                    read = None if g is None else tuple(H.sheaf.at[u][g.mapping[y]] for y in H.carrier(v))
+                    assert (table, rep.to_json()) == (read, expected.to_json()), (name, u, v)
                     found.append(rep.passed)
     assert len(found) >= 436 and found.count(False) >= 20
 
