@@ -125,8 +125,11 @@ class FinitePoset:
         if downs is None:
             downs = [0] * len(ups)
             for i, row in enumerate(ups):
-                for k in _bits(row):
-                    downs[k] |= 1 << i
+                bit = 1 << i
+                while row:
+                    low = row & -row
+                    downs[low.bit_length() - 1] |= bit
+                    row ^= low
         poset = cls.__new__(cls)
         poset.elements, poset.up_rows, poset.down_rows = tuple(elements), ups, downs
         poset.index = {x: i for i, x in enumerate(poset.elements)} if index is None else index

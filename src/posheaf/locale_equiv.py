@@ -13,10 +13,10 @@ The definitional searches these replace are test oracles (tests/oracles.py).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .frames import FiniteFrame, FrameHom, _bits, downset_frame, verify_frame_hom
+from .frames import FiniteFrame, FrameHom, _bits, _lift, downset_frame, verify_frame_hom
 from .report import (
     Budget,
     BudgetMeter,
@@ -28,7 +28,7 @@ from .report import (
 )
 from .complete import _lattice_gap, _restriction_gap, is_complete
 from .orders import PoSheaf, _three_way, verify_posheaf
-from .sheaves import Presheaf, SheafMorphism, _germ_downsets, _germ_table, verify_presheaf, verify_sheaf
+from .sheaves import Presheaf, SheafCertificate, SheafMorphism, _germ_downsets, _germ_table, _glued_entries, verify_presheaf, verify_sheaf
 
 
 @dataclass
@@ -105,8 +105,9 @@ def etale_locale(P: Presheaf, *, budget: Budget | None = None) -> EtaleLocale:
     germ walk of enumerate_subsheaves, one budget tick each, and the frame is
     their down-set lattice, its rows read from the germ columns
     (frames.downset_frame). The walk yields every down-set once, and
-    down-sets are closed under union and intersection, so the frame laws and
-    the pointwise lattice hold by proof (_etale_locale_fresh).
+    down-sets are closed under union and intersection, so the frame laws,
+    the pointwise lattice and the projection p*: O(X) → O(ΛP) as a frame
+    hom hold by proof (_etale_locale_fresh); none of the three is checked.
 
     Built once per presheaf object (report.once), through a weak reference
     since E.presheaf is P."""
@@ -125,7 +126,18 @@ def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
     and meet of the assignments of D and D' have masks A ∪ A' and A ∩ A':
     they are the assignments of D ∪ D' and D ∩ D'. A germ (j, x) is the
     section x over j, and its germ mask, the germs of its restrictions to
-    J↓j, is its principal down-set."""
+    J↓j, is its principal down-set.
+
+    p* is a frame hom, so the locale's verify() report is issued by proof
+    (report.once) and Γ and is_local_homeomorphism read it. p*(x), the
+    assignment (u, s) ↦ x ∧ u, is the germ down-set D_x = {(j, y) : j ≤ x},
+    since ∨{j ≤ u : j ≤ x} = x ∧ u. A join-irreducible of a distributive
+    lattice is join-prime, so j ≤ x ∨ x′ iff j ≤ x or j ≤ x′: D_{x∨x′} =
+    D_x ∪ D_{x′}; j ≤ x ∧ x′ iff j ≤ x and j ≤ x′: D_{x∧x′} = D_x ∩ D_{x′};
+    D_⊤ holds every germ and D_⊥ none, as ⊥ is no join-irreducible. Those
+    are the join, meet, top and bottom of downset_frame, and a map between
+    finite lattices that keeps ⊥ and binary joins keeps every join. The
+    guard on an image outside the walk's down-sets stays."""
     verify_presheaf(P).require()
     X = P.frame
     sections = P.sections()
@@ -140,9 +152,6 @@ def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
     index = {a: i for i, a in enumerate(assignments)}
 
     frame = downset_frame(labels, [m for _, m in opens], [needs[P.base[j] + P.at[j][x]] for j, x in germs])
-    frame_rep = frame.verify()
-    lattice_rep = CheckReport.ok("sheaf_locale.pointwise_lattice")
-
     pstar_map = {}
     for x in X.elements:
         img = tuple(X.meet(x, u) for u, _ in sections)
@@ -150,13 +159,10 @@ def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
             raise MalformedInput(f"projection image of {x!r} escaped the sheaf locale")
         pstar_map[x] = labels[index[img]]
     locale = LocaleOverX(OY=frame, fstar=FrameHom(X, frame, pstar_map))
-    pstar_rep = replace(locale.verify(), name="sheaf_locale.projection_hom")
-
-    report = CheckReport.combine(
-        "sheaf_locale",
-        [frame_rep, lattice_rep, pstar_rep],
-        elements=len(assignments),
-    )
+    once(locale, "_verified", None, lambda _: CheckReport.ok("frame_hom"))
+    # the frame, the pointwise lattice and the kept projection report, renamed
+    proved = [frame.verify(), CheckReport.ok("sheaf_locale.pointwise_lattice"), CheckReport.ok("sheaf_locale.projection_hom")]
+    report = CheckReport.combine("sheaf_locale", proved, elements=len(assignments))
     return EtaleLocale(
         presheaf=P,
         sections=sections,
@@ -256,12 +262,17 @@ def _point_sections(f: LocaleOverX, fibres: dict, u, nodes: BudgetMeter) -> list
     of the base's points; φ is kept as the tuple of the positions in O(Y)
     of its values on J↓u. A candidate is tried against the AND of the up
     rows of the φ(k), k < j in J↓u. The value table is
-    s(y) = ∨{j : φ(j) ≤ y}, one OR of the base's Birkhoff masks m(j) over
-    the y of the up row of each φ(j). The meter ticks once per search
-    node."""
+    s(y) = ∨{j : φ(j) ≤ y}, read from the Birkhoff masks: φ is injective
+    (p∘φ = id) and its values are points of Y, so {j : φ(j) ≤ y} is
+    m_Y(y) ∩ image(φ) with each bit of φ(j) read as j, and m_X(s(y)) is the
+    OR of the m_X(j) over it (a down-set of J, as φ is monotone): one
+    frames._lift per open of Y. The bit of a point of Y is the highest of
+    its mask, as the bits follow join_irreducibles_by_height. The meter
+    ticks once per search node."""
     OY, OX = f.OY, f.base
     of, at, _ = OX.masks
     ups, index = OY.poset.up_rows, OY.index
+    of_y, points_y = OY.masks.of, OY.elements
     J = OX.canonical_cover(u)
     lower = [[k for k in range(i) if OX.leq(J[k], j)] for i, j in enumerate(J)]
     phi = [0] * len(J)
@@ -296,12 +307,9 @@ def _point_sections(f: LocaleOverX, fibres: dict, u, nodes: BudgetMeter) -> list
         stack.append(iter(levels[i + 1]))
     out = []
     for point in points:
-        table = [0] * len(OY)
-        for j, t in zip(J, point):
-            m = of[j]
-            for k in _bits(ups[t]):
-                table[k] |= m
-        out.append((point, Section(over=u, values=tuple([at[m] for m in table]))))
+        lift = {1 << of_y[points_y[t]].bit_length() - 1: of[j] for j, t in zip(J, point)}
+        image = sum(lift)
+        out.append((point, Section(over=u, values=tuple([at[_lift(m & image, lift)] for m in of_y.values()]))))
     position = OX.index
     out.sort(key=lambda found: [position[x] for x in found[1].values])
     return out
@@ -310,12 +318,25 @@ def _point_sections(f: LocaleOverX, fibres: dict, u, nodes: BudgetMeter) -> list
 def cross_sections(f: LocaleOverX, *, budget: Budget | None = None) -> GammaSheaf:
     """Γ(f): per open, all continuous sections over it (_point_sections);
     restriction to v keeps a section's point map on J↓v and returns the
-    section over v with that point map. Verified to be a sheaf.
+    section over v with that point map. A sheaf by proof: its composition
+    report and sheaf certificate are issued as a pass issues them
+    (report.once), and neither is checked.
 
     That section is the restriction s(−) ∧ v: the point map φ is monotone,
     so {j ∈ J↓u : φ(j) ≤ y} is a down-set of J and is m(s(y)), and
     m(s(y) ∧ v) = m(s(y)) ∩ J↓v holds k ∈ J↓v iff φ(k) ≤ y; and the search
     at v finds every section, that one too.
+
+    Restrictions compose: for w ≤ v ≤ u, J↓w ⊆ J↓v ⊆ J↓u, and keeping φ
+    on J↓v and then on J↓w keeps it on J↓w. Γ is a sheaf: for a binary
+    cover (a, b) of u, J↓a and J↓b are down-sets of J with union
+    J↓(a∨b) = J↓u and intersection J↓(a∧b). So two point maps over a and b
+    that agree on J↓(a∧b) join into one map on J↓u, in exactly one way; it
+    is monotone, since for k ≤ j in J↓u the down-set holding j holds k
+    too, and p∘φ = id holds on each part. So every family over a binary
+    cover has one amalgamation, Γ(⊥) holds the one empty map, and the
+    certificate lists each open's binary covers with |Γ(u)| families, as
+    verify_sheaf does on a pass (sheaves._glued_entries).
 
     Built once per locale object (report.once), through a weak reference
     since G.locale is f."""
@@ -342,7 +363,8 @@ def _cross_sections_fresh(f: LocaleOverX, nodes: BudgetMeter) -> GammaSheaf:
         return f"s{position[u][s]}"
 
     sheaf = Presheaf.of(OX, carriers, restrict, labeler=labeler)
-    cert = verify_sheaf(sheaf)
+    once(sheaf, "_presheaf_report", None, lambda _: CheckReport.ok("presheaf"))
+    cert = once(sheaf, "_sheaf_certificate", None, lambda _: SheafCertificate(True, _glued_entries(sheaf)))
     report = CheckReport.combine("cross_sections", [cert.report()], sections={u: len(carriers[u]) for u in OX.elements})
     return GammaSheaf(locale=f, sheaf=sheaf, report=report)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .frames import FiniteFrame, _bits, lazy
 from .report import (
@@ -279,20 +279,29 @@ def _verify_sheaf_fresh(P: Presheaf) -> SheafCertificate:
     pre = P.verify()
     if not pre.passed:
         return SheafCertificate(False, [], {"precondition": pre.witness}, precondition=pre)
-    frame, entries = P.frame, []
-    passed = all(_glues(P, u, frame.square_cover(u)) for u in frame.elements)
+    frame = P.frame
+    if all(_glues(P, u, frame.square_cover(u)) for u in frame.elements):
+        return SheafCertificate(True, _glued_entries(P))
+    glued = []
     for u, cover in _binary_covers(frame):
-        if not passed and not _glues(P, u, cover):
-            return SheafCertificate(False, entries, _gluing_witness(P, u, cover))
-        entries.append({"open": u, "cover": list(cover), "families": len(P.carriers[u])})
-    if not passed:
-        raise AssertionError("a square is not a pullback, so a binary cover fails to glue")
-    return SheafCertificate(True, entries)
+        if not _glues(P, u, cover):
+            return SheafCertificate(False, _glued_entries(P, glued), _gluing_witness(P, u, cover))
+        glued.append((u, cover))
+    raise AssertionError("a square is not a pullback, so a binary cover fails to glue")
 
 
 def _binary_covers(frame: FiniteFrame) -> Iterator[tuple]:
     """(u, cover) for every open u and each of its binary covers, in order."""
     return ((u, cover) for u in frame.elements for cover in frame.binary_covers(u))
+
+
+def _glued_entries(P: Presheaf, covers: Iterable[tuple] | None = None) -> list:
+    """The certificate entry {open, cover, families} of each (u, cover)
+    given, a cover that glues, so its compatible families biject with
+    P(u); by default every _binary_covers pair, the entries of a pass. A
+    reject lists those before its first failing cover."""
+    covers = _binary_covers(P.frame) if covers is None else covers
+    return [{"open": u, "cover": list(cover), "families": len(P.carriers[u])} for u, cover in covers]
 
 
 def _glues(P: Presheaf, u, cover: tuple) -> bool:

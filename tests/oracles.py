@@ -65,7 +65,7 @@ from posheaf.complete import (
     _meet_subsheaf,
 )
 from posheaf.frame_equiv import frame_hom_to_sheaf
-from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap, _inclusion_rows, _mask_table, left_adjoint
+from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap, _bits, _inclusion_rows, _mask_table, left_adjoint
 from posheaf.locale_equiv import Section
 from posheaf import sheaves
 from posheaf.orders import (
@@ -1352,6 +1352,19 @@ def point_value_table(f, u, point: tuple) -> tuple:
     OY, OX = f.OY, f.base
     phi = dict(zip(OX.canonical_cover(u), (OY.elements[t] for t in point)))
     return tuple(OX.join_all(j for j in phi if OY.leq(phi[j], y)) for y in OY.elements)
+
+
+def up_row_value_table(f, u, point: tuple) -> tuple:
+    """The value table of a point map φ, given as the positions in O(Y) of
+    its values on J↓u, by the walk over the up rows: the base's Birkhoff
+    mask m(j) ORed into the entry of every y above φ(j)."""
+    OY, OX = f.OY, f.base
+    of, at, _ = OX.masks
+    table = [0] * len(OY)
+    for j, t in zip(OX.canonical_cover(u), point):
+        for k in _bits(OY.poset.up_rows[t]):
+            table[k] |= of[j]
+    return tuple(at[m] for m in table)
 
 
 def local_homeomorphism(f) -> CheckReport:

@@ -10,7 +10,8 @@ frame's lower covers outside frames.py and complete._left_adjoint, no
 restriction table built outside Presheaf, jsonio and fixtures, no
 restriction table stored by Presheaf but res_at, no cross-section built
 outside Γ's point search, the unit and the oracles, no section-level
-restriction read in the law kernels that read positions, and no
+restriction read in the law kernels that read positions, no sheaf,
+presheaf or frame-hom check in Λ or Γ of what they build, and no
 functools.cached_property."""
 from __future__ import annotations
 
@@ -562,3 +563,77 @@ def test_subsheaf_kernels_read_the_bitset_alone():
         for line in _part_set_reads(ast.parse((PACKAGE / module).read_text()), kernels)
     ]
     assert found == []
+
+
+# the checks that Λ and Γ issue by proof for what they build, and the
+# builders whose results they are
+PROVED_CHECKS = {"verify_sheaf", "verify_presheaf", "verify_frame_hom"}
+BUILDERS = {"Presheaf", "LocaleOverX", "of"}
+
+
+def _root(node):
+    """The name an expression such as a.b[c].d is read from, or None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return getattr(node, "id", None)
+
+
+def _checks_of_built(tree, names: set) -> list[str]:
+    """In each function of names, the calls of PROVED_CHECKS on anything but
+    one of its parameters, and the .verify() calls on a name it binds to a
+    Presheaf, Presheaf.of or LocaleOverX, with their lines, sorted; a
+    function missing from the module is reported too, so a rename cannot
+    empty the test."""
+    found, seen = [], set()
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name not in names:
+            continue
+        seen.add(fn.name)
+        params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+        built = {
+            t.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", getattr(node.value.func, "attr", None)) in BUILDERS
+            for t in node.targets
+            if isinstance(t, ast.Name)
+        }
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None)
+            if name in PROVED_CHECKS and not (node.args and _root(node.args[0]) in params):
+                found.append((node.lineno, f"{fn.name}:{node.lineno} {name}"))
+            if getattr(node.func, "attr", None) == "verify" and _root(node.func.value) in built:
+                found.append((node.lineno, f"{fn.name}:{node.lineno} verify"))
+    return [text for _, text in sorted(found)] + [f"{name} missing" for name in sorted(names - seen)]
+
+
+def test_lambda_and_gamma_check_nothing_they_build():
+    # Γ is a sheaf whose restrictions compose, and Λ's projection is a frame
+    # hom, by proof: _etale_locale_fresh and _cross_sections_fresh issue
+    # those reports through report.once and run no check on what they
+    # build. Their inputs are still checked. The patterns are caught as
+    # written
+    bad = (
+        "def _etale_locale_fresh(P, meter):\n"
+        "    verify_presheaf(P).require()\n"
+        "    locale = LocaleOverX(OY=frame, fstar=FrameHom(X, frame, m))\n"
+        "    rep = locale.verify()\n"
+        "    hom = verify_frame_hom(FrameHom(X, frame, m))\n"
+        "def _cross_sections_fresh(f, nodes):\n"
+        "    f.verify().require()\n"
+        "    sheaf = Presheaf.of(OX, carriers, restrict)\n"
+        "    cert = verify_sheaf(sheaf)\n"
+        "    pre = verify_presheaf(sheaf)\n"
+    )
+    assert _checks_of_built(ast.parse(bad), {"_etale_locale_fresh", "_cross_sections_fresh", "_gone"}) == [
+        "_etale_locale_fresh:4 verify",
+        "_etale_locale_fresh:5 verify_frame_hom",
+        "_cross_sections_fresh:9 verify_sheaf",
+        "_cross_sections_fresh:10 verify_presheaf",
+        "_gone missing",
+    ]
+    source = ast.parse((PACKAGE / "locale_equiv.py").read_text())
+    assert _checks_of_built(source, {"_etale_locale_fresh", "_cross_sections_fresh"}) == []

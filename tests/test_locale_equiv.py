@@ -7,11 +7,12 @@ import itertools
 import json
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from posheaf import cli, jsonio, locale_equiv
-from posheaf.frames import FiniteFrame, FinitePoset, frame_iso
+from posheaf.frames import FiniteFrame, FinitePoset, frame_iso, verify_frame_hom
 from posheaf.complete import is_complete, is_frame_sheaf
 from posheaf.generate import GenConfig, gen_frame, gen_posheaf, gen_sheaf, mutate
 from posheaf.locale_equiv import (
@@ -34,7 +35,7 @@ from posheaf.locale_equiv import (
 from posheaf.orders import PoSheaf, omega
 from posheaf.report import OrderNotProvided, ResourceLimit
 from posheaf.report import Budget
-from posheaf.sheaves import Presheaf, SheafMorphism, subterminal, terminal, verify_sheaf
+from posheaf.sheaves import Presheaf, SheafMorphism, _verify_sheaf_fresh, subterminal, terminal, verify_presheaf, verify_sheaf
 from posheaf.fixtures import (
     frame_2,
     frame_3,
@@ -470,18 +471,20 @@ def test_the_memo_makes_no_reference_cycle():
 
 def test_verify_sheaf_makes_no_reference_cycle():
     # the gluing search keeps no closure that calls itself: with the cyclic
-    # collector off, Γ's sheaf, verified by cross_sections and again here,
-    # dies as soon as the caller drops the locale, Γ and its sheaf locale
+    # collector off, Γ's sheaf, whose certificate cross_sections keeps by
+    # proof, and a loaded copy of it, checked here, die as soon as the
+    # caller drops the locale, Γ, the copy and their sheaf locales
     _, locale_doc = _memo_instances()
     gc.disable()
     try:
         f = jsonio.load_locale(locale_doc)
         G = cross_sections(f)
-        assert verify_sheaf(G.sheaf).passed
-        E = etale_locale(G.sheaf)
-        alive = weakref.ref(G.sheaf)
-        del f, G, E
-        assert alive() is None
+        copy = jsonio.load_presheaf(jsonio.dump_presheaf_doc(G.sheaf))
+        assert verify_sheaf(G.sheaf).passed and verify_sheaf(copy).passed
+        E, E2 = etale_locale(G.sheaf), etale_locale(copy)
+        alive = [weakref.ref(G.sheaf), weakref.ref(copy)]
+        del f, G, E, copy, E2
+        assert [ref() for ref in alive] == [None, None]
     finally:
         gc.enable()
 
@@ -539,9 +542,10 @@ def test_cli_posl_and_cposl_search_the_sections_once(monkeypatch, tmp_path, caps
 
 
 def test_a_locale_is_verified_once(monkeypatch, FD):
-    # LocaleOverX.verify keeps its report (report.once): Λ verifies its
-    # projection once, through the locale it returns, and reports a renamed
-    # copy, so the locale's own report keeps its name
+    # Λ's projection is a frame hom by proof: Λ runs no verify_frame_hom on
+    # it and keeps the proved report on the locale it returns
+    # (report.once), which Γ and the local-homeomorphism test read, and
+    # reports a renamed copy, so the locale's own report keeps its name
     calls = Counter()
     hom = locale_equiv.verify_frame_hom
 
@@ -552,12 +556,80 @@ def test_a_locale_is_verified_once(monkeypatch, FD):
     monkeypatch.setattr(locale_equiv, "verify_frame_hom", counted)
     E = etale_locale(terminal(FD))
     f = E.locale
-    assert calls[id(f.fstar)] == 1
     rep = f.verify()
     assert f.verify() is rep and rep.passed and rep.name == "frame_hom"
-    assert calls[id(f.fstar)] == 1
     projection = next(r for r in E.report.subreports if r.name == "sheaf_locale.projection_hom")
     assert projection is not rep and projection.passed
     cross_sections(f)
     is_local_homeomorphism(f)
-    assert calls[id(f.fstar)] == 1
+    assert f.verify() is rep and not calls
+    # a locale that Λ did not build is verified once, on its first read
+    g = open_inclusion(FD, "a")
+    cross_sections(g)
+    is_local_homeomorphism(g)
+    assert g.verify().passed and calls == {id(g.fstar): 1}
+
+
+POOL = Path(__file__).resolve().parents[1] / "bench" / "pools" / "etale.json"
+FIXTURE_LOCALES = {
+    "identity(FRAME_D)": lambda: identity_locale(frame_d()),
+    "open_inclusion(FRAME_D,a)": lambda: open_inclusion(frame_d(), "a"),
+    "three_chain_over_2": three_chain_over_2,
+}
+
+
+def _pool_instances() -> tuple[list, list]:
+    """The étale benchmark pool, rebuilt from its recipes: (name, locale)
+    for its fixture locales and (name, presheaf) for its generated sheaves
+    and their remove-amalgamation mutants."""
+    locales, presheaves = [], []
+    for item in json.loads(POOL.read_text())["items"]:
+        recipe = item["recipe"]
+        if "fixture" in recipe:
+            locales.append((item["name"], FIXTURE_LOCALES[recipe["fixture"]]()))
+            continue
+        cfg = GenConfig(seed=recipe["seed"], max_opens=recipe["max_opens"], max_carrier=recipe["max_carrier"])
+        P = gen_sheaf(gen_frame(cfg), cfg)
+        presheaves.append((item["name"], mutate(P, recipe["mutate"], cfg) if recipe["mutate"] else P))
+    return locales, presheaves
+
+
+def _json(report) -> dict:
+    return report.to_json(include_timing=False)
+
+
+def _gamma_matches_a_check(name: str, f: LocaleOverX) -> Presheaf:
+    """Γ(f)'s sheaf: its proved composition report and sheaf certificate
+    are those a check of a fresh copy finds."""
+    S = cross_sections(f).sheaf
+    fresh = Presheaf(S.frame, S.carriers, S.res, labeler=S.label)
+    assert _json(verify_presheaf(S)) == _json(fresh._verify_fresh()), name
+    cert, checked = verify_sheaf(S), _verify_sheaf_fresh(fresh)
+    assert (cert.entries, _json(cert.report())) == (checked.entries, _json(checked.report())), name
+    return S
+
+
+def _lambda_matches_a_check(name: str, P: Presheaf) -> LocaleOverX:
+    """Λ(P)'s locale: its proved projection report is verify_frame_hom's."""
+    E = etale_locale(P)
+    checked = _json(verify_frame_hom(E.locale.fstar))
+    projection = next(r for r in E.report.subreports if r.name == "sheaf_locale.projection_hom")
+    assert _json(E.locale.verify()) == checked == dict(_json(projection), name="frame_hom"), name
+    return E.locale
+
+
+def test_proved_reports_match_the_checks():
+    # Γ's sheaf certificate and composition report and Λ's projection hom
+    # are issued by proof; a check finds the same reports, JSON without
+    # timing, on Γ and ΓΛΓ of the pool's fixture locales and on ΓΛP and
+    # ΓΛΓΛP of its generated sheaves and remove-amalgamation mutants, the
+    # instances that the equivalence check builds
+    locales, presheaves = _pool_instances()
+    for name, f in locales:
+        G = _gamma_matches_a_check(name, f)
+        _gamma_matches_a_check(name, _lambda_matches_a_check(name, G))
+    for name, P in presheaves:
+        G = _gamma_matches_a_check(name, _lambda_matches_a_check(name, P))
+        _gamma_matches_a_check(name, _lambda_matches_a_check(name, G))
+    mutants = [name for name, P in presheaves if not verify_sheaf(P).passed]
+    assert len(locales) == 3 and len(presheaves) == 177 and len(mutants) == 26

@@ -1663,8 +1663,9 @@ def test_cross_sections_match_the_frame_hom_search(locales, boolean_frame):
     # is Ω(2^4), in given and shuffled element orders: the carriers, their
     # order and their labels are the frame-hom search's; each restriction,
     # the section whose point map is φ on J↓v, is the value table met with
-    # v; and each value table, one OR of Birkhoff masks, is the join of the
-    # points below each open of Y
+    # v; and each value table, one lift of O(Y)'s Birkhoff masks per open
+    # of Y, is the join of the points below each open and the walk over the
+    # up rows of the φ(j)
     rng = random.Random(31)
     counts = set()
     for name, f in locales + [("identity(2^4)", identity_locale(boolean_frame(4)))]:
@@ -1679,13 +1680,30 @@ def test_cross_sections_match_the_frame_hom_search(locales, boolean_frame):
                 assert list(G.sheaf.carriers[u]) == expected, (name, u)
                 assert [G.sheaf.label(u, s) for s in expected] == [f"s{i}" for i in range(len(expected))], (name, u)
                 for point, s in _point_sections(g, fibres, u, BudgetMeter("count", 10**7)):
-                    assert s.values == oracles.point_value_table(g, u, point), (name, u)
+                    assert s.values == oracles.point_value_table(g, u, point) == oracles.up_row_value_table(g, u, point), (name, u)
                 for v in X.down(u):
                     for s in expected:
                         assert G.sheaf.restrict(u, s, v) == oracles.restrict_by_meet(X, s, v), (name, u, v)
             counts.add(sum(len(c) for c in G.sheaf.carriers.values()) > len(X))
     assert len(locales) >= 100
     assert counts == {True, False}
+
+
+def test_value_tables_match_the_up_row_walk(etale_presheaves, boolean_frame):
+    # each value table, one lift of O(Y)'s Birkhoff mask m_Y(y) ∩ image(φ)
+    # per open of Y, is the walk over the up rows of the φ(j), on sheaf
+    # locales the frame-hom search above leaves out: Λ of every étale
+    # presheaf, those over 40 opens included, and Λ(Ω(2^5)), whose O(Y) has
+    # 1024 opens
+    instances = [(f"lambda({name})", etale_locale(P).locale) for name, P in etale_presheaves]
+    instances.append(("lambda(omega(2^5))", etale_locale(omega(boolean_frame(5)).sheaf).locale))
+    for name, f in instances:
+        p = _point_map(f)
+        fibres = {j: [y for y in p if p[y] == j] for j in f.base.join_irreducibles()}
+        for u in f.base.elements:
+            for point, s in _point_sections(f, fibres, u, BudgetMeter("count", 10**7)):
+                assert s.values == oracles.up_row_value_table(f, u, point), (name, u)
+    assert len(instances) == 55 and max(len(f.OY) for _, f in instances) == 1024
 
 
 def test_section_budget_counts_point_search_nodes(locales):
