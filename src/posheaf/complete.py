@@ -36,8 +36,8 @@ from functools import cache, reduce
 from operator import and_
 
 from .frames import (
+    NOT_A_FRAME,
     FiniteFrame,
-    FrameHom,
     MonotoneMap,
     _bits,
     _bound_failure,
@@ -792,11 +792,12 @@ def _frobenius_gap(F: PoSheaf) -> dict | None:
     F(u) is not a frame, with its law and witness; else the first v < u,
     x ∈ F(u) and y ∈ F(v) with x ∧ l_{v→u}(y) ≠ l_{v→u}(x|_v ∧ y); else None."""
     frame = F.frame
-    lattices = {u: FiniteFrame(F.poset(u)) for u in frame.elements}
-    for u, lattice in lattices.items():
-        rep = lattice.verify()
-        if not rep.passed:
-            return {"open": u, "law": rep.name, "witness": rep.witness}
+    lattices = {}
+    for u in frame.elements:
+        try:
+            lattices[u] = FiniteFrame(F.poset(u))
+        except NOT_A_FRAME as exc:
+            return {"open": u, "law": exc.report.name, "witness": exc.report.witness}
     for u in frame.elements:
         xs = F.carrier(u)
         for v in frame.down(u):
@@ -880,8 +881,7 @@ def verify_frame_morphism(
         if gap:
             hom_ok, hom_wit = False, gap
             break
-        hom = FrameHom(FiniteFrame(F.poset(u)), FiniteFrame(G.poset(u)), alpha.maps[u])
-        rep = verify_frame_hom(hom)
+        rep = verify_frame_hom(MonotoneMap(F.poset(u), G.poset(u), alpha.maps[u]))
         if not rep.passed:
             hom_ok, hom_wit = False, {"open": u, "law": rep.name, "witness": rep.witness}
             break

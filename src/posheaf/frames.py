@@ -352,29 +352,38 @@ class FiniteFrame:
     join_irreducibles_by_height order, each open x is its mask
     m(x) = {j ∈ J : j ≤ x}, an int with bit i for J[i], and x ↦ m(x) is an
     isomorphism onto the down-sets of J ordered by inclusion (Birkhoff,
-    "Rings of sets", 1937). So on a frame x ≤ y iff m(x) ⊆ m(y), x ∨ y and
-    x ∧ y are the opens of m(x) | m(y) and m(x) & m(y), a join or meet of
-    many opens is one OR or AND of their masks and one lookup, and x → y is
-    the open of {j : ↓j ∩ m(x) ⊆ m(y)}.
+    "Rings of sets", 1937). So x ≤ y iff m(x) ⊆ m(y), x ∨ y and x ∧ y are
+    the opens of m(x) | m(y) and m(x) & m(y), a join or meet of many opens
+    is one OR or AND of their masks and one lookup, and x → y is the open
+    of {j : ↓j ∩ m(x) ⊆ m(y)}.
 
-    Build with close_and_verify_frame (or from_relation + verify), or as
-    the down-sets of a finite poset with downset_frame. The masks come from
-    the Birkhoff test of verify, run on first use; on a relation that fails
-    it the operations answer from the FinitePoset rows (None where a bound
-    is missing), which verify's reject path reads to name its witness.
+    A FiniteFrame is a frame: building one runs Birkhoff's test (verify),
+    and a relation that fails it raises NotAPoset, NotALattice or
+    NotDistributive with the report of frame_failure, which names the first
+    failed law and its witness from the FinitePoset. Build one with
+    build_frame (or close_and_verify_frame) from a generating relation, or
+    as the down-sets of a finite poset with downset_frame, whose
+    construction proves the test. Every operation reads the masks
+    attribute: m(x) of each open (of), the open of each mask (at), and
+    m(J[i]) for each bit i (below).
     """
 
     def __init__(self, poset: FinitePoset):
-        self.poset = poset
-        self.elements = poset.elements
-        self.index = poset.index
-        self._covers_cache: dict = {}
+        found = _birkhoff(poset)
+        if found is None:
+            report = frame_failure(poset)
+            raise _FRAME_ERRORS[report.name](report.name, report=report)
+        self._bind(poset, *found)
 
-    @classmethod
-    def from_relation(cls, elements: Sequence[str], pairs: Iterable[tuple]) -> "FiniteFrame":
-        if not elements:
-            raise MalformedInput("elements must be nonempty")
-        return cls(FinitePoset(elements, pairs))
+    def _bind(self, poset: FinitePoset, J: tuple, masks: list) -> None:
+        """Keep the poset, its join-irreducibles J by height and the mask
+        of each element, in element order."""
+        self.poset, self.elements, self.index = poset, poset.elements, poset.index
+        self._join_irreducibles_by_height = J
+        of = dict(zip(self.elements, masks))
+        self.masks = _Masks(of, dict(zip(masks, self.elements)), [of[j] for j in J])
+        self.bottom, self.top = self.masks.at[0], self.masks.at[(1 << len(J)) - 1]
+        self._covers_cache: dict = {}
 
     def __contains__(self, x) -> bool:
         return x in self.index
@@ -382,40 +391,8 @@ class FiniteFrame:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @lazy
-    def _birkhoff(self) -> "_Masks | None":
-        """The masks when the relation passes Birkhoff's test (verify), else
-        None. J and m are read from the poset as it is, so the test needs no
-        law to hold first."""
-        if not self.elements:
-            return None
-        ups = self.poset.up_rows
-        masks = [0] * len(self.elements)
-        for i, j in enumerate(self.join_irreducibles_by_height()):
-            for k in _bits(ups[self.index[j]]):
-                masks[k] |= 1 << i
-        at = dict(zip(masks, self.elements))
-        if len(at) < len(masks):
-            return None
-        rows, _, gap = _inclusion_rows(self.elements, masks, at)
-        if gap is not None or rows != ups:
-            return None
-        return _mask_table(self, masks)
-
-    @property
-    def masks(self) -> "_Masks":
-        """The Birkhoff masks of a frame, for a kernel that reads its opens
-        as bit sets: m(x) of each open (of), the open of each mask (at), and
-        m(J[i]) for each bit i (below). A relation that fails verify raises
-        its report."""
-        self.verify().require()
-        return self._birkhoff
-
     def leq(self, x, y) -> bool:
-        b = self._birkhoff
-        if b is None:
-            return self.poset.leq(x, y)
-        of = b.of
+        of = self.masks.of
         return not of[x] & ~of[y]
 
     def down(self, u) -> tuple:
@@ -436,68 +413,34 @@ class FiniteFrame:
         members = self.poset.members
         return {u: tuple(members(row)) for u, row in zip(self.elements, self.poset.up_rows)}
 
-    @lazy
-    def bottom(self):
-        b = self._birkhoff
-        bottom = self.poset.bottom if b is None else b.at[0]
-        if bottom is None:
-            raise NotALattice("no bottom element")
-        return bottom
-
-    @lazy
-    def top(self):
-        b = self._birkhoff
-        top = self.poset.top if b is None else b.at[(1 << len(b.below)) - 1]
-        if top is None:
-            raise NotALattice("no top element")
-        return top
-
     def join(self, x, y):
-        b = self._birkhoff
-        if b is None:
-            return self.poset.join(x, y)
-        of = b.of
-        return b.at[of[x] | of[y]]
+        of, at, _ = self.masks
+        return at[of[x] | of[y]]
 
     def meet(self, x, y):
-        b = self._birkhoff
-        if b is None:
-            return self.poset.meet(x, y)
-        of = b.of
-        return b.at[of[x] & of[y]]
+        of, at, _ = self.masks
+        return at[of[x] & of[y]]
 
     def join_all(self, xs: Iterable):
-        b = self._birkhoff
-        if b is None:
-            return _fold(self.join, self.bottom, xs)
+        of, at, _ = self.masks
         acc = 0
         for x in xs:
-            acc |= b.of[x]
-        return b.at[acc]
+            acc |= of[x]
+        return at[acc]
 
     def meet_all(self, xs: Iterable):
-        b = self._birkhoff
-        if b is None:
-            return _fold(self.meet, self.top, xs)
-        acc = (1 << len(b.below)) - 1
+        of, at, below = self.masks
+        acc = (1 << len(below)) - 1
         for x in xs:
-            acc &= b.of[x]
-        return b.at[acc]
+            acc &= of[x]
+        return at[acc]
 
     def heyting(self, x, y):
-        """Largest z with z ∧ x ≤ y, for lattices; total on verified frames.
-        On a frame it is the down-set {j : ↓j ∩ m(x) ⊆ m(y)}, the largest
-        whose meet with m(x) lies in m(y). Otherwise the candidates' join is
-        that z when it is itself a candidate, and else they have no largest
-        member."""
-        b = self._birkhoff
-        if b is None:
-            j = self.join_all(z for z in self.elements if self.leq(self.meet(z, x), y))
-            if j is not None and not self.leq(self.meet(j, x), y):
-                j = None
-            return j
-        outside = b.of[x] & ~b.of[y]
-        return b.at[sum(1 << i for i, below in enumerate(b.below) if not below & outside)]
+        """Largest z with z ∧ x ≤ y: the down-set {j : ↓j ∩ m(x) ⊆ m(y)},
+        the largest whose meet with m(x) lies in m(y)."""
+        of, at, below = self.masks
+        outside = of[x] & ~of[y]
+        return at[sum(1 << i for i, down in enumerate(below) if not down & outside)]
 
     def binary_covers(self, u) -> tuple:
         """The covers of u with at most two members: the empty cover (of
@@ -506,30 +449,25 @@ class FiniteFrame:
         amalgamation closure and patching hold for every cover iff they hold
         for these, by induction on the cover size. The POS forms read them;
         gluing and amalgamation closure are decided on square_cover and scan
-        these only to name the witness of a failure. On a frame a pair is
-        tested by its Birkhoff masks, m(v) | m(w) = m(u); a relation that is
-        not one is tested by join."""
+        these only to name the witness of a failure. A pair is tested by its
+        Birkhoff masks, m(v) | m(w) = m(u)."""
         if u not in self._covers_cache:
             below = self.down(u)
             found = [()] if u == self.bottom else []
             found.append((u,))
-            b = self._birkhoff
-            if b is None:
-                found.extend((v, w) for i, v in enumerate(below) for w in below[i + 1:] if self.join(v, w) == u)
-            else:
-                of, mu = b.of, b.of[u]
-                found.extend((v, w) for i, v in enumerate(below) for w in below[i + 1:] if of[v] | of[w] == mu)
+            of, mu = self.masks.of, self.masks.of[u]
+            found.extend((v, w) for i, v in enumerate(below) for w in below[i + 1:] if of[v] | of[w] == mu)
             self._covers_cache[u] = tuple(found)
         return self._covers_cache[u]
 
     def canonical_cover(self, u) -> tuple:
         """J↓u, the join-irreducibles below u in join_irreducibles_by_height
-        order (on a frame, the bits of m(u)): a cover of u (every open is the
-        join of the join-irreducibles below it), empty for bottom, and
-        holding u itself when u is join-irreducible. Each j in it is
-        join-prime, so j lies below some member of any cover of u: a family
-        over any cover of u restricts to one over J↓u. POS3 is decided at
-        these (orders.pull_up_sources), and the germ walks read them
+        order, the bits of m(u): a cover of u (every open is the join of the
+        join-irreducibles below it), empty for bottom, and holding u itself
+        when u is join-irreducible. Each j in it is join-prime, so j lies
+        below some member of any cover of u: a family over any cover of u
+        restricts to one over J↓u. POS3 is decided at these
+        (orders.pull_up_sources), and the germ walks read them
         (sheaves._germ_table)."""
         return self._canonical_covers[u]
 
@@ -539,9 +477,8 @@ class FiniteFrame:
         cover for bottom, (u,) when u is join-irreducible, and otherwise the
         first two lower covers (a, b), in element order. Then a ∨ b = u,
         since it lies below u and strictly above the lower cover a, so it is
-        one of binary_covers(u). On a frame the Birkhoff masks turn join
-        into union and meet into intersection: J↓a ∪ J↓b = J↓u and
-        J↓a ∩ J↓b = J↓(a ∧ b)."""
+        one of binary_covers(u). The Birkhoff masks turn join into union and
+        meet into intersection: J↓a ∪ J↓b = J↓u and J↓a ∩ J↓b = J↓(a ∧ b)."""
         lower = self.lower_covers(u)
         if len(lower) > 1:
             return lower[:2]
@@ -552,11 +489,10 @@ class FiniteFrame:
         built once per frame. Every v < u lies below one of them, so a law
         that composes along chains holds at every v ≤ u iff it holds along
         these, by induction on u; first_failing_pair is the one kernel that
-        decides such a law here. On a frame they are the opens whose
-        Birkhoff mask is m(u) less one bit: a distributive lattice is graded
-        by |m(x)|, and m(u) less bit i is a down-set of J, so an open, iff
-        J[i] is maximal in m(u). On a relation that is not a frame they are
-        the maximal members of ↓u other than u."""
+        decides such a law here. They are the opens whose Birkhoff mask is
+        m(u) less one bit: a distributive lattice is graded by |m(x)|, and
+        m(u) less bit i is a down-set of J, so an open, iff J[i] is maximal
+        in m(u)."""
         return self._lower_covers[u]
 
     def first_failing_pair(self, gap):
@@ -572,24 +508,18 @@ class FiniteFrame:
 
     @lazy
     def _lower_covers(self) -> dict:
-        b = self._birkhoff
+        of, at, _ = self.masks
         out = {}
         for u in self.elements:
-            if b is None:
-                i = self.index[u]
-                ups, below = self.poset.up_rows, self.poset.down_rows[i] & ~(1 << i)
-                found = {self.elements[k] for k in _bits(below) if not below & ups[k] & ~(1 << k)}
-            else:
-                mask = b.of[u]
-                found = {b.at[mask ^ 1 << i] for i in range(mask.bit_length()) if mask >> i & 1 and mask ^ 1 << i in b.at}
-            out[u] = tuple(self.poset.sorted(found))
+            mask = of[u]
+            out[u] = tuple(self.poset.sorted(at[mask ^ 1 << i] for i in _bits(mask) if mask ^ 1 << i in at))
         return out
 
     @lazy
     def _canonical_covers(self) -> dict:
         """canonical_cover(u) for every u, built once."""
-        J = self.join_irreducibles_by_height()
-        return {u: tuple(j for j in J if self.leq(j, u)) for u in self.elements}
+        J = self._join_irreducibles_by_height
+        return {u: tuple(J[i] for i in _bits(m)) for u, m in self.masks.of.items()}
 
     def join_irreducibles(self) -> tuple:
         """The opens j with exactly one lower cover, i.e. whose strictly
@@ -599,18 +529,12 @@ class FiniteFrame:
 
     @lazy
     def _join_irreducibles(self) -> tuple:
-        greatest, downs = self.poset.greatest_index, self.poset.down_rows
-        return tuple(j for i, j in enumerate(self.elements) if greatest(downs[i] & ~(1 << i)) is not None)
+        return tuple(self.poset.sorted(self._join_irreducibles_by_height))
 
     def join_irreducibles_by_height(self) -> tuple:
         """join_irreducibles() in a linear extension of the order: by the size
         of ↓j, then element order."""
         return self._join_irreducibles_by_height
-
-    @lazy
-    def _join_irreducibles_by_height(self) -> tuple:
-        index, downs = self.index, self.poset.down_rows
-        return tuple(sorted(self._join_irreducibles, key=lambda j: (downs[index[j]].bit_count(), index[j])))
 
     def subframe(self, u) -> "FiniteFrame":
         """The open sublocale frame on the downset of u."""
@@ -620,13 +544,13 @@ class FiniteFrame:
         return FiniteFrame(FinitePoset(below, rel, closed=True))
 
     def verify(self) -> CheckReport:
-        """Frame laws in order: poset, lattice (bounds + pairs),
-        distributivity; first violated law wins, with its witness. A finite
-        distributive lattice is Heyting, so the Heyting law needs no check.
-
-        The verdict is Birkhoff's test, one pass over the pairs: with J the
-        opens whose strictly smaller opens have a greatest member and
-        m(x) = {j ∈ J : j ≤ x}, the relation is a frame iff (1) x ≤ y ⇔
+        """The frame laws in order: poset, lattice (bounds + pairs),
+        distributivity. A finite distributive lattice is Heyting, so the
+        Heyting law needs no check. They hold: the frame was built on a
+        relation that passed Birkhoff's test, one pass over the pairs (or
+        by downset_frame, whose construction proves it). With J the
+        elements whose strictly smaller elements have a greatest member and
+        m(x) = {j ∈ J : j ≤ x}, a relation is a frame iff (1) x ≤ y ⇔
         m(x) ⊆ m(y) for every pair, (2) the masks are distinct and (3) the
         set of masks is closed under | and &. If they hold, x ↦ m(x) is an
         order isomorphism onto a family of sets closed under union and
@@ -635,12 +559,7 @@ class FiniteFrame:
         join-irreducibles; every x is the join of m(x), so (1) and (2) hold;
         m(x ∧ y) = m(x) & m(y) in any lattice, and m(x ∨ y) = m(x) | m(y)
         because each join-irreducible of a distributive lattice is
-        join-prime, so (3) holds. Only a reject runs the law sequence below,
-        which names today's first failed law and witness: the poset laws,
-        the lattice law (FinitePoset.lattice_gap: the bounds, then the first
-        pair without a join or a meet), and Birkhoff's join-prime test,
-        j ≰ ∨{x : j ≰ x} for each join-irreducible j, with the triple scan
-        naming the witness.
+        join-prime, so (3) holds.
 
         Frames are immutable, so the first report is kept and returned again.
         """
@@ -649,44 +568,65 @@ class FiniteFrame:
     @lazy
     @timed
     def _report(self) -> CheckReport:
-        if self._birkhoff is not None:
-            return CheckReport.ok("frame", elements=len(self.elements))
-        p = self.poset.verify()
-        if not p.passed:
-            return CheckReport.fail("frame.poset", p.witness, law=p.name)
-        gap = self.poset.lattice_gap
-        if gap is not None:
-            *pair, missing = gap
-            return CheckReport.fail("frame.lattice", {"pair": pair, "missing": missing} if pair else {"missing": missing})
-        # every x is the join of the join-irreducibles below it, so the
-        # join-prime test runs over J alone
-        J = self.join_irreducibles()
-        if any(self.leq(j, self.join_all(k for k in J if not self.leq(j, k))) for j in J):
-            return self._distributivity_failure()
         return CheckReport.ok("frame", elements=len(self.elements))
 
-    def _distributivity_failure(self) -> CheckReport:
-        """The first triple, in element order, with a ∧ (b ∨ c) ≠ (a ∧ b) ∨ (a ∧ c)."""
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    lhs = self.meet(a, self.join(b, c))
-                    rhs = self.join(self.meet(a, b), self.meet(a, c))
-                    if lhs != rhs:
-                        return CheckReport.fail(
-                            "frame.distributive",
-                            {"triple": [a, b, c], "lhs": lhs, "rhs": rhs},
-                        )
-        raise AssertionError("a join-irreducible is not join-prime, so distributivity fails")
+
+def _by_height(poset: FinitePoset, J: Iterable) -> tuple:
+    """J by the size of ↓j, then element order: a linear extension."""
+    index, downs = poset.index, poset.down_rows
+    return tuple(sorted(J, key=lambda j: (downs[index[j]].bit_count(), index[j])))
 
 
-def _fold(op, out, xs: Iterable):
-    """out op x for each x in turn; None from the first missing bound on."""
-    for x in xs:
-        out = op(out, x)
-        if out is None:
-            return None
-    return out
+def _birkhoff(poset: FinitePoset) -> tuple[tuple, list] | None:
+    """Birkhoff's test (FiniteFrame.verify) on the relation as it is, so it
+    needs no law to hold first: J by height and the mask of each element,
+    in element order, when it passes, else None."""
+    elements, index, ups, downs = poset.elements, poset.index, poset.up_rows, poset.down_rows
+    if not elements:
+        return None
+    J = _by_height(poset, (j for i, j in enumerate(elements) if poset.greatest_index(downs[i] & ~(1 << i)) is not None))
+    masks = [0] * len(elements)
+    for i, j in enumerate(J):
+        for k in _bits(ups[index[j]]):
+            masks[k] |= 1 << i
+    at = dict(zip(masks, elements))
+    if len(at) < len(masks):
+        return None
+    rows, _, gap = _inclusion_rows(elements, masks, at)
+    if gap is not None or rows != ups:
+        return None
+    return J, masks
+
+
+# the error of a relation that is not a frame, by the law frame_failure names
+_FRAME_ERRORS = {"frame.poset": NotAPoset, "frame.lattice": NotALattice, "frame.distributive": NotDistributive}
+NOT_A_FRAME = tuple(_FRAME_ERRORS.values())
+
+
+@timed
+def frame_failure(poset: FinitePoset) -> CheckReport:
+    """The first frame law that a relation failing Birkhoff's test breaks,
+    with its witness, read from the poset's own operations: the poset laws,
+    the lattice law (FinitePoset.lattice_gap: the bounds, then the first
+    pair without a join or a meet), and distributivity, whose witness is the
+    first triple a, b, c in element order with
+    a ∧ (b ∨ c) ≠ (a ∧ b) ∨ (a ∧ c). A lattice that fails Birkhoff's test
+    is not distributive (FiniteFrame.verify), so the scan finds one."""
+    p = poset.verify()
+    if not p.passed:
+        return CheckReport.fail("frame.poset", p.witness, law=p.name)
+    gap = poset.lattice_gap
+    if gap is not None:
+        *pair, missing = gap
+        return CheckReport.fail("frame.lattice", {"pair": pair, "missing": missing} if pair else {"missing": missing})
+    join, meet = poset.join, poset.meet
+    for a in poset.elements:
+        for b in poset.elements:
+            for c in poset.elements:
+                lhs, rhs = meet(a, join(b, c)), join(meet(a, b), meet(a, c))
+                if lhs != rhs:
+                    return CheckReport.fail("frame.distributive", {"triple": [a, b, c], "lhs": lhs, "rhs": rhs})
+    raise AssertionError("a distributive lattice passes Birkhoff's test")
 
 
 def _inclusion_rows(labels: Sequence, sets: Sequence[int], at: dict) -> tuple[list, list, tuple | None]:
@@ -722,12 +662,6 @@ class _Masks(NamedTuple):
     below: list
 
 
-def _mask_table(frame: FiniteFrame, masks: list) -> _Masks:
-    """FiniteFrame._birkhoff from the Birkhoff masks in element order."""
-    of = dict(zip(frame.elements, masks))
-    return _Masks(of, dict(zip(masks, frame.elements)), [of[j] for j in frame.join_irreducibles_by_height()])
-
-
 def downset_frame(labels: Sequence[str], sets: Sequence[int], points: Sequence[int]) -> FiniteFrame:
     """The frame of the down-sets of a finite poset Q whose members are the
     bits q: labels[i] names the down-set sets[i], every down-set of Q is
@@ -736,7 +670,7 @@ def downset_frame(labels: Sequence[str], sets: Sequence[int], points: Sequence[i
 
     Down-sets are closed under union and intersection, so they form a
     distributive lattice under inclusion with those as join and meet, and
-    the frame passes verify with no test of its own. Its join-irreducibles
+    the frame is built with no test of its own. Its join-irreducibles
     are the principal down-sets ↓q (a down-set is the union of the ↓q of
     its members, and ↓q = x ∪ y puts q in x or y), so the Birkhoff mask
     m(x) is set(x) itself, each bit q moved to the place of ↓q in
@@ -759,13 +693,14 @@ def downset_frame(labels: Sequence[str], sets: Sequence[int], points: Sequence[i
                 down &= ~col
         ups.append(up)
         downs.append(down)
-    frame = FiniteFrame(FinitePoset.from_rows(labels, ups, downs))
+    poset = FinitePoset.from_rows(labels, ups, downs)
     at = dict(zip(sets, labels))
     principal = [at[p] for p in points]
-    frame._join_irreducibles = tuple(frame.poset.sorted(principal))
-    place = {j: 1 << i for i, j in enumerate(frame.join_irreducibles_by_height())}
+    J = _by_height(poset, principal)
+    place = {j: 1 << i for i, j in enumerate(J)}
     moved = {1 << q: place[j] for q, j in enumerate(principal)}
-    frame._birkhoff = _mask_table(frame, [_lift(s, moved) for s in sets])
+    frame = FiniteFrame.__new__(FiniteFrame)
+    frame._bind(poset, J, [_lift(s, moved) for s in sets])
     return frame
 
 
@@ -773,28 +708,26 @@ def close_and_verify_frame(elements: Sequence[str], pairs: Iterable[tuple]) -> t
     """Close the generating relation and verify the frame laws.
 
     Returns (frame, report) on success and (None, report) naming the first
-    violated law with its witness.
+    violated law with its witness (frame_failure).
     """
-    frame = FiniteFrame.from_relation(elements, pairs)
-    report = frame.verify()
-    return (frame if report.passed else None, report)
+    try:
+        frame = build_frame(elements, pairs)
+    except NOT_A_FRAME as exc:
+        return None, exc.report
+    return frame, frame.verify()
 
 
 def build_frame(elements: Sequence[str], pairs: Iterable[tuple]) -> FiniteFrame:
-    """close_and_verify_frame that raises the matching error on failure."""
-    frame, report = close_and_verify_frame(elements, pairs)
-    if frame is not None:
-        return frame
-    exc = {
-        "frame.poset": NotAPoset,
-        "frame.lattice": NotALattice,
-        "frame.distributive": NotDistributive,
-    }[report.name]
-    raise exc(report.name, report=report)
+    """The frame of the closed generating relation; a relation that is not
+    one raises NotAPoset, NotALattice or NotDistributive with the report of
+    frame_failure."""
+    if not elements:
+        raise MalformedInput("elements must be nonempty")
+    return FiniteFrame(FinitePoset(elements, pairs))
 
 
 def heyting_implication(frame: FiniteFrame, x, y):
-    """max{z : z ∧ x ≤ y} on a verified frame."""
+    """max{z : z ∧ x ≤ y} on a frame."""
     if x not in frame or y not in frame:
         raise DomainMismatch(f"open not in frame: {x!r}, {y!r}")
     return frame.heyting(x, y)
@@ -825,8 +758,11 @@ _EXHAUSTIVE_JOIN_LIMIT = 12
 
 
 @timed
-def verify_frame_hom(h: FrameHom) -> CheckReport:
-    """Finite meets (top and binary), then joins. Between finite lattices h
+def verify_frame_hom(h: "FrameHom | MonotoneMap") -> CheckReport:
+    """Finite meets (top and binary), then joins, of a map between frames,
+    or between the FinitePosets of two finite lattices (a MonotoneMap, as
+    complete.verify_frame_morphism reads one per open, where a lattice such
+    as M3 is not a frame). Between finite lattices h
     preserves every join iff it preserves bottom and the binary joins, by
     induction on the subset size, so those decide the verdict. On a reject
     from a source of at most _EXHAUSTIVE_JOIN_LIMIT opens the witness is the
@@ -849,7 +785,7 @@ def verify_frame_hom(h: FrameHom) -> CheckReport:
     return CheckReport.fail("frame_hom.joins", witness)
 
 
-def _first_failing_join(h: FrameHom) -> dict | None:
+def _first_failing_join(h: "FrameHom | MonotoneMap") -> dict | None:
     """The first subset, in mask order, whose join h does not preserve."""
     elems = h.source.elements
     for mask in range(1 << len(elems)):

@@ -8,7 +8,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .frames import FiniteFrame, FinitePoset, _lift, close_rows
+from .frames import FiniteFrame, FinitePoset, _lift, close_rows, downset_frame
 from .orders import PoSheaf, omega, pull_up, pull_up_sources, verify_posheaf
 from .report import MalformedInput, RepairFailed
 from .sheaves import Presheaf, SheafMorphism, verify_morphism, verify_sheaf
@@ -53,9 +53,7 @@ def gen_frame(cfg: GenConfig) -> FiniteFrame:
         if not 1 <= len(downsets) <= cfg.max_opens:
             continue
         downsets.sort(key=lambda d: (d.bit_count(), [j for j in range(k) if d >> j & 1]))
-        names = {d: f"o{i}" for i, d in enumerate(downsets)}
-        pairs = [(names[a], names[b]) for a in downsets for b in downsets if a & ~b == 0]
-        return FiniteFrame(FinitePoset([names[d] for d in downsets], pairs, closed=True))
+        return downset_frame([f"o{i}" for i in range(len(downsets))], downsets, below)
     raise RepairFailed(f"no frame of at most {cfg.max_opens} opens found for seed {cfg.seed}")
 
 
@@ -297,10 +295,10 @@ def gen_frame_morphism(X: FiniteFrame, cfg: GenConfig) -> tuple[PoSheaf, SheafMo
     return Om, SheafMorphism.identity(Om.sheaf)
 
 
-def _pentagon(names: list[str]) -> FiniteFrame:
+def _pentagon(names: list[str]) -> FinitePoset:
+    """N5 on the names: a lattice that is not distributive, so no frame."""
     a, b, c, d, e = names
-    pairs = [(a, b), (b, d), (d, e), (a, c), (c, e)]
-    return FiniteFrame.from_relation(names, pairs)
+    return FinitePoset(names, [(a, b), (b, d), (d, e), (a, c), (c, e)])
 
 
 def _morphism_pair(instance) -> bool:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .frames import FiniteFrame, FrameHom, close_and_verify_frame
+from .frames import FiniteFrame, FinitePoset, FrameHom, close_and_verify_frame
 from .locale_equiv import LocaleOverX
 from .orders import PoSheaf
 from .report import MalformedInput
@@ -73,14 +73,15 @@ def load_frame(doc, base_dir: Path | None = None) -> FiniteFrame:
     return frame
 
 
-def dump_frame_doc(frame: FiniteFrame, **extra) -> dict:
+def dump_frame_doc(frame: FiniteFrame | FinitePoset, **extra) -> dict:
     """The frame as a document: its elements, and every pair x < y of its
-    order, x-major in element order, read from the up rows."""
-    poset = frame.poset
+    order, x-major in element order, read from the up rows. A FinitePoset,
+    such as the break-distributivity mutant, is written the same way."""
+    poset = frame if isinstance(frame, FinitePoset) else frame.poset
     pairs = [
-        [x, y] for i, x in enumerate(frame.elements) for y in poset.members(poset.up_rows[i] & ~(1 << i))
+        [x, y] for i, x in enumerate(poset.elements) for y in poset.members(poset.up_rows[i] & ~(1 << i))
     ]
-    doc = {"elements": list(frame.elements), "leq": pairs}
+    doc = {"elements": list(poset.elements), "leq": pairs}
     doc.update(extra)
     return doc
 

@@ -60,10 +60,6 @@ class NotFrameSheaf(PosheafError):
     pass
 
 
-class IsoSearchFailed(PosheafError):
-    pass
-
-
 class OrderNotProvided(PosheafError):
     pass
 

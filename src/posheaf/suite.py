@@ -761,7 +761,7 @@ def _criterion_11(seed: int, budget: Budget) -> tuple[bool, dict]:
     bad = mutate(X, "break-distributivity", cfg)
     from .frames import close_and_verify_frame
 
-    _, rep = close_and_verify_frame(list(bad.elements), list(bad.poset.pairs()))
+    _, rep = close_and_verify_frame(list(bad.elements), list(bad.pairs()))
     results["break-distributivity"] = rep.name == "frame.distributive"
     ok = ok and results["break-distributivity"]
 

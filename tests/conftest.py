@@ -14,7 +14,7 @@ from posheaf.fixtures import (
     posheaf_ab,
     sheaf_ab,
 )
-from posheaf.frames import FiniteFrame
+from posheaf.frames import FiniteFrame, build_frame
 from posheaf.orders import PoSheaf
 from posheaf.sheaves import Presheaf
 
@@ -79,7 +79,7 @@ def _boolean_frame(k: int) -> FiniteFrame:
     subsets = [c for n in range(k + 1) for c in itertools.combinations(points, n)]
     names = ["".join(c) or "0" for c in subsets]
     pairs = [(names[i], names[j]) for i, s in enumerate(subsets) for j, t in enumerate(subsets) if set(s) <= set(t)]
-    return FiniteFrame.from_relation(names, pairs)
+    return build_frame(names, pairs)
 
 
 @pytest.fixture

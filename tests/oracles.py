@@ -65,7 +65,7 @@ from posheaf.complete import (
     _meet_subsheaf,
 )
 from posheaf.frame_equiv import frame_hom_to_sheaf
-from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap, _bits, _inclusion_rows, _mask_table, left_adjoint
+from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap, _bits, _by_height, _inclusion_rows, left_adjoint
 from posheaf.locale_equiv import Section
 from posheaf import sheaves
 from posheaf.orders import (
@@ -723,9 +723,10 @@ class _PosetOps:
         return tuple(found)
 
 
-def frame_ops(frame) -> _PosetOps:
-    """FiniteFrame's operations read from frame.poset only (_PosetOps)."""
-    return _PosetOps(frame.poset)
+def frame_ops(poset) -> _PosetOps:
+    """FiniteFrame's operations by their definitions on a FinitePoset
+    (_PosetOps)."""
+    return _PosetOps(poset)
 
 
 def set_frame(elements, pairs) -> _PosetOps:
@@ -792,40 +793,43 @@ def inclusion_pairs(labels, sets, at: dict) -> tuple[list, tuple | None]:
 
 
 def frame_of_sets(labels, sets) -> tuple:
-    """The labels ordered by inclusion of their sets (distinct ints, bit
-    sets), and the first pair (x, y), y at or before x in label order, whose
-    sets' intersection ("meet") or union ("join") is not one of the sets, or
+    """(poset, frame, gap): the labels ordered by inclusion of their sets
+    (ints, bit sets) as a FinitePoset, the frame on it or None, and the
+    first pair (x, y), y at or before x in label order, whose sets'
+    intersection ("meet") or union ("join") is not one of the sets, or
     None; one pass over the pairs fills the order's rows and finds the gap
     (frames._inclusion_rows). The sheaf locale's frame by the pair pass,
     which frames.downset_frame reads from the germ columns instead.
 
-    Sets closed under union and intersection form a distributive lattice
-    under inclusion with those as join and meet, so the frame passes verify
-    with no test of its own. Its join-irreducibles are the distinct sets
-    ℓ(b) = ∩{s : b ∈ s} for the bits b outside the least set (ℓ(b) = x ∪ y
-    puts b in x or y; and every set is its least set joined with the ℓ(b)
-    of its other bits), and m(x) is the ℓ(b) inside set(x). On a gap, or
-    with repeated sets, the frame is the unverified inclusion relation."""
+    Distinct sets closed under union and intersection form a distributive
+    lattice under inclusion with those as join and meet, so the frame is
+    built with no test of its own. Its join-irreducibles are the distinct
+    sets ℓ(b) = ∩{s : b ∈ s} for the bits b outside the least set
+    (ℓ(b) = x ∪ y puts b in x or y; and every set is its least set joined
+    with the ℓ(b) of its other bits), and m(x) is the ℓ(b) inside set(x).
+    On a gap, or with repeated sets, the inclusion relation is no frame,
+    and the frame is None."""
     at = dict(zip(sets, labels))
     ups, downs, gap = _inclusion_rows(labels, sets, at)
-    frame = FiniteFrame(FinitePoset.from_rows(labels, ups, downs))
-    if gap is None and len(at) == len(sets):
-        floor = -1
-        for s in sets:
-            floor &= s
-        least: dict = {}
-        for s in sets:
-            rest = s & ~floor
-            while rest:
-                low = rest & -rest
-                least[low] = least.get(low, s) & s
-                rest ^= low
-        frame._join_irreducibles = tuple(frame.poset.sorted({at[s] for s in least.values()}))
-        of = dict(zip(labels, sets))
-        ells = [of[j] for j in frame.join_irreducibles_by_height()]
-        masks = [sum(1 << i for i, ell in enumerate(ells) if not ell & ~s) for s in sets]
-        frame._birkhoff = _mask_table(frame, masks)
-    return frame, gap
+    poset = FinitePoset.from_rows(labels, ups, downs)
+    if gap is not None or len(at) < len(sets):
+        return poset, None, gap
+    floor = -1
+    for s in sets:
+        floor &= s
+    least: dict = {}
+    for s in sets:
+        rest = s & ~floor
+        while rest:
+            low = rest & -rest
+            least[low] = least.get(low, s) & s
+            rest ^= low
+    J = _by_height(poset, {at[s] for s in least.values()})
+    of = dict(zip(labels, sets))
+    ells = [of[j] for j in J]
+    frame = FiniteFrame.__new__(FiniteFrame)
+    frame._bind(poset, J, [sum(1 << i for i, ell in enumerate(ells) if not ell & ~s) for s in sets])
+    return poset, frame, gap
 
 
 class SetPoset:

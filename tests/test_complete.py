@@ -2,6 +2,11 @@
 morphism, sup-preserving morphisms, finite completeness, frame sheaves."""
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
+from collections import Counter
+
 import pytest
 
 import oracles
@@ -690,3 +695,24 @@ def test_point_rows_need_pos2(SAB):
     ident = SheafMorphism.identity(SAB)
     assert verify_order_preserving(ident, F, F).passed
     assert verify_galois(ident, ident, F, F).passed
+
+
+def test_frame_morphism_reports_on_m3_are_pinned():
+    # every endomorphism of m3_posheaf: any map of the diamond M3 at the top,
+    # the identity below. The per-open hom form reads M3, a lattice that is
+    # no frame, as the FinitePoset it is; the 3125 reports, as JSON without
+    # timing, are those the per-open FrameHom form gave before it (sha256),
+    # with 172 maps reaching that form and failing it
+    F = m3_posheaf()
+    top = F.carrier("1")
+    reports, laws = [], Counter()
+    for images in itertools.product(top, repeat=len(top)):
+        maps = {u: {x: x for x in F.carrier(u)} for u in F.frame.elements}
+        maps["1"] = dict(zip(top, images))
+        rep = verify_frame_morphism(SheafMorphism(F.sheaf, F.sheaf, maps), F, F)
+        reports.append(rep.to_json(include_timing=False))
+        hom = next((r for r in rep.subreports if r.name == "frame_morphism.per_open_frame_hom"), None)
+        laws[rep.passed, None if hom is None or hom.passed else hom.witness["law"]] += 1
+    assert laws == {(False, None): 2947, (False, "frame_hom.finite_meets"): 128, (False, "frame_hom.joins"): 44, (True, None): 6}
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "af578b1539250baf07a2e96a9fc0e66e4b849b8db462a1106f129f828bfcdbaa"

@@ -12,7 +12,7 @@ from posheaf.frame_equiv import (
     sheaf_to_frame_hom,
     verify_frame_equivalence,
 )
-from posheaf.complete import verify_frame_morphism
+from posheaf.complete import is_frame_sheaf, verify_frame_morphism
 from posheaf.orders import omega, power_sheaf
 from posheaf.report import NotFrameSheaf
 from posheaf.sheaves import full_subsheaf, sheaf_iso, terminal
@@ -25,7 +25,8 @@ def one_element_frame():
 
 def test_phi_identity_is_omega(FD):
     h = FrameUnderX(FrameHom.identity(FD))
-    F = frame_hom_to_sheaf(h, verify=True)
+    F = frame_hom_to_sheaf(h)
+    is_frame_sheaf(F).require(NotFrameSheaf)
     Om = omega(FD)
     # same carriers and orders on the nose
     assert F.sheaf.carriers == Om.sheaf.carriers
@@ -38,14 +39,16 @@ def test_phi_meet_with_a_carriers(FD):
     down_a = FD.subframe("a")
     h = FrameUnderX(FrameHom(FD, down_a, {x: FD.meet(x, "a") for x in FD.elements}))
     assert h.verify().passed
-    F = frame_hom_to_sheaf(h, verify=True)
+    F = frame_hom_to_sheaf(h)
+    is_frame_sheaf(F).require(NotFrameSheaf)
     assert [len(F.carrier(u)) for u in FD.elements] == [1, 2, 1, 2]
 
 
 def test_phi_to_trivial_frame_is_terminal(FD):
     one = one_element_frame()
     h = FrameUnderX(FrameHom(FD, one, {x: "*" for x in FD.elements}))
-    F = frame_hom_to_sheaf(h, verify=True)
+    F = frame_hom_to_sheaf(h)
+    is_frame_sheaf(F).require(NotFrameSheaf)
     assert F.sheaf.carriers == terminal(FD).carriers
 
 
@@ -121,3 +124,25 @@ def test_frame_iso_search_utility(FD):
     assert mapping["0"] == "w" and mapping["1"] == "t"
     chain = frame_3()
     assert frame_iso(FD, build_frame(["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "1")])) is None
+
+
+def test_the_psi_phi_roundtrip_is_the_identity():
+    # verify_frame_equivalence issues psi_phi as the identity by proof: on
+    # the suite's generated frame homs (seeds 0-59), the identities of the
+    # fixture frames and their open inclusions, Ψ(Φ(h)) has L's elements
+    # and order and agrees with h on every open
+    from posheaf.fixtures import FIXTURE_FRAMES, open_inclusion
+    from posheaf.suite import _generated_frame_homs
+
+    homs = [h for seed in range(60) for _, h in _generated_frame_homs(seed, 20)]
+    for build in FIXTURE_FRAMES.values():
+        X = build()
+        homs.append(FrameUnderX(FrameHom.identity(X)))
+        homs += [FrameUnderX(open_inclusion(X, a).fstar) for a in X.elements]
+    for h in homs:
+        assert h.verify().passed
+        back = sheaf_to_frame_hom(frame_hom_to_sheaf(h), check=False)
+        L, L2 = h.target, back.target
+        assert (L2.elements, L2.poset.pairs()) == (L.elements, L.poset.pairs())
+        assert all(back.hom(u) == h.hom(u) for u in h.base.elements)
+    assert len(homs) >= 1200

@@ -103,13 +103,12 @@ def test_heyting_law_holds_everywhere(FD, F3, F6):
 
 
 def test_frame_verify_needs_no_cubic_scan(monkeypatch):
-    # a passing verify reads the lattice law from the binary joins and
-    # distributivity from the join-irreducibles: on the 120-open sheaf locale
-    # of gen_sheaf seed 17 it asks for no Heyting implication and for at most
-    # n² joins and meets, where the triple scan asks for 4n³
+    # building a frame runs Birkhoff's test, one pass over the pairs: on the
+    # 120-open sheaf locale of gen_sheaf seed 17, building and verifying it
+    # asks for no Heyting implication and for at most n² joins and meets,
+    # where the triple scan asks for 4n³
     cfg = GenConfig(seed=17, max_opens=7, max_carrier=3)
     E = etale_locale(gen_sheaf(gen_frame(cfg), cfg))
-    frame = FiniteFrame(FinitePoset(E.frame.elements, E.frame.poset.pairs(), closed=True))
     calls = Counter()
     for name in ("join", "meet", "heyting"):
         def counted(self, x, y, name=name, original=getattr(FiniteFrame, name)):
@@ -117,6 +116,7 @@ def test_frame_verify_needs_no_cubic_scan(monkeypatch):
             return original(self, x, y)
 
         monkeypatch.setattr(FiniteFrame, name, counted)
+    frame = FiniteFrame(FinitePoset(E.frame.elements, E.frame.poset.pairs(), closed=True))
     assert frame.verify().passed
     n = len(frame)
     assert n == 120

@@ -66,7 +66,7 @@ def test_mutation_break_distributivity():
     cfg = GenConfig(seed=3)
     X = gen_frame(cfg)
     bad = mutate(X, "break-distributivity", cfg)
-    _, report = close_and_verify_frame(list(bad.elements), list(bad.poset.pairs()))
+    _, report = close_and_verify_frame(list(bad.elements), list(bad.pairs()))
     assert report.name == "frame.distributive"
 
 

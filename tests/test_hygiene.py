@@ -11,8 +11,9 @@ restriction table built outside Presheaf, jsonio and fixtures, no
 restriction table stored by Presheaf but res_at, no cross-section built
 outside Γ's point search, the unit and the oracles, no section-level
 restriction read in the law kernels that read positions, no sheaf,
-presheaf or frame-hom check in Λ or Γ of what they build, and no
-functools.cached_property."""
+presheaf, frame-hom or morphism check in Λ, Γ or the unit of what they
+build, no FiniteFrame method that answers from the poset's row operations,
+and no functools.cached_property."""
 from __future__ import annotations
 
 import ast
@@ -567,8 +568,8 @@ def test_subsheaf_kernels_read_the_bitset_alone():
 
 # the checks that Λ and Γ issue by proof for what they build, and the
 # builders whose results they are
-PROVED_CHECKS = {"verify_sheaf", "verify_presheaf", "verify_frame_hom"}
-BUILDERS = {"Presheaf", "LocaleOverX", "of"}
+PROVED_CHECKS = {"verify_sheaf", "verify_presheaf", "verify_frame_hom", "verify_morphism"}
+BUILDERS = {"Presheaf", "LocaleOverX", "of", "SheafMorphism"}
 
 
 def _root(node):
@@ -581,7 +582,8 @@ def _root(node):
 def _checks_of_built(tree, names: set) -> list[str]:
     """In each function of names, the calls of PROVED_CHECKS on anything but
     one of its parameters, and the .verify() calls on a name it binds to a
-    Presheaf, Presheaf.of or LocaleOverX, with their lines, sorted; a
+    Presheaf, Presheaf.of, LocaleOverX or SheafMorphism, with their lines,
+    sorted; a
     function missing from the module is reported too, so a rename cannot
     empty the test."""
     found, seen = [], set()
@@ -611,11 +613,11 @@ def _checks_of_built(tree, names: set) -> list[str]:
 
 
 def test_lambda_and_gamma_check_nothing_they_build():
-    # Γ is a sheaf whose restrictions compose, and Λ's projection is a frame
-    # hom, by proof: _etale_locale_fresh and _cross_sections_fresh issue
-    # those reports through report.once and run no check on what they
-    # build. Their inputs are still checked. The patterns are caught as
-    # written
+    # Γ is a sheaf whose restrictions compose, Λ's projection is a frame
+    # hom and the unit η is natural, by proof: _etale_locale_fresh and
+    # _cross_sections_fresh issue those reports through report.once, unit
+    # issues η's, and none runs a check on what it builds. Their inputs are
+    # still checked. The patterns are caught as written
     bad = (
         "def _etale_locale_fresh(P, meter):\n"
         "    verify_presheaf(P).require()\n"
@@ -627,13 +629,66 @@ def test_lambda_and_gamma_check_nothing_they_build():
         "    sheaf = Presheaf.of(OX, carriers, restrict)\n"
         "    cert = verify_sheaf(sheaf)\n"
         "    pre = verify_presheaf(sheaf)\n"
+        "def unit(P, E, G):\n"
+        "    eta = SheafMorphism(P, G.sheaf, maps)\n"
+        "    nat = eta.verify()\n"
+        "    again = verify_morphism(eta)\n"
     )
-    assert _checks_of_built(ast.parse(bad), {"_etale_locale_fresh", "_cross_sections_fresh", "_gone"}) == [
+    names = {"_etale_locale_fresh", "_cross_sections_fresh", "unit"}
+    assert _checks_of_built(ast.parse(bad), names | {"_gone"}) == [
         "_etale_locale_fresh:4 verify",
         "_etale_locale_fresh:5 verify_frame_hom",
         "_cross_sections_fresh:9 verify_sheaf",
         "_cross_sections_fresh:10 verify_presheaf",
+        "unit:13 verify",
+        "unit:14 verify_morphism",
         "_gone missing",
     ]
     source = ast.parse((PACKAGE / "locale_equiv.py").read_text())
-    assert _checks_of_built(source, {"_etale_locale_fresh", "_cross_sections_fresh"}) == []
+    assert _checks_of_built(source, names) == []
+
+
+# the FinitePoset operations that answer from the rows, which a FiniteFrame
+# answers from its Birkhoff masks instead
+POSET_OPS = {"leq", "join", "meet", "join_all", "meet_all", "bottom", "top", "least_index", "greatest_index"}
+
+
+def _poset_op_reads(tree) -> list[str]:
+    """The reads of self.poset.<op>, for an op of POSET_OPS, in the methods
+    of the FiniteFrame class, as method:line; a module without the class is
+    reported, so a rename cannot empty the test."""
+    classes = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "FiniteFrame"]
+    if not classes:
+        return ["FiniteFrame missing"]
+    return [
+        f"{fn.name}:{node.lineno}"
+        for fn in classes[0].body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute)
+        and node.attr in POSET_OPS
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "poset"
+        and getattr(node.value.value, "id", None) == "self"
+    ]
+
+
+def test_frame_methods_answer_from_the_masks_alone():
+    # a FiniteFrame is a frame: Birkhoff's test runs when it is built
+    # (frames._birkhoff, outside the class), and a relation that fails it
+    # builds none, so every method reads the masks and none answers from
+    # the poset's rows. Reading the rows themselves (down_rows, members,
+    # sorted, pairs) is no answer. The patterns are caught as written
+    bad = (
+        "class FiniteFrame:\n"
+        "    def join(self, x, y):\n"
+        "        return self.poset.join(x, y)\n"
+        "    @lazy\n"
+        "    def bottom(self):\n"
+        "        return self.poset.bottom\n"
+        "    def down(self, u):\n"
+        "        return self.poset.members(self.poset.down_rows[self.index[u]])\n"
+    )
+    assert _poset_op_reads(ast.parse(bad)) == ["join:3", "bottom:6"]
+    assert _poset_op_reads(ast.parse("class FiniteLattice:\n    pass\n")) == ["FiniteFrame missing"]
+    assert _poset_op_reads(ast.parse((PACKAGE / "frames.py").read_text())) == []

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from posheaf import cli, jsonio, locale_equiv
-from posheaf.frames import FiniteFrame, FinitePoset, frame_iso, verify_frame_hom
+from posheaf.frames import FiniteFrame, FinitePoset, build_frame, frame_iso, verify_frame_hom
 from posheaf.complete import is_complete, is_frame_sheaf
 from posheaf.generate import GenConfig, gen_frame, gen_posheaf, gen_sheaf, mutate
 from posheaf.locale_equiv import (
@@ -349,7 +349,7 @@ def test_cposl2_decides_on_lower_covers_and_names_the_first_pair(monkeypatch, to
     # over every pair names it
     from posheaf import locale_equiv
 
-    chain = FiniteFrame.from_relation(["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "1")])
+    chain = build_frame(["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "1")])
     carriers = {"0": ("*",), "a": ("s", "t"), "b": ("s", "t"), "1": top}
     res = {(u, "0"): {x: "*" for x in carriers[u]} for u in ("a", "b", "1")}
     down = {"s": "s", "t": "t", "p": "s"}
@@ -633,3 +633,40 @@ def test_proved_reports_match_the_checks():
         _gamma_matches_a_check(name, _lambda_matches_a_check(name, G))
     mutants = [name for name, P in presheaves if not verify_sheaf(P).passed]
     assert len(locales) == 3 and len(presheaves) == 177 and len(mutants) == 26
+
+
+def _unit_presheaves() -> list[tuple[str, Presheaf]]:
+    """Fixture presheaves, Ω of the fixture frames, sheaf_ab, gen_sheaf seeds
+    0-59 at 4 and 6 opens with their remove-amalgamation mutants, and the
+    étale pool's presheaves and the cross-sections of its locales."""
+    from posheaf.fixtures import FIXTURE_FRAMES
+    from posheaf.report import RepairFailed
+
+    out = [(f"terminal({name})", terminal(build())) for name, build in FIXTURE_FRAMES.items()]
+    out += [(f"omega({name})", omega(build()).sheaf) for name, build in FIXTURE_FRAMES.items()]
+    out.append(("sheaf_ab", sheaf_ab()))
+    for cfg in (GenConfig(seed=seed, max_opens=opens) for seed in range(60) for opens in (4, 6)):
+        P = gen_sheaf(gen_frame(cfg), cfg)
+        out.append((str(cfg), P))
+        try:
+            out.append((f"{cfg}+remove-amalgamation", mutate(P, "remove-amalgamation", cfg)))
+        except RepairFailed:
+            pass
+    locales, presheaves = _pool_instances()
+    return out + presheaves + [(f"gamma({name})", cross_sections(f).sheaf) for name, f in locales]
+
+
+def test_the_unit_is_natural_by_proof():
+    # unit issues η's morphism report with no check (the proof in its
+    # docstring); on every presheaf here, and on the reflection path's η₂
+    # over ΓΛP, the issued report is the report of η.verify()
+    checked = 0
+    for name, P in _unit_presheaves():
+        for Q in (P, cross_sections(etale_locale(P).locale).sheaf):
+            E = etale_locale(Q)
+            eta, rep = unit(Q, E, cross_sections(E.locale))
+            assert rep.passed, name
+            issued = rep.subreports[0]
+            assert issued.to_json(include_timing=False) == eta.verify().to_json(include_timing=False), name
+            checked += 1
+    assert checked >= 500
