@@ -16,8 +16,8 @@ surjective restriction preserving all joins and meets (_restriction_gap,
 decided at the lower covers by FiniteFrame.first_failing_pair; the
 sheaf-locale CPOSL1-2 read both on Γ), and the commuting left-adjoint
 square of a morphism (_adjoint_square_gap). Preservation of the empty and
-binary joins or meets is frames._bound_failure, read by finite
-completeness and the finite-meets form of frame morphisms. The left
+binary joins or meets is frames._bound_failure, on res_at and on a
+morphism's position tables (SheafMorphism.at) alike. The left
 adjoint of each restriction is the table of least candidates, by
 position, built once and kept on its posheaf, off the lower covers as a
 composite: POS1 and POS2, which verify_posheaf has decided, make that
@@ -38,13 +38,11 @@ from operator import and_
 from .frames import (
     NOT_A_FRAME,
     FiniteFrame,
-    MonotoneMap,
     _bits,
     _bound_failure,
+    _hom_report,
     _least_candidates,
-    preserves_all_joins,
-    preserves_all_meets,
-    verify_frame_hom,
+    monotone_gap,
 )
 from .report import Budget, BudgetMeter, CheckReport, NotComplete, once, timed
 from .orders import (
@@ -232,14 +230,14 @@ def _restriction_gap(F: PoSheaf, u, v) -> str | None:
     with itself is z unless some c ≠ z has z ≤ c ≤ z, and then g(z) has no
     such partner: a partner g(z') of it, g being surjective, would leave
     z, z' without a join in g's image."""
-    if len(set(F.sheaf.res_at[u, v])) != len(F.carrier(v)):
+    res, src, tgt = F.sheaf.res_at[u, v], F.poset(u), F.poset(v)
+    if len(set(res)) != len(F.carrier(v)):
         return "surjective"
-    res = MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[u, v])
-    if not res.verify().passed:
+    if monotone_gap(src.up_rows, res, tgt.up_rows) is not None:
         return "monotone"
-    if not preserves_all_joins(res):
+    if _bound_failure(src, tgt, res, "join") is not None:
         return "sup-preserving"
-    if not preserves_all_meets(res):
+    if _bound_failure(src, tgt, res, "meet") is not None:
         return "inf-preserving"
     return None
 
@@ -290,16 +288,15 @@ def _left_adjoint_table(F: PoSheaf, u, v) -> tuple | range:
 def _adjoint_square_gap(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf, u) -> dict | None:
     """The first square α_u(l^F x) ≠ l^G(α_v x), v < u and x ∈ F(v), of the
     left adjoints of the restrictions into u, or None when all commute."""
-    xs, ys, at = F.carrier(u), G.carrier(u), G.sheaf.at
+    ys, alpha_u = G.carrier(u), alpha.at[u]
     for v in F.frame.down(u):
         if v == u:
             continue
-        f_uv = _left_adjoint_table(F, u, v)
-        g_uv = _left_adjoint_table(G, u, v)
-        for x, a in zip(F.carrier(v), f_uv):
-            lhs, rhs = alpha(u, xs[a]), ys[g_uv[at[v][alpha(v, x)]]]
+        f_uv, g_uv, alpha_v = _left_adjoint_table(F, u, v), _left_adjoint_table(G, u, v), alpha.at[v]
+        for x, a, b in zip(F.carrier(v), f_uv, alpha_v):
+            lhs, rhs = alpha_u[a], g_uv[b]
             if lhs != rhs:
-                return {"square": [u, v], "section": F.label(v, x), "alpha_after_adjoint": G.label(u, lhs), "adjoint_after_alpha": G.label(u, rhs)}
+                return {"square": [u, v], "section": F.label(v, x), "alpha_after_adjoint": G.label(u, ys[lhs]), "adjoint_after_alpha": G.label(u, ys[rhs])}
     return None
 
 
@@ -538,21 +535,15 @@ def sup_morphism(F: PoSheaf, *, budget: Budget | None = None) -> tuple[SheafMorp
         s = F.poset(w).join_all(joins) if joins else F.poset(w).bottom
         return F.carrier(u)[_left_adjoint_table(F, u, w)[at[w][s]]]
 
-    mismatch = None
-    maps_d, maps_p = {}, {}
+    mismatch, sups = None, {}
     for u in frame.elements:
-        maps_d[u] = {}
-        maps_p[u] = {}
         for S in P.carrier(u):
             via_formula = primary(u, S)
-            via_scan = sup_in_open(F, S, u)
+            via_scan = sups[u, S] = sup_in_open(F, S, u)
             if via_formula != via_scan and mismatch is None:
                 mismatch = {"open": u, "subsheaf": S.describe(), "formula": F.label(u, via_formula), "scan": F.label(u, via_scan)}
-            maps_p[u][S] = via_scan
-        for S in D.carrier(u):
-            maps_d[u][S] = maps_p[u][S]
-    sup_d = SheafMorphism(D.sheaf, F.sheaf, maps_d)
-    sup_p = SheafMorphism(P.sheaf, F.sheaf, maps_p)
+    sup_d = SheafMorphism.of(D.sheaf, F.sheaf, lambda u, S: sups[u, S])
+    sup_p = SheafMorphism.of(P.sheaf, F.sheaf, lambda u, S: sups[u, S])
 
     checks = [
         CheckReport("sup_morphism.formula_vs_scan", mismatch is None, witness=mismatch),
@@ -565,10 +556,11 @@ def sup_morphism(F: PoSheaf, *, budget: Budget | None = None) -> tuple[SheafMorp
 
 
 def image_subsheaf(alpha: SheafMorphism, S: SubSheaf, u=None) -> SubSheaf:
-    """Per-open image, then the generated subsheaf (the image of S)."""
-    G, bits = alpha.target, 0
-    for v, x in S.points():
-        bits |= 1 << G.position(v, alpha(v, x))
+    """Per-open image, then the generated subsheaf (the image of S): one OR
+    over the set bits of S through α's point table."""
+    G, image, bits = alpha.target, alpha.point_image, 0
+    for i in _bits(_as_part_of(alpha.source, S).bits):
+        bits |= 1 << image[i]
     img = generate_subsheaf(G, SubSheaf.of_bits(G, bits), require_closed=False)
     return img if u is None else img.clip(u)
 
@@ -611,14 +603,10 @@ def verify_sup_preserving(
     frame = F.frame
 
     square_wit = _sup_square_gap(alpha, F, G, budget)
-    open_wit = None
-    for u in frame.elements:
-        if not preserves_all_joins(MonotoneMap(F.poset(u), G.poset(u), alpha.maps[u])):
-            open_wit = {"open": u, "not": "join-preserving"}
-        else:
-            open_wit = _adjoint_square_gap(alpha, F, G, u)
-        if open_wit:
-            break
+    # per open, join preservation and then the left-adjoint squares
+    joins = (_bound_failure(F.poset(u), G.poset(u), alpha.at[u], "join") is None for u in frame.elements)
+    gaps = (_adjoint_square_gap(alpha, F, G, u) if ok else {"open": u, "not": "join-preserving"} for u, ok in zip(frame.elements, joins))
+    open_wit = next(filter(None, gaps), None)
     open_ok = open_wit is None
 
     adj_ok, adj_wit = True, None
@@ -663,16 +651,14 @@ def _least_preimages(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> tuple[Shea
     has no least such x. On F.opposite() and G.opposite() (the same sheaves,
     orders reversed) it is the candidate right adjoint, of greatest x with
     α_u(x) ≤ y. Each open's table is the one frames.left_adjoint builds
-    (_least_candidates). Naturality and the Galois laws are the caller's to
-    check."""
-    maps = {}
+    (_least_candidates), read from α's and kept as a position table of its
+    own. Naturality and the Galois laws are the caller's to check."""
+    at = {}
     for u in F.frame.elements:
-        xs, at = F.carrier(u), G.sheaf.at[u]
-        table, report = _least_candidates(F.poset(u), G.poset(u), [at[alpha(u, x)] for x in xs])
-        if table is None:
+        at[u], report = _least_candidates(F.poset(u), G.poset(u), alpha.at[u])
+        if at[u] is None:
             return None, {"open": u, "section": G.label(u, report.witness["element"])}
-        maps[u] = dict(zip(G.carrier(u), map(xs.__getitem__, table)))
-    return SheafMorphism(G.sheaf, F.sheaf, maps), None
+    return SheafMorphism.from_tables(G.sheaf, F.sheaf, at), None
 
 
 def _morphism_left_adjoint(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> SheafMorphism | None:
@@ -696,9 +682,7 @@ def _semilattice_gap(F: PoSheaf) -> dict | None:
     gap = next(filter(None, (_lattice_gap(F, u, meets=False) for u in frame.elements)), None)
     if gap:
         return gap
-    failure = frame.first_failing_pair(
-        lambda u, v: _bound_failure(MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[(u, v)]), "join")
-    )
+    failure = frame.first_failing_pair(lambda u, v: _bound_failure(F.poset(u), F.poset(v), F.sheaf.res_at[u, v], "join"))
     if failure is None:
         return None
     u, v, bad = failure
@@ -714,11 +698,9 @@ def check_finite_completeness(F: PoSheaf, mode: str = "both") -> CheckReport:
     verify_posheaf(F).require()
     frame = F.frame
     one = discrete(terminal(frame))
-    bang = SheafMorphism(F.sheaf, one.sheaf, {u: {x: "*" for x in F.carrier(u)} for u in frame.elements})
+    bang = SheafMorphism.of(F.sheaf, one.sheaf, lambda u, x: "*")
     FF = product_posheaf(F, F)
-    diag = SheafMorphism(
-        F.sheaf, FF.sheaf, {u: {x: (x, x) for x in F.carrier(u)} for u in frame.elements}
-    )
+    diag = SheafMorphism.of(F.sheaf, FF.sheaf, lambda u, x: (x, x))
 
     reports = []
     if mode in ("sup", "both"):
@@ -846,7 +828,7 @@ def _finite_meets_gap(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf, u) -> dict |
     gap = _lattice_gap(F, u)
     if gap:
         return gap
-    bad = _bound_failure(MonotoneMap(F.poset(u), G.poset(u), alpha.maps[u]), "meet")
+    bad = _bound_failure(F.poset(u), G.poset(u), alpha.at[u], "meet")
     if bad is None:
         return None
     if not bad["subset"]:
@@ -881,7 +863,7 @@ def verify_frame_morphism(
         if gap:
             hom_ok, hom_wit = False, gap
             break
-        rep = verify_frame_hom(MonotoneMap(F.poset(u), G.poset(u), alpha.maps[u]))
+        rep = _hom_report(F.poset(u), G.poset(u), alpha.at[u])
         if not rep.passed:
             hom_ok, hom_wit = False, {"open": u, "law": rep.name, "witness": rep.witness}
             break

@@ -9,6 +9,7 @@ after construction.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .report import (
@@ -745,10 +746,6 @@ class FrameHom:
     def __call__(self, x):
         return self.mapping[x]
 
-    def compose(self, other: "FrameHom") -> "FrameHom":
-        """self after other (other's target must be self's source)."""
-        return FrameHom(other.source, self.target, {x: self(other(x)) for x in other.source.elements})
-
     @classmethod
     def identity(cls, frame: FiniteFrame) -> "FrameHom":
         return cls(frame, frame, {x: x for x in frame.elements})
@@ -757,49 +754,64 @@ class FrameHom:
 _EXHAUSTIVE_JOIN_LIMIT = 12
 
 
+def _image(f: "FrameHom | MonotoneMap") -> list:
+    """The position in f's target of the image of each element of its
+    source, in element order, for the position kernels; a table that is
+    not total, or leaves the target, raises DomainMismatch."""
+    elements, mapping, index = f.source.elements, f.mapping, f.target.index
+    try:
+        return [index[mapping[x]] for x in elements]
+    except KeyError:
+        x = next(x for x in elements if x not in mapping or mapping[x] not in index)
+        raise DomainMismatch(f"map value outside target: {mapping[x]!r}" if x in mapping else f"map not total: missing {x!r}") from None
+
+
 @timed
-def verify_frame_hom(h: "FrameHom | MonotoneMap") -> CheckReport:
+def verify_frame_hom(h: FrameHom) -> CheckReport:
     """Finite meets (top and binary), then joins, of a map between frames,
-    or between the FinitePosets of two finite lattices (a MonotoneMap, as
-    complete.verify_frame_morphism reads one per open, where a lattice such
-    as M3 is not a frame). Between finite lattices h
-    preserves every join iff it preserves bottom and the binary joins, by
-    induction on the subset size, so those decide the verdict. On a reject
-    from a source of at most _EXHAUSTIVE_JOIN_LIMIT opens the witness is the
-    first failing subset in mask order, found by scanning every subset; from
-    a larger source it is the empty or binary join that failed."""
-    src, tgt = h.source, h.target
-    for x in src.elements:
-        if x not in h.mapping:
-            raise DomainMismatch(f"map not total: missing {x!r}")
-        if h.mapping[x] not in tgt.index:
-            raise DomainMismatch(f"map value outside target: {h.mapping[x]!r}")
-    meets = _bound_failure(h, "meet")
+    decided on the positions of the frames' posets (_hom_report)."""
+    return _hom_report(h.source.poset, h.target.poset, _image(h))
+
+
+def _hom_report(src: FinitePoset, tgt: FinitePoset, image: Sequence[int]) -> CheckReport:
+    """The frame-hom report of i ↦ image[i] between the posets of two
+    finite lattices: two frames, or two stalks, as
+    complete.verify_frame_morphism reads one per open (M3 is no frame).
+    The empty and binary bounds decide the verdict (_bound_failure). On a
+    reject from a source of at most _EXHAUSTIVE_JOIN_LIMIT elements the
+    witness is the first failing subset in mask order, found by scanning
+    every subset; from a larger one, the empty or binary join that failed."""
+    meets = _bound_failure(src, tgt, image, "meet")
     if meets is not None:
         return CheckReport.fail("frame_hom.finite_meets", meets)
-    witness = _bound_failure(h, "join")
+    witness = _bound_failure(src, tgt, image, "join")
     if witness is None:
         return CheckReport.ok("frame_hom")
     if len(src) <= _EXHAUSTIVE_JOIN_LIMIT:
-        witness = _first_failing_join(h) or witness
+        witness = _first_failing_join(src, tgt, image) or witness
     return CheckReport.fail("frame_hom.joins", witness)
 
 
-def _first_failing_join(h: "FrameHom | MonotoneMap") -> dict | None:
-    """The first subset, in mask order, whose join h does not preserve."""
-    elems = h.source.elements
-    for mask in range(1 << len(elems)):
-        subset = [elems[i] for i in range(len(elems)) if mask >> i & 1]
-        lhs = h(h.source.join_all(subset))
-        rhs = h.target.join_all(h(x) for x in subset)
-        if lhs != rhs:
-            return {"subset": subset, "expected": rhs, "got": lhs}
+def _first_failing_join(src: FinitePoset, tgt: FinitePoset, image: Sequence[int]) -> dict | None:
+    """The first subset, in mask order, whose join the map does not keep:
+    a join is the least member of the AND of the up rows of the members."""
+    ups, image_ups = src.up_rows, tgt.up_rows
+    for mask in range(1 << len(ups)):
+        joined, image_joined = (1 << len(ups)) - 1, (1 << len(image_ups)) - 1
+        for i in _bits(mask):
+            joined &= ups[i]
+            image_joined &= image_ups[image[i]]
+        lhs, rhs = src.least_index(joined), tgt.least_index(image_joined)
+        got = None if lhs is None else image[lhs]
+        if got != rhs:
+            return {"subset": src.members(mask), "expected": tgt._at(rhs), "got": tgt._at(got)}
     return None
 
 
 class MonotoneMap:
     """Order-preserving element table between finite posets. The table is
-    kept as given, not copied, and must not change while it is wrapped."""
+    kept as given, not copied, and must not change while it is wrapped;
+    each check reads it once into positions for its kernel."""
 
     def __init__(self, source: FinitePoset, target: FinitePoset, mapping: dict):
         self.source = source
@@ -815,12 +827,8 @@ class MonotoneMap:
 
     def verify(self) -> CheckReport:
         """x ≤ y ⇒ f(x) ≤ f(y), decided on positions (monotone_gap)."""
-        elements, mapping = self.source.elements, self.mapping
-        for x in elements:
-            if x not in mapping:
-                raise DomainMismatch(f"map not total: missing {x!r}")
-        index = self.target.index
-        gap = monotone_gap(self.source.up_rows, [index.get(mapping[x]) for x in elements], self.target.up_rows)
+        elements = self.source.elements
+        gap = monotone_gap(self.source.up_rows, _image(self), self.target.up_rows)
         if gap is None:
             return CheckReport.ok("monotone")
         x, y = (elements[i] for i in gap)
@@ -829,28 +837,37 @@ class MonotoneMap:
 
 def monotone_gap(ups: list, image: list, target_ups: list) -> tuple | None:
     """The first (i, k), x-major, with bit k in ups[i] and image[k] not in
-    target_ups[image[i]] (an image None fails), or None when i ↦ image[i]
-    is monotone. Only the bits of each up row are walked, and the first
-    failing pair is the one a scan of every pair names."""
+    target_ups[image[i]], or None when i ↦ image[i] is monotone. Only the
+    bits of each up row are walked, and the first failing pair is the one
+    a scan of every pair names."""
     for i, row in enumerate(ups):
-        a = image[i]
+        up = target_ups[image[i]]
         for k in _bits(row):
-            b = image[k]
-            if a is None or b is None or not target_ups[a] >> b & 1:
+            if not up >> image[k] & 1:
                 return i, k
     return None
 
 
+def galois_gap(A: FinitePoset, B: FinitePoset, left: Sequence[int], right: Sequence[int]) -> dict | None:
+    """The first pair (b, a), b-major, on which left(b) ≤ a and
+    b ≤ right(a) disagree, for left: B → A and right: A → B by position, as
+    {"pair", "left_leq", "right_leq"}; None when left ⊣ right. One compare
+    per b of A's up row of left[b] with B.upper_rows(right)[b], the a with
+    b ≤ right(a): the lowest bit where they differ is the first a."""
+    for b, row in enumerate(B.upper_rows(right)):
+        up = A.up_rows[left[b]]
+        diff = up ^ row
+        if diff:
+            a = (diff & -diff).bit_length() - 1
+            leq = bool(up >> a & 1)
+            return {"pair": [B.elements[b], A.elements[a]], "left_leq": leq, "right_leq": not leq}
+    return None
+
+
 def galois_check(left: MonotoneMap, right: MonotoneMap) -> CheckReport:
-    """left(b) ≤ a  ⇔  b ≤ right(a), exhaustively over all pairs."""
-    A, B = right.source, left.source  # right: A -> B, left: B -> A
-    for b in B.elements:
-        for a in A.elements:
-            lhs = A.leq(left(b), a)
-            rhs = B.leq(b, right(a))
-            if lhs != rhs:
-                return CheckReport.fail("galois", {"pair": [b, a], "left_leq": lhs, "right_leq": rhs})
-    return CheckReport.ok("galois")
+    """left(b) ≤ a  ⇔  b ≤ right(a) over all pairs (galois_gap)."""
+    gap = galois_gap(right.source, left.source, _image(left), _image(right))
+    return CheckReport.ok("galois") if gap is None else CheckReport.fail("galois", gap)
 
 
 def _least_candidates(src: FinitePoset, tgt: FinitePoset, image: Sequence[int]) -> tuple[tuple | None, CheckReport]:
@@ -876,56 +893,56 @@ def left_adjoint(f: MonotoneMap) -> tuple[MonotoneMap | None, CheckReport]:
 
     When source and target are partial orders (no broken_laws), the table
     of least candidates is the left adjoint by proof, and neither its
-    monotonicity nor galois_check is run: g(b) is a candidate, so
-    g(b) ≤ a gives b ≤ f(g(b)) ≤ f(a), by monotonicity and transitivity;
-    and b ≤ f(a) makes a a candidate, so g(b) ≤ a. A Galois connection's
-    lower map is monotone (b ≤ b' ≤ f(g(b')) gives g(b) ≤ g(b')). On
-    other relations both checks run."""
+    monotonicity nor the adjunction (galois_gap) is checked: g(b) is a
+    candidate, so g(b) ≤ a gives b ≤ f(g(b)) ≤ f(a), by monotonicity and
+    transitivity; and b ≤ f(a) makes a a candidate, so g(b) ≤ a. A Galois
+    connection's lower map is monotone (b ≤ b' ≤ f(g(b')) gives
+    g(b) ≤ g(b')). On other relations both checks run."""
     mono = f.verify()
     if not mono.passed:
         raise NotMonotone("left_adjoint requires a monotone map", report=mono)
     src, tgt = f.source, f.target
-    table, report = _least_candidates(src, tgt, [tgt.index[f.mapping[x]] for x in src.elements])
+    image = _image(f)
+    table, report = _least_candidates(src, tgt, image)
     g = None if table is None else MonotoneMap(tgt, src, dict(zip(tgt.elements, map(src.elements.__getitem__, table))))
     if g is not None and (src.broken_laws or tgt.broken_laws):
         gm = g.verify()
         if not gm.passed:
             return None, CheckReport.fail("left_adjoint.absent", {"not_monotone": gm.witness})
-        gc = galois_check(g, f)
-        if not gc.passed:
-            return None, CheckReport.fail("left_adjoint.absent", {"adjunction": gc.witness})
+        gap = galois_gap(src, tgt, table, image)
+        if gap is not None:
+            return None, CheckReport.fail("left_adjoint.absent", {"adjunction": gap})
     return g, report
 
 
-def _bound_failure(f: MonotoneMap | FrameHom, kind: str) -> dict | None:
-    """The first bound of kind "join" or "meet" that f does not preserve, as
-    {"subset", "expected", "got"}, or None: first the empty bound (bottom or
-    top), then each pair x, y with x before y in the source's element order.
-    A bound missing on either side fails, with None in its place. Between
-    finite partial orders f preserves every bound of that kind iff it
-    preserves these, by induction on the subset size; bounds are symmetric
-    and x with x never fails, so this is also the first failure over all
-    ordered pairs."""
-    src, tgt = f.source, f.target
-    empty = "bottom" if kind == "join" else "top"
-    bound, image_bound = getattr(src, empty), getattr(tgt, empty)
-    if bound is None or image_bound is None or f(bound) != image_bound:
-        return {"subset": [], "expected": image_bound, "got": None if bound is None else f(bound)}
-    pair, image_pair = getattr(src, kind), getattr(tgt, kind)
-    elems = src.elements
-    for i, x in enumerate(elems):
-        fx = f(x)
-        for y in elems[i + 1:]:
-            bound, image_bound = pair(x, y), image_pair(fx, f(y))
-            if bound is None or image_bound is None or f(bound) != image_bound:
-                return {"subset": [x, y], "expected": image_bound, "got": None if bound is None else f(bound)}
+def _bound_failure(src: FinitePoset, tgt: FinitePoset, image: Sequence[int], kind: str) -> dict | None:
+    """The first bound of kind "join" or "meet" that i ↦ image[i] does not
+    preserve, as {"subset", "expected", "got"} with elements, or None: the
+    empty bound (bottom or top), then each pair of positions i < k. A bound
+    is the least_index (greatest_index) of the AND of up (down) rows, and
+    one missing on either side fails, with None in its place. Between
+    finite partial orders the map preserves every bound of that kind iff
+    it preserves these, by induction on the subset size; bounds are
+    symmetric and x with x never fails, so this is also the first failure
+    over all ordered pairs."""
+    if kind == "join":
+        rows, image_rows, bound, image_bound = src.up_rows, tgt.up_rows, src.least_index, tgt.least_index
+    else:
+        rows, image_rows, bound, image_bound = src.down_rows, tgt.down_rows, src.greatest_index, tgt.greatest_index
+    n = len(rows)
+    empty = ((), (1 << n) - 1, (1 << len(image_rows)) - 1)
+    pairs = (((i, k), rows[i] & rows[k], image_rows[image[i]] & image_rows[image[k]]) for i in range(n) for k in range(i + 1, n))
+    for subset, mask, image_mask in itertools.chain([empty], pairs):
+        b, e = bound(mask), image_bound(image_mask)
+        if b is None or e is None or image[b] != e:
+            return {"subset": [src.elements[i] for i in subset], "expected": tgt._at(e), "got": None if b is None else tgt._at(image[b])}
     return None
 
 
 def preserves_all_meets(f: MonotoneMap) -> bool:
     """f(⋀S) = ⋀f(S) for every subset S of the (finite) source poset, read
     from the top and the binary meets (the left-adjoint existence criterion)."""
-    return _bound_failure(f, "meet") is None
+    return _bound_failure(f.source, f.target, _image(f), "meet") is None
 
 
 def frame_iso(A: FiniteFrame, B: FiniteFrame, fixed: dict | None = None) -> dict | None:
@@ -979,4 +996,4 @@ def frame_iso(A: FiniteFrame, B: FiniteFrame, fixed: dict | None = None) -> dict
 def preserves_all_joins(f: MonotoneMap) -> bool:
     """f(⋁S) = ⋁f(S) for every subset S of the (finite) source poset, read
     from the bottom and the binary joins."""
-    return _bound_failure(f, "join") is None
+    return _bound_failure(f.source, f.target, _image(f), "join") is None

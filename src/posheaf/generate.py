@@ -419,16 +419,14 @@ def _mutate_break_naturality(instance) -> SheafMorphism:
     sheaf = alpha.source
     frame = sheaf.frame
     for u in frame.elements:
-        below = [v for v in frame.down(u) if v != u]
-        if not below:
+        if frame.down(u) == (u,):
             continue
-        for x in sheaf.carriers[u]:
-            for y in sheaf.carriers[u]:
-                if y == alpha(u, x):
+        table = alpha.at[u]
+        for a in range(len(table)):
+            for b in range(len(alpha.target.carriers[u])):
+                if b == table[a]:
                     continue
-                maps = {w: dict(alpha.maps[w]) for w in frame.elements}
-                maps[u][x] = y
-                mutant = SheafMorphism(sheaf, alpha.target, maps)
+                mutant = SheafMorphism.from_tables(sheaf, alpha.target, {**alpha.at, u: table[:a] + (b,) + table[a + 1:]})
                 if not verify_morphism(mutant).passed:
                     return mutant
     raise RepairFailed("no naturality-breaking redirection found")
@@ -445,9 +443,4 @@ def _mutate_break_meet_square(instance, cfg: GenConfig) -> tuple[PoSheaf, SheafM
     if any(set(Om.carrier(u)) != set(frame.down(u)) for u in frame.elements):
         raise MalformedInput("break-meet-square applies to (omega, morphism) pairs, whose sections over u are the opens below u")
     c = rng.choice(sorted(candidates, key=frame.index.__getitem__))
-    shrink = SheafMorphism(
-        Om.sheaf,
-        Om.sheaf,
-        {u: {w: frame.meet(w, c) for w in Om.carrier(u)} for u in frame.elements},
-    )
-    return Om, shrink
+    return Om, SheafMorphism.of(Om.sheaf, Om.sheaf, lambda u, w: frame.meet(w, c))

@@ -185,10 +185,7 @@ def dump_morphism_doc(alpha: SheafMorphism, source: PoSheaf, target: PoSheaf) ->
     return {
         "source": dump_posheaf_doc(source),
         "target": dump_posheaf_doc(target),
-        "maps": {
-            u: {alpha.source.label(u, x): alpha.target.label(u, alpha(u, x)) for x in alpha.source.carriers[u]}
-            for u in alpha.source.frame.elements
-        },
+        "maps": {u: {alpha.source.label(u, x): alpha.target.label(u, y) for x, y in table.items()} for u, table in alpha.maps.items()},
     }
 
 

@@ -176,10 +176,10 @@ def _etale_locale_fresh(P: Presheaf, meter: BudgetMeter) -> EtaleLocale:
 
 def lambda_on_morphism(alpha: SheafMorphism, EP: EtaleLocale, EQ: EtaleLocale) -> tuple[FrameHom, CheckReport]:
     """The reindexing frame map O(Λ(target)) → O(Λ(source)) of a morphism,
-    verified as a frame hom commuting with the projections from the base."""
-    P, Q = alpha.source, alpha.target
-    q_index = {sec: k for k, sec in enumerate(EQ.sections)}
-    reindex = [q_index[(u, alpha(u, s))] for (u, s) in EP.sections]
+    verified as a frame hom commuting with the projections from the base.
+    The sections of Λ are the points, so the reindexing is α's point table
+    (SheafMorphism.point_image)."""
+    P, reindex = alpha.source, alpha.point_image
     mapping = {}
     for i, b in enumerate(EQ.assignments):
         a = tuple(b[k] for k in reindex)
@@ -385,21 +385,18 @@ def unit(P: Presheaf, E: EtaleLocale, G: GammaSheaf) -> tuple[SheafMorphism, Che
     identity of a section with its own restriction,
     ε(P, [(u, s), (v, s|_v)]) = v; the restriction_agreement subreport
     records that precondition."""
-    position = {sec: k for k, sec in enumerate(E.sections)}
     columns = list(zip(*E.assignments))
-    maps = {}
-    for u in P.frame.elements:
-        members = G.sheaf.at[u]
-        table = {}
-        for s in P.carriers[u]:
-            candidate = Section(over=u, values=columns[position[u, s]])
-            if candidate not in members:
+    at = {}
+    for u, xs in P.carriers.items():
+        members, table = G.sheaf.at[u], []
+        for a, s in enumerate(xs):
+            table.append(members.get(Section(over=u, values=columns[P.base[u] + a])))
+            if table[-1] is None:
                 return SheafMorphism.identity(P), CheckReport.fail(
                     "unit", {"open": u, "section": P.label(u, s), "not": "a section of the sheaf locale"}
                 )
-            table[s] = candidate
-        maps[u] = table
-    eta = SheafMorphism(P, G.sheaf, maps)
+        at[u] = tuple(table)
+    eta = SheafMorphism.from_tables(P, G.sheaf, at)
     report = CheckReport.combine(
         "unit",
         [CheckReport.ok("morphism"), CheckReport("unit.restriction_agreement", E.presheaf is P)],
@@ -537,13 +534,8 @@ def verify_sh_lh_equivalence(instance, *, budget: Budget | None = None) -> Check
     E = etale_locale(P, budget=budget)
     G = cross_sections(E.locale, budget=budget)
     eta, eta_rep = unit(P, E, G)
-    bij_ok, bij_wit = True, None
-    for u in P.frame.elements:
-        images = [eta(u, s) for s in P.carriers[u]]
-        image_set = set(images)
-        if len(image_set) != len(images) or image_set != set(G.sheaf.carriers[u]):
-            bij_ok, bij_wit = False, {"open": u, "carrier": len(P.carriers[u]), "sections": len(G.sheaf.carriers[u])}
-            break
+    u = next((u for u in P.frame.elements if not _bijective(eta, u)), None)
+    bij_ok, bij_wit = u is None, None if u is None else {"open": u, "carrier": len(P.carriers[u]), "sections": len(G.sheaf.carriers[u])}
     if cert.passed:
         bij_name = "unit_bijective"
     else:
@@ -551,18 +543,19 @@ def verify_sh_lh_equivalence(instance, *, budget: Budget | None = None) -> Check
         EG = etale_locale(G.sheaf, budget=budget)
         GG = cross_sections(EG.locale, budget=budget)
         eta2, _ = unit(G.sheaf, EG, GG)
-
-        def reflects(u) -> bool:
-            images = {eta2(u, s) for s in G.sheaf.carriers[u]}
-            return len(images) == len(G.sheaf.carriers[u]) and images == set(GG.sheaf.carriers[u])
-
-        bij_ok = all(reflects(u) for u in P.frame.elements)
+        bij_ok = all(_bijective(eta2, u) for u in P.frame.elements)
         bij_wit = None if bij_ok else {"not": "idempotent reflection"}
     return CheckReport.combine(
         "sh_lh_equivalence",
         [eta_rep, CheckReport(bij_name, bij_ok, witness=bij_wit)],
         input_is_sheaf=cert.passed,
     )
+
+
+def _bijective(eta: SheafMorphism, u) -> bool:
+    """Whether η_u's position table permutes the target's carrier at u."""
+    table = eta.at[u]
+    return len(set(table)) == len(table) == len(eta.target.carriers[u])
 
 
 def _lambda_gamma_stability(E: EtaleLocale, *, budget: Budget) -> CheckReport:

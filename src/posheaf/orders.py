@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .frames import FiniteFrame, FinitePoset, MonotoneMap, _bits, _lift, galois_check, lazy, monotone_gap
+from .frames import FiniteFrame, FinitePoset, _bits, _lift, galois_gap, lazy, monotone_gap
 from .report import (
     Budget,
     BudgetMeter,
@@ -444,23 +444,24 @@ def verify_order_preserving(alpha: SheafMorphism, F: PoSheaf, G: PoSheaf) -> Che
     """Point order preserved, per-open monotonicity, and factoring through the
     target order subsheaf. (a, b) lies in the order subsheaf of G×G at u
     iff a ≤_u b, so factoring is monotonicity at each open, and one walk of
-    the pairs x ≤_u y, x-major in carrier order (MonotoneMap.verify's
-    order), decides both and names each one's witness; the point order is
-    read apart, from the rows of F and G."""
+    the pairs x ≤_u y by position, x-major in carrier order (sorted_pairs
+    order, frames.monotone_gap on α's table), decides both and names each
+    one's witness; the point order is read apart, from the rows of F and G
+    and α's point table."""
     nat = verify_morphism(alpha)
     if not nat.passed:
         return CheckReport.fail("order_preserving", {"precondition": nat.witness}, stage="morphism")
 
     # the pairs p ≤ q of F in point order, read from F's rows, each image
     # pair read from G's rows
-    pts = F.points()
-    image = [G.sheaf.position(*alpha.on_point(p)) for p in pts]
+    pts, image = F.points(), alpha.point_image
     point_wit = next(
         ({"points": [list(p), list(pts[k])]} for i, p in enumerate(pts) for k in _bits(F.row(i)) if not G.row(image[i]) >> image[k] & 1),
         None,
     )
 
-    found = next(((u, [x, y]) for u in F.frame.elements for x, y in F.sorted_pairs(u) if not G.leq(u, alpha(u, x), alpha(u, y))), None)
+    gaps = ((u, monotone_gap(F.poset(u).up_rows, alpha.at[u], G.poset(u).up_rows)) for u in F.frame.elements)
+    found = next(((u, [F.carrier(u)[i] for i in gap]) for u, gap in gaps if gap is not None), None)
     open_wit = fact_wit = None
     if found is not None:
         u, pair = found
@@ -479,12 +480,14 @@ def morphism_leq(alpha: SheafMorphism, beta: SheafMorphism, F: PoSheaf, G: PoShe
     and (a, b) lies in the order subsheaf of G×G at u iff a ≤_u b, so the
     points, per-open and diagonal forms read one comparison per point: one
     walk of F's points, open by open in carrier order, decides all three
-    and names each one's witness."""
+    and names each one's witness, read from α's and β's tables."""
     point_wit = open_wit = None
-    for p in F.points():
-        u, x = p
-        if not G.leq(u, alpha(u, x), beta(u, x)):
-            point_wit, open_wit = {"point": list(p)}, {"open": u, "section": F.label(u, x)}
+    for u in F.frame.elements:
+        ups, beta_u = G.poset(u).up_rows, beta.at[u]
+        a = next((a for a, b in enumerate(alpha.at[u]) if not ups[b] >> beta_u[a] & 1), None)
+        if a is not None:
+            x = F.carrier(u)[a]
+            point_wit, open_wit = {"point": [u, x]}, {"open": u, "section": F.label(u, x)}
             break
 
     ok = open_wit is None
@@ -507,14 +510,7 @@ def classifier(G: SubSheaf, F: PoSheaf, Om: PoSheaf | None = None) -> tuple[Shea
     natural and classifying G via the subterminal truth values."""
     frame = F.frame
     Om = Om or omega(frame)
-    maps = {
-        u: {
-            x: frame.join_all(v for v in frame.down(u) if G.contains(v, F.sheaf.restrict(u, x, v)))
-            for x in F.sheaf.carriers[u]
-        }
-        for u in frame.elements
-    }
-    phi = SheafMorphism(F.sheaf, Om.sheaf, maps)
+    phi = SheafMorphism.of(F.sheaf, Om.sheaf, lambda u, x: frame.join_all(v for v in frame.down(u) if G.contains(v, F.sheaf.restrict(u, x, v))))
     nat = verify_morphism(phi)
     classified = ((u, {x for x in F.sheaf.carriers[u] if phi(u, x) == u}) for u in frame.elements)
     wit = next(
@@ -650,13 +646,12 @@ def down_power_sheaf(F: PoSheaf, *, budget: Budget | None = None, verify: bool =
 def down_embedding(F: PoSheaf, target: PoSheaf) -> SheafMorphism:
     """The principal-ideal embedding F → 𝔻F (or into ℙF): x at u goes to the
     downsheaf of everything below x within the downset of u."""
-    maps = {u: {x: principal(F, Point(u, x)) for x in F.sheaf.carriers[u]} for u in F.frame.elements}
-    return SheafMorphism(F.sheaf, target.sheaf, maps)
+    return SheafMorphism.of(F.sheaf, target.sheaf, lambda u, x: principal(F, Point(u, x)))
 
 
 def power_inclusion(D: PoSheaf, P: PoSheaf) -> SheafMorphism:
     """𝔻F ↣ ℙF elementwise."""
-    return SheafMorphism(D.sheaf, P.sheaf, {u: {s: s for s in D.sheaf.carriers[u]} for u in D.frame.elements})
+    return SheafMorphism.of(D.sheaf, P.sheaf, lambda u, s: s)
 
 
 @timed
@@ -667,7 +662,9 @@ def verify_galois(
     G: PoSheaf,
 ) -> CheckReport:
     """α ⊣ β in three forms: the point equivalence, the unit/counit
-    inequalities, and per-open adjointness plus naturality — reconciled."""
+    inequalities, and per-open adjointness plus naturality — reconciled.
+    The point and per-open forms are one kernel, frames.galois_gap, on the
+    point rows (PoSheaf.row) and point tables, and on each open's."""
     pre_a = verify_order_preserving(alpha, F, G)
     pre_b = verify_order_preserving(beta, G, F)
     if not (pre_a.passed and pre_b.passed):
@@ -677,21 +674,10 @@ def verify_galois(
             stage="order_preserving",
         )
 
-    fpts = F.points()
-    gpts = G.points()
-    alpha_at = [G.sheaf.position(*alpha.on_point(x)) for x in fpts]
-    beta_at = [F.sheaf.position(*beta.on_point(y)) for y in gpts]
-    pt_ok, pt_wit = True, None
-    for i, x in enumerate(fpts):
-        above_alpha, above_x = G.row(alpha_at[i]), F.row(i)
-        for k, y in enumerate(gpts):
-            lhs = bool(above_alpha >> k & 1)
-            rhs = bool(above_x >> beta_at[k] & 1)
-            if lhs != rhs:
-                pt_ok, pt_wit = False, {"points": [list(x), list(y)], "alpha_leq": lhs, "leq_beta": rhs}
-                break
-        if not pt_ok:
-            break
+    points = [FinitePoset.from_rows(H.points(), [H.row(i) for i in range(len(H.points()))]) for H in (G, F)]
+    gap = galois_gap(*points, alpha.point_image, beta.point_image)
+    pt_ok = gap is None
+    pt_wit = None if pt_ok else {"points": [list(p) for p in gap["pair"]], "alpha_leq": gap["left_leq"], "leq_beta": gap["right_leq"]}
 
     unit_ok, _ = morphism_leq(SheafMorphism.identity(F.sheaf), beta.compose(alpha), F, F)
     counit_ok, _ = morphism_leq(alpha.compose(beta), SheafMorphism.identity(G.sheaf), G, G)
@@ -700,11 +686,9 @@ def verify_galois(
 
     open_ok, open_wit = True, None
     for u in F.frame.elements:
-        au = MonotoneMap(F.poset(u), G.poset(u), alpha.maps[u])
-        bu = MonotoneMap(G.poset(u), F.poset(u), beta.maps[u])
-        rep = galois_check(au, bu)
-        if not rep.passed:
-            open_ok, open_wit = False, {"open": u, "witness": rep.witness}
+        gap = galois_gap(G.poset(u), F.poset(u), alpha.at[u], beta.at[u])
+        if gap is not None:
+            open_ok, open_wit = False, {"open": u, "witness": gap}
             break
     if open_ok:
         nat_b = verify_morphism(beta)

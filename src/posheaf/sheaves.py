@@ -677,61 +677,103 @@ def terminal(X: FiniteFrame) -> Presheaf:
 
 
 class SheafMorphism:
-    """Per-open maps forming (once verified) a natural transformation."""
+    """Per-open maps forming (once verified) a natural transformation, kept
+    as one position table per open: at[u][a] is the position in
+    target.carriers[u] of the image of source.carriers[u][a]. __init__
+    validates element maps into at, as Presheaf.__init__ does for res;
+    from_tables keeps tables valid by construction. The kernels read at and
+    point_image; maps, u ↦ {x: α_u(x)}, is at's view for documents and tests."""
 
     def __init__(self, source: Presheaf, target: Presheaf, maps: dict):
-        self.source = source
-        self.target = target
-        self.maps = {}
-        for u in source.frame.elements:
-            table = dict(maps.get(u, {}))
-            for x in source.carriers[u]:
-                if x not in table:
-                    raise DomainMismatch(f"morphism map at {u!r} missing {source.label(u, x)!r}")
-                if table[x] not in target.at[u]:
-                    raise DomainMismatch(f"morphism at {u!r} sends {source.label(u, x)!r} outside the target")
-            self.maps[u] = table
+        self.source, self.target, self.at = source, target, {}
+        for u, xs in source.carriers.items():
+            table, pos = maps.get(u, {}), target.at[u]
+            try:
+                self.at[u] = tuple([pos[table[x]] for x in xs])
+            except KeyError:
+                x = next(x for x in xs if x not in table or table[x] not in pos)
+                why = f"at {u!r} sends {source.label(u, x)!r} outside the target" if x in table else f"map at {u!r} missing {source.label(u, x)!r}"
+                raise DomainMismatch(f"morphism {why}") from None
+            if len(table) != len(xs):  # every x has an entry, and some other key too
+                x = next(x for x in table if x not in source.at[u])
+                raise DomainMismatch(f"morphism map at {u!r} has an entry for {x!r}, outside the source carrier")
+        unknown = next((u for u in maps if u not in source.at), None)
+        if unknown is not None:
+            raise DomainMismatch(f"morphism maps name an unknown open {unknown!r}")
+
+    @classmethod
+    def of(cls, source: Presheaf, target: Presheaf, image: Callable) -> "SheafMorphism":
+        """The morphism x ↦ image(u, x) at each open u, as __init__ validates it."""
+        return cls(source, target, {u: {x: image(u, x) for x in xs} for u, xs in source.carriers.items()})
+
+    @classmethod
+    def from_tables(cls, source: Presheaf, target: Presheaf, at: dict) -> "SheafMorphism":
+        """The morphism with the position tables at, kept as they are."""
+        alpha = cls.__new__(cls)
+        alpha.source, alpha.target, alpha.at = source, target, at
+        return alpha
+
+    @lazy
+    def maps(self) -> dict:
+        """u ↦ {x: α_u(x)}: at's view."""
+        source, target = self.source.carriers, self.target.carriers
+        return {u: dict(zip(source[u], map(target[u].__getitem__, table))) for u, table in self.at.items()}
+
+    @lazy
+    def point_image(self) -> tuple:
+        """The position among the target's points of the image of each
+        source point, in enumerate_points order."""
+        base = self.target.base
+        return tuple([base[u] + b for u, table in self.at.items() for b in table])
 
     def __call__(self, u, x):
-        return self.maps[u][x]
+        return self.target.carriers[u][self.at[u][self.source.at[u][x]]]
 
     @classmethod
     def identity(cls, F: Presheaf) -> "SheafMorphism":
-        return cls(F, F, {u: {x: x for x in F.carriers[u]} for u in F.frame.elements})
+        return cls.from_tables(F, F, {u: tuple(range(len(xs))) for u, xs in F.carriers.items()})
 
     def compose(self, other: "SheafMorphism") -> "SheafMorphism":
         """self after other."""
-        return SheafMorphism(
-            other.source,
-            self.target,
-            {
-                u: {x: self(u, other(u, x)) for x in other.source.carriers[u]}
-                for u in other.source.frame.elements
-            },
-        )
-
-    def on_point(self, p: Point) -> Point:
-        return Point(p.dom, self(p.dom, p.value))
+        return SheafMorphism.from_tables(other.source, self.target, {u: tuple([self.at[u][b] for b in table]) for u, table in other.at.items()})
 
     @timed
     def verify(self) -> CheckReport:
-        """Naturality squares for all v ≤ u."""
-        for u in self.source.frame.elements:
-            for v in self.source.frame.down(u):
-                for x in self.source.carriers[u]:
-                    lhs = self.target.restrict(u, self(u, x), v)
-                    rhs = self(v, self.source.restrict(u, x, v))
-                    if lhs != rhs:
-                        return CheckReport.fail(
-                            "morphism.naturality",
-                            {
-                                "square": [u, v],
-                                "section": self.source.label(u, x),
-                                "restrict_then_map": self.target.label(v, rhs),
-                                "map_then_restrict": self.target.label(v, lhs),
-                            },
-                        )
-        return CheckReport.ok("morphism")
+        """Naturality, α_v(x|_v) = (α_u x)|_v for v ≤ u, on positions, naming
+        the first failing (u, v, x): u, v in frame order, x in carrier order.
+        When both presheaves' restrictions compose (Presheaf.verify), it is
+        decided at the lower covers (FiniteFrame.first_failing_pair, which
+        scans every pair only on a failure); otherwise every pair is
+        scanned. By induction on u: for v < u and a lower cover w ≥ v of u,
+        α_v(x|_v) = α_v((x|_w)|_v) = (α_w(x|_w))|_v = ((α_u x)|_w)|_v =
+        (α_u x)|_v, by the source's composition, naturality at w and at the
+        lower cover, and the target's composition (Mac Lane and Moerdijk,
+        Sheaves in Geometry and Logic, II.1)."""
+        source, target, at, frame = self.source, self.target, self.at, self.source.frame
+
+        def gap(u, v):
+            image, down = at[u], target.res_at[u, v]
+            lhs, rhs = [down[b] for b in image], [at[v][b] for b in source.res_at[u, v]]
+            return None if lhs == rhs else next(a for a, (b, c) in enumerate(zip(lhs, rhs)) if b != c)
+
+        if source.verify().passed and target.verify().passed:
+            failure = frame.first_failing_pair(gap)
+        else:
+            pairs = ((u, v) for u in frame.elements for v in frame.down(u) if v != u)
+            failure = next(((u, v, a) for u, v in pairs for a in [gap(u, v)] if a is not None), None)
+        if failure is None:
+            return CheckReport.ok("morphism")
+        u, v, a = failure
+        lhs, rhs = target.res_at[u, v][at[u][a]], at[v][source.res_at[u, v][a]]
+        return CheckReport.fail(
+            "morphism.naturality",
+            {
+                "square": [u, v],
+                "section": source.label(u, source.carriers[u][a]),
+                "restrict_then_map": target.label(v, target.carriers[v][rhs]),
+                "map_then_restrict": target.label(v, target.carriers[v][lhs]),
+            },
+        )
 
 
 def verify_morphism(alpha: SheafMorphism) -> CheckReport:

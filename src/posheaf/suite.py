@@ -207,7 +207,7 @@ def _criterion_1(seed: int, budget: Budget) -> tuple[bool, dict]:
         rep = verify_order_preserving(ident, F, F)
         battery.add_report("order_preserving", f"id[{name}]", rep)
         Om = omega(F.frame)
-        const_top = SheafMorphism(F.sheaf, Om.sheaf, {u: {x: u for x in F.carrier(u)} for u in F.frame.elements})
+        const_top = SheafMorphism.of(F.sheaf, Om.sheaf, lambda u, x: u)
         rep2 = verify_order_preserving(const_top, F, Om)
         battery.add_report("order_preserving", f"const_top[{name}]", rep2)
         if any(x != y for u in F.frame.elements for x, y in F.sorted_pairs(u)):
@@ -256,10 +256,8 @@ def _criterion_1(seed: int, budget: Budget) -> tuple[bool, dict]:
         battery.add_report("galois", f"id_pair[{name}]", rep)
     for fname in ("FRAME_2", "FRAME_3", "FRAME_D"):
         Om = omega(FIXTURE_FRAMES[fname]())
-        const_top = SheafMorphism(Om.sheaf, Om.sheaf, {u: {w: u for w in Om.carrier(u)} for u in Om.frame.elements})
-        const_bottom = SheafMorphism(
-            Om.sheaf, Om.sheaf, {u: {w: Om.frame.bottom for w in Om.carrier(u)} for u in Om.frame.elements}
-        )
+        const_top = SheafMorphism.of(Om.sheaf, Om.sheaf, lambda u, w: u)
+        const_bottom = SheafMorphism.of(Om.sheaf, Om.sheaf, lambda u, w: Om.frame.bottom)
         rep = verify_galois(const_top, const_bottom, Om, Om)
         battery.add_report("galois", f"broken_pair[omega({fname})]", rep, mutated_negative=True)
     # per-instance broken pairs: collapse-to-top against collapse-to-a-section
@@ -268,13 +266,9 @@ def _criterion_1(seed: int, budget: Budget) -> tuple[bool, dict]:
         if len(F.frame.elements) < 2 or not top_sections:
             continue
         Om = omega(F.frame)
-        const_top = SheafMorphism(F.sheaf, Om.sheaf, {u: {x: u for x in F.carrier(u)} for u in F.frame.elements})
+        const_top = SheafMorphism.of(F.sheaf, Om.sheaf, lambda u, x: u)
         x0 = top_sections[0]
-        const_sec = SheafMorphism(
-            Om.sheaf,
-            F.sheaf,
-            {u: {w: F.sheaf.restrict(F.frame.top, x0, u) for w in Om.carrier(u)} for u in F.frame.elements},
-        )
+        const_sec = SheafMorphism.of(Om.sheaf, F.sheaf, lambda u, w: F.sheaf.restrict(F.frame.top, x0, u))
         rep = verify_galois(const_top, const_sec, F, Om)
         battery.add_report("galois", f"broken_pair[{name}]", rep, mutated_negative=True)
 
@@ -295,10 +289,10 @@ def _criterion_1(seed: int, budget: Budget) -> tuple[bool, dict]:
         battery.add_report("sup_preserving", f"id[omega({fname})]", rep)
         frame = Om.frame
         c = frame.elements[1] if len(frame.elements) > 1 else frame.top
-        shrink = SheafMorphism(Om.sheaf, Om.sheaf, {u: {w: frame.meet(w, c) for w in Om.carrier(u)} for u in frame.elements})
+        shrink = SheafMorphism.of(Om.sheaf, Om.sheaf, lambda u, w: frame.meet(w, c))
         rep2 = verify_sup_preserving(shrink, Om, Om, budget=budget)
         battery.add_report("sup_preserving", f"shrink[omega({fname})]", rep2)
-        const_top = SheafMorphism(Om.sheaf, Om.sheaf, {u: {w: u for w in Om.carrier(u)} for u in frame.elements})
+        const_top = SheafMorphism.of(Om.sheaf, Om.sheaf, lambda u, w: u)
         rep3 = verify_sup_preserving(const_top, Om, Om, budget=budget)
         battery.add_report("sup_preserving", f"const_top[omega({fname})]", rep3, mutated_negative=True)
 
@@ -443,7 +437,7 @@ def _criterion_3(seed: int, budget: Budget) -> tuple[bool, dict]:
         entry = {}
         P = power_sheaf(F.sheaf, budget=budget, verify=False)
         D = down_power_sheaf(F, budget=budget, verify=False)
-        down_map = SheafMorphism(P.sheaf, D.sheaf, {u: {S: down_closure(F, S).clip(u) for S in P.carrier(u)} for u in F.frame.elements})
+        down_map = SheafMorphism.of(P.sheaf, D.sheaf, lambda u, S: down_closure(F, S).clip(u))
         inc = power_inclusion(D, P)
         rep = verify_galois(down_map, inc, P, D)
         entry["down_closure_adjoint_to_inclusion"] = rep.passed

@@ -49,7 +49,12 @@ constructions that only the tests use: the order relation as a subsheaf
 of F×F (order_subsheaf), F^u as a sheaf on the open sublocale of u
 (sheaf_on_down), the meet morphism μ: F × ℙF → ℙF (meet_morphism), Φ on
 morphisms (frame_hom_to_sheaf_morphism), and the right adjoint of a
-monotone map on the order-opposites (right_adjoint)."""
+monotone map on the order-opposites (right_adjoint). For the map
+kernels, which read position tables: naturality of a sheaf morphism over
+every v ≤ u on elements (naturality_scan), bound preservation and the
+Galois law through the posets' own element operations (bound_failure,
+galois_scan), and a frame hom's roundtrip through Φ and Ψ with both
+composites built and compared (hom_roundtrip_report)."""
 from __future__ import annotations
 
 import itertools
@@ -64,7 +69,7 @@ from posheaf.complete import (
     _restriction_gap,
     _meet_subsheaf,
 )
-from posheaf.frame_equiv import frame_hom_to_sheaf
+from posheaf.frame_equiv import frame_hom_to_sheaf, sheaf_to_frame_hom
 from posheaf.frames import FiniteFrame, FinitePoset, MonotoneMap, _bits, _by_height, _inclusion_rows, left_adjoint
 from posheaf.locale_equiv import Section
 from posheaf import sheaves
@@ -1072,6 +1077,67 @@ def point_leq_bool(F, p: Point, q: Point) -> bool:
     return w.holds
 
 
+def _image_point(alpha, p: Point) -> Point:
+    """α(p), over the same open, read through the element map."""
+    return Point(p.dom, alpha(p.dom, p.value))
+
+
+def naturality_scan(alpha) -> CheckReport:
+    """Naturality of a sheaf morphism over every v ≤ u and every section,
+    on elements: α_v(x|_v) against (α_u x)|_v, the first failure u-major,
+    then v in down(u) order, then x in carrier order, whether or not the
+    restrictions compose."""
+    source, target = alpha.source, alpha.target
+    for u in source.frame.elements:
+        for v in source.frame.down(u):
+            for x in source.carriers[u]:
+                lhs = target.restrict(u, alpha(u, x), v)
+                rhs = alpha(v, source.restrict(u, x, v))
+                if lhs != rhs:
+                    return CheckReport.fail(
+                        "morphism.naturality",
+                        {
+                            "square": [u, v],
+                            "section": source.label(u, x),
+                            "restrict_then_map": target.label(v, rhs),
+                            "map_then_restrict": target.label(v, lhs),
+                        },
+                    )
+    return CheckReport.ok("morphism")
+
+
+def bound_failure(f, kind: str) -> dict | None:
+    """The first bound of kind "join" or "meet" that an element map f
+    between two posets (or frames) does not keep, as {"subset", "expected",
+    "got"}: the empty bound, then each pair x before y, each bound read
+    from the poset's (frame's) own join or meet of elements."""
+    src, tgt = f.source, f.target
+    empty = "bottom" if kind == "join" else "top"
+    bound, image_bound = getattr(src, empty), getattr(tgt, empty)
+    if bound is None or image_bound is None or f(bound) != image_bound:
+        return {"subset": [], "expected": image_bound, "got": None if bound is None else f(bound)}
+    pair, image_pair = getattr(src, kind), getattr(tgt, kind)
+    elems = src.elements
+    for i, x in enumerate(elems):
+        for y in elems[i + 1:]:
+            bound, image_bound = pair(x, y), image_pair(f(x), f(y))
+            if bound is None or image_bound is None or f(bound) != image_bound:
+                return {"subset": [x, y], "expected": image_bound, "got": None if bound is None else f(bound)}
+    return None
+
+
+def galois_scan(left, right) -> CheckReport:
+    """left(b) ≤ a ⇔ b ≤ right(a) for element maps, over every pair,
+    b-major."""
+    A, B = right.source, left.source
+    for b in B.elements:
+        for a in A.elements:
+            lhs, rhs = A.leq(left(b), a), B.leq(b, right(a))
+            if lhs != rhs:
+                return CheckReport.fail("galois", {"pair": [b, a], "left_leq": lhs, "right_leq": rhs})
+    return CheckReport.ok("galois")
+
+
 def order_preserving_forms(alpha, F, G) -> CheckReport:
     """verify_order_preserving with each form decided apart: the point
     order over every pair of points, dom-then-value (point_leq), monotonicity
@@ -1086,7 +1152,7 @@ def order_preserving_forms(alpha, F, G) -> CheckReport:
             {"points": [list(p), list(q)]}
             for p in pts
             for q in pts
-            if point_leq(F, p, q).holds and not point_leq(G, alpha.on_point(p), alpha.on_point(q)).holds
+            if point_leq(F, p, q).holds and not point_leq(G, _image_point(alpha, p), _image_point(alpha, q)).holds
         ),
         None,
     )
@@ -1115,7 +1181,7 @@ def morphism_leq_forms(alpha, beta, F, G) -> tuple[bool, CheckReport]:
     point by point_leq, α_u(x) ≤ β_u(x) at each open, and (α_u(x), β_u(x))
     in the order subsheaf of G×G (order_subsheaf)."""
     pts = enumerate_points(F.sheaf)
-    point_wit = next(({"point": list(p)} for p in pts if not point_leq(G, alpha.on_point(p), beta.on_point(p)).holds), None)
+    point_wit = next(({"point": list(p)} for p in pts if not point_leq(G, _image_point(alpha, p), _image_point(beta, p)).holds), None)
     sections = [(u, x) for u in F.frame.elements for x in F.sheaf.carriers[u]]
     open_wit = next(({"open": u, "section": F.label(u, x)} for u, x in sections if not G.leq(u, alpha(u, x), beta(u, x))), None)
     _, rel = order_subsheaf(G)
@@ -1512,6 +1578,26 @@ def meet_morphism(F, P) -> SheafMorphism:
     FP = product_sheaf(F.sheaf, P.sheaf)
     maps = {u: {(x, S): _meet_subsheaf(F, u, x, S) for (x, S) in FP.carriers[u]} for u in F.frame.elements}
     return SheafMorphism(FP, P.sheaf, maps)
+
+
+def hom_roundtrip_report(h) -> CheckReport:
+    """verify_frame_equivalence on a frame hom h with both roundtrips built
+    and compared: psi_phi compares Ψ(Φ(h)) with h (L's elements and order,
+    and the map), and phi_stability compares Φ(Ψ(Φ(h))) with Φ(h) by
+    carriers, order rows and restriction tables."""
+    h.verify().require()
+    F = frame_hom_to_sheaf(h)
+    back = sheaf_to_frame_hom(F)
+    L, L2 = h.target, back.target
+    same = (L2.elements, L2.poset.pairs()) == (L.elements, L.poset.pairs()) and all(back.hom(u) == h.hom(u) for u in h.base.elements)
+    iso = CheckReport("frame_equivalence.psi_phi", same, witness=None if same else {"not": "identity"}, details={"iso": "identity"} if same else {})
+    G = frame_hom_to_sheaf(back)
+    stable = (
+        all(F.sheaf.carriers[u] == G.sheaf.carriers[u] and F.poset(u).up_rows == G.poset(u).up_rows for u in F.frame.elements)
+        and F.sheaf.res_at == G.sheaf.res_at
+    )
+    stable_rep = CheckReport("frame_equivalence.phi_stability", stable, witness=None if stable else {"not": "identical"})
+    return CheckReport.combine("frame_equivalence", [iso, stable_rep])
 
 
 def frame_hom_to_sheaf_morphism(f, g, m) -> SheafMorphism:

@@ -240,6 +240,27 @@ def test_a_restriction_entry_outside_the_source_carrier_is_malformed(tmp_path, c
     assert run(["check", "presheaf", write(tmp_path, "fixed.json", doc)]) == 0
 
 
+def test_a_stray_morphism_entry_is_malformed(tmp_path, capsys):
+    # a maps entry for a section outside the source carrier, or a key naming
+    # no open, is rejected when the morphism is built, as a stray
+    # restriction entry is: exit 2 from every verify kind, not a verdict
+    assert run(["gen", "morphism", "--seed", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    top = doc["source"]["frame"]["elements"][-1]
+    strays = {"zz": copy.deepcopy(doc), "nowhere": copy.deepcopy(doc)}
+    strays["zz"]["maps"][top]["zz"] = next(iter(doc["maps"][top].values()))
+    strays["nowhere"]["maps"]["nowhere"] = {}
+    for kind in ("sup-preserving", "frame-morphism", "galois"):
+        path = write(tmp_path, "m.json", doc)
+        assert run(["verify", kind] + [path] * (2 if kind == "galois" else 1)) in (0, 1), kind
+        capsys.readouterr()
+        for name, stray in strays.items():
+            path = write(tmp_path, f"{name}.json", stray)
+            assert run(["verify", kind] + [path] * (2 if kind == "galois" else 1)) == 2, (kind, name)
+            out = json.loads(capsys.readouterr().out)
+            assert out["error"] == "malformed" and f"'{name}'" in out["message"], (kind, out)
+
+
 def test_verify_reads_exactly_its_documents(tmp_path, capsys):
     # galois takes two morphism documents and every other kind one; a wrong
     # count is malformed input, not a traceback

@@ -14,9 +14,9 @@ from posheaf.frame_equiv import (
 )
 from posheaf.complete import is_frame_sheaf, verify_frame_morphism
 from posheaf.orders import omega, power_sheaf
-from posheaf.report import NotFrameSheaf
+from posheaf.report import CheckReport, NotFrameSheaf
 from posheaf.sheaves import full_subsheaf, sheaf_iso, terminal
-from tests.conftest import frame_3, frame_6, frame_d, posheaf_ab, sheaf_ab
+from tests.conftest import frame_2, frame_3, frame_6, frame_d, posheaf_ab, sheaf_ab
 
 
 def one_element_frame():
@@ -93,7 +93,7 @@ def test_roundtrip_on_power_sheaf_of_ab():
     rep = verify_frame_equivalence(P)
     assert rep.passed
     # Ψ(ℙF) sends u to the minimal extension of the full subsheaf of F^u
-    back = sheaf_to_frame_hom(P, check=False)
+    back = sheaf_to_frame_hom(P)
     for u in SAB.frame.elements:
         expected = full_subsheaf(SAB, u)
         assert back.hom(u).parts == expected.parts
@@ -126,11 +126,9 @@ def test_frame_iso_search_utility(FD):
     assert frame_iso(FD, build_frame(["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "1")])) is None
 
 
-def test_the_psi_phi_roundtrip_is_the_identity():
-    # verify_frame_equivalence issues psi_phi as the identity by proof: on
-    # the suite's generated frame homs (seeds 0-59), the identities of the
-    # fixture frames and their open inclusions, Ψ(Φ(h)) has L's elements
-    # and order and agrees with h on every open
+def _roundtrip_homs() -> list[FrameUnderX]:
+    """The suite's generated frame homs (seeds 0-59), the identities of the
+    fixture frames and their open inclusions."""
     from posheaf.fixtures import FIXTURE_FRAMES, open_inclusion
     from posheaf.suite import _generated_frame_homs
 
@@ -139,9 +137,74 @@ def test_the_psi_phi_roundtrip_is_the_identity():
         X = build()
         homs.append(FrameUnderX(FrameHom.identity(X)))
         homs += [FrameUnderX(open_inclusion(X, a).fstar) for a in X.elements]
+    return homs
+
+
+def _lattices_pool_frame_sheaves() -> list:
+    """The frame sheaves of the lattices benchmark pool, rebuilt from their
+    recipes."""
+    import json
+    from pathlib import Path
+
+    from posheaf.fixtures import m3_posheaf
+    from posheaf.generate import GenConfig, gen_frame, gen_posheaf
+    from posheaf.orders import discrete, down_power_sheaf
+
+    fixtures = {
+        "omega(FRAME_2)": lambda: omega(frame_2()),
+        "omega(FRAME_3)": lambda: omega(frame_3()),
+        "power(terminal(FRAME_2))": lambda: power_sheaf(terminal(frame_2())),
+        "power(terminal(FRAME_3))": lambda: power_sheaf(terminal(frame_3())),
+        "down_power(discrete(terminal(FRAME_2)))": lambda: down_power_sheaf(discrete(terminal(frame_2()))),
+        "down_power(discrete(terminal(FRAME_3)))": lambda: down_power_sheaf(discrete(terminal(frame_3()))),
+        "posheaf_ab": posheaf_ab,
+        "m3": m3_posheaf,
+    }
+    pool = Path(__file__).resolve().parents[1] / "bench" / "pools" / "lattices.json"
+    out = []
+    for item in json.loads(pool.read_text())["items"]:
+        recipe = item["recipe"]
+        if not item["expect"].get("frame_sheaf"):
+            continue
+        if "fixture" in recipe:
+            out.append(fixtures[recipe["fixture"]]())
+            continue
+        assert recipe["gen"] == "posheaf" and not recipe["mutate"], item["name"]
+        cfg = GenConfig(seed=recipe["seed"], max_opens=recipe["max_opens"], max_carrier=recipe["max_carrier"])
+        out.append(gen_posheaf(gen_frame(cfg), cfg))
+    return out
+
+
+def test_the_proved_frame_equivalence_reports_match_the_checks():
+    # Ψ(F) of a frame sheaf is a frame hom by proof, and a frame hom's
+    # psi_phi and phi_stability reports are issued by proof: on the
+    # roundtrip homs, and on the frame sheaves of the lattices pool with
+    # their Ψ, verify_frame_hom passes on Ψ(F), and the report equals the
+    # one that builds Ψ(Φ(h)) and Φ(Ψ(Φ(h))) and compares them
+    from oracles import hom_roundtrip_report
+    from posheaf.frames import verify_frame_hom
+
+    sheaves = _lattices_pool_frame_sheaves()
+    homs = _roundtrip_homs() + [sheaf_to_frame_hom(F) for F in sheaves]
+    assert len(sheaves) == 91 and len(homs) > 1300
+    passing = CheckReport.ok("frame_hom").to_json(include_timing=False)
+    for h in homs:
+        back = sheaf_to_frame_hom(frame_hom_to_sheaf(h))
+        assert verify_frame_hom(back.hom).to_json(include_timing=False) == passing
+        assert verify_frame_equivalence(h).to_json(include_timing=False) == hom_roundtrip_report(h).to_json(include_timing=False)
+    for F in sheaves:
+        assert verify_frame_hom(sheaf_to_frame_hom(F).hom).to_json(include_timing=False) == passing
+
+
+def test_the_psi_phi_roundtrip_is_the_identity():
+    # verify_frame_equivalence issues psi_phi as the identity by proof: on
+    # the suite's generated frame homs (seeds 0-59), the identities of the
+    # fixture frames and their open inclusions, Ψ(Φ(h)) has L's elements
+    # and order and agrees with h on every open
+    homs = _roundtrip_homs()
     for h in homs:
         assert h.verify().passed
-        back = sheaf_to_frame_hom(frame_hom_to_sheaf(h), check=False)
+        back = sheaf_to_frame_hom(frame_hom_to_sheaf(h))
         L, L2 = h.target, back.target
         assert (L2.elements, L2.poset.pairs()) == (L.elements, L.poset.pairs())
         assert all(back.hom(u) == h.hom(u) for u in h.base.elements)

@@ -10,7 +10,8 @@ frame's lower covers outside frames.py and complete._left_adjoint, no
 restriction table built outside Presheaf, jsonio and fixtures, no
 restriction table stored by Presheaf but res_at, no cross-section built
 outside Γ's point search, the unit and the oracles, no section-level
-restriction read in the law kernels that read positions, no sheaf,
+restriction or morphism map read in the law kernels that read positions,
+no MonotoneMap built outside frames.py, no sheaf,
 presheaf, frame-hom or morphism check in Λ, Γ or the unit of what they
 build, no FiniteFrame method that answers from the poset's row operations,
 and no functools.cached_property."""
@@ -460,17 +461,36 @@ def test_sections_are_built_by_the_point_search_alone():
 # the kernels that read a presheaf's restrictions as positions (res_at),
 # by module and by name, a method as Class.method
 POSITION_KERNELS = {
-    "sheaves.py": {"Presheaf._verify_fresh", "_glues", "_germ_table", "_germ_places", "_germ_downsets"},
-    "orders.py": {"PoSheaf.row", "_pos2", "pull_up_sources", "_patching_gap"},
+    "sheaves.py": {
+        "Presheaf._verify_fresh",
+        "_glues",
+        "_germ_table",
+        "_germ_places",
+        "_germ_downsets",
+        "SheafMorphism.verify",
+        "SheafMorphism.compose",
+    },
+    "orders.py": {"PoSheaf.row", "_pos2", "pull_up_sources", "_patching_gap", "verify_order_preserving", "morphism_leq"},
     "generate.py": {"_order_posets"},
-    "complete.py": {"_per_open_form", "_left_adjoint", "_adjoint_square_check", "_adjoint_square_gap"},
+    "complete.py": {
+        "_per_open_form",
+        "_left_adjoint",
+        "_adjoint_square_check",
+        "_adjoint_square_gap",
+        "_restriction_gap",
+        "_semilattice_gap",
+        "_finite_meets_gap",
+        "_least_preimages",
+        "image_subsheaf",
+    },
 }
 
 
 def _section_restrictions(tree, kernels: set) -> list[str]:
-    """The kernels in kernels that read res[...] or call restrict(...), with
-    the line of each read; a kernel missing from the module is reported
-    too, so a rename cannot empty the test."""
+    """The kernels in kernels that read res[...], call restrict(...) or read
+    a morphism's element maps (.maps), with the line of each read; a kernel
+    missing from the module is reported too, so a rename cannot empty the
+    test."""
     found, seen = [], set()
     named = [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body if isinstance(f, ast.FunctionDef)]
     named += [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
@@ -483,17 +503,26 @@ def _section_restrictions(tree, kernels: set) -> list[str]:
                 found.append(f"{name}:{node.lineno} reads res")
             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "restrict":
                 found.append(f"{name}:{node.lineno} calls restrict")
+            if isinstance(node, ast.Attribute) and node.attr == "maps":
+                found.append(f"{name}:{node.lineno} reads maps")
     return found + [f"{name} missing" for name in sorted(kernels - seen)]
 
 
 def test_position_kernels_read_no_section_restriction():
     # every law kernel that compares restrictions reads res_at, positions
-    # numbered once per presheaf, and no per-call section -> position
-    # lookup; res and restrict are left to witnesses, labels and documents
-    bad = "class Presheaf:\n    def _verify_fresh(self):\n        return self.res[u, v][x]\ndef _glues(P):\n    return P.restrict(u, x, v)\n"
-    assert _section_restrictions(ast.parse(bad), {"Presheaf._verify_fresh", "_glues", "_gone"}) == [
+    # numbered once per presheaf, and every kernel that reads a morphism
+    # reads its position tables (SheafMorphism.at), with no per-call
+    # section -> position lookup; res, restrict and maps are left to
+    # witnesses, labels and documents
+    bad = (
+        "class Presheaf:\n    def _verify_fresh(self):\n        return self.res[u, v][x]\n"
+        "def _glues(P):\n    return P.restrict(u, x, v)\n"
+        "def morphism_leq(alpha, beta):\n    return alpha.maps[u][x]\n"
+    )
+    assert _section_restrictions(ast.parse(bad), {"Presheaf._verify_fresh", "_glues", "morphism_leq", "_gone"}) == [
         "Presheaf._verify_fresh:3 reads res",
         "_glues:5 calls restrict",
+        "morphism_leq:7 reads maps",
         "_gone missing",
     ]
     found = [
@@ -501,6 +530,37 @@ def test_position_kernels_read_no_section_restriction():
         for module, kernels in POSITION_KERNELS.items()
         for line in _section_restrictions(ast.parse((PACKAGE / module).read_text()), kernels)
     ]
+    assert found == []
+
+
+def _monotone_map_names(tree, filename: str) -> list[int]:
+    """The lines that name MonotoneMap, by a call, an attribute or an
+    import, outside frames.py."""
+    if filename == "frames.py":
+        return []
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if "MonotoneMap" in {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+        }
+    )
+
+
+def test_only_frames_builds_a_monotone_map():
+    # the map kernels (monotone_gap, _bound_failure, galois_gap,
+    # _hom_report) read an image tuple of positions, which a posheaf's
+    # res_at and a morphism's at already are; MonotoneMap is the element
+    # wrapper of frames.py alone, which its API converts once per call. The
+    # patterns are caught as written
+    bad = (
+        "from .frames import MonotoneMap\n"
+        "def gap(F, u, v):\n    return preserves_all_joins(MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[u, v]))\n"
+        "def ident(F):\n    return frames.MonotoneMap.identity(F)\n"
+    )
+    assert _monotone_map_names(ast.parse(bad), "complete.py") == [1, 3, 5]
+    assert _monotone_map_names(ast.parse(bad), "frames.py") == []
+    found = [f"{path.name}:{line}" for path in _modules() for line in _monotone_map_names(ast.parse(path.read_text()), path.name)]
     assert found == []
 
 

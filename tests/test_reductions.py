@@ -72,7 +72,17 @@ from posheaf.frames import (
     preserves_all_meets,
     verify_frame_hom,
 )
-from posheaf.generate import GenConfig, _order_posets, _sampled_orders, gen_endomorphism, gen_frame, gen_posheaf, gen_sheaf, mutate
+from posheaf.generate import (
+    GenConfig,
+    _order_posets,
+    _sampled_orders,
+    gen_endomorphism,
+    gen_frame,
+    gen_frame_morphism,
+    gen_posheaf,
+    gen_sheaf,
+    mutate,
+)
 from posheaf import jsonio, sheaves
 from posheaf.locale_equiv import LocaleOverX, _point_map, _point_sections, cross_sections, etale_locale, is_local_homeomorphism, unit
 from posheaf.orders import (
@@ -2078,3 +2088,99 @@ def test_a_passing_posheaf_builds_no_pair_set(monkeypatch, boolean_frame):
         assert verify_posheaf(F.opposite()).passed and F.opposite().opposite() is F
         assert all(call == {} for call in calls), calls
     assert completed >= 5
+
+
+def _morphism_corpus() -> list[SheafMorphism]:
+    """The endomorphisms of generated posheaves (seeds 0-79, at most 4, 6
+    and 8 opens) and their break-naturality mutants, the identities of Ω of the same
+    frames and their break-meet-square mutants, and three random per-open
+    maps of each of those sheaves."""
+    rng, out = random.Random(35), []
+    for seed in range(80):
+        for opens in (4, 6, 8):
+            cfg = GenConfig(seed=seed, max_opens=opens)
+            X = gen_frame(cfg)
+            F = gen_posheaf(X, cfg)
+            alpha = gen_endomorphism(F, cfg)
+            Om, ident = gen_frame_morphism(X, cfg)
+            out += [alpha, ident]
+            for kind, instance in (("break-naturality", (F, alpha)), ("break-meet-square", (Om, ident))):
+                try:
+                    mutant = mutate(instance, kind, cfg)
+                except RepairFailed:
+                    continue
+                out.append(mutant[1] if isinstance(mutant, tuple) else mutant)
+            for P in (F.sheaf, Om.sheaf):
+                out += [SheafMorphism(P, P, {u: {x: rng.choice(xs) for x in xs} for u, xs in P.carriers.items()}) for _ in range(3)]
+    return out
+
+
+def _uncomposed_chain() -> Presheaf:
+    """On the 3-chain 0 < a < 1, two sections at each open, and a
+    restriction 1 -> 0 that is not the composite of 1 -> a -> 0."""
+    res = {("1", "a"): {"x": "s", "y": "t"}, ("a", "0"): {"s": "p", "t": "q"}, ("1", "0"): {"x": "q", "y": "p"}}
+    return Presheaf(FIXTURE_FRAMES["FRAME_3"](), {"0": ("p", "q"), "a": ("s", "t"), "1": ("x", "y")}, res)
+
+
+def test_naturality_at_the_lower_covers_names_the_full_scans_witness():
+    # SheafMorphism.verify decides naturality on positions at the lower
+    # covers when both presheaves compose, and otherwise scans every pair;
+    # either way its report is the element scan's over every v ≤ u. Every
+    # map on a presheaf whose restrictions do not compose runs the scan
+    # branch, where a map natural at the lower covers can still fail
+    P = _uncomposed_chain()
+    assert not P.verify().passed
+    tables = [[dict(zip(xs, images)) for images in itertools.product(xs, repeat=len(xs))] for xs in P.carriers.values()]
+    chain = [SheafMorphism(P, P, dict(zip(P.carriers, choice))) for choice in itertools.product(*tables)]
+    squares = []
+    for alpha in _morphism_corpus() + chain:
+        report = alpha.verify()
+        assert report.to_json(include_timing=False) == oracles.naturality_scan(alpha).to_json(include_timing=False)
+        squares.append(None if report.passed else tuple(report.witness["square"]))
+    constant = SheafMorphism(P, P, {u: {x: xs[0] for x in xs} for u, xs in P.carriers.items()})
+    assert constant.verify().witness["square"] == ["1", "0"]
+    assert len(squares) > 1400 and None in squares and len(set(squares)) >= 8
+
+
+def test_position_bound_and_galois_kernels_match_the_element_scans():
+    # the bound kernel and the Galois row test read positions; the scans of
+    # each pair through the posets' (frames') own join, meet and leq on
+    # elements are the oracles. Random maps and monotone maps between the
+    # posets of the fixture frames, N5, M3, generated stalks and Ω, the
+    # restrictions of those posheaves with their left adjoints, and random
+    # monotone maps between frames
+    from posheaf.frames import _bound_failure, galois_check
+
+    rng = random.Random(35)
+    n5, m3 = _non_distributive()
+    posets = [build().poset for build in FIXTURE_FRAMES.values()] + [n5, m3]
+    pairs = []
+    for seed in range(8):
+        cfg = GenConfig(seed=seed, max_opens=6)
+        X = gen_frame(cfg)
+        for F in (gen_posheaf(X, cfg), omega(X)):
+            posets += [F.poset(u) for u in F.frame.elements if F.carrier(u)]
+            for u, v in ((u, v) for u in F.frame.elements for v in F.frame.down(u) if v != u):
+                r = MonotoneMap(F.poset(u), F.poset(v), F.sheaf.res[u, v])
+                if r.verify().passed:
+                    g, _ = left_adjoint(r)
+                    pairs += [(r, r)] if g is None else [(g, r), (r, g)]
+    for _ in range(3000):
+        A, B = rng.choice(posets), rng.choice(posets)
+        f = MonotoneMap(A, B, {x: rng.choice(B.elements) for x in A.elements})
+        pairs.append((f, MonotoneMap(B, A, {y: rng.choice(A.elements) for y in B.elements})))
+    frames = [build() for build in FIXTURE_FRAMES.values()] + [_boolean_3(), _chain(3)]
+    homs = [_monotone_map(rng.choice(frames), rng.choice(frames), rng) for _ in range(300)]
+    found = set()
+    for f in [f for pair in pairs for f in pair] + homs:
+        image = [f.target.index[f(x)] for x in f.source.elements]
+        src, tgt = getattr(f.source, "poset", f.source), getattr(f.target, "poset", f.target)
+        for kind in ("join", "meet"):
+            got = _bound_failure(src, tgt, image, kind)
+            assert got == oracles.bound_failure(f, kind), (kind, f.mapping)
+            found.add(None if got is None else len(got["subset"]))
+    for left, right in pairs:
+        got = galois_check(left, right)
+        assert got.to_json(include_timing=False) == oracles.galois_scan(left, right).to_json(include_timing=False)
+        found.add(got.passed)
+    assert found == {None, 0, 2, True, False}
