@@ -864,12 +864,6 @@ def galois_gap(A: FinitePoset, B: FinitePoset, left: Sequence[int], right: Seque
     return None
 
 
-def galois_check(left: MonotoneMap, right: MonotoneMap) -> CheckReport:
-    """left(b) ≤ a  ⇔  b ≤ right(a) over all pairs (galois_gap)."""
-    gap = galois_gap(right.source, left.source, _image(left), _image(right))
-    return CheckReport.ok("galois") if gap is None else CheckReport.fail("galois", gap)
-
-
 def _least_candidates(src: FinitePoset, tgt: FinitePoset, image: Sequence[int]) -> tuple[tuple | None, CheckReport]:
     """The table b ↦ min{a : b ≤ image[a]} of positions, a in src and b in
     tgt, monotone or not, or (None, the report naming the first b without
@@ -939,12 +933,6 @@ def _bound_failure(src: FinitePoset, tgt: FinitePoset, image: Sequence[int], kin
     return None
 
 
-def preserves_all_meets(f: MonotoneMap) -> bool:
-    """f(⋀S) = ⋀f(S) for every subset S of the (finite) source poset, read
-    from the top and the binary meets (the left-adjoint existence criterion)."""
-    return _bound_failure(f.source, f.target, _image(f), "meet") is None
-
-
 def frame_iso(A: FiniteFrame, B: FiniteFrame, fixed: dict | None = None) -> dict | None:
     """A frame isomorphism A → B by backtracking with degree-profile pruning;
     None when the search is exhausted. `fixed` pins chosen images."""
@@ -991,9 +979,3 @@ def frame_iso(A: FiniteFrame, B: FiniteFrame, fixed: dict | None = None) -> dict
             return dict(mapping)
         stack.append(iter(b_by_profile.get(profile(A, todo[len(stack)]), [])))
     return None if todo else dict(mapping)
-
-
-def preserves_all_joins(f: MonotoneMap) -> bool:
-    """f(⋁S) = ⋁f(S) for every subset S of the (finite) source poset, read
-    from the bottom and the binary joins."""
-    return _bound_failure(f.source, f.target, _image(f), "join") is None
